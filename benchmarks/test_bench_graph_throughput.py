@@ -6,7 +6,7 @@ stage from scratch (the old single-path engine's behaviour) by well over 2x, whi
 matching arrivals and slews to <= 1e-9 relative (the batched array kernels agree
 with the scalar oracle to complex roundoff, ~1e-15).  Both runs go through one
 ``repro.api.TimingSession`` — the naive baseline is ``session.time(...,
-memoize=False, jobs=1)``, which bypasses every cache layer and every batch.
+memoize=False)``, which bypasses every cache layer and every batch.
 
 The naive loop's cost is strictly linear in the event count (one uncached stage
 solve per event, no sharing), so it is *measured* on a deterministic 128-net
@@ -62,19 +62,16 @@ def test_graph_throughput_vs_naive_loop(library, report_writer):
     subset = benchmark_graph(NAIVE_SUBSET_NETS)
     assert set(subset.nets) <= set(graph.nets)
 
-    with TimingSession(jobs=max(os.cpu_count() or 1, 1)) as session:
+    with TimingSession() as session:
         # Naive baseline: the per-stage loop the single-path engine used to
         # run — same solver code, every cache layer bypassed, strictly serial —
         # measured on the subset (its per-event cost is the full graph's:
         # chains are independent and stage configurations repeat by design).
-        naive = session.time(subset, jobs=1, memoize=False, name="naive")
+        naive = session.time(subset, memoize=False, name="naive")
 
         # Graph subsystem: memoized stage solving with each level's cache
-        # misses solved as one batched array computation.  jobs=1 keeps the
-        # run on the batched serial path — on this memo-heavy workload the
-        # single array pass beats process fan-out (which pays pickling and
-        # pool startup to ship scalar solves to workers).
-        batched = session.time(graph, jobs=1, name="batched")
+        # misses solved as one batched array computation.
+        batched = session.time(graph, name="batched")
 
     # The speedup must not come from approximation: on the shared subset nets,
     # arrivals and slews agree to <= 1e-9 relative (batched array kernels vs
@@ -94,7 +91,7 @@ def test_graph_throughput_vs_naive_loop(library, report_writer):
     batched_elapsed = batched.meta.elapsed
     speedup = naive_elapsed / batched_elapsed
     meta = batched.meta
-    unique_solves = meta.computed + meta.installed
+    unique_solves = meta.computed
     # Uncached gate: what the scalar loop would pay for exactly the solves the
     # batched run performed (its cache misses), vs the batched run end to end.
     # Charging the batched run its full wall-clock (memo lookups, level
@@ -120,7 +117,6 @@ def test_graph_throughput_vs_naive_loop(library, report_writer):
             "uncached_speedup_floor": 3.0,
         },
         "machine": {
-            "jobs": meta.jobs,
             "naive_subset_seconds": round(naive_measured, 3),
             "naive_seconds": round(naive_elapsed, 3),
             "batched_seconds": round(batched_elapsed, 3),
@@ -142,7 +138,7 @@ def test_graph_throughput_vs_naive_loop(library, report_writer):
         f"({subset_events / naive_measured:7.1f} nets/s; measured on "
         f"{len(subset)} nets, extrapolated by event count)",
         f"  memoized batched run : {batched_elapsed:8.2f} s "
-        f"({n_events / batched_elapsed:7.1f} nets/s, {meta.jobs} worker(s))",
+        f"({n_events / batched_elapsed:7.1f} nets/s)",
         f"  unique stage solves  : {unique_solves} of {n_events} "
         f"events (cache hit rate {100 * meta.hit_rate:.1f}%)",
         f"  array-batched solves : {meta.batched_solves} "
@@ -155,8 +151,8 @@ def test_graph_throughput_vs_naive_loop(library, report_writer):
     ]
     report_writer("graph_throughput", "\n".join(lines))
 
-    # Every cache miss must flow through the array-batched path (jobs=1 has no
-    # worker fan-out to divert them), and the memo must still serve repeats.
+    # Every cache miss must flow through the array-batched path, and the memo
+    # must still serve repeats.
     assert meta.batched_solves == meta.computed
     assert meta.batch_fill_rate == 1.0
 

@@ -16,18 +16,12 @@ acceptance gate, in three phases (one shared session, one memoized solver):
    reuses the same 32 stage configurations at every size), a compiled warm
    re-analysis must beat the object engine by >= ``SPEEDUP_FLOOR_10K``.
 3. **100k cold, fresh subprocess** — build + compile + analyze 100k nets in a
-   child interpreter (``ru_maxrss`` is a process-lifetime high-water mark, so
-   the memory gate needs a process that has never held a bigger allocation).
+   child interpreter (peak RSS is a process-lifetime high-water mark, so the
+   memory gate needs a process that has never held a bigger allocation).
    Gates: warm throughput >= ``NETS_PER_SECOND_FLOOR`` nets/s and peak-RSS
-   growth over the post-import baseline <= ``BYTES_PER_NET_CEILING`` per net.
-4. **100k parallel sharding, fresh subprocess** — the multi-core sharded
-   driver (``jobs=PARALLEL_JOBS``) vs the pinned ``jobs=1`` baseline, warm,
-   best-of-3 each.  Two gates: the results must be **exactly** equal (0 ULP —
-   every state plane, required plane, and solution fingerprint), always
-   enforced; and the sharded sweep must beat single-shard by
-   ``PARALLEL_SPEEDUP_FLOOR``, enforced only when the host actually has
-   ``PARALLEL_JOBS`` cores (``parallel_gate_enforced`` in the report says
-   which; single-core builders still verify equivalence and shard counts).
+   growth over the post-import baseline <= ``BYTES_PER_NET_CEILING`` per net
+   (and above zero: :func:`repro.perf.peak_rss_bytes` reads the child's own
+   ``VmHWM``, so a measurement that inherited the parent's peak cannot pass).
 
 Results land in ``benchmarks/reports/scale.txt`` and
 ``benchmarks/reports/BENCH_scale.json``.  The JSON ``tracked`` section pins
@@ -70,13 +64,6 @@ NETS_PER_SECOND_FLOOR = 50_000
 #: allocator and platform variance).
 BYTES_PER_NET_CEILING = 2048
 
-#: Worker count of the parallel-sharding phase (CI runners have 4 vCPUs).
-PARALLEL_JOBS = 4
-
-#: Required sharded-over-single-shard warm speedup at 100k nets — enforced
-#: only on hosts with at least PARALLEL_JOBS cpus (see parallel_gate_enforced).
-PARALLEL_SPEEDUP_FLOOR = 2.0
-
 #: Clock constraint applied at every size (met on the critical path, so both
 #: planes carry finite slacks).
 CLOCK_PS = 1500.0
@@ -90,7 +77,7 @@ _EVENT_FIELDS = (
 )
 
 #: Runs in a fresh interpreter: the 100k build/compile/analyze lap with a
-#: clean ru_maxrss high-water mark.  Prints one JSON object on stdout.
+#: clean peak-RSS high-water mark.  Prints one JSON object on stdout.
 _SUBPROCESS_SCRIPT = """
 import json, time
 from repro.api import TimingSession
@@ -129,55 +116,6 @@ with TimingSession() as session:
         "peak_rss_bytes": peak_rss_bytes(),
     }}))
 """
-
-#: Runs in a fresh interpreter: the 100k sharded-vs-single-shard comparison.
-#: A child process keeps the phase hermetic (its worker fleet, shared-memory
-#: segments, and memo warmup can't leak into the other phases) and is exactly
-#: how CI runs it.  Prints one JSON object on stdout.
-_PARALLEL_SUBPROCESS_SCRIPT = """
-import json, os, time
-import numpy as np
-from repro.api import TimingSession
-from repro.experiments import soc_graph
-from repro.units import ps
-
-graph = soc_graph({nets})
-graph.set_clock_period(ps({clock_ps}), hold_margin=0.0)
-with TimingSession(jobs={jobs}) as session:
-    session.time(graph, compiled=True, jobs=1)  # compile + warm the memo
-    laps = []
-    for _ in range(3):
-        started = time.perf_counter()
-        single = session.time(graph, compiled=True, jobs=1)
-        laps.append(time.perf_counter() - started)
-    single_seconds = min(laps)
-    first = session.time(graph, compiled=True)  # pays worker fork + plan ship
-    assert first.meta.parallel_sweep, "sharded driver did not engage"
-    laps = []
-    for _ in range(3):
-        started = time.perf_counter()
-        sharded = session.time(graph, compiled=True)
-        laps.append(time.perf_counter() - started)
-    sharded_seconds = min(laps)
-    a, b = single.analysis, sharded.analysis
-    equivalence_exact = bool(
-        all(np.array_equal(x, y)
-            for x, y in zip(a.state.planes(), b.state.planes()))
-        and np.array_equal(a.required, b.required, equal_nan=True)
-        and np.array_equal(a.hold_required, b.hold_required, equal_nan=True)
-        and [s.fingerprint for s in a.solutions]
-            == [s.fingerprint for s in b.solutions])
-    print(json.dumps({{
-        "cpu_count": os.cpu_count(),
-        "shards": sharded.meta.shards,
-        "single_shard_pinned": not single.meta.parallel_sweep,
-        "boundary_events_exchanged": sharded.meta.boundary_events_exchanged,
-        "equivalence_exact": equivalence_exact,
-        "single_seconds": single_seconds,
-        "sharded_seconds": sharded_seconds,
-    }}))
-"""
-
 
 def relative_difference(a, b):
     if a is None or b is None:
@@ -241,19 +179,6 @@ def test_scale_tier(library, report_writer):
     bytes_per_net = rss_delta / full["nets"]
     compile_fraction = full["compile_seconds"] / full["cold_seconds"]
 
-    # --- phase 4: 100k parallel sharding in a fresh subprocess --------------
-    script = _PARALLEL_SUBPROCESS_SCRIPT.format(
-        nets=NETS_FULL, clock_ps=CLOCK_PS, jobs=PARALLEL_JOBS)
-    result = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True, text=True, env=env, timeout=600)
-    assert result.returncode == 0, result.stderr
-    parallel = json.loads(result.stdout.strip().splitlines()[-1])
-    parallel_speedup = parallel["single_seconds"] / parallel["sharded_seconds"]
-    # The speedup gate only means something with the cores to back it; the
-    # equivalence and wiring gates below are unconditional.
-    parallel_gate_enforced = (parallel["cpu_count"] or 1) >= PARALLEL_JOBS
-
     payload = {
         "benchmark": "scale",
         "tracked": {
@@ -266,14 +191,9 @@ def test_scale_tier(library, report_writer):
             "speedup_floor_10k": SPEEDUP_FLOOR_10K,
             "nets_per_second_floor": NETS_PER_SECOND_FLOOR,
             "bytes_per_net_ceiling": BYTES_PER_NET_CEILING,
-            "shards": parallel["shards"],
-            "parallel_speedup_floor": PARALLEL_SPEEDUP_FLOOR,
-            "parallel_equivalence_exact": parallel["equivalence_exact"],
-            "boundary_events_exchanged": parallel["boundary_events_exchanged"],
             # Volatile: compared for presence, not value (see
             # scripts/compare_bench_reports.py VOLATILE_TRACKED).
             "compile_fraction": round(compile_fraction, 3),
-            "parallel_gate_enforced": parallel_gate_enforced,
         },
         "machine": {
             "equivalence_nets": NETS_EQUIV,
@@ -290,18 +210,12 @@ def test_scale_tier(library, report_writer):
             "nets_per_second_100k": round(nets_per_second),
             "bytes_per_net_100k": round(bytes_per_net),
             "worst_slack_ps_100k": round(full["worst_slack_ps"], 3),
-            "parallel_cpu_count": parallel["cpu_count"],
-            "single_shard_seconds_100k": round(parallel["single_seconds"], 4),
-            "sharded_seconds_100k": round(parallel["sharded_seconds"], 4),
-            "parallel_speedup_100k": round(parallel_speedup, 2),
         },
     }
     REPORT_DIRECTORY.mkdir(exist_ok=True)
     json_path = REPORT_DIRECTORY / "BENCH_scale.json"
     json_path.write_text(json.dumps(payload, indent=1) + "\n")
 
-    gate_note = ("enforced" if parallel_gate_enforced
-                 else f"not enforced: {parallel['cpu_count']} cpu(s)")
     lines = [
         "compiled struct-of-arrays engine: the 100k-net scale tier",
         f"  equivalence ({NETS_EQUIV} nets): worst relative diff "
@@ -318,13 +232,6 @@ def test_scale_tier(library, report_writer):
         f"(floor {NETS_PER_SECOND_FLOOR:,})",
         f"  100k peak RSS growth : {rss_delta / 1e6:.1f} MB = "
         f"{bytes_per_net:.0f} bytes/net (ceiling {BYTES_PER_NET_CEILING})",
-        f"  100k parallel ({parallel['shards']} shards): single-shard "
-        f"{parallel['single_seconds'] * 1e3:.0f} ms vs sharded "
-        f"{parallel['sharded_seconds'] * 1e3:.0f} ms = "
-        f"{parallel_speedup:.2f}x (floor {PARALLEL_SPEEDUP_FLOOR:.1f}x, "
-        f"{gate_note}), equivalence "
-        f"{'exact' if parallel['equivalence_exact'] else 'BROKEN'}, "
-        f"{parallel['boundary_events_exchanged']} boundary events",
         f"  machine-readable     : {json_path.name}",
     ]
     report_writer("scale", "\n".join(lines))
@@ -332,14 +239,4 @@ def test_scale_tier(library, report_writer):
     # The acceptance gates of the scale tier.
     assert speedup_10k >= SPEEDUP_FLOOR_10K
     assert nets_per_second >= NETS_PER_SECOND_FLOOR
-    assert bytes_per_net <= BYTES_PER_NET_CEILING
-    # Parallel sharding gates: the sharded sweep must really have run with
-    # PARALLEL_JOBS workers against a pinned jobs=1 baseline, and match it
-    # bit-for-bit; the speedup floor applies wherever the cores exist.
-    assert parallel["shards"] == PARALLEL_JOBS
-    assert parallel["single_shard_pinned"]
-    assert parallel["equivalence_exact"], \
-        "sharded sweep diverged from single-shard (0-ULP gate)"
-    if parallel_gate_enforced:
-        assert parallel_speedup >= PARALLEL_SPEEDUP_FLOOR, \
-            f"parallel speedup {parallel_speedup:.2f}x below floor"
+    assert 0 < bytes_per_net <= BYTES_PER_NET_CEILING

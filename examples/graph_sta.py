@@ -19,9 +19,8 @@ time.  This example drives whole DAGs through one ``repro.api.TimingSession``:
 * the session statistics show what graph-scale batching buys: far fewer unique
   stage solves than timed events.
 
-Pass ``--jobs N`` to fan unique stage solves of each level across N worker
-processes; the session owns that pool and closes it deterministically when the
-``with`` block exits.  Run with ``python examples/graph_sta.py``.
+Each level's unique stage solves run as one in-process array batch.  Run with
+``python examples/graph_sta.py``.
 """
 
 from __future__ import annotations
@@ -35,13 +34,11 @@ from repro.units import ps, to_ps
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes per level (default: serial)")
     parser.add_argument("--depth", type=int, default=5,
                         help="fanout-tree depth (default: 5 -> 63 nets)")
     args = parser.parse_args()
 
-    with TimingSession(jobs=args.jobs) as session:
+    with TimingSession() as session:
         tree = fanout_tree(args.depth)
         print(f"== fanout tree (depth {args.depth}) ==")
         report = session.time(tree, name="fanout_tree")
@@ -78,7 +75,7 @@ def main() -> None:
 
         stats = session.stats
         print(f"\nsession totals: {stats.requests} stage requests, "
-              f"{stats.computed + stats.installed} unique solves, "
+              f"{stats.computed} unique solves, "
               f"cache hit rate {100 * stats.hit_rate:.1f}%")
 
 

@@ -6,7 +6,7 @@ Capacitance Based Driver Output Model for On-Chip RLC Interconnects", DAC 2003.
 Main entry points
 -----------------
 * :mod:`repro.api` — **the front door**: :class:`~repro.api.TimingSession` owns
-  the library, caches and worker pools; :class:`~repro.api.DesignBuilder` builds
+  the library and caches; :class:`~repro.api.DesignBuilder` builds
   chains and DAGs; :class:`~repro.api.TimingReport` is the unified serializable
   result; ``python -m repro`` is the CLI over all of it.
 * :func:`repro.core.model_driver_output` — the paper's modeling flow: rational

@@ -8,7 +8,8 @@ is the coherent surface over them:
   (environment variables are a documented override layer via
   :meth:`SessionConfig.from_env`, not hidden magic),
 * :class:`TimingSession` — a context-managed facade owning the cell library,
-  the persistent caches, the memoized stage solver and the worker pools,
+  the persistent caches, the memoized stage solver and the characterization
+  worker pool,
 * :class:`DesignBuilder` — fluent chain/DAG construction without touching
   :class:`~repro.sta.graph.GraphNet` internals,
 * :class:`TimingReport` / :class:`TimingEvent` / :class:`RunInfo` — the unified
@@ -32,7 +33,7 @@ Quickstart::
     design = (DesignBuilder("demo")
               .chain("route", sizes=(75, 100, 75), line=line,
                      input_slew=ps(100), receiver_size=50))
-    with TimingSession(jobs=4) as session:
+    with TimingSession() as session:
         report = session.time(design)
         print(report.format_report())
         report.save("timing.json")

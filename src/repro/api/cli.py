@@ -7,7 +7,7 @@ Four subcommands cover the stack end to end::
     python -m repro time --case bench --clock 800 --slack   # slack table + WNS
     python -m repro time --case bench --clock 800 --hold-margin 30 --hold
     python -m repro characterize --sizes 50 75 --coarse
-    python -m repro bench --nets 256 --jobs 4     # memoized vs naive throughput
+    python -m repro bench --nets 256              # memoized vs naive throughput
     python -m repro report timing.json            # pretty-print a saved report
     python -m repro report timing.json --hold     # per-endpoint hold slacks
     python -m repro report --diff old.json new.json  # exit 1 on WNS/WHS regression
@@ -191,24 +191,23 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         naive_elapsed = None
         if args.baseline:
             print("naive per-stage loop (every cache layer bypassed) ...", flush=True)
-            naive = session.time(graph, jobs=1, memoize=False, name="naive")
+            naive = session.time(graph, memoize=False, name="naive")
             naive_elapsed = naive.meta.elapsed
             print(
                 f"  {naive_elapsed:.2f} s ({naive.n_events / naive_elapsed:.1f} nets/s)",
                 flush=True,
             )
-        print(f"memoized batched run ({config.jobs} worker(s)) ...", flush=True)
+        print("memoized batched run ...", flush=True)
         batched = session.time(graph, name="batched")
     meta = batched.meta
     print(
         f"  {meta.elapsed:.2f} s ({batched.n_events / meta.elapsed:.1f} nets/s, "
         f"cache hit rate {100 * meta.hit_rate:.1f}%, "
-        f"{meta.computed + meta.installed} unique solves)"
+        f"{meta.computed} unique solves)"
     )
     payload = {
         "nets": len(batched.events),
         "events": batched.n_events,
-        "jobs": meta.jobs,
         "batched_seconds": round(meta.elapsed, 3),
         "batched_nets_per_second": round(batched.n_events / meta.elapsed, 1),
         "cache_hit_rate": round(meta.hit_rate, 4),
@@ -293,15 +292,15 @@ def _cmd_report(args: argparse.Namespace) -> int:
             for _, event in sorted(report.events.get(name, {}).items()):
                 print(f"  {event.describe()}")
     meta = report.meta
-    print(
-        f"produced by repro {meta.version or '?'} in {meta.elapsed:.3f} s "
-        f"({meta.jobs} worker(s))"
-    )
+    print(f"produced by repro {meta.version or '?'} in {meta.elapsed:.3f} s")
     return 0
 
 
-def _add_session_flags(parser: argparse.ArgumentParser, *, jobs_help: str) -> None:
-    parser.add_argument("--jobs", type=int, default=None, metavar="N", help=jobs_help)
+def _add_session_flags(
+    parser: argparse.ArgumentParser, *, jobs_help: Optional[str] = None
+) -> None:
+    if jobs_help is not None:
+        parser.add_argument("--jobs", type=int, default=None, metavar="N", help=jobs_help)
     parser.add_argument(
         "--cache-dir",
         type=Path,
@@ -393,12 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="also write the TimingReport as JSON",
     )
-    _add_session_flags(
-        timer,
-        jobs_help="worker processes per graph level; on the compiled path, "
-        "shards every level's sweep across N processes, bit-identical to "
-        "--jobs 1 (default: $REPRO_JOBS or 1; 0 = cpu count)",
-    )
+    _add_session_flags(timer)
     timer.set_defaults(func=_cmd_time)
 
     char = commands.add_parser(
@@ -460,9 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="write the machine-readable payload here",
     )
-    _add_session_flags(
-        bench, jobs_help="worker processes per graph level (default: $REPRO_JOBS or 1)"
-    )
+    _add_session_flags(bench)
     bench.set_defaults(func=_cmd_bench)
 
     shower = commands.add_parser(
@@ -564,9 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="pre-attached cases: hold margin in ps (requires --clock)",
     )
     server.add_argument("--verbose", action="store_true", help="log each request to stderr")
-    _add_session_flags(
-        server, jobs_help="worker processes per graph level (default: $REPRO_JOBS or 1)"
-    )
+    _add_session_flags(server)
     server.set_defaults(func=_cmd_serve)
     return parser
 

@@ -13,7 +13,7 @@ Environment variables are one documented override layer — applied only by
 variable                      meaning
 ============================  =====================================================
 ``REPRO_CACHE_DIR``           persistent cache root (cells + ``stages/``)
-``REPRO_JOBS``                default worker-process count (``0`` = one per CPU)
+``REPRO_JOBS``                characterization worker count (``0`` = one per CPU)
 ``REPRO_PERSISTENT_STAGES``   ``1`` turns on the persistent stage-solution store
 ``REPRO_COMPILE_THRESHOLD``   net count above which graphs take the compiled
                               struct-of-arrays path (``0`` disables compilation)
@@ -76,9 +76,9 @@ class SessionConfig:
     ``library_dir`` / ``cache_dir`` default to the shipped characterization data
     and the standard cache-resolution chain (``REPRO_CACHE_DIR``,
     ``$XDG_CACHE_HOME/repro/cells``, ``~/.cache/repro/cells``); ``jobs`` is the
-    worker-process count shared by graph timing, compiled sharded sweeps, and
-    characterization (``1`` = serial; ``REPRO_JOBS=0`` resolves to the cpu
-    count); ``persistent_stages`` additionally persists scalar stage solutions
+    worker-process count for characterization's transient simulations (``1`` =
+    serial; ``REPRO_JOBS=0`` resolves to the cpu count) — timing always runs
+    in-process; ``persistent_stages`` additionally persists scalar stage solutions
     under the cache's ``stages/`` subdirectory; ``slew_quantum`` (seconds) trades
     bit-exactness for memo hit rate by snapping input slews onto a grid.
     """
@@ -87,7 +87,7 @@ class SessionConfig:
     cache_dir: Optional[Path] = None  #: persistent cache root; None = default chain
     use_characterization_cache: bool = True  #: persist characterized cells on disk
     persistent_stages: bool = False  #: persist scalar stage solutions on disk
-    jobs: int = 1  #: worker processes for graph levels and characterization grids
+    jobs: int = 1  #: worker processes for characterization grids
     memo_size: int = 4096  #: in-process stage-solution LRU bound (0 disables)
     slew_quantum: Optional[float] = None  #: slew snapping grid [s]; None = exact
     slew_low: float = SLEW_LOW_THRESHOLD  #: lower slew measurement threshold

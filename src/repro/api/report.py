@@ -207,16 +207,20 @@ class TimingEvent:
         )
 
 
+#: RunInfo keys older report payloads carry for fields that no longer exist.
+_RETIRED_RUNINFO_KEYS = frozenset(
+    {"jobs", "installed", "shards", "boundary_events_exchanged", "parallel_sweep"}
+)
+
+
 @dataclass(frozen=True)
 class RunInfo:
-    """How one analysis ran: wall clock, workers, solver cache behaviour."""
+    """How one analysis ran: wall clock and solver cache behaviour."""
 
     elapsed: float  #: wall-clock analysis time [s]
-    jobs: int  #: worker processes the engine actually used
     memo_hits: int = 0
     persistent_hits: int = 0
     computed: int = 0
-    installed: int = 0  #: solutions computed by workers and adopted
     batched_solves: int = 0  #: computed solves that ran inside an array batch
     version: str = ""  #: repro package version that produced the report
     dirty_nets: Optional[int] = None  #: incremental runs: nets the edits dirtied
@@ -227,10 +231,6 @@ class RunInfo:
     report_events_rebuilt: Optional[int] = None  #: warm updates: events re-flattened
     compile_seconds: Optional[float] = None  #: compiled runs: graph freeze time [s]
     peak_rss_bytes: Optional[int] = None  #: process peak RSS at report build [bytes]
-    shards: Optional[int] = None  #: sharded sweeps: worker count (None = single-shard)
-    #: sharded sweeps: BoundaryEvents captured + injected across shard frontiers
-    boundary_events_exchanged: Optional[int] = None
-    parallel_sweep: bool = False  #: True when the multi-process sharded driver ran
     #: compiled runs: nets whose struct-of-arrays entries were patched in place
     patched_nets: Optional[int] = None
     cone_nets: Optional[int] = None  #: compiled incremental: masked-sweep cone size
@@ -239,7 +239,7 @@ class RunInfo:
 
     @property
     def requests(self) -> int:
-        return self.memo_hits + self.persistent_hits + self.computed + self.installed
+        return self.memo_hits + self.persistent_hits + self.computed
 
     @property
     def hit_rate(self) -> float:
@@ -260,11 +260,9 @@ class RunInfo:
     def to_dict(self) -> Dict[str, Any]:
         return {
             "elapsed": self.elapsed,
-            "jobs": self.jobs,
             "memo_hits": self.memo_hits,
             "persistent_hits": self.persistent_hits,
             "computed": self.computed,
-            "installed": self.installed,
             "batched_solves": self.batched_solves,
             "version": self.version,
             "dirty_nets": self.dirty_nets,
@@ -275,9 +273,6 @@ class RunInfo:
             "report_events_rebuilt": self.report_events_rebuilt,
             "compile_seconds": self.compile_seconds,
             "peak_rss_bytes": self.peak_rss_bytes,
-            "shards": self.shards,
-            "boundary_events_exchanged": self.boundary_events_exchanged,
-            "parallel_sweep": self.parallel_sweep,
             "patched_nets": self.patched_nets,
             "cone_nets": self.cone_nets,
             "cone_converged_early": self.cone_converged_early,
@@ -285,7 +280,9 @@ class RunInfo:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "RunInfo":
-        return cls(**payload)
+        """Rebuild from :meth:`to_dict`; keys of retired fields are ignored."""
+        fields = {k: v for k, v in payload.items() if k not in _RETIRED_RUNINFO_KEYS}
+        return cls(**fields)
 
 
 @dataclass(frozen=True)
@@ -303,7 +300,7 @@ class TimingReport:
     events: Dict[str, Dict[str, TimingEvent]]
     levels: List[List[str]]
     critical_path: List[Tuple[str, str]] = field(default_factory=list)
-    meta: RunInfo = field(default_factory=lambda: RunInfo(elapsed=0.0, jobs=1))
+    meta: RunInfo = field(default_factory=lambda: RunInfo(elapsed=0.0))
 
     # --- construction -----------------------------------------------------------------
     @classmethod
@@ -382,11 +379,9 @@ class TimingReport:
         incremental = report.incremental
         meta = RunInfo(
             elapsed=report.elapsed,
-            jobs=report.jobs,
             memo_hits=stats.memo_hits,
             persistent_hits=stats.persistent_hits,
             computed=stats.computed,
-            installed=stats.installed,
             batched_solves=stats.batched_solves,
             version=version,
             dirty_nets=incremental.dirty_nets if incremental is not None else None,
@@ -735,8 +730,7 @@ class TimingReport:
         lines = [
             f"{self.kind} {self.design!r}: {len(self.events)} nets in "
             f"{len(self.levels)} levels, {self.n_events} events",
-            f"  solved in {meta.elapsed:.3f} s ({meta.jobs} worker(s), "
-            f"cache hit rate {100 * meta.hit_rate:.1f}%)",
+            f"  solved in {meta.elapsed:.3f} s (cache hit rate {100 * meta.hit_rate:.1f}%)",
         ]
         if meta.incremental:
             lines.append(
@@ -870,24 +864,17 @@ class StreamingTimingReport(TimingReport):
             rebuilt = int(sum(
                 int(exists[i * 2]) + int(exists[i * 2 + 1]) for i in ids))
         stats = analysis.stats
-        shards = getattr(analysis, "shards", None)
         incremental = getattr(analysis, "incremental", None)
         meta = RunInfo(
             elapsed=analysis.elapsed,
-            jobs=shards if shards is not None else 1,
             memo_hits=stats.memo_hits,
             persistent_hits=stats.persistent_hits,
             computed=stats.computed,
-            installed=stats.installed,
             batched_solves=stats.batched_solves,
             version=version,
             mode=mode,
             compile_seconds=compile_seconds,
             peak_rss_bytes=_peak_rss_bytes(),
-            shards=shards,
-            boundary_events_exchanged=getattr(
-                analysis, "boundary_events_exchanged", None),
-            parallel_sweep=bool(getattr(analysis, "parallel_sweep", False)),
             dirty_nets=(incremental.dirty_nets
                         if incremental is not None else None),
             retimed_nets=(incremental.retimed_nets

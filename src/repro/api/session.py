@@ -3,8 +3,8 @@
 :class:`TimingSession` is the package's front door.  It builds — from one
 validated :class:`~.config.SessionConfig` — the cell library, the persistent
 characterization cache, the memoized stage solver (optionally persistent), and
-the batched graph engine with its worker pool, then exposes the two things
-callers actually want to do:
+the batched graph engine, then exposes the two things callers actually want
+to do:
 
 * :meth:`TimingSession.time` — time a design (a :class:`~repro.sta.TimingPath`,
   a :class:`~repro.sta.TimingGraph`, or a :class:`~.builder.DesignBuilder`) and
@@ -12,16 +12,18 @@ callers actually want to do:
 * :meth:`TimingSession.characterize` — characterize driver cells through the
   session's cache and worker pool.
 
-Sessions are context managers; leaving the ``with`` block closes every worker
-pool the session created.  Results are bit-identical to the legacy entry points
-(:class:`~repro.sta.PathTimer` / ``GraphTimer``) because both run the exact same
+Timing always runs serially in the calling process; ``config.jobs`` fans out
+characterization only.  Sessions are context managers; leaving the ``with``
+block closes the characterization worker pool, if one was started.  Results
+are bit-identical to the legacy entry points (:class:`~repro.sta.PathTimer` /
+``GraphTimer``) because both run the exact same
 :class:`~repro.sta.batch.GraphEngine` and memoized stage solver.
 
 ::
 
     from repro.api import TimingSession
 
-    with TimingSession(jobs=4) as session:
+    with TimingSession() as session:
         report = session.time(graph)
         print(report.format_report())
         report.save("timing.json")
@@ -68,12 +70,12 @@ class TimingSession:
     nothing at all::
 
         TimingSession()                      # defaults: shipped library, serial
-        TimingSession(jobs=4)                # override one knob
+        TimingSession(mode="setup")          # override one knob
         TimingSession(SessionConfig.from_env())  # env-var layer, explicit
 
     The session owns its resources: the stage-solution memo is shared by every
-    analysis (so repeated designs hit cache), and worker pools are created
-    lazily and closed by :meth:`close` / the ``with`` block.
+    analysis (so repeated designs hit cache), and the characterization worker
+    pool is created lazily and closed by :meth:`close` / the ``with`` block.
     """
 
     def __init__(self, config: Optional[SessionConfig] = None, **overrides) -> None:
@@ -114,7 +116,6 @@ class TimingSession:
             slew_low=cfg.slew_low,
             slew_high=cfg.slew_high,
             solver=self.solver,
-            jobs=cfg.jobs,
         )
         self._incremental: Optional[IncrementalEngine] = None
         self._compiled_incremental: Optional[CompiledIncrementalEngine] = None
@@ -130,40 +131,31 @@ class TimingSession:
 
     # --- lifecycle --------------------------------------------------------------------
     def __enter__(self) -> "TimingSession":
-        # Inside a ``with`` block worker pools persist across calls (the engine
-        # and the characterization runner reuse them) and are closed on exit.
-        # Outside one, every call cleans up its own pool — same contract as
-        # GraphEngine — so an un-close()d session never leaks worker processes.
+        # Inside a ``with`` block the characterization pool persists across
+        # calls and is closed on exit.  Outside one, every characterization
+        # cleans up its own pool, so an un-close()d session never leaks
+        # worker processes.
         self._managed = True
-        self._engine.__enter__()
-        if self._incremental is not None:
-            self._incremental.__enter__()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self._managed = False
-        self._engine.__exit__(exc_type, exc, tb)
-        if self._incremental is not None:
-            self._incremental.__exit__(exc_type, exc, tb)
         self.close()
 
     def close(self) -> None:
-        """Shut down every worker pool the session created (idempotent).
+        """Shut down the characterization worker pool, if any (idempotent).
 
-        The session stays queryable after closing — pools are recreated on
+        The session stays queryable after closing — the pool is recreated on
         demand if it is used again.
         """
         if self._runner is not None:
             self._runner.close()
             self._runner = None
-        self._engine.close()
-        if self._incremental is not None:
-            self._incremental.close()
         self._closed = True
 
     @property
     def closed(self) -> bool:
-        """True once :meth:`close` has run (pools released)."""
+        """True once :meth:`close` has run (pool released)."""
         return self._closed
 
     # --- resources --------------------------------------------------------------------
@@ -216,7 +208,6 @@ class TimingSession:
         self,
         design: Design,
         *,
-        jobs: Optional[int] = None,
         memoize: bool = True,
         name: Optional[str] = None,
         corner: Optional[str] = None,
@@ -227,17 +218,8 @@ class TimingSession:
 
         Accepts a :class:`TimingPath` (timed as its chain-shaped graph, report
         ``kind="path"``), a :class:`TimingGraph`, or a :class:`DesignBuilder`
-        (built first).  ``jobs`` overrides the session's worker count for graph
-        analyses; paths always run serially (a chain has one net per level, so
-        there is nothing to fan out) and report ``meta.jobs == 1``.  On the
-        compiled path, ``jobs > 1`` runs the forward sweep through the
-        multi-process sharded driver (bit-identical results; the worker fleet
-        persists for the session's ``with`` block) and the report's
-        ``meta.shards`` / ``meta.boundary_events_exchanged`` /
-        ``meta.parallel_sweep`` record what actually ran; an explicit
-        ``jobs=1`` pins the single-shard baseline even when ``config.jobs``
-        is higher.
-        ``memoize=False`` bypasses every cache layer (the naive baseline
+        (built first).  Every analysis is one serial, batched pass in this
+        process.  ``memoize=False`` bypasses every cache layer (the naive baseline
         benchmarks compare against); ``name`` overrides the report's design
         label; ``corner`` times the design under that configured corner's
         modeling options (all corners share the session's one stage-solution
@@ -274,11 +256,9 @@ class TimingSession:
                     "compiled analysis applies to TimingGraph designs; paths "
                     "always run on the object engine"
                 )
-            # A chain has one net per level, so worker fan-out cannot help;
-            # jobs=1 keeps the path flow exactly on the PathTimer code path.
             graph, _ = chain_graph(design, input_transition=options.transition)
             report = self._engine.analyze(
-                graph, jobs=1, memoize=memoize, options=options, mode=mode
+                graph, memoize=memoize, options=options, mode=mode
             )
             return TimingReport.from_graph_report(
                 report,
@@ -300,8 +280,7 @@ class TimingSession:
         if compiled:
             compiled_graph, fresh, patched = self._compiled_for(graph)
             analysis = self._engine.analyze_compiled(
-                graph, compiled=compiled_graph, options=options, mode=mode,
-                jobs=jobs if jobs is not None else self.config.jobs
+                graph, compiled=compiled_graph, options=options, mode=mode
             )
             return StreamingTimingReport.from_compiled(
                 analysis,
@@ -311,9 +290,7 @@ class TimingSession:
                 compile_seconds=compiled_graph.compile_seconds if fresh else 0.0,
                 patched_nets=patched,
             )
-        report = self._engine.analyze(
-            graph, jobs=jobs, memoize=memoize, options=options, mode=mode
-        )
+        report = self._engine.analyze(graph, memoize=memoize, options=options, mode=mode)
         return TimingReport.from_graph_report(
             report,
             design=name if name is not None else label,
@@ -355,7 +332,6 @@ class TimingSession:
         self,
         design: Design,
         *,
-        jobs: Optional[int] = None,
         name: Optional[str] = None,
         mode: Optional[str] = None,
     ) -> "dict[str, TimingReport]":
@@ -374,7 +350,6 @@ class TimingSession:
         return {
             corner: self.time(
                 design,
-                jobs=jobs,
                 corner=corner,
                 name=f"{name}@{corner}" if name else None,
                 mode=mode,
@@ -386,7 +361,6 @@ class TimingSession:
         self,
         design: Optional[TimingGraph] = None,
         *,
-        jobs: Optional[int] = None,
         name: Optional[str] = None,
     ) -> "TimingReport | StreamingTimingReport":
         """Incrementally re-time a graph after in-place edits.
@@ -413,9 +387,8 @@ class TimingSession:
         CompiledIncrementalEngine`) and return a
         :class:`~.report.StreamingTimingReport`: parameter edits patch the
         compiled snapshot in place (``meta.compile_seconds == 0``) and masked
-        sweeps re-time only the dirty cone over the persistent array planes —
-        always single-shard, so a ``jobs > 1`` session churns no worker pool
-        per edit.  Below the threshold the object-engine path (the
+        sweeps re-time only the dirty cone over the persistent array planes.
+        Below the threshold the object-engine path (the
         reference oracle) runs as before.
         """
         self._closed = False
@@ -431,10 +404,8 @@ class TimingSession:
             if threshold is not None and len(design) >= threshold:
                 engine = self._compiled_incremental
                 if engine is None or engine.graph is not design:
-                    if self._incremental is not None:
-                        # The dirty set has exactly one consumer per graph.
-                        self._incremental.close()
-                        self._incremental = None
+                    # The dirty set has exactly one consumer per graph.
+                    self._incremental = None
                     engine = CompiledIncrementalEngine(
                         self._engine, design, mode="both")
                     self._compiled_incremental = engine
@@ -442,8 +413,6 @@ class TimingSession:
             else:
                 engine = self._incremental
                 if engine is None or engine.graph is not design:
-                    if engine is not None:
-                        engine.close()
                     self._compiled_incremental = None
                     cfg = self.config
                     engine = IncrementalEngine(
@@ -454,10 +423,7 @@ class TimingSession:
                         slew_low=cfg.slew_low,
                         slew_high=cfg.slew_high,
                         solver=self.solver,
-                        jobs=cfg.jobs,
                     )
-                    if self._managed:
-                        engine.__enter__()
                     self._incremental = engine
                     self._update_report = None  # stale: belongs to the old graph
         elif isinstance(design, DesignBuilder):
@@ -472,8 +438,7 @@ class TimingSession:
             )
         if isinstance(engine, CompiledIncrementalEngine):
             compiled_graph, fresh, patched = self._compiled_for(engine.graph)
-            analysis = engine.update(compiled_graph, patched_nets=patched,
-                                     jobs=jobs)
+            analysis = engine.update(compiled_graph, patched_nets=patched)
             reuse = (self._update_report
                      if isinstance(self._update_report, StreamingTimingReport)
                      else None)
@@ -489,7 +454,7 @@ class TimingSession:
             )
             self._update_report = streaming
             return streaming
-        report = engine.update(jobs=jobs)
+        report = engine.update()
         unified = TimingReport.from_graph_report(
             report,
             design=name if name is not None else "graph",
@@ -559,7 +524,7 @@ class TimingSession:
             f"  {self.config.describe()}",
             f"  library: {len(self.library)} cells, sizes {self.library.sizes}",
             f"  solver: {stats.requests} requests, "
-            f"{stats.computed + stats.installed} unique solves, "
+            f"{stats.computed} unique solves, "
             f"hit rate {100 * stats.hit_rate:.1f}%",
         ]
         return "\n".join(lines)

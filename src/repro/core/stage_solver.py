@@ -207,8 +207,8 @@ def solve_stage(cell: CellCharacterization, input_slew: float, line: RLCLine,
                 fingerprint: Optional[str] = None) -> StageSolution:
     """Run one full (uncached) stage solve and package it as a :class:`StageSolution`.
 
-    This is the pure unit of work that :class:`StageSolver` memoizes and that
-    :mod:`repro.sta.batch` ships to worker processes.
+    This is the pure unit of work that :class:`StageSolver` memoizes (and the
+    scalar reference oracle its batched path is tested against).
     """
     options = options if options is not None else ModelingOptions()
     if fingerprint is None:
@@ -303,13 +303,12 @@ class SolverStats:
     memo_hits: int = 0
     persistent_hits: int = 0
     computed: int = 0
-    installed: int = 0  #: solutions computed elsewhere (workers) and adopted
     batched_solves: int = 0  #: computed solves that ran inside an array batch
 
     @property
     def requests(self) -> int:
-        """Total solve requests answered (worker-computed installs included)."""
-        return self.memo_hits + self.persistent_hits + self.computed + self.installed
+        """Total solve requests answered."""
+        return self.memo_hits + self.persistent_hits + self.computed
 
     @property
     def hit_rate(self) -> float:
@@ -402,21 +401,6 @@ class StageSolver:
         while len(memo) > self.memo_size:
             memo.popitem(last=False)
 
-    def peek(self, fingerprint: str) -> Optional[StageSolution]:
-        """The memoized solution for ``fingerprint``, if any (no compute, no stats)."""
-        return self._memo.get(fingerprint)
-
-    def install(self, solution: StageSolution) -> None:
-        """Adopt a solution computed elsewhere (e.g. by a batch worker process)."""
-        self.stats.installed += 1
-        self._remember(solution)
-        if self.store is not None and not self.store.path_for(
-                solution.fingerprint).is_file():
-            try:
-                self.store.put(solution.fingerprint, solution.lite())
-            except OSError:
-                pass  # read-only store: the in-memory copy is still good
-
     def clear(self) -> None:
         """Drop the in-process memo (the persistent store is left untouched)."""
         self._memo.clear()
@@ -487,8 +471,7 @@ class StageSolver:
         :func:`solve_stage_batch` and installed back into the memo and the
         persistent store exactly as :meth:`solve` would have.  Requests repeating
         an earlier item's fingerprint — within this batch or across calls — are
-        answered from the shared result and counted as memo hits, mirroring the
-        level-dedupe accounting of the parallel fan-out path.  ``batched_solves``
+        answered from the shared result and counted as memo hits.  ``batched_solves``
         advances by the number of lanes actually solved in the array pass.
         """
         results: Dict[str, StageSolution] = {}

@@ -222,7 +222,7 @@ def benchmark_graph(n_nets: int = 1024, *, chain_length: int = 16,
 
     Parallel chains over the four standard line flavors, sized so the graph holds
     at least ``n_nets`` nets; unique stage configurations stay at
-    ``4 * chain_length``, so both cache layers and level fan-out have work to do.
+    ``4 * chain_length``, so both cache layers and level batching have work to do.
     """
     if n_nets < 1:
         raise ModelingError("need at least one net")

@@ -1,12 +1,16 @@
 """Small, dependency-free process-measurement helpers.
 
-One fact lives here so every consumer agrees on it: ``resource.getrusage``
-reports peak RSS in *kilobytes* on Linux but in *bytes* on macOS, and the
-``resource`` module does not exist on Windows.  :func:`peak_rss_bytes`
-normalizes all three cases, which is what lets the scale benchmark's
+One fact lives here so every consumer agrees on it: how to read this process's
+peak resident set.  :func:`peak_rss_bytes` is what the scale benchmark's
 bytes-per-net ceiling and :class:`repro.api.report.RunInfo`'s
-``peak_rss_bytes`` field share one definition instead of re-deriving the
-platform rules (and silently disagreeing by a factor of 1024).
+``peak_rss_bytes`` field share, instead of re-deriving the platform rules.
+
+On Linux it reads ``VmHWM`` from ``/proc/self/status``: the high-water mark of
+this address space alone.  ``getrusage(RUSAGE_SELF).ru_maxrss`` is only the
+fallback, because Linux carries it across ``fork`` and keeps it across
+``exec`` — a small child of a large parent would report the parent's peak.
+``ru_maxrss`` is in *kilobytes* on Linux but in *bytes* on macOS, and the
+``resource`` module does not exist on Windows.
 
 Peak RSS is a process-lifetime high-water mark: it only ever grows, so a
 measurement inside a long-lived process (a test runner, a session) reflects
@@ -26,11 +30,17 @@ __all__ = ["peak_rss_bytes"]
 def peak_rss_bytes() -> Optional[int]:
     """The process's peak resident-set size in bytes, or None when unknown.
 
-    Uses ``resource.getrusage(RUSAGE_SELF).ru_maxrss`` with the
-    platform-correct unit (kilobytes everywhere ``resource`` exists, except
-    macOS where the kernel reports bytes).  Returns None on platforms without
-    the ``resource`` module (Windows) instead of raising.
+    ``VmHWM`` from ``/proc/self/status`` where it exists, else
+    ``resource.getrusage(RUSAGE_SELF).ru_maxrss`` with the platform-correct
+    unit.  Returns None on platforms with neither (Windows) instead of raising.
     """
+    try:
+        with open("/proc/self/status", encoding="ascii") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) * 1024  # reported in kB
+    except OSError:
+        pass
     try:
         import resource
     except ImportError:  # pragma: no cover - Windows

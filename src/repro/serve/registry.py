@@ -14,9 +14,11 @@ The concurrency discipline, enforced here so the HTTP layer stays trivial:
   mutation lock per design: capture each verb's inverse, apply the batch,
   incrementally re-time via :meth:`TimingSession.update` (bit-identical to a
   from-scratch analysis of the edited graph), then swap in the new snapshot.
-  If any verb is rejected mid-batch, the already-applied verbs are rolled back
-  in reverse order and the snapshot is left untouched — edit batches are
-  atomic: all-or-nothing, and never observable half-applied.
+  If any verb is rejected mid-batch, or the re-time itself fails (e.g. a resize
+  to an uncharacterized driver size), the already-applied verbs are rolled
+  back in reverse order and the snapshot is left untouched — edit batches are
+  atomic: all-or-nothing, and never observable half-applied.  The rollback
+  re-dirties the same nets, so the next batch's update re-times them back.
 * **Attach/detach** serialize through the registry lock, which is *not* held
   during the (potentially long) initial full analysis.
 """
@@ -95,15 +97,21 @@ class AttachedDesign:
         Raises :class:`~repro.errors.ReproError` (and leaves the graph and the
         published snapshot exactly as before) if any verb of the batch is
         rejected — e.g. an unknown net, a cycle-creating fanout edit, or an
-        orphaning removal.
+        orphaning removal — or if re-timing the edited graph fails.
         """
         with self._mutation_lock:
             applied: List[Tuple[Any, ...]] = []  # inverse groups, apply order
+            old = self.snapshot
             try:
                 for verb in request.edits:
                     inverses = verb.inverse(self.graph)  # before apply: pre-state
                     verb.apply(self.graph)
                     applied.append(inverses)
+                snapshot = self._analyze(
+                    seq=old.seq + 1,
+                    edits_applied=len(request.edits),
+                    previous=old.report,
+                )
             except ReproError:
                 for inverses in reversed(applied):
                     for inverse in inverses:
@@ -111,12 +119,6 @@ class AttachedDesign:
                 with self._counter_lock:
                     self._rejected_batches += 1
                 raise
-            old = self.snapshot
-            snapshot = self._analyze(
-                seq=old.seq + 1,
-                edits_applied=len(request.edits),
-                previous=old.report,
-            )
             with self._counter_lock:
                 self._edit_batches += 1
                 self._edits_applied += len(request.edits)

@@ -8,11 +8,10 @@ Layering, bottom up:
   with fanout, Kahn levelization, per-node rise/fall worst-arrival merging and
   critical-path traceback (:class:`GraphTimingReport`).
 * :mod:`repro.sta.batch` — :class:`~.batch.GraphEngine`, the batched executor:
-  each level's unique stage solves are answered from the memo or fanned across a
-  worker pool the engine owns (created lazily, reused across analyses, closed
-  deterministically via ``close()`` / its ``with`` block).  One traversal
-  carries *both analysis planes* — late (setup) and early (hold) arrivals share
-  every stage solve, so dual-mode analysis costs zero extra solves.
+  each level's unique stage solves are answered from the memo or solved as one
+  in-process array batch.  One traversal carries *both analysis planes* — late
+  (setup) and early (hold) arrivals share every stage solve, so dual-mode
+  analysis costs zero extra solves.
   Constrained graphs (``set_required`` / ``set_clock_period``, either mode)
   additionally get a backward required-time pass, so every event carries
   ``required`` / ``slack`` and ``hold_required`` / ``hold_slack``; and
@@ -23,17 +22,12 @@ Layering, bottom up:
   freezes a :class:`TimingGraph` into a :class:`CompiledGraph` (struct-of-arrays
   CSR form), and :meth:`GraphEngine.analyze_compiled` runs the same forward and
   backward passes as whole-level numpy sweeps, bit-compatible with the object
-  engine.  :meth:`CompiledGraph.partition` exposes a levelized-region seam with
-  explicit :class:`BoundaryEvents` exchange.
-* :mod:`repro.sta.parallel` — multi-core sharded sweeps: with ``jobs > 1``
-  the compiled forward sweep cuts every level into per-worker net slices
-  over :mod:`multiprocessing.shared_memory` planes, exchanges cross-shard
-  fanout through :class:`BoundaryEvents` at each level barrier, and keeps
-  stage solving in the parent so results stay bit-identical to the
-  single-shard sweep (any worker failure falls back to it automatically).
+  engine.
+
+Every timing run is one serial, batched, memoized pass in the calling process.
 
 The recommended front door to all of this is :class:`repro.api.TimingSession`,
-which owns the cell library, the caches and the worker pool, accepts
+which owns the cell library and the caches, accepts
 :class:`TimingPath` and :class:`TimingGraph` designs alike, and returns the
 unified, JSON-serializable :class:`repro.api.TimingReport`.  The classic entry
 points — :class:`PathTimer` for linear paths and :class:`GraphTimer` for DAGs —
@@ -42,14 +36,12 @@ bit-identical to the session's.
 """
 
 from .batch import GraphEngine, GraphTimer, IncrementalEngine
-from .compiled import (TRANSITIONS, BoundaryEvents, CompiledAnalysis,
-                       CompiledGraph, CompiledRegion, SweepState, compile_graph)
+from .compiled import (TRANSITIONS, CompiledAnalysis, CompiledGraph,
+                       SweepState, compile_graph)
 from .engine import PathTimer, PathTimingReport, StageTiming
 from .graph import (ANALYSIS_MODES, CHECK_MODES, GraphNet, GraphTimingReport,
                     IncrementalStats, NetEventTiming, PrimaryInput,
                     TimingGraph, chain_graph, check_mode, flip_transition)
-from .parallel import (ShardedSweepDriver, ShardedSweepError, ShardPlan,
-                       build_shard_plan, effective_shards)
 from .stage import TimingPath, TimingStage
 from .validation import PathReference, simulate_path_reference
 
@@ -77,14 +69,7 @@ __all__ = [
     "simulate_path_reference",
     "TRANSITIONS",
     "CompiledGraph",
-    "CompiledRegion",
     "CompiledAnalysis",
     "SweepState",
-    "BoundaryEvents",
     "compile_graph",
-    "ShardedSweepDriver",
-    "ShardedSweepError",
-    "ShardPlan",
-    "build_shard_plan",
-    "effective_shards",
 ]

@@ -1,26 +1,22 @@
-"""Batched, parallel timing-graph analysis.
+"""Batched, memoized timing-graph analysis.
 
 :class:`GraphEngine` drives a :class:`~.graph.TimingGraph` level by level.  Within a
 level every net is independent (all fanin arrivals are final), so the level is the
-natural unit of fan-out:
+natural unit of batching:
 
 1. the pending (net, input-transition) events of the level are collected,
 2. events whose stage fingerprint is already memoized are answered instantly,
-3. the remaining *unique* fingerprints are solved — as **one batched array
+3. the remaining *unique* fingerprints are solved as **one batched array
    computation** through :meth:`StageSolver.solve_batch` (vectorized table
    lookups, array charge matching, masked fixed points and kernel-convolution
-   far ends), or concurrently on a ``ProcessPoolExecutor`` when ``jobs > 1``
-   (same fan-out/serial-fallback pattern as
-   :mod:`repro.characterization.parallel`: if worker processes cannot be
-   started, the level transparently finishes through the batched path), and
+   far ends), and
 4. far-end arrivals and slews are merged into the fanout nets' pending states
    in *both event planes*: the late plane takes the worst arrival (ties take
    the larger slew), the early plane the best arrival (ties take the smaller
    slew) — one traversal carries setup and hold analysis together.
 
-Workers return scalar :class:`~repro.core.stage_solver.StageSolution` objects —
-waveforms never cross the process boundary — and the parent installs them into the
-shared memo, so later levels (and later analyses) reuse them.
+Every solution lands in the solver's memo, so later levels (and later analyses)
+reuse it.
 
 Stage solves are mode-independent: each (net, transition) event is solved once,
 at its late-merged slew, and the early plane rides along as pure arithmetic —
@@ -48,21 +44,15 @@ the edit instead of the size of the graph.  (Above
 masked dirty-cone sweeps over the compiled struct-of-arrays planes instead of
 per-object propagation.)
 
-The engine owns its worker pool: the pool is created lazily on the first parallel
-analysis, reused by every later one, and closed deterministically by
-:meth:`GraphEngine.close` (or by leaving the engine's ``with`` block) instead of
-leaking until interpreter exit.  :class:`GraphTimer` is the engine's deprecated
+Every analysis runs in the calling process; the engine holds no resources
+beyond its solver's caches.  :class:`GraphTimer` is the engine's deprecated
 public alias, kept as a thin shim for callers that predate the
 :class:`repro.api.TimingSession` front door.
 """
 
 from __future__ import annotations
 
-import pickle
 import time
-import warnings
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
@@ -70,21 +60,17 @@ import numpy as np
 
 from ..characterization.cell import CellCharacterization
 from ..characterization.library import CellLibrary, default_library
-from ..characterization.parallel import resolve_jobs
 from ..constants import SLEW_HIGH_THRESHOLD, SLEW_LOW_THRESHOLD
 from ..core.driver_model import ModelingOptions
 from ..core.stage_solver import (SolverStats, StageRequest, StageSolution,
-                                 StageSolver, _options_fingerprint,
-                                 solve_stage)
+                                 StageSolver, _options_fingerprint)
 from ..errors import ModelingError
 from ..tech.technology import Technology, generic_180nm
 from ._deprecation import warn_deprecated_once
-from .compiled import (TRANSITIONS, BoundaryEvents, CompiledAnalysis,
-                       CompiledGraph, SweepState, backward_required,
-                       compile_graph, constraint_seeds, level_solve_keys,
-                       merge_level, scatter_level_solutions)
-from .parallel import (ShardedSweepDriver, ShardedSweepError,
-                       effective_shards)
+from .compiled import (TRANSITIONS, CompiledAnalysis, CompiledGraph,
+                       SweepState, backward_required, compile_graph,
+                       constraint_seeds, level_solve_keys, merge_level,
+                       scatter_level_solutions)
 from .graph import (GraphNet, GraphTimingReport, IncrementalStats,
                     NetEventTiming, TimingGraph, check_mode, flip_transition)
 
@@ -95,19 +81,6 @@ _PlaneState = Tuple[float, float, Optional[Tuple[str, str]]]
 
 #: (late, early) plane pair tracked per pending (net, transition) state.
 _PendingState = Tuple[_PlaneState, _PlaneState]
-
-
-def _solve_stage_task(args) -> Tuple[str, StageSolution]:
-    """Worker entry point: one uncached stage solve, scalars only.
-
-    Module-level so it pickles; the cell rides along in the task (a few KB of
-    tables) so workers need no library state of their own.
-    """
-    fingerprint, cell, input_slew, line, load, options, slew_low, slew_high = args
-    solution = solve_stage(cell, input_slew, line, load, options=options,
-                           slew_low=slew_low, slew_high=slew_high,
-                           fingerprint=fingerprint)
-    return fingerprint, solution.lite()
 
 
 @dataclass(frozen=True)
@@ -133,18 +106,11 @@ class _WorkItem:
 
 
 class GraphEngine:
-    """Times whole graphs with the memoized stage solver and per-level fan-out.
+    """Times whole graphs level by level with the memoized, batched stage solver.
 
     Shares its constructor vocabulary with :class:`~.engine.PathTimer` (library,
-    technology, modeling options, slew thresholds) plus ``jobs`` — the default
-    worker-process count for level fan-out (1 = serial) — and an optional shared
+    technology, modeling options, slew thresholds) plus an optional shared
     :class:`StageSolver` so several timers can pool one memo.
-
-    The engine is a context manager: its worker pool is created lazily on the
-    first parallel analysis and reused by later ones, so entering the engine in a
-    ``with`` block (or calling :meth:`close`) is how the pool is deterministically
-    shut down.  An engine keeps working after :meth:`close` — the pool is simply
-    recreated on the next parallel analysis.
     """
 
     def __init__(self, *, library: Optional[CellLibrary] = None,
@@ -152,8 +118,7 @@ class GraphEngine:
                  options: Optional[ModelingOptions] = None,
                  slew_low: float = SLEW_LOW_THRESHOLD,
                  slew_high: float = SLEW_HIGH_THRESHOLD,
-                 solver: Optional[StageSolver] = None,
-                 jobs: int = 1) -> None:
+                 solver: Optional[StageSolver] = None) -> None:
         self.library = library if library is not None else default_library()
         self.tech = tech if tech is not None else generic_180nm()
         self.options = options if options is not None else ModelingOptions()
@@ -161,63 +126,6 @@ class GraphEngine:
         self.slew_high = slew_high
         self.solver = solver if solver is not None else StageSolver(
             slew_low=slew_low, slew_high=slew_high)
-        self.jobs = resolve_jobs(jobs)
-        self._executor: Optional[ProcessPoolExecutor] = None
-        self._executor_jobs = 0
-        self._shard_driver: Optional[ShardedSweepDriver] = None
-        self._persistent_pool = False
-
-    # --- worker-pool lifecycle -------------------------------------------------------
-    def __enter__(self) -> "GraphEngine":
-        # Inside a ``with`` block the pool outlives individual analyses (it is
-        # reused until the block exits); outside one, every analysis cleans up
-        # after itself so unmanaged engines never leak worker processes.
-        self._persistent_pool = True
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self._persistent_pool = False
-        self.close()
-
-    def close(self) -> None:
-        """Shut down the engine's worker pools (idempotent)."""
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
-            self._executor_jobs = 0
-        if self._shard_driver is not None:
-            self._shard_driver.close()
-            self._shard_driver = None
-
-    def _get_shard_driver(self, n_shards: int) -> ShardedSweepDriver:
-        """The persistent sharded-sweep driver, resized to ``n_shards``."""
-        if (self._shard_driver is not None
-                and self._shard_driver.n_shards != n_shards):
-            self._shard_driver.close()
-            self._shard_driver = None
-        if self._shard_driver is None:
-            self._shard_driver = ShardedSweepDriver(n_shards)
-        return self._shard_driver
-
-    def _close_shard_driver(self) -> None:
-        if self._shard_driver is not None:
-            self._shard_driver.close()
-            self._shard_driver = None
-
-    def _get_executor(self, jobs: int) -> Optional[ProcessPoolExecutor]:
-        """The shared worker pool sized for ``jobs``, or None when pools can't start."""
-        if self._executor is not None and self._executor_jobs != jobs:
-            self.close()
-        if self._executor is None:
-            try:
-                self._executor = ProcessPoolExecutor(max_workers=jobs)
-                self._executor_jobs = jobs
-            except (OSError, ImportError) as exc:
-                warnings.warn(f"could not start worker processes ({exc!r});"
-                              " timing the graph serially", RuntimeWarning,
-                              stacklevel=3)
-                return None
-        return self._executor
 
     # --- helpers ---------------------------------------------------------------------
     def net_load(self, graph: TimingGraph, net: GraphNet) -> float:
@@ -267,8 +175,8 @@ class GraphEngine:
                              options=item.options, fingerprint=item.fingerprint)
                 for item in items]
 
-    def _solve_level_serial(self, items: List[_WorkItem], *, need_waveforms: bool,
-                            memoize: bool) -> Dict[str, StageSolution]:
+    def _solve_level(self, items: List[_WorkItem], *, need_waveforms: bool,
+                     memoize: bool) -> Dict[str, StageSolution]:
         """Solve one level in-process: one array batch, or the naive scalar loop.
 
         The memoized path hands the whole level to
@@ -291,84 +199,18 @@ class GraphEngine:
                 memoize=False)
         return solutions
 
-    def _solve_level_parallel(self, items: List[_WorkItem], jobs: int
-                              ) -> Tuple[Dict[str, StageSolution], bool]:
-        """Answer memo hits locally, fan unique misses across worker processes.
-
-        The memo layers are consulted *before* any pool exists: a level whose
-        events are all cache hits never spawns (or wakes) a worker process.
-        Returns the solutions plus whether the executor is still usable; when
-        the pool cannot start or breaks mid-level, the level's remaining misses
-        are finished through the batched serial path and the caller degrades
-        the rest of the analysis to serial mode.
-        """
-        solutions: Dict[str, StageSolution] = {}
-        misses: Dict[str, _WorkItem] = {}
-        pool_ok = True
-        for item in items:
-            if item.fingerprint in solutions or item.fingerprint in misses:
-                # Level-local dedupe is a memo hit from the caller's point of view.
-                self.solver.stats.memo_hits += 1
-                continue
-            hit = self.solver.peek(item.fingerprint)
-            if hit is not None:
-                # Route through solve() so LRU order and hit counters stay truthful.
-                solutions[item.fingerprint] = self.solver.solve(
-                    item.cell, item.input_slew, item.net.line, item.load,
-                    options=item.options, fingerprint=item.fingerprint)
-            else:
-                misses[item.fingerprint] = item
-        if not misses:
-            return solutions, pool_ok
-
-        executor = self._get_executor(jobs)
-        if executor is None:
-            remaining = list(misses.values())
-            for item, solution in zip(
-                    remaining, self.solver.solve_batch(
-                        self._batch_requests(remaining))):
-                solutions[item.fingerprint] = solution
-            return solutions, False
-
-        tasks = [(fp, item.cell, item.input_slew, item.net.line, item.load,
-                  item.options, self.solver.slew_low, self.solver.slew_high)
-                 for fp, item in misses.items()]
-        try:
-            pending = {executor.submit(_solve_stage_task, task) for task in tasks}
-            while pending:
-                finished, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in finished:
-                    fingerprint, solution = future.result()
-                    self.solver.install(solution)
-                    solutions[fingerprint] = solution
-        except (BrokenProcessPool, OSError, ImportError, pickle.PicklingError) as exc:
-            # Worker processes are unavailable (sandboxed environment, fork
-            # failure): finish the level's remaining misses through the batched
-            # serial path and tell the caller to stop submitting to the dead pool.
-            warnings.warn(f"parallel graph timing unavailable ({exc!r}); "
-                          "finishing the analysis serially", RuntimeWarning,
-                          stacklevel=2)
-            pool_ok = False
-            remaining = [item for fp, item in misses.items()
-                         if fp not in solutions]
-            for item, solution in zip(
-                    remaining, self.solver.solve_batch(
-                        self._batch_requests(remaining))):
-                solutions[item.fingerprint] = solution
-        return solutions, pool_ok
-
     # --- analysis ----------------------------------------------------------------------
     def _time_levels(self, graph: TimingGraph, levels: List[List[str]],
                      pending: Dict[str, Dict[str, _PendingState]],
                      events: Dict[str, Dict[str, NetEventTiming]], *,
-                     jobs: int, need_waveforms: bool, memoize: bool,
-                     options: Optional[ModelingOptions] = None) -> int:
+                     need_waveforms: bool, memoize: bool,
+                     options: Optional[ModelingOptions] = None) -> None:
         """Forward pass over ``levels``: solve, record into ``events``, propagate.
 
         The shared core of full analysis (all levels, pending seeded from the
         primary inputs) and incremental updates (cone levels, pending seeded
         from the cached fanin events).  Mutates ``events`` and ``pending`` in
-        place and returns the worker count actually used.
+        place.
         """
         for level in levels:
             items: List[_WorkItem] = []
@@ -379,8 +221,8 @@ class GraphEngine:
                     (arrival, slew, source), (early, _, early_source) = state
                     event_options = self._event_options(transition, options)
                     cell = self.library.get(net.driver_size)
-                    # Quantize once here so the fingerprint, the serial
-                    # solver and the worker tasks all see the same slew.
+                    # Quantize once here so the fingerprint and the solver
+                    # see the same slew.
                     # The late-plane slew is the one the stage is solved at
                     # (worst-slew propagation): the early plane shares the
                     # solution, which is what keeps dual-mode at zero extra
@@ -396,17 +238,8 @@ class GraphEngine:
                         early_source=early_source))
             if not items:
                 continue
-            # jobs == 1 goes straight to the batched serial path; the parallel
-            # path creates (or reuses) its worker pool only once it has actual
-            # memo misses to fan out.
-            if jobs > 1 and memoize and not need_waveforms:
-                solutions, pool_ok = self._solve_level_parallel(items, jobs)
-                if not pool_ok:
-                    self.close()
-                    jobs = 1
-            else:
-                solutions = self._solve_level_serial(
-                    items, need_waveforms=need_waveforms, memoize=memoize)
+            solutions = self._solve_level(
+                items, need_waveforms=need_waveforms, memoize=memoize)
 
             for item in items:
                 solution = solutions[item.fingerprint]
@@ -425,7 +258,6 @@ class GraphEngine:
                                 event.early_output_arrival,
                                 solution.propagated_slew,
                                 (item.net.name, item.input_transition))
-        return jobs
 
     @staticmethod
     def _apply_required(graph: TimingGraph,
@@ -509,32 +341,27 @@ class GraphEngine:
                             changed.add((name, transition))
         return visited
 
-    def analyze(self, graph: TimingGraph, *, jobs: Optional[int] = None,
-                need_waveforms: bool = False, memoize: bool = True,
-                options: Optional[ModelingOptions] = None,
+    def analyze(self, graph: TimingGraph, *, need_waveforms: bool = False,
+                memoize: bool = True, options: Optional[ModelingOptions] = None,
                 mode: str = "both") -> GraphTimingReport:
         """Time every (net, transition) event of ``graph``.
 
-        ``jobs`` overrides the timer's default worker count for this analysis;
-        ``need_waveforms`` keeps full models/far-end responses on every solution
-        (forces serial solving — waveforms do not cross process boundaries);
-        ``memoize=False`` bypasses the solver's caches entirely, which is the
-        naive per-stage baseline the benchmarks compare against; ``options``
-        overrides the engine's modeling options for this analysis only (the
-        corner axis — every corner shares the engine's memoized solver, and the
-        per-corner option fields are part of every memo fingerprint, so corners
-        never collide in the cache); ``mode`` selects which constraint
-        polarities the backward pass computes — ``"setup"``, ``"hold"`` or
-        ``"both"`` (the default).  Both event planes are always carried forward
-        (that is free); the mode only gates the required-time passes, so a
-        late-only and a dual-mode analysis perform identical stage solves.
+        ``need_waveforms`` keeps full models/far-end responses on every
+        solution; ``memoize=False`` bypasses the solver's caches entirely,
+        which is the naive per-stage baseline the benchmarks compare against;
+        ``options`` overrides the engine's modeling options for this analysis
+        only (the corner axis — every corner shares the engine's memoized
+        solver, and the per-corner option fields are part of every memo
+        fingerprint, so corners never collide in the cache); ``mode`` selects
+        which constraint polarities the backward pass computes — ``"setup"``,
+        ``"hold"`` or ``"both"`` (the default).  Both event planes are always
+        carried forward (that is free); the mode only gates the required-time
+        passes, so a late-only and a dual-mode analysis perform identical
+        stage solves.
         """
         if not isinstance(graph, TimingGraph):
             raise ModelingError("analyze() expects a TimingGraph")
         check_mode(mode, allow_both=True)
-        jobs = self.jobs if jobs is None else resolve_jobs(jobs)
-        if need_waveforms or not memoize:
-            jobs = 1
         started = time.perf_counter()
         before = self.solver.stats.snapshot()
 
@@ -544,13 +371,9 @@ class GraphEngine:
             pending[name] = {primary.transition: (plane, plane)}
 
         events: Dict[str, Dict[str, NetEventTiming]] = {}
-        try:
-            jobs = self._time_levels(graph, graph.levels, pending, events,
-                                     jobs=jobs, need_waveforms=need_waveforms,
-                                     memoize=memoize, options=options)
-        finally:
-            if not self._persistent_pool:
-                self.close()
+        self._time_levels(graph, graph.levels, pending, events,
+                          need_waveforms=need_waveforms, memoize=memoize,
+                          options=options)
         self._apply_required(graph, events, setup=mode in ("setup", "both"),
                              hold=mode in ("hold", "both"))
 
@@ -559,10 +382,9 @@ class GraphEngine:
             memo_hits=after.memo_hits - before.memo_hits,
             persistent_hits=after.persistent_hits - before.persistent_hits,
             computed=after.computed - before.computed,
-            installed=after.installed - before.installed,
             batched_solves=after.batched_solves - before.batched_solves)
         return GraphTimingReport(graph=graph, events=events, levels=graph.levels,
-                                 stats=stats, jobs=jobs,
+                                 stats=stats,
                                  elapsed=time.perf_counter() - started)
 
     # --- compiled (struct-of-arrays) analysis ----------------------------------------
@@ -598,32 +420,16 @@ class GraphEngine:
         The object engine hands the solver one request *per event* and lets
         the memo dedupe by re-hashing every fingerprint; here the level first
         collapses to unique ``(stage config, transition, quantized slew)``
-        keys — a numpy ``unique`` over a (n, 3) float matrix — so fingerprints
+        keys (:func:`~.compiled.level_solve_keys`) — so fingerprints
         are computed (or fetched from the compiled graph's cache) only per
         unique key.  That per-event sha256 hashing is exactly the warm-path
         bottleneck ``BENCH_incremental`` flags, which is where most of the
-        compiled path's warm speedup comes from.
+        compiled path's warm speedup comes from.  ``solve_batch`` results are
+        composition-sensitive at the ~1 ULP level, so a level's unique keys
+        are always solved as one batch, in ``level_solve_keys`` order.
         """
         unique, inverse = level_solve_keys(cg, state, events,
                                            self.solver.slew_quantum)
-        base, delays, prop_slews = self._solve_unique_keys(
-            cg, unique, options_pair, fp_cache, solutions)
-        scatter_level_solutions(state, events, base + inverse, delays[inverse],
-                                prop_slews[inverse])
-
-    def _solve_unique_keys(self, cg: CompiledGraph, unique: np.ndarray,
-                           options_pair: Dict[int, ModelingOptions],
-                           fp_cache: Dict[Tuple[int, int, float], str],
-                           solutions: List[StageSolution]
-                           ) -> Tuple[int, np.ndarray, np.ndarray]:
-        """Solve one level's unique keys; returns (base index, delays, slews).
-
-        Split out of :meth:`_solve_compiled_level` because the sharded driver
-        needs exactly this piece in the parent process: ``solve_batch``
-        results are composition-sensitive at the ~1 ULP level, so the level's
-        globally-unique keys must be solved as one batch no matter how many
-        shards contributed them.
-        """
         requests: List[StageRequest] = []
         for config_key, t_key, slew in unique.tolist():
             config, t = int(config_key), int(t_key)
@@ -647,14 +453,13 @@ class GraphEngine:
                              dtype=np.float64, count=len(solved))
         prop_slews = np.fromiter((s.propagated_slew for s in solved),
                                  dtype=np.float64, count=len(solved))
-        return base, delays, prop_slews
+        scatter_level_solutions(state, events, base + inverse, delays[inverse],
+                                prop_slews[inverse])
 
     def analyze_compiled(self, graph: TimingGraph, *,
                          compiled: Optional[CompiledGraph] = None,
                          options: Optional[ModelingOptions] = None,
-                         mode: str = "both",
-                         partitions: Optional[int] = None,
-                         jobs: Optional[int] = None) -> CompiledAnalysis:
+                         mode: str = "both") -> CompiledAnalysis:
         """Time ``graph`` through the struct-of-arrays path.
 
         Equivalent to :meth:`analyze` — same merges, same stage solves through
@@ -663,31 +468,11 @@ class GraphEngine:
         and the result is a :class:`~.compiled.CompiledAnalysis` whose event
         records materialize lazily.  ``compiled`` reuses a prior
         :meth:`compile` snapshot (it must match the graph's current
-        :attr:`~.graph.TimingGraph.version`); ``partitions`` routes the
-        forward sweep through ``partitions`` contiguous level regions with
-        explicit :class:`~.compiled.BoundaryEvents` exchange — bit-identical
-        to the monolithic sweep, exercising the multi-process seam serially.
-
-        ``jobs`` (default: the engine's ``jobs``) with a value above 1 runs
-        the forward sweep through the multi-process sharded driver
-        (:mod:`repro.sta.parallel`): each level is cut into up to ``jobs``
-        net slices swept concurrently over shared-memory planes, with stage
-        solving kept in this process so the result — planes, solution list,
-        required times — is bit-identical to the single-shard sweep.  The
-        driver degrades automatically: graphs whose widest level is narrower
-        than ``jobs`` use fewer shards (or none), and any worker failure
-        falls back to the serial sweep with a :class:`RuntimeWarning`, like
-        the object engine's pool.  An explicit ``jobs=1`` pins the
-        single-shard baseline regardless of the engine default.
+        :attr:`~.graph.TimingGraph.version`).
         """
         if not isinstance(graph, TimingGraph):
             raise ModelingError("analyze_compiled() expects a TimingGraph")
         check_mode(mode, allow_both=True)
-        jobs = self.jobs if jobs is None else resolve_jobs(jobs)
-        if partitions is not None and jobs > 1:
-            raise ModelingError(
-                "partitions= exercises the serial region seam; it cannot be "
-                "combined with jobs > 1 (sharded sweeps are level-sliced)")
         cg = compiled if compiled is not None else self.compile(graph)
         if cg.version != graph.version:
             raise ModelingError(
@@ -703,72 +488,15 @@ class GraphEngine:
         fp_cache = cg.fingerprints.setdefault(
             _options_fingerprint(base_options), {})
         solutions: List[StageSolution] = []
-        state: Optional[SweepState] = None
-        shards: Optional[int] = None
-        boundary_exchanged: Optional[int] = None
-        n_shards = effective_shards(cg, jobs) if partitions is None else 1
-        if n_shards > 1:
-            driver = self._get_shard_driver(n_shards)
-
-            def solve_unique(unique: np.ndarray):
-                return self._solve_unique_keys(cg, unique, options_pair,
-                                               fp_cache, solutions)
-
-            try:
-                state, counters = driver.sweep(
-                    cg, graph, solve_unique=solve_unique,
-                    quantum=self.solver.slew_quantum)
-            except ShardedSweepError as exc:
-                warnings.warn(
-                    f"sharded compiled sweep unavailable ({exc!s}); "
-                    "finishing the analysis single-shard", RuntimeWarning,
-                    stacklevel=2)
-                self._close_shard_driver()
-                # Discard partial solves: the single-shard rerun rebuilds the
-                # solution list from scratch (the memo keeps them warm).
-                solutions = []
-                state = None
-            else:
-                shards = n_shards
-                boundary_exchanged = counters["boundary_events_exchanged"]
-            finally:
-                if not self._persistent_pool:
-                    self._close_shard_driver()
-        if state is None and partitions is None:
-            state = SweepState.empty(2 * cg.n_nets)
-            self._seed_primary_inputs(cg, graph, state)
-            for level in range(cg.n_levels):
-                net_lo = int(cg.level_ptr[level])
-                net_hi = int(cg.level_ptr[level + 1])
-                events = merge_level(cg, state, net_lo, net_hi)
-                if events.size:
-                    self._solve_compiled_level(cg, state, events, options_pair,
-                                               fp_cache, solutions)
-        elif state is None:
-            # Partitioned sweep: each region runs on a fresh state seeded only
-            # with its boundary packet (plus the primary inputs, which live in
-            # the first region's level 0), then copies its net span back into
-            # the master state.  Regions communicate through BoundaryEvents
-            # only — the explicit seam a multi-process fan-out would ship.
-            state = SweepState.empty(2 * cg.n_nets)
-            for region in cg.partition(partitions):
-                region_state = SweepState.empty(2 * cg.n_nets)
-                if region.level_lo == 0:
-                    self._seed_primary_inputs(cg, graph, region_state)
-                BoundaryEvents.capture(
-                    state, region.boundary_nets).inject(region_state)
-                for level in range(region.level_lo, region.level_hi):
-                    net_lo = int(cg.level_ptr[level])
-                    net_hi = int(cg.level_ptr[level + 1])
-                    events = merge_level(cg, region_state, net_lo, net_hi)
-                    if events.size:
-                        self._solve_compiled_level(
-                            cg, region_state, events, options_pair,
-                            fp_cache, solutions)
-                span = slice(region.net_lo * 2, region.net_hi * 2)
-                for master, local in zip(state.planes(),
-                                         region_state.planes()):
-                    master[span] = local[span]
+        state = SweepState.empty(2 * cg.n_nets)
+        self._seed_primary_inputs(cg, graph, state)
+        for level in range(cg.n_levels):
+            net_lo = int(cg.level_ptr[level])
+            net_hi = int(cg.level_ptr[level + 1])
+            events = merge_level(cg, state, net_lo, net_hi)
+            if events.size:
+                self._solve_compiled_level(cg, state, events, options_pair,
+                                           fp_cache, solutions)
         do_setup = mode in ("setup", "both") and graph.setup_constrained
         do_hold = mode in ("hold", "both") and graph.hold_constrained
         required, hold_required = backward_required(
@@ -780,14 +508,11 @@ class GraphEngine:
             memo_hits=after.memo_hits - before.memo_hits,
             persistent_hits=after.persistent_hits - before.persistent_hits,
             computed=after.computed - before.computed,
-            installed=after.installed - before.installed,
             batched_solves=after.batched_solves - before.batched_solves)
         return CompiledAnalysis(
             graph=cg, state=state, required=required,
             hold_required=hold_required, solutions=solutions, stats=stats,
-            elapsed=time.perf_counter() - started, mode=mode,
-            partitions=partitions, shards=shards,
-            boundary_events_exchanged=boundary_exchanged)
+            elapsed=time.perf_counter() - started, mode=mode)
 
 
 class IncrementalEngine(GraphEngine):
@@ -831,7 +556,7 @@ class IncrementalEngine(GraphEngine):
         """A report-safe copy of the cached events (updates must not mutate it)."""
         return {name: dict(per_net) for name, per_net in self._events.items()}
 
-    def update(self, *, jobs: Optional[int] = None) -> GraphTimingReport:
+    def update(self) -> GraphTimingReport:
         """Re-time what the edits since the last update actually dirtied.
 
         The first call (and any call after :meth:`invalidate`) times the whole
@@ -845,7 +570,7 @@ class IncrementalEngine(GraphEngine):
         graph.clear_dirty()
 
         if not self._timed:
-            report = self.analyze(graph, jobs=jobs)
+            report = self.analyze(graph)
             self._events = {name: dict(per_net)
                             for name, per_net in report.events.items()}
             self._timed = True
@@ -886,20 +611,12 @@ class IncrementalEngine(GraphEngine):
                 self._events.pop(name, None)
 
             retimed_events = 0
-            jobs_used = 1
             if cone:
                 levels = [[name for name in level if name in cone]
                           for level in graph.levels]
                 levels = [level for level in levels if level]
-                jobs_requested = self.jobs if jobs is None else resolve_jobs(jobs)
-                try:
-                    jobs_used = self._time_levels(
-                        graph, levels, pending, self._events,
-                        jobs=jobs_requested, need_waveforms=False,
-                        memoize=True)
-                finally:
-                    if not self._persistent_pool:
-                        self.close()
+                self._time_levels(graph, levels, pending, self._events,
+                                  need_waveforms=False, memoize=True)
                 retimed_events = sum(len(self._events.get(name, {}))
                                      for name in cone)
 
@@ -933,11 +650,10 @@ class IncrementalEngine(GraphEngine):
             memo_hits=after.memo_hits - before.memo_hits,
             persistent_hits=after.persistent_hits - before.persistent_hits,
             computed=after.computed - before.computed,
-            installed=after.installed - before.installed,
             batched_solves=after.batched_solves - before.batched_solves)
         return GraphTimingReport(
             graph=graph, events=self._snapshot(), levels=graph.levels,
-            stats=stats, jobs=jobs_used,
+            stats=stats,
             elapsed=time.perf_counter() - started,
             incremental=IncrementalStats(
                 dirty_nets=len(dirty), retimed_nets=len(cone),
@@ -956,12 +672,12 @@ class GraphTimer(GraphEngine):
     """Deprecated alias of :class:`GraphEngine`.
 
     Direct graph-timer construction predates the :class:`repro.api.TimingSession`
-    front door, which owns the cell library, the stage-solution caches and the
-    worker pool for the whole solver stack.  The shim is bit-identical to the
+    front door, which owns the cell library and the stage-solution caches for
+    the whole solver stack.  The shim is bit-identical to the
     session path — both run the same :class:`GraphEngine` — and exists so old
     callers keep working while they migrate::
 
-        with TimingSession(jobs=4) as session:
+        with TimingSession() as session:
             report = session.time(graph)
     """
 

@@ -35,11 +35,6 @@ result — which materializes :class:`repro.api.report.TimingEvent` records
 *on demand*, so a 100k-net analysis never flattens O(graph) Python objects
 unless a caller iterates them all.
 
-A :class:`CompiledGraph` also knows how to :meth:`~CompiledGraph.partition`
-itself into contiguous level bands with explicit :class:`BoundaryEvents`
-exchange — the seam future multi-process/multi-host fan-out plugs into, with
-a unit of work much larger than one stage.
-
 Constraints and primary inputs are deliberately *not* compiled: they are read
 live from the :class:`~.graph.TimingGraph` at analysis time (vectorized into
 seed arrays), so clock/required edits and ``set_input`` never invalidate the
@@ -71,8 +66,7 @@ from ..tech.technology import Technology
 from .graph import TimingGraph, check_mode
 
 __all__ = ["TRANSITIONS", "CompiledGraph", "ConfigInterner", "compile_graph",
-           "SweepState", "CompiledRegion", "BoundaryEvents",
-           "CompiledAnalysis", "merge_level", "merge_nets",
+           "SweepState", "CompiledAnalysis", "merge_level", "merge_nets",
            "constraint_seeds", "backward_required", "required_level"]
 
 #: Input-transition axis of the event encoding, in sorted order — index 0 is
@@ -195,9 +189,8 @@ class CompiledGraph:
         loads at once and raises :class:`~repro.errors.ModelingError` — the
         caller must recompile.  Mutated planes (:attr:`load`,
         :attr:`config_id`, :attr:`is_endpoint`) are replaced copy-on-write and
-        config tables grow append-only, so analyses and sharded-sweep plans
-        holding the pre-patch arrays stay valid (and the version bump makes
-        plan caches re-ship the patched structure).
+        config tables grow append-only, so analyses holding the pre-patch
+        arrays stay valid.
         """
         if graph.topology_version != self.topology_version:
             raise ModelingError(
@@ -266,44 +259,6 @@ class CompiledGraph:
         self.is_endpoint = is_endpoint
         self.version = graph.version
         return len(edited)
-
-    def partition(self, n_regions: int) -> List["CompiledRegion"]:
-        """Split the levelization into ``n_regions`` contiguous level bands.
-
-        Regions are balanced by net count (each closes once it holds at least
-        ``n_nets / n_regions`` nets), never split a level, and carry the net
-        ids of their *boundary* — earlier-region nets whose far-end events
-        feed this region's fanin.  Timing region ``k`` needs exactly its
-        boundary's solved events injected (:class:`BoundaryEvents`), which is
-        what makes a region shippable to another process or host.
-        """
-        if n_regions < 1:
-            raise ModelingError("partition() needs at least one region")
-        n_regions = min(n_regions, self.n_levels)
-        target = self.n_nets / n_regions
-        regions: List[CompiledRegion] = []
-        level_lo = 0
-        for k in range(n_regions):
-            if level_lo >= self.n_levels:
-                break
-            level_hi = level_lo
-            if k == n_regions - 1:
-                level_hi = self.n_levels
-            else:
-                while (level_hi < self.n_levels
-                       and self.level_ptr[level_hi + 1] < target * (k + 1)):
-                    level_hi += 1
-                level_hi = min(level_hi + 1, self.n_levels)
-            net_lo = int(self.level_ptr[level_lo])
-            net_hi = int(self.level_ptr[level_hi])
-            fanin = self.fi_indices[int(self.fi_indptr[net_lo]):
-                                    int(self.fi_indptr[net_hi])]
-            boundary = np.unique(fanin[fanin < net_lo])
-            regions.append(CompiledRegion(
-                level_lo=level_lo, level_hi=level_hi,
-                net_lo=net_lo, net_hi=net_hi, boundary_nets=boundary))
-            level_lo = level_hi
-        return regions
 
 
 def _net_loads(graph: TimingGraph, order: List[str], tech: Technology) -> np.ndarray:
@@ -503,63 +458,6 @@ class SweepState:
         return sum(plane.nbytes for plane in self.planes())
 
 
-@dataclass(eq=False)
-class CompiledRegion:
-    """One contiguous level band of a partitioned compiled graph.
-
-    ``boundary_nets`` are the earlier-region net ids whose far-end events this
-    region's merges read — the complete cross-region data dependency.
-    """
-
-    level_lo: int
-    level_hi: int
-    net_lo: int
-    net_hi: int
-    boundary_nets: np.ndarray  #: int64, sorted net ids feeding this region
-
-    @property
-    def n_nets(self) -> int:
-        return self.net_hi - self.net_lo
-
-    def describe(self) -> str:
-        return (f"region levels [{self.level_lo},{self.level_hi}): "
-                f"{self.n_nets} nets, {len(self.boundary_nets)} boundary nets")
-
-
-@dataclass(eq=False)
-class BoundaryEvents:
-    """Solved far-end events crossing a region boundary — the exchange unit.
-
-    Everything a downstream region's merges need from its producers: event
-    ids plus the three propagated planes.  Scalars-only and array-shaped, so
-    a boundary packet serializes trivially for a future multi-process seam.
-    """
-
-    events: np.ndarray  #: int64, event ids (net_id * 2 + transition)
-    out_arrival: np.ndarray  #: float64, late far-end arrivals
-    early_out_arrival: np.ndarray  #: float64, early far-end arrivals
-    propagated_slew: np.ndarray  #: float64, full-swing propagated slews
-
-    @classmethod
-    def capture(cls, state: SweepState, nets: np.ndarray) -> "BoundaryEvents":
-        """Extract the existing events of ``nets`` from a solved state."""
-        candidates = np.empty(2 * len(nets), dtype=np.int64)
-        candidates[0::2] = nets * 2
-        candidates[1::2] = nets * 2 + 1
-        events = candidates[state.exists[candidates]]
-        return cls(events=events,
-                   out_arrival=state.out_arr[events].copy(),
-                   early_out_arrival=state.early_out[events].copy(),
-                   propagated_slew=state.prop_slew[events].copy())
-
-    def inject(self, state: SweepState) -> None:
-        """Install the boundary events into a (fresh) region state."""
-        state.exists[self.events] = True
-        state.out_arr[self.events] = self.out_arrival
-        state.early_out[self.events] = self.early_out_arrival
-        state.prop_slew[self.events] = self.propagated_slew
-
-
 def merge_level(cg: CompiledGraph, state: SweepState,
                 net_lo: int, net_hi: int) -> np.ndarray:
     """Merge fanin events into nets ``[net_lo, net_hi)``; return the level's events.
@@ -667,21 +565,28 @@ def level_solve_keys(cg: CompiledGraph, state: SweepState, events: np.ndarray,
 
     Quantizes the merged slews onto the solver grid (bit-identical to
     ``quantize_slew()``: ``round()`` and ``np.rint`` are both half-even),
-    records them in ``state.in_slew``, and returns ``(unique, inverse)`` from
-    a lexicographic row sort — so the unique order is a pure function of the
-    key *set*, which is what lets sharded sweeps reassemble the exact
-    single-shard request order from per-shard subsets.  ``cg`` only needs a
-    ``config_id`` array, so slim worker-side structures qualify.
+    records them in ``state.in_slew``, and returns ``(unique, inverse)``:
+    ``unique`` is a (k, 3) float64 matrix of the distinct keys in
+    lexicographic (config, transition, slew) order and ``inverse`` maps each
+    event to its row.  Each key packs into one int64 — slews by their rank
+    among the level's distinct slews — which preserves that order, so the
+    dedupe costs two 1-D sorts.  ``solve_batch`` results depend on request
+    order at the ~1 ULP level, so the order is part of the contract.
     """
     slews = state.merged_slew[events]
     if quantum is not None:
         slews = np.maximum(np.rint(slews / quantum), 1.0) * quantum
     state.in_slew[events] = slews
-    keys = np.empty((events.size, 3), dtype=np.float64)
-    keys[:, 0] = cg.config_id[events >> 1]
-    keys[:, 1] = events & 1
-    keys[:, 2] = slews
-    unique, inverse = np.unique(keys, axis=0, return_inverse=True)
+    distinct_slews, slew_rank = np.unique(slews, return_inverse=True)
+    config = cg.config_id[events >> 1]
+    transition = events & 1
+    packed = (config * 2 + transition) * distinct_slews.size + slew_rank
+    _, first, inverse = np.unique(packed, return_index=True,
+                                  return_inverse=True)
+    unique = np.empty((first.size, 3), dtype=np.float64)
+    unique[:, 0] = config[first]
+    unique[:, 1] = transition[first]
+    unique[:, 2] = slews[first]
     return unique, inverse
 
 
@@ -692,8 +597,8 @@ def scatter_level_solutions(state: SweepState, events: np.ndarray,
 
     ``sol_ids`` / ``delays`` / ``prop_slews`` are already expanded per event
     (the caller indexes its solved uniques by the inverse map).  Output
-    arrivals are computed here so the float-add order is identical wherever
-    the scatter runs — single-shard, partitioned, or sharded worker.
+    arrivals are computed here so the full and the incremental sweeps share
+    one float-add order.
     """
     state.sol_idx[events] = sol_ids
     state.delay[events] = delays
@@ -842,9 +747,7 @@ class CompiledAnalysis:
     def __init__(self, *, graph: CompiledGraph, state: SweepState,
                  required: np.ndarray, hold_required: np.ndarray,
                  solutions: List[StageSolution], stats, elapsed: float,
-                 mode: str, partitions: Optional[int] = None,
-                 shards: Optional[int] = None,
-                 boundary_events_exchanged: Optional[int] = None) -> None:
+                 mode: str) -> None:
         self.graph = graph
         self.state = state
         self.required = required
@@ -853,22 +756,12 @@ class CompiledAnalysis:
         self.stats = stats
         self.elapsed = elapsed
         self.mode = mode
-        self.partitions = partitions
         #: Endpoint mask at analysis time.  patch() replaces the compiled
         #: graph's mask copy-on-write, so capturing the reference keeps this
         #: result describing the state it analyzed.
         self.is_endpoint = graph.is_endpoint
         #: Set by the incremental compiled engine on cone updates.
         self.incremental = None
-        #: Worker count of the sharded forward sweep (None = single-shard).
-        self.shards = shards
-        #: BoundaryEvents captured + injected across shard frontiers.
-        self.boundary_events_exchanged = boundary_events_exchanged
-
-    @property
-    def parallel_sweep(self) -> bool:
-        """True when the multi-process sharded driver produced the planes."""
-        return self.shards is not None and self.shards > 1
 
     # --- event enumeration --------------------------------------------------------
     @property

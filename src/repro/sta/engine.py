@@ -108,8 +108,8 @@ class PathTimer:
 
     .. deprecated::
         Construct a :class:`repro.api.TimingSession` and call
-        ``session.time(path)`` instead; the session owns the library, caches and
-        worker pool for the whole solver stack and produces the unified
+        ``session.time(path)`` instead; the session owns the library and caches
+        for the whole solver stack and produces the unified
         :class:`repro.api.TimingReport`.  This shim runs the exact same
         :class:`~.batch.GraphEngine`, so its results stay bit-identical.
 
@@ -138,18 +138,6 @@ class PathTimer:
         self._graph_timer = GraphEngine(
             library=self.library, tech=self.tech, options=self.options,
             slew_low=self.slew_low, slew_high=self.slew_high, solver=self.solver)
-
-    # --- lifecycle --------------------------------------------------------------------
-    def __enter__(self) -> "PathTimer":
-        self._graph_timer.__enter__()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self._graph_timer.__exit__(exc_type, exc, tb)
-
-    def close(self) -> None:
-        """Shut down the underlying graph engine's worker pool (idempotent)."""
-        self._graph_timer.close()
 
     # --- helpers ---------------------------------------------------------------------
     def _stage_load(self, stage: TimingStage) -> float:
@@ -195,7 +183,7 @@ class PathTimer:
         if not isinstance(path, TimingPath):
             raise ModelingError("analyze() expects a TimingPath")
         graph, names = chain_graph(path, input_transition=self.options.transition)
-        report = self._graph_timer.analyze(graph, jobs=1, need_waveforms=True)
+        report = self._graph_timer.analyze(graph, need_waveforms=True)
         results: List[StageTiming] = []
         for stage, name in zip(path.stage_list, names):
             per_net = report.events[name]

@@ -729,7 +729,6 @@ class GraphTimingReport:
     events: Dict[str, Dict[str, NetEventTiming]]  #: net name -> input transition -> event
     levels: List[List[str]]
     stats: SolverStats  #: solver counters accumulated over this analysis
-    jobs: int  #: worker processes the batch executor actually used
     elapsed: float  #: wall-clock analysis time [s]
     incremental: Optional[IncrementalStats] = None  #: set on incremental updates
 
@@ -911,8 +910,7 @@ class GraphTimingReport:
         """Multi-line human-readable summary (critical path + totals)."""
         lines = [self.graph.describe(),
                  f"  {self.n_events} events solved in {self.elapsed:.3f} s "
-                 f"({self.jobs} worker(s), cache hit rate "
-                 f"{100 * self.stats.hit_rate:.1f}%)"]
+                 f"(cache hit rate {100 * self.stats.hit_rate:.1f}%)"]
         if self.incremental is not None:
             lines.append(f"  {self.incremental.describe()}")
         if not self.events:

@@ -1,7 +1,7 @@
 """Dirty-cone incremental updates on the compiled struct-of-arrays engine.
 
-PR 7/9 made *from-scratch* analysis fast at 100k nets (CSR sweeps, sharded
-across cores); this module makes *edits* fast.  After a parameter edit the
+The compiled tier makes *from-scratch* analysis fast at 100k nets (CSR
+sweeps); this module makes *edits* fast.  After a parameter edit the
 compiled snapshot is patched in place (:meth:`~.compiled.CompiledGraph.patch`)
 and the sweep re-runs only where the edit can matter:
 
@@ -20,8 +20,9 @@ and the sweep re-runs only where the edit can matter:
 
 Both reuse the prior :class:`~.compiled.SweepState` planes — cloned first, so
 analyses already handed out (and the serve daemon's snapshot reads built on
-them) keep describing the state they analyzed — and the PR-9
-``level_solve_keys`` / ``scatter_level_solutions`` solve seam.  Because the
+them) keep describing the state they analyzed — and the same
+``level_solve_keys`` / ``scatter_level_solutions`` solve seam as the full
+sweep.  Because the
 solver memo answers identical fingerprints with identical solutions and the
 merge election is per-target independent, an incremental update is
 bit-identical to a from-scratch compiled sweep of the edited graph, in every
@@ -32,9 +33,6 @@ list rather than a per-analysis one).
 :class:`repro.sta.batch.IncrementalEngine`: attached to one graph, consuming
 its dirty set, producing a full :class:`~.compiled.CompiledAnalysis` per
 update whose ``incremental`` stats say how much of the graph was touched.
-Cone updates always sweep single-shard — a dirty cone is far too small to
-amortize cross-process fan-out, and per-edit pool churn is exactly what an
-edit loop cannot afford.
 """
 
 from __future__ import annotations
@@ -264,18 +262,10 @@ class CompiledIncrementalEngine:
         self._timed = False
         self.last_changed_nets = None
 
-    def close(self) -> None:
-        """No resources of its own — pools belong to the session's engine.
-
-        Cached planes survive a close (mirroring how the object engine keeps
-        its events across pool shutdowns), so a session used again after its
-        ``with`` block still updates incrementally.
-        """
-
     def _full_update(self, cg: CompiledGraph, *, patched_nets: int,
-                     dirty_nets: int, jobs: Optional[int]) -> CompiledAnalysis:
+                     dirty_nets: int) -> CompiledAnalysis:
         analysis = self.engine.analyze_compiled(
-            self.graph, compiled=cg, mode=self.mode, jobs=jobs)
+            self.graph, compiled=cg, mode=self.mode)
         self._cg = cg
         self._state = analysis.state
         self._required = analysis.required
@@ -291,15 +281,14 @@ class CompiledIncrementalEngine:
             patched_nets=patched_nets, cone_nets=n, cone_converged_early=0)
         return analysis
 
-    def update(self, cg: CompiledGraph, *, patched_nets: int = 0,
-               jobs: Optional[int] = None) -> CompiledAnalysis:
+    def update(self, cg: CompiledGraph, *,
+               patched_nets: int = 0) -> CompiledAnalysis:
         """Re-time what the edits since the last update actually dirtied.
 
         ``cg`` is the graph's *current* compiled snapshot (already patched or
         recompiled by the caller; its version must match the graph).  The
         first call, and any call after a recompile or :meth:`invalidate`,
-        analyzes in full — optionally sharded over ``jobs`` workers; cone
-        updates always run single-shard in-process.
+        analyzes in full.
         """
         graph = self.graph
         if cg.version != graph.version:
@@ -311,8 +300,7 @@ class CompiledIncrementalEngine:
         graph.clear_dirty()
         if not self._timed or cg is not self._cg:
             return self._full_update(cg, patched_nets=patched_nets,
-                                     dirty_nets=len(dirty) or len(graph),
-                                     jobs=jobs)
+                                     dirty_nets=len(dirty) or len(graph))
 
         started = time.perf_counter()
         solver = self.engine.solver
@@ -393,7 +381,6 @@ class CompiledIncrementalEngine:
             memo_hits=after.memo_hits - before.memo_hits,
             persistent_hits=after.persistent_hits - before.persistent_hits,
             computed=after.computed - before.computed,
-            installed=after.installed - before.installed,
             batched_solves=after.batched_solves - before.batched_solves)
         analysis = CompiledAnalysis(
             graph=cg, state=state, required=required,

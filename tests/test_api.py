@@ -284,21 +284,6 @@ class TestDeprecatedShims:
 
 
 class TestContextManagers:
-    def test_engine_pool_closed_on_exit(self, library, line):
-        engine = GraphEngine(library=library, jobs=2)
-        graph = parallel_chains(2, 1, lines=[line], input_slew=ps(100))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            with engine:
-                engine.analyze(graph)
-                pooled = engine._executor  # may be None if fork is unavailable
-            assert engine._executor is None
-            # Unmanaged analyses clean up after themselves.
-            engine.analyze(graph)
-            assert engine._executor is None
-        engine.close()  # idempotent
-        del pooled
-
     def test_characterization_runner_context(self):
         from repro.characterization import CharacterizationRunner
         with CharacterizationRunner(jobs=1) as runner:
@@ -347,14 +332,6 @@ class TestSessionResources:
             (cell,) = fresh.characterize(60, grid=tiny)
         assert cell.driver_size == 60
         assert 60.0 not in fresh.library
-
-    def test_unmanaged_session_cleans_up_pool_per_call(self, library, line):
-        graph = parallel_chains(2, 1, lines=[line], input_slew=ps(100))
-        unmanaged = TimingSession(jobs=2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            unmanaged.time(graph)
-        assert unmanaged._engine._executor is None  # no leak without close()
 
     def test_persistent_stages_land_in_cache_dir(self, tmp_path, line):
         config = SessionConfig(cache_dir=tmp_path, persistent_stages=True)

@@ -1,15 +1,23 @@
 """TimingReport serialization: lossless JSON round-trip, stable across runs."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.api import TimingReport, TimingSession, compare_reports
+from repro.api import RunInfo, TimingReport, TimingSession, compare_reports
 from repro.errors import ModelingError
 from repro.experiments import reconvergent_graph
 from repro.interconnect import RLCLine
 from repro.sta import TimingPath, TimingStage
 from repro.units import mm, nH, pF, ps
+
+#: A chain3 report saved by repro 1.0.0 with ``--jobs 2``: its meta carries the
+#: retired worker fields (jobs, installed, shards, boundary_events_exchanged,
+#: parallel_sweep).
+WORKER_ERA_REPORT = Path(__file__).parent / "data" / "chain3_report_with_worker_fields.json"
+RETIRED_META_KEYS = ("jobs", "installed", "shards", "boundary_events_exchanged",
+                     "parallel_sweep")
 
 
 @pytest.fixture(scope="module")
@@ -290,6 +298,29 @@ class TestHoldSerialization:
         assert loaded.meta.mode == "both"
         assert loaded.early_arrival("sink") is None
         assert loaded.total_delay == diamond_report.total_delay
+
+
+class TestRetiredRunInfoFields:
+    def test_stored_worker_era_report_loads(self):
+        payload = json.loads(WORKER_ERA_REPORT.read_text())
+        assert all(key in payload["meta"] for key in RETIRED_META_KEYS)
+        report = TimingReport.load(WORKER_ERA_REPORT)
+        assert report.design == "global_route"
+        assert report.meta.version == payload["meta"]["version"]
+        assert report.meta.elapsed == payload["meta"]["elapsed"]
+        assert report.worst_slack is not None
+        assert report.n_events == 3
+        saved = report.to_dict()
+        assert not any(key in saved["meta"] for key in RETIRED_META_KEYS)
+        assert TimingReport.from_dict(saved) == report
+
+    def test_runinfo_ignores_retired_keys(self):
+        meta = RunInfo(elapsed=1.0, computed=3, batched_solves=3)
+        payload = dict(meta.to_dict(), jobs=4, installed=2, shards=4,
+                       boundary_events_exchanged=123, parallel_sweep=True)
+        assert RunInfo.from_dict(payload) == meta
+        with pytest.raises(TypeError):
+            RunInfo.from_dict(dict(meta.to_dict(), bogus=1))
 
 
 class TestReportDiff:

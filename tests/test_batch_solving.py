@@ -361,9 +361,9 @@ class TestSolverSolveBatch:
 class TestEngineEquivalence:
     def test_batched_analysis_matches_naive_loop(self, library):
         graph = parallel_chains(3, 4)
-        with GraphEngine(library=library, jobs=1) as engine:
-            naive = engine.analyze(graph, memoize=False, jobs=1)
-            batched = engine.analyze(graph, jobs=1)
+        engine = GraphEngine(library=library)
+        naive = engine.analyze(graph, memoize=False)
+        batched = engine.analyze(graph)
         assert naive.stats.batched_solves == 0
         assert batched.stats.batched_solves == batched.stats.computed > 0
         for name, per_net in naive.events.items():
@@ -375,16 +375,3 @@ class TestEngineEquivalence:
                     other.early_output_arrival, rel=1e-9)
                 assert event.solution.far_slew == pytest.approx(
                     other.solution.far_slew, rel=1e-9)
-
-    def test_jobs_one_never_constructs_a_pool(self, library, monkeypatch):
-        import repro.sta.batch as batch_module
-
-        def boom(*args, **kwargs):
-            raise AssertionError("jobs=1 must not construct a ProcessPoolExecutor")
-
-        monkeypatch.setattr(batch_module, "ProcessPoolExecutor", boom)
-        graph = parallel_chains(2, 2)
-        with GraphEngine(library=library, jobs=1) as engine:
-            report = engine.analyze(graph, jobs=1)
-        assert report.jobs == 1
-        assert report.stats.batched_solves == report.stats.computed

@@ -11,8 +11,8 @@ import threading
 
 import pytest
 
-from repro.api import TimingSession
-from repro.errors import ReproError
+from repro.api import SessionConfig, TimingSession
+from repro.errors import CharacterizationError, ReproError
 from repro.experiments.graph_cases import BUILTIN_CASES, benchmark_graph, case_graph
 from repro.serve import (
     AttachRequest,
@@ -170,6 +170,34 @@ class TestRegistry:
         assert {n: net.driver_size for n, net in design.graph.nets.items()} == sizes
         assert design.stats_payload()["rejected_batches"] >= 1
 
+    @pytest.mark.parametrize("config", [SessionConfig(),
+                                        SessionConfig(compile_threshold=1)],
+                             ids=["object", "compiled"])
+    def test_failed_retime_rolls_back_and_recovers(self, library, config):
+        # Every verb applies, then the re-time rejects the batch: 33.3X has
+        # no characterized cell.  The batch must roll back like a rejected
+        # verb, and must not wedge the design for later batches.
+        registry = DesignRegistry(config)
+        try:
+            design = registry.attach(
+                AttachRequest(name="w", case="chain3", clock_ps=900.0))
+            before = design.snapshot
+            size = design.graph.nets["stage1"].driver_size
+            with pytest.raises(CharacterizationError):
+                design.apply_edits(EditRequest.from_payload({"edits": [
+                    {"op": "resize_driver", "net": "stage1", "driver_size": 33.3}]}))
+            assert design.snapshot is before
+            assert design.graph.nets["stage1"].driver_size == size
+            snapshot = design.apply_edits(EditRequest.from_payload({"edits": [
+                {"op": "resize_driver", "net": "stage2", "driver_size": 100.0}]}))
+            assert snapshot.seq == before.seq + 1
+            fresh = TimingSession(config).time(design.graph, name="w").to_dict()
+            published = snapshot.report.to_dict()
+            fresh.pop("meta"), published.pop("meta")
+            assert published == fresh
+        finally:
+            registry.close()
+
 
 # --- HTTP endpoints -------------------------------------------------------------------
 @pytest.fixture(scope="module")
@@ -251,11 +279,10 @@ class TestHTTP:
         stats = client.design_stats(attached)
         assert stats["edit_batches"] >= 1
         assert stats["last_run"]["retimed_nets"] <= 3
-        # The PR-9 sharded-sweep counters ride along in every run payload
-        # (None/False here: serve designs re-time on the object engine).
-        for counter in ("shards", "boundary_events_exchanged",
+        # Every run is one in-process pass: no worker or shard counters.
+        for counter in ("jobs", "shards", "boundary_events_exchanged",
                         "parallel_sweep"):
-            assert counter in stats["last_run"]
+            assert counter not in stats["last_run"]
 
     def test_attach_spec_detach(self, client):
         summary = client.attach("custom", spec=SPEC)

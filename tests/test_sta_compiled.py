@@ -10,8 +10,8 @@ The contract under test, layer by layer:
 * results are independent of net declaration order (the vectorized lexsort
   tie-break mirrors the object engine's ``max()`` over (arrival, slew, source)
   tuples);
-* the levelized-partition seam (``partitions=N`` with explicit boundary-event
-  exchange) is bit-identical to the monolithic sweep;
+* the level dedupe (``level_solve_keys``) gives exactly the keys, order and
+  inverse map of the ``np.unique(axis=0)`` row sort it replaced;
 * :class:`StreamingTimingReport` answers every report query like the eager
   report and serializes to the identical payload;
 * the session routes large graphs through the compiled path by
@@ -23,7 +23,9 @@ The contract under test, layer by layer:
 """
 
 import random
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from test_sta_dual_mode import random_dag
 
@@ -39,7 +41,8 @@ from repro.core import StageSolver
 from repro.errors import ModelingError
 from repro.experiments import soc_graph
 from repro.interconnect import RLCLine
-from repro.sta import GraphEngine, TimingGraph
+from repro.sta import GraphEngine, SweepState, TimingGraph
+from repro.sta.compiled import level_solve_keys
 from repro.units import mm, nH, pF, ps
 
 
@@ -71,12 +74,11 @@ def shared_session(solver, **config) -> TimingSession:
     return session
 
 
-def assert_equivalent(engine, graph, *, mode="both", partitions=None):
+def assert_equivalent(engine, graph, *, mode="both"):
     """Object-engine and compiled analyses of ``graph`` are exactly equal."""
     report = engine.analyze(graph, mode=mode)
     compiled = engine.compile(graph)
-    analysis = engine.analyze_compiled(graph, compiled=compiled, mode=mode,
-                                       partitions=partitions)
+    analysis = engine.analyze_compiled(graph, compiled=compiled, mode=mode)
     n_events = sum(len(per_net) for per_net in report.events.values())
     assert analysis.n_events == n_events
     for name, per_net in report.events.items():
@@ -87,6 +89,19 @@ def assert_equivalent(engine, graph, *, mode="both", partitions=None):
     assert ([(e.net.name, e.input_transition) for e in report.critical_path()]
             == [analysis.key_of(e) for e in analysis.critical_path_ids()])
     return analysis
+
+
+def row_sort_level_solve_keys(cg, state, events, quantum):
+    """Reference dedupe: ``np.unique(axis=0)`` over (config, transition, slew) rows."""
+    slews = state.merged_slew[events]
+    if quantum is not None:
+        slews = np.maximum(np.rint(slews / quantum), 1.0) * quantum
+    state.in_slew[events] = slews
+    keys = np.empty((events.size, 3), dtype=np.float64)
+    keys[:, 0] = cg.config_id[events >> 1]
+    keys[:, 1] = events & 1
+    keys[:, 2] = slews
+    return np.unique(keys, axis=0, return_inverse=True)
 
 
 def constrain_randomly(rng, graph):
@@ -101,6 +116,35 @@ def constrain_randomly(rng, graph):
         graph.set_required(name, rng.choice([ps(30), ps(90)]),
                            transition=rng.choice([None, "rise", "fall"]),
                            mode="hold")
+
+
+class TestLevelSolveKeys:
+    @pytest.mark.parametrize("quantum", [None, ps(5.0)], ids=["exact", "quantized"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_row_sort_reference(self, seed, quantum):
+        rng = np.random.default_rng(seed)
+        n_nets = int(rng.integers(1, 400))
+        cg = SimpleNamespace(config_id=rng.integers(0, 7, size=n_nets))
+        events = np.flatnonzero(rng.random(2 * n_nets) < 0.7)
+        if not events.size:
+            events = np.array([0])
+        # Slews from a small pool (exact ties) mixed with unique draws.
+        pool = rng.uniform(ps(20), ps(300), size=5)
+        fresh = rng.uniform(ps(20), ps(300), size=2 * n_nets)
+        slews = np.where(rng.random(2 * n_nets) < 0.6,
+                         rng.choice(pool, size=2 * n_nets), fresh)
+        states = []
+        for _ in range(2):
+            state = SweepState.empty(2 * n_nets)
+            state.merged_slew[:] = slews
+            states.append(state)
+        unique, inverse = level_solve_keys(cg, states[0], events, quantum)
+        expected, expected_inverse = row_sort_level_solve_keys(
+            cg, states[1], events, quantum)
+        assert unique.dtype == expected.dtype and unique.shape == expected.shape
+        assert np.array_equal(unique, expected)
+        assert np.array_equal(inverse, expected_inverse.reshape(-1))
+        assert np.array_equal(states[0].in_slew, states[1].in_slew)
 
 
 class TestCompiledEquivalence:
@@ -132,17 +176,11 @@ class TestCompiledEquivalence:
         for name in graph.nets:
             assert baseline.events_of(name) == analysis.events_of(name)
 
-    def test_partitioned_sweep_is_bit_identical(self, engine, lines):
-        rng = random.Random(84)
-        graph = random_dag(rng, lines, n_nets=20)
-        constrain_randomly(rng, graph)
-        assert_equivalent(engine, graph, partitions=3)
-
     def test_soc_graph_shape_and_equivalence(self, engine):
         graph = soc_graph(125)
         assert len(graph) == 125
         graph.set_clock_period(ps(1500), hold_margin=0.0)
-        analysis = assert_equivalent(engine, graph, partitions=2)
+        analysis = assert_equivalent(engine, graph)
         assert analysis.worst_endpoint_slack("setup") is not None
         assert analysis.worst_endpoint_slack("hold") is not None
 

@@ -1,6 +1,5 @@
 """Timing-graph subsystem: structure validation, levelization, batch analysis."""
 
-import warnings
 
 import pytest
 
@@ -229,49 +228,6 @@ class TestGraphTimer:
         # Every level deeper arrives strictly later.
         assert report.arrival("t") < report.arrival("t.0") < \
             report.arrival("t.0.0") < report.arrival("t.0.0.0")
-
-    def test_parallel_jobs_respect_slew_quantum(self, library, line):
-        # Workers must solve at the quantized slew the fingerprint was built
-        # from, or parallel runs would poison the memo with off-grid results.
-        graph = parallel_chains(2, 2, lines=[line], input_slew=ps(100.3))
-        quantum = ps(5.0)
-        serial = GraphTimer(library=library,
-                            solver=StageSolver(slew_quantum=quantum)).analyze(graph)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            parallel = GraphTimer(library=library,
-                                  solver=StageSolver(slew_quantum=quantum),
-                                  jobs=2).analyze(graph)
-        for name in graph.nets:
-            for transition, event in serial.events[name].items():
-                other = parallel.events[name][transition]
-                # Quantization snaps both runs onto the same grid: exact.
-                assert event.input_slew == other.input_slew
-                # Serial solves run batched (kernel-convolution far ends),
-                # workers run the scalar oracle: equal to solver roundoff.
-                assert event.output_arrival == pytest.approx(
-                    other.output_arrival, rel=1e-9)
-
-    def test_parallel_jobs_match_serial(self, library):
-        graph = parallel_chains(4, 2, input_slew=ps(100))
-        serial = GraphTimer(library=library).analyze(graph)
-        with warnings.catch_warnings():
-            # In sandboxed environments the pool may fall back to serial; the
-            # results must be identical either way.
-            warnings.simplefilter("ignore", RuntimeWarning)
-            parallel = GraphTimer(library=library, jobs=2).analyze(graph)
-        for name in graph.nets:
-            for transition, event in serial.events[name].items():
-                other = parallel.events[name][transition]
-                # Serial levels solve batched, workers solve scalar; the two
-                # paths agree to solver roundoff (<= 1e-9 relative, the
-                # benchmark-enforced equivalence gate).
-                assert event.output_arrival == pytest.approx(
-                    other.output_arrival, rel=1e-9)
-                assert event.input_slew == pytest.approx(
-                    other.input_slew, rel=1e-9)
-                assert event.solution.far_slew == pytest.approx(
-                    other.solution.far_slew, rel=1e-9)
 
 
 class TestConstraintsAndSlack:

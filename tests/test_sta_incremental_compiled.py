@@ -13,8 +13,7 @@ Alongside the property, this file pins the in-place patching contract
 (:meth:`CompiledGraph.patch` equals a fresh compile; topology drift is
 rejected), the session-cache fixes of this PR (constraint-only edit batches
 never recompile; the single-slot compiled cache holds its graph weakly), the
-streaming report's cone-bounded record reuse, and the jobs>1 interaction
-(warm cone updates never touch the worker pools).
+and the streaming report's cone-bounded record reuse.
 """
 
 import gc
@@ -306,24 +305,3 @@ class TestStreamingReportReuse:
         warm_payload, full_payload = second.to_dict(), full.to_dict()
         warm_payload.pop("meta"), full_payload.pop("meta")
         assert warm_payload == full_payload
-
-
-class TestJobsInteraction:
-    def test_warm_updates_never_touch_the_pools(self, solver):
-        session = shared_session(solver, compile_threshold=1, jobs=2)
-        graph = soc_graph(250)
-        graph.set_clock_period(ps(1500))
-        with session:
-            session.update(graph)
-            engine = session._engine
-            executor = engine._executor
-            driver = engine._shard_driver
-            for size in (50.0, 125.0, 75.0):
-                graph.resize_driver("k0c0s2", size)
-                report = session.update(graph)
-                meta = report.meta
-                assert meta.shards is None  # cones sweep single-shard
-                assert not meta.parallel_sweep
-                assert meta.compile_seconds == 0.0
-            assert engine._executor is executor  # no churn per edit
-            assert engine._shard_driver is driver

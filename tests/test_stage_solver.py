@@ -132,14 +132,15 @@ class TestStageSolver:
                          options=ModelingOptions(transition="fall"))
         assert len(solver) == 2
 
-    def test_need_waveforms_upgrades_lite_entries(self, cell75, line):
-        solver = StageSolver()
+    def test_need_waveforms_upgrades_lite_entries(self, cell75, line, tmp_path):
         options = ModelingOptions(transition="fall")
-        lite = solve_stage(cell75, ps(100), line, 1e-14,
-                           options=options).lite()
-        solver.install(lite)
+        StageSolver(persistent=tmp_path).solve(cell75, ps(100), line, 1e-14,
+                                               options=options)
+        solver = StageSolver(persistent=tmp_path)
+        lite = solver.solve(cell75, ps(100), line, 1e-14, options=options)
+        assert not lite.has_waveforms  # the store keeps scalar-only entries
         scalar = solver.solve(cell75, ps(100), line, 1e-14, options=options)
-        assert scalar is lite  # installed entry answers scalar requests
+        assert scalar is lite  # the memoized lite entry answers scalar requests
         full = solver.solve(cell75, ps(100), line, 1e-14, options=options,
                             need_waveforms=True)
         assert full.has_waveforms
