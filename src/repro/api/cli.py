@@ -296,11 +296,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_session_flags(
-    parser: argparse.ArgumentParser, *, jobs_help: Optional[str] = None
-) -> None:
-    if jobs_help is not None:
-        parser.add_argument("--jobs", type=int, default=None, metavar="N", help=jobs_help)
+def _add_session_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cache-dir",
         type=Path,
@@ -423,9 +419,14 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="write the characterized cells as JSON files here",
     )
-    _add_session_flags(
-        char, jobs_help="worker processes per grid (default: $REPRO_JOBS or 1)"
+    char.add_argument(
+        "--jobs",
+        type=int,
+        default=None,
+        metavar="N",
+        help="worker processes per grid (default: $REPRO_JOBS or 1)",
     )
+    _add_session_flags(char)
     char.set_defaults(func=_cmd_characterize)
 
     bench = commands.add_parser(
