@@ -5,17 +5,61 @@ model, and the one-ramp single-Ceff baseline are compared at the driver output.
 Expected shape (matching the paper): two-ramp errors in the single digits, one-ramp
 delay errors large and positive, one-ramp slew errors large and negative, both
 growing with line width.
+
+The per-case errors are deterministic, so besides the human-readable
+``table1.txt`` the benchmark writes ``BENCH_accuracy.json``: its ``tracked``
+section holds every case's two-ramp and one-ramp delay and slew error (percent,
+rounded to :data:`SIGNIFICANT_DIGITS` significant digits), which
+``scripts/compare_bench_reports.py`` diffs against the committed baseline so any
+numeric drift in the model layers shows up in review.
 """
+
+import json
+import time
+from pathlib import Path
 
 from repro.experiments import run_table1
 
+REPORT_DIRECTORY = Path(__file__).resolve().parent / "reports"
+#: Significant digits the tracked per-case errors are rounded to.
+SIGNIFICANT_DIGITS = 9
+
+
+def _tracked_error(value: float) -> float:
+    return float(f"{value:.{SIGNIFICANT_DIGITS}g}")
+
+
+def write_accuracy_report(result, seconds: float) -> None:
+    """Write ``BENCH_accuracy.json`` for one Table 1 run."""
+    payload = {
+        "benchmark": "accuracy",
+        "tracked": {
+            "cases": len(result.comparisons),
+            "significant_digits": SIGNIFICANT_DIGITS,
+            "errors_pct": [
+                {"case": c.case.name,
+                 "two_ramp_delay": _tracked_error(c.two_ramp_delay_error),
+                 "two_ramp_slew": _tracked_error(c.two_ramp_slew_error),
+                 "one_ramp_delay": _tracked_error(c.one_ramp_delay_error),
+                 "one_ramp_slew": _tracked_error(c.one_ramp_slew_error)}
+                for c in result.comparisons],
+        },
+        "machine": {"seconds": round(seconds, 3)},
+    }
+    REPORT_DIRECTORY.mkdir(exist_ok=True)
+    (REPORT_DIRECTORY / "BENCH_accuracy.json").write_text(
+        json.dumps(payload, indent=1) + "\n")
+
 
 def test_table1_reproduction(benchmark, library, simulator, report_writer):
+    start = time.perf_counter()
     result = benchmark.pedantic(
         lambda: run_table1(library=library, simulator=simulator),
         rounds=1, iterations=1)
+    seconds = time.perf_counter() - start
 
     report_writer("table1", result.format_report())
+    write_accuracy_report(result, seconds)
 
     two_ramp_delay = result.two_ramp_delay_summary
     two_ramp_slew = result.two_ramp_slew_summary

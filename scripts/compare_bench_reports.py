@@ -16,8 +16,9 @@ benchmark — the zero-extra-solve guarantee and the hold-cone sizes — and the
 naive-subset facts, batch counters and uncached-speedup floor of the
 throughput benchmark, the 100k-net workload plus throughput/memory gates
 of the scale benchmark, and the serve daemon's read-path gates (warm queries
-re-run nothing; edit round-trips re-time only the dirty cone) must be present
-in every fresh report (with the pinned
+re-run nothing; edit round-trips re-time only the dirty cone) and the per-case
+Table 1 errors of the accuracy benchmark must be present in every fresh report
+(with the pinned
 value, where one is given), so dual-mode, array-batching and scale-tier
 coverage cannot silently disappear even if the committed baseline is
 regenerated.  A few tracked fields are *volatile* (:data:`VOLATILE_TRACKED`):
@@ -78,6 +79,17 @@ REQUIRED_TRACKED = {
         # ...while an edit round-trip re-times only the edit's dirty cone.
         "round_trip.retimed_nets": 2,
         "round_trip.dirty_nets": 2,
+    },
+    "BENCH_accuracy.json": {
+        # The paper's Table 1: all 15 cases, each with its two-ramp and
+        # one-ramp delay and slew error, rounded to 9 significant digits.
+        "cases": 15,
+        "significant_digits": 9,
+        "errors_pct[0].two_ramp_delay": ...,
+        "errors_pct[0].two_ramp_slew": ...,
+        "errors_pct[0].one_ramp_delay": ...,
+        "errors_pct[0].one_ramp_slew": ...,
+        "errors_pct[14].case": ...,
     },
     "BENCH_graph_throughput.json": {
         "naive_subset_events": ...,  # the naive baseline is measured, not skipped

@@ -36,8 +36,8 @@ from .mna import MnaIndex, StampAccumulator
 from .mosfet import Mosfet
 from .netlist import Circuit
 
-__all__ = ["TransientOptions", "TransientResult", "linear_source_kernel",
-           "run_transient"]
+__all__ = ["SourceKernel", "TransientOptions", "TransientResult",
+           "linear_source_kernel", "run_transient"]
 
 
 @dataclass(frozen=True)
@@ -423,73 +423,137 @@ class _TransientEngine:
         return TransientResult(self.index, times, voltages, branch_store)
 
 
-def linear_source_kernel(circuit: Circuit, source_name: str, n_steps: int, *,
-                         options: TransientOptions, output_node: str) -> np.ndarray:
-    """Discrete impulse response of ``output_node`` to the named voltage source.
+class SourceKernel:
+    """Impulse kernel of one node to one voltage source, extended in place.
 
-    For a MOSFET-free circuit the fixed-step companion-model recurrence is exactly
-    linear and time-invariant: the solution at step ``t`` is a superposition of the
-    per-step source values.  This returns the kernel ``g`` of that superposition —
-    ``g[t]`` is the ``output_node`` voltage ``t`` steps after a one-step unit
-    excitation of ``source_name``'s branch equation, starting from an all-zero
-    state — using the same static LU factorization and companion updates as
-    :func:`run_transient`, so convolving ``g`` with a source's sample deltas
-    reproduces the stepped solve to roundoff.  ``g[0]`` is 0 (the excitation lands
-    on step 1, matching how :func:`run_transient` applies sources).
+    ``values[t]`` is the ``output_node`` voltage ``t`` steps after a one-step
+    unit excitation of ``source_name``'s branch equation (see
+    :func:`linear_source_kernel`).  The circuit is assembled on the first
+    :func:`linear_source_kernel` call; the MNA matrix and the companion state
+    then stay with the kernel, so a later call for more steps continues the same
+    recurrence.  The first ``n`` values are therefore the same bits whether the
+    kernel was stepped ``n`` or ``m > n`` times.
+
+    Each stepping call factorizes the matrix afresh (SuperLU is deterministic, so
+    every factorization is the same) and drops the factors before it returns: scipy
+    frees a SuperLU object's factors only in the thread that created it, and a
+    cached kernel may outlive that thread (``repro serve`` solves in request
+    threads).
     """
-    if n_steps < 1:
-        raise SimulationError("t_stop is shorter than one time step")
-    engine = _TransientEngine(circuit, options)
-    if engine.mosfets or engine.isources:
-        raise SimulationError(
-            "linear_source_kernel requires a circuit of R/L/C elements and "
-            "voltage sources only")
-    source = next((v for v in engine.vsources if v.name == source_name), None)
-    if source is None:
-        raise SimulationError(f"unknown voltage source {source_name!r}")
-    branch = engine.index.branch(source)
-    out_idx = engine.index.node(output_node)
-    if out_idx is None:
-        raise SimulationError(f"unknown output node {output_node!r}")
 
-    trap = options.method == "trap"
-    lu = engine._static_lu
-    size = engine.size
-    cap_geq, cap_pos, cap_neg = engine.cap_geq, engine.cap_pos, engine.cap_neg
-    ind_req, ind_branch = engine.ind_req, engine.ind_branch
-    ind_pos, ind_neg = engine.ind_pos, engine.ind_neg
-    n_caps = len(engine.capacitors)
-    n_inds = len(engine.inductors)
-    cap_v = np.zeros(n_caps)
-    cap_i = np.zeros(n_caps)
-    ind_i = np.zeros(n_inds)
-    ind_v = np.zeros(n_inds)
-    x_aug = np.zeros(size + 1)  # trailing ground slot
-    kernel = np.zeros(n_steps + 1)
-    for step in range(1, n_steps + 1):
-        cap_ieq = cap_geq * cap_v + (cap_i if trap else 0.0)
-        rhs_aug = np.zeros(size + 1)
-        if n_caps:
-            np.add.at(rhs_aug, cap_pos, cap_ieq)
-            np.add.at(rhs_aug, cap_neg, -cap_ieq)
-        if n_inds:
-            np.add.at(rhs_aug, ind_branch,
-                      -ind_req * ind_i - (ind_v if trap else 0.0))
-        rhs = rhs_aug[:-1]
-        if step == 1:
-            rhs[branch] += 1.0
-        x = lu.solve(rhs)
-        x_aug[:-1] = x
-        if n_caps:
+    def __init__(self, circuit: Circuit, source_name: str, *,
+                 options: TransientOptions, output_node: str) -> None:
+        self._circuit: Optional[Circuit] = circuit
+        self.source_name = source_name
+        self.options = options
+        self.output_node = output_node
+        self.values = np.zeros(1)
+
+    @property
+    def n_steps(self) -> int:
+        """Number of steps computed so far."""
+        return self.values.size - 1
+
+    def _start(self):
+        """Validate and assemble the circuit, zero the companion state.
+
+        Returns the factorization the assembly made.
+        """
+        engine = _TransientEngine(self._circuit, self.options)
+        if engine.mosfets or engine.isources:
+            raise SimulationError(
+                "linear_source_kernel requires a circuit of R/L/C elements and "
+                "voltage sources only")
+        source = next((v for v in engine.vsources if v.name == self.source_name),
+                      None)
+        if source is None:
+            raise SimulationError(f"unknown voltage source {self.source_name!r}")
+        self._branch = engine.index.branch(source)
+        self._out = engine.index.node(self.output_node)
+        if self._out is None:
+            raise SimulationError(f"unknown output node {self.output_node!r}")
+        self._circuit = None
+        self._matrix = engine.a_static
+        size = engine.size
+        n_caps, n_inds = len(engine.capacitors), len(engine.inductors)
+        self._cap_geq, self._cap_pos, self._cap_neg = \
+            engine.cap_geq, engine.cap_pos, engine.cap_neg
+        self._neg_ind_req = -engine.ind_req
+        self._ind_branch, self._ind_pos, self._ind_neg = \
+            engine.ind_branch, engine.ind_pos, engine.ind_neg
+        # One step's right-hand side is a single scatter of the weights
+        # [cap_ieq, -cap_ieq, inductor history] onto these rows, in this order;
+        # ground (-1) lands in the trailing slot.
+        rows = np.concatenate((self._cap_pos, self._cap_neg, self._ind_branch))
+        self._rows = np.where(rows < 0, size, rows)
+        self._weights = np.zeros(2 * n_caps + n_inds)
+        self._x_aug = np.zeros(size + 1)
+        # Companion state after the last step: cap_v, cap_i, ind_i, ind_v.
+        self._state = (np.zeros(n_caps), np.zeros(n_caps), np.zeros(n_inds),
+                       np.zeros(n_inds))
+        return engine._static_lu
+
+    def _extend(self, n_steps: int) -> None:
+        """Continue the recurrence until ``values`` holds ``n_steps`` steps."""
+        first = self.n_steps + 1
+        lu = self._start() if first == 1 else spla.splu(self._matrix)
+        values = np.empty(n_steps + 1)
+        values[:first] = self.values
+        trap = self.options.method == "trap"
+        rows, branch, out = self._rows, self._branch, self._out
+        cap_geq, cap_pos, cap_neg = self._cap_geq, self._cap_pos, self._cap_neg
+        neg_ind_req, ind_branch = self._neg_ind_req, self._ind_branch
+        ind_pos, ind_neg = self._ind_pos, self._ind_neg
+        weights, x_aug = self._weights, self._x_aug
+        n_slots = x_aug.size
+        n_caps = cap_geq.size
+        cap_ieq = weights[:n_caps]
+        neg_cap_ieq = weights[n_caps:2 * n_caps]
+        ind_hist = weights[2 * n_caps:]
+        cap_v, cap_i, ind_i, ind_v = self._state
+        for step in range(first, n_steps + 1):
+            np.multiply(cap_geq, cap_v, out=cap_ieq)
+            np.multiply(neg_ind_req, ind_i, out=ind_hist)
+            if trap:
+                cap_ieq += cap_i
+                ind_hist -= ind_v
+            np.negative(cap_ieq, out=neg_cap_ieq)
+            rhs = np.bincount(rows, weights, n_slots)[:-1]
+            if step == 1:
+                rhs[branch] += 1.0
+            x = lu.solve(rhs)
+            x_aug[:-1] = x
             new_cap_v = x_aug[cap_pos] - x_aug[cap_neg]
             cap_i = cap_geq * new_cap_v - cap_ieq if trap \
                 else cap_geq * (new_cap_v - cap_v)
             cap_v = new_cap_v
-        if n_inds:
             ind_i = x[ind_branch]
             ind_v = x_aug[ind_pos] - x_aug[ind_neg]
-        kernel[step] = x[out_idx]
-    return kernel
+            values[step] = x[out]
+        self._state = (cap_v, cap_i, ind_i, ind_v)
+        self.values = values
+
+
+def linear_source_kernel(kernel: SourceKernel, n_steps: int) -> np.ndarray:
+    """The first ``n_steps + 1`` values of ``kernel``, stepping it as needed.
+
+    For a MOSFET-free circuit the fixed-step companion-model recurrence is exactly
+    linear and time-invariant: the solution at step ``t`` is a superposition of the
+    per-step source values.  This returns the kernel ``g`` of that superposition —
+    ``g[t]`` is the output node's voltage ``t`` steps after a one-step unit
+    excitation of the source's branch equation, starting from an all-zero state —
+    using the same static LU factorization and companion updates as
+    :func:`run_transient`, so convolving ``g`` with a source's sample deltas
+    reproduces the stepped solve to roundoff.  ``g[0]`` is 0 (the excitation lands
+    on step 1, matching how :func:`run_transient` applies sources).  A kernel that
+    already holds ``n_steps`` steps is returned without stepping; a shorter one is
+    extended from where it stopped.
+    """
+    if n_steps < 1:
+        raise SimulationError("t_stop is shorter than one time step")
+    if kernel.n_steps < n_steps:
+        kernel._extend(n_steps)
+    return kernel.values[:n_steps + 1]
 
 
 def run_transient(circuit: Circuit, t_stop: float, dt: Optional[float] = None, *,

@@ -18,7 +18,8 @@ import numpy as np
 from ..analysis.waveform import Waveform
 from ..circuit.netlist import Circuit
 from ..circuit.sources import DCSource, PWLSource, SourceFunction
-from ..circuit.transient import TransientOptions, linear_source_kernel, run_transient
+from ..circuit.transient import (SourceKernel, TransientOptions, linear_source_kernel,
+                                 run_transient)
 from ..constants import SLEW_HIGH_THRESHOLD, SLEW_LOW_THRESHOLD
 from ..errors import ModelingError, SimulationError
 from ..interconnect.ladder import add_line_ladder
@@ -97,17 +98,16 @@ def _causal_convolve(deltas: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 
 
 def _far_end_kernel(line: RLCLine, load_capacitance: float, segments: int,
-                    dt: float, n_steps: int) -> np.ndarray:
+                    dt: float) -> SourceKernel:
     """Impulse kernel of the far node for one (line, load, segments, dt) circuit."""
     circuit = Circuit("far_end_kernel")
     circuit.voltage_source("near", "0", DCSource(0.0), name="Vdrv")
     add_line_ladder(circuit, line, "near", "far", n_segments=segments)
     if load_capacitance > 0:
         circuit.capacitor("far", "0", load_capacitance, name="Cload")
-    return linear_source_kernel(
-        circuit, "Vdrv", n_steps,
-        options=TransientOptions(dt=dt, store_branch_currents=False),
-        output_node="far")
+    return SourceKernel(circuit, "Vdrv",
+                        options=TransientOptions(dt=dt, store_branch_currents=False),
+                        output_node="far")
 
 
 def far_end_response_batch(models: Sequence[DriverOutputModel], *,
@@ -121,10 +121,12 @@ def far_end_response_batch(models: Sequence[DriverOutputModel], *,
     circuit (see :func:`~repro.circuit.transient.linear_source_kernel`) and
     obtains every lane's far-end waveform by convolving the kernel with that
     lane's source samples — superposed around the lane's initial source level, so
-    rising and falling edges share a kernel.  ``kernel_cache`` reuses kernels
-    across batches.  Agrees with the per-lane :func:`far_end_response` to solver
-    roundoff (well inside 1e-9 relative on delays and slews); the scalar path
-    remains the reference oracle.
+    rising and falling edges share a kernel.  ``kernel_cache`` maps each circuit
+    to its :class:`~repro.circuit.transient.SourceKernel` across batches: a kernel
+    is built once and extended in place when a later batch needs more steps.
+    Agrees with the per-lane :func:`far_end_response` to solver roundoff (well
+    inside 1e-9 relative on delays and slews); the scalar path remains the
+    reference oracle.
     """
     responses: List[Optional[FarEndResponse]] = [None] * len(models)
     groups: Dict[Tuple, List[Tuple]] = {}
@@ -147,13 +149,16 @@ def far_end_response_batch(models: Sequence[DriverOutputModel], *,
     for key, members in groups.items():
         _, first_model, _, _, _, dt = members[0]
         max_steps = max(member[4] for member in members)
-        kernel = kernel_cache.get(key) if kernel_cache is not None else None
-        if kernel is None or kernel.size < max_steps + 1:
-            kernel = _far_end_kernel(first_model.line,
-                                     first_model.load_capacitance,
-                                     key[2], dt, max_steps)
+        source_kernel = kernel_cache.get(key) if kernel_cache is not None else None
+        if source_kernel is None:
+            source_kernel = _far_end_kernel(first_model.line,
+                                            first_model.load_capacitance,
+                                            key[2], dt)
             if kernel_cache is not None:
-                kernel_cache[key] = kernel
+                kernel_cache[key] = source_kernel
+        if source_kernel.n_steps < max_steps:
+            linear_source_kernel(source_kernel, max_steps)
+        kernel = source_kernel.values
 
         deltas = np.zeros((len(members), max_steps))
         sampled = []

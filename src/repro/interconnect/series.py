@@ -9,15 +9,33 @@ algebra.
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from typing import List, Sequence, Union
 
 import numpy as np
 
 from ..errors import ModelingError
 
-__all__ = ["PowerSeries"]
+__all__ = ["PowerSeries", "reciprocal_coefficients"]
 
 Number = Union[int, float]
+
+
+def reciprocal_coefficients(coefficients: Sequence[float]) -> List[float]:
+    """Coefficients of ``1 / c(s)`` truncated to ``len(coefficients)`` terms.
+
+    ``c(s)`` needs a non-zero constant term.  Works on plain floats: this is the
+    inner loop of every moment walk.
+    """
+    c0 = coefficients[0]
+    if c0 == 0.0:
+        raise ModelingError("cannot invert a power series with zero constant term")
+    inv = [1.0 / c0]
+    for k in range(1, len(coefficients)):
+        acc = 0.0
+        for j in range(1, k + 1):
+            acc += coefficients[j] * inv[k - j]
+        inv.append(-acc / c0)
+    return inv
 
 
 class PowerSeries:
@@ -113,18 +131,7 @@ class PowerSeries:
 
     def reciprocal(self) -> "PowerSeries":
         """The series ``1 / self``; requires a non-zero constant term."""
-        c0 = self.coefficients[0]
-        if c0 == 0.0:
-            raise ModelingError("cannot invert a power series with zero constant term")
-        n = self.order
-        inv = np.zeros(n)
-        inv[0] = 1.0 / c0
-        for k in range(1, n):
-            acc = 0.0
-            for j in range(1, k + 1):
-                acc += self.coefficients[j] * inv[k - j] if j < n else 0.0
-            inv[k] = -acc / c0
-        return PowerSeries(inv)
+        return PowerSeries(reciprocal_coefficients(self.coefficients.tolist()))
 
     def __truediv__(self, other) -> "PowerSeries":
         if isinstance(other, (int, float)):

@@ -9,10 +9,18 @@ far-end transient must agree within 1e-9 relative, the equivalence gate the
 benchmarks enforce.
 """
 
+import threading
+
 import numpy as np
 import pytest
+from scipy.sparse.linalg import SuperLU
 
+from repro.api import TimingSession
 from repro.characterization import default_library
+from repro.circuit.netlist import Circuit
+from repro.circuit.sources import DCSource
+from repro.circuit.transient import (SourceKernel, TransientOptions,
+                                     _TransientEngine, linear_source_kernel)
 from repro.core import (ModelingOptions, StageRequest, StageSolver,
                         ceff_first_ramp, ceff_first_ramp_batch,
                         ceff_second_ramp, ceff_second_ramp_batch,
@@ -22,8 +30,10 @@ from repro.core.ceff import AdmittanceBatch
 from repro.core.driver_model import _admittance_for
 from repro.core.far_end import far_end_response, far_end_response_batch
 from repro.core.iteration import _fixed_point, _fixed_point_batch
-from repro.errors import ConvergenceError, ModelingError
-from repro.experiments.graph_cases import parallel_chains, standard_lines
+from repro.errors import ConvergenceError, ModelingError, SimulationError
+from repro.experiments.graph_cases import (parallel_chains, soc_graph,
+                                           standard_lines)
+from repro.interconnect.ladder import add_line_ladder
 from repro.sta.batch import GraphEngine
 from repro.units import ps
 
@@ -289,12 +299,128 @@ class TestFarEndBatch:
         cache = {}
         first = far_end_response_batch(models, kernel_cache=cache)
         assert 0 < len(cache) <= len(models)
-        kernels = {key: value.copy() for key, value in cache.items()}
+        kernels = {key: value.values.copy() for key, value in cache.items()}
         again = far_end_response_batch(models, kernel_cache=cache)
         for key in kernels:
-            assert np.array_equal(cache[key][:kernels[key].size], kernels[key])
+            assert np.array_equal(cache[key].values[:kernels[key].size],
+                                  kernels[key])
         for a, b in zip(first, again):
             assert np.array_equal(a.far.values, b.far.values)
+
+
+def _kernel_circuit(line, load_capacitance, segments):
+    circuit = Circuit("kernel")
+    circuit.voltage_source("near", "0", DCSource(0.0), name="Vdrv")
+    add_line_ladder(circuit, line, "near", "far", n_segments=segments)
+    if load_capacitance > 0:
+        circuit.capacitor("far", "0", load_capacitance, name="Cload")
+    return circuit
+
+
+def _source_kernel(line, load_capacitance=0.0, segments=30, method="trap"):
+    return SourceKernel(_kernel_circuit(line, load_capacitance, segments), "Vdrv",
+                        options=TransientOptions(dt=ps(0.2), method=method,
+                                                 store_branch_currents=False),
+                        output_node="far")
+
+
+def _reference_kernel(circuit, n_steps, method):
+    """The impulse-kernel recurrence stepped with three ``np.add.at`` scatters."""
+    engine = _TransientEngine(circuit, TransientOptions(
+        dt=ps(0.2), method=method, store_branch_currents=False))
+    trap = method == "trap"
+    branch = engine.index.branch("Vdrv")
+    out = engine.index.node("far")
+    cap_v = np.zeros(len(engine.capacitors))
+    cap_i = np.zeros(len(engine.capacitors))
+    ind_i = np.zeros(len(engine.inductors))
+    ind_v = np.zeros(len(engine.inductors))
+    x_aug = np.zeros(engine.size + 1)
+    kernel = np.zeros(n_steps + 1)
+    for step in range(1, n_steps + 1):
+        cap_ieq = engine.cap_geq * cap_v + (cap_i if trap else 0.0)
+        rhs_aug = np.zeros(engine.size + 1)
+        np.add.at(rhs_aug, engine.cap_pos, cap_ieq)
+        np.add.at(rhs_aug, engine.cap_neg, -cap_ieq)
+        np.add.at(rhs_aug, engine.ind_branch,
+                  -engine.ind_req * ind_i - (ind_v if trap else 0.0))
+        rhs = rhs_aug[:-1]
+        if step == 1:
+            rhs[branch] += 1.0
+        x = engine._static_lu.solve(rhs)
+        x_aug[:-1] = x
+        new_cap_v = x_aug[engine.cap_pos] - x_aug[engine.cap_neg]
+        cap_i = engine.cap_geq * new_cap_v - cap_ieq if trap \
+            else engine.cap_geq * (new_cap_v - cap_v)
+        cap_v = new_cap_v
+        ind_i = x[engine.ind_branch]
+        ind_v = x_aug[engine.ind_pos] - x_aug[engine.ind_neg]
+        kernel[step] = x[out]
+    return kernel
+
+
+class TestSourceKernel:
+    @pytest.mark.parametrize("method", ["trap", "be"])
+    @pytest.mark.parametrize("load", [0.0, 40e-15])
+    def test_matches_add_at_recurrence_bitwise(self, method, load):
+        line = standard_lines()[0]
+        kernel = linear_source_kernel(_source_kernel(line, load, method=method), 700)
+        reference = _reference_kernel(_kernel_circuit(line, load, 30), 700, method)
+        assert kernel.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("n, m", [(1, 2), (37, 500), (400, 401)])
+    def test_extension_equals_fresh_kernel_bitwise(self, n, m):
+        line = standard_lines()[1]
+        fresh = linear_source_kernel(_source_kernel(line, 25e-15), m)
+        grown = _source_kernel(line, 25e-15)
+        short = linear_source_kernel(grown, n).copy()
+        extended = linear_source_kernel(grown, m)
+        assert grown.n_steps == m
+        assert extended.tobytes() == fresh.tobytes()
+        assert short.tobytes() == fresh[:n + 1].tobytes()
+        # A kernel already long enough is sliced, never re-stepped.
+        assert linear_source_kernel(grown, n).tobytes() == short.tobytes()
+
+    def test_extension_in_another_thread_keeps_no_factorization(self):
+        # scipy frees SuperLU factors only in the creating thread, so a kernel
+        # cached across threads must not hold one between calls.
+        kernel = _source_kernel(standard_lines()[0], 10e-15)
+        worker = threading.Thread(target=linear_source_kernel, args=(kernel, 50))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert kernel.n_steps == 50
+        linear_source_kernel(kernel, 80)
+        assert not any(isinstance(value, SuperLU) for value in vars(kernel).values())
+        fresh = linear_source_kernel(_source_kernel(standard_lines()[0], 10e-15), 80)
+        assert kernel.values.tobytes() == fresh.tobytes()
+
+    def test_rejects_unknown_source_and_empty_horizon(self):
+        circuit = _kernel_circuit(standard_lines()[0], 0.0, 4)
+        kernel = SourceKernel(circuit, "Vmissing",
+                              options=TransientOptions(dt=ps(0.2)),
+                              output_node="far")
+        with pytest.raises(SimulationError, match="unknown voltage source"):
+            linear_source_kernel(kernel, 3)
+        with pytest.raises(SimulationError, match="one time step"):
+            linear_source_kernel(_source_kernel(standard_lines()[0]), 0)
+
+    def test_cold_solve_builds_one_kernel_per_circuit(self, monkeypatch):
+        starts = []
+        original = SourceKernel._start
+
+        def counting_start(kernel):
+            starts.append(kernel)
+            return original(kernel)
+
+        monkeypatch.setattr(SourceKernel, "_start", counting_start)
+        graph = soc_graph(1000)
+        graph.set_clock_period(ps(1500))
+        with TimingSession() as session:
+            session.time(graph)
+            cached = list(session.solver._kernel_cache.values())
+        assert len(starts) == 16
+        assert sorted(map(id, starts)) == sorted(map(id, cached))
 
 
 class TestSolveStageBatch:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.errors import ModelingError
-from repro.interconnect import (RLCLine, admittance_moments, admittance_series,
-                                elmore_delay, transfer_moments, transfer_series)
+from repro.interconnect import (PowerSeries, RLCLine, admittance_moments,
+                                admittance_series, elmore_delay, transfer_moments,
+                                transfer_series)
 from repro.units import mm, nH, pF
 
 
@@ -13,6 +14,74 @@ from repro.units import mm, nH, pF
 def line():
     return RLCLine(resistance=72.44, inductance=nH(5.14), capacitance=pF(1.10),
                    length=mm(5))
+
+
+def _reference_reciprocal(series):
+    """``1 / series`` with numpy-scalar arithmetic, one term at a time."""
+    c = series.coefficients
+    n = series.order
+    inv = np.zeros(n)
+    inv[0] = 1.0 / c[0]
+    for k in range(1, n):
+        acc = 0.0
+        for j in range(1, k + 1):
+            acc += c[j] * inv[k - j]
+        inv[k] = -acc / c[0]
+    return PowerSeries(inv)
+
+
+def _reference_walk(line, load_capacitance, order, n_segments):
+    """The far-to-near pi-ladder walk written on PowerSeries objects."""
+    r_seg, l_seg, c_seg = line.segment_values(n_segments)
+    s = PowerSeries.variable(order)
+    one = PowerSeries.constant(1.0, order)
+    admittance = s * load_capacitance
+    transfer = one
+    half_cap = s * (c_seg / 2.0)
+    series_impedance = s * l_seg + r_seg
+    for _ in range(n_segments):
+        admittance = admittance + half_cap
+        denominator = one + series_impedance * admittance
+        transfer = transfer * _reference_reciprocal(denominator)
+        admittance = admittance * _reference_reciprocal(denominator)
+        admittance = admittance + half_cap
+    return admittance.coefficients, transfer.coefficients
+
+
+def _seeded_lines(count=4):
+    rng = np.random.default_rng(2024)
+    for _ in range(count):
+        line = RLCLine(resistance=rng.uniform(10.0, 300.0),
+                       inductance=nH(rng.uniform(0.5, 8.0)),
+                       capacitance=pF(rng.uniform(0.2, 2.0)),
+                       length=mm(rng.uniform(1.0, 8.0)))
+        yield line, float(rng.uniform(1e-15, 5e-13))
+
+
+class TestArrayWalkBitIdentity:
+    @pytest.mark.parametrize("n_segments", [1, 7, 600])
+    @pytest.mark.parametrize("order", [2, 3, 8])
+    def test_moments_equal_series_walk_bitwise(self, n_segments, order):
+        for line, load in _seeded_lines():
+            for load_capacitance in (0.0, load):
+                admittance, transfer = _reference_walk(line, load_capacitance, order,
+                                                       n_segments)
+                kwargs = dict(order=order, n_segments=n_segments)
+                assert admittance_moments(line, load_capacitance, **kwargs).tobytes() \
+                    == admittance.tobytes()
+                assert transfer_moments(line, load_capacitance, **kwargs).tobytes() \
+                    == transfer.tobytes()
+                assert admittance_series(line, load_capacitance, **kwargs) \
+                    .coefficients.tobytes() == admittance.tobytes()
+                assert transfer_series(line, load_capacitance, **kwargs) \
+                    .coefficients.tobytes() == transfer.tobytes()
+
+    def test_reciprocal_equals_reference_bitwise(self):
+        rng = np.random.default_rng(11)
+        for order in (1, 2, 5, 8):
+            series = PowerSeries(rng.normal(size=order) + np.eye(1, order)[0] * 3.0)
+            assert series.reciprocal().coefficients.tobytes() \
+                == _reference_reciprocal(series).coefficients.tobytes()
 
 
 class TestAdmittanceMoments:
