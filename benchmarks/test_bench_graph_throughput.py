@@ -151,8 +151,9 @@ def test_graph_throughput_vs_naive_loop(library, report_writer):
     ]
     report_writer("graph_throughput", "\n".join(lines))
 
-    # Every cache miss must flow through the array-batched path, and the memo
-    # must still serve repeats.
+    # Every cache miss must flow through the array-batched path.  The compiled
+    # engine dedupes each level's repeats before it asks the memo, so this
+    # cold run records no memo hits.
     assert meta.batched_solves == meta.computed
     assert meta.batch_fill_rate == 1.0
 

@@ -37,8 +37,9 @@ import sys
 import time
 from pathlib import Path
 
-from repro.api import StreamingTimingReport, TimingSession
+from repro.api import StreamingTimingReport, TimingReport, TimingSession
 from repro.experiments import soc_graph
+from repro.sta import GraphEngine
 from repro.units import ps
 
 REPORT_DIRECTORY = Path(__file__).resolve().parent / "reports"
@@ -92,12 +93,12 @@ graph.set_clock_period(ps({clock_ps}), hold_margin=0.0)
 build_seconds = time.perf_counter() - started
 with TimingSession() as session:
     started = time.perf_counter()
-    cold = session.time(graph, compiled=True)
+    cold = session.time(graph)
     cold_seconds = time.perf_counter() - started
     laps = []
     for _ in range(3):  # best-of-3: the throughput gate measures the engine,
         started = time.perf_counter()  # not transient scheduler noise
-        warm = session.time(graph, compiled=True)
+        warm = session.time(graph)
         laps.append(time.perf_counter() - started)
         assert warm.meta.compile_seconds == 0.0  # cache hit: same version
     warm_seconds = min(laps)
@@ -127,13 +128,16 @@ def relative_difference(a, b):
 
 def test_scale_tier(library, report_writer):
     # --- phase 1: 1k equivalence, compiled vs object ------------------------
-    # compile_threshold=None disables automatic routing so ``compiled=False``
-    # below really exercises the object engine at every size.
-    with TimingSession(compile_threshold=None) as session:
+    # The session times on the compiled engine; the object reference sweep
+    # shares its memoized solver.
+    with TimingSession() as session:
+        reference = GraphEngine(library=session.library, tech=session.tech,
+                                solver=session.solver)
         equiv = soc_graph(NETS_EQUIV)
         equiv.set_clock_period(ps(CLOCK_PS), hold_margin=0.0)
-        plain = session.time(equiv, compiled=False)
-        streaming = session.time(equiv, compiled=True)
+        plain = TimingReport.from_graph_report(reference.analyze(equiv),
+                                               design="graph")
+        streaming = session.time(equiv)
         assert isinstance(streaming, StreamingTimingReport)
         worst_rel = 0.0
         for name, per_net in plain.events.items():
@@ -156,11 +160,12 @@ def test_scale_tier(library, report_writer):
         warm_graph = soc_graph(NETS_WARM)
         warm_graph.set_clock_period(ps(CLOCK_PS), hold_margin=0.0)
         started = time.perf_counter()
-        session.time(warm_graph, compiled=False)
+        TimingReport.from_graph_report(reference.analyze(warm_graph),
+                                       design="graph")
         object_seconds = time.perf_counter() - started
-        first = session.time(warm_graph, compiled=True)  # pays the compile
+        first = session.time(warm_graph)  # pays the compile
         started = time.perf_counter()
-        session.time(warm_graph, compiled=True)
+        session.time(warm_graph)
         compiled_seconds = time.perf_counter() - started
         speedup_10k = object_seconds / compiled_seconds
 

@@ -15,8 +15,6 @@ variable                      meaning
 ``REPRO_CACHE_DIR``           persistent cache root (cells + ``stages/``)
 ``REPRO_JOBS``                characterization worker count (``0`` = one per CPU)
 ``REPRO_PERSISTENT_STAGES``   ``1`` turns on the persistent stage-solution store
-``REPRO_COMPILE_THRESHOLD``   net count above which graphs take the compiled
-                              struct-of-arrays path (``0`` disables compilation)
 ============================  =====================================================
 
 (The characterization cache resolves ``REPRO_CACHE_DIR`` itself when
@@ -44,7 +42,9 @@ __all__ = ["SessionConfig"]
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 ENV_JOBS = "REPRO_JOBS"
 ENV_PERSISTENT_STAGES = "REPRO_PERSISTENT_STAGES"
-ENV_COMPILE_THRESHOLD = "REPRO_COMPILE_THRESHOLD"
+
+#: Keys older config payloads carry for fields that no longer exist.
+_RETIRED_CONFIG_KEYS = frozenset({"compile_threshold"})
 
 _TRUTHY = ("1", "true", "True", "yes", "on")
 
@@ -98,11 +98,6 @@ class SessionConfig:
     #: solves), so "both" is the safe default; narrowing to one mode only
     #: strips the other mode's required times from the reports.
     mode: str = "both"
-    #: Graph size (net count) at which :meth:`TimingSession.time` routes a
-    #: TimingGraph through the compiled struct-of-arrays engine and returns a
-    #: :class:`~repro.api.report.StreamingTimingReport`.  None disables the
-    #: automatic routing (an explicit ``time(..., compiled=True)`` still works).
-    compile_threshold: Optional[int] = 4096
     options: ModelingOptions = field(default_factory=ModelingOptions)
     #: Named analysis corners: corner name -> the ModelingOptions that corner
     #: times with.  All corners run through the session's *single* memoized
@@ -124,10 +119,6 @@ class SessionConfig:
                 f"({self.slew_low}, {self.slew_high})"
             )
         check_mode(self.mode, allow_both=True)
-        if self.compile_threshold is not None and self.compile_threshold < 1:
-            raise ModelingError(
-                f"compile_threshold must be >= 1 or None, got {self.compile_threshold}"
-            )
         if not isinstance(self.options, ModelingOptions):
             raise ModelingError("options must be a ModelingOptions instance")
         if self.corners is not None:
@@ -181,15 +172,6 @@ class SessionConfig:
             seeded["jobs"] = max(os.cpu_count() or 1, 1) if parsed == 0 else parsed
         if environ.get(ENV_PERSISTENT_STAGES, "") in _TRUTHY:
             seeded["persistent_stages"] = True
-        threshold = environ.get(ENV_COMPILE_THRESHOLD)
-        if threshold:
-            try:
-                parsed = int(threshold)
-            except ValueError:
-                raise ModelingError(
-                    f"{ENV_COMPILE_THRESHOLD} must be an integer, got {threshold!r}"
-                ) from None
-            seeded["compile_threshold"] = None if parsed == 0 else parsed
         seeded.update(overrides)
         return cls(**seeded)
 
@@ -207,7 +189,6 @@ class SessionConfig:
             "slew_low": self.slew_low,
             "slew_high": self.slew_high,
             "mode": self.mode,
-            "compile_threshold": self.compile_threshold,
             "options": _options_to_dict(self.options),
             "corners": {
                 name: _options_to_dict(options) for name, options in self.corners.items()
@@ -218,8 +199,12 @@ class SessionConfig:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "SessionConfig":
-        """Rebuild a config from :meth:`to_dict` output."""
-        data = dict(payload)
+        """Rebuild a config from :meth:`to_dict` output.
+
+        Keys of retired fields are ignored, so configs saved by older versions
+        still load.
+        """
+        data = {k: v for k, v in payload.items() if k not in _RETIRED_CONFIG_KEYS}
         options = data.get("options")
         if isinstance(options, Mapping):
             data["options"] = _options_from_dict(options)
@@ -245,6 +230,5 @@ class SessionConfig:
             f"(cells {'on' if self.use_characterization_cache else 'off'}, "
             f"stages {'on' if self.persistent_stages else 'off'}), "
             f"jobs={self.jobs}, memo={self.memo_size}, "
-            f"quantum={self.slew_quantum}, mode={self.mode}, "
-            f"compile>={self.compile_threshold}{corners}"
+            f"quantum={self.slew_quantum}, mode={self.mode}{corners}"
         )

@@ -1,13 +1,10 @@
-"""The unified timing-result model: one schema for paths, graphs and stages.
+"""The unified timing-result model: one schema for paths and graphs.
 
-Before :class:`TimingReport`, every layer of the solver stack answered with its
-own shape — :class:`~repro.sta.engine.PathTimingReport` (stage list),
-:class:`~repro.sta.graph.GraphTimingReport` (event dict holding live
-:class:`~repro.core.stage_solver.StageSolution` objects) and bare
-:class:`~repro.sta.engine.StageTiming` — none of which serialized.  A
-:class:`TimingReport` merges them: per-net rise/fall :class:`TimingEvent` records
+A :class:`TimingReport` holds per-net rise/fall :class:`TimingEvent` records
 (scalar, so the whole report pickles and JSONs), the critical path as event
-references, topological levels, and run metadata (:class:`RunInfo`).
+references, topological levels, and run metadata (:class:`RunInfo`).  A timed
+:class:`~repro.sta.TimingPath` is a chain-shaped graph, reported with
+``kind="path"``.
 
 Serialization is lossless and stable: ``from_dict(to_dict(r)) == r`` exactly
 (floats survive because JSON encodes them via ``repr``, which round-trips), and
@@ -21,13 +18,15 @@ and two saved reports can be compared with :func:`compare_reports` (the
 and WHS regressions).  Payloads written before the dual-mode fields existed
 still load: the new fields default to None/absent.
 
-The 100k-net scale tier adds :class:`StreamingTimingReport`: the same report
-contract, but backed by a :class:`~repro.sta.compiled.CompiledAnalysis` whose
-events materialize per net on first access.  Summary queries (WNS/WHS,
-``n_events``, the slack table) run as array reductions over endpoint events
-only, and :func:`compare_reports` diffs by event keys, so none of them flatten
-O(graph) event records; serialization (``to_dict`` / ``save``) still does, on
-purpose, producing plain payloads.
+Every memoized :meth:`~repro.api.TimingSession.time` / ``update`` returns a
+:class:`StreamingTimingReport`: the same report contract, but backed by a
+:class:`~repro.sta.compiled.CompiledAnalysis` whose events materialize per net
+on first access.  Summary queries (WNS/WHS, ``n_events``, the slack table) run
+as array reductions over endpoint events only, and :func:`compare_reports`
+diffs by event keys, so none of them flatten O(graph) event records;
+serialization (``to_dict`` / ``save``) still does, on purpose, producing plain
+payloads.  The eager :meth:`TimingReport.from_graph_report` flattens a
+reference-sweep result (``time(memoize=False)``, the equivalence tests).
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ from typing import (
     Any,
     Dict,
     FrozenSet,
-    Iterable,
     Iterator,
     List,
     Mapping,
@@ -65,6 +63,11 @@ __all__ = [
 
 #: Bump when the report schema changes incompatibly.
 REPORT_FORMAT_VERSION = 1
+
+
+def _check_kind(kind: str) -> None:
+    if kind not in ("path", "graph"):
+        raise ModelingError(f"report kind must be 'path' or 'graph', got {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -312,64 +315,17 @@ class TimingReport:
         kind: str = "graph",
         version: str = "",
         mode: str = "both",
-        reuse: Optional["TimingReport"] = None,
-        changed_nets: Optional[FrozenSet[str]] = None,
-        changed_events: Optional[Iterable[Tuple[str, str]]] = None,
     ) -> "TimingReport":
-        """Flatten a live :class:`GraphTimingReport` into the unified model.
-
-        ``reuse`` enables the warm-update fast path: when a prior report of the
-        same graph is given together with ``changed_nets`` (nets whose forward
-        timing was re-solved) and ``changed_events`` (individual ``(net,
-        transition)`` events whose required times moved in the backward pass),
-        only those events are re-flattened — every other record is shared with
-        ``reuse`` — and ``meta.report_events_rebuilt`` counts the rebuilds.
-        Without ``reuse`` (or with ``changed_nets=None``, meaning "everything
-        may have changed") the full flatten runs and the counter stays None.
-        """
-        if kind not in ("path", "graph"):
-            raise ModelingError(f"report kind must be 'path' or 'graph', got {kind!r}")
+        """Flatten a live :class:`GraphTimingReport` into the unified model."""
+        _check_kind(kind)
         check_mode(mode, allow_both=True)
-        rebuilt: Optional[int] = None
-        if reuse is not None and changed_nets is not None:
-            rebuilt = 0
-            events = dict(reuse.events)
-            for name in list(events):
-                if name not in report.events:
-                    del events[name]
-            for name in changed_nets:
-                per_net = report.events.get(name)
-                if not per_net:
-                    events.pop(name, None)
-                    continue
-                events[name] = {
-                    transition: TimingEvent.from_net_event(event)
-                    for transition, event in sorted(per_net.items())
-                }
-                rebuilt += len(per_net)
-            for name, transition in changed_events or ():
-                if name in changed_nets:
-                    continue  # already rebuilt wholesale above
-                per_net = report.events.get(name)
-                live = per_net.get(transition) if per_net else None
-                current = dict(events.get(name, {}))
-                if live is None:
-                    current.pop(transition, None)
-                else:
-                    current[transition] = TimingEvent.from_net_event(live)
-                    rebuilt += 1
-                if current:
-                    events[name] = current
-                else:
-                    events.pop(name, None)
-        else:
-            events = {
-                name: {
-                    transition: TimingEvent.from_net_event(event)
-                    for transition, event in sorted(per_net.items())
-                }
-                for name, per_net in sorted(report.events.items())
+        events = {
+            name: {
+                transition: TimingEvent.from_net_event(event)
+                for transition, event in sorted(per_net.items())
             }
+            for name, per_net in sorted(report.events.items())
+        }
         critical = (
             [(event.net.name, event.input_transition) for event in report.critical_path()]
             if events
@@ -391,7 +347,6 @@ class TimingReport:
             hold_required_nets=incremental.hold_required_nets
             if incremental is not None
             else None,
-            report_events_rebuilt=rebuilt,
         )
         return cls(
             design=design,
@@ -826,6 +781,7 @@ class StreamingTimingReport(TimingReport):
         analysis: Any,
         *,
         design: str,
+        kind: str = "graph",
         version: str = "",
         mode: str = "both",
         compile_seconds: Optional[float] = None,
@@ -842,8 +798,10 @@ class StreamingTimingReport(TimingReport):
         ``meta.report_events_rebuilt`` counts the events on changed nets —
         the rebuild work bounded by the cone, not the graph.
         ``changed_nets=None`` means "potentially everything changed" and
-        disables the carry-over.
+        disables the carry-over.  ``kind`` is ``"path"`` for a timed
+        :class:`~repro.sta.TimingPath` (its chain graph), else ``"graph"``.
         """
+        _check_kind(kind)
         check_mode(mode, allow_both=True)
         critical = (
             [analysis.key_of(event) for event in analysis.critical_path_ids()]
@@ -894,7 +852,7 @@ class StreamingTimingReport(TimingReport):
         )
         return cls(
             design=design,
-            kind="graph",
+            kind=kind,
             events=events,
             levels=analysis.graph.level_names(),
             critical_path=critical,
@@ -931,14 +889,14 @@ class StreamingTimingReport(TimingReport):
     def endpoint_slacks(self, *, mode: str = "setup") -> List[TimingEvent]:
         """``mode``-constrained endpoint events, worst (smallest) slack first.
 
-        Materializes endpoint events only — the table never touches the
-        O(graph) interior.
+        Materializes endpoint events only, through the lazy :attr:`events`
+        cache, so repeated queries build nothing twice and the table never
+        touches the O(graph) interior.
         """
         check_mode(mode)
         analysis = self.analysis
-        events = [
-            analysis.timing_event(int(e)) for e in analysis.endpoint_event_ids(mode)
-        ]
+        keys = map(analysis.key_of, analysis.endpoint_event_ids(mode).tolist())
+        events = [self.events[net][transition] for net, transition in keys]
         return sorted(events, key=lambda e: (e.slack_for(mode), e.net, e.input_transition))
 
 

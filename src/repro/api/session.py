@@ -8,16 +8,21 @@ to do:
 
 * :meth:`TimingSession.time` — time a design (a :class:`~repro.sta.TimingPath`,
   a :class:`~repro.sta.TimingGraph`, or a :class:`~.builder.DesignBuilder`) and
-  get back a unified, serializable :class:`~.report.TimingReport`, and
+  get back a unified, serializable :class:`~.report.TimingReport`,
+* :meth:`TimingSession.update` — re-time the dirty cone of an attached graph
+  after in-place edits, and
 * :meth:`TimingSession.characterize` — characterize driver cells through the
   session's cache and worker pool.
 
-Timing always runs serially in the calling process; ``config.jobs`` fans out
+Every memoized ``time`` and every ``update`` runs on one engine, the compiled
+struct-of-arrays sweep (:meth:`~repro.sta.batch.GraphEngine.analyze_compiled`
+and :class:`~repro.sta.incremental_compiled.CompiledIncrementalEngine`), and
+returns a :class:`~.report.StreamingTimingReport`; a path is timed as its
+chain-shaped graph.  ``time(memoize=False)`` runs the naive per-stage object
+sweep instead, the baseline the benchmarks compare against.  Timing always
+runs serially in the calling process; ``config.jobs`` fans out
 characterization only.  Sessions are context managers; leaving the ``with``
-block closes the characterization worker pool, if one was started.  Results
-are bit-identical to the legacy entry points (:class:`~repro.sta.PathTimer` /
-``GraphTimer``) because both run the exact same
-:class:`~repro.sta.batch.GraphEngine` and memoized stage solver.
+block closes the characterization worker pool, if one was started.
 
 ::
 
@@ -47,7 +52,7 @@ from ..characterization.parallel import (
 from ..core.driver_model import ModelingOptions
 from ..core.stage_solver import SolverStats, StageSolver
 from ..errors import ModelingError
-from ..sta.batch import GraphEngine, IncrementalEngine
+from ..sta.batch import GraphEngine
 from ..sta.graph import TimingGraph, chain_graph, check_mode
 from ..sta.incremental_compiled import CompiledIncrementalEngine
 from ..sta.stage import TimingPath
@@ -117,8 +122,7 @@ class TimingSession:
             slew_high=cfg.slew_high,
             solver=self.solver,
         )
-        self._incremental: Optional[IncrementalEngine] = None
-        self._compiled_incremental: Optional[CompiledIncrementalEngine] = None
+        self._incremental: Optional[CompiledIncrementalEngine] = None
         self._runner: Optional[CharacterizationRunner] = None
         self._managed = False
         self._closed = False
@@ -126,8 +130,8 @@ class TimingSession:
         # weak reference keeps the slot from pinning a graph (and its CSR
         # arrays) alive after the session moves on to a different one.
         self._compiled_cache: Optional[tuple] = None
-        # The previous update()'s unified report, for warm event reuse.
-        self._update_report: "Optional[TimingReport | StreamingTimingReport]" = None
+        # The previous update()'s report, for warm event reuse.
+        self._update_report: Optional[StreamingTimingReport] = None
 
     # --- lifecycle --------------------------------------------------------------------
     def __enter__(self) -> "TimingSession":
@@ -212,91 +216,70 @@ class TimingSession:
         name: Optional[str] = None,
         corner: Optional[str] = None,
         mode: Optional[str] = None,
-        compiled: Optional[bool] = None,
     ) -> TimingReport:
         """Time ``design`` and return the unified :class:`TimingReport`.
 
         Accepts a :class:`TimingPath` (timed as its chain-shaped graph, report
         ``kind="path"``), a :class:`TimingGraph`, or a :class:`DesignBuilder`
         (built first).  Every analysis is one serial, batched pass in this
-        process.  ``memoize=False`` bypasses every cache layer (the naive baseline
-        benchmarks compare against); ``name`` overrides the report's design
-        label; ``corner`` times the design under that configured corner's
-        modeling options (all corners share the session's one stage-solution
-        memo — option fields are part of every fingerprint, so corners never
-        alias each other's entries); ``mode`` overrides the session's default
-        analysis mode (``config.mode``) — which constraint polarities the
-        backward pass computes (``"setup"``, ``"hold"`` or ``"both"``).  Both
-        arrival planes are always carried, and a single traversal serves both
-        polarities with zero additional stage solves.
+        process on the compiled engine: the graph is frozen into a
+        :class:`~repro.sta.compiled.CompiledGraph` (for a :class:`TimingGraph`,
+        cached across calls and patched in place after parameter edits; only a
+        topology edit recompiles) and swept level by level as arrays.  The
+        result is a :class:`~repro.api.report.StreamingTimingReport` whose
+        events materialize on demand.
 
-        ``compiled`` selects the struct-of-arrays scale tier: the graph is
-        frozen into a :class:`~repro.sta.compiled.CompiledGraph` (cached across
-        calls until a structural edit bumps the graph's version) and analyzed
-        with whole-level array sweeps, returning a
-        :class:`~repro.api.report.StreamingTimingReport` whose events
-        materialize on demand.  Results are bit-compatible with the object
-        engine.  ``None`` (the default) routes automatically: memoized
-        :class:`TimingGraph` designs with at least
-        ``config.compile_threshold`` nets take the compiled path.
+        ``memoize=False`` bypasses every cache layer and runs the naive
+        per-stage object sweep (the baseline benchmarks compare against),
+        returning an eager :class:`TimingReport`.  ``name`` overrides the
+        report's design label; ``corner`` times the design under that
+        configured corner's modeling options (all corners share the session's
+        one stage-solution memo — option fields are part of every fingerprint,
+        so corners never alias each other's entries); ``mode`` overrides the
+        session's default analysis mode (``config.mode``) — which constraint
+        polarities the backward pass computes (``"setup"``, ``"hold"`` or
+        ``"both"``).  Both arrival planes are always carried, and a single
+        traversal serves both polarities with zero additional stage solves.
         """
         self._closed = False
         mode = self.config.mode if mode is None else check_mode(mode, allow_both=True)
         options = self.corner_options(corner)
-        if compiled and not memoize:
-            raise ModelingError(
-                "compiled analysis always memoizes its stage solves; "
-                "compiled=True cannot be combined with memoize=False"
-            )
+        kind = "graph"
         if isinstance(design, DesignBuilder):
-            graph, kind, label = design.build(), "graph", design.name
+            graph, label = design.build(), design.name
         elif isinstance(design, TimingPath):
-            if compiled:
-                raise ModelingError(
-                    "compiled analysis applies to TimingGraph designs; paths "
-                    "always run on the object engine"
-                )
             graph, _ = chain_graph(design, input_transition=options.transition)
-            report = self._engine.analyze(
-                graph, memoize=memoize, options=options, mode=mode
-            )
-            return TimingReport.from_graph_report(
-                report,
-                design=name if name is not None else design.name,
-                kind="path",
-                version=__version__,
-                mode=mode,
-            )
+            kind, label = "path", design.name
         elif isinstance(design, TimingGraph):
-            graph, kind, label = design, "graph", "graph"
+            graph, label = design, "graph"
         else:
             raise ModelingError(
                 "time() expects a TimingPath, TimingGraph or DesignBuilder, "
                 f"got {type(design).__name__}"
             )
-        if compiled is None:
-            threshold = self.config.compile_threshold
-            compiled = memoize and threshold is not None and len(graph) >= threshold
-        if compiled:
+        design_name = name if name is not None else label
+        if not memoize:
+            report = self._engine.analyze(graph, memoize=False, options=options, mode=mode)
+            return TimingReport.from_graph_report(
+                report, design=design_name, kind=kind, version=__version__, mode=mode
+            )
+        if graph is design:
             compiled_graph, fresh, patched = self._compiled_for(graph)
-            analysis = self._engine.analyze_compiled(
-                graph, compiled=compiled_graph, options=options, mode=mode
-            )
-            return StreamingTimingReport.from_compiled(
-                analysis,
-                design=name if name is not None else label,
-                version=__version__,
-                mode=mode,
-                compile_seconds=compiled_graph.compile_seconds if fresh else 0.0,
-                patched_nets=patched,
-            )
-        report = self._engine.analyze(graph, memoize=memoize, options=options, mode=mode)
-        return TimingReport.from_graph_report(
-            report,
-            design=name if name is not None else label,
+        else:
+            # Built and path graphs are new objects on every call: compile
+            # them without evicting the cached twin of a long-lived graph.
+            compiled_graph, fresh, patched = self._engine.compile(graph), True, 0
+        analysis = self._engine.analyze_compiled(
+            graph, compiled_graph=compiled_graph, options=options, mode=mode
+        )
+        return StreamingTimingReport.from_compiled(
+            analysis,
+            design=design_name,
             kind=kind,
             version=__version__,
             mode=mode,
+            compile_seconds=compiled_graph.compile_seconds if fresh else 0.0,
+            patched_nets=patched,
         )
 
     def _compiled_for(self, graph: TimingGraph) -> "tuple[CompiledGraph, bool, int]":
@@ -362,15 +345,19 @@ class TimingSession:
         design: Optional[TimingGraph] = None,
         *,
         name: Optional[str] = None,
-    ) -> "TimingReport | StreamingTimingReport":
+    ) -> StreamingTimingReport:
         """Incrementally re-time a graph after in-place edits.
 
         The first call for a graph performs (and caches) a full analysis;
         afterwards the session stays attached to it, and each call re-times only
         the dirty cone of the edits made through the graph's edit operations
         (``resize_driver``, ``set_line``, ``add_fanout``, ``set_required``, ...)
-        — see :class:`repro.sta.IncrementalEngine`.  ``design`` defaults to the
-        graph of the previous :meth:`update`; passing a different graph
+        — see :class:`repro.sta.incremental_compiled.CompiledIncrementalEngine`.
+        Parameter edits patch the compiled snapshot in place
+        (``meta.compile_seconds == 0``), masked sweeps re-time only the dirty
+        cone over the persistent array planes, and event records outside the
+        cone are carried over from the previous report.  ``design`` defaults
+        to the graph of the previous :meth:`update`; passing a different graph
         re-attaches the session (dropping the old incremental state).  Results
         are bit-identical to ``session.time(graph)`` on the same state; the
         report's ``meta.dirty_nets`` / ``meta.retimed_nets`` say how much work
@@ -381,51 +368,21 @@ class TimingSession:
         in full with ``time(design, corner=...)``.  Builders build a *fresh*
         graph per ``build()``; call update on the built :class:`TimingGraph`
         itself.
-
-        Graphs at or above ``config.compile_threshold`` update through the
-        *compiled* incremental tier (:class:`repro.sta.incremental_compiled.
-        CompiledIncrementalEngine`) and return a
-        :class:`~.report.StreamingTimingReport`: parameter edits patch the
-        compiled snapshot in place (``meta.compile_seconds == 0``) and masked
-        sweeps re-time only the dirty cone over the persistent array planes.
-        Below the threshold the object-engine path (the
-        reference oracle) runs as before.
         """
         self._closed = False
+        engine = self._incremental
         if design is None:
-            engine = self._compiled_incremental or self._incremental
             if engine is None:
                 raise ModelingError(
                     "update() without a design needs a previously attached "
                     "graph; call update(graph) first"
                 )
         elif isinstance(design, TimingGraph):
-            threshold = self.config.compile_threshold
-            if threshold is not None and len(design) >= threshold:
-                engine = self._compiled_incremental
-                if engine is None or engine.graph is not design:
-                    # The dirty set has exactly one consumer per graph.
-                    self._incremental = None
-                    engine = CompiledIncrementalEngine(
-                        self._engine, design, mode="both")
-                    self._compiled_incremental = engine
-                    self._update_report = None  # stale: belongs to the old graph
-            else:
-                engine = self._incremental
-                if engine is None or engine.graph is not design:
-                    self._compiled_incremental = None
-                    cfg = self.config
-                    engine = IncrementalEngine(
-                        design,
-                        library=self.library,
-                        tech=self.library.tech,
-                        options=cfg.options,
-                        slew_low=cfg.slew_low,
-                        slew_high=cfg.slew_high,
-                        solver=self.solver,
-                    )
-                    self._incremental = engine
-                    self._update_report = None  # stale: belongs to the old graph
+            if engine is None or engine.graph is not design:
+                # The dirty set has exactly one consumer per graph.
+                engine = CompiledIncrementalEngine(self._engine, design, mode="both")
+                self._incremental = engine
+                self._update_report = None  # stale: belongs to the old graph
         elif isinstance(design, DesignBuilder):
             raise ModelingError(
                 "update() needs the TimingGraph itself — a DesignBuilder "
@@ -436,39 +393,20 @@ class TimingSession:
             raise ModelingError(
                 f"update() expects a TimingGraph, got {type(design).__name__}"
             )
-        if isinstance(engine, CompiledIncrementalEngine):
-            compiled_graph, fresh, patched = self._compiled_for(engine.graph)
-            analysis = engine.update(compiled_graph, patched_nets=patched)
-            reuse = (self._update_report
-                     if isinstance(self._update_report, StreamingTimingReport)
-                     else None)
-            streaming = StreamingTimingReport.from_compiled(
-                analysis,
-                design=name if name is not None else "graph",
-                version=__version__,
-                mode=analysis.mode,
-                compile_seconds=compiled_graph.compile_seconds if fresh else 0.0,
-                patched_nets=patched,
-                reuse=reuse,
-                changed_nets=engine.last_changed_nets,
-            )
-            self._update_report = streaming
-            return streaming
-        report = engine.update()
-        unified = TimingReport.from_graph_report(
-            report,
+        compiled_graph, fresh, patched = self._compiled_for(engine.graph)
+        analysis = engine.update(compiled_graph, patched_nets=patched)
+        report = StreamingTimingReport.from_compiled(
+            analysis,
             design=name if name is not None else "graph",
-            kind="graph",
             version=__version__,
-            reuse=(self._update_report
-                   if (isinstance(self._update_report, TimingReport)
-                       and not isinstance(self._update_report,
-                                          StreamingTimingReport)) else None),
+            mode=analysis.mode,
+            compile_seconds=compiled_graph.compile_seconds if fresh else 0.0,
+            patched_nets=patched,
+            reuse=self._update_report,
             changed_nets=engine.last_changed_nets,
-            changed_events=engine.last_changed_events,
         )
-        self._update_report = unified
-        return unified
+        self._update_report = report
+        return report
 
     # --- characterization -------------------------------------------------------------
     def characterize(

@@ -23,6 +23,7 @@ snapping input slews onto a uniform grid before solving.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 from collections import OrderedDict
@@ -57,8 +58,13 @@ def default_stage_cache_directory() -> Path:
     return default_cache_directory() / "stages"
 
 
+@functools.lru_cache(maxsize=256)
 def _options_fingerprint(options: ModelingOptions) -> str:
-    """Canonical string covering every field of ``options`` (new fields included)."""
+    """Canonical string covering every field of ``options`` (new fields included).
+
+    Memoized per options value: every analysis asks for it a few times, and on
+    small designs building it dominated the warm run.
+    """
     parts = []
     for f in dataclasses.fields(options):
         value = getattr(options, f.name)

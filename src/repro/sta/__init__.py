@@ -7,38 +7,37 @@ Layering, bottom up:
 * :mod:`repro.sta.graph` — the timing-graph data model: :class:`GraphNet` DAGs
   with fanout, Kahn levelization, per-node rise/fall worst-arrival merging and
   critical-path traceback (:class:`GraphTimingReport`).
-* :mod:`repro.sta.batch` — :class:`~.batch.GraphEngine`, the batched executor:
-  each level's unique stage solves are answered from the memo or solved as one
-  in-process array batch.  One traversal carries *both analysis planes* — late
-  (setup) and early (hold) arrivals share every stage solve, so dual-mode
-  analysis costs zero extra solves.
+* :mod:`repro.sta.compiled` — the timing engine: :func:`compile_graph`
+  freezes a :class:`TimingGraph` into a :class:`CompiledGraph` (struct-of-arrays
+  CSR form), and :meth:`~.batch.GraphEngine.analyze_compiled` runs each level as
+  whole-level numpy sweeps: merge, dedupe to unique stage keys, one batched
+  solve from the memo or as one array computation, scatter.  One traversal
+  carries *both analysis planes* — late (setup) and early (hold) arrivals share
+  every stage solve, so dual-mode analysis costs zero extra solves.
   Constrained graphs (``set_required`` / ``set_clock_period``, either mode)
   additionally get a backward required-time pass, so every event carries
-  ``required`` / ``slack`` and ``hold_required`` / ``hold_slack``; and
-  :class:`~.batch.IncrementalEngine` re-times only the dirty cone of in-place
-  graph edits (``resize_driver``, ``set_line``, ``add_fanout``, ...), bit-identical
-  to a from-scratch run.
-* :mod:`repro.sta.compiled` — the 100k-net scale tier: :func:`compile_graph`
-  freezes a :class:`TimingGraph` into a :class:`CompiledGraph` (struct-of-arrays
-  CSR form), and :meth:`GraphEngine.analyze_compiled` runs the same forward and
-  backward passes as whole-level numpy sweeps, bit-compatible with the object
-  engine.
+  ``required`` / ``slack`` and ``hold_required`` / ``hold_slack``.
+* :mod:`repro.sta.incremental_compiled` — re-times only the dirty cone of
+  in-place graph edits (``resize_driver``, ``set_line``, ``add_fanout``, ...)
+  over the compiled planes, bit-identical to a from-scratch run.
+* :mod:`repro.sta.batch` — :class:`~.batch.GraphEngine`, which owns the compile
+  and compiled-sweep entry points, plus the per-object reference sweep
+  (:meth:`~.batch.GraphEngine.analyze`, :class:`~.batch.IncrementalEngine`)
+  that the equivalence tests compare the compiled engine against;
+  ``analyze(memoize=False)`` is the naive per-stage baseline.
 
 Every timing run is one serial, batched, memoized pass in the calling process.
 
-The recommended front door to all of this is :class:`repro.api.TimingSession`,
-which owns the cell library and the caches, accepts
-:class:`TimingPath` and :class:`TimingGraph` designs alike, and returns the
-unified, JSON-serializable :class:`repro.api.TimingReport`.  The classic entry
-points — :class:`PathTimer` for linear paths and :class:`GraphTimer` for DAGs —
-remain as thin deprecation shims over the same engine, so their results are
-bit-identical to the session's.
+The front door to all of this is :class:`repro.api.TimingSession`, which owns
+the cell library and the caches, times :class:`TimingPath` designs (as their
+chain-shaped graphs) and :class:`TimingGraph` designs alike on the compiled
+engine, and returns the unified, JSON-serializable
+:class:`repro.api.TimingReport`.
 """
 
-from .batch import GraphEngine, GraphTimer, IncrementalEngine
+from .batch import GraphEngine, IncrementalEngine
 from .compiled import (TRANSITIONS, CompiledAnalysis, CompiledGraph,
                        SweepState, compile_graph)
-from .engine import PathTimer, PathTimingReport, StageTiming
 from .graph import (ANALYSIS_MODES, CHECK_MODES, GraphNet, GraphTimingReport,
                     IncrementalStats, NetEventTiming, PrimaryInput,
                     TimingGraph, chain_graph, check_mode, flip_transition)
@@ -48,9 +47,6 @@ from .validation import PathReference, simulate_path_reference
 __all__ = [
     "TimingStage",
     "TimingPath",
-    "PathTimer",
-    "PathTimingReport",
-    "StageTiming",
     "GraphNet",
     "PrimaryInput",
     "TimingGraph",
@@ -64,7 +60,6 @@ __all__ = [
     "IncrementalStats",
     "GraphEngine",
     "IncrementalEngine",
-    "GraphTimer",
     "PathReference",
     "simulate_path_reference",
     "TRANSITIONS",

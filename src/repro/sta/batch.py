@@ -38,23 +38,23 @@ dirty nets' transitive fanout for arrivals, and the transitive fanin of the
 affected nets for required times — reusing the cached events everywhere else.
 Because stage solves are memoized by content fingerprint, an incremental update
 is bit-identical to a from-scratch analysis, just proportional to the size of
-the edit instead of the size of the graph.  (Above
-``TimingSession(compile_threshold=...)`` the same contract is served by
-:class:`repro.sta.incremental_compiled.CompiledIncrementalEngine`, which runs
-masked dirty-cone sweeps over the compiled struct-of-arrays planes instead of
-per-object propagation.)
+the edit instead of the size of the graph.
 
-Every analysis runs in the calling process; the engine holds no resources
-beyond its solver's caches.  :class:`GraphTimer` is the engine's deprecated
-public alias, kept as a thin shim for callers that predate the
-:class:`repro.api.TimingSession` front door.
+Production timing (:class:`repro.api.TimingSession`) runs on the compiled
+engine: :meth:`GraphEngine.compile` plus :meth:`GraphEngine.analyze_compiled`,
+and :class:`repro.sta.incremental_compiled.CompiledIncrementalEngine` for
+edits.  The object sweep (:meth:`GraphEngine.analyze`, :class:`IncrementalEngine`)
+is the reference the equivalence tests compare against, and
+``analyze(memoize=False)`` is the naive per-stage baseline.  Every analysis
+runs in the calling process; the engine holds no resources beyond its solver's
+caches.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -66,7 +66,6 @@ from ..core.stage_solver import (SolverStats, StageRequest, StageSolution,
                                  StageSolver, _options_fingerprint)
 from ..errors import ModelingError
 from ..tech.technology import Technology, generic_180nm
-from ._deprecation import warn_deprecated_once
 from .compiled import (TRANSITIONS, CompiledAnalysis, CompiledGraph,
                        SweepState, backward_required, compile_graph,
                        constraint_seeds, level_solve_keys, merge_level,
@@ -74,7 +73,7 @@ from .compiled import (TRANSITIONS, CompiledAnalysis, CompiledGraph,
 from .graph import (GraphNet, GraphTimingReport, IncrementalStats,
                     NetEventTiming, TimingGraph, check_mode, flip_transition)
 
-__all__ = ["GraphEngine", "IncrementalEngine", "GraphTimer"]
+__all__ = ["GraphEngine", "IncrementalEngine"]
 
 #: (arrival, slew, source) triple: one event plane of a pending input state.
 _PlaneState = Tuple[float, float, Optional[Tuple[str, str]]]
@@ -108,9 +107,9 @@ class _WorkItem:
 class GraphEngine:
     """Times whole graphs level by level with the memoized, batched stage solver.
 
-    Shares its constructor vocabulary with :class:`~.engine.PathTimer` (library,
-    technology, modeling options, slew thresholds) plus an optional shared
-    :class:`StageSolver` so several timers can pool one memo.
+    Takes a library, technology, modeling options and slew thresholds, plus
+    an optional shared :class:`StageSolver` so several engines can pool one
+    memo.
     """
 
     def __init__(self, *, library: Optional[CellLibrary] = None,
@@ -175,7 +174,7 @@ class GraphEngine:
                              options=item.options, fingerprint=item.fingerprint)
                 for item in items]
 
-    def _solve_level(self, items: List[_WorkItem], *, need_waveforms: bool,
+    def _solve_level(self, items: List[_WorkItem], *,
                      memoize: bool) -> Dict[str, StageSolution]:
         """Solve one level in-process: one array batch, or the naive scalar loop.
 
@@ -187,23 +186,21 @@ class GraphEngine:
         compare the batched path against, so it must not share its code.
         """
         if memoize:
-            solved = self.solver.solve_batch(self._batch_requests(items),
-                                             need_waveforms=need_waveforms)
+            solved = self.solver.solve_batch(self._batch_requests(items))
             return {item.fingerprint: solution
                     for item, solution in zip(items, solved)}
         solutions: Dict[str, StageSolution] = {}
         for item in items:
             solutions[item.fingerprint] = self.solver.solve(
                 item.cell, item.input_slew, item.net.line, item.load,
-                options=item.options, need_waveforms=need_waveforms,
-                memoize=False)
+                options=item.options, memoize=False)
         return solutions
 
     # --- analysis ----------------------------------------------------------------------
     def _time_levels(self, graph: TimingGraph, levels: List[List[str]],
                      pending: Dict[str, Dict[str, _PendingState]],
                      events: Dict[str, Dict[str, NetEventTiming]], *,
-                     need_waveforms: bool, memoize: bool,
+                     memoize: bool,
                      options: Optional[ModelingOptions] = None) -> None:
         """Forward pass over ``levels``: solve, record into ``events``, propagate.
 
@@ -238,8 +235,7 @@ class GraphEngine:
                         early_source=early_source))
             if not items:
                 continue
-            solutions = self._solve_level(
-                items, need_waveforms=need_waveforms, memoize=memoize)
+            solutions = self._solve_level(items, memoize=memoize)
 
             for item in items:
                 solution = solutions[item.fingerprint]
@@ -263,8 +259,7 @@ class GraphEngine:
     def _apply_required(graph: TimingGraph,
                         events: Dict[str, Dict[str, NetEventTiming]],
                         targets: Optional[set] = None, *,
-                        setup: bool = True, hold: bool = True,
-                        changed: Optional[Set[Tuple[str, str]]] = None) -> int:
+                        setup: bool = True, hold: bool = True) -> int:
         """Backward pass: propagate required times, rewrite events in place.
 
         Mirrors the forward merge against the arrival flow, per enabled mode:
@@ -279,11 +274,6 @@ class GraphEngine:
         region); consumers outside it contribute their cached required times.
         Pure arithmetic — no stage is ever re-solved here.  Returns the number
         of nets visited.
-
-        ``changed`` (when given) collects the (net, transition) keys of every
-        event actually *replaced* — the precise set whose required times
-        moved, which is what lets report construction reuse the untouched
-        event records instead of re-flattening the whole graph.
         """
         do_setup = setup and graph.setup_constrained
         do_hold = hold and graph.hold_constrained
@@ -295,8 +285,6 @@ class GraphEngine:
                             or event.hold_required is not None:
                         per_net[transition] = replace(
                             event, required=None, hold_required=None)
-                        if changed is not None:
-                            changed.add((name, transition))
             return 0
         visited = 0
         for level in reversed(graph.levels):
@@ -337,17 +325,14 @@ class GraphEngine:
                         per_net[transition] = replace(
                             event, required=required,
                             hold_required=hold_required)
-                        if changed is not None:
-                            changed.add((name, transition))
         return visited
 
-    def analyze(self, graph: TimingGraph, *, need_waveforms: bool = False,
-                memoize: bool = True, options: Optional[ModelingOptions] = None,
+    def analyze(self, graph: TimingGraph, *, memoize: bool = True,
+                options: Optional[ModelingOptions] = None,
                 mode: str = "both") -> GraphTimingReport:
-        """Time every (net, transition) event of ``graph``.
+        """Time every (net, transition) event of ``graph`` (the object sweep).
 
-        ``need_waveforms`` keeps full models/far-end responses on every
-        solution; ``memoize=False`` bypasses the solver's caches entirely,
+        ``memoize=False`` bypasses the solver's caches entirely,
         which is the naive per-stage baseline the benchmarks compare against;
         ``options`` overrides the engine's modeling options for this analysis
         only (the corner axis — every corner shares the engine's memoized
@@ -372,8 +357,7 @@ class GraphEngine:
 
         events: Dict[str, Dict[str, NetEventTiming]] = {}
         self._time_levels(graph, graph.levels, pending, events,
-                          need_waveforms=need_waveforms, memoize=memoize,
-                          options=options)
+                          memoize=memoize, options=options)
         self._apply_required(graph, events, setup=mode in ("setup", "both"),
                              hold=mode in ("hold", "both"))
 
@@ -457,7 +441,7 @@ class GraphEngine:
                                 prop_slews[inverse])
 
     def analyze_compiled(self, graph: TimingGraph, *,
-                         compiled: Optional[CompiledGraph] = None,
+                         compiled_graph: Optional[CompiledGraph] = None,
                          options: Optional[ModelingOptions] = None,
                          mode: str = "both") -> CompiledAnalysis:
         """Time ``graph`` through the struct-of-arrays path.
@@ -466,14 +450,14 @@ class GraphEngine:
         the same memoized solver, same backward pass — but each level runs as
         numpy reductions over event-id arrays instead of per-object Python,
         and the result is a :class:`~.compiled.CompiledAnalysis` whose event
-        records materialize lazily.  ``compiled`` reuses a prior
+        records materialize lazily.  ``compiled_graph`` reuses a prior
         :meth:`compile` snapshot (it must match the graph's current
         :attr:`~.graph.TimingGraph.version`).
         """
         if not isinstance(graph, TimingGraph):
             raise ModelingError("analyze_compiled() expects a TimingGraph")
         check_mode(mode, allow_both=True)
-        cg = compiled if compiled is not None else self.compile(graph)
+        cg = compiled_graph if compiled_graph is not None else self.compile(graph)
         if cg.version != graph.version:
             raise ModelingError(
                 "compiled graph is stale (the graph was structurally edited "
@@ -545,12 +529,6 @@ class IncrementalEngine(GraphEngine):
         self.graph = graph
         self._events: Dict[str, Dict[str, NetEventTiming]] = {}
         self._timed = False
-        #: Nets whose events the last update re-timed (the forward cone), and
-        #: (net, transition) keys whose required times it rewrote.  None means
-        #: "potentially everything" (full analysis / after invalidate) —
-        #: report construction uses these to reuse untouched event records.
-        self.last_changed_nets: Optional[FrozenSet[str]] = None
-        self.last_changed_events: Optional[FrozenSet[Tuple[str, str]]] = None
 
     def _snapshot(self) -> Dict[str, Dict[str, NetEventTiming]]:
         """A report-safe copy of the cached events (updates must not mutate it)."""
@@ -574,8 +552,6 @@ class IncrementalEngine(GraphEngine):
             self._events = {name: dict(per_net)
                             for name, per_net in report.events.items()}
             self._timed = True
-            self.last_changed_nets = None
-            self.last_changed_events = None
             return replace(report, incremental=IncrementalStats(
                 dirty_nets=len(graph), retimed_nets=len(graph),
                 retimed_events=report.n_events, required_nets=len(graph),
@@ -616,7 +592,7 @@ class IncrementalEngine(GraphEngine):
                           for level in graph.levels]
                 levels = [level for level in levels if level]
                 self._time_levels(graph, levels, pending, self._events,
-                                  need_waveforms=False, memoize=True)
+                                  memoize=True)
                 retimed_events = sum(len(self._events.get(name, {}))
                                      for name in cone)
 
@@ -629,15 +605,11 @@ class IncrementalEngine(GraphEngine):
             else:
                 required_targets = graph.fanin_cone(cone) if cone else set()
             required_nets = 0
-            changed_events: Set[Tuple[str, str]] = set()
             if required_targets is None or required_targets:
                 required_nets = self._apply_required(graph, self._events,
-                                                     required_targets,
-                                                     changed=changed_events)
+                                                     required_targets)
             hold_required_nets = (required_nets if graph.hold_constrained
                                   else 0)
-            self.last_changed_nets = frozenset(cone)
-            self.last_changed_events = frozenset(changed_events)
         except Exception:
             # The dirty set was already consumed and the cone's cached events
             # may be partially rebuilt; a half-updated cache must never serve
@@ -664,26 +636,3 @@ class IncrementalEngine(GraphEngine):
         """Drop the cached events; the next :meth:`update` re-times everything."""
         self._events = {}
         self._timed = False
-        self.last_changed_nets = None
-        self.last_changed_events = None
-
-
-class GraphTimer(GraphEngine):
-    """Deprecated alias of :class:`GraphEngine`.
-
-    Direct graph-timer construction predates the :class:`repro.api.TimingSession`
-    front door, which owns the cell library and the stage-solution caches for
-    the whole solver stack.  The shim is bit-identical to the
-    session path — both run the same :class:`GraphEngine` — and exists so old
-    callers keep working while they migrate::
-
-        with TimingSession() as session:
-            report = session.time(graph)
-    """
-
-    def __init__(self, **kwargs) -> None:
-        warn_deprecated_once(
-            "GraphTimer",
-            "GraphTimer is deprecated; use repro.api.TimingSession "
-            "(session.time(graph)) or repro.sta.batch.GraphEngine instead")
-        super().__init__(**kwargs)

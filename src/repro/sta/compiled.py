@@ -1,4 +1,4 @@
-"""Struct-of-arrays timing graphs: the 100k-net scale tier.
+"""Struct-of-arrays timing graphs: the timing engine, from 3 nets to 1M.
 
 :class:`~.graph.TimingGraph` is one Python object, one dict entry and one
 :class:`~.graph.NetEventTiming` per net — comfortable at 1k nets, but at SoC
@@ -33,7 +33,9 @@ The driving loop lives in :meth:`repro.sta.batch.GraphEngine.analyze_compiled`
 the frozen structure, the array kernels and the :class:`CompiledAnalysis`
 result — which materializes :class:`repro.api.report.TimingEvent` records
 *on demand*, so a 100k-net analysis never flattens O(graph) Python objects
-unless a caller iterates them all.
+unless a caller iterates them all.  Every memoized
+:meth:`repro.api.TimingSession.time` / ``update`` runs here, whatever the
+design's size.
 
 Constraints and primary inputs are deliberately *not* compiled: they are read
 live from the :class:`~.graph.TimingGraph` at analysis time (vectorized into
@@ -509,7 +511,11 @@ def _elect_merges(cg: CompiledGraph, state: SweepState,
     early = state.early_out[sev]
     slew = state.prop_slew[sev]
     ordinal = cg.name_rank[sev >> 1] * 2 + (sev & 1)
-    late = np.lexsort((ordinal, slew, arrival, tev))
+    if sev.size == 1:  # a lone candidate wins both planes (chains, paths)
+        late = first = np.zeros(1, dtype=np.int64)
+    else:
+        late = np.lexsort((ordinal, slew, arrival, tev))
+        first = np.lexsort((ordinal, slew, early, tev))
     grouped = tev[late]
     is_last = np.empty(grouped.size, dtype=bool)
     is_last[:-1] = grouped[1:] != grouped[:-1]
@@ -520,7 +526,6 @@ def _elect_merges(cg: CompiledGraph, state: SweepState,
     state.in_arr[targets] = arrival[winner]
     state.merged_slew[targets] = slew[winner]
     state.src[targets] = sev[winner]
-    first = np.lexsort((ordinal, slew, early, tev))
     grouped = tev[first]
     is_first = np.empty(grouped.size, dtype=bool)
     is_first[0] = True
@@ -577,12 +582,15 @@ def level_solve_keys(cg: CompiledGraph, state: SweepState, events: np.ndarray,
     if quantum is not None:
         slews = np.maximum(np.rint(slews / quantum), 1.0) * quantum
     state.in_slew[events] = slews
-    distinct_slews, slew_rank = np.unique(slews, return_inverse=True)
     config = cg.config_id[events >> 1]
     transition = events & 1
-    packed = (config * 2 + transition) * distinct_slews.size + slew_rank
-    _, first, inverse = np.unique(packed, return_index=True,
-                                  return_inverse=True)
+    if events.size == 1:  # one event is its own unique key (chains, paths)
+        first = inverse = np.zeros(1, dtype=np.int64)
+    else:
+        distinct_slews, slew_rank = np.unique(slews, return_inverse=True)
+        packed = (config * 2 + transition) * distinct_slews.size + slew_rank
+        _, first, inverse = np.unique(packed, return_index=True,
+                                      return_inverse=True)
     unique = np.empty((first.size, 3), dtype=np.float64)
     unique[:, 0] = config[first]
     unique[:, 1] = transition[first]

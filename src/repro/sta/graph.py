@@ -41,11 +41,13 @@ incremental, slack-aware analysis possible:
   :meth:`remove_fanout` and :meth:`set_input` mutate the design *in place* while
   keeping every construction-time invariant (edits that would break the graph
   raise and leave it untouched).  Instead of invalidating previous analyses,
-  each edit marks the affected nets dirty; ``repro.sta.batch.IncrementalEngine``
-  consumes :attr:`TimingGraph.dirty_nets` to re-time only the dirty cone.
+  each edit marks the affected nets dirty; the incremental engines
+  (``repro.sta.incremental_compiled.CompiledIncrementalEngine`` and the
+  reference ``repro.sta.batch.IncrementalEngine``) consume
+  :attr:`TimingGraph.dirty_nets` to re-time only the dirty cone.
 
 The chain-shaped special case is produced by :func:`chain_graph`, which is how
-:meth:`PathTimer.analyze` adapts onto the graph subsystem.
+:meth:`repro.api.TimingSession.time` times a :class:`TimingPath`.
 """
 
 from __future__ import annotations
@@ -589,8 +591,9 @@ def chain_graph(path: TimingPath, *, input_transition: str = "rise"
     edges — :class:`TimingPath` validates each stage's receiver against the next
     stage's driver to within 1e-12X, and the gate load keys off the fanout driver
     size — and the last stage's receiver stays a terminal load, so per-stage gate
-    loads match :meth:`PathTimer._stage_load` bit-for-bit whenever the sizes are
-    exactly equal (the overwhelmingly common case).
+    loads equal the stage's own load (extra load plus receiver input
+    capacitance) bit-for-bit whenever the sizes are exactly equal (the
+    overwhelmingly common case).
     """
     stages: List[TimingStage] = path.stage_list
     names: List[str] = []

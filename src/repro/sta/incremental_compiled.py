@@ -265,7 +265,7 @@ class CompiledIncrementalEngine:
     def _full_update(self, cg: CompiledGraph, *, patched_nets: int,
                      dirty_nets: int) -> CompiledAnalysis:
         analysis = self.engine.analyze_compiled(
-            self.graph, compiled=cg, mode=self.mode)
+            self.graph, compiled_graph=cg, mode=self.mode)
         self._cg = cg
         self._state = analysis.state
         self._required = analysis.required

@@ -2,14 +2,17 @@
 
 The acceptance-critical parts live here:
 
-* ``TimingSession.time(...)`` reproduces ``PathTimer.analyze`` and
-  ``GraphTimer.analyze`` bit-identically on the PR-2 graph workloads,
+* ``TimingSession.time(...)`` (the compiled engine) reproduces the object
+  reference sweep (``GraphEngine.analyze``) bit-identically, for paths and
+  graphs,
 * ``TimingReport`` JSON round-trips losslessly and serializes stably across
   runs (rise/fall event ordering included), and
-* the old entry points keep working while emitting ``DeprecationWarning``.
+* configs saved before a field was retired still load.
 """
 
+import json
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -18,8 +21,8 @@ from repro.core.driver_model import ModelingOptions
 from repro.errors import ModelingError
 from repro.experiments import parallel_chains, reconvergent_graph
 from repro.interconnect import RLCLine
-from repro.sta import GraphTimer, PathTimer, TimingPath, TimingStage
-from repro.sta._deprecation import reset_deprecation_warnings
+import repro.sta
+from repro.sta import TimingPath, TimingStage, chain_graph
 from repro.sta.batch import GraphEngine
 from repro.units import mm, nH, pF, ps
 
@@ -46,16 +49,10 @@ def session(library):
         yield active
 
 
-def legacy_path_timer(**kwargs):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return PathTimer(**kwargs)
-
-
-def legacy_graph_timer(**kwargs):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return GraphTimer(**kwargs)
+#: A SessionConfig payload saved while ``compile_threshold`` still existed.
+PRE_RETIREMENT_CONFIG = (
+    Path(__file__).resolve().parent / "data" / "session_config_with_compile_threshold.json"
+)
 
 
 class TestSessionConfig:
@@ -97,24 +94,24 @@ class TestSessionConfig:
             SessionConfig.from_env({"REPRO_JOBS": "many"})
 
     def test_from_env_compile_threshold(self):
-        assert SessionConfig.from_env(
-            {"REPRO_COMPILE_THRESHOLD": "512"}).compile_threshold == 512
-        # 0 disables compilation entirely (the documented sentinel).
-        assert SessionConfig.from_env(
-            {"REPRO_COMPILE_THRESHOLD": "0"}).compile_threshold is None
-        assert SessionConfig.from_env({}).compile_threshold == 4096
-        assert SessionConfig.from_env(
-            {"REPRO_COMPILE_THRESHOLD": "512"},
-            compile_threshold=64).compile_threshold == 64
-
-    def test_from_env_rejects_bad_compile_threshold(self):
-        with pytest.raises(ModelingError):
-            SessionConfig.from_env({"REPRO_COMPILE_THRESHOLD": "lots"})
-        with pytest.raises(ModelingError):
-            SessionConfig.from_env({"REPRO_COMPILE_THRESHOLD": "-3"})
+        # The retired variable is no longer read: every design runs compiled.
+        for value in ("512", "0", "lots"):
+            assert SessionConfig.from_env({"REPRO_COMPILE_THRESHOLD": value}) == (
+                SessionConfig())
 
     def test_from_env_compile_threshold_serializes(self):
         config = SessionConfig.from_env({"REPRO_COMPILE_THRESHOLD": "512"})
+        payload = config.to_dict()
+        assert "compile_threshold" not in payload
+        assert SessionConfig.from_dict(payload) == config
+
+    def test_pre_retirement_payload_loads(self):
+        payload = json.loads(PRE_RETIREMENT_CONFIG.read_text())
+        assert payload["compile_threshold"] == 512
+        config = SessionConfig.from_dict(payload)
+        assert config == SessionConfig(
+            jobs=2, mode="setup", slew_quantum=1e-12,
+            corners={"slow": ModelingOptions(ceff_damping=0.4)})
         assert SessionConfig.from_dict(config.to_dict()) == config
 
     def test_dict_round_trip(self, tmp_path):
@@ -190,23 +187,25 @@ class TestDesignBuilder:
 
 
 class TestSessionEquivalence:
-    """Acceptance: session results are bit-identical to the legacy entry points."""
+    """Acceptance: session results are bit-identical to the object reference sweep."""
 
     def test_session_matches_path_timer_exactly(self, session, library,
                                                 four_stage_path):
         report = session.time(four_stage_path)
         assert report.kind == "path"
-        legacy = legacy_path_timer(library=library).analyze(four_stage_path)
-        assert len(report.critical_path) == len(legacy.stages)
-        for (name, transition), stage in zip(report.critical_path,
-                                             legacy.stages):
+        chain, names = chain_graph(four_stage_path)
+        reference = GraphEngine(library=library).analyze(chain)
+        assert [name for name, _ in report.critical_path] == names
+        for name, transition in report.critical_path:
             event = report.events[name][transition]
+            (stage,) = reference.events[name].values()
+            solution = stage.solution
             assert event.input_slew == stage.input_slew
-            assert event.gate_delay == stage.gate_delay
-            assert event.interconnect_delay == stage.interconnect_delay
-            assert event.far_slew == stage.output_slew
-        assert report.total_delay == sum(s.stage_delay for s in legacy.stages)
-        assert report.output_slew == legacy.output_slew
+            assert event.gate_delay == solution.gate_delay
+            assert event.interconnect_delay == solution.interconnect_delay
+            assert event.far_slew == solution.far_slew
+            assert event.output_arrival == stage.output_arrival
+        assert report.output_slew == reference.critical_path()[-1].solution.far_slew
 
     @pytest.mark.parametrize("case", ["chains", "diamond"])
     def test_session_matches_graph_timer_exactly(self, session, library, line,
@@ -216,7 +215,7 @@ class TestSessionEquivalence:
         else:
             graph = reconvergent_graph(line=line)
         report = session.time(graph, name=case)
-        legacy = legacy_graph_timer(library=library).analyze(graph)
+        legacy = GraphEngine(library=library).analyze(graph)
         assert report.n_events == legacy.n_events
         for name, per_net in legacy.events.items():
             for transition, event in per_net.items():
@@ -246,36 +245,9 @@ class TestSessionEquivalence:
 
 
 class TestDeprecatedShims:
-    def test_path_timer_warns_but_works(self, library, four_stage_path):
-        reset_deprecation_warnings()
-        with pytest.warns(DeprecationWarning, match="TimingSession"):
-            timer = PathTimer(library=library)
-        assert timer.analyze(four_stage_path).total_delay > 0
-
-    def test_graph_timer_warns_but_works(self, library, line):
-        reset_deprecation_warnings()
-        with pytest.warns(DeprecationWarning, match="TimingSession"):
-            timer = GraphTimer(library=library)
-        report = timer.analyze(reconvergent_graph(line=line))
-        assert report.n_events == 6
-
-    def test_shims_warn_once_per_process(self, library):
-        # Constructing shims in a loop must not spam one warning per iteration.
-        reset_deprecation_warnings()
-        with pytest.warns(DeprecationWarning):
-            GraphTimer(library=library)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            for _ in range(3):
-                GraphTimer(library=library)
-
-    def test_warning_points_at_the_constructing_line(self, library):
-        reset_deprecation_warnings()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", DeprecationWarning)
-            GraphTimer(library=library)  # the line the warning must blame
-        (record,) = caught
-        assert record.filename == __file__
+    def test_retired_entry_points_are_gone(self):
+        for name in ("PathTimer", "GraphTimer", "PathTimingReport", "StageTiming"):
+            assert not hasattr(repro.sta, name)
 
     def test_graph_engine_does_not_warn(self, library):
         with warnings.catch_warnings():

@@ -78,9 +78,14 @@ def strip_wall_clock(payload):
 class TestLosslessRoundTrip:
     @pytest.mark.parametrize("fixture", ["chain_report", "diamond_report"])
     def test_dict_and_json_round_trip_exactly(self, fixture, request):
+        # Sessions return streaming reports; their round trip is a plain
+        # report with the identical payload.
         report = request.getfixturevalue(fixture)
-        assert TimingReport.from_dict(report.to_dict()) == report
-        assert TimingReport.from_json(report.to_json()) == report
+        payload = report.to_dict()
+        loaded = TimingReport.from_dict(payload)
+        assert loaded.to_dict() == payload
+        assert TimingReport.from_json(report.to_json()) == loaded
+        assert TimingReport.from_dict(loaded.to_dict()) == loaded
 
     def test_floats_survive_bit_exactly(self, diamond_report):
         clone = TimingReport.from_json(diamond_report.to_json())
@@ -94,7 +99,7 @@ class TestLosslessRoundTrip:
 
     def test_save_and_load(self, chain_report, tmp_path):
         path = chain_report.save(tmp_path / "report.json")
-        assert TimingReport.load(path) == chain_report
+        assert TimingReport.load(path).to_dict() == chain_report.to_dict()
 
     def test_unknown_format_rejected(self, chain_report):
         payload = chain_report.to_dict()
@@ -176,7 +181,7 @@ class TestSlackSerialization:
 
     def test_slack_survives_round_trip_bit_exactly(self, constrained_report):
         clone = TimingReport.from_json(constrained_report.to_json())
-        assert clone == constrained_report
+        assert clone.to_dict() == constrained_report.to_dict()
         assert clone.wns == constrained_report.wns
         for name, per_net in constrained_report.events.items():
             for transition, event in per_net.items():
@@ -226,7 +231,7 @@ class TestHoldSerialization:
 
     def test_dual_mode_survives_round_trip_bit_exactly(self, dual_report):
         clone = TimingReport.from_json(dual_report.to_json())
-        assert clone == dual_report
+        assert clone.to_dict() == dual_report.to_dict()
         assert clone.whs == dual_report.whs
         assert clone.wns == dual_report.wns
         for name, per_net in dual_report.events.items():

@@ -11,7 +11,7 @@ import threading
 
 import pytest
 
-from repro.api import SessionConfig, TimingSession
+from repro.api import TimingSession
 from repro.errors import CharacterizationError, ReproError
 from repro.experiments.graph_cases import BUILTIN_CASES, benchmark_graph, case_graph
 from repro.serve import (
@@ -170,14 +170,11 @@ class TestRegistry:
         assert {n: net.driver_size for n, net in design.graph.nets.items()} == sizes
         assert design.stats_payload()["rejected_batches"] >= 1
 
-    @pytest.mark.parametrize("config", [SessionConfig(),
-                                        SessionConfig(compile_threshold=1)],
-                             ids=["object", "compiled"])
-    def test_failed_retime_rolls_back_and_recovers(self, library, config):
+    def test_failed_retime_rolls_back_and_recovers(self, library):
         # Every verb applies, then the re-time rejects the batch: 33.3X has
         # no characterized cell.  The batch must roll back like a rejected
         # verb, and must not wedge the design for later batches.
-        registry = DesignRegistry(config)
+        registry = DesignRegistry()
         try:
             design = registry.attach(
                 AttachRequest(name="w", case="chain3", clock_ps=900.0))
@@ -191,7 +188,7 @@ class TestRegistry:
             snapshot = design.apply_edits(EditRequest.from_payload({"edits": [
                 {"op": "resize_driver", "net": "stage2", "driver_size": 100.0}]}))
             assert snapshot.seq == before.seq + 1
-            fresh = TimingSession(config).time(design.graph, name="w").to_dict()
+            fresh = TimingSession().time(design.graph, name="w").to_dict()
             published = snapshot.report.to_dict()
             fresh.pop("meta"), published.pop("meta")
             assert published == fresh

@@ -14,9 +14,10 @@ The contract under test, layer by layer:
   inverse map of the ``np.unique(axis=0)`` row sort it replaced;
 * :class:`StreamingTimingReport` answers every report query like the eager
   report and serializes to the identical payload;
-* the session routes large graphs through the compiled path by
-  ``compile_threshold`` and caches the compiled twin until a structural edit
-  bumps the graph version;
+* the session times every design (paths, graphs, builders) on the compiled
+  engine — ``memoize=False`` alone runs the naive object baseline — and
+  caches a graph's compiled twin until a structural edit bumps the graph
+  version;
 * warm :meth:`TimingSession.update` calls rebuild only the dirty cone's event
   records (``meta.report_events_rebuilt``), sharing the rest with the previous
   report by identity.
@@ -30,6 +31,7 @@ import pytest
 from test_sta_dual_mode import random_dag
 
 from repro.api import (
+    DesignBuilder,
     SessionConfig,
     StreamingTimingReport,
     TimingReport,
@@ -41,7 +43,7 @@ from repro.core import StageSolver
 from repro.errors import ModelingError
 from repro.experiments import soc_graph
 from repro.interconnect import RLCLine
-from repro.sta import GraphEngine, SweepState, TimingGraph
+from repro.sta import GraphEngine, SweepState, TimingGraph, TimingPath, TimingStage
 from repro.sta.compiled import level_solve_keys
 from repro.units import mm, nH, pF, ps
 
@@ -78,7 +80,7 @@ def assert_equivalent(engine, graph, *, mode="both"):
     """Object-engine and compiled analyses of ``graph`` are exactly equal."""
     report = engine.analyze(graph, mode=mode)
     compiled = engine.compile(graph)
-    analysis = engine.analyze_compiled(graph, compiled=compiled, mode=mode)
+    analysis = engine.analyze_compiled(graph, compiled_graph=compiled, mode=mode)
     n_events = sum(len(per_net) for per_net in report.events.values())
     assert analysis.n_events == n_events
     for name, per_net in report.events.items():
@@ -187,27 +189,27 @@ class TestCompiledEquivalence:
     def test_stale_compiled_graph_is_rejected(self, engine, lines):
         graph = soc_graph(125)
         compiled = engine.compile(graph)
-        engine.analyze_compiled(graph, compiled=compiled)  # fine while fresh
+        engine.analyze_compiled(graph, compiled_graph=compiled)  # fine while fresh
         graph.resize_driver("k0c0s3", 125.0)  # structural edit bumps version
         with pytest.raises(ModelingError):
-            engine.analyze_compiled(graph, compiled=compiled)
+            engine.analyze_compiled(graph, compiled_graph=compiled)
 
     def test_constraints_do_not_stale_the_compiled_graph(self, engine):
         graph = soc_graph(125)
         compiled = engine.compile(graph)
         graph.set_clock_period(ps(900))  # constraints are read live
-        analysis = engine.analyze_compiled(graph, compiled=compiled)
+        analysis = engine.analyze_compiled(graph, compiled_graph=compiled)
         assert analysis.constrained("setup")
 
 
 class TestStreamingReport:
     @pytest.fixture(scope="class")
-    def reports(self, solver):
-        session = shared_session(solver, compile_threshold=1)
+    def reports(self, solver, engine):
+        session = shared_session(solver)
         graph = soc_graph(125)
         graph.set_clock_period(ps(1500), hold_margin=0.0)
         streaming = session.time(graph, name="soc")
-        plain = session.time(graph, name="soc", compiled=False)
+        plain = TimingReport.from_graph_report(engine.analyze(graph), design="soc")
         return streaming, plain
 
     def test_routing_types(self, reports):
@@ -263,27 +265,27 @@ class TestStreamingReport:
 
 
 class TestSessionRouting:
-    def test_threshold_routes_and_none_disables(self, solver):
-        graph = soc_graph(125)
-        graph.set_clock_period(ps(1500))
-        session = shared_session(solver, compile_threshold=100)
-        assert isinstance(session.time(graph), StreamingTimingReport)
-        below = shared_session(solver, compile_threshold=1000)
-        assert not isinstance(below.time(graph), StreamingTimingReport)
-        disabled = shared_session(solver, compile_threshold=None)
-        assert not isinstance(disabled.time(graph), StreamingTimingReport)
-        # Explicit override beats the threshold in both directions.
-        assert isinstance(disabled.time(graph, compiled=True),
-                          StreamingTimingReport)
-
-    def test_compiled_rejects_memoize_false(self, solver):
+    def test_every_design_routes_compiled(self, solver, lines):
         session = shared_session(solver)
-        graph = soc_graph(125)
-        with pytest.raises(ModelingError):
-            session.time(graph, compiled=True, memoize=False)
+        graph = random_dag(random.Random(7), lines, n_nets=6)
+        builder = DesignBuilder("b").chain("c", sizes=(75, 100), line=lines[0],
+                                           input_slew=ps(100), receiver_size=50)
+        path = TimingPath("p", [TimingStage("s", 75, lines[0], receiver_size=50)],
+                          input_slew=ps(100))
+        for design, kind in ((graph, "graph"), (builder, "graph"), (path, "path")):
+            report = session.time(design)
+            assert isinstance(report, StreamingTimingReport)
+            assert report.kind == kind
+            # memoize=False is the naive scalar baseline: same events, equal
+            # to solver roundoff.
+            naive = session.time(design, memoize=False)
+            assert not isinstance(naive, StreamingTimingReport)
+            assert naive.kind == kind
+            assert naive.event_keys() == report.event_keys()
+            assert naive.total_delay == pytest.approx(report.total_delay, rel=1e-9)
 
     def test_compiled_cache_tracks_graph_version(self, solver):
-        session = shared_session(solver, compile_threshold=1)
+        session = shared_session(solver)
         graph = soc_graph(125)
         graph.set_clock_period(ps(1500))
         first = session.time(graph)
@@ -306,24 +308,18 @@ class TestSessionRouting:
         assert fifth.meta.compile_seconds > 0.0
         assert not fifth.meta.patched_nets
 
-    def test_config_round_trip_carries_threshold(self):
-        config = SessionConfig(compile_threshold=777)
-        assert SessionConfig.from_dict(config.to_dict()) == config
-        assert SessionConfig.from_dict(
-            SessionConfig(compile_threshold=None).to_dict()
-        ).compile_threshold is None
-        with pytest.raises(ModelingError):
-            SessionConfig(compile_threshold=0)
-
 
 class TestIncrementalReportReuse:
-    def test_warm_update_rebuilds_only_the_cone(self, solver, lines):
+    """Small designs update on the compiled engine and reuse event records."""
+
+    def test_warm_update_rebuilds_only_the_cone(self, solver, engine, lines):
         rng = random.Random(82)
         graph = random_dag(rng, lines, n_nets=20)
         graph.set_clock_period(ps(900))
         session = shared_session(solver)
         first = session.update(graph)
         assert first.meta.report_events_rebuilt is None  # full build
+        first_events = {name: first.events[name] for name in first.events}
         target = sorted(graph.nets)[10]
         graph.resize_driver(target, 125.0)
         second = session.update(graph)
@@ -331,18 +327,17 @@ class TestIncrementalReportReuse:
         assert rebuilt is not None and 0 < rebuilt < second.n_events
         # Untouched nets share their event records with the previous report.
         changed = session._incremental.last_changed_nets
-        changed_events = session._incremental.last_changed_events
-        touched = set(changed) | {name for name, _ in changed_events}
+        assert changed and target in changed
         for name in second.events:
-            if name not in touched:
-                assert second.events[name] is first.events[name]
-        # And the reused report is still exactly a full re-flatten.
-        full = session.time(graph, name="graph", compiled=False)
+            if name not in changed:
+                assert second.events[name] is first_events[name]
+        # And the reused report is still exactly the reference sweep.
+        full = TimingReport.from_graph_report(engine.analyze(graph), design="graph")
         warm_payload, full_payload = second.to_dict(), full.to_dict()
         warm_payload.pop("meta"), full_payload.pop("meta")
         assert warm_payload == full_payload
 
-    def test_constraint_only_update_reuses_events(self, solver, lines):
+    def test_constraint_only_update_reuses_events(self, solver, engine, lines):
         rng = random.Random(13)
         graph = random_dag(rng, lines, n_nets=16)
         graph.set_clock_period(ps(900))
@@ -350,9 +345,8 @@ class TestIncrementalReportReuse:
         first = session.update(graph)
         graph.set_clock_period(ps(800))
         second = session.update(graph)
-        rebuilt = second.meta.report_events_rebuilt
-        assert rebuilt is not None
-        full = session.time(graph, name="graph", compiled=False)
+        assert second.meta.computed == 0  # required times only: no solves
+        full = TimingReport.from_graph_report(engine.analyze(graph), design="graph")
         warm_payload, full_payload = second.to_dict(), full.to_dict()
         warm_payload.pop("meta"), full_payload.pop("meta")
         assert warm_payload == full_payload

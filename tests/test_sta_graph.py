@@ -7,9 +7,8 @@ from repro.core import StageSolver
 from repro.errors import ModelingError
 from repro.experiments import (fanout_tree, parallel_chains, reconvergent_graph)
 from repro.interconnect import RLCLine
-from repro.sta import (GraphEngine, GraphNet, GraphTimer, PathTimer,
-                       PrimaryInput, TimingGraph, TimingPath, TimingStage,
-                       chain_graph, flip_transition)
+from repro.sta import (GraphEngine, GraphNet, PrimaryInput, TimingGraph,
+                       TimingPath, TimingStage, chain_graph, flip_transition)
 from repro.units import mm, nH, pF, ps
 
 
@@ -132,24 +131,24 @@ class TestStructure:
 class TestLoadsAndMerging:
     def test_fanout_load_matches_stage_load(self, line, library, tech):
         # A chain net's gate load (from its fanout driver) must be bit-identical
-        # to the single-path engine's receiver load for the same stage.
+        # to the stage's own receiver load.
         path = TimingPath("p", [
             TimingStage("s1", driver_size=75, line=line, receiver_size=100),
             TimingStage("s2", driver_size=100, line=line, receiver_size=50),
         ], input_slew=ps(100))
-        timer = PathTimer(library=library, tech=tech)
+        engine = GraphEngine(library=library, tech=tech)
         graph, names = chain_graph(path)
-        graph_timer = timer._graph_timer
         for stage, name in zip(path.stage_list, names):
-            assert graph_timer.net_load(graph, graph.nets[name]) == \
-                timer._stage_load(stage)
+            stage_load = (stage.extra_load
+                          + tech.inverter_input_capacitance(stage.receiver_size))
+            assert engine.net_load(graph, graph.nets[name]) == stage_load
 
     def test_fanout_load_sums_every_receiver(self, line, library, tech):
         nets = [GraphNet("n", 75.0, line, fanout=("x", "y"), receiver_size=25.0,
                          extra_load=2e-15),
                 GraphNet("x", 100.0, line), GraphNet("y", 50.0, line)]
         graph = TimingGraph(nets, {"n": PrimaryInput(slew=ps(100))})
-        timer = GraphTimer(library=library, tech=tech)
+        timer = GraphEngine(library=library, tech=tech)
         expected = (2e-15 + tech.inverter_input_capacitance(100)
                     + tech.inverter_input_capacitance(50)
                     + tech.inverter_input_capacitance(25))
@@ -167,7 +166,7 @@ class TestLoadsAndMerging:
             GraphNet("sink", 50.0, line, receiver_size=25.0),
         ]
         graph = TimingGraph(nets, {"root": PrimaryInput(slew=ps(100))})
-        report = GraphTimer(library=library).analyze(graph)
+        report = GraphEngine(library=library).analyze(graph)
         sink_events = report.events["sink"]
         assert set(sink_events) == {"fall"}  # equal parity: one transition
         event = sink_events["fall"]
@@ -178,7 +177,7 @@ class TestLoadsAndMerging:
         assert event.source == (winner, "rise")
 
     def test_reconvergent_graph_times_both_transitions(self, library):
-        report = GraphTimer(library=library).analyze(reconvergent_graph())
+        report = GraphEngine(library=library).analyze(reconvergent_graph())
         sink = report.events["sink"]
         assert set(sink) == {"rise", "fall"}
         assert report.n_events == len(report.graph) + 1
@@ -192,12 +191,14 @@ class TestLoadsAndMerging:
 
 
 class TestGraphTimer:
+    """The object reference sweep, GraphEngine.analyze."""
+
     def test_rejects_non_graph(self, library):
         with pytest.raises(ModelingError):
-            GraphTimer(library=library).analyze("not a graph")
+            GraphEngine(library=library).analyze("not a graph")
 
     def test_report_queries_and_formatting(self, library, diamond):
-        report = GraphTimer(library=library).analyze(diamond)
+        report = GraphEngine(library=library).analyze(diamond)
         assert report.arrival("sink") == report.worst_event().output_arrival
         assert report.arrival("sink", "fall") == \
             report.events["sink"]["fall"].output_arrival
@@ -213,7 +214,7 @@ class TestGraphTimer:
         # One line flavor -> the 6 chains are bit-identical.
         graph = parallel_chains(6, 3, lines=[line], input_slew=ps(100))
         solver = StageSolver()
-        report = GraphTimer(library=library, solver=solver).analyze(graph)
+        report = GraphEngine(library=library, solver=solver).analyze(graph)
         # 6 identical chains share one chain's worth of unique stage solves.
         assert report.stats.computed == 3
         assert report.stats.memo_hits == 15
@@ -223,7 +224,7 @@ class TestGraphTimer:
 
     def test_fanout_tree_analysis(self, library):
         graph = fanout_tree(3)
-        report = GraphTimer(library=library).analyze(graph)
+        report = GraphEngine(library=library).analyze(graph)
         assert report.n_events == len(graph) == 15
         # Every level deeper arrives strictly later.
         assert report.arrival("t") < report.arrival("t.0") < \

@@ -163,7 +163,7 @@ class TestPatch:
 
 class TestSessionCache:
     def test_constraint_only_batches_never_recompile(self, solver):
-        session = shared_session(solver, compile_threshold=1)
+        session = shared_session(solver)
         graph = soc_graph(125)
         graph.set_clock_period(ps(1500))
         first = session.time(graph)
@@ -179,7 +179,7 @@ class TestSessionCache:
         assert third.meta.compile_seconds == 0.0
 
     def test_compiled_cache_holds_its_graph_weakly(self, solver):
-        session = shared_session(solver, compile_threshold=1)
+        session = shared_session(solver)
         graph = soc_graph(125)
         graph.set_clock_period(ps(1500))
         session.time(graph)
@@ -222,7 +222,7 @@ class TestCompiledIncrementalProperty:
                 applied.append(kind)
             cg = refresh_snapshot(engine, twin_compiled, cg)
             analysis = incremental.update(cg)
-            full = engine.analyze_compiled(twin_compiled, compiled=cg,
+            full = engine.analyze_compiled(twin_compiled, compiled_graph=cg,
                                            mode=mode)
             assert_analyses_identical(analysis, full)
             assert_matches_object_oracle(analysis, oracle.update(), mode)
@@ -259,7 +259,7 @@ class TestCompiledIncrementalProperty:
         assert stats.cone_nets == 1  # fanout never activated
         assert stats.cone_converged_early == 1
         assert stats.required_nets == 0
-        full = engine.analyze_compiled(graph, compiled=cg, mode="both")
+        full = engine.analyze_compiled(graph, compiled_graph=cg, mode="both")
         assert_analyses_identical(analysis, full)
 
 
@@ -267,7 +267,7 @@ class TestStreamingReportReuse:
     def test_warm_compiled_update_rebuilds_only_the_cone(self, solver, lines):
         graph = random_dag(random.Random(82), lines, n_nets=20)
         graph.set_clock_period(ps(900))
-        session = shared_session(solver, compile_threshold=1)
+        session = shared_session(solver)
         first = session.update(graph)
         assert isinstance(first, StreamingTimingReport)
         assert first.meta.report_events_rebuilt is None  # full build
@@ -279,7 +279,7 @@ class TestStreamingReportReuse:
         assert second.meta.patched_nets
         rebuilt = second.meta.report_events_rebuilt
         assert rebuilt is not None and 0 < rebuilt < second.n_events
-        changed = session._compiled_incremental.last_changed_nets
+        changed = session._incremental.last_changed_nets
         assert changed is not None
         for name in second.events:
             if name not in changed:
@@ -293,7 +293,7 @@ class TestStreamingReportReuse:
     def test_constraint_update_rebuilds_in_full(self, solver, lines):
         graph = random_dag(random.Random(13), lines, n_nets=16)
         graph.set_clock_period(ps(900))
-        session = shared_session(solver, compile_threshold=1)
+        session = shared_session(solver)
         session.update(graph)
         graph.set_clock_period(ps(800))
         second = session.update(graph)
@@ -305,3 +305,21 @@ class TestStreamingReportReuse:
         warm_payload, full_payload = second.to_dict(), full.to_dict()
         warm_payload.pop("meta"), full_payload.pop("meta")
         assert warm_payload == full_payload
+
+    def test_endpoint_slacks_after_updates_match_fresh_time(self, solver, lines):
+        graph = random_dag(random.Random(33), lines, n_nets=14)
+        graph.set_clock_period(ps(700), hold_margin=ps(40))
+        session = shared_session(solver)
+        report = session.update(graph)
+        for name in sorted(graph.nets)[:4]:
+            report.endpoint_slacks()  # fill the lazy cache the next update reuses
+            report.endpoint_slacks(mode="hold")
+            size = graph.nets[name].driver_size
+            graph.resize_driver(name, 100.0 if size == 125.0 else 125.0)
+            report = session.update(graph)
+        fresh = shared_session(solver).time(graph)
+        for mode in ("setup", "hold"):
+            table = report.endpoint_slacks(mode=mode)
+            assert table and table == fresh.endpoint_slacks(mode=mode)
+            assert [event.slack_for(mode) for event in table] == [
+                event.slack_for(mode) for event in fresh.endpoint_slacks(mode=mode)]
