@@ -18,7 +18,8 @@ acceptance gate, in three phases (one shared session, one memoized solver):
 3. **100k cold, fresh subprocess** — build + compile + analyze 100k nets in a
    child interpreter (peak RSS is a process-lifetime high-water mark, so the
    memory gate needs a process that has never held a bigger allocation).
-   Gates: warm throughput >= ``NETS_PER_SECOND_FLOOR`` nets/s and peak-RSS
+   Gates: warm throughput >= ``NETS_PER_SECOND_FLOOR`` nets/s, cold compile
+   throughput >= ``COMPILE_NETS_PER_SECOND_FLOOR`` nets/s, and peak-RSS
    growth over the post-import baseline <= ``BYTES_PER_NET_CEILING`` per net
    (and above zero: :func:`repro.perf.peak_rss_bytes` reads the child's own
    ``VmHWM``, so a measurement that inherited the parent's peak cannot pass).
@@ -59,6 +60,11 @@ SPEEDUP_FLOOR_10K = 10.0
 
 #: Required warm compiled throughput at 100k nets (measured ~700k nets/s).
 NETS_PER_SECOND_FLOOR = 50_000
+
+#: Required throughput of the one cold compile at 100k nets (measured ~280k
+#: nets/s on a 2-CPU container; the per-element loops it replaced managed
+#: ~113k nets/s there, so the floor fails against them).
+COMPILE_NETS_PER_SECOND_FLOOR = 150_000
 
 #: Allowed peak-RSS growth per net while building + compiling + analyzing the
 #: 100k graph (measured ~1.1 kB/net; the ceiling leaves ~1.8x headroom for
@@ -180,6 +186,7 @@ def test_scale_tier(library, report_writer):
     full = json.loads(result.stdout.strip().splitlines()[-1])
     assert full["nets"] == NETS_FULL
     nets_per_second = full["nets"] / full["warm_seconds"]
+    compile_nets_per_second = full["nets"] / full["compile_seconds"]
     rss_delta = full["peak_rss_bytes"] - full["baseline_rss_bytes"]
     bytes_per_net = rss_delta / full["nets"]
     compile_fraction = full["compile_seconds"] / full["cold_seconds"]
@@ -195,6 +202,7 @@ def test_scale_tier(library, report_writer):
             "equivalence_rtol": EQUIVALENCE_RTOL,
             "speedup_floor_10k": SPEEDUP_FLOOR_10K,
             "nets_per_second_floor": NETS_PER_SECOND_FLOOR,
+            "compile_nets_per_second_floor": COMPILE_NETS_PER_SECOND_FLOOR,
             "bytes_per_net_ceiling": BYTES_PER_NET_CEILING,
             # Volatile: compared for presence, not value (see
             # scripts/compare_bench_reports.py VOLATILE_TRACKED).
@@ -213,6 +221,7 @@ def test_scale_tier(library, report_writer):
             "compile_seconds_100k": round(full["compile_seconds"], 3),
             "warm_seconds_100k": round(full["warm_seconds"], 4),
             "nets_per_second_100k": round(nets_per_second),
+            "compile_nets_per_second_100k": round(compile_nets_per_second),
             "bytes_per_net_100k": round(bytes_per_net),
             "worst_slack_ps_100k": round(full["worst_slack_ps"], 3),
         },
@@ -235,6 +244,8 @@ def test_scale_tier(library, report_writer):
         f"warm analyze {full['warm_seconds'] * 1e3:.0f} ms",
         f"  100k throughput      : {nets_per_second:,.0f} nets/s "
         f"(floor {NETS_PER_SECOND_FLOOR:,})",
+        f"  100k compile         : {compile_nets_per_second:,.0f} nets/s "
+        f"(floor {COMPILE_NETS_PER_SECOND_FLOOR:,})",
         f"  100k peak RSS growth : {rss_delta / 1e6:.1f} MB = "
         f"{bytes_per_net:.0f} bytes/net (ceiling {BYTES_PER_NET_CEILING})",
         f"  machine-readable     : {json_path.name}",
@@ -244,4 +255,5 @@ def test_scale_tier(library, report_writer):
     # The acceptance gates of the scale tier.
     assert speedup_10k >= SPEEDUP_FLOOR_10K
     assert nets_per_second >= NETS_PER_SECOND_FLOOR
+    assert compile_nets_per_second >= COMPILE_NETS_PER_SECOND_FLOOR
     assert 0 < bytes_per_net <= BYTES_PER_NET_CEILING

@@ -25,6 +25,7 @@ verb by verb and the design's snapshot never observes the half-applied state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, ClassVar, Dict, List, Mapping, Optional, Tuple, Type
 
@@ -93,6 +94,9 @@ def _get_number(
     value = payload[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{what}.{key} must be a number, got {value!r}")
+    # Python's json parses NaN and Infinity; no field means either.
+    if not math.isfinite(value):
+        raise ValidationError(f"{what}.{key} must be a finite number, got {value!r}")
     return float(value)
 
 

@@ -10,7 +10,10 @@ math runs.  This module freezes a graph into a columnar twin:
   adjacency, level boundaries, per-net loads, deduplicated stage
   configurations (cell, line, load) and endpoint masks, all as contiguous
   numpy arrays indexed by *net id* (the position in the level-flattened
-  topological order).
+  topological order).  Once each net's fields are pulled into arrays, every
+  O(nets + edges) step of the compile is a numpy pass over all nets at once;
+  library and fingerprint calls run once per distinct driver size and line
+  object.
 * A timing event is an integer: ``event = net_id * 2 + transition`` with
   ``transition`` 0 = ``"fall"``, 1 = ``"rise"`` (the sorted transition order,
   so array order matches the object engine's per-net iteration order).  All
@@ -55,7 +58,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from itertools import chain
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -211,15 +215,7 @@ class CompiledGraph:
             self.version = graph.version
             return 0
         nets = graph.nets
-        caps: Dict[float, float] = {}
-
-        def cap(size: float) -> float:
-            value = caps.get(size)
-            if value is None:
-                value = tech.inverter_input_capacitance(size)
-                caps[size] = value
-            return value
-
+        cap = _input_caps(tech)
         tables = self.interner
         load = self.load.copy()
         config_id = self.config_id.copy()
@@ -227,8 +223,7 @@ class CompiledGraph:
         for name in edited:
             net_id = self.index[name]
             net = nets[name]
-            # Same float-add order as _net_loads: extra load, fanout caps in
-            # declaration order, terminal receiver — bit-identical loads.
+            # The load contract of _input_caps, one net at a time.
             net_load = net.extra_load
             for target in net.fanout:
                 net_load += cap(nets[target].driver_size)
@@ -263,14 +258,18 @@ class CompiledGraph:
         return len(edited)
 
 
-def _net_loads(graph: TimingGraph, order: List[str], tech: Technology) -> np.ndarray:
-    """Per-net far-end loads, replicating ``GraphEngine.net_load`` bit-for-bit.
+def _input_caps(tech: Technology) -> Callable[[float], float]:
+    """A per-size memo of ``tech.inverter_input_capacitance``: the load contract.
 
-    The float additions run in the exact object-engine order (extra load, then
-    fanout driver input caps in declaration order, then the terminal
-    receiver), via a plain Python loop — a pairwise numpy reduction would sum
-    in a different association order and break bit-compatibility.  Input
-    capacitances are memoized per driver size (they are pure functions of it).
+    A net's far-end load is its ``extra_load``, plus the input capacitance of
+    each fanout driver in declaration order, plus the terminal receiver's,
+    added left to right — the float-add order of ``GraphEngine.net_load``.  A
+    pairwise reduction would associate differently, so :func:`compile_graph`
+    adds the caps one fanout column at a time over all nets and
+    :meth:`CompiledGraph.patch` one net at a time; both make the same IEEE
+    adds in the same order, and both compiled loads equal the object
+    engine's bit for bit.  Input caps are pure functions of the size, so one
+    evaluation per distinct size serves every net.
     """
     caps: Dict[float, float] = {}
 
@@ -281,117 +280,140 @@ def _net_loads(graph: TimingGraph, order: List[str], tech: Technology) -> np.nda
             caps[size] = value
         return value
 
-    nets = graph.nets
-    loads = np.empty(len(order), dtype=np.float64)
-    for i, name in enumerate(order):
-        net = nets[name]
-        load = net.extra_load
-        for target in net.fanout:
-            load += cap(nets[target].driver_size)
-        if net.receiver_size is not None:
-            load += cap(net.receiver_size)
-        loads[i] = load
-    return loads
+    return cap
+
+
+def _first_appearance(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Renumber equal ``values`` by first appearance.
+
+    Returns ``(first, inverse)``: ``first[k]`` is the position where the
+    k-th distinct value first occurs (ascending), and ``inverse[i]`` is the
+    number of ``values[i]`` — the numbering a dict filled in order assigns.
+    """
+    _, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    renumber = np.empty_like(by_first)
+    renumber[by_first] = np.arange(by_first.size)
+    return first[by_first], renumber[inverse]
 
 
 def compile_graph(graph: TimingGraph, *, library: CellLibrary,
                   tech: Technology) -> CompiledGraph:
     """Freeze ``graph`` into a :class:`CompiledGraph` snapshot.
 
-    O(nets + edges): one pass builds the order/index, one the CSR adjacency,
-    one the loads and deduplicated stage configurations.  Cells are fetched
-    (and, for never-seen driver sizes, characterized) through ``library`` here
-    — analysis never touches the library again.
+    O(nets + edges), as array passes: comprehensions pull the net objects'
+    fields into arrays, and the CSR adjacency, loads, stage configurations
+    and endpoint masks are numpy operations over those.  ``library.get``
+    runs once per distinct driver size and ``fingerprint()`` once per line
+    object, each in first-appearance order, so errors surface in net order
+    and the :class:`ConfigInterner` tables number cells, lines and (cell,
+    line, load) configurations exactly as a net-by-net dict fill would.
+    Loads follow the contract of :func:`_input_caps`.  Cells are fetched
+    through ``library`` here; analysis never touches the library again.
     """
     if not isinstance(graph, TimingGraph):
         raise ModelingError("compile_graph() expects a TimingGraph")
     started = time.perf_counter()
     levels = graph.levels
     order = [name for level in levels for name in level]
-    index = {name: i for i, name in enumerate(order)}
+    index = dict(zip(order, range(len(order))))
     n = len(order)
 
     level_ptr = np.zeros(len(levels) + 1, dtype=np.int64)
     np.cumsum([len(level) for level in levels], out=level_ptr[1:])
 
+    by_name = np.fromiter(sorted(range(n), key=order.__getitem__),
+                          dtype=np.int64, count=n)
     name_rank = np.empty(n, dtype=np.int64)
-    for rank, net_id in enumerate(sorted(range(n), key=order.__getitem__)):
-        name_rank[net_id] = rank
+    name_rank[by_name] = np.arange(n, dtype=np.int64)
 
-    nets = graph.nets
-    fo_counts = np.fromiter((len(nets[name].fanout) for name in order),
-                            dtype=np.int64, count=n)
+    nets = list(map(graph.nets.__getitem__, order))
+    fanouts = [net.fanout for net in nets]
+    fo_counts = np.fromiter(map(len, fanouts), dtype=np.int64, count=n)
     fo_indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(fo_counts, out=fo_indptr[1:])
     n_edges = int(fo_indptr[-1])
-    fo_indices = np.empty(n_edges, dtype=np.int64)
-    fi_counts = np.zeros(n, dtype=np.int64)
-    position = 0
-    for name in order:
-        for target in nets[name].fanout:
-            target_id = index[target]
-            fo_indices[position] = target_id
-            fi_counts[target_id] += 1
-            position += 1
+    fo_indices = np.fromiter(map(index.__getitem__, chain.from_iterable(fanouts)),
+                             dtype=np.int64, count=n_edges)
+    del fanouts
     fi_indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(fi_counts, out=fi_indptr[1:])
-    fi_fill = fi_indptr[:-1].copy()
-    fi_indices = np.empty(n_edges, dtype=np.int64)
-    for source_id in range(n):
-        for target_id in fo_indices[fo_indptr[source_id]:fo_indptr[source_id + 1]]:
-            fi_indices[fi_fill[target_id]] = source_id
-            fi_fill[target_id] += 1
+    np.cumsum(np.bincount(fo_indices, minlength=n), out=fi_indptr[1:])
+    # A stable sort by target keeps each target's sources in net-id order.
+    fi_indices = np.repeat(np.arange(n, dtype=np.int64), fo_counts)[
+        np.argsort(fo_indices, kind="stable")]
 
-    loads = _net_loads(graph, order, tech)
+    # Loads: extra load, then fanout column j (the j-th fanout's input cap)
+    # for every net with more than j fanouts, then the receiver.
+    cap = _input_caps(tech)
+    sizes = np.fromiter((net.driver_size for net in nets), dtype=np.float64,
+                        count=n)
+    size_first, size_of = _first_appearance(sizes)
+    size_cap = np.array([cap(nets[i].driver_size) for i in size_first.tolist()],
+                        dtype=np.float64)
+    edge_cap = size_cap[size_of[fo_indices]]
+    loads = np.fromiter((net.extra_load for net in nets), dtype=np.float64,
+                        count=n)
+    by_fanout = np.argsort(-fo_counts, kind="stable")
+    descending = -fo_counts[by_fanout]
+    for column in range(int(fo_counts.max(initial=0))):
+        wide = by_fanout[:np.searchsorted(descending, -column)]
+        loads[wide] += edge_cap[fo_indptr[wide] + column]
+    receivers = [(i, net.receiver_size) for i, net in enumerate(nets)
+                 if net.receiver_size is not None]
+    with_receiver = np.fromiter((i for i, _ in receivers), dtype=np.int64,
+                                count=len(receivers))
+    loads[with_receiver] += np.fromiter((cap(size) for _, size in receivers),
+                                        dtype=np.float64, count=len(receivers))
+    del receivers
+    has_receiver = np.zeros(n, dtype=bool)
+    has_receiver[with_receiver] = True
 
+    # Stage configurations: cells, then lines (an id() memo in front of the
+    # content fingerprint), then one packed int64 key per (cell, line, load).
     cells: Dict[float, Tuple[int, CellCharacterization]] = {}
-    line_ids: Dict[int, int] = {}
+    for i in size_first.tolist():
+        size = nets[i].driver_size
+        cells[size] = (len(cells), library.get(size))
+    line_first, line_of = _first_appearance(
+        np.fromiter((id(net.line) for net in nets), dtype=np.int64, count=n))
     line_keys: Dict[str, int] = {}
     lines: List[RLCLine] = []
-    configs: Dict[Tuple[int, int, float], int] = {}
-    config_cell: List[CellCharacterization] = []
-    config_line: List[RLCLine] = []
-    config_load: List[float] = []
-    config_id = np.empty(n, dtype=np.int64)
-    for i, name in enumerate(order):
-        net = nets[name]
-        cell_entry = cells.get(net.driver_size)
-        if cell_entry is None:
-            cell_entry = (len(cells), library.get(net.driver_size))
-            cells[net.driver_size] = cell_entry
-        line_idx = line_ids.get(id(net.line))
-        if line_idx is None:
-            # Distinct-but-equal line objects fingerprint (and therefore
-            # solve) identically, so dedupe by content behind the id memo.
-            key = net.line.fingerprint()
-            line_idx = line_keys.get(key)
-            if line_idx is None:
-                line_idx = len(lines)
-                lines.append(net.line)
-                line_keys[key] = line_idx
-            line_ids[id(net.line)] = line_idx
-        config_key = (cell_entry[0], line_idx, float(loads[i]))
-        config = configs.get(config_key)
-        if config is None:
-            config = len(config_cell)
-            configs[config_key] = config
-            config_cell.append(cell_entry[1])
-            config_line.append(lines[line_idx])
-            config_load.append(float(loads[i]))
-        config_id[i] = config
-
-    is_endpoint = np.fromiter((nets[name].is_endpoint for name in order),
-                              dtype=bool, count=n)
+    line_index = np.empty(line_first.size, dtype=np.int64)
+    for k, i in enumerate(line_first.tolist()):
+        # Distinct-but-equal line objects fingerprint (and therefore solve)
+        # identically, so dedupe by content behind the id memo.
+        line = nets[i].line
+        key = line.fingerprint()
+        if key not in line_keys:
+            line_keys[key] = len(lines)
+            lines.append(line)
+        line_index[k] = line_keys[key]
+    line_of = line_index[line_of]
+    del nets
+    # size_of is the cell index (cells was filled in size_first order).  The
+    # packed key is below len(library) * n**2: int64 holds any graph that
+    # fits in memory.
+    _, load_of = np.unique(loads, return_inverse=True)
+    config_first, config_id = _first_appearance(
+        (size_of * len(lines) + line_of) * (int(load_of.max(initial=0)) + 1)
+        + load_of)
+    config_load = loads[config_first]
+    config_cells = size_of[config_first].tolist()
+    config_lines = line_of[config_first].tolist()
+    cell_table = [cell for _, cell in cells.values()]
+    configs = {key: config for config, key in enumerate(
+        zip(config_cells, config_lines, config_load.tolist()))}
     is_sink = fo_counts == 0
 
     return CompiledGraph(
         order=order, index=index, level_ptr=level_ptr, name_rank=name_rank,
         fo_indptr=fo_indptr, fo_indices=fo_indices,
         fi_indptr=fi_indptr, fi_indices=fi_indices,
-        load=loads, config_id=config_id, config_cell=config_cell,
-        config_line=config_line,
-        config_load=np.array(config_load, dtype=np.float64),
-        is_endpoint=is_endpoint, is_sink=is_sink,
+        load=loads, config_id=config_id,
+        config_cell=[cell_table[c] for c in config_cells],
+        config_line=[lines[line] for line in config_lines],
+        config_load=config_load,
+        is_endpoint=has_receiver | is_sink, is_sink=is_sink,
         version=graph.version,
         topology_version=graph.topology_version,
         compile_seconds=time.perf_counter() - started,

@@ -52,6 +52,7 @@ The chain-shaped special case is produced by :func:`chain_graph`, which is how
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -110,13 +111,18 @@ class GraphNet:
     def __post_init__(self) -> None:
         if not self.name:
             raise ModelingError("a graph net needs a non-empty name")
-        if self.driver_size <= 0:
-            raise ModelingError(f"net {self.name!r}: driver size must be positive")
-        if self.receiver_size is not None and self.receiver_size <= 0:
+        # NaN compares false both ways, so finiteness is checked explicitly.
+        if not (math.isfinite(self.driver_size) and self.driver_size > 0):
             raise ModelingError(
-                f"net {self.name!r}: receiver size must be positive when given")
-        if self.extra_load < 0:
-            raise ModelingError(f"net {self.name!r}: extra load must be non-negative")
+                f"net {self.name!r}: driver size must be positive and finite")
+        if self.receiver_size is not None and not (
+                math.isfinite(self.receiver_size) and self.receiver_size > 0):
+            raise ModelingError(
+                f"net {self.name!r}: receiver size must be positive and finite "
+                "when given")
+        if not (math.isfinite(self.extra_load) and self.extra_load >= 0):
+            raise ModelingError(
+                f"net {self.name!r}: extra load must be non-negative and finite")
         object.__setattr__(self, "fanout", tuple(self.fanout))
         if len(set(self.fanout)) != len(self.fanout):
             raise ModelingError(f"net {self.name!r} lists a fanout twice")

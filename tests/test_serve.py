@@ -97,6 +97,22 @@ class TestCodec:
                 {"resistance": 1.0, "inductance": 1e-9, "capacitance": 1e-13,
                  "impedance": 50.0})
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_numbers_must_be_finite(self, bad):
+        # Python's json parses NaN and Infinity; the codec must not pass them on.
+        nets = [dict(SPEC["nets"][0]), SPEC["nets"][1]]
+        nets[0]["extra_load"] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            DesignSpec.from_payload(dict(SPEC, nets=nets))
+        for edit in ({"op": "resize_driver", "net": "a", "driver_size": bad},
+                     {"op": "set_extra_load", "net": "a", "extra_load": bad},
+                     {"op": "set_receiver", "net": "b", "receiver_size": bad}):
+            with pytest.raises(ValidationError, match="finite"):
+                EditRequest.from_payload({"edits": [edit]})
+        with pytest.raises(ValidationError, match="finite"):
+            AttachRequest.from_payload({"name": "d", "case": "chain3",
+                                        "clock_ps": bad})
+
     def test_edit_request_parses_every_verb(self):
         request = EditRequest.from_payload({"edits": [
             {"op": "resize_driver", "net": "a", "driver_size": 50.0},
@@ -263,6 +279,10 @@ class TestHTTP:
         assert excinfo.value.status == 404
         with pytest.raises(ServeError) as excinfo:
             client.request("POST", "/designs/%s/edits" % attached, {"edits": "no"})
+        assert excinfo.value.status == 400
+        with pytest.raises(ServeError) as excinfo:  # the body carries NaN
+            client.edit(attached, [{"op": "set_extra_load", "net": "stage1",
+                                    "extra_load": float("nan")}])
         assert excinfo.value.status == 400
 
     def test_edit_round_trip_and_diff(self, client, attached):

@@ -2,6 +2,10 @@
 
 The contract under test, layer by layer:
 
+* ``compile_graph``'s array passes build exactly the arrays, config tables
+  and object identities of the per-element compile they replaced (kept below
+  as ``reference_compile_graph``), on the SoC template, every golden design,
+  random DAGs and adversarial shapes;
 * ``compile_graph`` + ``GraphEngine.analyze_compiled`` produce events that are
   **exactly equal** (not just within tolerance) to the object engine's, on
   random DAGs, in every analysis mode, including merge tie-breaks, sources,
@@ -24,10 +28,13 @@ The contract under test, layer by layer:
 """
 
 import random
+import time
 from types import SimpleNamespace
+from typing import Dict, List, Tuple
 
 import numpy as np
 import pytest
+from golden_cases import golden_designs
 from test_sta_dual_mode import random_dag
 
 from repro.api import (
@@ -40,12 +47,22 @@ from repro.api import (
 )
 from repro.api.report import TimingEvent
 from repro.core import StageSolver
-from repro.errors import ModelingError
+from repro.errors import CharacterizationError, ModelingError
 from repro.experiments import soc_graph
 from repro.interconnect import RLCLine
-from repro.sta import GraphEngine, SweepState, TimingGraph, TimingPath, TimingStage
-from repro.sta.compiled import level_solve_keys
-from repro.units import mm, nH, pF, ps
+from repro.sta import (
+    GraphEngine,
+    GraphNet,
+    PrimaryInput,
+    SweepState,
+    TimingGraph,
+    TimingPath,
+    TimingStage,
+    chain_graph,
+    compile_graph,
+)
+from repro.sta.compiled import CompiledGraph, ConfigInterner, level_solve_keys
+from repro.units import fF, mm, nH, pF, ps
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +135,252 @@ def constrain_randomly(rng, graph):
         graph.set_required(name, rng.choice([ps(30), ps(90)]),
                            transition=rng.choice([None, "rise", "fall"]),
                            mode="hold")
+
+
+def reference_compile_graph(graph, *, library, tech):
+    """The per-element compile the array passes replaced, kept as their oracle.
+
+    Loops over nets and edges in Python, writing numpy scalars one at a time:
+    fanout CSR in declaration order, fanin CSR by a fill loop over sources,
+    loads by the object engine's float-add order, and stage configurations
+    interned net by net through dicts.
+    """
+    started = time.perf_counter()
+    levels = graph.levels
+    order = [name for level in levels for name in level]
+    index = {name: i for i, name in enumerate(order)}
+    n = len(order)
+
+    level_ptr = np.zeros(len(levels) + 1, dtype=np.int64)
+    np.cumsum([len(level) for level in levels], out=level_ptr[1:])
+
+    name_rank = np.empty(n, dtype=np.int64)
+    for rank, net_id in enumerate(sorted(range(n), key=order.__getitem__)):
+        name_rank[net_id] = rank
+
+    nets = graph.nets
+    fo_counts = np.fromiter((len(nets[name].fanout) for name in order),
+                            dtype=np.int64, count=n)
+    fo_indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(fo_counts, out=fo_indptr[1:])
+    n_edges = int(fo_indptr[-1])
+    fo_indices = np.empty(n_edges, dtype=np.int64)
+    fi_counts = np.zeros(n, dtype=np.int64)
+    position = 0
+    for name in order:
+        for target in nets[name].fanout:
+            target_id = index[target]
+            fo_indices[position] = target_id
+            fi_counts[target_id] += 1
+            position += 1
+    fi_indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(fi_counts, out=fi_indptr[1:])
+    fi_fill = fi_indptr[:-1].copy()
+    fi_indices = np.empty(n_edges, dtype=np.int64)
+    for source_id in range(n):
+        for target_id in fo_indices[fo_indptr[source_id]:fo_indptr[source_id + 1]]:
+            fi_indices[fi_fill[target_id]] = source_id
+            fi_fill[target_id] += 1
+
+    caps: Dict[float, float] = {}
+
+    def cap(size):
+        value = caps.get(size)
+        if value is None:
+            value = tech.inverter_input_capacitance(size)
+            caps[size] = value
+        return value
+
+    loads = np.empty(n, dtype=np.float64)
+    for i, name in enumerate(order):
+        net = nets[name]
+        load = net.extra_load
+        for target in net.fanout:
+            load += cap(nets[target].driver_size)
+        if net.receiver_size is not None:
+            load += cap(net.receiver_size)
+        loads[i] = load
+
+    cells: Dict[float, Tuple[int, object]] = {}
+    line_ids: Dict[int, int] = {}
+    line_keys: Dict[str, int] = {}
+    lines: List[RLCLine] = []
+    configs: Dict[Tuple[int, int, float], int] = {}
+    config_cell, config_line, config_load = [], [], []
+    config_id = np.empty(n, dtype=np.int64)
+    for i, name in enumerate(order):
+        net = nets[name]
+        cell_entry = cells.get(net.driver_size)
+        if cell_entry is None:
+            cell_entry = (len(cells), library.get(net.driver_size))
+            cells[net.driver_size] = cell_entry
+        line_idx = line_ids.get(id(net.line))
+        if line_idx is None:
+            key = net.line.fingerprint()
+            line_idx = line_keys.get(key)
+            if line_idx is None:
+                line_idx = len(lines)
+                lines.append(net.line)
+                line_keys[key] = line_idx
+            line_ids[id(net.line)] = line_idx
+        config_key = (cell_entry[0], line_idx, float(loads[i]))
+        config = configs.get(config_key)
+        if config is None:
+            config = len(config_cell)
+            configs[config_key] = config
+            config_cell.append(cell_entry[1])
+            config_line.append(lines[line_idx])
+            config_load.append(float(loads[i]))
+        config_id[i] = config
+
+    is_endpoint = np.fromiter((nets[name].is_endpoint for name in order),
+                              dtype=bool, count=n)
+    is_sink = fo_counts == 0
+
+    return CompiledGraph(
+        order=order, index=index, level_ptr=level_ptr, name_rank=name_rank,
+        fo_indptr=fo_indptr, fo_indices=fo_indices,
+        fi_indptr=fi_indptr, fi_indices=fi_indices,
+        load=loads, config_id=config_id, config_cell=config_cell,
+        config_line=config_line,
+        config_load=np.array(config_load, dtype=np.float64),
+        is_endpoint=is_endpoint, is_sink=is_sink,
+        version=graph.version,
+        topology_version=graph.topology_version,
+        compile_seconds=time.perf_counter() - started,
+        interner=ConfigInterner(cells=cells, lines=lines,
+                                line_keys=line_keys, configs=configs))
+
+
+#: Every numpy array a compiled graph holds.
+COMPILED_ARRAYS = ("level_ptr", "name_rank", "fo_indptr", "fo_indices",
+                   "fi_indptr", "fi_indices", "load", "config_id",
+                   "config_load", "is_endpoint", "is_sink")
+
+
+def exact_key(value):
+    """A dict key with its type and float bits: ``75`` != ``75.0``, ``-0.0`` != ``0.0``."""
+    if isinstance(value, tuple):
+        return tuple(exact_key(item) for item in value)
+    if isinstance(value, float):
+        return (float, value.hex())
+    return (type(value), value)
+
+
+def assert_compiled_identical(ours, reference):
+    """Two compiled graphs hold the same bytes, objects and interning tables."""
+    for name in COMPILED_ARRAYS:
+        mine, theirs = getattr(ours, name), getattr(reference, name)
+        assert mine.dtype == theirs.dtype, name
+        assert mine.shape == theirs.shape, name
+        assert mine.tobytes() == theirs.tobytes(), name
+    assert ours.order == reference.order
+    assert list(ours.index.items()) == list(reference.index.items())
+    assert [id(cell) for cell in ours.config_cell] == \
+        [id(cell) for cell in reference.config_cell]
+    assert [id(line) for line in ours.config_line] == \
+        [id(line) for line in reference.config_line]
+    mine, theirs = ours.interner, reference.interner
+    assert [(exact_key(size), exact_key(idx), id(cell))
+            for size, (idx, cell) in mine.cells.items()] == \
+        [(exact_key(size), exact_key(idx), id(cell))
+         for size, (idx, cell) in theirs.cells.items()]
+    assert [id(line) for line in mine.lines] == [id(line) for line in theirs.lines]
+    assert list(mine.line_keys.items()) == list(theirs.line_keys.items())
+    assert [(exact_key(key), exact_key(config))
+            for key, config in mine.configs.items()] == \
+        [(exact_key(key), exact_key(config))
+         for key, config in theirs.configs.items()]
+    assert (ours.version, ours.topology_version) == \
+        (reference.version, reference.topology_version)
+
+
+def wide_fanout_graph(lines) -> TimingGraph:
+    """Adversarial compile shapes in one graph.
+
+    A hub drives 300 leaves of mixed driver sizes (``75`` next to ``75.0``)
+    and also carries a receiver; the leaves share a line object with a
+    distinct-but-equal twin; some leaves have both fanout and a receiver; and
+    loads of ``-0.0`` and ``0.0`` meet in one configuration.
+    """
+    twin = RLCLine(resistance=lines[0].resistance, inductance=lines[0].inductance,
+                   capacitance=lines[0].capacitance, length=lines[0].length)
+    sizes = (25.0, 50, 75, 75.0, 100.0, 125)
+    leaves = [f"leaf{i}" for i in range(300)]
+    nets = [GraphNet("hub", 100.0, lines[1], fanout=tuple(leaves),
+                     receiver_size=50, extra_load=-0.0)]
+    for i, leaf in enumerate(leaves):
+        fanout = (f"sink{i}",) if i < 20 else ()
+        nets.append(GraphNet(
+            leaf, sizes[i % len(sizes)], (lines[0], twin, lines[1])[i % 3],
+            fanout=fanout,
+            receiver_size=(75, 75.0)[i % 2] if i % 4 == 0 else None,
+            extra_load=(-0.0, fF(2), 0.0)[i % 3]))
+        if fanout:
+            nets.append(GraphNet(fanout[0], (75, 75.0, 50.0)[i % 3], twin,
+                                 receiver_size=25, extra_load=-0.0))
+    return TimingGraph(nets, {"hub": PrimaryInput(slew=ps(80))})
+
+
+def as_graph(design) -> TimingGraph:
+    if isinstance(design, TimingPath):
+        return chain_graph(design)[0]
+    return design
+
+
+class TestCompileMatchesReference:
+    """The array-pass compile equals the per-element reference, bit for bit."""
+
+    @pytest.mark.parametrize("n_nets", [1000, 4000])
+    def test_soc_graph(self, library, tech, n_nets):
+        graph = soc_graph(n_nets)
+        assert_compiled_identical(
+            compile_graph(graph, library=library, tech=tech),
+            reference_compile_graph(graph, library=library, tech=tech))
+
+    @pytest.mark.parametrize("design", [
+        pytest.param(design, id=key) for key, design, _ in golden_designs()])
+    def test_golden_designs(self, library, tech, design):
+        graph = as_graph(design())
+        assert_compiled_identical(
+            compile_graph(graph, library=library, tech=tech),
+            reference_compile_graph(graph, library=library, tech=tech))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_dags(self, library, tech, lines, seed):
+        rng = random.Random(seed)
+        graph = random_dag(rng, lines, n_nets=rng.choice([1, 5, 40, 200]),
+                           n_roots=rng.choice([1, 3]))
+        assert_compiled_identical(
+            compile_graph(graph, library=library, tech=tech),
+            reference_compile_graph(graph, library=library, tech=tech))
+
+    def test_adversarial_shapes(self, library, tech, lines):
+        graph = wide_fanout_graph(lines)
+        ours = compile_graph(graph, library=library, tech=tech)
+        assert_compiled_identical(
+            ours, reference_compile_graph(graph, library=library, tech=tech))
+        # The shapes really are adversarial: 75 and 75.0 share a cell entry
+        # keyed by the first one seen, equal lines share one line index, and
+        # -0.0 and 0.0 loads share configurations.
+        assert len(ours.interner.cells) == 5
+        assert len(ours.interner.lines) == 2
+        assert np.signbit(ours.load).any() and (ours.load == 0.0).sum() > 1
+        assert int(np.diff(ours.fo_indptr).max()) == 300
+
+    def test_unknown_size_raises_like_the_reference(self, library, tech, lines):
+        graph = TimingGraph(
+            [GraphNet("a", 75.0, lines[0], fanout=("b", "c")),
+             GraphNet("b", 33.0, lines[0], receiver_size=25.0),
+             GraphNet("c", 34.0, lines[0], receiver_size=25.0)],
+            {"a": PrimaryInput(slew=ps(80))})
+        messages = []
+        for compile_ in (compile_graph, reference_compile_graph):
+            with pytest.raises(CharacterizationError) as raised:
+                compile_(graph, library=library, tech=tech)
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
+        assert "33.0" in messages[0]  # the first unknown size, in net order
 
 
 class TestLevelSolveKeys:

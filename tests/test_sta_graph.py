@@ -1,6 +1,8 @@
 """Timing-graph subsystem: structure validation, levelization, batch analysis."""
 
 
+import math
+
 import pytest
 
 from repro.core import StageSolver
@@ -64,6 +66,25 @@ class TestStructure:
             GraphNet("n", 75.0, line, extra_load=-1e-15)
         with pytest.raises(ModelingError):
             GraphNet("n", 75.0, line, fanout=("x", "x"))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_net_rejects_non_finite_numbers(self, line, bad):
+        # NaN passes `< 0` / `<= 0` checks; it used to surface only deep in
+        # the stage solver.
+        for fields in ({"driver_size": bad}, {"receiver_size": bad},
+                       {"extra_load": bad}):
+            with pytest.raises(ModelingError, match="finite"):
+                GraphNet("n", **{"driver_size": 75.0, "line": line, **fields})
+        graph = TimingGraph([GraphNet("n", 75.0, line, receiver_size=25.0)],
+                            {"n": PrimaryInput(slew=ps(80))})
+        version = graph.version
+        for edit in (lambda: graph.set_extra_load("n", bad),
+                     lambda: graph.resize_driver("n", bad),
+                     lambda: graph.set_receiver("n", bad)):
+            with pytest.raises(ModelingError, match="finite"):
+                edit()
+        assert graph.version == version
+        assert graph.nets["n"] == GraphNet("n", 75.0, line, receiver_size=25.0)
 
     def test_graph_validation(self, line):
         with pytest.raises(ModelingError):

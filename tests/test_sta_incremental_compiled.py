@@ -22,7 +22,7 @@ import weakref
 
 import numpy as np
 import pytest
-from test_sta_compiled import shared_session
+from test_sta_compiled import shared_session, wide_fanout_graph
 from test_sta_dual_mode import random_dag
 from test_sta_incremental import random_edit
 
@@ -102,6 +102,21 @@ def refresh_snapshot(engine, graph, cg):
     return cg
 
 
+def assert_patch_matches_fresh_compile(engine, graph, cg):
+    """A patched snapshot equals a fresh compile of ``graph``, bit for bit."""
+    assert cg.version == graph.version
+    fresh = engine.compile(graph)
+    assert cg.load.tobytes() == fresh.load.tobytes()
+    assert np.array_equal(cg.is_endpoint, fresh.is_endpoint)
+    for net_id in range(cg.n_nets):
+        ours, theirs = cg.config_id[net_id], fresh.config_id[net_id]
+        assert (cg.config_cell[ours].driver_size
+                == fresh.config_cell[theirs].driver_size)
+        assert (cg.config_line[ours].fingerprint()
+                == fresh.config_line[theirs].fingerprint())
+        assert cg.config_load[ours] == fresh.config_load[theirs]
+
+
 class TestPatch:
     def test_patch_matches_fresh_compile(self, library, solver, lines):
         rng = random.Random(5)
@@ -116,17 +131,19 @@ class TestPatch:
         edited = graph.param_edits_since(cg.version)
         patched = cg.patch(graph, library=engine.library, tech=engine.tech)
         assert patched == len(edited) >= 4  # the four plus fanin load ripples
-        assert cg.version == graph.version
-        fresh = engine.compile(graph)
-        assert np.array_equal(cg.load, fresh.load)
-        assert np.array_equal(cg.is_endpoint, fresh.is_endpoint)
-        for net_id in range(cg.n_nets):
-            ours, theirs = cg.config_id[net_id], fresh.config_id[net_id]
-            assert (cg.config_cell[ours].driver_size
-                    == fresh.config_cell[theirs].driver_size)
-            assert (cg.config_line[ours].fingerprint()
-                    == fresh.config_line[theirs].fingerprint())
-            assert cg.config_load[ours] == fresh.config_load[theirs]
+        assert_patch_matches_fresh_compile(engine, graph, cg)
+
+        # A 300-fanout hub: patch re-sums its load net by net, the compile
+        # column by column over all nets; the adds are the same, so the bits.
+        graph = wide_fanout_graph(lines)
+        cg = engine.compile(graph)
+        graph.resize_driver("leaf7", 125.0)
+        graph.resize_driver("leaf250", 25.0)
+        graph.set_extra_load("hub", fF(3))
+        graph.set_receiver("leaf2", 100.0)
+        patched = cg.patch(graph, library=engine.library, tech=engine.tech)
+        assert patched == 4  # hub (the leaves' fanin) and three leaves
+        assert_patch_matches_fresh_compile(engine, graph, cg)
 
     def test_patch_is_idempotent_and_counts_zero_when_clean(
             self, library, solver, lines):
