@@ -133,7 +133,7 @@ with TimingSession() as session:
     incremental_seconds = (time.perf_counter() - started) / cycles
     last = report.analysis
     scratch = session.time(graph).analysis  # same engine: bit-identity holds
-    planes = ("exists", "in_arr", "early_in", "merged_slew", "in_slew",
+    planes = ("exists", "in_arr", "early_in", "in_slew",
               "src", "early_src", "out_arr", "early_out", "delay",
               "prop_slew")
     fp_last = np.array([s.fingerprint for s in last.solutions] + [""])

@@ -44,7 +44,7 @@ ENV_JOBS = "REPRO_JOBS"
 ENV_PERSISTENT_STAGES = "REPRO_PERSISTENT_STAGES"
 
 #: Keys older config payloads carry for fields that no longer exist.
-_RETIRED_CONFIG_KEYS = frozenset({"compile_threshold"})
+_RETIRED_CONFIG_KEYS = frozenset({"compile_threshold", "slew_quantum"})
 
 _TRUTHY = ("1", "true", "True", "yes", "on")
 
@@ -79,8 +79,7 @@ class SessionConfig:
     worker-process count for characterization's transient simulations (``1`` =
     serial; ``REPRO_JOBS=0`` resolves to the cpu count) — timing always runs
     in-process; ``persistent_stages`` additionally persists scalar stage solutions
-    under the cache's ``stages/`` subdirectory; ``slew_quantum`` (seconds) trades
-    bit-exactness for memo hit rate by snapping input slews onto a grid.
+    under the cache's ``stages/`` subdirectory.
     """
 
     library_dir: Optional[Path] = None  #: cell JSON directory; None = shipped data
@@ -89,7 +88,6 @@ class SessionConfig:
     persistent_stages: bool = False  #: persist scalar stage solutions on disk
     jobs: int = 1  #: worker processes for characterization grids
     memo_size: int = 4096  #: in-process stage-solution LRU bound (0 disables)
-    slew_quantum: Optional[float] = None  #: slew snapping grid [s]; None = exact
     slew_low: float = SLEW_LOW_THRESHOLD  #: lower slew measurement threshold
     slew_high: float = SLEW_HIGH_THRESHOLD  #: upper slew measurement threshold
     #: Default analysis mode for :meth:`TimingSession.time`: which constraint
@@ -111,8 +109,6 @@ class SessionConfig:
             raise ModelingError(f"jobs must be >= 1, got {self.jobs}")
         if self.memo_size < 0:
             raise ModelingError(f"memo_size must be >= 0, got {self.memo_size}")
-        if self.slew_quantum is not None and self.slew_quantum <= 0:
-            raise ModelingError("slew_quantum must be positive when given")
         if not 0.0 < self.slew_low < self.slew_high < 1.0:
             raise ModelingError(
                 "slew thresholds must satisfy 0 < slew_low < slew_high < 1, got "
@@ -185,7 +181,6 @@ class SessionConfig:
             "persistent_stages": self.persistent_stages,
             "jobs": self.jobs,
             "memo_size": self.memo_size,
-            "slew_quantum": self.slew_quantum,
             "slew_low": self.slew_low,
             "slew_high": self.slew_high,
             "mode": self.mode,
@@ -230,5 +225,5 @@ class SessionConfig:
             f"(cells {'on' if self.use_characterization_cache else 'off'}, "
             f"stages {'on' if self.persistent_stages else 'off'}), "
             f"jobs={self.jobs}, memo={self.memo_size}, "
-            f"quantum={self.slew_quantum}, mode={self.mode}{corners}"
+            f"mode={self.mode}{corners}"
         )

@@ -109,7 +109,6 @@ class TimingSession:
         self.solver = StageSolver(
             memo_size=cfg.memo_size,
             persistent=persistent,
-            slew_quantum=cfg.slew_quantum,
             slew_low=cfg.slew_low,
             slew_high=cfg.slew_high,
         )

@@ -16,8 +16,8 @@ fronts the flow with two cache layers:
 Keys are content fingerprints — :meth:`CellCharacterization.fingerprint`,
 :meth:`RLCLine.fingerprint`, exact ``float.hex`` encodings of slew/load and every
 :class:`ModelingOptions` field — so a hit is guaranteed to be bit-identical to a
-recompute.  An optional ``slew_quantum`` trades that exactness for hit rate by
-snapping input slews onto a uniform grid before solving.
+recompute.  :meth:`StageSolver.solve_batch` is the one memoized entry point:
+every request is answered from a cache layer or solved in one array pass.
 """
 
 from __future__ import annotations
@@ -111,8 +111,8 @@ class StageSolution:
 
     The scalar fields are what graph timing propagates (and what the persistent
     store keeps); ``model`` and ``far_end`` carry the full waveform-level detail
-    and are present only when the solution was computed in this process with
-    ``need_waveforms`` (they never cross a process or cache boundary).
+    and are present only when the solution was computed in this process (they
+    never cross a process or cache boundary).
     """
 
     fingerprint: str
@@ -213,8 +213,9 @@ def solve_stage(cell: CellCharacterization, input_slew: float, line: RLCLine,
                 fingerprint: Optional[str] = None) -> StageSolution:
     """Run one full (uncached) stage solve and package it as a :class:`StageSolution`.
 
-    This is the pure unit of work that :class:`StageSolver` memoizes (and the
-    scalar reference oracle its batched path is tested against).
+    The scalar reference oracle the batched path (:func:`solve_stage_batch`,
+    which :class:`StageSolver` memoizes) is tested against, and the per-stage
+    step of the naive ``memoize=False`` baseline.
     """
     options = options if options is not None else ModelingOptions()
     if fingerprint is None:
@@ -333,26 +334,20 @@ class SolverStats:
 
 
 class StageSolver:
-    """Memoizing front end to :func:`solve_stage`.
+    """Memoizing front end to :func:`solve_stage_batch`.
 
     ``memo_size`` bounds the in-process LRU (0 disables it); ``persistent`` turns
     on the cross-process scalar store (True for the default directory, or an
-    explicit directory / :class:`StageSolutionStore`); ``slew_quantum`` (seconds)
-    snaps input slews onto a uniform grid before solving, raising hit rates at the
-    cost of exactness — leave it None when bit-identical results matter.
+    explicit directory / :class:`StageSolutionStore`).
     """
 
     def __init__(self, *, memo_size: int = 4096,
                  persistent: "bool | str | Path | StageSolutionStore" = False,
-                 slew_quantum: Optional[float] = None,
                  slew_low: float = SLEW_LOW_THRESHOLD,
                  slew_high: float = SLEW_HIGH_THRESHOLD) -> None:
         if memo_size < 0:
             raise ModelingError("memo_size must be >= 0")
-        if slew_quantum is not None and slew_quantum <= 0:
-            raise ModelingError("slew_quantum must be positive when given")
         self.memo_size = memo_size
-        self.slew_quantum = slew_quantum
         self.slew_low = slew_low
         self.slew_high = slew_high
         if isinstance(persistent, StageSolutionStore):
@@ -382,18 +377,11 @@ class StageSolver:
             self._cell_digests[id(cell)] = entry
         return entry[1]
 
-    def quantize_slew(self, input_slew: float) -> float:
-        """The slew actually solved: ``input_slew`` snapped to the quantum grid."""
-        if self.slew_quantum is None:
-            return input_slew
-        return max(round(input_slew / self.slew_quantum), 1) * self.slew_quantum
-
     def fingerprint_for(self, cell: CellCharacterization, input_slew: float,
                         line: RLCLine, load_capacitance: float,
                         options: ModelingOptions) -> str:
-        """The memo key a solve request maps to (after slew quantization)."""
-        return stage_fingerprint(cell, self.quantize_slew(input_slew), line,
-                                 load_capacitance, options,
+        """The memo key a solve request maps to."""
+        return stage_fingerprint(cell, input_slew, line, load_capacitance, options,
                                  slew_low=self.slew_low, slew_high=self.slew_high,
                                  cell_fingerprint=self._cell_fingerprint(cell))
 
@@ -418,65 +406,14 @@ class StageSolver:
         return len(self._memo)
 
     # --- solving --------------------------------------------------------------------
-    def solve(self, cell: CellCharacterization, input_slew: float, line: RLCLine,
-              load_capacitance: float, *, options: Optional[ModelingOptions] = None,
-              need_waveforms: bool = False, memoize: bool = True,
-              fingerprint: Optional[str] = None) -> StageSolution:
-        """Solve one stage, answering from the memo layers when possible.
-
-        ``need_waveforms`` guarantees the returned solution carries the full
-        :class:`DriverOutputModel` / :class:`FarEndResponse` (recomputing a
-        scalar-only cached entry when necessary).  ``memoize=False`` bypasses every
-        cache layer in both directions — the naive baseline the benchmarks compare
-        against.  ``fingerprint`` lets batch callers that already ran
-        :meth:`fingerprint_for` skip the second hash.
-        """
-        options = options if options is not None else ModelingOptions()
-        input_slew = self.quantize_slew(input_slew)
-        if not memoize:
-            solution = solve_stage(cell, input_slew, line, load_capacitance,
-                                   options=options, slew_low=self.slew_low,
-                                   slew_high=self.slew_high)
-            self.stats.computed += 1
-            return solution
-
-        if fingerprint is None:
-            fingerprint = self.fingerprint_for(cell, input_slew, line,
-                                               load_capacitance, options)
-        solution = self._memo.get(fingerprint)
-        if solution is not None and (solution.has_waveforms or not need_waveforms):
-            self._memo.move_to_end(fingerprint)
-            self.stats.memo_hits += 1
-            return solution
-
-        if solution is None and self.store is not None and not need_waveforms:
-            stored = self.store.get(fingerprint)
-            if stored is not None:
-                self.stats.persistent_hits += 1
-                self._remember(stored)
-                return stored
-
-        solution = solve_stage(cell, input_slew, line, load_capacitance,
-                               options=options, slew_low=self.slew_low,
-                               slew_high=self.slew_high, fingerprint=fingerprint)
-        self.stats.computed += 1
-        self._remember(solution)
-        if self.store is not None:
-            try:
-                self.store.put(fingerprint, solution.lite())
-            except OSError:
-                pass  # read-only store: the computed result is still returned
-        return solution
-
-    def solve_batch(self, requests: Sequence[StageRequest], *,
-                    need_waveforms: bool = False) -> List[StageSolution]:
+    def solve_batch(self, requests: Sequence[StageRequest]) -> List[StageSolution]:
         """Solve many stages at once: memo layers per item, one array pass for misses.
 
         Every request is checked against the memo (and the persistent store)
         individually; all misses are then solved together through
-        :func:`solve_stage_batch` and installed back into the memo and the
-        persistent store exactly as :meth:`solve` would have.  Requests repeating
-        an earlier item's fingerprint — within this batch or across calls — are
+        :func:`solve_stage_batch` and installed back into the memo and (as
+        scalar-only entries) the persistent store.  Requests repeating an
+        earlier item's fingerprint — within this batch or across calls — are
         answered from the shared result and counted as memo hits.  ``batched_solves``
         advances by the number of lanes actually solved in the array pass.
         """
@@ -486,23 +423,22 @@ class StageSolver:
         for request in requests:
             options = (request.options if request.options is not None
                        else ModelingOptions())
-            input_slew = self.quantize_slew(request.input_slew)
             fingerprint = request.fingerprint
             if fingerprint is None:
                 fingerprint = self.fingerprint_for(
-                    request.cell, input_slew, request.line,
+                    request.cell, request.input_slew, request.line,
                     request.load_capacitance, options)
             order.append(fingerprint)
             if fingerprint in results:
                 self.stats.memo_hits += 1
                 continue
             memoized = self._memo.get(fingerprint)
-            if memoized is not None and (memoized.has_waveforms or not need_waveforms):
+            if memoized is not None:
                 self._memo.move_to_end(fingerprint)
                 self.stats.memo_hits += 1
                 results[fingerprint] = memoized
                 continue
-            if memoized is None and self.store is not None and not need_waveforms:
+            if self.store is not None:
                 stored = self.store.get(fingerprint)
                 if stored is not None:
                     self.stats.persistent_hits += 1
@@ -510,10 +446,8 @@ class StageSolver:
                     results[fingerprint] = stored
                     continue
             results[fingerprint] = None  # claimed: later repeats are batch-local hits
-            misses.append(StageRequest(
-                cell=request.cell, input_slew=input_slew, line=request.line,
-                load_capacitance=request.load_capacitance, options=options,
-                fingerprint=fingerprint))
+            misses.append(dataclasses.replace(request, options=options,
+                                              fingerprint=fingerprint))
         if misses:
             solved = solve_stage_batch(
                 misses, slew_low=self.slew_low, slew_high=self.slew_high,

@@ -3,10 +3,12 @@
 Layering, bottom up:
 
 * :mod:`repro.core.stage_solver` — the memoized per-stage solve (the paper's full
-  Ceff/two-ramp flow behind an LRU memo plus an optional persistent scalar store).
+  Ceff/two-ramp flow behind an LRU memo plus an optional persistent scalar store),
+  entered through one call, ``StageSolver.solve_batch``.
 * :mod:`repro.sta.graph` — the timing-graph data model: :class:`GraphNet` DAGs
-  with fanout, Kahn levelization, per-node rise/fall worst-arrival merging and
-  critical-path traceback (:class:`GraphTimingReport`).
+  with fanout, Kahn levelization, per-node rise/fall worst-arrival merging, and
+  the reference sweep's raw result (:class:`GraphTimingReport`: events and
+  critical path; its slack queries go through :class:`repro.api.TimingReport`).
 * :mod:`repro.sta.compiled` — the timing engine: :func:`compile_graph`
   freezes a :class:`TimingGraph` into a :class:`CompiledGraph` (struct-of-arrays
   CSR form), and :meth:`~.batch.GraphEngine.analyze_compiled` runs each level as

@@ -63,7 +63,7 @@ from ..characterization.library import CellLibrary, default_library
 from ..constants import SLEW_HIGH_THRESHOLD, SLEW_LOW_THRESHOLD
 from ..core.driver_model import ModelingOptions
 from ..core.stage_solver import (SolverStats, StageRequest, StageSolution,
-                                 StageSolver, _options_fingerprint)
+                                 StageSolver, _options_fingerprint, solve_stage)
 from ..errors import ModelingError
 from ..tech.technology import Technology, generic_180nm
 from .compiled import (TRANSITIONS, CompiledAnalysis, CompiledGraph,
@@ -181,7 +181,8 @@ class GraphEngine:
         The memoized path hands the whole level to
         :meth:`~repro.core.stage_solver.StageSolver.solve_batch` — memo layers
         answer per item, the unique misses are solved as one vectorized pass.
-        ``memoize=False`` keeps the per-item scalar :func:`solve_stage` loop:
+        ``memoize=False`` keeps the per-item scalar :func:`solve_stage` loop,
+        bypassing every cache layer and counting one computed solve per event:
         that is the reference oracle the benchmarks (and the equivalence tests)
         compare the batched path against, so it must not share its code.
         """
@@ -191,9 +192,11 @@ class GraphEngine:
                     for item, solution in zip(items, solved)}
         solutions: Dict[str, StageSolution] = {}
         for item in items:
-            solutions[item.fingerprint] = self.solver.solve(
+            solutions[item.fingerprint] = solve_stage(
                 item.cell, item.input_slew, item.net.line, item.load,
-                options=item.options, memoize=False)
+                options=item.options, slew_low=self.solver.slew_low,
+                slew_high=self.solver.slew_high, fingerprint=item.fingerprint)
+            self.solver.stats.computed += 1
         return solutions
 
     # --- analysis ----------------------------------------------------------------------
@@ -218,13 +221,10 @@ class GraphEngine:
                     (arrival, slew, source), (early, _, early_source) = state
                     event_options = self._event_options(transition, options)
                     cell = self.library.get(net.driver_size)
-                    # Quantize once here so the fingerprint and the solver
-                    # see the same slew.
                     # The late-plane slew is the one the stage is solved at
                     # (worst-slew propagation): the early plane shares the
                     # solution, which is what keeps dual-mode at zero extra
                     # stage solves.
-                    slew = self.solver.quantize_slew(slew)
                     items.append(_WorkItem(
                         net=net, cell=cell, load=load,
                         input_transition=transition, input_arrival=arrival,
@@ -392,18 +392,18 @@ class GraphEngine:
             state.exists[event] = True
             state.in_arr[event] = primary.arrival
             state.early_in[event] = primary.arrival
-            state.merged_slew[event] = primary.slew
+            state.in_slew[event] = primary.slew
 
     def _solve_compiled_level(self, cg: CompiledGraph, state: SweepState,
                               events: np.ndarray,
                               options_pair: Dict[int, ModelingOptions],
                               fp_cache: Dict[Tuple[int, int, float], str],
                               solutions: List[StageSolution]) -> None:
-        """Solve one level's events: quantize, dedupe, one batch, scatter back.
+        """Solve one level's events: dedupe, one batch, scatter back.
 
         The object engine hands the solver one request *per event* and lets
         the memo dedupe by re-hashing every fingerprint; here the level first
-        collapses to unique ``(stage config, transition, quantized slew)``
+        collapses to unique ``(stage config, transition, slew)``
         keys (:func:`~.compiled.level_solve_keys`) — so fingerprints
         are computed (or fetched from the compiled graph's cache) only per
         unique key.  That per-event sha256 hashing is exactly the warm-path
@@ -412,8 +412,7 @@ class GraphEngine:
         composition-sensitive at the ~1 ULP level, so a level's unique keys
         are always solved as one batch, in ``level_solve_keys`` order.
         """
-        unique, inverse = level_solve_keys(cg, state, events,
-                                           self.solver.slew_quantum)
+        unique, inverse = level_solve_keys(cg, state, events)
         requests: List[StageRequest] = []
         for config_key, t_key, slew in unique.tolist():
             config, t = int(config_key), int(t_key)

@@ -132,7 +132,7 @@ class CompiledGraph:
     topology_version: int  #: source graph's connectivity version at compile time
     compile_seconds: float  #: wall clock :func:`compile_graph` spent
     interner: Optional[ConfigInterner] = field(default=None, repr=False)
-    #: options-fingerprint -> (config id, transition, quantized slew) -> stage
+    #: options-fingerprint -> (config id, transition, input slew) -> stage
     #: fingerprint; persistent across analyses of this compiled graph.
     fingerprints: Dict[str, Dict[Tuple[int, int, float], str]] = field(
         default_factory=dict, repr=False)
@@ -426,17 +426,15 @@ class SweepState:
     """Per-event planes of one forward sweep, all indexed by event id.
 
     ``src`` / ``early_src`` hold winning-fanin *event ids* (-1 = primary-input
-    seed); ``merged_slew`` is the raw late-plane winner (tie-breaks compare
-    raw slews, exactly like the object engine's pending tuples) while
-    ``in_slew`` is its quantized form the stage was actually solved at.
-    ``sol_idx`` points into the analysis's solution list (-1 = unsolved).
+    seed); ``in_slew`` is the late-plane winner's slew, which the stage is
+    solved at.  ``sol_idx`` points into the analysis's solution list (-1 =
+    unsolved).
     """
 
     exists: np.ndarray  #: bool[2n]
     in_arr: np.ndarray  #: float64[2n], late merged input arrival
     early_in: np.ndarray  #: float64[2n], early merged input arrival
-    merged_slew: np.ndarray  #: float64[2n], raw late-winner slew
-    in_slew: np.ndarray  #: float64[2n], quantized solve slew
+    in_slew: np.ndarray  #: float64[2n], late-winner slew the stage solves at
     src: np.ndarray  #: int64[2n], late winning fanin event (-1 = PI)
     early_src: np.ndarray  #: int64[2n], early winning fanin event (-1 = PI)
     out_arr: np.ndarray  #: float64[2n], late far-end arrival
@@ -451,7 +449,6 @@ class SweepState:
             exists=np.zeros(n_events, dtype=bool),
             in_arr=np.zeros(n_events, dtype=np.float64),
             early_in=np.zeros(n_events, dtype=np.float64),
-            merged_slew=np.zeros(n_events, dtype=np.float64),
             in_slew=np.zeros(n_events, dtype=np.float64),
             src=np.full(n_events, -1, dtype=np.int64),
             early_src=np.full(n_events, -1, dtype=np.int64),
@@ -463,9 +460,9 @@ class SweepState:
 
     def planes(self) -> Tuple[np.ndarray, ...]:
         """Every per-event array, for whole-span copies between states."""
-        return (self.exists, self.in_arr, self.early_in, self.merged_slew,
-                self.in_slew, self.src, self.early_src, self.out_arr,
-                self.early_out, self.delay, self.prop_slew, self.sol_idx)
+        return (self.exists, self.in_arr, self.early_in, self.in_slew,
+                self.src, self.early_src, self.out_arr, self.early_out,
+                self.delay, self.prop_slew, self.sol_idx)
 
     def clone(self) -> "SweepState":
         """A deep per-plane copy (snapshot isolation for incremental updates).
@@ -473,7 +470,7 @@ class SweepState:
         A masked incremental sweep mutates its planes in place; cloning first
         keeps every previously issued :class:`CompiledAnalysis` (and the
         streaming reports / serve snapshots built on it) describing the state
-        it analyzed.  ~12 memcpys — microseconds at 100k nets.
+        it analyzed.  ~11 memcpys — microseconds at 100k nets.
         """
         return SweepState(*(plane.copy() for plane in self.planes()))
 
@@ -546,7 +543,7 @@ def _elect_merges(cg: CompiledGraph, state: SweepState,
     targets = tev[winner]
     state.exists[targets] = True
     state.in_arr[targets] = arrival[winner]
-    state.merged_slew[targets] = slew[winner]
+    state.in_slew[targets] = slew[winner]
     state.src[targets] = sev[winner]
     grouped = tev[first]
     is_first = np.empty(grouped.size, dtype=bool)
@@ -585,25 +582,18 @@ def merge_nets(cg: CompiledGraph, state: SweepState,
     return candidates[state.exists[candidates]]
 
 
-def level_solve_keys(cg: CompiledGraph, state: SweepState, events: np.ndarray,
-                     quantum: Optional[float]
+def level_solve_keys(cg: CompiledGraph, state: SweepState, events: np.ndarray
                      ) -> Tuple[np.ndarray, np.ndarray]:
     """Collapse a level's events to unique (config, transition, slew) keys.
 
-    Quantizes the merged slews onto the solver grid (bit-identical to
-    ``quantize_slew()``: ``round()`` and ``np.rint`` are both half-even),
-    records them in ``state.in_slew``, and returns ``(unique, inverse)``:
-    ``unique`` is a (k, 3) float64 matrix of the distinct keys in
-    lexicographic (config, transition, slew) order and ``inverse`` maps each
-    event to its row.  Each key packs into one int64 — slews by their rank
+    Returns ``(unique, inverse)``: ``unique`` is a (k, 3) float64 matrix of
+    the distinct keys in lexicographic (config, transition, slew) order and
+    ``inverse`` maps each event to its row.  Each key packs into one int64 — slews by their rank
     among the level's distinct slews — which preserves that order, so the
     dedupe costs two 1-D sorts.  ``solve_batch`` results depend on request
     order at the ~1 ULP level, so the order is part of the contract.
     """
-    slews = state.merged_slew[events]
-    if quantum is not None:
-        slews = np.maximum(np.rint(slews / quantum), 1.0) * quantum
-    state.in_slew[events] = slews
+    slews = state.in_slew[events]
     config = cg.config_id[events >> 1]
     transition = events & 1
     if events.size == 1:  # one event is its own unique key (chains, paths)

@@ -80,7 +80,7 @@ def _seed_roots(cg: CompiledGraph, graph: TimingGraph, state: SweepState,
         state.exists[event] = True
         state.in_arr[event] = primary.arrival
         state.early_in[event] = primary.arrival
-        state.merged_slew[event] = primary.slew
+        state.in_slew[event] = primary.slew
 
 
 def _interleave(nets: np.ndarray) -> np.ndarray:
@@ -112,7 +112,7 @@ def incremental_sweep(cg: CompiledGraph, graph: TimingGraph, state: SweepState,
 
     ``state`` must hold a complete prior sweep of the same (patched) compiled
     graph; ``dirty_ids`` the net ids the edits dirtied; ``solve_level`` the
-    engine's quantize/dedupe/solve/scatter seam, called once per level with
+    engine's dedupe/solve/scatter seam, called once per level with
     the level's re-merged event ids.  Visited slots are reset to their
     from-scratch zeros before re-merging, so vanished events (a re-stimulated
     root changing transition) leave no residue and every plane of the result
@@ -139,9 +139,9 @@ def incremental_sweep(cg: CompiledGraph, graph: TimingGraph, state: SweepState,
         # scatter only install winners, so a stale event would otherwise
         # survive its sources vanishing.
         state.exists[candidates] = False
-        for plane in (state.in_arr, state.early_in, state.merged_slew,
-                      state.in_slew, state.out_arr, state.early_out,
-                      state.delay, state.prop_slew):
+        for plane in (state.in_arr, state.early_in, state.in_slew,
+                      state.out_arr, state.early_out, state.delay,
+                      state.prop_slew):
             plane[candidates] = 0.0
         state.src[candidates] = -1
         state.early_src[candidates] = -1

@@ -62,8 +62,6 @@ class TestSessionConfig:
         with pytest.raises(ModelingError):
             SessionConfig(memo_size=-1)
         with pytest.raises(ModelingError):
-            SessionConfig(slew_quantum=0.0)
-        with pytest.raises(ModelingError):
             SessionConfig(slew_low=0.8, slew_high=0.2)
         with pytest.raises(ModelingError):
             SessionConfig(options="not options")
@@ -106,17 +104,19 @@ class TestSessionConfig:
         assert SessionConfig.from_dict(payload) == config
 
     def test_pre_retirement_payload_loads(self):
+        # Saved while compile_threshold and slew_quantum still existed; both
+        # retired keys are dropped on load.
         payload = json.loads(PRE_RETIREMENT_CONFIG.read_text())
         assert payload["compile_threshold"] == 512
+        assert payload["slew_quantum"] == 1e-12
         config = SessionConfig.from_dict(payload)
         assert config == SessionConfig(
-            jobs=2, mode="setup", slew_quantum=1e-12,
+            jobs=2, mode="setup",
             corners={"slow": ModelingOptions(ceff_damping=0.4)})
         assert SessionConfig.from_dict(config.to_dict()) == config
 
     def test_dict_round_trip(self, tmp_path):
-        config = SessionConfig(cache_dir=tmp_path, jobs=2, slew_quantum=ps(1.0),
-                               persistent_stages=True)
+        config = SessionConfig(cache_dir=tmp_path, jobs=2, persistent_stages=True)
         assert SessionConfig.from_dict(config.to_dict()) == config
 
     def test_from_dict_rejects_unknown_fields(self):

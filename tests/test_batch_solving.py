@@ -463,23 +463,12 @@ class TestSolverSolveBatch:
         for a, b in zip(solved, again):
             assert a.gate_delay == b.gate_delay
 
-    def test_need_waveforms_recomputes_scalar_only_entries(self, stage_requests):
-        solver = StageSolver()
-        lite = stage_requests[0]
-        first = solver.solve_batch([lite])[0]
-        solver._remember(first.lite())  # simulate a scalar-only cached entry
-        second = solver.solve_batch([lite], need_waveforms=True)[0]
-        assert second.has_waveforms
-        assert solver.stats.computed == 2
-
     def test_batch_results_identical_to_scalar_solve_path(self, stage_requests):
-        batch_solver = StageSolver()
-        scalar_solver = StageSolver()
-        batch = batch_solver.solve_batch(stage_requests)
+        batch = StageSolver().solve_batch(stage_requests)
         for request, solution in zip(stage_requests, batch):
-            scalar = scalar_solver.solve(request.cell, request.input_slew,
-                                         request.line, request.load_capacitance,
-                                         options=request.options)
+            scalar = solve_stage(request.cell, request.input_slew, request.line,
+                                 request.load_capacitance,
+                                 options=request.options)
             assert solution.fingerprint == scalar.fingerprint
             assert rel_err(solution.stage_delay, scalar.stage_delay) < 1e-9
 
@@ -491,6 +480,7 @@ class TestEngineEquivalence:
         naive = engine.analyze(graph, memoize=False)
         batched = engine.analyze(graph)
         assert naive.stats.batched_solves == 0
+        assert naive.stats.computed == naive.n_events  # one solve per event
         assert batched.stats.batched_solves == batched.stats.computed > 0
         for name, per_net in naive.events.items():
             for transition, event in per_net.items():

@@ -23,3 +23,26 @@ def test_child_of_a_large_parent_reports_its_own_smaller_peak():
     del ballast
     assert parent >= 200 * 1024 * 1024
     assert int(child.stdout) < parent
+
+
+#: The benchmark harness, whose tracer wraps program functions by name.
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_perfbench_tracer_wraps_and_restores_every_name(monkeypatch):
+    # A rename or deletion in src/ that breaks `perfbench/run.py --trace 1`
+    # fails here: install() looks every wrapped name up on its owner.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        originals = list(tracer._patched)
+        assert len(originals) == 26
+        for owner, attr, raw in originals:
+            assert vars(owner)[attr] is not raw
+    finally:
+        tracer.uninstall()
+    for owner, attr, raw in originals:
+        assert vars(owner)[attr] is raw

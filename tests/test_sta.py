@@ -12,8 +12,8 @@ import pytest
 
 from repro.api import SessionConfig, TimingReport, TimingSession
 from repro.constants import SLEW_HIGH_THRESHOLD, SLEW_LOW_THRESHOLD
-from repro.core import ModelingOptions, StageSolver
-from repro.core.stage_solver import StageSolution
+from repro.core import ModelingOptions
+from repro.core.stage_solver import StageSolution, solve_stage
 from repro.errors import ModelingError
 from repro.interconnect import RLCLine
 from repro.sta import TimingPath, TimingStage, flip_transition, simulate_path_reference
@@ -31,7 +31,6 @@ def serial_chain(path: TimingPath, *, library, tech,
     waveform reaches the next gate as a saturated ramp with the same
     threshold-to-threshold transition time.
     """
-    solver = StageSolver(slew_low=slew_low, slew_high=slew_high)
     solutions: List[StageSolution] = []
     slew = path.input_slew
     transition = options.transition
@@ -40,10 +39,10 @@ def serial_chain(path: TimingPath, *, library, tech,
         load = stage.extra_load
         if stage.receiver_size is not None:
             load += tech.inverter_input_capacitance(stage.receiver_size)
-        solution = solver.solve(
+        solution = solve_stage(
             library.get(stage.driver_size), slew, stage.line, load,
             options=replace(options, transition=transition, reference_time=0.0),
-            memoize=False)
+            slew_low=slew_low, slew_high=slew_high)
         solutions.append(solution)
         slew = solution.far_slew / (slew_high - slew_low)
     return solutions

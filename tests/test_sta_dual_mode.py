@@ -20,6 +20,7 @@ import random
 
 import pytest
 
+from repro.api import TimingReport
 from repro.core import StageSolver
 from repro.errors import ModelingError
 from repro.experiments import parallel_chains, race_graph, reconvergent_graph
@@ -50,6 +51,11 @@ def engine(library, solver):
     return GraphEngine(library=library, solver=solver)
 
 
+def timed(engine, graph):
+    """The reference sweep, queried through the user-facing report."""
+    return TimingReport.from_graph_report(engine.analyze(graph), design="graph")
+
+
 def same_parity_diamond(line):
     """The minimal early/late-split workload (shared with the CLI's --case race)."""
     return race_graph(line=line)
@@ -77,19 +83,21 @@ class TestEarlyPlane:
         # The early plane rides the same solution: one solve, two arrivals.
         assert (event.output_arrival - event.input_arrival
                 == event.early_output_arrival - event.early_input_arrival)
-        assert report.early_arrival("sink") < report.arrival("sink")
+        timing = TimingReport.from_graph_report(report, design="race")
+        assert timing.early_arrival("sink") < timing.arrival("sink")
 
     def test_early_arrival_takes_the_minimum_over_events(self, engine, lines):
         # The diamond sink carries two events (rise and fall); the net-level
         # early arrival must be the best case over them, not the early value
         # of the worst-late event.
         graph = reconvergent_graph(line=lines[0])
-        report = engine.analyze(graph)
-        events = report.events["sink"].values()
+        raw = engine.analyze(graph)
+        report = TimingReport.from_graph_report(raw, design="diamond")
+        events = raw.events["sink"].values()
         assert report.early_arrival("sink") == min(
             event.early_output_arrival for event in events)
         assert report.early_arrival("sink") < report.arrival("sink")
-        for transition, event in report.events["sink"].items():
+        for transition, event in raw.events["sink"].items():
             assert (report.early_arrival("sink", transition)
                     == event.early_output_arrival)
         with pytest.raises(ModelingError):
@@ -121,32 +129,35 @@ class TestHoldConstraints:
     def test_hold_margin_constrains_every_endpoint(self, engine, lines):
         graph = parallel_chains(2, 2, lines=[lines[0]], input_slew=ps(100))
         graph.set_clock_period(ps(800), hold_margin=ps(60))
-        report = engine.analyze(graph)
+        report = timed(engine, graph)
         for name in ("c0s1", "c1s1"):
             event = report.event(name)
             assert event.hold_required == ps(60)
-            assert event.hold_slack == event.early_output_arrival - ps(60)
+            assert event.hold_slack == event.early_arrival - ps(60)
             assert event.required == ps(800)  # setup still in force
         # Mid-chain hold requirements propagate backward through stage delays.
         head = report.event("c0s0")
         tail = report.event("c0s1")
-        assert head.hold_required == ps(60) - tail.solution.stage_delay
+        assert head.hold_required == ps(60) - tail.stage_delay
 
     def test_hold_pin_and_violation(self, engine, lines):
         graph = same_parity_diamond(lines[0])
         # Pin an aggressive minimum on the sink: the fast branch violates it.
         graph.set_required("sink", ps(400), mode="hold")
-        report = engine.analyze(graph)
+        report = timed(engine, graph)
         event = report.events["sink"]["rise"]
         assert event.hold_required == ps(400)
-        assert event.hold_slack == event.early_output_arrival - ps(400)
+        assert event.hold_slack == event.early_arrival - ps(400)
         assert event.hold_slack < 0
         assert report.worst_hold_slack == event.hold_slack
         assert report.whs == event.hold_slack
         assert report.wns is None  # no setup constraint in force
         # The worst hold path follows the early plane through the fast branch.
-        hold_path = [e.net.name for e in report.slack_path(mode="hold")]
-        assert hold_path == ["root", "fast", "sink"]
+        assert report.worst_slack_event(mode="hold") is event
+        fast = report.event(*event.early_source)
+        assert fast.net == "fast"
+        assert fast.early_source == ("root", "rise")
+        assert report.event("root").early_source is None
 
     def test_clock_replaces_hold_margin(self, engine, lines):
         graph = parallel_chains(1, 2, lines=[lines[0]], input_slew=ps(100))
@@ -156,7 +167,7 @@ class TestHoldConstraints:
         graph.set_clock_period(ps(800))  # margin not repeated: check removed
         assert graph.hold_margin is None
         assert not graph.hold_constrained
-        report = engine.analyze(graph)
+        report = timed(engine, graph)
         assert report.event("c0s1").hold_required is None
         assert report.whs is None
 
@@ -188,19 +199,19 @@ class TestHoldConstraints:
     def test_hold_slack_queries(self, engine, lines):
         graph = same_parity_diamond(lines[0])
         graph.set_clock_period(ps(600), hold_margin=ps(50))
-        report = engine.analyze(graph)
+        report = timed(engine, graph)
         assert report.slack("sink", mode="hold") == \
             report.events["sink"]["rise"].hold_slack
-        assert report.required("sink", mode="hold") == ps(50)
+        assert report.event("sink").hold_required == ps(50)
         worst = report.worst_slack_event(mode="hold")
-        assert worst.net.name == "sink"
-        ordered = report.endpoint_events(mode="hold")
+        assert worst.net == "sink"
+        ordered = report.endpoint_slacks(mode="hold")
         slacks = [e.hold_slack for e in ordered if e.hold_slack is not None]
         assert slacks == sorted(slacks)
 
     def test_unconstrained_hold_queries_raise_or_none(self, engine, lines):
         graph = same_parity_diamond(lines[0])
-        report = engine.analyze(graph)
+        report = timed(engine, graph)
         assert report.slack("sink", mode="hold") is None
         assert report.worst_hold_slack is None
         with pytest.raises(ModelingError):

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from repro.api import TimingReport
 from repro.core import StageSolver
 from repro.errors import ModelingError
 from repro.experiments import (fanout_tree, parallel_chains, reconvergent_graph)
@@ -85,6 +86,22 @@ class TestStructure:
                 edit()
         assert graph.version == version
         assert graph.nets["n"] == GraphNet("n", 75.0, line, receiver_size=25.0)
+        # Stimulus and constraint values: unchecked, a NaN hold margin drops
+        # every hold check silently and a NaN slew fails inside the solver.
+        for stimulus in ({"slew": bad}, {"slew": ps(80), "arrival": bad}):
+            with pytest.raises(ModelingError, match="finite"):
+                PrimaryInput(**stimulus)
+        with pytest.raises(ModelingError, match="finite"):
+            TimingGraph([GraphNet("n", 75.0, line, receiver_size=25.0)],
+                        {"n": PrimaryInput(slew=ps(80))}, clock_period=bad)
+        for constrain in (
+                lambda: graph.set_clock_period(bad),
+                lambda: graph.set_clock_period(ps(1500), hold_margin=bad),
+                lambda: graph.set_required("n", bad),
+                lambda: graph.set_required("n", bad, mode="hold")):
+            with pytest.raises(ModelingError, match="finite"):
+                constrain()
+        assert not graph.constrained and not graph.constraints_dirty
 
     def test_graph_validation(self, line):
         with pytest.raises(ModelingError):
@@ -219,10 +236,11 @@ class TestGraphTimer:
             GraphEngine(library=library).analyze("not a graph")
 
     def test_report_queries_and_formatting(self, library, diamond):
-        report = GraphEngine(library=library).analyze(diamond)
-        assert report.arrival("sink") == report.worst_event().output_arrival
+        raw = GraphEngine(library=library).analyze(diamond)
+        report = TimingReport.from_graph_report(raw, design="diamond")
+        assert report.arrival("sink") == raw.worst_event().output_arrival
         assert report.arrival("sink", "fall") == \
-            report.events["sink"]["fall"].output_arrival
+            raw.events["sink"]["fall"].output_arrival
         with pytest.raises(ModelingError):
             report.event("ghost")
         with pytest.raises(ModelingError):
@@ -240,12 +258,14 @@ class TestGraphTimer:
         assert report.stats.computed == 3
         assert report.stats.memo_hits == 15
         assert report.stats.hit_rate == pytest.approx(15 / 18)
-        arrivals = {report.arrival(name) for name in graph.sinks}
+        timing = TimingReport.from_graph_report(report, design="chains")
+        arrivals = {timing.arrival(name) for name in graph.sinks}
         assert len(arrivals) == 1  # identical chains, identical arrivals
 
     def test_fanout_tree_analysis(self, library):
         graph = fanout_tree(3)
-        report = GraphEngine(library=library).analyze(graph)
+        report = TimingReport.from_graph_report(
+            GraphEngine(library=library).analyze(graph), design="tree")
         assert report.n_events == len(graph) == 15
         # Every level deeper arrives strictly later.
         assert report.arrival("t") < report.arrival("t.0") < \
@@ -253,8 +273,11 @@ class TestGraphTimer:
 
 
 class TestConstraintsAndSlack:
-    def engine(self, library, shared_solver):
-        return GraphEngine(library=library, solver=shared_solver)
+    """Slack of the reference sweep, queried through the user-facing report."""
+
+    def timed(self, library, shared_solver, graph):
+        raw = GraphEngine(library=library, solver=shared_solver).analyze(graph)
+        return TimingReport.from_graph_report(raw, design="graph")
 
     def test_constraint_validation(self, line, fresh_diamond):
         graph = fresh_diamond
@@ -270,7 +293,7 @@ class TestConstraintsAndSlack:
 
     def test_unconstrained_graph_reports_no_slack(self, library, shared_solver,
                                                   fresh_diamond):
-        report = self.engine(library, shared_solver).analyze(fresh_diamond)
+        report = self.timed(library, shared_solver, fresh_diamond)
         assert report.worst_slack is None and report.wns is None
         assert report.slack("sink") is None
         with pytest.raises(ModelingError):
@@ -280,7 +303,7 @@ class TestConstraintsAndSlack:
                                                     shared_solver,
                                                     fresh_diamond):
         fresh_diamond.set_clock_period(ps(800))
-        report = self.engine(library, shared_solver).analyze(fresh_diamond)
+        report = self.timed(library, shared_solver, fresh_diamond)
         for event in report.events["sink"].values():
             assert event.required == ps(800)
             assert event.slack == ps(800) - event.output_arrival
@@ -296,8 +319,7 @@ class TestConstraintsAndSlack:
         # branches differ in parity); pin each far-end direction to a different
         # requirement and check they stay separate.
         graph = reconvergent_graph(line=line)
-        engine = self.engine(library, shared_solver)
-        base = engine.analyze(graph)
+        base = self.timed(library, shared_solver, graph)
         rise_arrival = base.events["sink"]["fall"].output_arrival  # out rises
         fall_arrival = base.events["sink"]["rise"].output_arrival  # out falls
         # Make the *earlier-arriving* output edge the critical one: its pin is
@@ -306,7 +328,7 @@ class TestConstraintsAndSlack:
             if rise_arrival <= fall_arrival else ("fall", "rise")
         graph.set_required("sink", ps(220), transition=early_out)
         graph.set_required("sink", ps(900), transition=late_out)
-        report = engine.analyze(graph)
+        report = self.timed(library, shared_solver, graph)
         events = {event.output_transition: event
                   for event in report.events["sink"].values()}
         assert events[early_out].required == ps(220)
@@ -314,34 +336,31 @@ class TestConstraintsAndSlack:
         worst = report.worst_slack_event()
         assert worst.output_transition == early_out
         assert worst is not report.worst_event()  # slack-critical != arrival-critical
-        # Slack traceback follows the constrained event's worst-arrival sources
-        # back to the primary input, and slack never improves along the path.
-        path = report.slack_path()
-        assert path[0].net.name == "root" and path[0].source is None
-        assert path[-1] is worst
-        slacks = [event.slack for event in path]
-        assert all(s is not None for s in slacks)
-        assert slacks[-1] == report.worst_slack
-        # Upstream slacks equal the endpoint slack along the critical chain
-        # (up to float re-association: backward propagation re-brackets the
-        # same sum, so mid-path values may sit one ULP off).
-        assert min(slacks) == pytest.approx(report.worst_slack, rel=1e-12)
+        assert worst.slack == report.worst_slack
+        # Upstream of the constrained event, its winning fanin and the primary
+        # input carry the endpoint slack (up to float re-association: backward
+        # propagation re-brackets the same sum, so values may sit one ULP off).
+        upstream = report.event(*worst.source)
+        assert upstream.slack == pytest.approx(report.worst_slack, rel=1e-12)
+        root = report.event("root", "rise")
+        assert root.source is None
+        assert root.slack == pytest.approx(report.worst_slack, rel=1e-12)
 
     def test_explicit_pin_overrides_clock_period(self, library, shared_solver,
                                                  fresh_diamond):
         fresh_diamond.set_clock_period(ps(800))
         fresh_diamond.set_required("sink", ps(300))  # both directions
-        report = self.engine(library, shared_solver).analyze(fresh_diamond)
+        report = self.timed(library, shared_solver, fresh_diamond)
         for event in report.events["sink"].values():
             assert event.required == ps(300)
 
     def test_negative_slack_and_wns(self, library, shared_solver,
                                     fresh_diamond):
         fresh_diamond.set_required("sink", ps(100))
-        report = self.engine(library, shared_solver).analyze(fresh_diamond)
+        report = self.timed(library, shared_solver, fresh_diamond)
         assert report.worst_slack < 0
         assert report.wns == report.worst_slack
-        table = report.endpoint_events()
+        table = report.endpoint_slacks()
         assert table[0] is report.worst_slack_event()
         assert "slack" in report.format_report()
 
@@ -358,12 +377,12 @@ class TestConstraintsAndSlack:
         graph = TimingGraph(nets, {"root": PrimaryInput(slew=ps(100))})
         graph.set_required("a", ps(400))
         graph.set_required("b", ps(300))
-        report = self.engine(library, shared_solver).analyze(graph)
+        report = self.timed(library, shared_solver, graph)
         root = report.events["root"]["rise"]
         a = report.events["a"]["fall"]
         b = report.events["b"]["fall"]
-        assert root.required == min(ps(400) - a.solution.stage_delay,
-                                    ps(300) - b.solution.stage_delay)
+        assert root.required == min(ps(400) - a.stage_delay,
+                                    ps(300) - b.stage_delay)
 
 
 class TestGraphEdits:

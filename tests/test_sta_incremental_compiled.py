@@ -53,7 +53,7 @@ def solver():
 
 #: Every per-event plane except ``sol_idx``, which indexes the producing
 #: engine's append-only solution list and is compared by content instead.
-PLANES = ("exists", "in_arr", "early_in", "merged_slew", "in_slew",
+PLANES = ("exists", "in_arr", "early_in", "in_slew",
           "src", "early_src", "out_arr", "early_out", "delay", "prop_slew")
 
 

@@ -4,12 +4,13 @@ import json
 
 import pytest
 
-from repro.core import (ModelingOptions, StageSolution, StageSolutionStore,
-                        StageSolver, far_end_response, model_driver_output,
-                        solve_stage, stage_fingerprint)
+from repro.core import (ModelingOptions, StageRequest, StageSolution,
+                        StageSolutionStore, StageSolver, far_end_response,
+                        model_driver_output, solve_stage, stage_fingerprint)
 from repro.errors import ModelingError
 from repro.interconnect import RLCLine
 from repro.interconnect.parasitics import LineParasitics
+from repro.sta import GraphEngine, GraphNet, PrimaryInput, TimingGraph
 from repro.units import mm, nH, pF, ps
 
 
@@ -104,86 +105,71 @@ class TestSolveStage:
             StageSolution.from_payload(payload)
 
 
+def request(cell, slew, line, load=1e-14, transition="fall"):
+    return StageRequest(cell=cell, input_slew=slew, line=line,
+                        load_capacitance=load,
+                        options=ModelingOptions(transition=transition))
+
+
 class TestStageSolver:
     def test_memo_hit_returns_identical_solution(self, cell75, line):
         solver = StageSolver()
-        options = ModelingOptions(transition="fall")
-        first = solver.solve(cell75, ps(100), line, 1e-14, options=options)
-        second = solver.solve(cell75, ps(100), line, 1e-14, options=options)
+        (first,) = solver.solve_batch([request(cell75, ps(100), line)])
+        (second,) = solver.solve_batch([request(cell75, ps(100), line)])
         assert first is second
         assert solver.stats.computed == 1
         assert solver.stats.memo_hits == 1
         assert solver.stats.hit_rate == pytest.approx(0.5)
 
-    def test_memoize_false_bypasses_but_matches(self, cell75, line):
+    def test_memoize_false_bypasses_but_matches(self, library, line):
+        # The naive baseline (analyze(memoize=False)) skips every cache layer
+        # yet counts one computed solve per event on the engine's solver.
         solver = StageSolver()
-        options = ModelingOptions(transition="fall")
-        cached = solver.solve(cell75, ps(100), line, 1e-14, options=options)
-        fresh = solver.solve(cell75, ps(100), line, 1e-14, options=options,
-                             memoize=False)
+        engine = GraphEngine(library=library, solver=solver)
+        graph = TimingGraph([GraphNet("n", 75.0, line, receiver_size=25.0)],
+                            {"n": PrimaryInput(slew=ps(100))})
+        cached = engine.analyze(graph).events["n"]["rise"].solution
+        fresh = engine.analyze(graph, memoize=False).events["n"]["rise"].solution
         assert fresh is not cached
-        assert fresh.lite() == cached.lite()
+        assert fresh.fingerprint == cached.fingerprint
+        assert fresh.stage_delay == pytest.approx(cached.stage_delay, rel=1e-9)
         assert solver.stats.computed == 2
+        assert len(solver) == 1
 
     def test_lru_bound(self, cell75, line, other_line):
         solver = StageSolver(memo_size=2)
         for slew in (ps(80), ps(100), ps(120)):
-            solver.solve(cell75, slew, line, 1e-14,
-                         options=ModelingOptions(transition="fall"))
+            solver.solve_batch([request(cell75, slew, line)])
         assert len(solver) == 2
 
-    def test_need_waveforms_upgrades_lite_entries(self, cell75, line, tmp_path):
-        options = ModelingOptions(transition="fall")
-        StageSolver(persistent=tmp_path).solve(cell75, ps(100), line, 1e-14,
-                                               options=options)
-        solver = StageSolver(persistent=tmp_path)
-        lite = solver.solve(cell75, ps(100), line, 1e-14, options=options)
-        assert not lite.has_waveforms  # the store keeps scalar-only entries
-        scalar = solver.solve(cell75, ps(100), line, 1e-14, options=options)
-        assert scalar is lite  # the memoized lite entry answers scalar requests
-        full = solver.solve(cell75, ps(100), line, 1e-14, options=options,
-                            need_waveforms=True)
-        assert full.has_waveforms
-        assert full.lite() == lite
-
     def test_persistent_store_roundtrip(self, cell75, line, tmp_path):
-        options = ModelingOptions(transition="fall")
         writer = StageSolver(persistent=tmp_path)
-        computed = writer.solve(cell75, ps(100), line, 1e-14, options=options)
+        (computed,) = writer.solve_batch([request(cell75, ps(100), line)])
         assert len(writer.store) == 1
 
         reader = StageSolver(persistent=tmp_path)
-        restored = reader.solve(cell75, ps(100), line, 1e-14, options=options)
+        (restored,) = reader.solve_batch([request(cell75, ps(100), line)])
         assert reader.stats.persistent_hits == 1
         assert reader.stats.computed == 0
         assert restored == computed.lite()
+        assert not restored.has_waveforms  # the store keeps scalar-only entries
+        (again,) = reader.solve_batch([request(cell75, ps(100), line)])
+        assert again is restored  # the memoized lite entry answers repeats
 
     def test_corrupt_persistent_entry_heals(self, cell75, line, tmp_path):
-        options = ModelingOptions(transition="fall")
         writer = StageSolver(persistent=tmp_path)
-        solution = writer.solve(cell75, ps(100), line, 1e-14, options=options)
+        (solution,) = writer.solve_batch([request(cell75, ps(100), line)])
         path = writer.store.path_for(solution.fingerprint)
         path.write_text("{ not json")
 
         reader = StageSolver(persistent=tmp_path)
         with pytest.warns(RuntimeWarning, match="corrupt"):
-            recovered = reader.solve(cell75, ps(100), line, 1e-14, options=options)
+            (recovered,) = reader.solve_batch([request(cell75, ps(100), line)])
         assert recovered.lite() == solution.lite()
         assert reader.stats.computed == 1
         # The healed entry is rewritten and serves the next process.
         assert StageSolutionStore(tmp_path).get(solution.fingerprint) is not None
 
-    def test_slew_quantum_buckets_nearby_slews(self, cell75, line):
-        solver = StageSolver(slew_quantum=ps(1.0))
-        options = ModelingOptions(transition="fall")
-        a = solver.solve(cell75, ps(100.2), line, 1e-14, options=options)
-        b = solver.solve(cell75, ps(99.9), line, 1e-14, options=options)
-        assert a is b
-        assert a.input_slew == pytest.approx(ps(100.0))
-        assert solver.stats.memo_hits == 1
-
     def test_validation(self):
         with pytest.raises(ModelingError):
             StageSolver(memo_size=-1)
-        with pytest.raises(ModelingError):
-            StageSolver(slew_quantum=0.0)
