@@ -31,12 +31,17 @@ A final *compiled* phase takes the same claim to the scale tier, in a fresh
 subprocess: on the 100k-net SoC graph (``update()`` runs
 :class:`~repro.sta.incremental_compiled.CompiledIncrementalEngine` at every
 size) it drives ``COMPILED_EDIT_CYCLES`` sequential
-``resize_driver`` + ``update()`` cycles and gates three facts — parameter
+``resize_driver`` + ``update()`` cycles and gates five facts — parameter
 edits never recompile (``compile_seconds`` sums to exactly zero across every
-cycle), the cone stays a vanishing fraction of the graph, and the mean
-per-edit update stays under ``COMPILED_UPDATE_CEILING_SECONDS`` — then checks
-the final incremental state against a from-scratch compiled analysis plane by
-plane, exactly (``sol_idx`` aside, compared by solution fingerprint).
+cycle), the cone stays a vanishing fraction of the graph, no update falls back
+to cloning its planes (``full_plane_copies``, the ``SweepState.clone`` calls
+of the loop, is zero: every update sweeps the engine's spare plane buffer),
+the mean per-edit update stays under ``COMPILED_UPDATE_CEILING_SECONDS``, and
+the same edit sites cost about the same on the ``SCALING_NETS`` graph as on
+the 100k one (median per-edit ratio at most ``SCALING_RATIO_CEILING``: the
+update is O(cone), not O(graph)).  It then checks the final incremental
+state against a from-scratch compiled analysis plane by plane, exactly
+(``sol_idx`` aside, compared by solution fingerprint).
 
 Results land in ``benchmarks/reports/incremental.txt`` and
 ``benchmarks/reports/BENCH_incremental.json``.  The JSON is split into a
@@ -64,41 +69,64 @@ SRC_DIRECTORY = Path(__file__).resolve().parents[1] / "src"
 #: Ceiling on a single-net-edit update of the 1k-net graph [s]: the object
 #: engine's measured update (4.8 ms on a 2-CPU container) before every design
 #: moved to the compiled engine.  It replaced a ">= 5x over a full re-time"
-#: floor: the compiled full re-time fell from ~150 ms to ~3 ms while each
-#: update still copies O(graph) planes, so the ratio no longer has 5x of room;
-#: the ratio is still recorded under ``machine``.
+#: floor: the compiled full re-time of the 1k graph fell from ~150 ms to
+#: ~3 ms, so the ratio no longer has 5x of room; the ratio is still recorded
+#: under ``machine``.
 UPDATE_CEILING_SECONDS = 0.005
 
 #: The compiled phase's workload size and edit-loop length.
 COMPILED_NETS = 100_000
 COMPILED_EDIT_CYCLES = 200
 
-#: Ceiling on the mean compiled incremental update at 100k nets [s].  It is
-#: the bound the former ">= 10x over a warm full compiled re-sweep" floor
-#: enforced on a 2-CPU container while that re-sweep took ~161 ms.  The
-#: re-sweep is now ~4x faster but each update still pays O(graph) plane
-#: copies for snapshot isolation, so a ratio would loosen as the baseline
-#: speeds up; a fixed ceiling keeps catching a slower update.  Measured
-#: 6-10 ms per update on that container.
-COMPILED_UPDATE_CEILING_SECONDS = 0.016
+#: Ceiling on the mean compiled incremental update at 100k nets [s].  A
+#: 2-CPU container measures ~3 ms per update now that an update sweeps the
+#: engine's spare plane buffer, against ~7.5 ms while every update cloned its
+#: O(graph) planes (and ~9 ms for those clones without perfbench's pinned
+#: malloc), so this ceiling fails on a regression to the clone path.
+COMPILED_UPDATE_CEILING_SECONDS = 0.006
+
+#: The smaller graph of the scaling check, and the ceiling on the ratio of
+#: the median per-edit update at ``COMPILED_NETS`` to the one at this size.
+#: The edit sites sit in clusters below 80, which both graphs contain, so the
+#: cones are the same; an O(cone) update costs about the same at both sizes
+#: (measured ~1.1 with the two sizes timed in turn), while cloning the
+#: planes made the 100k update ~2.9x the 10k one.
+SCALING_NETS = 10_000
+SCALING_RATIO_CEILING = 1.5
 
 #: Runs in a fresh interpreter (the scale-tier pattern: a hermetic process,
-#: exactly how CI runs it).  Prints one JSON object on stdout.
+#: exactly how CI runs it).  Times the same edit loop on every graph size in
+#: ``sizes``, one edit per size in turn, so both sizes see the same machine
+#: load; prints one JSON object per size on stdout, keyed by net count.
 _COMPILED_SUBPROCESS_SCRIPT = """
 import json, time
 import numpy as np
 from repro.api import TimingSession
 from repro.experiments import soc_graph
+from repro.sta.compiled import SweepState
 from repro.units import ps
 
-nets, cycles = {nets}, {cycles}
-graph = soc_graph(nets)
-graph.set_clock_period(ps(1500), hold_margin=0.0)
+clones = [0]
+clone = SweepState.clone
+
+
+def counting_clone(state):
+    clones[0] += 1
+    return clone(state)
+
+
+SweepState.clone = counting_clone
+sizes, cycles = {sizes}, {cycles}
 # Edit sites in distinct clusters, each toggling its chain-stage driver; the
 # SoC template repeats the same stage configurations everywhere, so one warm
 # lap per site memoizes every stage solve both toggle states can request.
-sites = ["k0c0s2", "k40c3s2", "k199c7s2", "k420c11s2"]
-with TimingSession() as session:
+# Every cluster is below 80, so every graph size has the same sites.
+sites = ["k0c0s2", "k40c3s2", "k19c7s2", "k79c11s2"]
+loops = {{}}
+for nets in sizes:
+    graph = soc_graph(nets)
+    graph.set_clock_period(ps(1500), hold_margin=0.0)
+    session = TimingSession()
     attach = session.update(graph)
     assert attach.meta.compile_seconds > 0.0  # the one and only compile
     assert attach.meta.retimed_nets == nets
@@ -114,28 +142,34 @@ with TimingSession() as session:
     laps = []
     for _ in range(3):  # warm full compiled re-sweep: the baseline
         started = time.perf_counter()
-        full = session.time(graph)
+        session.time(graph)
         laps.append(time.perf_counter() - started)
-    full_seconds = min(laps)
-    patch_compile_seconds = 0.0
-    patched = dirty = retimed = cone = required = 0
-    started = time.perf_counter()
-    for cycle in range(cycles):
-        net = sites[cycle % len(sites)]
-        size = (toggles if (cycle // len(sites)) % 2 == 0 else originals)[net]
-        graph.resize_driver(net, size)
-        report = session.update(graph)
-        meta = report.meta
-        patch_compile_seconds += meta.compile_seconds
-        patched, dirty = meta.patched_nets, meta.dirty_nets
-        retimed, cone = meta.retimed_nets, meta.cone_nets
-        required = meta.required_nets
-    incremental_seconds = (time.perf_counter() - started) / cycles
+    loops[nets] = dict(graph=graph, session=session, originals=originals,
+                       toggles=toggles, full_seconds=min(laps), per_edit=[],
+                       compile_seconds=0.0, clones=0)
+for cycle in range(cycles):
+    net = sites[cycle % len(sites)]
+    for nets in sizes:
+        loop = loops[nets]
+        graph = loop["graph"]
+        states = (loop["toggles"] if (cycle // len(sites)) % 2 == 0
+                  else loop["originals"])
+        graph.resize_driver(net, states[net])
+        before = clones[0]
+        started = time.perf_counter()
+        loop["report"] = loop["session"].update(graph)
+        loop["per_edit"].append(time.perf_counter() - started)
+        loop["clones"] += clones[0] - before
+        loop["compile_seconds"] += loop["report"].meta.compile_seconds
+planes = ("exists", "in_arr", "early_in", "in_slew",
+          "src", "early_src", "out_arr", "early_out", "delay", "prop_slew")
+results = {{}}
+for nets in sizes:
+    loop = loops[nets]
+    report, graph = loop["report"], loop["graph"]
+    meta = report.meta
     last = report.analysis
-    scratch = session.time(graph).analysis  # same engine: bit-identity holds
-    planes = ("exists", "in_arr", "early_in", "in_slew",
-              "src", "early_src", "out_arr", "early_out", "delay",
-              "prop_slew")
+    scratch = loop["session"].time(graph).analysis  # same engine: bit-identity
     fp_last = np.array([s.fingerprint for s in last.solutions] + [""])
     fp_scratch = np.array([s.fingerprint for s in scratch.solutions] + [""])
     equivalence_exact = bool(
@@ -146,20 +180,23 @@ with TimingSession() as session:
         and np.array_equal(last.required, scratch.required, equal_nan=True)
         and np.array_equal(last.hold_required, scratch.hold_required,
                            equal_nan=True))
-    print(json.dumps({{
+    results[nets] = {{
         "nets": len(graph),
         "edit_cycles": cycles,
-        "patch_compile_seconds": patch_compile_seconds,
-        "patched_nets": patched,
-        "dirty_nets": dirty,
-        "retimed_nets": retimed,
-        "cone_nets": cone,
-        "required_nets": required,
-        "report_events_rebuilt": report.meta.report_events_rebuilt,
+        "patch_compile_seconds": loop["compile_seconds"],
+        "patched_nets": meta.patched_nets,
+        "dirty_nets": meta.dirty_nets,
+        "retimed_nets": meta.retimed_nets,
+        "cone_nets": meta.cone_nets,
+        "required_nets": meta.required_nets,
+        "report_events_rebuilt": meta.report_events_rebuilt,
         "equivalence_exact": equivalence_exact,
-        "full_seconds": full_seconds,
-        "incremental_seconds": incremental_seconds,
-    }}))
+        "full_seconds": loop["full_seconds"],
+        "incremental_seconds": float(np.mean(loop["per_edit"])),
+        "median_edit_seconds": float(np.median(loop["per_edit"])),
+        "full_plane_copies": loop["clones"],
+    }}
+print(json.dumps(results))
 """
 
 #: Edit sites on the 64x16-chain benchmark graph, shallowest cone first.
@@ -275,9 +312,10 @@ def test_incremental_retime_vs_full_reanalysis(library, report_writer):
     # --- compiled phase: the scale tier, in a hermetic subprocess ------------
     # At 100k nets the CSR incremental engine must still patch parameter edits
     # into the compiled arrays in place (never recompile) and re-time only the
-    # dirty cone.
+    # dirty cone, at the cost of the cone: the same edits on a 10k-net graph
+    # cost about the same.
     script = _COMPILED_SUBPROCESS_SCRIPT.format(
-        nets=COMPILED_NETS, cycles=COMPILED_EDIT_CYCLES)
+        sizes=(SCALING_NETS, COMPILED_NETS), cycles=COMPILED_EDIT_CYCLES)
     env = os.environ.copy()
     env["PYTHONPATH"] = str(SRC_DIRECTORY) + os.pathsep + env.get(
         "PYTHONPATH", "")
@@ -285,10 +323,16 @@ def test_incremental_retime_vs_full_reanalysis(library, report_writer):
                             capture_output=True, text=True, env=env,
                             timeout=600)
     assert result.returncode == 0, result.stderr
-    compiled = json.loads(result.stdout.strip().splitlines()[-1])
+    loops = json.loads(result.stdout.strip().splitlines()[-1])
+    scaling, compiled = loops[str(SCALING_NETS)], loops[str(COMPILED_NETS)]
     compiled_speedup = round(
         compiled["full_seconds"] / compiled["incremental_seconds"], 2)
+    scaling_ratio = round(compiled["median_edit_seconds"]
+                          / scaling["median_edit_seconds"], 3)
 
+    assert scaling["nets"] == SCALING_NETS
+    assert scaling["equivalence_exact"]
+    assert scaling["full_plane_copies"] == 0
     assert compiled["nets"] == COMPILED_NETS
     # Parameter edits must never recompile: exactly zero compile seconds
     # across all edit cycles (patching bumps no clock).
@@ -299,6 +343,8 @@ def test_incremental_retime_vs_full_reanalysis(library, report_writer):
     assert 0 < compiled["report_events_rebuilt"] < COMPILED_NETS // 50
     # The incremental planes are the full re-sweep's planes, exactly.
     assert compiled["equivalence_exact"]
+    # Every warm update sweeps the spare plane buffer; none clones.
+    assert compiled["full_plane_copies"] == 0
 
     single = rows[0]
     payload = {
@@ -323,6 +369,9 @@ def test_incremental_retime_vs_full_reanalysis(library, report_writer):
                 "nets": compiled["nets"],
                 "edit_cycles": compiled["edit_cycles"],
                 "update_ceiling_seconds": COMPILED_UPDATE_CEILING_SECONDS,
+                "scaling_nets": SCALING_NETS,
+                "scaling_ratio_ceiling": SCALING_RATIO_CEILING,
+                "full_plane_copies": compiled["full_plane_copies"],
                 "patch_compile_seconds": compiled["patch_compile_seconds"],
                 "patched_nets": compiled["patched_nets"],
                 "dirty_nets": compiled["dirty_nets"],
@@ -346,6 +395,11 @@ def test_incremental_retime_vs_full_reanalysis(library, report_writer):
                 "incremental_seconds": round(
                     compiled["incremental_seconds"], 5),
                 "speedup": compiled_speedup,
+                "median_edit_seconds": round(
+                    compiled["median_edit_seconds"], 5),
+                "scaling_median_edit_seconds": round(
+                    scaling["median_edit_seconds"], 5),
+                "scaling_ratio": scaling_ratio,
             },
         },
     }
@@ -375,7 +429,14 @@ def test_incremental_retime_vs_full_reanalysis(library, report_writer):
         f"cone {compiled['retimed_nets']} nets, "
         f"{compiled['full_seconds'] * 1e3:.0f} ms full vs "
         f"{compiled['incremental_seconds'] * 1e3:.1f} ms/edit "
-        f"({compiled_speedup:.1f}x, 0.0 s recompiled, exact)")
+        f"({compiled_speedup:.1f}x, 0.0 s recompiled, "
+        f"{compiled['full_plane_copies']} plane clones, exact)")
+    lines.append(
+        f"  O(cone) scaling: median edit "
+        f"{scaling['median_edit_seconds'] * 1e3:.2f} ms at "
+        f"{SCALING_NETS} nets vs "
+        f"{compiled['median_edit_seconds'] * 1e3:.2f} ms at "
+        f"{COMPILED_NETS} nets ({scaling_ratio:.2f}x)")
     lines.append(f"  machine-readable     : {json_path.name}")
     report_writer("incremental", "\n".join(lines))
 
@@ -383,5 +444,8 @@ def test_incremental_retime_vs_full_reanalysis(library, report_writer):
     # a fixed per-edit ceiling.
     assert single["incremental_seconds"] <= UPDATE_CEILING_SECONDS
     # And at the scale tier: patched parameter edits stay under a fixed
-    # per-update ceiling, with exact plane equivalence.
+    # per-update ceiling, with exact plane equivalence...
     assert compiled["incremental_seconds"] <= COMPILED_UPDATE_CEILING_SECONDS
+    # ...and cost what their cone costs, not what the graph costs.
+    assert scaling_ratio <= SCALING_RATIO_CEILING
+

@@ -59,7 +59,13 @@ REQUIRED_TRACKED = {
         # equal a from-scratch compiled analysis bit for bit.
         "compiled.nets": 100000,
         "compiled.edit_cycles": 200,
-        "compiled.update_ceiling_seconds": 0.016,
+        # The ceiling fails on a regression to per-update plane clones; no
+        # warm update clones; and an edit costs about the same at 10k nets
+        # as at 100k (the update is O(cone)).
+        "compiled.update_ceiling_seconds": 0.006,
+        "compiled.full_plane_copies": 0,
+        "compiled.scaling_nets": 10000,
+        "compiled.scaling_ratio_ceiling": 1.5,
         "compiled.patch_compile_seconds": 0.0,
         "compiled.equivalence_exact": True,
         "compiled.retimed_nets": ...,

@@ -18,11 +18,13 @@ and the sweep re-runs only where the edit can matter:
   that cone is provably unchanged), reusing the per-level kernel
   :func:`~.compiled.required_level` of the full backward pass.
 
-Both reuse the prior :class:`~.compiled.SweepState` planes — cloned first, so
+Both run in place on a spare copy of the prior :class:`~.compiled.SweepState`
+and required planes — one of two plane buffers the engine alternates between,
+brought up to date by copying only the events the previous update wrote, so
 analyses already handed out (and the serve daemon's snapshot reads built on
-them) keep describing the state they analyzed — and the same
-``level_solve_keys`` / ``scatter_level_solutions`` solve seam as the full
-sweep.  Because the
+them) keep describing the state they analyzed without an O(graph) copy per
+update — and through the same ``level_solve_keys`` /
+``scatter_level_solutions`` solve seam as the full sweep.  Because the
 solver memo answers identical fingerprints with identical solutions and the
 merge election is per-target independent, an incremental update is
 bit-identical to a from-scratch compiled sweep of the edited graph, in every
@@ -37,9 +39,11 @@ update whose ``incremental`` stats say how much of the graph was touched.
 
 from __future__ import annotations
 
+import sys
 import time
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, FrozenSet, List, Optional, Set
+from dataclasses import dataclass, fields, replace
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, FrozenSet, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -187,7 +191,9 @@ def incremental_required(cg: CompiledGraph, state: SweepState,
     transitive fanin of the changed nets every consumer is itself outside the
     cone (the cone is fanin-closed), so those values are provably unchanged —
     the masked pass rewrites exactly the cone, reading unchanged consumer
-    entries straight from the prior planes.  Returns the cone's net ids.
+    entries straight from the prior planes.  The seeds are read only by event
+    id, so any seed store that indexes like a dense plane serves.  Returns
+    the cone's net ids.
     """
     region = np.zeros(cg.n_nets, dtype=bool)
     stack = changed_ids.tolist()
@@ -217,6 +223,82 @@ def incremental_required(cg: CompiledGraph, state: SweepState,
     return np.flatnonzero(region)
 
 
+class _PlaneBuffer:
+    """One set of per-event planes: a sweep state plus both required planes."""
+
+    __slots__ = ("state", "required", "hold_required")
+
+    def __init__(self, state: SweepState, required: np.ndarray,
+                 hold_required: np.ndarray) -> None:
+        self.state = state
+        self.required = required
+        self.hold_required = hold_required
+
+    def planes(self) -> Tuple[np.ndarray, ...]:
+        return self.state.planes() + (self.required, self.hold_required)
+
+    def clone(self) -> "_PlaneBuffer":
+        return _PlaneBuffer(self.state.clone(), self.required.copy(),
+                            self.hold_required.copy())
+
+
+class _SparseSeeds:
+    """One polarity's constraint seeds, kept as its constrained events only.
+
+    Indexes like the dense plane :func:`~.compiled.constraint_seeds` returns
+    (NaN = unconstrained), so :func:`~.compiled.required_level` reads it
+    unchanged.  It holds 16 bytes per constrained event (the endpoints and
+    the pins) instead of 8 bytes per event, which is what lets the engine
+    keep seeds across updates next to its two plane buffers.
+    """
+
+    __slots__ = ("events", "values")
+
+    def __init__(self, plane: np.ndarray) -> None:
+        self.events = np.flatnonzero(~np.isnan(plane))
+        self.values = plane[self.events]
+
+    def __getitem__(self, events: np.ndarray) -> np.ndarray:
+        seeds = np.full(events.shape, np.nan)
+        if self.events.size:
+            at = np.minimum(np.searchsorted(self.events, events),
+                            self.events.size - 1)
+            hit = self.events[at] == events
+            seeds[hit] = self.values[at[hit]]
+        return seeds
+
+
+def _owned_refcount() -> int:
+    """``sys.getrefcount(owner.attribute)`` of an object only that attribute holds.
+
+    2 on CPython (the attribute and the call's argument), measured rather
+    than assumed so interpreter-specific temporaries cancel out.
+    """
+    probe = SimpleNamespace(array=np.empty(0))
+    return sys.getrefcount(probe.array)
+
+
+_OWNED_REFCOUNT = _owned_refcount()
+_STATE_PLANES = tuple(f.name for f in fields(SweepState))
+
+
+def _unshared(buffer: _PlaneBuffer) -> bool:
+    """True when nothing outside ``buffer`` can still read its planes.
+
+    The rule numpy applies in ``ndarray.resize(refcheck=True)``: a live
+    :class:`~.compiled.CompiledAnalysis` (and every report built on it)
+    references the buffer's state and required planes, and a view references
+    its base plane through ``base``, so any outside reader raises some
+    reference count above what the buffer's own attribute accounts for.
+    """
+    if sys.getrefcount(buffer.state) > _OWNED_REFCOUNT:
+        return False
+    return (all(sys.getrefcount(getattr(buffer.state, name)) <= _OWNED_REFCOUNT
+                for name in _STATE_PLANES)
+            and sys.getrefcount(buffer.required) <= _OWNED_REFCOUNT
+            and sys.getrefcount(buffer.hold_required) <= _OWNED_REFCOUNT)
+
+
 class CompiledIncrementalEngine:
     """The compiled twin of :class:`repro.sta.batch.IncrementalEngine`.
 
@@ -227,11 +309,22 @@ class CompiledIncrementalEngine:
     the current snapshot into every :meth:`update`; a snapshot identity
     change (a recompile after topology edits) triggers a full re-analysis.
 
+    Planes are double-buffered.  The *live* buffer backs the last published
+    analysis and is never written again; the *spare* holds the state before
+    it and differs from it only on the events the last update wrote.  An
+    update copies just those events (every plane after a full or
+    constraint-driven backward pass) from live into the spare, sweeps the
+    spare in place and publishes it; the old live buffer becomes the spare.
+    So no per-update copy is sized by the graph, at the cost of one retained
+    spare.  The spare is written only while nothing outside the engine can
+    read it (:func:`_unshared`); a held earlier report or an in-flight serve
+    read makes the update clone the live planes instead, which is what keeps
+    every issued analysis describing the state it analyzed.
+
     Solutions accumulate in one append-only list shared by every analysis
     this engine produced, so earlier analyses' ``sol_idx`` planes stay valid
-    forever; states and required planes are cloned per update (snapshot
-    isolation for streaming reports and serve reads).  Like the object
-    engine, this engine is the single consumer of its graph's dirty set.
+    forever.  Like the object engine, this engine is the single consumer of
+    its graph's dirty set.
     """
 
     def __init__(self, engine: "GraphEngine", graph: TimingGraph, *,
@@ -243,9 +336,15 @@ class CompiledIncrementalEngine:
         self.graph = graph
         self.mode = mode
         self._cg: Optional[CompiledGraph] = None
-        self._state: Optional[SweepState] = None
-        self._required: Optional[np.ndarray] = None
-        self._hold_required: Optional[np.ndarray] = None
+        self._live: Optional[_PlaneBuffer] = None
+        self._spare: Optional[_PlaneBuffer] = None
+        #: Event ids where the spare differs from the live buffer (None =
+        #: potentially every event).
+        self._written: Optional[np.ndarray] = None
+        #: (endpoint mask, setup seeds, hold seeds) of the masked required
+        #: pass, rebuilt after constraint edits and endpoint flips.
+        self._seeds: Optional[Tuple[np.ndarray, Optional[_SparseSeeds],
+                                    Optional[_SparseSeeds]]] = None
         self._solutions: List[StageSolution] = []
         self._timed = False
         #: Nets the last update re-timed or re-required (None = potentially
@@ -255,9 +354,10 @@ class CompiledIncrementalEngine:
     def invalidate(self) -> None:
         """Drop the cached planes; the next :meth:`update` re-times in full."""
         self._cg = None
-        self._state = None
-        self._required = None
-        self._hold_required = None
+        self._live = None
+        self._spare = None
+        self._written = None
+        self._seeds = None
         self._solutions = []
         self._timed = False
         self.last_changed_nets = None
@@ -266,10 +366,15 @@ class CompiledIncrementalEngine:
                      dirty_nets: int) -> CompiledAnalysis:
         analysis = self.engine.analyze_compiled(
             self.graph, compiled_graph=cg, mode=self.mode)
+        spare = self._spare
+        if spare is not None and spare.required.size != analysis.required.size:
+            spare = None
         self._cg = cg
-        self._state = analysis.state
-        self._required = analysis.required
-        self._hold_required = analysis.hold_required
+        self._live = _PlaneBuffer(analysis.state, analysis.required,
+                                  analysis.hold_required)
+        self._spare = spare
+        self._written = None
+        self._seeds = None
         self._solutions = analysis.solutions
         self._timed = True
         self.last_changed_nets = None
@@ -280,6 +385,41 @@ class CompiledIncrementalEngine:
             hold_required_nets=n if self.graph.hold_constrained else 0,
             patched_nets=patched_nets, cone_nets=n, cone_converged_early=0)
         return analysis
+
+    def _writable(self) -> _PlaneBuffer:
+        """A buffer equal to the live one that no issued analysis reads."""
+        live, spare = self._live, self._spare
+        self._spare = None
+        if spare is None or not _unshared(spare):
+            return live.clone()
+        written = self._written
+        for target, source in zip(spare.planes(), live.planes()):
+            if written is None:
+                np.copyto(target, source)
+            else:
+                target[written] = source[written]
+        return spare
+
+    def _seed_planes(self, cg: CompiledGraph, do_setup: bool, do_hold: bool
+                     ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+        """Dense constraint seeds of the enabled polarities (None = disabled)."""
+        return (constraint_seeds(cg, self.graph, "setup") if do_setup else None,
+                constraint_seeds(cg, self.graph, "hold") if do_hold else None)
+
+    def _required_seeds(self, cg: CompiledGraph, do_setup: bool, do_hold: bool
+                        ) -> Tuple[Optional[_SparseSeeds], Optional[_SparseSeeds]]:
+        """Constraint seeds of the enabled polarities, cached across updates.
+
+        Seeds depend on the constraints and on the endpoint mask only, so
+        they are rebuilt after a constraint edit dropped them or when a patch
+        replaced :attr:`~.compiled.CompiledGraph.is_endpoint`.
+        """
+        seeds = self._seeds
+        if seeds is None or seeds[0] is not cg.is_endpoint:
+            seeds = self._seeds = (cg.is_endpoint, *(
+                None if plane is None else _SparseSeeds(plane)
+                for plane in self._seed_planes(cg, do_setup, do_hold)))
+        return seeds[1], seeds[2]
 
     def update(self, cg: CompiledGraph, *,
                patched_nets: int = 0) -> CompiledAnalysis:
@@ -305,15 +445,20 @@ class CompiledIncrementalEngine:
         started = time.perf_counter()
         solver = self.engine.solver
         before = solver.stats.snapshot()
+        do_setup = self.mode in ("setup", "both") and graph.setup_constrained
+        do_hold = self.mode in ("hold", "both") and graph.hold_constrained
+        required_nets = 0
+        delta = SweepDelta(visited=np.empty(0, dtype=np.int64),
+                           changed=np.empty(0, dtype=np.int64),
+                           retimed_events=0, converged_early=0)
+        live = buffer = self._live
         try:
-            state = self._state
-            required, hold_required = self._required, self._hold_required
-            delta = SweepDelta(visited=np.empty(0, dtype=np.int64),
-                               changed=np.empty(0, dtype=np.int64),
-                               retimed_events=0, converged_early=0)
             changed_names: Set[str] = set()
+            if dirty or constraints_dirty:
+                buffer = self._writable()
+                state = buffer.state
+            written: Optional[np.ndarray] = None
             if dirty:
-                state = state.clone()
                 base_options = self.engine.options
                 options_pair = {
                     t: replace(base_options,
@@ -334,45 +479,44 @@ class CompiledIncrementalEngine:
                                           solve_level)
                 changed_names.update(cg.order[i]
                                      for i in delta.visited.tolist())
+                written = _interleave(delta.visited)
 
-            do_setup = (self.mode in ("setup", "both")
-                        and graph.setup_constrained)
-            do_hold = self.mode in ("hold", "both") and graph.hold_constrained
-            required_nets = 0
             if constraints_dirty:
                 # Constraint edits can move required times anywhere: re-seed
                 # and re-run the full backward pass (pure arithmetic).
-                required, hold_required = backward_required(
-                    cg, state,
-                    constraint_seeds(cg, graph, "setup") if do_setup else None,
-                    constraint_seeds(cg, graph, "hold") if do_hold else None)
+                self._seeds = None
+                buffer.required, buffer.hold_required = backward_required(
+                    cg, state, *self._seed_planes(cg, do_setup, do_hold))
                 required_nets = len(graph)
+                written = None
             elif delta.changed.size and (do_setup or do_hold):
-                required = required.copy()
-                hold_required = hold_required.copy()
+                setup_seeds, hold_seeds = self._required_seeds(
+                    cg, do_setup, do_hold)
                 region = incremental_required(
-                    cg, state, delta.changed,
-                    constraint_seeds(cg, graph, "setup") if do_setup else None,
-                    constraint_seeds(cg, graph, "hold") if do_hold else None,
-                    required, hold_required)
+                    cg, state, delta.changed, setup_seeds, hold_seeds,
+                    buffer.required, buffer.hold_required)
                 required_nets = int(region.size)
                 # Nets whose required times moved rebuild their report
                 # events too (NaN == NaN counts as unchanged).
                 span = _interleave(region)
                 moved = np.zeros(span.size, dtype=bool)
-                for old, new in ((self._required, required),
-                                 (self._hold_required, hold_required)):
+                for old, new in ((live.required, buffer.required),
+                                 (live.hold_required, buffer.hold_required)):
                     a, b = old[span], new[span]
                     moved |= ~((a == b) | (np.isnan(a) & np.isnan(b)))
                 moved_nets = region[moved[0::2] | moved[1::2]]
                 changed_names.update(cg.order[i] for i in moved_nets.tolist())
-            self._state = state
-            self._required, self._hold_required = required, hold_required
+                written = np.concatenate((written, span))
+            if buffer is not live:
+                # Publish: the old live buffer becomes the spare, differing
+                # from the new live one exactly where this update wrote.
+                self._live, self._spare = buffer, live
+                self._written = written
             self.last_changed_nets = (None if constraints_dirty
                                       else frozenset(changed_names))
         except Exception:
-            # The dirty set is consumed and the planes may be half-rewritten;
-            # never serve them — the next update re-times in full.
+            # The dirty set is consumed and the written buffer was never
+            # published; drop every plane — the next update re-times in full.
             self.invalidate()
             raise
 
@@ -383,8 +527,8 @@ class CompiledIncrementalEngine:
             computed=after.computed - before.computed,
             batched_solves=after.batched_solves - before.batched_solves)
         analysis = CompiledAnalysis(
-            graph=cg, state=state, required=required,
-            hold_required=hold_required, solutions=self._solutions,
+            graph=cg, state=buffer.state, required=buffer.required,
+            hold_required=buffer.hold_required, solutions=self._solutions,
             stats=stats, elapsed=time.perf_counter() - started,
             mode=self.mode)
         analysis.incremental = IncrementalStats(

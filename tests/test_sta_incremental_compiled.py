@@ -10,10 +10,13 @@ incremental update must equal — exactly, in every plane — both
 * the object ``IncrementalEngine`` oracle driven through the same edits.
 
 Alongside the property, this file pins the in-place patching contract
-(:meth:`CompiledGraph.patch` equals a fresh compile; topology drift is
-rejected), the session-cache fixes of this PR (constraint-only edit batches
-never recompile; the single-slot compiled cache holds its graph weakly), the
-and the streaming report's cone-bounded record reuse.
+(:meth:`CompiledGraph.patch` equals a fresh compile, writes O(edits) in place,
+is atomic, and replaces the endpoint mask only on a flip; topology drift is
+rejected), the session cache (constraint-only edit batches never recompile;
+the single-slot compiled cache holds its graph weakly), the engine's
+double-buffered planes (earlier reports keep describing their state; warm
+updates never clone; a failed update leaves the published report intact) and
+the streaming report's cone-bounded record reuse.
 """
 
 import gc
@@ -28,10 +31,11 @@ from test_sta_incremental import random_edit
 
 from repro.api import SessionConfig, StreamingTimingReport, TimingSession
 from repro.core import StageSolver
-from repro.errors import ModelingError
+from repro.errors import CharacterizationError, ModelingError
 from repro.experiments import soc_graph
 from repro.interconnect import RLCLine
 from repro.sta import GraphEngine, IncrementalEngine
+from repro.sta.compiled import SweepState
 from repro.sta.incremental_compiled import CompiledIncrementalEngine
 from repro.units import fF, mm, nH, pF, ps
 
@@ -176,6 +180,59 @@ class TestPatch:
         assert connected, "could not build a topology edit on this DAG"
         with pytest.raises(ModelingError):
             cg.patch(graph, library=engine.library, tech=engine.tech)
+
+
+    def test_patch_writes_in_place_and_keeps_the_mask(self, library, solver):
+        graph = soc_graph(125)
+        engine = GraphEngine(library=library, solver=solver)
+        cg = engine.compile(graph)
+        load, config_id, is_endpoint = cg.load, cg.config_id, cg.is_endpoint
+        graph.resize_driver("k0c0s2", 125.0)
+        graph.set_extra_load("k0c3s4", fF(2))
+        # The resized net, its fanin (whose load moved) and the re-loaded net.
+        assert cg.patch(graph, library=engine.library, tech=engine.tech) == 3
+        # O(edits): the planes are written, not copied; no endpoint flipped.
+        assert cg.load is load and cg.config_id is config_id
+        assert cg.is_endpoint is is_endpoint
+        assert_patch_matches_fresh_compile(engine, graph, cg)
+
+    def test_failed_patch_changes_nothing(self, library, solver):
+        graph = soc_graph(125)
+        engine = GraphEngine(library=library, solver=solver)
+        cg = engine.compile(graph)
+        graph.set_extra_load("k0c0s1", fF(3))   # sorts before the bad size
+        graph.set_receiver("k0c1s2", 50.0)      # would flip an endpoint
+        graph.resize_driver("k0c3s2", 33.0)     # no characterized cell
+        planes = ("load", "config_id", "is_endpoint")
+        before = {name: getattr(cg, name).tobytes() for name in planes}
+        version = cg.version
+        with pytest.raises(CharacterizationError):
+            cg.patch(graph, library=engine.library, tech=engine.tech)
+        assert {name: getattr(cg, name).tobytes() for name in planes} == before
+        assert cg.version == version
+        graph.resize_driver("k0c3s2", 75.0)
+        cg.patch(graph, library=engine.library, tech=engine.tech)
+        assert_patch_matches_fresh_compile(engine, graph, cg)
+
+    def test_endpoint_flip_leaves_earlier_analyses_alone(self, library, solver):
+        graph = soc_graph(125)
+        graph.set_clock_period(ps(1500))
+        engine = GraphEngine(library=library, solver=solver)
+        cg = engine.compile(graph)
+        before = engine.analyze_compiled(graph, compiled_graph=cg)
+        endpoints = before.endpoint_event_ids()
+        net_id = cg.index["k0c1s2"]
+        assert not cg.is_endpoint[net_id]
+        graph.set_receiver("k0c1s2", 50.0)  # a receiver makes it an endpoint
+        cg.patch(graph, library=engine.library, tech=engine.tech)
+        assert cg.is_endpoint[net_id]
+        assert not before.is_endpoint[net_id]
+        assert np.array_equal(before.endpoint_event_ids(), endpoints)
+        after = engine.analyze_compiled(graph, compiled_graph=cg)
+        timed = [e for e in (net_id * 2, net_id * 2 + 1) if after.state.exists[e]]
+        assert timed
+        assert set(after.endpoint_event_ids().tolist()) == (
+            set(endpoints.tolist()) | set(timed))
 
 
 class TestSessionCache:
@@ -340,3 +397,128 @@ class TestStreamingReportReuse:
             assert table and table == fresh.endpoint_slacks(mode=mode)
             assert [event.slack_for(mode) for event in table] == [
                 event.slack_for(mode) for event in fresh.endpoint_slacks(mode=mode)]
+
+
+#: Chain-stage drivers in four distinct clusters of the 1k SoC design.
+SOC_SITES = ("k0c0s2", "k3c5s2", "k5c9s3", "k7c12s1")
+
+
+def soc_design():
+    graph = soc_graph(1000)
+    graph.set_clock_period(ps(1500), hold_margin=0.0)
+    return graph
+
+
+def toggle(graph, net):
+    size = graph.nets[net].driver_size
+    graph.resize_driver(net, 100.0 if size == 125.0 else 125.0)
+
+
+def plane_bytes(analysis):
+    """Every plane of ``analysis``, as bytes (a frozen capture)."""
+    captured = {name: getattr(analysis.state, name).tobytes()
+                for name in PLANES + ("sol_idx",)}
+    captured["required"] = analysis.required.tobytes()
+    captured["hold_required"] = analysis.hold_required.tobytes()
+    return captured
+
+
+def assert_same_planes(update, full):
+    """The plane list perfbench compares: every state plane but ``sol_idx``."""
+    for name in PLANES:
+        assert (getattr(update.analysis.state, name).tobytes()
+                == getattr(full.analysis.state, name).tobytes()), name
+    for name in ("required", "hold_required"):
+        assert (getattr(update.analysis, name).tobytes()
+                == getattr(full.analysis, name).tobytes()), name
+
+
+class TestDoubleBufferedPlanes:
+    """Updates sweep a spare plane buffer; nothing issued earlier may see it."""
+
+    @pytest.mark.parametrize("held", ["report", "view", "required"])
+    def test_earlier_reports_keep_describing_their_state(self, solver, held):
+        graph = soc_design()
+        session = shared_session(solver)
+        session.update(graph)
+        for net in SOC_SITES[:2]:  # warm: both plane buffers exist
+            toggle(graph, net)
+            session.update(graph)
+        toggle(graph, SOC_SITES[2])
+        report = session.update(graph)
+        captured = plane_bytes(report.analysis)
+        view = report.analysis.state.out_arr[::2]
+        kept = {"report": report, "view": view,
+                "required": report.analysis.required}[held]
+        del report, view
+        for net in SOC_SITES * 2:  # eight more edits, their reports dropped
+            toggle(graph, net)
+            session.update(graph)
+        if held == "report":
+            assert plane_bytes(kept.analysis) == captured
+        elif held == "view":
+            assert kept.tobytes() == np.frombuffer(
+                captured["out_arr"], dtype=np.float64)[::2].tobytes()
+        else:
+            assert kept.tobytes() == captured["required"]
+
+    def test_warm_updates_never_clone(self, solver, monkeypatch):
+        clones = []
+        clone = SweepState.clone
+
+        def counting_clone(state):
+            clones.append(None)
+            return clone(state)
+
+        monkeypatch.setattr(SweepState, "clone", counting_clone)
+        graph = soc_design()
+        session = shared_session(solver)
+        session.update(graph)
+        toggle(graph, SOC_SITES[0])
+        session.update(graph)  # the first spare buffer is a clone
+        clones.clear()
+        edits = [
+            lambda: toggle(graph, SOC_SITES[1]),
+            lambda: graph.set_receiver("k2c4s2", 50.0),  # flips an endpoint
+            lambda: graph.set_required("k1c2s5", ps(900)),
+            lambda: toggle(graph, SOC_SITES[2]),
+            lambda: graph.set_clock_period(ps(1400), hold_margin=ps(5)),
+            lambda: toggle(graph, SOC_SITES[0]),
+            lambda: graph.add_fanout("k4c0s1", "k4c1s4"),  # recompiles
+            lambda: toggle(graph, SOC_SITES[3]),
+            lambda: graph.set_receiver("k2c4s2", None),  # flips it back
+            lambda: toggle(graph, SOC_SITES[1]),
+            lambda: graph.set_required("k1c2s5", None),
+            lambda: toggle(graph, SOC_SITES[2]),
+        ]
+        for edit in edits:
+            edit()
+            report = session.update(graph)
+            assert_same_planes(report, session.time(graph))
+        assert not clones
+
+    def test_failed_update_leaves_the_published_report_intact(
+            self, solver, monkeypatch):
+        graph = soc_design()
+        session = shared_session(solver)
+        session.update(graph)
+        for net in SOC_SITES[:2]:
+            toggle(graph, net)
+            published = session.update(graph)
+        captured = plane_bytes(published.analysis)
+        solve_level = GraphEngine._solve_compiled_level
+        calls = []
+
+        def fail_once(engine, *args):
+            calls.append(None)
+            if len(calls) == 1:
+                raise RuntimeError("injected solve failure")
+            return solve_level(engine, *args)
+
+        monkeypatch.setattr(GraphEngine, "_solve_compiled_level", fail_once)
+        toggle(graph, SOC_SITES[2])
+        with pytest.raises(RuntimeError, match="injected"):
+            session.update(graph)
+        assert plane_bytes(published.analysis) == captured
+        toggle(graph, SOC_SITES[3])
+        assert_same_planes(session.update(graph), session.time(graph))
