@@ -15,16 +15,25 @@ graph, all through real HTTP round-trips (loopback TCP, keep-alive):
    dirty region (the same pinned cone as ``BENCH_incremental``'s tail-net
    site), never the graph.
 
+A fourth phase, **scale edit**, runs in-process (``DesignRegistry``, no HTTP):
+it attaches the ``soc`` design at 100k nets and times single-resize batches
+through ``AttachedDesign.apply_edits`` — the re-time, the snapshot and its
+report diff.  The median must stay under ``SCALE_APPLY_CEILING_MS``: on a
+2-CPU container a write that diffs by per-event key sets costs ~350 ms there,
+one that stays on the cone and the event planes ~5-7 ms.
+
 Results land in ``benchmarks/reports/serve.txt`` and
 ``benchmarks/reports/BENCH_serve.json`` (``tracked`` = machine-independent
 gates compared by CI, ``machine`` = wall times and measured throughput).
 """
 
 import json
+import statistics
 import time
 from pathlib import Path
 
-from repro.serve import ServeClient, TimingServer
+from repro.serve import (AttachRequest, DesignRegistry, EditRequest, ServeClient,
+                         TimingServer)
 
 REPORT_DIRECTORY = Path(__file__).resolve().parent / "reports"
 
@@ -39,6 +48,44 @@ TOGGLE_SIZE = 50.0
 #: loopback round-trip against an in-memory snapshot is orders of magnitude
 #: faster; the gate exists to catch accidental re-analysis on the read path.
 QPS_FLOOR = 50.0
+
+SCALE_NETS = 100_000
+SCALE_CLOCK_PS = 1500.0
+SCALE_BATCHES = 20
+#: soc edit sites in four clusters, toggled between 100X and 75X.
+SCALE_SITES = ("k17c6s2", "k402m1", "k555l9", "k790c2s4")
+#: Median apply_edits ceiling at 100k nets [ms].
+SCALE_APPLY_CEILING_MS = 60.0
+
+
+def measure_scale_edits():
+    """Median wall time of one single-resize batch on the 100k-net soc [ms]."""
+    registry = DesignRegistry()
+    try:
+        design = registry.attach(AttachRequest(
+            name="soc", case="soc", nets=SCALE_NETS, clock_ps=SCALE_CLOCK_PS,
+            hold_margin_ps=0.0))
+        nets = len(design.graph)
+
+        def resize(site):
+            size = {100.0: 75.0, 75.0: 100.0}[design.graph.nets[site].driver_size]
+            return design.apply_edits(EditRequest.from_payload({"edits": [
+                {"op": "resize_driver", "net": site, "driver_size": size}]}))
+
+        # Warm both toggle states: the timed batches solve no new stages.
+        for _ in range(2):
+            for site in SCALE_SITES:
+                resize(site)
+        seconds = []
+        for batch in range(SCALE_BATCHES):
+            started = time.perf_counter()
+            snapshot = resize(SCALE_SITES[batch % len(SCALE_SITES)])
+            seconds.append(time.perf_counter() - started)
+            assert snapshot.diff is not None
+            assert snapshot.diff.added_events == snapshot.diff.removed_events == 0
+    finally:
+        registry.close()
+    return nets, statistics.median(seconds) * 1e3
 
 
 def test_serve_attach_query_edit_cost_model(library, report_writer):
@@ -99,6 +146,12 @@ def test_serve_attach_query_edit_cost_model(library, report_writer):
 
             final = client.design_stats("bench")
 
+    # --- phase 4: scale edit (in-process, 100k nets) ---------------------------
+    scale_nets, scale_apply_ms = measure_scale_edits()
+    assert scale_nets == SCALE_NETS
+    assert scale_apply_ms <= SCALE_APPLY_CEILING_MS, (
+        f"a 100k-net edit batch took {scale_apply_ms:.1f} ms (median)")
+
     payload = {
         "benchmark": "serve",
         "tracked": {
@@ -115,12 +168,18 @@ def test_serve_attach_query_edit_cost_model(library, report_writer):
                 "dirty_nets": dirty,
                 "retimed_nets": retimed,
             },
+            "scale_edit": {
+                "nets": scale_nets,
+                "batches": SCALE_BATCHES,
+                "apply_ceiling_ms": SCALE_APPLY_CEILING_MS,
+            },
         },
         "machine": {
             "attach_seconds": round(attach_seconds, 5),
             "warm_seconds": round(warm_seconds, 5),
             "warm_qps": round(warm_qps, 1),
             "round_trip_avg_ms": round(round_trip_avg * 1e3, 3),
+            "scale_edit_apply_ms_p50": round(scale_apply_ms, 3),
             "edit_batches": final["edit_batches"],
             "queries": final["queries"],
         },
@@ -138,6 +197,8 @@ def test_serve_attach_query_edit_cost_model(library, report_writer):
         f"mixed wns/slack (0 analyses, floor {QPS_FLOOR:.0f})",
         f"  edit round-trip      : {round_trip_avg * 1e3:8.1f} ms "
         f"(resize + incremental update + query; cone {retimed}/{nets} nets)",
+        f"  scale edit           : {scale_apply_ms:8.1f} ms median apply_edits "
+        f"at {scale_nets} nets (in-process, ceiling {SCALE_APPLY_CEILING_MS:.0f})",
         f"  machine-readable     : {json_path.name}",
     ]
     report_writer("serve", "\n".join(lines))

@@ -89,6 +89,10 @@ REQUIRED_TRACKED = {
         # ...while an edit round-trip re-times only the edit's dirty cone.
         "round_trip.retimed_nets": 2,
         "round_trip.dirty_nets": 2,
+        # An edit batch on a resident 100k-net design stays under a ceiling
+        # only an O(cone) write (re-time, snapshot and plane diff) can meet.
+        "scale_edit.nets": 100000,
+        "scale_edit.apply_ceiling_ms": 60.0,
     },
     "BENCH_accuracy.json": {
         # The paper's Table 1: all 15 cases, each with its two-ramp and

@@ -22,18 +22,24 @@ Every memoized :meth:`~repro.api.TimingSession.time` / ``update`` returns a
 :class:`StreamingTimingReport`: the same report contract, but backed by a
 :class:`~repro.sta.compiled.CompiledAnalysis` whose events materialize per net
 on first access.  Summary queries (WNS/WHS, ``n_events``, the slack table) run
-as array reductions over endpoint events only, and :func:`compare_reports`
-diffs by event keys, so none of them flatten O(graph) event records;
-serialization (``to_dict`` / ``save``) still does, on purpose, producing plain
-payloads.  The eager :meth:`TimingReport.from_graph_report` flattens a
-reference-sweep result (``time(memoize=False)``, the equivalence tests).
+as array reductions over endpoint events only (WNS/WHS once per report), so
+none of them flatten O(graph) event records; serialization (``to_dict`` /
+``save``) still does, on purpose, producing plain payloads.
+:func:`compare_reports` diffs two streaming reports over one compiled net order
+(every ``update()`` pair and serve edit) on their event planes, building a row
+only per changed endpoint slack; any other pair goes through event-key sets,
+which materialize the shared endpoint events.  The eager
+:meth:`TimingReport.from_graph_report` flattens a reference-sweep result
+(``time(memoize=False)``, the equivalence tests).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from collections import abc
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import (
     Any,
@@ -758,7 +764,7 @@ class _LazyEvents(abc.Mapping):
         return iter(self._net_names())
 
     def __len__(self) -> int:
-        return len(self._net_names())
+        return self._analysis.n_nets_with_events()
 
 
 @dataclass(frozen=True)
@@ -883,8 +889,15 @@ class StreamingTimingReport(TimingReport):
     def hold_constrained(self) -> bool:
         return self.analysis.constrained("hold")
 
-    def _worst_endpoint_slack(self, mode: str) -> Optional[float]:
-        return self.analysis.worst_endpoint_slack(mode)
+    # A live report pins its analysis, whose planes the incremental engine then
+    # never writes again, so each O(graph) reduction runs once per report.
+    @cached_property
+    def worst_slack(self) -> Optional[float]:
+        return self.analysis.worst_endpoint_slack("setup")
+
+    @cached_property
+    def worst_hold_slack(self) -> Optional[float]:
+        return self.analysis.worst_endpoint_slack("hold")
 
     def endpoint_slacks(self, *, mode: str = "setup") -> List[TimingEvent]:
         """``mode``-constrained endpoint events, worst (smallest) slack first.
@@ -1004,30 +1017,109 @@ class ReportDiff:
         return "\n".join(lines)
 
 
-def compare_reports(old: TimingReport, new: TimingReport) -> ReportDiff:
-    """Structured comparison of two reports (the ``report --diff`` backend).
+#: (added events, removed events, setup rows, hold rows) of one comparison.
+_Changes = Tuple[int, int, List[_SlackChange], List[_SlackChange]]
 
-    Only event *keys* and endpoint events are touched, so diffing two
-    streaming reports never flattens their O(graph) interiors.
-    """
 
+def _order_changes(changes: List[_SlackChange]) -> List[_SlackChange]:
+    """Rows given in (net, transition) order, stably re-sorted worst new slack first."""
+    return sorted(
+        changes,
+        key=lambda entry: (entry[3] is None, entry[3] if entry[3] is not None else 0.0),
+    )
+
+
+def _key_set_changes(old: TimingReport, new: TimingReport) -> _Changes:
+    """Compare any two reports through their event-key sets and endpoint events."""
     old_keys, new_keys = old.event_keys(), new.event_keys()
     shared = old_keys & new_keys
-    endpoint_shared = (old.endpoint_keys() | new.endpoint_keys()) & shared
+    endpoint_shared = sorted((old.endpoint_keys() | new.endpoint_keys()) & shared)
 
     def changed_slacks(mode: str) -> List[_SlackChange]:
         changed: List[_SlackChange] = []
-        for name, transition in sorted(endpoint_shared):
-            old_event = old.events[name][transition]
-            new_event = new.events[name][transition]
-            if old_event.slack_for(mode) != new_event.slack_for(mode):
-                changed.append(
-                    (name, transition, old_event.slack_for(mode), new_event.slack_for(mode))
-                )
-        changed.sort(
-            key=lambda entry: (entry[3] is None, entry[3] if entry[3] is not None else 0.0)
+        for name, transition in endpoint_shared:
+            old_slack = old.events[name][transition].slack_for(mode)
+            new_slack = new.events[name][transition].slack_for(mode)
+            if old_slack != new_slack:
+                changed.append((name, transition, old_slack, new_slack))
+        return _order_changes(changed)
+
+    return (
+        len(new_keys - old_keys),
+        len(old_keys - new_keys),
+        changed_slacks("setup"),
+        changed_slacks("hold"),
+    )
+
+
+def _nan_to_none(value: float) -> Optional[float]:
+    return None if math.isnan(value) else value
+
+
+def _same_net_order(old: TimingReport, new: TimingReport) -> bool:
+    """True when both reports stream over one compiled net order.
+
+    Event ids are ``net id * 2 + transition`` over that order, so the two
+    reports' planes then index the same events.
+    """
+    streaming = StreamingTimingReport
+    if not (isinstance(old, streaming) and isinstance(new, streaming)):
+        return False
+    old_order, new_order = old.analysis.graph.order, new.analysis.graph.order
+    return old_order is new_order or old_order == new_order
+
+
+def _plane_changes(old: Any, new: Any) -> _Changes:
+    """:func:`_key_set_changes` of two analyses over one net order, on their planes.
+
+    Counts and masks run over the ``exists`` / endpoint planes; a row tuple is
+    built only for a shared endpoint event whose slack changed (NaN, i.e.
+    unconstrained, on both sides counts as unchanged), so the cost is a few
+    O(graph) array passes plus O(changed rows) Python.
+    """
+    import numpy as np  # local: keep report import light for plain loads
+
+    old_exists, new_exists = old.state.exists, new.state.exists
+    added = int(np.count_nonzero(new_exists & ~old_exists))
+    removed = int(np.count_nonzero(old_exists & ~new_exists))
+    endpoint = np.repeat(old.is_endpoint | new.is_endpoint, 2)
+    shared = np.flatnonzero(endpoint & old_exists & new_exists)
+    name_rank = new.graph.name_rank
+
+    def changed_slacks(mode: str) -> List[_SlackChange]:
+        old_slack, new_slack = old.slacks_of(shared, mode), new.slacks_of(shared, mode)
+        differs = (old_slack != new_slack) & ~(np.isnan(old_slack) & np.isnan(new_slack))
+        rows = np.flatnonzero(differs)
+        events = shared[rows]
+        rows = rows[np.lexsort((events & 1, name_rank[events >> 1]))]
+        changed = zip(
+            shared[rows].tolist(), old_slack[rows].tolist(), new_slack[rows].tolist()
         )
-        return changed
+        return _order_changes(
+            [
+                (*new.key_of(event), _nan_to_none(old_value), _nan_to_none(new_value))
+                for event, old_value, new_value in changed
+            ]
+        )
+
+    return added, removed, changed_slacks("setup"), changed_slacks("hold")
+
+
+def compare_reports(old: TimingReport, new: TimingReport) -> ReportDiff:
+    """Structured comparison of two reports (the ``report --diff`` backend).
+
+    Two streaming reports over one compiled net order — every serve edit and
+    every ``update()`` pair — are compared on their event planes: array passes
+    plus one row tuple per changed endpoint slack, no event records.  Any other
+    pair (eager or JSON-loaded reports, a mixed pair, or a topology edit that
+    reordered the nets) is compared through its event-key sets, which
+    materializes the shared endpoint events.  Both paths return the same diff.
+    """
+    if _same_net_order(old, new):
+        changes = _plane_changes(old.analysis, new.analysis)
+    else:
+        changes = _key_set_changes(old, new)
+    added, removed, setup_rows, hold_rows = changes
 
     def total(report: TimingReport) -> Optional[float]:
         return report.total_delay if report.critical_path else None
@@ -1039,10 +1131,10 @@ def compare_reports(old: TimingReport, new: TimingReport) -> ReportDiff:
         new_total_delay=total(new),
         old_wns=old.wns,
         new_wns=new.wns,
-        changed_endpoints=changed_slacks("setup"),
-        added_events=len(new_keys - old_keys),
-        removed_events=len(old_keys - new_keys),
+        changed_endpoints=setup_rows,
+        added_events=added,
+        removed_events=removed,
         old_whs=old.whs,
         new_whs=new.whs,
-        changed_hold_endpoints=changed_slacks("hold"),
+        changed_hold_endpoints=hold_rows,
     )

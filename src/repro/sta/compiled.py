@@ -840,9 +840,15 @@ class CompiledAnalysis:
 
     def net_names_with_events(self) -> List[str]:
         """Names of nets carrying at least one event, in level order."""
+        return [self.graph.order[i] for i in np.flatnonzero(self._nets_with_events())]
+
+    def n_nets_with_events(self) -> int:
+        """How many nets carry at least one event (no name list built)."""
+        return int(np.count_nonzero(self._nets_with_events()))
+
+    def _nets_with_events(self) -> np.ndarray:
         exists = self.state.exists
-        mask = exists[0::2] | exists[1::2]
-        return [self.graph.order[i] for i in np.flatnonzero(mask)]
+        return exists[0::2] | exists[1::2]
 
     def timing_event(self, event: int):
         """One event as a :class:`repro.api.report.TimingEvent` record."""
@@ -937,12 +943,19 @@ class CompiledAnalysis:
         return np.where(self.state.exists, self.state.early_out,
                         np.nan) - self.hold_required
 
+    def slacks_of(self, events: np.ndarray, mode: str = "setup") -> np.ndarray:
+        """``mode`` slack of existing ``events``: :meth:`slack_plane` at those ids."""
+        check_mode(mode)
+        if mode == "setup":
+            return self.required[events] - self.state.out_arr[events]
+        return self.state.early_out[events] - self.hold_required[events]
+
     def worst_endpoint_slack(self, mode: str = "setup") -> Optional[float]:
         """Minimum ``mode`` slack over constrained endpoint events (None = none)."""
         events = self.endpoint_event_ids(mode)
         if not events.size:
             return None
-        return float(np.min(self.slack_plane(mode)[events]))
+        return float(np.min(self.slacks_of(events, mode)))
 
     def constrained(self, mode: str = "setup") -> bool:
         """True when any event carries a ``mode`` required time."""

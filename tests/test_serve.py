@@ -25,6 +25,7 @@ from repro.serve import (
     ValidationError,
 )
 from repro.serve.codec import DesignSpec, LineSpec
+from repro.sta.compiled import CompiledAnalysis, SweepState
 from repro.units import ps, to_ps
 
 #: A tiny two-net design spec exercising every spec section.
@@ -210,6 +211,62 @@ class TestRegistry:
             assert published == fresh
         finally:
             registry.close()
+
+
+class TestWriteCost:
+    """An edit batch on an attached design costs its cone, not the graph."""
+
+    SITES = ("k3c6s2", "k5m1", "k1l9", "k6c2s4")
+
+    @pytest.fixture(scope="class")
+    def soc(self, library):
+        registry = DesignRegistry()
+        design = registry.attach(AttachRequest(
+            name="soc", case="soc", nets=1000, clock_ps=1500.0, hold_margin_ps=0.0))
+        for _ in range(2):  # both toggle states solved; both plane buffers exist
+            for site in self.SITES:
+                self.resize(design, site)
+        yield design
+        registry.close()
+
+    @staticmethod
+    def resize(design, site):
+        size = {100.0: 75.0, 75.0: 100.0}[design.graph.nets[site].driver_size]
+        return design.apply_edits(EditRequest.from_payload({"edits": [
+            {"op": "resize_driver", "net": site, "driver_size": size}]}))
+
+    def test_batches_never_clone_the_planes(self, soc, monkeypatch):
+        clones = []
+        clone = SweepState.clone
+
+        def counting_clone(state):
+            clones.append(None)
+            return clone(state)
+
+        monkeypatch.setattr(SweepState, "clone", counting_clone)
+        for batch in range(20):
+            self.resize(soc, self.SITES[batch % len(self.SITES)])
+        # The published snapshot and its diff hold nothing of the previous
+        # analysis, so the engine always finds its spare buffer unshared.
+        assert not clones
+
+    def test_resize_builds_keys_only_for_the_path_and_changed_rows(
+            self, soc, monkeypatch):
+        calls = []
+        key_of = CompiledAnalysis.key_of
+
+        def counting_key_of(analysis, event):
+            calls.append(event)
+            return key_of(analysis, event)
+
+        monkeypatch.setattr(CompiledAnalysis, "key_of", counting_key_of)
+        for site in self.SITES:
+            calls.clear()
+            snapshot = self.resize(soc, site)
+            diff = snapshot.diff
+            rows = len(diff.changed_endpoints) + len(diff.changed_hold_endpoints)
+            assert rows
+            assert len(calls) <= len(snapshot.report.critical_path) + rows
 
 
 # --- HTTP endpoints -------------------------------------------------------------------
