@@ -19,10 +19,12 @@ acceptance gate, in three phases (one shared session, one memoized solver):
    child interpreter (peak RSS is a process-lifetime high-water mark, so the
    memory gate needs a process that has never held a bigger allocation).
    Gates: warm throughput >= ``NETS_PER_SECOND_FLOOR`` nets/s, cold compile
-   throughput >= ``COMPILE_NETS_PER_SECOND_FLOOR`` nets/s, and peak-RSS
-   growth over the post-import baseline <= ``BYTES_PER_NET_CEILING`` per net
-   (and above zero: :func:`repro.perf.peak_rss_bytes` reads the child's own
-   ``VmHWM``, so a measurement that inherited the parent's peak cannot pass).
+   throughput >= ``COMPILE_NETS_PER_SECOND_FLOOR`` nets/s, design build
+   throughput >= ``BUILD_NETS_PER_SECOND_FLOOR`` nets/s (best of
+   ``BUILD_LAPS`` fresh interpreters), and peak-RSS growth over the
+   post-import baseline <= ``BYTES_PER_NET_CEILING`` per net (and above zero:
+   :func:`repro.perf.peak_rss_bytes` reads the child's own ``VmHWM``, so a
+   measurement that inherited the parent's peak cannot pass).
 
 Results land in ``benchmarks/reports/scale.txt`` and
 ``benchmarks/reports/BENCH_scale.json``.  The JSON ``tracked`` section pins
@@ -66,6 +68,20 @@ NETS_PER_SECOND_FLOOR = 50_000
 #: ~113k nets/s there, so the floor fails against them).
 COMPILE_NETS_PER_SECOND_FLOOR = 150_000
 
+#: Required throughput of the 100k design build (``soc_graph`` + clock) in a
+#: fresh interpreter, best of ``BUILD_LAPS``.  On a 2-CPU container whose
+#: speed drifts by ~1.5x with its neighbours' load, alternating runs measured
+#: ~113k-197k nets/s, and ~83k-149k for the build with list fan-ins and
+#: dict-backed nets it replaced (three full collections per build instead of
+#: two).  The floor clears this build by ~25% in the slowest phase measured
+#: and fails the old one there; ``tests/test_sta_graph.py`` gates the
+#: collector's share deterministically, as GC-tracked objects per net.
+BUILD_NETS_PER_SECOND_FLOOR = 90_000
+
+#: Fresh interpreters the build gate takes the best of: the full lap below,
+#: plus ``BUILD_LAPS - 1`` that only build.
+BUILD_LAPS = 5
+
 #: Allowed peak-RSS growth per net while building + compiling + analyzing the
 #: 100k graph (measured ~1.1 kB/net; the ceiling leaves ~1.8x headroom for
 #: allocator and platform variance).
@@ -83,9 +99,8 @@ _EVENT_FIELDS = (
     "hold_required",
 )
 
-#: Runs in a fresh interpreter: the 100k build/compile/analyze lap with a
-#: clean peak-RSS high-water mark.  Prints one JSON object on stdout.
-_SUBPROCESS_SCRIPT = """
+#: The timed 100k design build, as a fresh interpreter's first work.
+_BUILD_SCRIPT = """
 import json, time
 from repro.api import TimingSession
 from repro.experiments import soc_graph
@@ -97,6 +112,11 @@ started = time.perf_counter()
 graph = soc_graph({nets})
 graph.set_clock_period(ps({clock_ps}), hold_margin=0.0)
 build_seconds = time.perf_counter() - started
+"""
+
+#: Runs in a fresh interpreter: the 100k build/compile/analyze lap with a
+#: clean peak-RSS high-water mark.  Prints one JSON object on stdout.
+_SUBPROCESS_SCRIPT = _BUILD_SCRIPT + """
 with TimingSession() as session:
     started = time.perf_counter()
     cold = session.time(graph)
@@ -130,6 +150,18 @@ def relative_difference(a, b):
         return 0.0
     scale = max(abs(a), abs(b), 1e-30)
     return abs(a - b) / scale
+
+
+def run_fresh(script):
+    """Run ``script`` (formatted for the 100k lap) in a new interpreter; returns
+    the JSON object on its last stdout line."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC_DIRECTORY) + os.pathsep + env.get("PYTHONPATH", "")
+    result = subprocess.run(
+        [sys.executable, "-c", script.format(nets=NETS_FULL, clock_ps=CLOCK_PS)],
+        capture_output=True, text=True, env=env, timeout=600)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.strip().splitlines()[-1])
 
 
 def test_scale_tier(library, report_writer):
@@ -176,15 +208,12 @@ def test_scale_tier(library, report_writer):
         speedup_10k = object_seconds / compiled_seconds
 
     # --- phase 3: 100k in a fresh subprocess --------------------------------
-    script = _SUBPROCESS_SCRIPT.format(nets=NETS_FULL, clock_ps=CLOCK_PS)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC_DIRECTORY) + os.pathsep + env.get("PYTHONPATH", "")
-    result = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True, text=True, env=env, timeout=600)
-    assert result.returncode == 0, result.stderr
-    full = json.loads(result.stdout.strip().splitlines()[-1])
+    full = run_fresh(_SUBPROCESS_SCRIPT)
     assert full["nets"] == NETS_FULL
+    build_only = _BUILD_SCRIPT + 'print(json.dumps({{"build_seconds": build_seconds}}))'
+    build_seconds = min([full["build_seconds"]] + [
+        run_fresh(build_only)["build_seconds"] for _ in range(BUILD_LAPS - 1)])
+    build_nets_per_second = full["nets"] / build_seconds
     nets_per_second = full["nets"] / full["warm_seconds"]
     compile_nets_per_second = full["nets"] / full["compile_seconds"]
     rss_delta = full["peak_rss_bytes"] - full["baseline_rss_bytes"]
@@ -203,6 +232,7 @@ def test_scale_tier(library, report_writer):
             "speedup_floor_10k": SPEEDUP_FLOOR_10K,
             "nets_per_second_floor": NETS_PER_SECOND_FLOOR,
             "compile_nets_per_second_floor": COMPILE_NETS_PER_SECOND_FLOOR,
+            "build_nets_per_second_floor": BUILD_NETS_PER_SECOND_FLOOR,
             "bytes_per_net_ceiling": BYTES_PER_NET_CEILING,
             # Volatile: compared for presence, not value (see
             # scripts/compare_bench_reports.py VOLATILE_TRACKED).
@@ -216,7 +246,8 @@ def test_scale_tier(library, report_writer):
             "compiled_seconds_10k": round(compiled_seconds, 4),
             "compile_seconds_10k": round(first.meta.compile_seconds, 4),
             "speedup_10k": round(speedup_10k, 1),
-            "build_seconds_100k": round(full["build_seconds"], 3),
+            "build_seconds_100k": round(build_seconds, 3),
+            "build_nets_per_second_100k": round(build_nets_per_second),
             "cold_seconds_100k": round(full["cold_seconds"], 3),
             "compile_seconds_100k": round(full["compile_seconds"], 3),
             "warm_seconds_100k": round(full["warm_seconds"], 4),
@@ -238,7 +269,7 @@ def test_scale_tier(library, report_writer):
         f"{object_seconds * 1e3:.0f} ms vs compiled "
         f"{compiled_seconds * 1e3:.1f} ms = {speedup_10k:.0f}x "
         f"(floor {SPEEDUP_FLOOR_10K:.0f}x)",
-        f"  100k nets (fresh process): build {full['build_seconds']:.2f} s, "
+        f"  100k nets (fresh process): build {build_seconds:.2f} s, "
         f"compile {full['compile_seconds']:.2f} s, "
         f"cold analyze {full['cold_seconds']:.2f} s, "
         f"warm analyze {full['warm_seconds'] * 1e3:.0f} ms",
@@ -246,6 +277,9 @@ def test_scale_tier(library, report_writer):
         f"(floor {NETS_PER_SECOND_FLOOR:,})",
         f"  100k compile         : {compile_nets_per_second:,.0f} nets/s "
         f"(floor {COMPILE_NETS_PER_SECOND_FLOOR:,})",
+        f"  100k design build    : {build_nets_per_second:,.0f} nets/s "
+        f"(floor {BUILD_NETS_PER_SECOND_FLOOR:,}, best of {BUILD_LAPS} "
+        "fresh processes)",
         f"  100k peak RSS growth : {rss_delta / 1e6:.1f} MB = "
         f"{bytes_per_net:.0f} bytes/net (ceiling {BYTES_PER_NET_CEILING})",
         f"  machine-readable     : {json_path.name}",
@@ -256,4 +290,5 @@ def test_scale_tier(library, report_writer):
     assert speedup_10k >= SPEEDUP_FLOOR_10K
     assert nets_per_second >= NETS_PER_SECOND_FLOOR
     assert compile_nets_per_second >= COMPILE_NETS_PER_SECOND_FLOOR
+    assert build_nets_per_second >= BUILD_NETS_PER_SECOND_FLOOR
     assert 0 < bytes_per_net <= BYTES_PER_NET_CEILING

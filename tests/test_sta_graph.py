@@ -1,18 +1,27 @@
 """Timing-graph subsystem: structure validation, levelization, batch analysis."""
 
 
+import copy
+import dataclasses
+import gc
 import math
+import pickle
+import random
+import sys
 
 import pytest
 
+from golden_cases import golden_designs, random_lines
 from repro.api import TimingReport
 from repro.core import StageSolver
 from repro.errors import ModelingError
-from repro.experiments import (fanout_tree, parallel_chains, reconvergent_graph)
+from repro.experiments import (fanout_tree, parallel_chains, reconvergent_graph,
+                               soc_graph)
 from repro.interconnect import RLCLine
 from repro.sta import (GraphEngine, GraphNet, PrimaryInput, TimingGraph,
                        TimingPath, TimingStage, chain_graph, flip_transition)
 from repro.units import mm, nH, pF, ps
+from test_sta_dual_mode import random_dag
 
 
 @pytest.fixture(scope="module")
@@ -65,8 +74,12 @@ class TestStructure:
             GraphNet("n", 75.0, line, receiver_size=-1.0)
         with pytest.raises(ModelingError):
             GraphNet("n", 75.0, line, extra_load=-1e-15)
-        with pytest.raises(ModelingError):
-            GraphNet("n", 75.0, line, fanout=("x", "x"))
+        with pytest.raises(ModelingError, match="^net 'n' lists a fanout twice$"):
+            GraphNet("n", 75.0, line, fanout=("x", "y", "x"))
+        assert GraphNet("n", 75.0, line, extra_load=-0.0).extra_load == 0.0
+        net = GraphNet("n", 75.0, line, fanout=["x", "y"])  # normalized
+        assert type(net.fanout) is tuple and net.fanout == ("x", "y")
+        assert GraphNet("n", 75.0, line, fanout=iter(["x"])).fanout == ("x",)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_net_rejects_non_finite_numbers(self, line, bad):
@@ -104,27 +117,37 @@ class TestStructure:
         assert not graph.constrained and not graph.constraints_dirty
 
     def test_graph_validation(self, line):
-        with pytest.raises(ModelingError):
-            TimingGraph([], {})
-        with pytest.raises(ModelingError):  # duplicate name
-            TimingGraph([GraphNet("n", 75.0, line), GraphNet("n", 50.0, line)],
-                        {"n": PrimaryInput(slew=ps(100))})
-        with pytest.raises(ModelingError):  # unknown fanout target
-            TimingGraph([GraphNet("n", 75.0, line, fanout=("ghost",))],
-                        {"n": PrimaryInput(slew=ps(100))})
-        with pytest.raises(ModelingError):  # self loop
-            TimingGraph([GraphNet("n", 75.0, line, fanout=("n",))],
-                        {"n": PrimaryInput(slew=ps(100))})
-        with pytest.raises(ModelingError):  # root without stimulus
-            TimingGraph([GraphNet("n", 75.0, line)], {})
-        with pytest.raises(ModelingError):  # stimulus on non-root
-            TimingGraph([GraphNet("a", 75.0, line, fanout=("b",)),
-                         GraphNet("b", 75.0, line)],
-                        {"a": PrimaryInput(slew=ps(100)),
-                         "b": PrimaryInput(slew=ps(100))})
-        with pytest.raises(ModelingError):  # cycle
-            TimingGraph([GraphNet("a", 75.0, line, fanout=("b",)),
-                         GraphNet("b", 75.0, line, fanout=("a",))], {})
+        # Each message names the first offender in net (or input) order.
+        pi = PrimaryInput(slew=ps(100))
+
+        def net(name, *fanout):
+            return GraphNet(name, 75.0, line, fanout=fanout, receiver_size=25.0)
+
+        for nets, inputs, message in [
+            ([], {}, "a timing graph needs at least one net"),
+            ([net("a", "b"), net("b"), net("c"), net("b"), net("a")],
+             {"a": pi, "c": pi}, "duplicate net name 'b'"),
+            ([net("a", "b", "ghost2"), net("b", "ghost1")], {"a": pi},
+             "net 'a' drives unknown net 'ghost2'"),
+            ([net("a", "b"), net("b", "b"), net("c", "c")], {"a": pi},
+             "net 'b' drives itself"),
+            ([net("a", "a"), net("b", "ghost")], {"a": pi},
+             "net 'a' drives itself"),
+            ([net("a")], {"a": pi, "ghost": pi},
+             "primary input attached to unknown net 'ghost'"),
+            ([net("a", "b"), net("b", "c"), net("c")],
+             {"a": pi, "b": pi, "c": pi},
+             "primary input attached to non-root net 'b'"),
+            ([net("c"), net("a"), net("b")], {"a": pi},
+             "root nets without a primary input: ['b', 'c']"),
+            ([net("a", "b"), net("b", "c"), net("c", "b", "d"), net("d")],
+             {"a": pi}, "timing graph contains a cycle through ['b', 'c', 'd']"),
+            ([net("a", "b"), net("b", "a")], {},
+             "timing graph contains a cycle through ['a', 'b']"),
+        ]:
+            with pytest.raises(ModelingError) as caught:
+                TimingGraph(nets, inputs)
+            assert str(caught.value) == message
 
     def test_primary_input_validation(self):
         with pytest.raises(ModelingError):
@@ -425,7 +448,9 @@ class TestGraphEdits:
         graph.clear_dirty()
         with pytest.raises(ModelingError, match="cycle"):
             graph.add_fanout("c0s2", "c0s1")
-        # The failed edit left no trace: structure, levels and dirt unchanged.
+        # The failed edit left no trace: structure, levels, dirt and the
+        # version a compiled snapshot is checked against unchanged.
+        assert graph.version == 0 and graph.topology_version == 0
         assert graph.nets["c0s2"].fanout == ()
         assert graph.fanin("c0s1") == ["c0s0"]
         assert graph.levels == [["c0s0"], ["c0s1"], ["c0s2"]]
@@ -489,3 +514,185 @@ class TestGraphEdits:
         assert fresh_diamond.dirty_nets == {"c", "sink"}
         # c became a receiver-less sink but stays analyzable.
         assert "c" in fresh_diamond.sinks
+
+
+# --- structure against a plain reference ---------------------------------------------
+def reference_fanin(nets):
+    """Fan-in lists of ``nets`` (name -> GraphNet), sources in net order: a
+    plain list-based reference for ``TimingGraph.fanin``."""
+    fanin = {name: [] for name in nets}
+    for net in nets.values():
+        for target in net.fanout:
+            fanin[target].append(net.name)
+    return fanin
+
+
+def reference_levels(nets, fanin):
+    """Kahn levelization over ``nets`` and ``fanin`` (name -> list of names),
+    each level sorted: a plain reference for ``TimingGraph.levels``."""
+    remaining = {name: len(sources) for name, sources in fanin.items()}
+    current = sorted(name for name, count in remaining.items() if count == 0)
+    levels = []
+    while current:
+        levels.append(current)
+        ready = []
+        for name in current:
+            for target in nets[name].fanout:
+                remaining[target] -= 1
+                if remaining[target] == 0:
+                    ready.append(target)
+        current = sorted(ready)
+    return levels
+
+
+def assert_structure(graph, fanin):
+    assert {name: graph.fanin(name) for name in graph.nets} == fanin
+    assert all(type(graph.fanin(name)) is list for name in graph.nets)
+    assert graph.levels == reference_levels(graph.nets, fanin)
+
+
+class TestStructureReference:
+    def test_structure_matches_reference_on_soc(self):
+        graph = soc_graph(10_000)
+        assert_structure(graph, reference_fanin(graph.nets))
+
+    def test_structure_matches_reference_on_golden_dags(self):
+        checked = []
+        for key, design, _ in golden_designs():
+            graph = design()
+            if isinstance(graph, TimingGraph):
+                assert_structure(graph, reference_fanin(graph.nets))
+                checked.append(key)
+        assert sum(key.startswith("random") for key in checked) == 4
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_structure_matches_reference_after_edits(self, seed):
+        rng = random.Random(seed)
+        graph = random_dag(rng, random_lines(), n_nets=rng.choice([12, 20]))
+        fanin = reference_fanin(graph.nets)
+        names = sorted(graph.nets)
+        applied = 0
+        for _ in range(40):
+            driver, sink = rng.sample(names, 2)
+            edges = [(d, s) for d in names for s in graph.nets[d].fanout]
+            remove = bool(edges) and rng.random() < 0.4
+            if remove:
+                driver, sink = rng.choice(edges)
+            try:
+                if remove:
+                    graph.remove_fanout(driver, sink)
+                    fanin[sink].remove(driver)
+                else:
+                    graph.add_fanout(driver, sink)
+                    fanin[sink].append(driver)
+                applied += 1
+            except ModelingError:
+                pass
+            assert_structure(graph, fanin)
+        assert applied > 0
+
+
+class TestSlottedNet:
+    def net(self, line):
+        return GraphNet("a", 75.0, line, fanout=("b", "c"), receiver_size=25.0,
+                        extra_load=1e-15)
+
+    def test_round_trips(self, line):
+        net = self.net(line)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            clone = pickle.loads(pickle.dumps(net, protocol=protocol))
+            assert clone == net and hash(clone) == hash(net)
+        clone = copy.deepcopy(net)
+        assert clone == net and clone is not net and hash(clone) == hash(net)
+        assert copy.copy(net) == net
+
+    def test_replace_validates_and_keeps_the_rest(self, line):
+        net = self.net(line)
+        resized = dataclasses.replace(net, driver_size=50.0)
+        assert resized.driver_size == 50.0 and net.driver_size == 75.0
+        assert resized == GraphNet("a", 50.0, line, fanout=("b", "c"),
+                                   receiver_size=25.0, extra_load=1e-15)
+        assert resized != net
+        with pytest.raises(ModelingError, match="driver size"):
+            dataclasses.replace(net, driver_size=-1.0)
+        with pytest.raises(ModelingError, match="fanout twice"):
+            dataclasses.replace(net, fanout=("b", "b"))
+
+    def test_frozen_and_hashable(self, line):
+        net = self.net(line)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            net.driver_size = 50.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del net.name
+        assert len({net, self.net(line)}) == 1
+
+    @pytest.mark.skipif(sys.version_info < (3, 10),
+                        reason="dataclass slots need Python 3.10+")
+    def test_no_instance_dict(self, line):
+        net = self.net(line)
+        assert not hasattr(net, "__dict__")
+        assert set(GraphNet.__slots__) == {
+            field.name for field in dataclasses.fields(GraphNet)}
+
+
+#: GC-tracked objects a built design may hold per net: the net itself, plus a
+#: little for the containers that index it.  Fan-ins are tuples of names,
+#: which the collector untracks; a list per net would make this ~2.
+TRACKED_PER_NET_CEILING = 1.25
+
+
+@pytest.mark.skipif(sys.version_info < (3, 10),
+                    reason="dataclass slots need Python 3.10+")
+def test_build_keeps_gc_tracked_objects_per_net_bounded():
+    soc_graph(125)  # any lazily built module state exists before counting
+    gc.collect()
+    before = len(gc.get_objects())
+    graph = soc_graph(10_000)
+    gc.collect()
+    per_net = (len(gc.get_objects()) - before) / len(graph)
+    assert 0 < per_net <= TRACKED_PER_NET_CEILING
+
+
+class TestRejectedEdits:
+    """A rejected edit leaves the design exactly as it was."""
+
+    def snapshot(self, graph):
+        return (graph.version, graph.topology_version, graph.levels,
+                {name: graph.fanin(name) for name in graph.nets},
+                graph.dirty_nets, graph.constraints_dirty, dict(graph.nets),
+                dict(graph.primary_inputs), graph.param_edits_since(-1))
+
+    def test_every_rejected_verb_is_a_no_op(self, line):
+        graph = reconvergent_graph(line=line)
+        graph.resize_driver("short", 100.0)  # a live edit: version, dirt
+        graph.add_fanout("short", "long_b")
+        assert graph.version == 2 and graph.topology_version == 1
+        rejected = [
+            lambda: graph.resize_driver("ghost", 50.0),
+            lambda: graph.resize_driver("short", -1.0),
+            lambda: graph.resize_driver("short", math.nan),
+            lambda: graph.set_line("ghost", line),
+            lambda: graph.set_line("short", "not a line"),
+            lambda: graph.set_extra_load("ghost", 0.0),
+            lambda: graph.set_extra_load("short", -1e-15),
+            lambda: graph.set_receiver("ghost", 25.0),
+            lambda: graph.set_receiver("sink", None),
+            lambda: graph.set_receiver("sink", 0.0),
+            lambda: graph.set_input("short", PrimaryInput(slew=ps(80))),
+            lambda: graph.set_input("root", "not a stimulus"),
+            lambda: graph.add_fanout("ghost", "sink"),
+            lambda: graph.add_fanout("root", "ghost"),
+            lambda: graph.add_fanout("short", "short"),
+            lambda: graph.add_fanout("root", "short"),
+            lambda: graph.add_fanout("sink", "root"),
+            lambda: graph.add_fanout("long_b", "long_a"),
+            lambda: graph.add_fanout("sink", "short"),
+            lambda: graph.remove_fanout("ghost", "sink"),
+            lambda: graph.remove_fanout("root", "sink"),
+            lambda: graph.remove_fanout("root", "long_a"),
+        ]
+        for edit in rejected:
+            before = self.snapshot(graph)
+            with pytest.raises(ModelingError):
+                edit()
+            assert self.snapshot(graph) == before
