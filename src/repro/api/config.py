@@ -34,7 +34,6 @@ from ..constants import SLEW_HIGH_THRESHOLD, SLEW_LOW_THRESHOLD
 from ..core.criteria import CriteriaThresholds
 from ..core.driver_model import ModelingOptions
 from ..errors import ModelingError
-from ..sta.graph import check_mode
 
 __all__ = ["SessionConfig"]
 
@@ -44,7 +43,7 @@ ENV_JOBS = "REPRO_JOBS"
 ENV_PERSISTENT_STAGES = "REPRO_PERSISTENT_STAGES"
 
 #: Keys older config payloads carry for fields that no longer exist.
-_RETIRED_CONFIG_KEYS = frozenset({"compile_threshold", "slew_quantum"})
+_RETIRED_CONFIG_KEYS = frozenset({"compile_threshold", "slew_quantum", "mode"})
 
 _TRUTHY = ("1", "true", "True", "yes", "on")
 
@@ -90,12 +89,6 @@ class SessionConfig:
     memo_size: int = 4096  #: in-process stage-solution LRU bound (0 disables)
     slew_low: float = SLEW_LOW_THRESHOLD  #: lower slew measurement threshold
     slew_high: float = SLEW_HIGH_THRESHOLD  #: upper slew measurement threshold
-    #: Default analysis mode for :meth:`TimingSession.time`: which constraint
-    #: polarities the backward pass computes — "setup", "hold" or "both".
-    #: Both event planes are always carried forward (dual-mode adds zero stage
-    #: solves), so "both" is the safe default; narrowing to one mode only
-    #: strips the other mode's required times from the reports.
-    mode: str = "both"
     options: ModelingOptions = field(default_factory=ModelingOptions)
     #: Named analysis corners: corner name -> the ModelingOptions that corner
     #: times with.  All corners run through the session's *single* memoized
@@ -114,7 +107,6 @@ class SessionConfig:
                 "slew thresholds must satisfy 0 < slew_low < slew_high < 1, got "
                 f"({self.slew_low}, {self.slew_high})"
             )
-        check_mode(self.mode, allow_both=True)
         if not isinstance(self.options, ModelingOptions):
             raise ModelingError("options must be a ModelingOptions instance")
         if self.corners is not None:
@@ -183,7 +175,6 @@ class SessionConfig:
             "memo_size": self.memo_size,
             "slew_low": self.slew_low,
             "slew_high": self.slew_high,
-            "mode": self.mode,
             "options": _options_to_dict(self.options),
             "corners": {
                 name: _options_to_dict(options) for name, options in self.corners.items()
@@ -224,6 +215,5 @@ class SessionConfig:
             f"session config: library={library}, cache={cache} "
             f"(cells {'on' if self.use_characterization_cache else 'off'}, "
             f"stages {'on' if self.persistent_stages else 'off'}), "
-            f"jobs={self.jobs}, memo={self.memo_size}, "
-            f"mode={self.mode}{corners}"
+            f"jobs={self.jobs}, memo={self.memo_size}{corners}"
         )

@@ -218,7 +218,8 @@ class TimingEvent:
 
 #: RunInfo keys older report payloads carry for fields that no longer exist.
 _RETIRED_RUNINFO_KEYS = frozenset(
-    {"jobs", "installed", "shards", "boundary_events_exchanged", "parallel_sweep"}
+    {"jobs", "installed", "shards", "boundary_events_exchanged", "parallel_sweep",
+     "mode"}
 )
 
 
@@ -234,7 +235,6 @@ class RunInfo:
     version: str = ""  #: repro package version that produced the report
     dirty_nets: Optional[int] = None  #: incremental runs: nets the edits dirtied
     retimed_nets: Optional[int] = None  #: incremental runs: forward-cone size
-    mode: str = "both"  #: which constraint polarities the analysis computed
     required_nets: Optional[int] = None  #: incremental runs: backward-region size
     hold_required_nets: Optional[int] = None  #: incremental runs: hold-cone size
     report_events_rebuilt: Optional[int] = None  #: warm updates: events re-flattened
@@ -276,7 +276,6 @@ class RunInfo:
             "version": self.version,
             "dirty_nets": self.dirty_nets,
             "retimed_nets": self.retimed_nets,
-            "mode": self.mode,
             "required_nets": self.required_nets,
             "hold_required_nets": self.hold_required_nets,
             "report_events_rebuilt": self.report_events_rebuilt,
@@ -320,11 +319,9 @@ class TimingReport:
         design: str,
         kind: str = "graph",
         version: str = "",
-        mode: str = "both",
     ) -> "TimingReport":
         """Flatten a live :class:`GraphTimingReport` into the unified model."""
         _check_kind(kind)
-        check_mode(mode, allow_both=True)
         events = {
             name: {
                 transition: TimingEvent.from_net_event(event)
@@ -348,7 +345,6 @@ class TimingReport:
             version=version,
             dirty_nets=incremental.dirty_nets if incremental is not None else None,
             retimed_nets=incremental.retimed_nets if incremental is not None else None,
-            mode=mode,
             required_nets=incremental.required_nets if incremental is not None else None,
             hold_required_nets=incremental.hold_required_nets
             if incremental is not None
@@ -789,7 +785,6 @@ class StreamingTimingReport(TimingReport):
         design: str,
         kind: str = "graph",
         version: str = "",
-        mode: str = "both",
         compile_seconds: Optional[float] = None,
         patched_nets: Optional[int] = None,
         reuse: Optional["StreamingTimingReport"] = None,
@@ -808,7 +803,6 @@ class StreamingTimingReport(TimingReport):
         :class:`~repro.sta.TimingPath` (its chain graph), else ``"graph"``.
         """
         _check_kind(kind)
-        check_mode(mode, allow_both=True)
         critical = (
             [analysis.key_of(event) for event in analysis.critical_path_ids()]
             if analysis.n_events
@@ -836,7 +830,6 @@ class StreamingTimingReport(TimingReport):
             computed=stats.computed,
             batched_solves=stats.batched_solves,
             version=version,
-            mode=mode,
             compile_seconds=compile_seconds,
             peak_rss_bytes=_peak_rss_bytes(),
             dirty_nets=(incremental.dirty_nets

@@ -53,7 +53,7 @@ from ..core.driver_model import ModelingOptions
 from ..core.stage_solver import SolverStats, StageSolver
 from ..errors import ModelingError
 from ..sta.batch import GraphEngine
-from ..sta.graph import TimingGraph, chain_graph, check_mode
+from ..sta.graph import TimingGraph, chain_graph
 from ..sta.incremental_compiled import CompiledIncrementalEngine
 from ..sta.stage import TimingPath
 from ..tech.inverter import InverterSpec
@@ -75,7 +75,7 @@ class TimingSession:
     nothing at all::
 
         TimingSession()                      # defaults: shipped library, serial
-        TimingSession(mode="setup")          # override one knob
+        TimingSession(memo_size=0)           # override one knob
         TimingSession(SessionConfig.from_env())  # env-var layer, explicit
 
     The session owns its resources: the stage-solution memo is shared by every
@@ -117,8 +117,6 @@ class TimingSession:
             library=self.library,
             tech=self.library.tech,
             options=cfg.options,
-            slew_low=cfg.slew_low,
-            slew_high=cfg.slew_high,
             solver=self.solver,
         )
         self._incremental: Optional[CompiledIncrementalEngine] = None
@@ -214,7 +212,6 @@ class TimingSession:
         memoize: bool = True,
         name: Optional[str] = None,
         corner: Optional[str] = None,
-        mode: Optional[str] = None,
     ) -> TimingReport:
         """Time ``design`` and return the unified :class:`TimingReport`.
 
@@ -234,14 +231,11 @@ class TimingSession:
         report's design label; ``corner`` times the design under that
         configured corner's modeling options (all corners share the session's
         one stage-solution memo — option fields are part of every fingerprint,
-        so corners never alias each other's entries); ``mode`` overrides the
-        session's default analysis mode (``config.mode``) — which constraint
-        polarities the backward pass computes (``"setup"``, ``"hold"`` or
-        ``"both"``).  Both arrival planes are always carried, and a single
-        traversal serves both polarities with zero additional stage solves.
+        so corners never alias each other's entries).  Every analysis
+        computes each polarity the graph constrains: one traversal carries
+        both arrival planes, and the hold checks add zero stage solves.
         """
         self._closed = False
-        mode = self.config.mode if mode is None else check_mode(mode, allow_both=True)
         options = self.corner_options(corner)
         kind = "graph"
         if isinstance(design, DesignBuilder):
@@ -258,9 +252,9 @@ class TimingSession:
             )
         design_name = name if name is not None else label
         if not memoize:
-            report = self._engine.analyze(graph, memoize=False, options=options, mode=mode)
+            report = self._engine.analyze(graph, memoize=False, options=options)
             return TimingReport.from_graph_report(
-                report, design=design_name, kind=kind, version=__version__, mode=mode
+                report, design=design_name, kind=kind, version=__version__
             )
         if graph is design:
             compiled_graph, fresh, patched = self._compiled_for(graph)
@@ -269,14 +263,13 @@ class TimingSession:
             # them without evicting the cached twin of a long-lived graph.
             compiled_graph, fresh, patched = self._engine.compile(graph), True, 0
         analysis = self._engine.analyze_compiled(
-            graph, compiled_graph=compiled_graph, options=options, mode=mode
+            graph, compiled_graph=compiled_graph, options=options
         )
         return StreamingTimingReport.from_compiled(
             analysis,
             design=design_name,
             kind=kind,
             version=__version__,
-            mode=mode,
             compile_seconds=compiled_graph.compile_seconds if fresh else 0.0,
             patched_nets=patched,
         )
@@ -315,7 +308,6 @@ class TimingSession:
         design: Design,
         *,
         name: Optional[str] = None,
-        mode: Optional[str] = None,
     ) -> "dict[str, TimingReport]":
         """Time ``design`` under every configured corner: name -> report.
 
@@ -334,7 +326,6 @@ class TimingSession:
                 design,
                 corner=corner,
                 name=f"{name}@{corner}" if name else None,
-                mode=mode,
             )
             for corner in sorted(corners)
         }
@@ -362,11 +353,10 @@ class TimingSession:
         report's ``meta.dirty_nets`` / ``meta.retimed_nets`` say how much work
         the update actually did.
 
-        Incremental updates always time the default corner in both analysis
-        modes (dual-mode costs no extra stage solves) — re-time other corners
-        in full with ``time(design, corner=...)``.  Builders build a *fresh*
-        graph per ``build()``; call update on the built :class:`TimingGraph`
-        itself.
+        Incremental updates always time the default corner — re-time other
+        corners in full with ``time(design, corner=...)``.  Builders build a
+        *fresh* graph per ``build()``; call update on the built
+        :class:`TimingGraph` itself.
         """
         self._closed = False
         engine = self._incremental
@@ -379,7 +369,7 @@ class TimingSession:
         elif isinstance(design, TimingGraph):
             if engine is None or engine.graph is not design:
                 # The dirty set has exactly one consumer per graph.
-                engine = CompiledIncrementalEngine(self._engine, design, mode="both")
+                engine = CompiledIncrementalEngine(self._engine, design)
                 self._incremental = engine
                 self._update_report = None  # stale: belongs to the old graph
         elif isinstance(design, DesignBuilder):
@@ -398,7 +388,6 @@ class TimingSession:
             analysis,
             design=name if name is not None else "graph",
             version=__version__,
-            mode=analysis.mode,
             compile_seconds=compiled_graph.compile_seconds if fresh else 0.0,
             patched_nets=patched,
             reuse=self._update_report,

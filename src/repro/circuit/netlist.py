@@ -11,7 +11,7 @@ programmatic construction of ladder networks and gate netlists terse.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple, Type, TypeVar
+from typing import Dict, List, Optional, Tuple, Type, TypeVar
 
 from ..errors import CircuitError
 from .elements import (Capacitor, CurrentSource, Element, Inductor, Resistor,
@@ -169,14 +169,3 @@ class Circuit:
     def __repr__(self) -> str:
         return f"<Circuit {self.name!r} elements={len(self._elements)}>"
 
-
-def merge_node_lists(*node_groups: Iterable[str]) -> List[str]:
-    """Utility: merge node name iterables preserving order and uniqueness."""
-    seen = set()
-    merged: List[str] = []
-    for group in node_groups:
-        for node in group:
-            if node not in seen:
-                seen.add(node)
-                merged.append(node)
-    return merged

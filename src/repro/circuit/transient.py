@@ -98,10 +98,6 @@ class TransientResult:
         idx = self._index.branch(element_name) - self._index.n_nodes
         return self._branch_currents[:, idx]
 
-    def branch_waveform(self, element_name: str) -> Waveform:
-        """Branch current of ``element_name`` as a waveform."""
-        return Waveform(self.times, self.branch_current(element_name))
-
     def source_delivered_current(self, source_name: str) -> np.ndarray:
         """Current delivered by a voltage source into the circuit (out of its + terminal)."""
         return -self.branch_current(source_name)

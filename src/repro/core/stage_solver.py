@@ -332,6 +332,14 @@ class SolverStats:
         """An independent copy of the current counters."""
         return dataclasses.replace(self)
 
+    def since(self, before: "SolverStats") -> "SolverStats":
+        """The counters accumulated after the ``before`` snapshot was taken."""
+        return SolverStats(
+            memo_hits=self.memo_hits - before.memo_hits,
+            persistent_hits=self.persistent_hits - before.persistent_hits,
+            computed=self.computed - before.computed,
+            batched_solves=self.batched_solves - before.batched_solves)
+
 
 class StageSolver:
     """Memoizing front end to :func:`solve_stage_batch`.

@@ -11,14 +11,16 @@ The concurrency discipline, enforced here so the HTTP layer stays trivial:
   read of a frozen dataclass — atomic under the GIL — so a reader always sees
   one complete pre- or post-edit report, never a torn intermediate.
 * **Writes** (:meth:`AttachedDesign.apply_edits`) serialize through one
-  mutation lock per design: capture each verb's inverse, apply the batch,
-  incrementally re-time via :meth:`TimingSession.update` (bit-identical to a
-  from-scratch analysis of the edited graph), then swap in the new snapshot.
-  If any verb is rejected mid-batch, or the re-time itself fails (e.g. a resize
-  to an uncharacterized driver size), the already-applied verbs are rolled
-  back in reverse order and the snapshot is left untouched — edit batches are
-  atomic: all-or-nothing, and never observable half-applied.  The rollback
-  re-dirties the same nets, so the next batch's update re-times them back.
+  mutation lock per design: check every driver resize against the session's
+  cell library, capture each verb's inverse, apply the batch, incrementally
+  re-time via :meth:`TimingSession.update` (bit-identical to a from-scratch
+  analysis of the edited graph), then swap in the new snapshot.  A resize to
+  an uncharacterized driver size is rejected before any verb runs, so the
+  graph is not touched at all.  If any verb is rejected mid-batch, or the
+  re-time itself fails, the already-applied verbs are rolled back in reverse
+  order and the snapshot is left untouched — edit batches are atomic:
+  all-or-nothing, and never observable half-applied.  The rollback re-dirties
+  the same nets, so the next batch's update re-times them back.
 * **Attach/detach** serialize through the registry lock, which is *not* held
   during the (potentially long) initial full analysis.
 """
@@ -34,7 +36,7 @@ from ..api.report import ReportDiff, TimingReport, compare_reports
 from ..api.session import TimingSession
 from ..errors import ReproError
 from ..sta.graph import TimingGraph
-from .codec import AttachRequest, EditRequest
+from .codec import AttachRequest, EditRequest, ResizeDriver, ValidationError
 
 __all__ = ["Snapshot", "AttachedDesign", "DesignRegistry", "UnknownDesignError"]
 
@@ -97,12 +99,15 @@ class AttachedDesign:
         Raises :class:`~repro.errors.ReproError` (and leaves the graph and the
         published snapshot exactly as before) if any verb of the batch is
         rejected — e.g. an unknown net, a cycle-creating fanout edit, or an
-        orphaning removal — or if re-timing the edited graph fails.
+        orphaning removal — or if re-timing the edited graph fails.  A resize
+        to a driver size the library has not characterized raises
+        :class:`~.codec.ValidationError` before any verb is applied.
         """
         with self._mutation_lock:
             applied: List[Tuple[Any, ...]] = []  # inverse groups, apply order
             old = self.snapshot
             try:
+                self._check_driver_sizes(request)
                 for verb in request.edits:
                     inverses = verb.inverse(self.graph)  # before apply: pre-state
                     verb.apply(self.graph)
@@ -124,6 +129,14 @@ class AttachedDesign:
                 self._edits_applied += len(request.edits)
             self.snapshot = snapshot  # the atomic publish
             return snapshot
+
+    def _check_driver_sizes(self, request: EditRequest) -> None:
+        library = self.session.library
+        for verb in request.edits:
+            if isinstance(verb, ResizeDriver) and verb.driver_size not in library:
+                raise ValidationError(
+                    f"{verb.describe()}: no characterized cell of that size; "
+                    f"available sizes: {list(library.sizes)}")
 
     # --- the read path ----------------------------------------------------------------
     def record_query(self) -> Snapshot:

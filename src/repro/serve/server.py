@@ -3,7 +3,8 @@
 One thread per connection (reads are lock-free against the registry's
 snapshots, so concurrency here is real), JSON in/out, HTTP/1.1 keep-alive.
 Errors map by layer: malformed payloads (:class:`~.codec.ValidationError`,
-bad JSON, bad query parameters) → 400, unknown designs/nets
+bad JSON, bad query parameters, a resize to an uncharacterized driver size)
+→ 400, unknown designs/nets
 (:class:`~.registry.UnknownDesignError`) → 404, well-formed requests the
 engine rejects (:class:`~repro.errors.ReproError`: cycles, unknown cases'
 nets, solver failures) → 422.

@@ -40,9 +40,9 @@ engine, and returns the unified, JSON-serializable
 from .batch import GraphEngine, IncrementalEngine
 from .compiled import (TRANSITIONS, CompiledAnalysis, CompiledGraph,
                        SweepState, compile_graph)
-from .graph import (ANALYSIS_MODES, CHECK_MODES, GraphNet, GraphTimingReport,
-                    IncrementalStats, NetEventTiming, PrimaryInput,
-                    TimingGraph, chain_graph, check_mode, flip_transition)
+from .graph import (CHECK_MODES, GraphNet, GraphTimingReport, IncrementalStats,
+                    NetEventTiming, PrimaryInput, TimingGraph, chain_graph,
+                    check_mode, flip_transition)
 from .stage import TimingPath, TimingStage
 from .validation import PathReference, simulate_path_reference
 
@@ -55,7 +55,6 @@ __all__ = [
     "chain_graph",
     "flip_transition",
     "check_mode",
-    "ANALYSIS_MODES",
     "CHECK_MODES",
     "NetEventTiming",
     "GraphTimingReport",

@@ -22,14 +22,14 @@ Stage solves are mode-independent: each (net, transition) event is solved once,
 at its late-merged slew, and the early plane rides along as pure arithmetic —
 dual-mode analysis performs **zero additional stage solves** over late-only.
 
-After the forward pass, a constrained graph (clock period / hold margin or
-explicit ``set_required`` pins of either mode) gets a backward pass: required
-times propagate from the endpoints against the arrival flow — per rise/fall,
-the minimum required over a net's fanout consumers for setup and the maximum
-for hold, mirroring how the forward merge takes the extreme arrival — and every
-event gains ``required`` / ``slack`` plus ``hold_required`` / ``hold_slack``.
-The backward pass is pure arithmetic over already-solved stage delays, so it
-costs microseconds even on 1k-net graphs.
+After the forward pass, every analysis computes each polarity the graph
+constrains (clock period / hold margin or explicit ``set_required`` pins): a
+backward pass propagates required times from the endpoints against the arrival
+flow — per rise/fall, the minimum required over a net's fanout consumers for
+setup and the maximum for hold, mirroring how the forward merge takes the
+extreme arrival — and every event gains ``required`` / ``slack`` plus
+``hold_required`` / ``hold_slack``.  The backward pass is pure arithmetic over
+already-solved stage delays, so it costs microseconds even on 1k-net graphs.
 
 :class:`IncrementalEngine` adds what-if speed on top: it stays attached to one
 (now mutable) :class:`TimingGraph` and, on :meth:`IncrementalEngine.update`,
@@ -54,24 +54,23 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..characterization.cell import CellCharacterization
 from ..characterization.library import CellLibrary, default_library
-from ..constants import SLEW_HIGH_THRESHOLD, SLEW_LOW_THRESHOLD
 from ..core.driver_model import ModelingOptions
-from ..core.stage_solver import (SolverStats, StageRequest, StageSolution,
-                                 StageSolver, _options_fingerprint, solve_stage)
+from ..core.stage_solver import (StageRequest, StageSolution, StageSolver,
+                                 _options_fingerprint, solve_stage)
 from ..errors import ModelingError
 from ..tech.technology import Technology, generic_180nm
 from .compiled import (TRANSITIONS, CompiledAnalysis, CompiledGraph,
                        SweepState, backward_required, compile_graph,
-                       constraint_seeds, level_solve_keys, merge_level,
-                       scatter_level_solutions)
+                       level_solve_keys, merge_level, required_seeds,
+                       scatter_level_solutions, seed_primary_inputs)
 from .graph import (GraphNet, GraphTimingReport, IncrementalStats,
-                    NetEventTiming, TimingGraph, check_mode, flip_transition)
+                    NetEventTiming, TimingGraph, flip_transition)
 
 __all__ = ["GraphEngine", "IncrementalEngine"]
 
@@ -107,24 +106,19 @@ class _WorkItem:
 class GraphEngine:
     """Times whole graphs level by level with the memoized, batched stage solver.
 
-    Takes a library, technology, modeling options and slew thresholds, plus
-    an optional shared :class:`StageSolver` so several engines can pool one
-    memo.
+    Takes a library, technology and modeling options, plus an optional shared
+    :class:`StageSolver` (which also owns the slew thresholds) so several
+    engines can pool one memo.
     """
 
     def __init__(self, *, library: Optional[CellLibrary] = None,
                  tech: Optional[Technology] = None,
                  options: Optional[ModelingOptions] = None,
-                 slew_low: float = SLEW_LOW_THRESHOLD,
-                 slew_high: float = SLEW_HIGH_THRESHOLD,
                  solver: Optional[StageSolver] = None) -> None:
         self.library = library if library is not None else default_library()
         self.tech = tech if tech is not None else generic_180nm()
         self.options = options if options is not None else ModelingOptions()
-        self.slew_low = slew_low
-        self.slew_high = slew_high
-        self.solver = solver if solver is not None else StageSolver(
-            slew_low=slew_low, slew_high=slew_high)
+        self.solver = solver if solver is not None else StageSolver()
 
     # --- helpers ---------------------------------------------------------------------
     def net_load(self, graph: TimingGraph, net: GraphNet) -> float:
@@ -258,27 +252,27 @@ class GraphEngine:
     @staticmethod
     def _apply_required(graph: TimingGraph,
                         events: Dict[str, Dict[str, NetEventTiming]],
-                        targets: Optional[set] = None, *,
-                        setup: bool = True, hold: bool = True) -> int:
+                        targets: Optional[set] = None) -> int:
         """Backward pass: propagate required times, rewrite events in place.
 
-        Mirrors the forward merge against the arrival flow, per enabled mode:
-        an event's *setup* required far-end time is the minimum of its
-        constraint seed and, per consumer in its fanout, that consumer's
-        required time minus the consumer's stage delay (the consumer event
-        keyed by this event's output transition — min-required wins per
-        rise/fall); its *hold* required time is the exact mirror with the
-        maximum (the early arrival must clear every downstream minimum).  A
-        disabled mode strips that mode's required times instead.  ``targets``
+        Mirrors the forward merge against the arrival flow, per polarity the
+        graph constrains: an event's *setup* required far-end time is the
+        minimum of its constraint seed and, per consumer in its fanout, that
+        consumer's required time minus the consumer's stage delay (the
+        consumer event keyed by this event's output transition — min-required
+        wins per rise/fall); its *hold* required time is the exact mirror with
+        the maximum (the early arrival must clear every downstream minimum).
+        An unconstrained polarity's required times are ``None``.  ``targets``
         restricts the rewrite to a net subset (the incremental backward
         region); consumers outside it contribute their cached required times.
         Pure arithmetic — no stage is ever re-solved here.  Returns the number
         of nets visited.
         """
-        do_setup = setup and graph.setup_constrained
-        do_hold = hold and graph.hold_constrained
+        do_setup = graph.setup_constrained
+        do_hold = graph.hold_constrained
         if not do_setup and not do_hold and targets is None:
-            # Nothing seeds a required time; strip any stale ones cheaply.
+            # Nothing seeds a required time (the constraints were removed
+            # since the events were timed); strip any stale ones cheaply.
             for name, per_net in events.items():
                 for transition, event in per_net.items():
                     if event.required is not None \
@@ -328,8 +322,7 @@ class GraphEngine:
         return visited
 
     def analyze(self, graph: TimingGraph, *, memoize: bool = True,
-                options: Optional[ModelingOptions] = None,
-                mode: str = "both") -> GraphTimingReport:
+                options: Optional[ModelingOptions] = None) -> GraphTimingReport:
         """Time every (net, transition) event of ``graph`` (the object sweep).
 
         ``memoize=False`` bypasses the solver's caches entirely,
@@ -337,16 +330,12 @@ class GraphEngine:
         ``options`` overrides the engine's modeling options for this analysis
         only (the corner axis — every corner shares the engine's memoized
         solver, and the per-corner option fields are part of every memo
-        fingerprint, so corners never collide in the cache); ``mode`` selects
-        which constraint polarities the backward pass computes — ``"setup"``,
-        ``"hold"`` or ``"both"`` (the default).  Both event planes are always
-        carried forward (that is free); the mode only gates the required-time
-        passes, so a late-only and a dual-mode analysis perform identical
-        stage solves.
+        fingerprint, so corners never collide in the cache).  Both event
+        planes are carried forward and every polarity the graph constrains
+        gets its required times, at no extra stage solve.
         """
         if not isinstance(graph, TimingGraph):
             raise ModelingError("analyze() expects a TimingGraph")
-        check_mode(mode, allow_both=True)
         started = time.perf_counter()
         before = self.solver.stats.snapshot()
 
@@ -358,17 +347,9 @@ class GraphEngine:
         events: Dict[str, Dict[str, NetEventTiming]] = {}
         self._time_levels(graph, graph.levels, pending, events,
                           memoize=memoize, options=options)
-        self._apply_required(graph, events, setup=mode in ("setup", "both"),
-                             hold=mode in ("hold", "both"))
-
-        after = self.solver.stats
-        stats = SolverStats(
-            memo_hits=after.memo_hits - before.memo_hits,
-            persistent_hits=after.persistent_hits - before.persistent_hits,
-            computed=after.computed - before.computed,
-            batched_solves=after.batched_solves - before.batched_solves)
+        self._apply_required(graph, events)
         return GraphTimingReport(graph=graph, events=events, levels=graph.levels,
-                                 stats=stats,
+                                 stats=self.solver.stats.since(before),
                                  elapsed=time.perf_counter() - started)
 
     # --- compiled (struct-of-arrays) analysis ----------------------------------------
@@ -382,17 +363,6 @@ class GraphEngine:
         :attr:`TimingGraph.version`).
         """
         return compile_graph(graph, library=self.library, tech=self.tech)
-
-    @staticmethod
-    def _seed_primary_inputs(cg: CompiledGraph, graph: TimingGraph,
-                             state: SweepState) -> None:
-        """Install the live primary-input stimuli as pending root events."""
-        for name, primary in graph.primary_inputs.items():
-            event = cg.index[name] * 2 + TRANSITIONS.index(primary.transition)
-            state.exists[event] = True
-            state.in_arr[event] = primary.arrival
-            state.early_in[event] = primary.arrival
-            state.in_slew[event] = primary.slew
 
     def _solve_compiled_level(self, cg: CompiledGraph, state: SweepState,
                               events: np.ndarray,
@@ -439,10 +409,31 @@ class GraphEngine:
         scatter_level_solutions(state, events, base + inverse, delays[inverse],
                                 prop_slews[inverse])
 
+    def _level_solver(self, cg: CompiledGraph, state: SweepState,
+                      solutions: List[StageSolution],
+                      options: Optional[ModelingOptions] = None
+                      ) -> Callable[[np.ndarray], None]:
+        """One compiled sweep's per-level solve step, bound to its planes.
+
+        Derives the per-transition event options from ``options`` (default:
+        the engine's) and fetches ``cg``'s fingerprint cache for them once,
+        then returns ``solve_level(events)``: :meth:`_solve_compiled_level`
+        into ``state``, appending to ``solutions``.
+        """
+        base = options if options is not None else self.options
+        options_pair = {t: self._event_options(TRANSITIONS[t], base)
+                        for t in (0, 1)}
+        fp_cache = cg.fingerprints.setdefault(_options_fingerprint(base), {})
+
+        def solve_level(events: np.ndarray) -> None:
+            self._solve_compiled_level(cg, state, events, options_pair,
+                                       fp_cache, solutions)
+        return solve_level
+
     def analyze_compiled(self, graph: TimingGraph, *,
                          compiled_graph: Optional[CompiledGraph] = None,
-                         options: Optional[ModelingOptions] = None,
-                         mode: str = "both") -> CompiledAnalysis:
+                         options: Optional[ModelingOptions] = None
+                         ) -> CompiledAnalysis:
         """Time ``graph`` through the struct-of-arrays path.
 
         Equivalent to :meth:`analyze` — same merges, same stage solves through
@@ -455,7 +446,6 @@ class GraphEngine:
         """
         if not isinstance(graph, TimingGraph):
             raise ModelingError("analyze_compiled() expects a TimingGraph")
-        check_mode(mode, allow_both=True)
         cg = compiled_graph if compiled_graph is not None else self.compile(graph)
         if cg.version != graph.version:
             raise ModelingError(
@@ -463,39 +453,23 @@ class GraphEngine:
                 "after compile()); recompile before analyzing")
         started = time.perf_counter()
         before = self.solver.stats.snapshot()
-        base_options = options if options is not None else self.options
-        options_pair = {
-            t: replace(base_options, transition=flip_transition(TRANSITIONS[t]),
-                       reference_time=0.0)
-            for t in (0, 1)}
-        fp_cache = cg.fingerprints.setdefault(
-            _options_fingerprint(base_options), {})
         solutions: List[StageSolution] = []
         state = SweepState.empty(2 * cg.n_nets)
-        self._seed_primary_inputs(cg, graph, state)
+        solve_level = self._level_solver(cg, state, solutions, options)
+        seed_primary_inputs(cg, graph, state)
         for level in range(cg.n_levels):
             net_lo = int(cg.level_ptr[level])
             net_hi = int(cg.level_ptr[level + 1])
             events = merge_level(cg, state, net_lo, net_hi)
             if events.size:
-                self._solve_compiled_level(cg, state, events, options_pair,
-                                           fp_cache, solutions)
-        do_setup = mode in ("setup", "both") and graph.setup_constrained
-        do_hold = mode in ("hold", "both") and graph.hold_constrained
+                solve_level(events)
         required, hold_required = backward_required(
-            cg, state,
-            constraint_seeds(cg, graph, "setup") if do_setup else None,
-            constraint_seeds(cg, graph, "hold") if do_hold else None)
-        after = self.solver.stats
-        stats = SolverStats(
-            memo_hits=after.memo_hits - before.memo_hits,
-            persistent_hits=after.persistent_hits - before.persistent_hits,
-            computed=after.computed - before.computed,
-            batched_solves=after.batched_solves - before.batched_solves)
+            cg, state, *required_seeds(cg, graph))
         return CompiledAnalysis(
             graph=cg, state=state, required=required,
-            hold_required=hold_required, solutions=solutions, stats=stats,
-            elapsed=time.perf_counter() - started, mode=mode)
+            hold_required=hold_required, solutions=solutions,
+            stats=self.solver.stats.since(before),
+            elapsed=time.perf_counter() - started)
 
 
 class IncrementalEngine(GraphEngine):
@@ -616,15 +590,9 @@ class IncrementalEngine(GraphEngine):
             self.invalidate()
             raise
 
-        after = self.solver.stats
-        stats = SolverStats(
-            memo_hits=after.memo_hits - before.memo_hits,
-            persistent_hits=after.persistent_hits - before.persistent_hits,
-            computed=after.computed - before.computed,
-            batched_solves=after.batched_solves - before.batched_solves)
         return GraphTimingReport(
             graph=graph, events=self._snapshot(), levels=graph.levels,
-            stats=stats,
+            stats=self.solver.stats.since(before),
             elapsed=time.perf_counter() - started,
             incremental=IncrementalStats(
                 dirty_nets=len(dirty), retimed_nets=len(cone),

@@ -72,8 +72,9 @@ from ..tech.technology import Technology
 from .graph import TimingGraph, check_mode
 
 __all__ = ["TRANSITIONS", "CompiledGraph", "ConfigInterner", "compile_graph",
-           "SweepState", "CompiledAnalysis", "merge_level", "merge_nets",
-           "constraint_seeds", "backward_required", "required_level"]
+           "SweepState", "CompiledAnalysis", "seed_primary_inputs",
+           "merge_level", "merge_nets", "constraint_seeds", "required_seeds",
+           "backward_required", "required_level"]
 
 #: Input-transition axis of the event encoding, in sorted order — index 0 is
 #: ``"fall"``, index 1 is ``"rise"``, so event ids enumerate transitions the
@@ -511,6 +512,32 @@ class SweepState:
         return sum(plane.nbytes for plane in self.planes())
 
 
+def seed_primary_inputs(cg: CompiledGraph, graph: TimingGraph,
+                        state: SweepState,
+                        nets: Optional[np.ndarray] = None) -> None:
+    """Install the live primary-input stimuli as pending root events.
+
+    ``nets`` restricts the seeding to the roots among those net ids (an
+    incremental sweep's level); None seeds every primary input.
+    """
+    primary_inputs = graph.primary_inputs
+    if nets is None:
+        index = cg.index
+        roots = [(index[name], primary) for name, primary in primary_inputs.items()]
+    else:
+        order = cg.order
+        roots = [(net_id, primary_inputs.get(order[net_id]))
+                 for net_id in nets.tolist()]
+    for net_id, primary in roots:
+        if primary is None:
+            continue
+        event = net_id * 2 + TRANSITIONS.index(primary.transition)
+        state.exists[event] = True
+        state.in_arr[event] = primary.arrival
+        state.early_in[event] = primary.arrival
+        state.in_slew[event] = primary.slew
+
+
 def merge_level(cg: CompiledGraph, state: SweepState,
                 net_lo: int, net_hi: int) -> np.ndarray:
     """Merge fanin events into nets ``[net_lo, net_hi)``; return the level's events.
@@ -687,6 +714,17 @@ def constraint_seeds(cg: CompiledGraph, graph: TimingGraph,
     return seeds
 
 
+def required_seeds(cg: CompiledGraph, graph: TimingGraph
+                   ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+    """Dense (setup, hold) :func:`constraint_seeds` of ``graph``.
+
+    A polarity the graph leaves unconstrained is None, so its required plane
+    stays all-NaN.
+    """
+    return (constraint_seeds(cg, graph, "setup") if graph.setup_constrained else None,
+            constraint_seeds(cg, graph, "hold") if graph.hold_constrained else None)
+
+
 def _segment_reduce(values: np.ndarray, ptr: np.ndarray, ufunc,
                     identity: float) -> np.ndarray:
     """Per-segment ``ufunc`` reduction with empty segments -> ``identity``.
@@ -717,7 +755,7 @@ def backward_required(cg: CompiledGraph, state: SweepState,
     consumer's stage delay; hold is the mirror with the maximum.  None rides
     as NaN at the boundary and as ±inf inside the reduction — min/max are
     exact on floats, so the result is bit-identical to the object pass.
-    A disabled polarity (seeds None) stays all-NaN, mirroring mode stripping.
+    An unconstrained polarity (seeds None) stays all-NaN.
     """
     n_events = 2 * cg.n_nets
     required = np.full(n_events, np.nan)
@@ -798,8 +836,7 @@ class CompiledAnalysis:
 
     def __init__(self, *, graph: CompiledGraph, state: SweepState,
                  required: np.ndarray, hold_required: np.ndarray,
-                 solutions: List[StageSolution], stats, elapsed: float,
-                 mode: str) -> None:
+                 solutions: List[StageSolution], stats, elapsed: float) -> None:
         self.graph = graph
         self.state = state
         self.required = required
@@ -807,7 +844,6 @@ class CompiledAnalysis:
         self.solutions = solutions
         self.stats = stats
         self.elapsed = elapsed
-        self.mode = mode
         #: Endpoint mask at analysis time.  patch() replaces the compiled
         #: graph's mask (never writes it) when a flag flips, so capturing the
         #: reference keeps this result describing the state it analyzed.

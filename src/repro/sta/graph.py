@@ -68,13 +68,10 @@ from .stage import TimingPath, TimingStage
 
 __all__ = ["GraphNet", "PrimaryInput", "TimingGraph", "chain_graph",
            "NetEventTiming", "GraphTimingReport", "IncrementalStats",
-           "flip_transition", "check_mode", "ANALYSIS_MODES", "CHECK_MODES"]
+           "flip_transition", "check_mode", "CHECK_MODES"]
 
 #: Constraint polarities: "setup" checks late arrivals, "hold" checks early ones.
 CHECK_MODES = ("setup", "hold")
-
-#: What an analysis may compute: one polarity, or both planes in one traversal.
-ANALYSIS_MODES = ("setup", "hold", "both")
 
 
 #: ``slots=True`` where the running Python supports it (3.10+): a slotted net
@@ -84,12 +81,11 @@ ANALYSIS_MODES = ("setup", "hold", "both")
 _SLOTS = {"slots": True} if sys.version_info >= (3, 10) else {}
 
 
-def check_mode(mode: str, *, allow_both: bool = False) -> str:
-    """Validate an analysis-mode name; returns it unchanged."""
-    allowed = ANALYSIS_MODES if allow_both else CHECK_MODES
-    if mode not in allowed:
+def check_mode(mode: str) -> str:
+    """Validate a constraint-polarity name; returns it unchanged."""
+    if mode not in CHECK_MODES:
         raise ModelingError(
-            f"analysis mode must be one of {allowed}, got {mode!r}")
+            f"analysis mode must be one of {CHECK_MODES}, got {mode!r}")
     return mode
 
 

@@ -41,19 +41,18 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, FrozenSet, List, Optional, Set, Tuple
 
 import numpy as np
 
-from ..core.stage_solver import (SolverStats, StageSolution,
-                                 _options_fingerprint)
+from ..core.stage_solver import StageSolution
 from ..errors import ModelingError
-from .compiled import (TRANSITIONS, CompiledAnalysis, CompiledGraph,
-                       SweepState, backward_required, constraint_seeds,
-                       merge_nets, required_level)
-from .graph import IncrementalStats, TimingGraph, check_mode, flip_transition
+from .compiled import (CompiledAnalysis, CompiledGraph, SweepState,
+                       backward_required, merge_nets, required_level,
+                       required_seeds, seed_primary_inputs)
+from .graph import IncrementalStats, TimingGraph
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a circular import
     from .batch import GraphEngine
@@ -70,21 +69,6 @@ class SweepDelta:
     changed: np.ndarray  #: int64, visited nets whose outputs changed bitwise
     retimed_events: int  #: events re-solved across the visited nets
     converged_early: int  #: visited nets whose outputs converged bit-identical
-
-
-def _seed_roots(cg: CompiledGraph, graph: TimingGraph, state: SweepState,
-                nets: np.ndarray) -> None:
-    """Re-install live primary-input stimuli on the root nets of ``nets``."""
-    primary_inputs = graph.primary_inputs
-    for net_id in nets.tolist():
-        primary = primary_inputs.get(cg.order[net_id])
-        if primary is None:
-            continue
-        event = net_id * 2 + TRANSITIONS.index(primary.transition)
-        state.exists[event] = True
-        state.in_arr[event] = primary.arrival
-        state.early_in[event] = primary.arrival
-        state.in_slew[event] = primary.slew
 
 
 def _interleave(nets: np.ndarray) -> np.ndarray:
@@ -150,7 +134,7 @@ def incremental_sweep(cg: CompiledGraph, graph: TimingGraph, state: SweepState,
         state.src[candidates] = -1
         state.early_src[candidates] = -1
         state.sol_idx[candidates] = -1
-        _seed_roots(cg, graph, state, lvl)
+        seed_primary_inputs(cg, graph, state, lvl)
         events = merge_nets(cg, state, lvl)
         if events.size:
             solve_level(events)
@@ -210,8 +194,8 @@ def incremental_required(cg: CompiledGraph, state: SweepState,
         if not lvl.size:
             continue
         candidates = _interleave(lvl)
-        # Vanished events must fall back to NaN; only enabled polarities are
-        # rewritten (a disabled plane stays all-NaN end to end).
+        # Vanished events must fall back to NaN; only constrained polarities
+        # are rewritten (an unconstrained plane stays all-NaN end to end).
         if setup_seeds is not None:
             required[candidates] = np.nan
         if hold_seeds is not None:
@@ -327,14 +311,11 @@ class CompiledIncrementalEngine:
     its graph's dirty set.
     """
 
-    def __init__(self, engine: "GraphEngine", graph: TimingGraph, *,
-                 mode: str = "both") -> None:
+    def __init__(self, engine: "GraphEngine", graph: TimingGraph) -> None:
         if not isinstance(graph, TimingGraph):
             raise ModelingError("CompiledIncrementalEngine expects a TimingGraph")
-        check_mode(mode, allow_both=True)
         self.engine = engine
         self.graph = graph
-        self.mode = mode
         self._cg: Optional[CompiledGraph] = None
         self._live: Optional[_PlaneBuffer] = None
         self._spare: Optional[_PlaneBuffer] = None
@@ -364,8 +345,7 @@ class CompiledIncrementalEngine:
 
     def _full_update(self, cg: CompiledGraph, *, patched_nets: int,
                      dirty_nets: int) -> CompiledAnalysis:
-        analysis = self.engine.analyze_compiled(
-            self.graph, compiled_graph=cg, mode=self.mode)
+        analysis = self.engine.analyze_compiled(self.graph, compiled_graph=cg)
         spare = self._spare
         if spare is not None and spare.required.size != analysis.required.size:
             spare = None
@@ -400,15 +380,9 @@ class CompiledIncrementalEngine:
                 target[written] = source[written]
         return spare
 
-    def _seed_planes(self, cg: CompiledGraph, do_setup: bool, do_hold: bool
-                     ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-        """Dense constraint seeds of the enabled polarities (None = disabled)."""
-        return (constraint_seeds(cg, self.graph, "setup") if do_setup else None,
-                constraint_seeds(cg, self.graph, "hold") if do_hold else None)
-
-    def _required_seeds(self, cg: CompiledGraph, do_setup: bool, do_hold: bool
+    def _required_seeds(self, cg: CompiledGraph
                         ) -> Tuple[Optional[_SparseSeeds], Optional[_SparseSeeds]]:
-        """Constraint seeds of the enabled polarities, cached across updates.
+        """Constraint seeds of the constrained polarities, cached across updates.
 
         Seeds depend on the constraints and on the endpoint mask only, so
         they are rebuilt after a constraint edit dropped them or when a patch
@@ -418,7 +392,7 @@ class CompiledIncrementalEngine:
         if seeds is None or seeds[0] is not cg.is_endpoint:
             seeds = self._seeds = (cg.is_endpoint, *(
                 None if plane is None else _SparseSeeds(plane)
-                for plane in self._seed_planes(cg, do_setup, do_hold)))
+                for plane in required_seeds(cg, self.graph)))
         return seeds[1], seeds[2]
 
     def update(self, cg: CompiledGraph, *,
@@ -445,8 +419,6 @@ class CompiledIncrementalEngine:
         started = time.perf_counter()
         solver = self.engine.solver
         before = solver.stats.snapshot()
-        do_setup = self.mode in ("setup", "both") and graph.setup_constrained
-        do_hold = self.mode in ("hold", "both") and graph.hold_constrained
         required_nets = 0
         delta = SweepDelta(visited=np.empty(0, dtype=np.int64),
                            changed=np.empty(0, dtype=np.int64),
@@ -459,20 +431,8 @@ class CompiledIncrementalEngine:
                 state = buffer.state
             written: Optional[np.ndarray] = None
             if dirty:
-                base_options = self.engine.options
-                options_pair = {
-                    t: replace(base_options,
-                               transition=flip_transition(TRANSITIONS[t]),
-                               reference_time=0.0)
-                    for t in (0, 1)}
-                fp_cache = cg.fingerprints.setdefault(
-                    _options_fingerprint(base_options), {})
-                solutions = self._solutions
-
-                def solve_level(events: np.ndarray) -> None:
-                    self.engine._solve_compiled_level(
-                        cg, state, events, options_pair, fp_cache, solutions)
-
+                solve_level = self.engine._level_solver(cg, state,
+                                                        self._solutions)
                 dirty_ids = np.fromiter((cg.index[name] for name in dirty),
                                         dtype=np.int64, count=len(dirty))
                 delta = incremental_sweep(cg, graph, state, dirty_ids,
@@ -486,12 +446,11 @@ class CompiledIncrementalEngine:
                 # and re-run the full backward pass (pure arithmetic).
                 self._seeds = None
                 buffer.required, buffer.hold_required = backward_required(
-                    cg, state, *self._seed_planes(cg, do_setup, do_hold))
+                    cg, state, *required_seeds(cg, graph))
                 required_nets = len(graph)
                 written = None
-            elif delta.changed.size and (do_setup or do_hold):
-                setup_seeds, hold_seeds = self._required_seeds(
-                    cg, do_setup, do_hold)
+            elif delta.changed.size and graph.constrained:
+                setup_seeds, hold_seeds = self._required_seeds(cg)
                 region = incremental_required(
                     cg, state, delta.changed, setup_seeds, hold_seeds,
                     buffer.required, buffer.hold_required)
@@ -520,21 +479,15 @@ class CompiledIncrementalEngine:
             self.invalidate()
             raise
 
-        after = solver.stats
-        stats = SolverStats(
-            memo_hits=after.memo_hits - before.memo_hits,
-            persistent_hits=after.persistent_hits - before.persistent_hits,
-            computed=after.computed - before.computed,
-            batched_solves=after.batched_solves - before.batched_solves)
         analysis = CompiledAnalysis(
             graph=cg, state=buffer.state, required=buffer.required,
             hold_required=buffer.hold_required, solutions=self._solutions,
-            stats=stats, elapsed=time.perf_counter() - started,
-            mode=self.mode)
+            stats=solver.stats.since(before),
+            elapsed=time.perf_counter() - started)
         analysis.incremental = IncrementalStats(
             dirty_nets=len(dirty), retimed_nets=int(delta.visited.size),
             retimed_events=delta.retimed_events, required_nets=required_nets,
-            hold_required_nets=required_nets if do_hold else 0,
+            hold_required_nets=required_nets if graph.hold_constrained else 0,
             patched_nets=patched_nets, cone_nets=int(delta.visited.size),
             cone_converged_early=delta.converged_early)
         return analysis

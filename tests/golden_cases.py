@@ -12,9 +12,9 @@ digest, and that the object sweep still does too.
 The designs: every built-in case except ``soc`` (the perfbench goldens pin
 that one), unconstrained and clocked, the canonical route as a
 :class:`~repro.sta.TimingPath`, and seeded random DAGs with random setup and
-hold constraints.  Every constrained design is timed in all three analysis
-modes.  Each design gets a fresh stage solver, so no memo state leaks between
-entries.
+hold constraints.  Every analysis computes each polarity the design
+constrains; the entry keys keep the ``/both`` suffix they were captured under.
+Each design gets a fresh stage solver, so no memo state leaks between entries.
 
 Regenerate (only when a numeric change is intended) with::
 
@@ -39,7 +39,6 @@ from repro.units import mm, nH, pF, ps
 
 GOLDENS = Path(__file__).resolve().parent / "data" / "object_sweep_goldens.json"
 
-MODES = ("setup", "hold", "both")
 RANDOM_SEEDS = (5, 29, 41, 53)
 CLOCK = ps(900)
 HOLD_MARGIN = ps(20)
@@ -78,23 +77,32 @@ def _random(seed: int) -> TimingGraph:
     return graph
 
 
-def golden_designs() -> Iterator[Tuple[str, Design, Tuple[str, ...]]]:
-    """Every golden entry as ``(key, design factory, modes)``."""
+def golden_designs() -> Iterator[Tuple[str, Design]]:
+    """Every golden design as ``(name, design factory)``."""
     for case in BUILTIN_CASES:
         if case == "soc":
             continue
-        yield case, (lambda case=case: case_graph(case)), ("both",)
-        yield f"{case}@clock", (lambda case=case: _clocked(case)), MODES
-    yield "global_route_path", global_route_path, ("both",)
+        yield case, (lambda case=case: case_graph(case))
+        yield f"{case}@clock", (lambda case=case: _clocked(case))
+    yield "global_route_path", global_route_path
     for seed in RANDOM_SEEDS:
-        yield f"random{seed}", (lambda seed=seed: _random(seed)), MODES
+        yield f"random{seed}", (lambda seed=seed: _random(seed))
+
+
+def golden_key(name: str) -> str:
+    """The goldens-file key of design ``name``."""
+    return f"{name}/both"
 
 
 def golden_payload(report: TimingReport) -> Dict[str, Any]:
-    """The bit-exact part of a report payload: everything but run metadata."""
+    """The bit-exact part of a report payload: everything but run metadata.
+
+    The entries were captured while reports still recorded an analysis mode;
+    the constant ``"both"`` keeps their digests valid.
+    """
     payload = report.to_dict()
-    meta = payload.pop("meta")
-    payload["mode"] = meta["mode"]
+    payload.pop("meta")
+    payload["mode"] = "both"
     return payload
 
 
@@ -116,24 +124,19 @@ def golden_entry(report: TimingReport) -> Dict[str, Any]:
     }
 
 
-def object_sweep(design, mode: str, library=None) -> TimingReport:
+def object_sweep(design, library=None) -> TimingReport:
     """Time ``design`` through the object sweep with a fresh solver."""
     engine = GraphEngine(library=library, solver=StageSolver())
     if isinstance(design, TimingPath):
         graph, _ = chain_graph(design, input_transition=engine.options.transition)
         return TimingReport.from_graph_report(
-            engine.analyze(graph, mode=mode), design=design.name, kind="path",
-            mode=mode)
-    return TimingReport.from_graph_report(
-        engine.analyze(design, mode=mode), design="graph", mode=mode)
+            engine.analyze(graph), design=design.name, kind="path")
+    return TimingReport.from_graph_report(engine.analyze(design), design="graph")
 
 
 def capture() -> Dict[str, Any]:
-    goldens: Dict[str, Any] = {}
-    for key, factory, modes in golden_designs():
-        for mode in modes:
-            goldens[f"{key}/{mode}"] = golden_entry(object_sweep(factory(), mode))
-    return goldens
+    return {golden_key(name): golden_entry(object_sweep(factory()))
+            for name, factory in golden_designs()}
 
 
 if __name__ == "__main__":

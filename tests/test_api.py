@@ -104,15 +104,16 @@ class TestSessionConfig:
         assert SessionConfig.from_dict(payload) == config
 
     def test_pre_retirement_payload_loads(self):
-        # Saved while compile_threshold and slew_quantum still existed; both
-        # retired keys are dropped on load.
+        # Saved while compile_threshold, slew_quantum and the analysis mode
+        # still existed; every retired key is dropped on load.
         payload = json.loads(PRE_RETIREMENT_CONFIG.read_text())
         assert payload["compile_threshold"] == 512
         assert payload["slew_quantum"] == 1e-12
+        assert payload["mode"] == "setup"
         config = SessionConfig.from_dict(payload)
         assert config == SessionConfig(
-            jobs=2, mode="setup",
-            corners={"slow": ModelingOptions(ceff_damping=0.4)})
+            jobs=2, corners={"slow": ModelingOptions(ceff_damping=0.4)})
+        assert "mode" not in config.to_dict()
         assert SessionConfig.from_dict(config.to_dict()) == config
 
     def test_dict_round_trip(self, tmp_path):
@@ -373,27 +374,6 @@ class TestIncrementalSession:
 
 
 class TestDualModeSession:
-    def test_config_mode_is_validated_and_serialized(self):
-        assert SessionConfig().mode == "both"
-        with pytest.raises(ModelingError, match="mode"):
-            SessionConfig(mode="race")
-        config = SessionConfig(mode="setup")
-        assert SessionConfig.from_dict(config.to_dict()) == config
-        assert "mode=setup" in config.describe()
-
-    def test_config_mode_sets_the_session_default(self, library, line):
-        graph = reconvergent_graph(line=line)
-        graph.set_clock_period(ps(600), hold_margin=ps(100))
-        with TimingSession(mode="setup") as session:
-            report = session.time(graph)
-            assert report.meta.mode == "setup"
-            assert report.constrained and not report.hold_constrained
-            # A per-call mode overrides the configured default.
-            dual = session.time(graph, mode="both")
-            assert dual.hold_constrained and dual.whs is not None
-            with pytest.raises(ModelingError, match="mode"):
-                session.time(graph, mode="race")
-
     def test_builder_hold_constraints_flow_through(self, library, line):
         builder = (DesignBuilder("held")
                    .chain("c", sizes=(75, 100), line=line,

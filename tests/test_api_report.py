@@ -14,10 +14,10 @@ from repro.units import mm, nH, pF, ps
 
 #: A chain3 report saved by repro 1.0.0 with ``--jobs 2``: its meta carries the
 #: retired worker fields (jobs, installed, shards, boundary_events_exchanged,
-#: parallel_sweep).
+#: parallel_sweep) and the retired analysis mode.
 WORKER_ERA_REPORT = Path(__file__).parent / "data" / "chain3_report_with_worker_fields.json"
 RETIRED_META_KEYS = ("jobs", "installed", "shards", "boundary_events_exchanged",
-                     "parallel_sweep")
+                     "parallel_sweep", "mode")
 
 
 @pytest.fixture(scope="module")
@@ -275,32 +275,21 @@ class TestHoldSerialization:
             assert (dual_report.early_arrival("sink", transition)
                     == event.early_arrival)
 
-    def test_meta_records_the_analysis_mode(self, session, line, dual_report):
-        assert dual_report.meta.mode == "both"
-        graph = reconvergent_graph(line=line)
-        graph.set_clock_period(ps(400), hold_margin=ps(120))
-        setup_only = session.time(graph, mode="setup", name="setup_only")
-        assert setup_only.meta.mode == "setup"
-        assert setup_only.constrained and not setup_only.hold_constrained
-        clone = TimingReport.from_json(setup_only.to_json())
-        assert clone.meta.mode == "setup"
-
     def test_legacy_payload_without_dual_mode_fields_loads(self,
                                                            diamond_report):
         # Reports saved before the dual-mode kernel lack the four new event
-        # keys and the three new meta keys; they must still load.
+        # keys and the two new meta keys; they must still load.
         payload = diamond_report.to_dict()
         for per_net in payload["events"].values():
             for event in per_net.values():
                 for key in ("early_arrival", "early_source", "hold_required",
                             "hold_slack"):
                     event.pop(key)
-        for key in ("mode", "required_nets", "hold_required_nets"):
+        for key in ("required_nets", "hold_required_nets"):
             payload["meta"].pop(key)
         loaded = TimingReport.from_dict(payload)
         assert loaded.whs is None
         assert not loaded.hold_constrained
-        assert loaded.meta.mode == "both"
         assert loaded.early_arrival("sink") is None
         assert loaded.total_delay == diamond_report.total_delay
 
@@ -322,7 +311,8 @@ class TestRetiredRunInfoFields:
     def test_runinfo_ignores_retired_keys(self):
         meta = RunInfo(elapsed=1.0, computed=3, batched_solves=3)
         payload = dict(meta.to_dict(), jobs=4, installed=2, shards=4,
-                       boundary_events_exchanged=123, parallel_sweep=True)
+                       boundary_events_exchanged=123, parallel_sweep=True,
+                       mode="setup")
         assert RunInfo.from_dict(payload) == meta
         with pytest.raises(TypeError):
             RunInfo.from_dict(dict(meta.to_dict(), bogus=1))

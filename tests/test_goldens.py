@@ -9,7 +9,7 @@ and the retained reference sweep must reproduce every digest.
 import json
 
 import pytest
-from golden_cases import (GOLDENS, golden_designs, golden_entry,
+from golden_cases import (GOLDENS, golden_designs, golden_entry, golden_key,
                           golden_payload, object_sweep)
 
 from repro.api import StreamingTimingReport, TimingSession
@@ -23,30 +23,25 @@ def goldens():
 
 
 def test_goldens_cover_every_design(goldens):
-    keys = {f"{key}/{mode}" for key, _, modes in DESIGNS for mode in modes}
-    assert keys == set(goldens)
+    assert {golden_key(name) for name, _ in DESIGNS} == set(goldens)
 
 
-@pytest.mark.parametrize("key, factory, modes", DESIGNS,
-                         ids=[key for key, _, _ in DESIGNS])
-def test_session_matches_golden(goldens, key, factory, modes):
-    design = factory()
-    session = TimingSession()  # a fresh memo per design, as at capture
-    for mode in modes:
-        report = session.time(design, mode=mode)
-        assert isinstance(report, StreamingTimingReport)
-        got = golden_entry(report)
-        want = goldens[f"{key}/{mode}"]
-        if got != want:
-            # Name the first differing field against the live reference.
-            reference = golden_payload(object_sweep(factory(), mode))
-            assert golden_payload(report) == reference
-        assert got == want
+@pytest.mark.parametrize("name, factory", DESIGNS,
+                         ids=[name for name, _ in DESIGNS])
+def test_session_matches_golden(goldens, name, factory):
+    # A fresh session per design: a fresh memo, as at capture.
+    report = TimingSession().time(factory())
+    assert isinstance(report, StreamingTimingReport)
+    got = golden_entry(report)
+    want = goldens[golden_key(name)]
+    if got != want:
+        # Name the first differing field against the live reference.
+        assert golden_payload(report) == golden_payload(object_sweep(factory()))
+    assert got == want
 
 
-@pytest.mark.parametrize("key, factory, modes", DESIGNS,
-                         ids=[key for key, _, _ in DESIGNS])
-def test_object_sweep_matches_golden(library, goldens, key, factory, modes):
-    for mode in modes:
-        report = object_sweep(factory(), mode, library=library)
-        assert golden_entry(report) == goldens[f"{key}/{mode}"]
+@pytest.mark.parametrize("name, factory", DESIGNS,
+                         ids=[name for name, _ in DESIGNS])
+def test_object_sweep_matches_golden(library, goldens, name, factory):
+    report = object_sweep(factory(), library=library)
+    assert golden_entry(report) == goldens[golden_key(name)]

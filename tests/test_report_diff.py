@@ -111,7 +111,7 @@ def apply(design, verb, monkeypatch):
 
 
 #: The seeded random DAGs of the golden set.
-RANDOM_DESIGNS = [(key, design) for key, design, _ in golden_designs()
+RANDOM_DESIGNS = [(key, design) for key, design in golden_designs()
                   if key.startswith("random")]
 
 

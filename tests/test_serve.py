@@ -187,19 +187,30 @@ class TestRegistry:
         assert {n: net.driver_size for n, net in design.graph.nets.items()} == sizes
         assert design.stats_payload()["rejected_batches"] >= 1
 
-    def test_failed_retime_rolls_back_and_recovers(self, library):
-        # Every verb applies, then the re-time rejects the batch: 33.3X has
-        # no characterized cell.  The batch must roll back like a rejected
-        # verb, and must not wedge the design for later batches.
+    def test_failed_retime_rolls_back_and_recovers(self, library, monkeypatch):
+        # Every verb applies, then the re-time rejects the batch: the cell
+        # lookup of the newly used 125X size fails inside the compiled patch.
+        # The batch must roll back like a rejected verb, and must not wedge
+        # the design for later batches.
         registry = DesignRegistry()
         try:
             design = registry.attach(
                 AttachRequest(name="w", case="chain3", clock_ps=900.0))
             before = design.snapshot
             size = design.graph.nets["stage1"].driver_size
-            with pytest.raises(CharacterizationError):
+            cells = design.session.library
+            lookup = cells.get
+
+            def failing_get(driver_size):
+                if driver_size == 125.0:
+                    raise CharacterizationError("injected cell lookup failure")
+                return lookup(driver_size)
+
+            monkeypatch.setattr(cells, "get", failing_get)
+            with pytest.raises(CharacterizationError, match="injected"):
                 design.apply_edits(EditRequest.from_payload({"edits": [
-                    {"op": "resize_driver", "net": "stage1", "driver_size": 33.3}]}))
+                    {"op": "resize_driver", "net": "stage1", "driver_size": 125.0}]}))
+            monkeypatch.undo()
             assert design.snapshot is before
             assert design.graph.nets["stage1"].driver_size == size
             snapshot = design.apply_edits(EditRequest.from_payload({"edits": [
@@ -209,6 +220,30 @@ class TestRegistry:
             published = snapshot.report.to_dict()
             fresh.pop("meta"), published.pop("meta")
             assert published == fresh
+        finally:
+            registry.close()
+
+    def test_uncharacterized_size_is_rejected_before_any_verb(self, library):
+        registry = DesignRegistry()
+        try:
+            design = registry.attach(
+                AttachRequest(name="v", case="chain3", clock_ps=900.0))
+            graph = design.graph
+            before = design.snapshot
+            state = (graph.version, graph.topology_version, graph.dirty_nets)
+            with pytest.raises(ValidationError,
+                               match=r"33X.*available sizes: \[25\.0, .*125\.0\]"):
+                design.apply_edits(EditRequest.from_payload({"edits": [
+                    {"op": "resize_driver", "net": "stage1", "driver_size": 100.0},
+                    {"op": "resize_driver", "net": "stage2", "driver_size": 33.0}]}))
+            # The batch never touched the graph: no version bump, no dirty nets.
+            assert (graph.version, graph.topology_version, graph.dirty_nets) == state
+            assert not graph.dirty_nets
+            assert design.snapshot is before and design.snapshot.seq == 0
+            assert graph.nets["stage1"].driver_size == 75
+            stats = design.stats_payload()
+            assert stats["rejected_batches"] == 1
+            assert stats["edit_batches"] == 0 and stats["analyses"] == 1
         finally:
             registry.close()
 
@@ -331,6 +366,10 @@ class TestHTTP:
             client.edit(attached, [
                 {"op": "add_fanout", "driver": "stage3", "sink": "stage1"}])
         assert excinfo.value.status == 422
+        with pytest.raises(ServeError) as excinfo:  # no 33X cell: a bad request
+            client.edit(attached, [
+                {"op": "resize_driver", "net": "stage2", "driver_size": 33.0}])
+        assert excinfo.value.status == 400
         with pytest.raises(ServeError) as excinfo:
             client.request("GET", "/teapot")
         assert excinfo.value.status == 404

@@ -171,31 +171,6 @@ class TestHoldConstraints:
         assert report.event("c0s1").hold_required is None
         assert report.whs is None
 
-    def test_mode_gates_the_backward_pass(self, engine, lines):
-        graph = same_parity_diamond(lines[0])
-        graph.set_clock_period(ps(600), hold_margin=ps(50))
-        both = engine.analyze(graph)
-        setup_only = engine.analyze(graph, mode="setup")
-        hold_only = engine.analyze(graph, mode="hold")
-        with pytest.raises(ModelingError):
-            engine.analyze(graph, mode="race")
-        event = both.events["sink"]["rise"]
-        assert event.required is not None and event.hold_required is not None
-        setup_event = setup_only.events["sink"]["rise"]
-        assert setup_event.required == event.required
-        assert setup_event.hold_required is None
-        hold_event = hold_only.events["sink"]["rise"]
-        assert hold_event.required is None
-        assert hold_event.hold_required == event.hold_required
-        # The arrival planes are identical regardless of mode.
-        for name, per_net in both.events.items():
-            for transition, reference in per_net.items():
-                for other in (setup_only, hold_only):
-                    got = other.events[name][transition]
-                    assert got.output_arrival == reference.output_arrival
-                    assert (got.early_output_arrival
-                            == reference.early_output_arrival)
-
     def test_hold_slack_queries(self, engine, lines):
         graph = same_parity_diamond(lines[0])
         graph.set_clock_period(ps(600), hold_margin=ps(50))

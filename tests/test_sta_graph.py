@@ -558,7 +558,7 @@ class TestStructureReference:
 
     def test_structure_matches_reference_on_golden_dags(self):
         checked = []
-        for key, design, _ in golden_designs():
+        for key, design in golden_designs():
             graph = design()
             if isinstance(graph, TimingGraph):
                 assert_structure(graph, reference_fanin(graph.nets))

@@ -75,8 +75,8 @@ def assert_analyses_identical(incremental, full):
                           equal_nan=True)
 
 
-def assert_matches_object_oracle(analysis, report, mode):
-    """Compiled events equal the object engine's, per the enabled polarities."""
+def assert_matches_object_oracle(analysis, report):
+    """Compiled events equal the object engine's, in every plane."""
     with_events = set(analysis.net_names_with_events())
     assert with_events == set(report.events)
     for name, per_net in report.events.items():
@@ -91,10 +91,8 @@ def assert_matches_object_oracle(analysis, report, mode):
             assert mine.early_arrival == event.early_output_arrival
             assert mine.early_source == event.early_source
             assert mine.fingerprint == event.solution.fingerprint
-            if mode in ("setup", "both"):
-                assert mine.required == event.required
-            if mode in ("hold", "both"):
-                assert mine.hold_required == event.hold_required
+            assert mine.required == event.required
+            assert mine.hold_required == event.hold_required
 
 
 def refresh_snapshot(engine, graph, cg):
@@ -265,13 +263,9 @@ class TestSessionCache:
 
 
 class TestCompiledIncrementalProperty:
-    @pytest.mark.parametrize("mode,seed,steps", [
-        ("both", 11, 12),
-        ("setup", 9, 10),
-        ("hold", 26, 10),
-    ])
+    @pytest.mark.parametrize("seed,steps", [(11, 12), (9, 10), (26, 10)])
     def test_interleaved_edits_three_way_identical(self, library, solver,
-                                                   lines, mode, seed, steps):
+                                                   lines, seed, steps):
         # Identical twins: the compiled incremental engine and the object
         # oracle each consume their own graph's dirty set, so the same edit
         # sequence is replayed onto both copies from per-step seeded rngs.
@@ -280,8 +274,7 @@ class TestCompiledIncrementalProperty:
         for twin in (twin_compiled, twin_object):
             twin.set_clock_period(ps(700), hold_margin=ps(50))
         engine = GraphEngine(library=library, solver=solver)
-        incremental = CompiledIncrementalEngine(engine, twin_compiled,
-                                                mode=mode)
+        incremental = CompiledIncrementalEngine(engine, twin_compiled)
         oracle = IncrementalEngine(twin_object, library=library, solver=solver)
         cg = refresh_snapshot(engine, twin_compiled, None)
         incremental.update(cg)
@@ -296,10 +289,9 @@ class TestCompiledIncrementalProperty:
                 applied.append(kind)
             cg = refresh_snapshot(engine, twin_compiled, cg)
             analysis = incremental.update(cg)
-            full = engine.analyze_compiled(twin_compiled, compiled_graph=cg,
-                                           mode=mode)
+            full = engine.analyze_compiled(twin_compiled, compiled_graph=cg)
             assert_analyses_identical(analysis, full)
-            assert_matches_object_oracle(analysis, oracle.update(), mode)
+            assert_matches_object_oracle(analysis, oracle.update())
         assert len(set(applied)) >= 3, "the edit mix degenerated"
 
     def test_noop_update_recomputes_nothing(self, library, solver, lines):
@@ -333,7 +325,7 @@ class TestCompiledIncrementalProperty:
         assert stats.cone_nets == 1  # fanout never activated
         assert stats.cone_converged_early == 1
         assert stats.required_nets == 0
-        full = engine.analyze_compiled(graph, compiled_graph=cg, mode="both")
+        full = engine.analyze_compiled(graph, compiled_graph=cg)
         assert_analyses_identical(analysis, full)
 
 
