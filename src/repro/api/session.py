@@ -290,6 +290,7 @@ class TimingSession:
         * only topology edits (``add_fanout`` / ``remove_fanout``) or a new
           graph force a recompile.
         """
+        graph.on_rollback(self._forget)  # what follows absorbs edits a rollback undoes
         cached = self._compiled_cache
         if cached is not None and cached[0]() is graph:
             compiled_graph = cached[1]
@@ -302,6 +303,14 @@ class TimingSession:
         compiled_graph = self._engine.compile(graph)
         self._compiled_cache = (weakref.ref(graph), compiled_graph)
         return compiled_graph, True, 0
+
+    def _forget(self, graph: TimingGraph) -> None:
+        """Drop ``graph``'s compiled snapshot, planes and last report (not the memo)."""
+        if self._compiled_cache is not None and self._compiled_cache[0]() is graph:
+            self._compiled_cache = None
+        if self._incremental is not None and self._incremental.graph is graph:
+            self._incremental.invalidate()  # the next update re-times in full
+            self._update_report = None
 
     def time_corners(
         self,

@@ -15,8 +15,8 @@ discipline:
 * **writes** (``POST /designs/{name}/edits`` carrying batched edit verbs)
   are serialized through one mutation lock per design, drive
   :meth:`~repro.api.TimingSession.update` (incremental: only the edits' dirty
-  cone re-times) and atomically swap the snapshot, rolling the graph back if
-  any verb of the batch is rejected.
+  cone re-times) and atomically swap the snapshot; each batch is one graph
+  transaction, rolled back whole if any verb or the re-time fails.
 
 Layers, bottom up:
 

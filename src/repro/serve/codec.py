@@ -17,10 +17,10 @@ henries, farads, meters — matching :class:`~repro.interconnect.RLCLine` and
 the report schema); summary payloads carry both ``wns`` [s] and ``wns_ps``.
 
 Edit verbs mirror :class:`~repro.sta.graph.TimingGraph`'s in-place edit
-operations one to one.  Each verb knows how to :meth:`~EditVerb.apply` itself
-and how to capture its :meth:`~EditVerb.inverse` *before* applying, so a batch
-that fails mid-way (e.g. a cycle-creating ``add_fanout``) rolls the graph back
-verb by verb and the design's snapshot never observes the half-applied state.
+operations one to one; each verb only knows how to :meth:`~EditVerb.apply`
+itself.  Atomicity is not the verbs' job: the registry applies a batch inside
+one :meth:`~repro.sta.graph.TimingGraph.transaction`, which undoes every verb
+if any of them (or the re-time after them) fails.
 """
 
 from __future__ import annotations
@@ -98,6 +98,13 @@ def _get_number(
     if not math.isfinite(value):
         raise ValidationError(f"{what}.{key} must be a finite number, got {value!r}")
     return float(value)
+
+
+def _check_mode(mode: Any) -> str:
+    try:
+        return check_mode(mode)
+    except ReproError as exc:
+        raise ValidationError(str(exc)) from None
 
 
 def _get_transition(payload: Mapping[str, Any], what: str) -> Optional[str]:
@@ -230,11 +237,7 @@ class RequireSpec:
         net = _get_str(payload, "net", "require")
         what = f"require {net!r}"
         _reject_unknown(payload, cls.FIELDS, what)
-        mode = payload.get("mode", "setup")
-        try:
-            check_mode(mode)
-        except ReproError as exc:
-            raise ValidationError(str(exc)) from None
+        mode = _check_mode(payload.get("mode", "setup"))
         return cls(
             net=net,
             required_ps=_get_number(payload, "required_ps", what),
@@ -398,14 +401,9 @@ class AttachRequest:
 class EditVerb:
     """One in-place graph edit.  Subclasses mirror TimingGraph's edit ops.
 
-    The contract the registry's rollback relies on: :meth:`inverse` is called
-    *before* :meth:`apply` and returns the verbs that undo it (usually one;
-    constraint verbs may need one per edge direction), reading the pre-edit
-    state from the graph.  Both raise :class:`~repro.errors.ReproError` on
-    engine rejection (unknown net, cycle, orphaned sink ...), never mutate on
-    failure beyond what TimingGraph itself guarantees (its structural ops
-    revert themselves), and are exact: applying the inverses in reverse order
-    restores the graph bit-for-bit.
+    :meth:`apply` calls the matching :class:`~repro.sta.graph.TimingGraph`
+    operation, which raises :class:`~repro.errors.ReproError` on engine
+    rejection (unknown net, cycle, orphaned sink ...).
     """
 
     op: ClassVar[str] = ""
@@ -415,14 +413,8 @@ class EditVerb:
     def from_payload(cls, payload: Mapping[str, Any]) -> "EditVerb":
         raise NotImplementedError
 
-    def inverse(self, graph: TimingGraph) -> Tuple["EditVerb", ...]:
-        raise NotImplementedError
-
     def apply(self, graph: TimingGraph) -> None:
         raise NotImplementedError
-
-    def describe(self) -> str:
-        return self.op
 
 
 def _verb_payload(payload: Any) -> Tuple[str, Mapping[str, Any]]:
@@ -452,12 +444,6 @@ class ResizeDriver(EditVerb):
             raise ValidationError(f"{what}.driver_size must be positive")
         return cls(net=_get_str(payload, "net", what), driver_size=size)
 
-    def inverse(self, graph: TimingGraph) -> Tuple[EditVerb, ...]:
-        if self.net not in graph.nets:
-            raise ReproError(f"cannot resize unknown net {self.net!r}")
-        return (ResizeDriver(net=self.net,
-                             driver_size=graph.nets[self.net].driver_size),)
-
     def apply(self, graph: TimingGraph) -> None:
         graph.resize_driver(self.net, self.driver_size)
 
@@ -480,11 +466,6 @@ class SetLine(EditVerb):
         spec = LineSpec.from_payload(payload.get("line"), f"{what}.line")
         return cls(net=net, line=spec.to_line())
 
-    def inverse(self, graph: TimingGraph) -> Tuple[EditVerb, ...]:
-        if self.net not in graph.nets:
-            raise ReproError(f"cannot re-route unknown net {self.net!r}")
-        return (SetLine(net=self.net, line=graph.nets[self.net].line),)
-
     def apply(self, graph: TimingGraph) -> None:
         graph.set_line(self.net, self.line)
 
@@ -504,12 +485,6 @@ class SetExtraLoad(EditVerb):
         if load < 0:
             raise ValidationError(f"{what}.extra_load must be >= 0 farads")
         return cls(net=_get_str(payload, "net", what), extra_load=load)
-
-    def inverse(self, graph: TimingGraph) -> Tuple[EditVerb, ...]:
-        if self.net not in graph.nets:
-            raise ReproError(f"cannot re-load unknown net {self.net!r}")
-        return (SetExtraLoad(net=self.net,
-                             extra_load=graph.nets[self.net].extra_load),)
 
     def apply(self, graph: TimingGraph) -> None:
         graph.set_extra_load(self.net, self.extra_load)
@@ -531,12 +506,6 @@ class SetReceiver(EditVerb):
             raise ValidationError(f"{what}.receiver_size must be positive or null")
         return cls(net=_get_str(payload, "net", what), receiver_size=size)
 
-    def inverse(self, graph: TimingGraph) -> Tuple[EditVerb, ...]:
-        if self.net not in graph.nets:
-            raise ReproError(f"cannot re-terminate unknown net {self.net!r}")
-        return (SetReceiver(net=self.net,
-                            receiver_size=graph.nets[self.net].receiver_size),)
-
     def apply(self, graph: TimingGraph) -> None:
         graph.set_receiver(self.net, self.receiver_size)
 
@@ -555,22 +524,13 @@ class AddFanout(EditVerb):
         return cls(driver=_get_str(payload, "driver", what),
                    sink=_get_str(payload, "sink", what))
 
-    def inverse(self, graph: TimingGraph) -> Tuple[EditVerb, ...]:
-        return (RemoveFanout(driver=self.driver, sink=self.sink),)
-
     def apply(self, graph: TimingGraph) -> None:
         graph.add_fanout(self.driver, self.sink)
-
-    def describe(self) -> str:
-        return f"{self.op} {self.driver} -> {self.sink}"
 
 
 @dataclass(frozen=True)
 class RemoveFanout(AddFanout):
     op: ClassVar[str] = "remove_fanout"
-
-    def inverse(self, graph: TimingGraph) -> Tuple[EditVerb, ...]:
-        return (AddFanout(driver=self.driver, sink=self.sink),)
 
     def apply(self, graph: TimingGraph) -> None:
         graph.remove_fanout(self.driver, self.sink)
@@ -589,31 +549,13 @@ class SetRequired(EditVerb):
     @classmethod
     def from_payload(cls, payload: Mapping[str, Any]) -> "SetRequired":
         what = f"edit[{cls.op}]"
-        mode = payload.get("mode", "setup")
-        try:
-            check_mode(mode)
-        except ReproError as exc:
-            raise ValidationError(str(exc)) from None
+        mode = _check_mode(payload.get("mode", "setup"))
         required_ps = _get_number(payload, "required_ps", what, optional=True)
         return cls(
             net=_get_str(payload, "net", what),
             required=ps(required_ps) if required_ps is not None else None,
             transition=_get_transition(payload, what),
             mode=mode,
-        )
-
-    def inverse(self, graph: TimingGraph) -> Tuple[EditVerb, ...]:
-        if self.net not in graph.nets:
-            raise ReproError(f"cannot constrain unknown net {self.net!r}")
-        pins = graph.required_pins(self.mode).get(self.net, {})
-        directions = ([self.transition] if self.transition is not None
-                      else ["rise", "fall"])
-        # One inverse per direction: the directions may carry different pins
-        # (or none), and set_required(None) removes exactly one of them.
-        return tuple(
-            SetRequired(net=self.net, required=pins.get(direction),
-                        transition=direction, mode=self.mode)
-            for direction in directions
         )
 
     def apply(self, graph: TimingGraph) -> None:
@@ -642,10 +584,6 @@ class SetClock(EditVerb):
             period=ps(period_ps) if period_ps is not None else None,
             hold_margin=ps(hold_margin_ps) if hold_margin_ps is not None else None,
         )
-
-    def inverse(self, graph: TimingGraph) -> Tuple[EditVerb, ...]:
-        return (SetClock(period=graph.clock_period,
-                         hold_margin=graph.hold_margin),)
 
     def apply(self, graph: TimingGraph) -> None:
         graph.set_clock_period(self.period, hold_margin=self.hold_margin)
@@ -713,10 +651,7 @@ def slack_payload(
     name: str, seq: int, report: TimingReport, *, mode: str = "setup", limit: int = 20
 ) -> Dict[str, Any]:
     """The per-endpoint slack table of one snapshot (endpoint events only)."""
-    try:
-        check_mode(mode)
-    except ReproError as exc:
-        raise ValidationError(str(exc)) from None
+    _check_mode(mode)
     if not isinstance(limit, int) or limit < 1:
         raise ValidationError(f"limit must be a positive integer, got {limit!r}")
     table = report.endpoint_slacks(mode=mode)

@@ -11,16 +11,13 @@ The concurrency discipline, enforced here so the HTTP layer stays trivial:
   read of a frozen dataclass — atomic under the GIL — so a reader always sees
   one complete pre- or post-edit report, never a torn intermediate.
 * **Writes** (:meth:`AttachedDesign.apply_edits`) serialize through one
-  mutation lock per design: check every driver resize against the session's
-  cell library, capture each verb's inverse, apply the batch, incrementally
-  re-time via :meth:`TimingSession.update` (bit-identical to a from-scratch
-  analysis of the edited graph), then swap in the new snapshot.  A resize to
-  an uncharacterized driver size is rejected before any verb runs, so the
-  graph is not touched at all.  If any verb is rejected mid-batch, or the
-  re-time itself fails, the already-applied verbs are rolled back in reverse
-  order and the snapshot is left untouched — edit batches are atomic:
-  all-or-nothing, and never observable half-applied.  The rollback re-dirties
-  the same nets, so the next batch's update re-times them back.
+  mutation lock per design.  A batch is one graph transaction
+  (:meth:`~repro.sta.TimingGraph.transaction`): check every driver resize
+  against the session's cell library, apply the verbs, re-time incrementally
+  via :meth:`TimingSession.update` (bit-identical to a from-scratch analysis)
+  and diff.  Only then is the new snapshot swapped in.  If anything raises,
+  the graph is restored exactly and the snapshot never changes: batches are
+  all-or-nothing, never observable half-applied.
 * **Attach/detach** serialize through the registry lock, which is *not* held
   during the (potentially long) initial full analysis.
 """
@@ -29,7 +26,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from ..api.config import SessionConfig
 from ..api.report import ReportDiff, TimingReport, compare_reports
@@ -96,31 +93,22 @@ class AttachedDesign:
     def apply_edits(self, request: EditRequest) -> Snapshot:
         """Apply one atomic edit batch, re-time incrementally, publish.
 
-        Raises :class:`~repro.errors.ReproError` (and leaves the graph and the
-        published snapshot exactly as before) if any verb of the batch is
-        rejected — e.g. an unknown net, a cycle-creating fanout edit, or an
-        orphaning removal — or if re-timing the edited graph fails.  A resize
-        to a driver size the library has not characterized raises
-        :class:`~.codec.ValidationError` before any verb is applied.
+        Raises, leaving the graph and the published snapshot exactly as
+        before and counting the batch as rejected, if a verb is rejected (an
+        unknown net, a cycle, an orphaning removal ...) or anything else
+        fails before the publish, the re-time included.  A resize to an
+        uncharacterized driver size is a :class:`~.codec.ValidationError`.
         """
         with self._mutation_lock:
-            applied: List[Tuple[Any, ...]] = []  # inverse groups, apply order
             old = self.snapshot
             try:
-                self._check_driver_sizes(request)
-                for verb in request.edits:
-                    inverses = verb.inverse(self.graph)  # before apply: pre-state
-                    verb.apply(self.graph)
-                    applied.append(inverses)
-                snapshot = self._analyze(
-                    seq=old.seq + 1,
-                    edits_applied=len(request.edits),
-                    previous=old.report,
-                )
-            except ReproError:
-                for inverses in reversed(applied):
-                    for inverse in inverses:
-                        inverse.apply(self.graph)
+                with self.graph.transaction():
+                    self._check_driver_sizes(request)
+                    for verb in request.edits:
+                        verb.apply(self.graph)
+                    snapshot = self._analyze(seq=old.seq + 1, previous=old.report,
+                                             edits_applied=len(request.edits))
+            except BaseException:
                 with self._counter_lock:
                     self._rejected_batches += 1
                 raise

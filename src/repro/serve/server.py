@@ -7,7 +7,8 @@ bad JSON, bad query parameters, a resize to an uncharacterized driver size)
 → 400, unknown designs/nets
 (:class:`~.registry.UnknownDesignError`) → 404, well-formed requests the
 engine rejects (:class:`~repro.errors.ReproError`: cycles, unknown cases'
-nets, solver failures) → 422.
+nets, solver failures) → 422, anything else → 500 ``{"error": "internal"}``
+(an answer, never a dropped connection the client would re-send on).
 
 Routes::
 
@@ -36,6 +37,7 @@ from __future__ import annotations
 import json
 import socket
 import threading
+import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
@@ -139,6 +141,11 @@ class _Handler(BaseHTTPRequestHandler):
             return
         except ReproError as exc:
             self._send_json(422, {"error": "rejected", "message": str(exc)})
+            return
+        except Exception as exc:
+            self.log_message("internal error on %s %s\n%s", method, split.path,
+                             traceback.format_exc())
+            self._send_json(500, {"error": "internal", "message": str(exc)})
             return
         if not handled:
             self._send_json(404, {"error": "no_route",

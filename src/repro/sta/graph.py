@@ -44,6 +44,9 @@ incremental, slack-aware analysis possible:
   (``repro.sta.incremental_compiled.CompiledIncrementalEngine`` and the
   reference ``repro.sta.batch.IncrementalEngine``) consume
   :attr:`TimingGraph.dirty_nets` to re-time only the dirty cone.
+* **transactions** — ``with graph.transaction():`` is a savepoint: if the
+  block raises, every edit made in it is undone before the exception
+  propagates, so a batch of edits plus its re-time is all-or-nothing.
 
 The chain-shaped special case is produced by :func:`chain_graph`, which is how
 :meth:`repro.api.TimingSession.time` times a :class:`TimingPath`.
@@ -58,8 +61,10 @@ from __future__ import annotations
 
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (Any, Callable, Dict, FrozenSet, Iterator, List, Mapping,
+                    Optional, Sequence, Set, Tuple)
 
 from ..core.stage_solver import SolverStats, StageSolution
 from ..errors import ModelingError
@@ -159,6 +164,10 @@ class PrimaryInput:
         flip_transition(self.transition)  # validates the direction name
 
 
+#: A dict entry that does not exist: writing it deletes the key.
+_MISSING: Any = object()
+
+
 def _check_clock_period(period: Optional[float]) -> None:
     # NaN compares false both ways, so finiteness is checked explicitly.
     if period is not None and not (math.isfinite(period) and period > 0):
@@ -223,13 +232,15 @@ class TimingGraph:
         #: mode -> net -> far-end transition -> pinned required time [s]
         self._required: Dict[str, Dict[str, Dict[str, float]]] = {
             mode: {} for mode in CHECK_MODES}
-        self._dirty: Set[str] = set()
+        self._dirty: Dict[str, bool] = {}  #: dirty net names (a dict to journal)
         self._constraints_dirty = False
         self._version = 0
         self._topology_version = 0
         #: net name -> version at which its parameters (driver, line, load,
         #: receiver) last changed — the delta a compiled snapshot patches from.
         self._param_edits: Dict[str, int] = {}
+        #: open transactions' (entries, rollback callbacks), outermost first
+        self._savepoints: List[Tuple[dict, list]] = []
 
     @property
     def version(self) -> int:
@@ -268,7 +279,56 @@ class TimingGraph:
 
     def _mark_param_edit(self, *names: str) -> None:
         for name in names:
-            self._param_edits[name] = self._version
+            self._put(self._param_edits, name, self._version)
+
+    # --- transactions -------------------------------------------------------------
+    @contextmanager
+    def transaction(self) -> Iterator[None]:
+        """A savepoint: if the block raises, undo all it changed and re-raise.
+
+        Scalars (versions, levels, clock defaults, dirty flag) are saved as
+        the block opens, and each dict entry (net, fan-in, parameter-edit
+        mark, input, pin, dirty net) at the block's first write to it, so the
+        cost is what the block touches.  Transactions nest.
+        """
+        scalars = (self._version, self._topology_version, self._constraints_dirty,
+                   self._levels, self._clock_period, self._hold_margin)
+        entries: Dict[Tuple[int, str], Tuple[dict, str, Any]] = {}
+        callbacks: List[Callable[["TimingGraph"], None]] = []
+        self._savepoints.append((entries, callbacks))
+        try:
+            yield
+        except BaseException:
+            for store, key, value in entries.values():  # all journaled: no new entry
+                self._put(store, key, value)
+            (self._version, self._topology_version, self._constraints_dirty,
+             self._levels, self._clock_period, self._hold_margin) = scalars
+            for callback in callbacks:
+                callback(self)
+            raise
+        finally:
+            self._savepoints.pop()
+
+    def on_rollback(self, callback: Callable[["TimingGraph"], None]) -> None:
+        """Call ``callback(graph)`` if an open transaction rolls back (for
+        state derived from the block's edits); a no-op outside one."""
+        for _, callbacks in self._savepoints:
+            if callback not in callbacks:
+                callbacks.append(callback)
+
+    def _put(self, store: dict, key: str, value: Any) -> None:
+        """``store[key] = value`` (``_MISSING`` deletes), journaled."""
+        for entries, _ in self._savepoints:
+            if (id(store), key) not in entries:
+                entries[id(store), key] = (store, key, store.get(key, _MISSING))
+        if value is _MISSING:
+            store.pop(key, None)
+        else:
+            store[key] = value
+
+    def _mark_dirty(self, *names: str) -> None:
+        for name in names:
+            self._put(self._dirty, name, True)
 
     # --- structure ----------------------------------------------------------------
     def _levelize(self) -> List[List[str]]:
@@ -430,14 +490,13 @@ class TimingGraph:
         if required is not None and not math.isfinite(required):
             raise ModelingError(f"required time of net {name!r} must be finite")
         pins = self._required[mode]
-        per_net = pins.setdefault(name, {})
+        per_net = dict(pins.get(name, ()))
         for direction in directions:
             if required is None:
                 per_net.pop(direction, None)
             else:
                 per_net[direction] = required
-        if not per_net:
-            pins.pop(name, None)
+        self._put(pins, name, per_net if per_net else _MISSING)
         self._constraints_dirty = True
 
     def required_for(self, name: str, transition: str,
@@ -499,13 +558,16 @@ class TimingGraph:
 
     def clear_dirty(self) -> None:
         """Mark the current state as timed (one incremental consumer's ack)."""
+        if self._savepoints:
+            for name in list(self._dirty):
+                self._put(self._dirty, name, _MISSING)
         self._dirty.clear()
         self._constraints_dirty = False
 
     # --- edits ----------------------------------------------------------------------
     def _replace_net(self, name: str, **changes) -> GraphNet:
         net = replace(self.nets[name], **changes)
-        self.nets[name] = net
+        self._put(self.nets, name, net)
         self._version += 1
         return net
 
@@ -519,8 +581,7 @@ class TimingGraph:
             raise ModelingError(f"cannot resize unknown net {name!r}")
         self._replace_net(name, driver_size=driver_size)  # GraphNet validates
         self._mark_param_edit(name, *self._fanin[name])
-        self._dirty.add(name)
-        self._dirty.update(self._fanin[name])
+        self._mark_dirty(name, *self._fanin[name])
 
     def set_line(self, name: str, line: RLCLine) -> None:
         """Swap net ``name``'s RLC line (a re-route); dirties the net."""
@@ -530,7 +591,7 @@ class TimingGraph:
             raise ModelingError("set_line() expects an RLCLine")
         self._replace_net(name, line=line)
         self._mark_param_edit(name)
-        self._dirty.add(name)
+        self._mark_dirty(name)
 
     def set_extra_load(self, name: str, extra_load: float) -> None:
         """Change net ``name``'s additional lumped far-end load [F]."""
@@ -538,7 +599,7 @@ class TimingGraph:
             raise ModelingError(f"cannot re-load unknown net {name!r}")
         self._replace_net(name, extra_load=extra_load)
         self._mark_param_edit(name)
-        self._dirty.add(name)
+        self._mark_dirty(name)
 
     def set_receiver(self, name: str, receiver_size: Optional[float]) -> None:
         """Change (or with None remove) net ``name``'s terminal receiver."""
@@ -551,7 +612,7 @@ class TimingGraph:
                 "a floating sink")
         self._replace_net(name, receiver_size=receiver_size)
         self._mark_param_edit(name)
-        self._dirty.add(name)
+        self._mark_dirty(name)
 
     def set_input(self, name: str, primary_input: PrimaryInput) -> None:
         """Replace the stimulus of root net ``name``."""
@@ -560,8 +621,8 @@ class TimingGraph:
                 f"net {name!r} has no primary input to replace")
         if not isinstance(primary_input, PrimaryInput):
             raise ModelingError("set_input() expects a PrimaryInput")
-        self.primary_inputs[name] = primary_input
-        self._dirty.add(name)
+        self._put(self.primary_inputs, name, primary_input)
+        self._mark_dirty(name)
 
     def add_fanout(self, driver: str, sink: str) -> None:
         """Connect ``driver``'s far end to ``sink``'s driver input.
@@ -585,19 +646,12 @@ class TimingGraph:
             raise ModelingError(
                 f"net {sink!r} is stimulated by a primary input; it cannot also "
                 "be driven by another net")
-        old_version = self._version
-        old_fanin = self._fanin[sink]
-        self._replace_net(driver, fanout=old.fanout + (sink,))
-        self._fanin[sink] = old_fanin + (driver,)
-        try:
+        with self.transaction():
+            self._replace_net(driver, fanout=old.fanout + (sink,))
+            self._put(self._fanin, sink, self._fanin[sink] + (driver,))
             self._levels = self._levelize()
-        except ModelingError:
-            self.nets[driver] = old
-            self._fanin[sink] = old_fanin
-            self._version = old_version
-            raise
         self._topology_version += 1
-        self._dirty.update((driver, sink))
+        self._mark_dirty(driver, sink)
 
     def remove_fanout(self, driver: str, sink: str) -> None:
         """Disconnect ``driver``'s far end from ``sink``'s driver input.
@@ -618,10 +672,11 @@ class TimingGraph:
                 "without a primary input")
         self._replace_net(
             driver, fanout=tuple(n for n in old.fanout if n != sink))
-        self._fanin[sink] = tuple(n for n in self._fanin[sink] if n != driver)
+        self._put(self._fanin, sink,
+                  tuple(n for n in self._fanin[sink] if n != driver))
         self._levels = self._levelize()
         self._topology_version += 1
-        self._dirty.update((driver, sink))
+        self._mark_dirty(driver, sink)
 
 
 def chain_graph(path: TimingPath, *, input_transition: str = "rise"

@@ -12,7 +12,9 @@ import threading
 import pytest
 
 from repro.api import TimingSession
-from repro.errors import CharacterizationError, ReproError
+from repro.api.report import StreamingTimingReport
+from repro.characterization import CellLibrary
+from repro.errors import ReproError
 from repro.experiments.graph_cases import BUILTIN_CASES, benchmark_graph, case_graph
 from repro.serve import (
     AttachRequest,
@@ -24,8 +26,11 @@ from repro.serve import (
     UnknownDesignError,
     ValidationError,
 )
+from repro.serve import registry as registry_module
 from repro.serve.codec import DesignSpec, LineSpec
-from repro.sta.compiled import CompiledAnalysis, SweepState
+from repro.serve.registry import AttachedDesign
+from repro.sta import incremental_compiled
+from repro.sta.compiled import CompiledAnalysis, CompiledGraph, SweepState
 from repro.units import ps, to_ps
 
 #: A tiny two-net design spec exercising every spec section.
@@ -187,42 +192,6 @@ class TestRegistry:
         assert {n: net.driver_size for n, net in design.graph.nets.items()} == sizes
         assert design.stats_payload()["rejected_batches"] >= 1
 
-    def test_failed_retime_rolls_back_and_recovers(self, library, monkeypatch):
-        # Every verb applies, then the re-time rejects the batch: the cell
-        # lookup of the newly used 125X size fails inside the compiled patch.
-        # The batch must roll back like a rejected verb, and must not wedge
-        # the design for later batches.
-        registry = DesignRegistry()
-        try:
-            design = registry.attach(
-                AttachRequest(name="w", case="chain3", clock_ps=900.0))
-            before = design.snapshot
-            size = design.graph.nets["stage1"].driver_size
-            cells = design.session.library
-            lookup = cells.get
-
-            def failing_get(driver_size):
-                if driver_size == 125.0:
-                    raise CharacterizationError("injected cell lookup failure")
-                return lookup(driver_size)
-
-            monkeypatch.setattr(cells, "get", failing_get)
-            with pytest.raises(CharacterizationError, match="injected"):
-                design.apply_edits(EditRequest.from_payload({"edits": [
-                    {"op": "resize_driver", "net": "stage1", "driver_size": 125.0}]}))
-            monkeypatch.undo()
-            assert design.snapshot is before
-            assert design.graph.nets["stage1"].driver_size == size
-            snapshot = design.apply_edits(EditRequest.from_payload({"edits": [
-                {"op": "resize_driver", "net": "stage2", "driver_size": 100.0}]}))
-            assert snapshot.seq == before.seq + 1
-            fresh = TimingSession().time(design.graph, name="w").to_dict()
-            published = snapshot.report.to_dict()
-            fresh.pop("meta"), published.pop("meta")
-            assert published == fresh
-        finally:
-            registry.close()
-
     def test_uncharacterized_size_is_rejected_before_any_verb(self, library):
         registry = DesignRegistry()
         try:
@@ -244,6 +213,143 @@ class TestRegistry:
             stats = design.stats_payload()
             assert stats["rejected_batches"] == 1
             assert stats["edit_batches"] == 0 and stats["analyses"] == 1
+        finally:
+            registry.close()
+
+
+def graph_state(graph):
+    """Everything a rejected batch must leave as it was."""
+    return (graph.version, graph.topology_version, graph.dirty_nets,
+            graph.constraints_dirty, graph.param_edits_since(-1),
+            {name: net for name, net in graph.nets.items()},
+            graph.required_pins("setup"), graph.required_pins("hold"),
+            graph.clock_period, graph.hold_margin)
+
+
+def report_payload(report):
+    payload = report.to_dict()
+    payload.pop("meta")
+    return payload
+
+
+class TestFailureInjection:
+    """A batch that fails anywhere before its publish leaves no trace.
+
+    Each case makes one layer of the write path run and then raise, so the
+    failure comes after that layer has done its work: the compiled patch has
+    written its arrays, the engine has swept or published its planes.  The
+    rejected batch must leave the graph state and the published snapshot as
+    they were, and the next batch must time exactly like an untouched twin.
+    """
+
+    BATCHES = {
+        "resize": [{"op": "resize_driver", "net": "stage2", "driver_size": 125.0}],
+        "constraint": [{"op": "set_clock", "period_ps": 700.0,
+                        "hold_margin_ps": 10.0}],
+        "add_fanout": [{"op": "resize_driver", "net": "stage1", "driver_size": 100.0},
+                       {"op": "add_fanout", "driver": "stage1", "sink": "stage3"}],
+    }
+    #: The batch after the failure: a different net, so a compiled snapshot
+    #: or plane left over from the failed batch would show in its report.
+    NEXT = [{"op": "resize_driver", "net": "stage3", "driver_size": 100.0}]
+    SITES = {
+        "cell_lookup": (CellLibrary, "get"),  # inside the patch, before it writes
+        "patch": (CompiledGraph, "patch"),
+        "incremental_sweep": (incremental_compiled, "incremental_sweep"),
+        "incremental_required": (incremental_compiled, "incremental_required"),
+        "backward_required": (incremental_compiled, "backward_required"),
+        "from_compiled": (StreamingTimingReport, "from_compiled"),
+        "compare_reports": (registry_module, "compare_reports"),
+    }
+    CASES = [
+        ("cell_lookup", "resize", ReproError),
+        ("patch", "resize", ReproError),
+        ("incremental_sweep", "resize", ReproError),
+        ("incremental_required", "resize", ReproError),
+        ("backward_required", "constraint", ReproError),
+        ("from_compiled", "resize", ReproError),
+        ("from_compiled", "constraint", ReproError),
+        ("from_compiled", "add_fanout", ReproError),
+        ("compare_reports", "resize", ReproError),
+        ("compare_reports", "constraint", ReproError),
+        ("compare_reports", "add_fanout", ReproError),
+        ("incremental_sweep", "resize", RuntimeError),
+        ("compare_reports", "constraint", RuntimeError),
+    ]
+
+    @staticmethod
+    def request(edits):
+        return EditRequest.from_payload({"edits": edits})
+
+    @pytest.fixture(scope="class")
+    def twin_report(self, library):
+        """The from-scratch report of a fresh chain3 with batches applied."""
+        session = TimingSession()  # one memo for every case's twins
+
+        def twin_report(*batches):
+            graph = AttachRequest(name="w", case="chain3",
+                                  clock_ps=900.0).build_graph()
+            for batch in batches:
+                for verb in self.request(batch).edits:
+                    verb.apply(graph)
+            return report_payload(session.time(graph, name="w"))
+
+        return twin_report
+
+    @pytest.mark.parametrize(
+        "site, batch, error", CASES,
+        ids=[f"{site}-{batch}-{error.__name__}" for site, batch, error in CASES])
+    def test_failed_batch_leaves_no_trace(self, twin_report, monkeypatch,
+                                          site, batch, error):
+        registry = DesignRegistry()
+        try:
+            design = registry.attach(
+                AttachRequest(name="w", case="chain3", clock_ps=900.0))
+            before = design.snapshot
+            state = graph_state(design.graph)
+            owner, attribute = self.SITES[site]
+            original = getattr(owner, attribute)
+            fired = []
+
+            def run_then_fail(*args, **kwargs):
+                original(*args, **kwargs)
+                fired.append(site)
+                raise error(f"injected failure after {site}")
+
+            monkeypatch.setattr(owner, attribute, run_then_fail)
+            with pytest.raises(error, match="injected"):
+                design.apply_edits(self.request(self.BATCHES[batch]))
+            monkeypatch.undo()
+            assert fired == [site]
+            assert graph_state(design.graph) == state
+            assert design.snapshot is before and design.snapshot.seq == 0
+            stats = design.stats_payload()
+            assert stats["rejected_batches"] == 1 and stats["edit_batches"] == 0
+
+            snapshot = design.apply_edits(self.request(self.NEXT))
+            assert snapshot.seq == 1
+            assert report_payload(snapshot.report) == twin_report(self.NEXT)
+            snapshot = design.apply_edits(self.request(self.BATCHES[batch]))
+            assert report_payload(snapshot.report) == twin_report(
+                self.NEXT, self.BATCHES[batch])
+        finally:
+            registry.close()
+
+    def test_rejected_verb_keeps_the_next_batch_incremental(self, library):
+        registry = DesignRegistry()
+        try:
+            design = registry.attach(
+                AttachRequest(name="w", case="chain3", clock_ps=900.0))
+            state = graph_state(design.graph)
+            with pytest.raises(ReproError, match="cycle"):
+                design.apply_edits(self.request([
+                    {"op": "resize_driver", "net": "stage2", "driver_size": 125.0},
+                    {"op": "add_fanout", "driver": "stage3", "sink": "stage2"}]))
+            assert graph_state(design.graph) == state
+            meta = design.apply_edits(self.request(self.NEXT)).report.meta
+            assert meta.incremental
+            assert meta.retimed_nets < len(design.graph)
+            assert meta.compile_seconds == 0.0 and meta.patched_nets == 2
         finally:
             registry.close()
 
@@ -380,6 +486,40 @@ class TestHTTP:
             client.edit(attached, [{"op": "set_extra_load", "net": "stage1",
                                     "extra_load": float("nan")}])
         assert excinfo.value.status == 400
+
+    def test_internal_error_is_a_500_and_runs_once(self, server, client,
+                                                     monkeypatch):
+        # An unexpected exception must still be answered: a dropped
+        # connection would make the client re-send the batch.
+        client.attach("boom", case="chain3", clock_ps=900.0)
+        try:
+            design = server.registry.get("boom")
+            state = graph_state(design.graph)
+            before = design.snapshot
+            calls = []
+            apply_edits = AttachedDesign.apply_edits
+
+            def counting_apply(self, request):
+                calls.append(request)
+                return apply_edits(self, request)
+
+            def failing_compare(old, new):
+                raise RuntimeError("injected")
+
+            monkeypatch.setattr(AttachedDesign, "apply_edits", counting_apply)
+            monkeypatch.setattr(registry_module, "compare_reports", failing_compare)
+            with pytest.raises(ServeError) as excinfo:
+                client.resize("boom", "stage2", 125.0)
+            monkeypatch.undo()
+            assert excinfo.value.status == 500
+            assert excinfo.value.error == "internal"
+            assert len(calls) == 1
+            assert graph_state(design.graph) == state
+            assert design.snapshot is before
+            stats = client.design_stats("boom")
+            assert stats["rejected_batches"] == 1 and stats["seq"] == 0
+        finally:
+            client.detach("boom")
 
     def test_edit_round_trip_and_diff(self, client, attached):
         before = client.wns(attached)

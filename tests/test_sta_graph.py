@@ -660,7 +660,9 @@ class TestRejectedEdits:
         return (graph.version, graph.topology_version, graph.levels,
                 {name: graph.fanin(name) for name in graph.nets},
                 graph.dirty_nets, graph.constraints_dirty, dict(graph.nets),
-                dict(graph.primary_inputs), graph.param_edits_since(-1))
+                dict(graph.primary_inputs), graph.param_edits_since(-1),
+                graph.required_pins("setup"), graph.required_pins("hold"),
+                graph.clock_period, graph.hold_margin)
 
     def test_every_rejected_verb_is_a_no_op(self, line):
         graph = reconvergent_graph(line=line)
@@ -696,3 +698,116 @@ class TestRejectedEdits:
             with pytest.raises(ModelingError):
                 edit()
             assert self.snapshot(graph) == before
+
+
+class _Abort(Exception):
+    """Raised inside a transaction to make it roll back."""
+
+
+def _other_line():
+    return RLCLine(resistance=45.0, inductance=nH(2.0), capacitance=pF(0.4),
+                   length=mm(2))
+
+
+#: One successful call of every mutator (and a re-time's dirty-set ack),
+#: each against ``TestTransaction.edited_graph``.
+SUCCESSFUL_EDITS = {
+    "resize_driver": lambda g: g.resize_driver("long_a", 125.0),
+    "set_line": lambda g: g.set_line("short", _other_line()),
+    "set_extra_load": lambda g: g.set_extra_load("long_b", 1e-14),
+    "set_receiver": lambda g: g.set_receiver("sink", 50.0),
+    "set_receiver_new": lambda g: g.set_receiver("long_a", 25.0),
+    "set_input": lambda g: g.set_input(
+        "root", PrimaryInput(slew=ps(80), transition="fall", arrival=ps(5))),
+    "add_fanout": lambda g: g.add_fanout("short", "long_b"),
+    "remove_fanout": lambda g: g.remove_fanout("short", "sink"),
+    "set_required": lambda g: g.set_required("sink", ps(40), mode="hold",
+                                             transition="rise"),
+    "set_required_remove": lambda g: g.set_required("long_b", None),
+    "set_clock_period": lambda g: g.set_clock_period(ps(700),
+                                                     hold_margin=ps(10)),
+    "set_clock_period_none": lambda g: g.set_clock_period(None),
+    "edit_then_clear_dirty": lambda g: (g.resize_driver("sink", 75.0),
+                                        g.clear_dirty(),
+                                        g.set_extra_load("short", 2e-14)),
+}
+
+
+class TestTransaction:
+    """``graph.transaction()`` undoes every successful edit of a failed block."""
+
+    snapshot = TestRejectedEdits.snapshot
+
+    @staticmethod
+    def edited_graph(line):
+        """A graph with pins, a clock, old dirt and fresh dirt to restore."""
+        graph = reconvergent_graph(line=line)
+        graph.resize_driver("short", 100.0)
+        graph.set_required("long_b", ps(300))
+        graph.set_clock_period(ps(900), hold_margin=ps(5))
+        graph.clear_dirty()
+        graph.resize_driver("long_a", 100.0)
+        return graph
+
+    @pytest.mark.parametrize("edit", sorted(SUCCESSFUL_EDITS))
+    def test_raising_transaction_restores_the_graph(self, line, edit):
+        graph = self.edited_graph(line)
+        before = self.snapshot(graph)
+        with pytest.raises(_Abort):
+            with graph.transaction():
+                SUCCESSFUL_EDITS[edit](graph)
+                assert self.snapshot(graph) != before
+                raise _Abort
+        assert self.snapshot(graph) == before
+        # The restored graph still edits and times like the original.
+        SUCCESSFUL_EDITS[edit](graph)
+        twin = self.edited_graph(line)
+        SUCCESSFUL_EDITS[edit](twin)
+        assert self.snapshot(graph) == self.snapshot(twin)
+
+    def test_rejected_add_fanout_inside_an_open_transaction(self, line):
+        graph = self.edited_graph(line)
+        before = self.snapshot(graph)
+        with pytest.raises(_Abort):
+            with graph.transaction():
+                graph.resize_driver("long_b", 125.0)
+                graph.set_clock_period(ps(800))
+                inside = self.snapshot(graph)
+                with pytest.raises(ModelingError, match="cycle"):
+                    graph.add_fanout("sink", "short")
+                # The inner rollback undoes the edge only, not the outer edits.
+                assert self.snapshot(graph) == inside
+                raise _Abort
+        assert self.snapshot(graph) == before
+
+    def test_committed_blocks_keep_their_edits_until_an_outer_rollback(self, line):
+        graph = self.edited_graph(line)
+        before = self.snapshot(graph)
+        with pytest.raises(_Abort):
+            with graph.transaction():
+                with graph.transaction():
+                    graph.add_fanout("short", "long_b")
+                    graph.set_required("sink", ps(200))
+                assert graph.nets["short"].fanout == ("sink", "long_b")
+                raise _Abort
+        assert self.snapshot(graph) == before
+        with graph.transaction():
+            graph.resize_driver("sink", 25.0)
+        assert graph.nets["sink"].driver_size == 25.0
+        assert graph.version == before[0] + 1
+        assert "sink" in graph.dirty_nets
+
+    def test_rollback_callbacks_run_once_and_only_on_rollback(self, line):
+        graph = self.edited_graph(line)
+        calls = []
+        graph.on_rollback(calls.append)  # outside a transaction: ignored
+        with graph.transaction():
+            graph.on_rollback(calls.append)
+        assert calls == []
+        with pytest.raises(_Abort):
+            with graph.transaction():
+                with graph.transaction():
+                    graph.on_rollback(calls.append)
+                    graph.on_rollback(calls.append)
+                raise _Abort
+        assert calls == [graph]
