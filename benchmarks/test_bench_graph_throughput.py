@@ -28,9 +28,10 @@ Two gates are asserted:
 
 The workload is :func:`repro.experiments.benchmark_graph` (parallel repeatered
 routes over four line flavors — heavy stage-configuration repetition, the profile
-a bus or clock distribution presents).  Results land in
-``benchmarks/reports/graph_throughput.txt`` and, machine-readably, in
-``benchmarks/reports/BENCH_graph_throughput.json``.  The JSON separates a
+a bus or clock distribution presents).  Results land in the run's report
+directory (``benchmarks/reports`` under ``REPRO_BENCH_WRITE=1``, see
+``conftest.py``) as ``graph_throughput.txt`` and, machine-readably,
+``BENCH_graph_throughput.json``.  The JSON separates a
 ``tracked`` section (machine-independent workload facts: net/event counts,
 unique solves, cache hit rate, the asserted speedup floor — CI compares these
 against the committed file) from a ``machine`` section (wall times, nets/s and
@@ -38,16 +39,13 @@ the measured speedup, which are runner-dependent and deliberately not
 compared).  Set ``REPRO_FULL=1`` to scale from 1k to 4k nets.
 """
 
-import json
 import os
-from pathlib import Path
 
 import pytest
 
 from repro.api import TimingSession
 from repro.experiments import benchmark_graph
 
-REPORT_DIRECTORY = Path(__file__).resolve().parent / "reports"
 
 #: Nets in the deterministic naive-baseline subset (8 chains x 16 stages:
 #: every line flavor of the full graph appears, with identical stage configs).
@@ -127,9 +125,7 @@ def test_graph_throughput_vs_naive_loop(library, report_writer):
             "uncached_speedup": round(uncached_speedup, 2),
         },
     }
-    REPORT_DIRECTORY.mkdir(exist_ok=True)
-    json_path = REPORT_DIRECTORY / "BENCH_graph_throughput.json"
-    json_path.write_text(json.dumps(payload, indent=1) + "\n")
+    json_path = report_writer.json("BENCH_graph_throughput.json", payload)
 
     lines = [
         f"graph throughput ({'full' if full else 'default'} sweep)",

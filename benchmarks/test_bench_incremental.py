@@ -43,8 +43,9 @@ update is O(cone), not O(graph)).  It then checks the final incremental
 state against a from-scratch compiled analysis plane by plane, exactly
 (``sol_idx`` aside, compared by solution fingerprint).
 
-Results land in ``benchmarks/reports/incremental.txt`` and
-``benchmarks/reports/BENCH_incremental.json``.  The JSON is split into a
+Results land in the run's report directory (``benchmarks/reports`` under
+``REPRO_BENCH_WRITE=1``, see ``conftest.py``) as ``incremental.txt`` and
+``BENCH_incremental.json``.  The JSON is split into a
 ``tracked`` section (machine-independent: graph shape, cone sizes, the
 update ceilings, the dual-mode counters — compared against
 the committed file by CI) and a ``machine`` section (wall times and measured
@@ -63,7 +64,6 @@ from repro.api import TimingSession
 from repro.experiments import benchmark_graph
 from repro.units import ps
 
-REPORT_DIRECTORY = Path(__file__).resolve().parent / "reports"
 SRC_DIRECTORY = Path(__file__).resolve().parents[1] / "src"
 
 #: Ceiling on a single-net-edit update of the 1k-net graph [s]: the object
@@ -79,10 +79,12 @@ COMPILED_NETS = 100_000
 COMPILED_EDIT_CYCLES = 200
 
 #: Ceiling on the mean compiled incremental update at 100k nets [s].  A
-#: 2-CPU container measures ~3 ms per update now that an update sweeps the
-#: engine's spare plane buffer, against ~7.5 ms while every update cloned its
-#: O(graph) planes (and ~9 ms for those clones without perfbench's pinned
-#: malloc), so this ceiling fails on a regression to the clone path.
+#: 2-CPU container measures ~2.2 ms per update now that the cone's kernels
+#: make few array calls per level (~3 ms with one required-time kernel call
+#: per level, O(graph) level scans and an all-lexsort merge), against ~7.5 ms
+#: while every update cloned its O(graph) planes (and ~9 ms for those clones
+#: without perfbench's pinned malloc), so this ceiling fails on a regression
+#: to the clone path.
 COMPILED_UPDATE_CEILING_SECONDS = 0.006
 
 #: The smaller graph of the scaling check, and the ceiling on the ratio of
@@ -403,9 +405,7 @@ def test_incremental_retime_vs_full_reanalysis(library, report_writer):
             },
         },
     }
-    REPORT_DIRECTORY.mkdir(exist_ok=True)
-    json_path = REPORT_DIRECTORY / "BENCH_incremental.json"
-    json_path.write_text(json.dumps(payload, indent=1) + "\n")
+    json_path = report_writer.json("BENCH_incremental.json", payload)
 
     lines = [
         "incremental re-time vs full re-analysis (warm caches, bit-identical)",

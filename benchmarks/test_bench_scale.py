@@ -26,8 +26,9 @@ acceptance gate, in three phases (one shared session, one memoized solver):
    :func:`repro.perf.peak_rss_bytes` reads the child's own ``VmHWM``, so a
    measurement that inherited the parent's peak cannot pass).
 
-Results land in ``benchmarks/reports/scale.txt`` and
-``benchmarks/reports/BENCH_scale.json``.  The JSON ``tracked`` section pins
+Results land in the run's report directory (``benchmarks/reports`` under
+``REPRO_BENCH_WRITE=1``, see ``conftest.py``) as ``scale.txt`` and
+``BENCH_scale.json``.  The JSON ``tracked`` section pins
 the machine-independent facts (graph shape, solve dedup, the gate constants;
 ``compile_fraction`` is tracked-but-volatile: CI requires its presence, not
 its value) and ``machine`` holds the wall times.
@@ -45,7 +46,6 @@ from repro.experiments import soc_graph
 from repro.sta import GraphEngine
 from repro.units import ps
 
-REPORT_DIRECTORY = Path(__file__).resolve().parent / "reports"
 SRC_DIRECTORY = Path(__file__).resolve().parents[1] / "src"
 
 #: The scale tier's headline size, and the sizes of the cheaper phases.
@@ -257,9 +257,7 @@ def test_scale_tier(library, report_writer):
             "worst_slack_ps_100k": round(full["worst_slack_ps"], 3),
         },
     }
-    REPORT_DIRECTORY.mkdir(exist_ok=True)
-    json_path = REPORT_DIRECTORY / "BENCH_scale.json"
-    json_path.write_text(json.dumps(payload, indent=1) + "\n")
+    json_path = report_writer.json("BENCH_scale.json", payload)
 
     lines = [
         "compiled struct-of-arrays engine: the 100k-net scale tier",

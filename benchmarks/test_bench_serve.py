@@ -22,20 +22,18 @@ report diff.  The median must stay under ``SCALE_APPLY_CEILING_MS``: on a
 2-CPU container a write that diffs by per-event key sets costs ~350 ms there,
 one that stays on the cone and the event planes ~5-7 ms.
 
-Results land in ``benchmarks/reports/serve.txt`` and
-``benchmarks/reports/BENCH_serve.json`` (``tracked`` = machine-independent
+Results land in the run's report directory (``benchmarks/reports`` under
+``REPRO_BENCH_WRITE=1``, see ``conftest.py``) as ``serve.txt`` and
+``BENCH_serve.json`` (``tracked`` = machine-independent
 gates compared by CI, ``machine`` = wall times and measured throughput).
 """
 
-import json
 import statistics
 import time
-from pathlib import Path
 
 from repro.serve import (AttachRequest, DesignRegistry, EditRequest, ServeClient,
                          TimingServer)
 
-REPORT_DIRECTORY = Path(__file__).resolve().parent / "reports"
 
 NETS = 1024
 CLOCK_PS = 2500.0
@@ -184,9 +182,7 @@ def test_serve_attach_query_edit_cost_model(library, report_writer):
             "queries": final["queries"],
         },
     }
-    REPORT_DIRECTORY.mkdir(exist_ok=True)
-    json_path = REPORT_DIRECTORY / "BENCH_serve.json"
-    json_path.write_text(json.dumps(payload, indent=1) + "\n")
+    json_path = report_writer.json("BENCH_serve.json", payload)
 
     lines = [
         "serve daemon cost model (loopback HTTP, keep-alive)",

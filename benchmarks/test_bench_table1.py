@@ -14,13 +14,10 @@ rounded to :data:`SIGNIFICANT_DIGITS` significant digits), which
 numeric drift in the model layers shows up in review.
 """
 
-import json
 import time
-from pathlib import Path
 
 from repro.experiments import run_table1
 
-REPORT_DIRECTORY = Path(__file__).resolve().parent / "reports"
 #: Significant digits the tracked per-case errors are rounded to.
 SIGNIFICANT_DIGITS = 9
 
@@ -29,7 +26,7 @@ def _tracked_error(value: float) -> float:
     return float(f"{value:.{SIGNIFICANT_DIGITS}g}")
 
 
-def write_accuracy_report(result, seconds: float) -> None:
+def write_accuracy_report(result, seconds: float, report_writer) -> None:
     """Write ``BENCH_accuracy.json`` for one Table 1 run."""
     payload = {
         "benchmark": "accuracy",
@@ -46,9 +43,7 @@ def write_accuracy_report(result, seconds: float) -> None:
         },
         "machine": {"seconds": round(seconds, 3)},
     }
-    REPORT_DIRECTORY.mkdir(exist_ok=True)
-    (REPORT_DIRECTORY / "BENCH_accuracy.json").write_text(
-        json.dumps(payload, indent=1) + "\n")
+    report_writer.json("BENCH_accuracy.json", payload)
 
 
 def test_table1_reproduction(benchmark, library, simulator, report_writer):
@@ -59,7 +54,7 @@ def test_table1_reproduction(benchmark, library, simulator, report_writer):
     seconds = time.perf_counter() - start
 
     report_writer("table1", result.format_report())
-    write_accuracy_report(result, seconds)
+    write_accuracy_report(result, seconds, report_writer)
 
     two_ramp_delay = result.two_ramp_delay_summary
     two_ramp_slew = result.two_ramp_slew_summary

@@ -74,7 +74,7 @@ from .graph import TimingGraph, check_mode
 __all__ = ["TRANSITIONS", "CompiledGraph", "ConfigInterner", "compile_graph",
            "SweepState", "CompiledAnalysis", "seed_primary_inputs",
            "merge_level", "merge_nets", "constraint_seeds", "required_seeds",
-           "backward_required", "required_level"]
+           "backward_required", "required_level", "RequiredPlan"]
 
 #: Input-transition axis of the event encoding, in sorted order — index 0 is
 #: ``"fall"``, index 1 is ``"rise"``, so event ids enumerate transitions the
@@ -187,10 +187,7 @@ class CompiledGraph:
         """
         cached = getattr(self, "_sink_events_cache", None)
         if cached is None:
-            sinks = np.flatnonzero(self.is_sink)
-            cached = np.empty(2 * sinks.size, dtype=np.int64)
-            cached[0::2] = sinks * 2
-            cached[1::2] = sinks * 2 + 1
+            cached = _interleave(np.flatnonzero(self.is_sink))
             self._sink_events_cache = cached
         return cached
 
@@ -542,103 +539,97 @@ def merge_level(cg: CompiledGraph, state: SweepState,
                 net_lo: int, net_hi: int) -> np.ndarray:
     """Merge fanin events into nets ``[net_lo, net_hi)``; return the level's events.
 
-    Vectorized twin of ``GraphEngine._merge`` over one whole level: every
-    fanin edge contributes its two possible source events, the target event is
-    ``target * 2 + (1 - source_transition)`` (the inverter flips the edge),
-    and one ``np.lexsort`` per plane elects the winners — last-in-group for
-    the late plane (``max`` of (arrival, slew, ordinal)), first-in-group for
-    the early plane (``min`` of (early arrival, slew, ordinal)).  The ordinal
+    Vectorized twin of ``GraphEngine._merge`` over one whole level (see
+    :func:`merge_nets`).  Returns the event ids existing in the level span
+    *after* the merge — including primary-input seeds installed by the caller
+    (roots have no fanin, so they never compete in a merge).
+    """
+    merge_nets(cg, state, np.arange(net_lo, net_hi, dtype=np.int64))
+    return np.flatnonzero(state.exists[net_lo * 2:net_hi * 2]) + net_lo * 2
+
+
+_LANES = np.array([0, 1], dtype=np.int64)
+
+
+def _interleave(nets: np.ndarray) -> np.ndarray:
+    """Both event ids of every net: [n0*2, n0*2+1, n1*2, ...]."""
+    return (nets[:, None] * 2 + _LANES).ravel()
+
+
+def _csr_rows(indptr: np.ndarray, indices: np.ndarray,
+              rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The CSR entries of ``rows``, concatenated, and each row's entry count."""
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
+    positions = (np.arange(total, dtype=np.int64)
+                 + np.repeat(starts - ends + counts, counts))
+    return indices[positions], counts
+
+
+def _install(state: SweepState, targets: np.ndarray, sources: np.ndarray, *,
+             late: bool = True, early: bool = True) -> None:
+    """Install source events ``sources`` as the merge winners of ``targets``."""
+    if late:
+        state.exists[targets] = True
+        state.in_arr[targets] = state.out_arr[sources]
+        state.in_slew[targets] = state.prop_slew[sources]
+        state.src[targets] = sources
+    if early:
+        state.early_in[targets] = state.early_out[sources]
+        state.early_src[targets] = sources
+
+
+def merge_nets(cg: CompiledGraph, state: SweepState, nets: np.ndarray) -> None:
+    """Merge fanin events into the (arbitrary) net ids ``nets`` of one level.
+
+    A fanin source event feeds target event ``target * 2 + (1 - source
+    transition)`` (the inverter flips the edge).  A net with exactly one
+    fanin net gives each of its events at most one candidate, which wins
+    both planes: those nets (93% of ``soc``) install directly.  The rest go
+    through one ``np.lexsort`` per plane — last-in-group for the late plane
+    (``max`` of (arrival, slew, ordinal)), first-in-group for the early
+    plane (``min`` of (early arrival, slew, ordinal)).  The ordinal
     ``name_rank * 2 + transition`` orders source events exactly like the
-    object engine's ``(name, transition)`` tuple comparison, which is what
-    makes the election independent of edge order, bit-for-bit.
-
-    Returns the event ids existing in the level span *after* the merge —
-    including primary-input seeds installed by the caller (roots have no
-    fanin, so they never compete in a merge).
-    """
-    lo_ptr, hi_ptr = int(cg.fi_indptr[net_lo]), int(cg.fi_indptr[net_hi])
-    if hi_ptr > lo_ptr:
-        source_net = cg.fi_indices[lo_ptr:hi_ptr]
-        counts = np.diff(cg.fi_indptr[net_lo:net_hi + 1])
-        target_net = np.repeat(np.arange(net_lo, net_hi, dtype=np.int64), counts)
-        _elect_merges(cg, state, source_net, target_net)
-    span = state.exists[net_lo * 2:net_hi * 2]
-    return np.flatnonzero(span) + net_lo * 2
-
-
-def _elect_merges(cg: CompiledGraph, state: SweepState,
-                  source_net: np.ndarray, target_net: np.ndarray) -> None:
-    """Run the two-plane merge election over (source, target) edge pairs.
-
-    The per-target election only compares candidates sharing a target event,
-    so running it over any edge subset that is *complete per target* (every
-    fanin edge of every target present) gives the same winners as the full
-    level — which is what lets the masked incremental sweep merge an
-    arbitrary set of nets bit-identically.
-    """
-    # Expand each edge into its two candidate source events.
-    sev = np.repeat(source_net * 2, 2)
-    sev[1::2] += 1
-    tnet = np.repeat(target_net, 2)
-    keep = state.exists[sev]
-    sev, tnet = sev[keep], tnet[keep]
-    if not sev.size:
-        return
-    tev = tnet * 2 + 1 - (sev & 1)
-    arrival = state.out_arr[sev]
-    early = state.early_out[sev]
-    slew = state.prop_slew[sev]
-    ordinal = cg.name_rank[sev >> 1] * 2 + (sev & 1)
-    if sev.size == 1:  # a lone candidate wins both planes (chains, paths)
-        late = first = np.zeros(1, dtype=np.int64)
-    else:
-        late = np.lexsort((ordinal, slew, arrival, tev))
-        first = np.lexsort((ordinal, slew, early, tev))
-    grouped = tev[late]
-    is_last = np.empty(grouped.size, dtype=bool)
-    is_last[:-1] = grouped[1:] != grouped[:-1]
-    is_last[-1] = True
-    winner = late[is_last]
-    targets = tev[winner]
-    state.exists[targets] = True
-    state.in_arr[targets] = arrival[winner]
-    state.in_slew[targets] = slew[winner]
-    state.src[targets] = sev[winner]
-    grouped = tev[first]
-    is_first = np.empty(grouped.size, dtype=bool)
-    is_first[0] = True
-    is_first[1:] = grouped[1:] != grouped[:-1]
-    winner = first[is_first]
-    state.early_in[tev[winner]] = early[winner]
-    state.early_src[tev[winner]] = sev[winner]
-
-
-def merge_nets(cg: CompiledGraph, state: SweepState,
-               nets: np.ndarray) -> np.ndarray:
-    """Merge fanin events into the (arbitrary) net ids ``nets``; return their events.
-
-    The masked twin of :func:`merge_level`: gathers the complete fanin slice
-    of each listed net from the CSR rows and runs the same two-plane election
-    (:func:`_elect_merges`), so the result is bit-identical to what a full
-    level merge writes into those nets.  ``nets`` must live in one level (the
-    caller iterates levels) and their event slots must be cleared first —
-    merge only installs winners, it never erases a stale event.
+    object engine's ``(name, transition)`` tuple comparison, which makes the
+    election independent of edge order, bit-for-bit.  The election only
+    compares candidates sharing a target event, so any set of nets gives the
+    winners a full level would — which lets the masked incremental sweep
+    merge an arbitrary set of nets bit-identically.  Merge only installs
+    winners, it never erases a stale event: the caller marks the nets'
+    events non-existent first.
     """
     counts = cg.fi_indptr[nets + 1] - cg.fi_indptr[nets]
-    total = int(counts.sum())
-    if total:
-        ptr = np.zeros(nets.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=ptr[1:])
-        positions = (np.arange(total, dtype=np.int64)
-                     - np.repeat(ptr[:-1], counts)
-                     + np.repeat(cg.fi_indptr[nets], counts))
-        source_net = cg.fi_indices[positions]
-        target_net = np.repeat(nets, counts)
-        _elect_merges(cg, state, source_net, target_net)
-    candidates = np.empty(2 * nets.size, dtype=np.int64)
-    candidates[0::2] = nets * 2
-    candidates[1::2] = nets * 2 + 1
-    return candidates[state.exists[candidates]]
+    lone = nets[counts == 1]
+    if lone.size:
+        sev = _interleave(cg.fi_indices[cg.fi_indptr[lone]])
+        keep = state.exists[sev]
+        _install(state, (_interleave(lone) ^ 1)[keep], sev[keep])
+    contested = nets[counts > 1]
+    if not contested.size:
+        return
+    source_net, counts = _csr_rows(cg.fi_indptr, cg.fi_indices, contested)
+    sev = _interleave(source_net)
+    tev = _interleave(np.repeat(contested, counts)) ^ 1
+    keep = state.exists[sev]
+    sev, tev = sev[keep], tev[keep]
+    if not sev.size:
+        return
+    ordinal = cg.name_rank[sev >> 1] * 2 + (sev & 1)
+    slew = state.prop_slew[sev]
+    late = np.lexsort((ordinal, slew, state.out_arr[sev], tev))
+    grouped = tev[late]
+    last = np.empty(grouped.size, dtype=bool)
+    last[-1] = True
+    np.not_equal(grouped[1:], grouped[:-1], out=last[:-1])
+    _install(state, grouped[last], sev[late[last]], early=False)
+    first = np.lexsort((ordinal, slew, state.early_out[sev], tev))
+    grouped = tev[first]
+    head = np.empty(grouped.size, dtype=bool)
+    head[0] = True
+    np.not_equal(grouped[1:], grouped[:-1], out=head[1:])
+    _install(state, grouped[head], sev[first[head]], late=False)
 
 
 def level_solve_keys(cg: CompiledGraph, state: SweepState, events: np.ndarray
@@ -647,24 +638,26 @@ def level_solve_keys(cg: CompiledGraph, state: SweepState, events: np.ndarray
 
     Returns ``(unique, inverse)``: ``unique`` is a (k, 3) float64 matrix of
     the distinct keys in lexicographic (config, transition, slew) order and
-    ``inverse`` maps each event to its row.  Each key packs into one int64 — slews by their rank
-    among the level's distinct slews — which preserves that order, so the
-    dedupe costs two 1-D sorts.  ``solve_batch`` results depend on request
-    order at the ~1 ULP level, so the order is part of the contract.
+    ``inverse`` maps each event to its row.  One stable ``np.lexsort`` over
+    (``config * 2 + transition``, slew) and its run boundaries give exactly
+    the rows, order and inverse of ``np.unique`` — each row is taken at its
+    first occurrence.  ``solve_batch`` results depend on request order at
+    the ~1 ULP level, so the order is part of the contract.
     """
     slews = state.in_slew[events]
-    config = cg.config_id[events >> 1]
-    transition = events & 1
-    if events.size == 1:  # one event is its own unique key (chains, paths)
-        first = inverse = np.zeros(1, dtype=np.int64)
-    else:
-        distinct_slews, slew_rank = np.unique(slews, return_inverse=True)
-        packed = (config * 2 + transition) * distinct_slews.size + slew_rank
-        _, first, inverse = np.unique(packed, return_index=True,
-                                      return_inverse=True)
+    group = cg.config_id[events >> 1] * 2 + (events & 1)
+    order = np.lexsort((slews, group))
+    group_sorted, slews_sorted = group[order], slews[order]
+    run_start = np.empty(events.size, dtype=bool)
+    run_start[0] = True
+    np.not_equal(group_sorted[1:], group_sorted[:-1], out=run_start[1:])
+    run_start[1:] |= slews_sorted[1:] != slews_sorted[:-1]
+    first = order[run_start]
+    inverse = np.empty(events.size, dtype=np.int64)
+    inverse[order] = np.cumsum(run_start) - 1
     unique = np.empty((first.size, 3), dtype=np.float64)
-    unique[:, 0] = config[first]
-    unique[:, 1] = transition[first]
+    unique[:, 0] = group[first] >> 1
+    unique[:, 1] = group[first] & 1
     unique[:, 2] = slews[first]
     return unique, inverse
 
@@ -725,23 +718,6 @@ def required_seeds(cg: CompiledGraph, graph: TimingGraph
             constraint_seeds(cg, graph, "hold") if graph.hold_constrained else None)
 
 
-def _segment_reduce(values: np.ndarray, ptr: np.ndarray, ufunc,
-                    identity: float) -> np.ndarray:
-    """Per-segment ``ufunc`` reduction with empty segments -> ``identity``.
-
-    ``np.ufunc.reduceat`` misbehaves on empty segments (it returns the
-    element *at* the start index), so reduce only the non-empty starts and
-    scatter back.
-    """
-    n_segments = len(ptr) - 1
-    out = np.full(n_segments, identity)
-    counts = np.diff(ptr)
-    non_empty = counts > 0
-    if values.size and non_empty.any():
-        out[non_empty] = ufunc.reduceat(values, ptr[:-1][non_empty])
-    return out
-
-
 def backward_required(cg: CompiledGraph, state: SweepState,
                       setup_seeds: Optional[np.ndarray],
                       hold_seeds: Optional[np.ndarray]
@@ -776,50 +752,78 @@ def required_level(cg: CompiledGraph, state: SweepState, events: np.ndarray,
                    setup_seeds: Optional[np.ndarray],
                    hold_seeds: Optional[np.ndarray],
                    required: np.ndarray, hold_required: np.ndarray) -> None:
-    """One backward-pass step: refresh ``events``'s required times in place.
+    """One backward-pass step: refresh one level's ``events`` in place.
 
-    ``events`` may be any subset of one level's existing events — each
-    event's value depends only on its seed and its fanout consumers' (already
-    final) entries in ``required`` / ``hold_required``, never on its level
-    peers, which is what lets the masked incremental backward pass refresh a
-    fanin cone bit-identically to the full sweep.
+    Builds a :class:`RequiredPlan` for the level and runs it.  The full pass
+    builds one plan per level: a whole-graph plan would hold every fanout
+    edge's gathers at once, for no fewer array calls.
     """
-    net = events >> 1
-    counts = cg.fo_indptr[net + 1] - cg.fo_indptr[net]
-    ptr = np.zeros(events.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=ptr[1:])
-    total = int(ptr[-1])
-    if total:
-        # Gather each event's fanout slice: global CSR positions.
-        positions = (np.arange(total, dtype=np.int64)
-                     - np.repeat(ptr[:-1], counts)
-                     + np.repeat(cg.fo_indptr[net], counts))
-        consumer_net = cg.fo_indices[positions]
-        # The consumer event's input transition is this event's output
-        # transition: 1 - (event & 1).
-        consumer = consumer_net * 2 + np.repeat(1 - (events & 1), counts)
-        consumer_ok = state.exists[consumer]
-        delay = state.delay[consumer]
-    if setup_seeds is not None:
-        base = setup_seeds[events]
-        base = np.where(np.isnan(base), np.inf, base)
-        if total:
-            upstream = required[consumer] - delay
-            upstream = np.where(consumer_ok & ~np.isnan(upstream),
-                                upstream, np.inf)
-            base = np.minimum(base, _segment_reduce(
-                upstream, ptr, np.minimum, np.inf))
-        required[events] = np.where(np.isinf(base), np.nan, base)
-    if hold_seeds is not None:
-        base = hold_seeds[events]
-        base = np.where(np.isnan(base), -np.inf, base)
-        if total:
-            upstream = hold_required[consumer] - delay
-            upstream = np.where(consumer_ok & ~np.isnan(upstream),
-                                upstream, -np.inf)
-            base = np.maximum(base, _segment_reduce(
-                upstream, ptr, np.maximum, -np.inf))
-        hold_required[events] = np.where(np.isinf(base), np.nan, base)
+    RequiredPlan(cg, state, events, setup_seeds, hold_seeds).run(
+        required, hold_required)
+
+
+class RequiredPlan:
+    """Everything the backward pass reads for a set of events, gathered once.
+
+    ``events`` — existing, ascending (so grouped by level), any subset of
+    any levels — split into *leaves*, fanout-less, whose required time is
+    their seed, and the rest.  For the rest the plan holds their fanout
+    consumers (the consumer event keyed by the event's *output* transition),
+    those consumers' stage delays and the events' seeds, segmented per event
+    and cut per level by ``searchsorted`` on ``level_ptr``.  :meth:`run` then
+    does only the dependent arithmetic, level by level in descending order:
+    an event's value depends on its consumers' entries, which sit on later
+    levels, never on its level peers.  Delays are read at plan time, which
+    is sound because the backward pass never writes them.  A consumer event
+    that does not exist holds NaN in both required planes (the full pass
+    writes existing events only, and the cone pass resets its cone before
+    running), so it drops out of the reduction like an unconstrained one.
+    Seeds are finite or NaN and are read once per polarity by event id, so
+    any store that indexes like a dense seed plane serves.
+    """
+
+    def __init__(self, cg: CompiledGraph, state: SweepState,
+                 events: np.ndarray, setup_seeds: Optional[np.ndarray],
+                 hold_seeds: Optional[np.ndarray]) -> None:
+        consumer, counts = _csr_rows(cg.fo_indptr, cg.fo_indices, events >> 1)
+        self.consumer = consumer * 2 + np.repeat(1 - (events & 1), counts)
+        self.delay = state.delay[self.consumer]
+        inner = counts > 0
+        self.events, self.leaves = events[inner], events[~inner]
+        ends = np.cumsum(counts[inner])
+        starts = ends - counts[inner]
+        nets = self.events >> 1
+        cuts = [0, nets.size]
+        if nets.size:  # the level boundaries inside the events' level span
+            first, last = np.searchsorted(cg.level_ptr, nets[[0, -1]], side="right")
+            cuts[1:1] = np.searchsorted(nets, cg.level_ptr[first:last]).tolist()
+        #: (event slice, consumer slice, segment starts) per level, descending.
+        self.steps = [(slice(a, b), slice(int(starts[a]), int(ends[b - 1])),
+                       starts[a:b] - starts[a])
+                      for a, b in reversed(list(zip(cuts, cuts[1:]))) if a < b]
+        #: (plane index, ufunc, identity, inner seeds, leaf seeds) per polarity.
+        self.polarities = []
+        for plane, seeds, ufunc, identity in ((0, setup_seeds, np.minimum, np.inf),
+                                              (1, hold_seeds, np.maximum, -np.inf)):
+            if seeds is not None:
+                seed = seeds[events]
+                self.polarities.append((plane, ufunc, identity, np.where(
+                    np.isnan(seed[inner]), identity, seed[inner]), seed[~inner]))
+
+    def run(self, required: np.ndarray, hold_required: np.ndarray) -> None:
+        """Write the plan's events into the ``required`` / ``hold_required`` planes."""
+        planes = (required, hold_required)
+        for plane, _, _, _, leaf_seeds in self.polarities:
+            planes[plane][self.leaves] = leaf_seeds
+        for events, consumers, starts in self.steps:
+            targets, consumer, delay = (self.events[events], self.consumer[consumers],
+                                        self.delay[consumers])
+            for plane, ufunc, identity, seeds, _ in self.polarities:
+                upstream = planes[plane][consumer] - delay
+                upstream[np.isnan(upstream)] = identity
+                value = ufunc(seeds[events], ufunc.reduceat(upstream, starts))
+                value[np.isinf(value)] = np.nan
+                planes[plane][targets] = value
 
 
 class CompiledAnalysis:

@@ -11,12 +11,16 @@ and the sweep re-runs only where the edit can matter:
   re-solved outputs (existence, late/early arrivals, delay, propagated slew)
   come out **bit-identical** to the previous state drops its fanout from the
   cone — the event-convergence early exit that keeps a resize whose effect
-  dies after two stages from re-timing its whole transitive fanout.
+  dies after two stages from re-timing its whole transitive fanout.  It
+  tracks the pending net ids themselves, so it touches only the levels that
+  hold active nets and allocates nothing sized by the graph.
 * :func:`incremental_required` mirrors it backward: required times are
   refreshed over the transitive *fanin* of the changed nets (their values
   depend only on seeds and on fanout-consumer delays, so everything outside
-  that cone is provably unchanged), reusing the per-level kernel
-  :func:`~.compiled.required_level` of the full backward pass.
+  that cone is provably unchanged).  Unlike the full backward pass, which
+  builds one :class:`~.compiled.RequiredPlan` per level, it gathers the
+  whole cone into one plan — consumers, delays, seeds and level bounds — and
+  then runs only the dependent arithmetic per level.
 
 Both run in place on a spare copy of the prior :class:`~.compiled.SweepState`
 and required planes — one of two plane buffers the engine alternates between,
@@ -49,9 +53,9 @@ import numpy as np
 
 from ..core.stage_solver import StageSolution
 from ..errors import ModelingError
-from .compiled import (CompiledAnalysis, CompiledGraph, SweepState,
-                       backward_required, merge_nets, required_level,
-                       required_seeds, seed_primary_inputs)
+from .compiled import (CompiledAnalysis, CompiledGraph, RequiredPlan,
+                       SweepState, _csr_rows, _interleave, backward_required,
+                       merge_nets, required_seeds, seed_primary_inputs)
 from .graph import IncrementalStats, TimingGraph
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a circular import
@@ -71,29 +75,6 @@ class SweepDelta:
     converged_early: int  #: visited nets whose outputs converged bit-identical
 
 
-def _interleave(nets: np.ndarray) -> np.ndarray:
-    """Both event ids of every net: [n0*2, n0*2+1, n1*2, ...]."""
-    events = np.empty(2 * nets.size, dtype=np.int64)
-    events[0::2] = nets * 2
-    events[1::2] = nets * 2 + 1
-    return events
-
-
-def _gather_targets(indptr: np.ndarray, indices: np.ndarray,
-                    ids: np.ndarray) -> np.ndarray:
-    """All CSR row entries of ``ids``, concatenated (duplicates possible)."""
-    counts = indptr[ids + 1] - indptr[ids]
-    total = int(counts.sum())
-    if not total:
-        return np.empty(0, dtype=np.int64)
-    ptr = np.zeros(ids.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=ptr[1:])
-    positions = (np.arange(total, dtype=np.int64)
-                 - np.repeat(ptr[:-1], counts)
-                 + np.repeat(indptr[ids], counts))
-    return indices[positions]
-
-
 def incremental_sweep(cg: CompiledGraph, graph: TimingGraph, state: SweepState,
                       dirty_ids: np.ndarray, solve_level) -> SweepDelta:
     """Re-run the forward sweep over the dirty fanout cone, in place.
@@ -101,63 +82,59 @@ def incremental_sweep(cg: CompiledGraph, graph: TimingGraph, state: SweepState,
     ``state`` must hold a complete prior sweep of the same (patched) compiled
     graph; ``dirty_ids`` the net ids the edits dirtied; ``solve_level`` the
     engine's dedupe/solve/scatter seam, called once per level with
-    the level's re-merged event ids.  Visited slots are reset to their
-    from-scratch zeros before re-merging, so vanished events (a re-stimulated
-    root changing transition) leave no residue and every plane of the result
-    is bit-identical to a from-scratch sweep of the edited graph.
+    the level's re-merged event ids.  The sweep keeps the pending net ids
+    sorted (net ids run in level order) and visits only the levels that
+    hold any, so no step is sized by the graph.  Merge and solve rewrite
+    every plane of each event that exists afterwards; an event that
+    vanished (a re-stimulated root changing transition) is reset to its
+    from-scratch values, so every plane of the result is bit-identical to
+    a from-scratch sweep of the edited graph.
     """
-    n = cg.n_nets
-    active = np.zeros(n, dtype=bool)
-    active[dirty_ids] = True
     visited: List[np.ndarray] = []
-    changed_mask = np.zeros(n, dtype=bool)
+    changed: List[np.ndarray] = []
     retimed_events = 0
     converged = 0
-    for level in range(cg.n_levels):
-        net_lo, net_hi = int(cg.level_ptr[level]), int(cg.level_ptr[level + 1])
-        lvl = np.flatnonzero(active[net_lo:net_hi]) + net_lo
-        if not lvl.size:
-            continue
+    outputs = (state.exists, state.out_arr, state.early_out, state.prop_slew,
+               state.delay)
+    pending = np.unique(dirty_ids)
+    while pending.size:
+        level = int(np.searchsorted(cg.level_ptr, pending[0], side="right")) - 1
+        split = int(np.searchsorted(pending, cg.level_ptr[level + 1]))
+        lvl, pending = pending[:split], pending[split:]
         visited.append(lvl)
         candidates = _interleave(lvl)
-        prior_exists = state.exists[candidates].copy()
-        prior_planes = tuple(plane[candidates].copy() for plane in (
-            state.out_arr, state.early_out, state.prop_slew, state.delay))
-        # Reset the visited slots to their never-touched values: merge and
-        # scatter only install winners, so a stale event would otherwise
-        # survive its sources vanishing.
+        prior = [plane[candidates] for plane in outputs]
         state.exists[candidates] = False
-        for plane in (state.in_arr, state.early_in, state.in_slew,
-                      state.out_arr, state.early_out, state.delay,
-                      state.prop_slew):
-            plane[candidates] = 0.0
-        state.src[candidates] = -1
-        state.early_src[candidates] = -1
-        state.sol_idx[candidates] = -1
-        seed_primary_inputs(cg, graph, state, lvl)
-        events = merge_nets(cg, state, lvl)
+        if level == 0:  # primary inputs stimulate roots, and roots only
+            seed_primary_inputs(cg, graph, state, lvl)
+        merge_nets(cg, state, lvl)
+        exists = state.exists[candidates]
+        events = candidates[exists]
         if events.size:
             solve_level(events)
         retimed_events += int(events.size)
+        vanished = candidates[prior[0] > exists]
+        if vanished.size:
+            for plane, fresh in zip(state.planes(),
+                                    SweepState.empty(vanished.size).planes()):
+                plane[vanished] = fresh
         # Event convergence: a net whose far-end outputs came out bitwise
         # identical cannot affect its consumers' merges (nor, delay included,
-        # their required times) — drop its fanout from the cone.
-        new_exists = state.exists[candidates]
-        same = new_exists == prior_exists
-        for prior, plane in zip(prior_planes, (
-                state.out_arr, state.early_out, state.prop_slew, state.delay)):
-            same &= ~new_exists | (plane[candidates] == prior)
+        # their required times) — drop its fanout from the cone.  Events
+        # that exist neither before nor after hold from-scratch values.
+        same = exists == prior[0]
+        for old, plane in zip(prior[1:], outputs[1:]):
+            same &= plane[candidates] == old
         same_net = same[0::2] & same[1::2]
         converged += int(np.count_nonzero(same_net))
         lvl_changed = lvl[~same_net]
         if lvl_changed.size:
-            changed_mask[lvl_changed] = True
-            active[_gather_targets(cg.fo_indptr, cg.fo_indices,
-                                   lvl_changed)] = True
-    visited_ids = (np.concatenate(visited) if visited
-                   else np.empty(0, dtype=np.int64))
-    return SweepDelta(visited=visited_ids,
-                      changed=np.flatnonzero(changed_mask),
+            changed.append(lvl_changed)
+            pending = np.union1d(pending, _csr_rows(
+                cg.fo_indptr, cg.fo_indices, lvl_changed)[0])
+    empty = np.empty(0, dtype=np.int64)
+    return SweepDelta(visited=np.concatenate(visited) if visited else empty,
+                      changed=np.concatenate(changed) if changed else empty,
                       retimed_events=retimed_events,
                       converged_early=converged)
 
@@ -175,36 +152,31 @@ def incremental_required(cg: CompiledGraph, state: SweepState,
     transitive fanin of the changed nets every consumer is itself outside the
     cone (the cone is fanin-closed), so those values are provably unchanged —
     the masked pass rewrites exactly the cone, reading unchanged consumer
-    entries straight from the prior planes.  The seeds are read only by event
-    id, so any seed store that indexes like a dense plane serves.  Returns
-    the cone's net ids.
+    entries straight from the prior planes.  The whole cone is gathered into
+    one :class:`~.compiled.RequiredPlan` (one seed lookup per polarity), the
+    cone's entries are set to NaN once — vanished events stay NaN, and an
+    unconstrained plane stays all-NaN end to end — and the plan runs its
+    level steps in descending order.  Returns the cone's net ids, ascending.
     """
-    region = np.zeros(cg.n_nets, dtype=bool)
+    region: Set[int] = set()
     stack = changed_ids.tolist()
     while stack:
         net_id = stack.pop()
-        if region[net_id]:
-            continue
-        region[net_id] = True
-        stack.extend(cg.fi_indices[cg.fi_indptr[net_id]:
-                                   cg.fi_indptr[net_id + 1]].tolist())
-    for level in range(cg.n_levels - 1, -1, -1):
-        net_lo, net_hi = int(cg.level_ptr[level]), int(cg.level_ptr[level + 1])
-        lvl = np.flatnonzero(region[net_lo:net_hi]) + net_lo
-        if not lvl.size:
-            continue
-        candidates = _interleave(lvl)
-        # Vanished events must fall back to NaN; only constrained polarities
-        # are rewritten (an unconstrained plane stays all-NaN end to end).
-        if setup_seeds is not None:
-            required[candidates] = np.nan
-        if hold_seeds is not None:
-            hold_required[candidates] = np.nan
-        events = candidates[state.exists[candidates]]
-        if events.size:
-            required_level(cg, state, events, setup_seeds, hold_seeds,
-                           required, hold_required)
-    return np.flatnonzero(region)
+        if net_id not in region:
+            region.add(net_id)
+            stack.extend(cg.fi_indices[cg.fi_indptr[net_id]:
+                                       cg.fi_indptr[net_id + 1]].tolist())
+    cone = np.fromiter(sorted(region), dtype=np.int64, count=len(region))
+    candidates = _interleave(cone)
+    if setup_seeds is not None:
+        required[candidates] = np.nan
+    if hold_seeds is not None:
+        hold_required[candidates] = np.nan
+    events = candidates[state.exists[candidates]]
+    if events.size:
+        RequiredPlan(cg, state, events, setup_seeds, hold_seeds).run(
+            required, hold_required)
+    return cone
 
 
 class _PlaneBuffer:
@@ -230,7 +202,7 @@ class _SparseSeeds:
     """One polarity's constraint seeds, kept as its constrained events only.
 
     Indexes like the dense plane :func:`~.compiled.constraint_seeds` returns
-    (NaN = unconstrained), so :func:`~.compiled.required_level` reads it
+    (NaN = unconstrained), so :class:`~.compiled.RequiredPlan` reads it
     unchanged.  It holds 16 bytes per constrained event (the endpoints and
     the pins) instead of 8 bytes per event, which is what lets the engine
     keep seeds across updates next to its two plane buffers.

@@ -18,8 +18,8 @@ import pytest
 
 from repro.api import DesignBuilder, SessionConfig, TimingReport, TimingSession
 from repro.core.driver_model import ModelingOptions
-from repro.errors import ModelingError
-from repro.experiments import parallel_chains, reconvergent_graph
+from repro.errors import ModelingError, WaveformError
+from repro.experiments import case_graph, parallel_chains, reconvergent_graph
 from repro.interconnect import RLCLine
 import repro.sta
 from repro.sta import TimingPath, TimingStage, chain_graph
@@ -371,6 +371,45 @@ class TestIncrementalSession:
             session.update(first_graph)
             report = session.update(second_graph)
             assert set(report.events) == set(second_graph.nets)
+
+
+class TestFarEndWindowDefect:
+    """A legal 25X resize of ``chain3``'s ``stage2`` aborts its re-time.
+
+    The far end of the resized stage starts above the 10% level, so its
+    slew measurement never crosses it (ROADMAP item 6: the far-end window
+    starts at t = 0, not where the ramp starts).  The first test pins the
+    defect and must flip to passing with item 6's fix, which then removes
+    its mark; the second pins that the failed edit leaves the graph exactly
+    as it was.
+    """
+
+    @staticmethod
+    def resize_and_update(graph, session):
+        with graph.transaction():
+            graph.resize_driver("stage2", 25.0)
+            return session.update(graph)
+
+    @pytest.mark.xfail(strict=True, raises=WaveformError,
+                       reason="ROADMAP item 6: far-end window starts at t = 0")
+    def test_stage2_resize_to_25x_retimes(self, library):
+        graph = case_graph("chain3")
+        with TimingSession() as session:
+            session.update(graph)
+            report = self.resize_and_update(graph, session)
+            assert report.meta.retimed_nets >= 1
+            assert graph.nets["stage2"].driver_size == 25.0
+
+    def test_failed_resize_rolls_the_graph_back(self, library):
+        graph = case_graph("chain3")
+        with TimingSession() as session:
+            session.update(graph)
+            with pytest.raises(WaveformError, match="never crosses"):
+                self.resize_and_update(graph, session)
+            assert graph.version == 0
+            assert graph.nets["stage2"].driver_size == 100.0
+            assert not graph.dirty_nets
+            assert session.update(graph).n_events == 3
 
 
 class TestDualModeSession:

@@ -15,7 +15,9 @@ The contract under test, layer by layer:
   tie-break mirrors the object engine's ``max()`` over (arrival, slew, source)
   tuples);
 * the level dedupe (``level_solve_keys``) gives exactly the keys, order and
-  inverse map of the ``np.unique(axis=0)`` row sort it replaced;
+  inverse map of the ``np.unique(axis=0)`` row sort it replaced, and the
+  merge (``merge_level``), which installs one-fanin targets directly, elects
+  exactly the winners of the all-lexsort election it replaced;
 * :class:`StreamingTimingReport` answers every report query like the eager
   report and serializes to the identical payload;
 * the session times every design (paths, graphs, builders) on the compiled
@@ -27,6 +29,7 @@ The contract under test, layer by layer:
   report by identity.
 """
 
+import dataclasses
 import random
 import time
 from types import SimpleNamespace
@@ -61,7 +64,8 @@ from repro.sta import (
     chain_graph,
     compile_graph,
 )
-from repro.sta.compiled import CompiledGraph, ConfigInterner, level_solve_keys
+from repro.sta.compiled import (CompiledGraph, ConfigInterner, level_solve_keys,
+                                merge_level)
 from repro.units import fF, mm, nH, pF, ps
 
 
@@ -408,18 +412,140 @@ class TestLevelSolveKeys:
                          rng.choice(pool, size=2 * n_nets), fresh)
         if grid is not None:  # slews on a coarse grid: mostly exact ties
             slews = np.maximum(np.rint(slews / grid), 1.0) * grid
-        states = []
-        for _ in range(2):
-            state = SweepState.empty(2 * n_nets)
-            state.in_slew[:] = slews
-            states.append(state)
-        unique, inverse = level_solve_keys(cg, states[0], events)
-        expected, expected_inverse = row_sort_level_solve_keys(
-            cg, states[1], events)
-        assert unique.dtype == expected.dtype and unique.shape == expected.shape
-        assert np.array_equal(unique, expected)
-        assert np.array_equal(inverse, expected_inverse.reshape(-1))
-        assert np.array_equal(states[0].in_slew, slews)  # read, never written
+        assert_dedupe_matches_row_sort(cg, slews, events)
+
+    @pytest.mark.parametrize("shape", ["single_event", "all_equal_slews",
+                                       "equal_slews_across_configs"])
+    def test_degenerate_levels_match_the_row_sort_reference(self, shape):
+        rng = np.random.default_rng(7)
+        n_nets = 40
+        config_id = rng.integers(0, 5, size=n_nets)
+        slews = rng.uniform(ps(20), ps(300), size=2 * n_nets)
+        events = np.flatnonzero(rng.random(2 * n_nets) < 0.7)
+        if shape == "single_event":
+            events = np.array([13])
+        elif shape == "all_equal_slews":
+            slews[:] = ps(80)
+        else:  # two slews, each shared by events of every config and transition
+            slews = np.where(np.arange(2 * n_nets) % 3 == 0, ps(80), ps(140))
+            assert len({(config_id[e >> 1], e & 1)
+                        for e in events.tolist() if slews[e] == ps(80)}) > 3
+        assert_dedupe_matches_row_sort(SimpleNamespace(config_id=config_id),
+                                       slews, events)
+
+
+def assert_dedupe_matches_row_sort(cg, slews, events):
+    """``level_solve_keys`` gives the reference's rows, order and inverse."""
+    states = []
+    for _ in range(2):
+        state = SweepState.empty(slews.size)
+        state.in_slew[:] = slews
+        states.append(state)
+    unique, inverse = level_solve_keys(cg, states[0], events)
+    expected, expected_inverse = row_sort_level_solve_keys(cg, states[1], events)
+    assert unique.dtype == expected.dtype and unique.shape == expected.shape
+    assert np.array_equal(unique, expected)
+    assert np.array_equal(inverse, expected_inverse.reshape(-1))
+    assert np.array_equal(states[0].in_slew, slews)  # read, never written
+
+
+def lexsort_merge_level(cg, state, net_lo, net_hi):
+    """Reference merge: the two-plane lexsort election over every fanin edge.
+
+    The election ``merge_level`` ran before one-fanin targets installed
+    their lone candidate directly: every candidate, of every target, goes
+    through both lexsorts.
+    """
+    counts = np.diff(cg.fi_indptr[net_lo:net_hi + 1])
+    source_net = cg.fi_indices[cg.fi_indptr[net_lo]:cg.fi_indptr[net_hi]]
+    target_net = np.repeat(np.arange(net_lo, net_hi, dtype=np.int64), counts)
+    sev = np.repeat(source_net * 2, 2)
+    sev[1::2] += 1
+    tnet = np.repeat(target_net, 2)
+    keep = state.exists[sev]
+    sev, tnet = sev[keep], tnet[keep]
+    tev = tnet * 2 + 1 - (sev & 1)
+    arrival, early = state.out_arr[sev], state.early_out[sev]
+    slew = state.prop_slew[sev]
+    ordinal = cg.name_rank[sev >> 1] * 2 + (sev & 1)
+    late = np.lexsort((ordinal, slew, arrival, tev))
+    is_last = np.append(tev[late][1:] != tev[late][:-1], True)
+    winner = late[is_last]
+    state.exists[tev[winner]] = True
+    state.in_arr[tev[winner]] = arrival[winner]
+    state.in_slew[tev[winner]] = slew[winner]
+    state.src[tev[winner]] = sev[winner]
+    first = np.lexsort((ordinal, slew, early, tev))
+    is_first = np.insert(tev[first][1:] != tev[first][:-1], 0, True)
+    winner = first[is_first]
+    state.early_in[tev[winner]] = early[winner]
+    state.early_src[tev[winner]] = sev[winner]
+
+
+def assert_merges_match_reference(cg, state, net_lo, net_hi):
+    """``merge_level`` on a copy of ``state`` equals the reference, plane by plane."""
+    ours, theirs = state.clone(), state.clone()
+    events = merge_level(cg, ours, net_lo, net_hi)
+    lexsort_merge_level(cg, theirs, net_lo, net_hi)
+    for name, mine, reference in zip(
+            [f.name for f in dataclasses.fields(SweepState)],
+            ours.planes(), theirs.planes()):
+        assert mine.tobytes() == reference.tobytes(), f"plane {name} diverged"
+    assert np.array_equal(
+        events, np.flatnonzero(theirs.exists[net_lo * 2:net_hi * 2]) + net_lo * 2)
+
+
+class TestMergeElection:
+    def test_one_fanin_installs_match_the_lexsort_election(self, engine, lines):
+        # Level 1: x merges both roots (both events), y only p (one event).
+        # Level 2 mixes one-fanin targets (u on x, w on y) with two-fanin
+        # ones (v on x + y, z on q + y).
+        short = lines[0]
+        graph = TimingGraph(
+            [GraphNet("p", 75.0, short, fanout=("x", "y")),
+             GraphNet("q", 50.0, short, fanout=("x", "z")),
+             GraphNet("x", 100.0, short, fanout=("u", "v")),
+             GraphNet("y", 100.0, short, fanout=("v", "w", "z")),
+             *(GraphNet(name, 75.0, short, receiver_size=25.0)
+               for name in ("u", "v", "w", "z"))],
+            {"p": PrimaryInput(slew=ps(80), transition="rise"),
+             "q": PrimaryInput(slew=ps(120), transition="fall")})
+        cg = engine.compile(graph)
+        state = engine.analyze_compiled(graph, compiled_graph=cg).state
+        net_lo, net_hi = int(cg.level_ptr[2]), int(cg.level_ptr[3])
+        fanins = np.diff(cg.fi_indptr[net_lo:net_hi + 1])
+        assert sorted(fanins.tolist()) == [1, 1, 2, 2]
+        events_of = {name: int(np.count_nonzero(
+            state.exists[cg.index[name] * 2:cg.index[name] * 2 + 2]))
+            for name in ("x", "y")}
+        assert events_of == {"x": 2, "y": 1}
+        level = slice(net_lo * 2, net_hi * 2)
+        state.exists[level] = False  # the level as the sweep meets it
+        for plane in (state.in_arr, state.early_in, state.in_slew):
+            plane[level] = 0.0
+        state.src[level] = state.early_src[level] = -1
+        assert_merges_match_reference(cg, state, net_lo, net_hi)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_levels_with_ties_match_the_lexsort_election(self, seed):
+        rng = np.random.default_rng(seed)
+        n_sources, n_targets = 12, 40
+        fanins = [rng.choice(n_sources, size=rng.choice([1, 1, 1, 2, 3]),
+                           replace=False) for _ in range(n_targets)]
+        fi_indptr = np.zeros(n_sources + n_targets + 1, dtype=np.int64)
+        fi_indptr[n_sources + 1:] = np.cumsum([f.size for f in fanins])
+        cg = SimpleNamespace(
+            fi_indptr=fi_indptr, fi_indices=np.concatenate(fanins),
+            name_rank=rng.permutation(n_sources + n_targets))
+        state = SweepState.empty(2 * (n_sources + n_targets))
+        sources = slice(0, 2 * n_sources)
+        state.exists[sources] = rng.random(2 * n_sources) < 0.7
+        # Small value pools: arrival and slew ties reach the ordinal.
+        state.out_arr[sources] = rng.choice([ps(100), ps(120)], 2 * n_sources)
+        state.early_out[sources] = rng.choice([ps(90), ps(95)], 2 * n_sources)
+        state.prop_slew[sources] = rng.choice([ps(40), ps(60)], 2 * n_sources)
+        assert_merges_match_reference(cg, state, n_sources,
+                                      n_sources + n_targets)
 
 
 class TestCompiledEquivalence:

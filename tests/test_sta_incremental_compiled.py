@@ -16,7 +16,10 @@ rejected), the session cache (constraint-only edit batches never recompile;
 the single-slot compiled cache holds its graph weakly), the engine's
 double-buffered planes (earlier reports keep describing their state; warm
 updates never clone; a failed update leaves the published report intact) and
-the streaming report's cone-bounded record reuse.
+the streaming report's cone-bounded record reuse, the cone's one-plan
+backward pass against a from-scratch one, and two deterministic counters of
+the per-update floor (one required-time plan per update, one forward merge
+per level that holds active nets).
 """
 
 import gc
@@ -25,8 +28,9 @@ import weakref
 
 import numpy as np
 import pytest
-from test_sta_compiled import shared_session, wide_fanout_graph
-from test_sta_dual_mode import random_dag
+from golden_cases import RANDOM_SEEDS, golden_designs
+from test_sta_compiled import drop_constraints, shared_session, wide_fanout_graph
+from test_sta_dual_mode import LIBRARY_SIZES, random_dag
 from test_sta_incremental import random_edit
 
 from repro.api import SessionConfig, StreamingTimingReport, TimingSession
@@ -34,8 +38,10 @@ from repro.core import StageSolver
 from repro.errors import CharacterizationError, ModelingError
 from repro.experiments import soc_graph
 from repro.interconnect import RLCLine
-from repro.sta import GraphEngine, IncrementalEngine
-from repro.sta.compiled import SweepState
+from repro.sta import GraphEngine, IncrementalEngine, PrimaryInput
+from repro.sta import incremental_compiled
+from repro.sta.compiled import (RequiredPlan, SweepState, backward_required,
+                                required_seeds)
 from repro.sta.incremental_compiled import CompiledIncrementalEngine
 from repro.units import fF, mm, nH, pF, ps
 
@@ -514,3 +520,141 @@ class TestDoubleBufferedPlanes:
         assert plane_bytes(published.analysis) == captured
         toggle(graph, SOC_SITES[3])
         assert_same_planes(session.update(graph), session.time(graph))
+
+
+def required_plan_edit(rng, graph, modes, step):
+    """One edit of the required-plan property: every third a constraint edit.
+
+    Constraint edits stay inside ``modes`` (the constrained polarities) and
+    include clock removal; step 4 re-stimulates a root with the other
+    transition, which makes its old events (and their cone's) vanish.
+    Parameter edits resize to 75X and up and swap receivers only on nets
+    driven at 75X and up: a resize to a smaller driver, or a receiver swap
+    on one, can abort these designs' re-time on the far-end window defect
+    (ROADMAP item 6), which ``test_api.TestFarEndWindowDefect`` pins on
+    ``chain3``.
+    """
+    if step % 3 == 2:
+        mode = rng.choice(modes)
+        if rng.random() < 0.5:
+            graph.set_required(rng.choice(graph.endpoints),
+                               rng.choice([None, ps(250), ps(450)]),
+                               transition=rng.choice([None, "rise", "fall"]),
+                               mode=mode)
+        elif mode == "setup":
+            graph.set_clock_period(None if graph.clock_period else ps(700),
+                                   hold_margin=graph.hold_margin)
+        else:
+            graph.set_clock_period(graph.clock_period, hold_margin=(
+                None if graph.hold_margin is not None else ps(30)))
+    elif step == 4:
+        root, primary = sorted(graph.primary_inputs.items())[0]
+        graph.set_input(root, PrimaryInput(
+            slew=primary.slew, arrival=primary.arrival,
+            transition="rise" if primary.transition == "fall" else "fall"))
+    elif rng.random() < 0.7:
+        graph.resize_driver(rng.choice(sorted(graph.nets)),
+                            rng.choice(LIBRARY_SIZES[2:]))
+    else:
+        name = rng.choice([name for name, net in sorted(graph.nets.items())
+                           if net.driver_size >= 75.0])
+        try:
+            graph.set_receiver(name, rng.choice([None, 25.0]))
+        except ModelingError:
+            pass
+
+
+class TestRequiredPlan:
+    """The cone's one-plan backward pass equals a from-scratch one, bit for bit."""
+
+    @pytest.mark.parametrize("constrained", ["setup", "hold", "both"])
+    @pytest.mark.parametrize("seed", RANDOM_SEEDS)
+    def test_cone_plan_matches_a_full_backward_pass(
+            self, library, solver, monkeypatch, seed, constrained):
+        graph = dict(golden_designs())[f"random{seed}"]()
+        modes = ("setup", "hold") if constrained == "both" else (constrained,)
+        for mode in ("setup", "hold"):
+            if mode not in modes:
+                drop_constraints(graph, mode)
+        cones = []
+        cone_pass = incremental_compiled.incremental_required
+
+        def recording(*args):
+            cones.append(cone_pass(*args))
+            return cones[-1]
+
+        monkeypatch.setattr(incremental_compiled, "incremental_required",
+                            recording)
+        engine = GraphEngine(library=library, solver=solver)
+        incremental = CompiledIncrementalEngine(engine, graph)
+        cg = refresh_snapshot(engine, graph, None)
+        exists = incremental.update(cg).state.exists.copy()
+        rng = random.Random(seed)
+        vanished = 0
+        for step in range(10):
+            required_plan_edit(rng, graph, modes, step)
+            cg = refresh_snapshot(engine, graph, cg)
+            analysis = incremental.update(cg)
+            vanished += int(np.count_nonzero(exists & ~analysis.state.exists))
+            exists = analysis.state.exists.copy()
+            required, hold_required = backward_required(
+                cg, analysis.state, *required_seeds(cg, graph))
+            assert analysis.required.tobytes() == required.tobytes()
+            assert analysis.hold_required.tobytes() == hold_required.tobytes()
+            assert_analyses_identical(
+                analysis, engine.analyze_compiled(graph, compiled_graph=cg))
+        assert vanished, "no edit made an event vanish"
+        assert len(cones) >= 4 and max(cone.size for cone in cones) > 1
+
+
+class TestPerUpdateFloor:
+    """Host-independent counters of what one warm update pays per level.
+
+    The floor of an edit->update() cycle is per-level call overhead, not
+    cone work, so these count calls rather than time them: one required-time
+    plan for the whole fanin cone of an update that changed nets (not one
+    per level), and one forward merge per level that holds active nets (no
+    call for the levels in between).
+    """
+
+    def test_one_plan_per_update_and_one_merge_per_active_level(
+            self, solver, monkeypatch):
+        graph = soc_graph(10_000)
+        graph.set_clock_period(ps(1500), hold_margin=0.0)
+        session = shared_session(solver)
+        session.update(graph)
+        plans, merges, sweeps = [], [], []
+        build = RequiredPlan.__init__
+        merge = incremental_compiled.merge_nets
+        sweep = incremental_compiled.incremental_sweep
+
+        def counting_build(plan, *args):
+            plans.append(None)
+            build(plan, *args)
+
+        def counting_merge(*args):
+            merges.append(None)
+            return merge(*args)
+
+        def recording_sweep(cg, *args):
+            sweeps.append((cg, sweep(cg, *args)))
+            return sweeps[-1][1]
+
+        monkeypatch.setattr(RequiredPlan, "__init__", counting_build)
+        monkeypatch.setattr(incremental_compiled, "merge_nets", counting_merge)
+        monkeypatch.setattr(incremental_compiled, "incremental_sweep",
+                            recording_sweep)
+        sites = [f"k{k}{local}" for k in (3, 17, 29, 44, 71)
+                 for local in ("m1", "l6", "c2s1", "c9s4")]
+        deepest = 0
+        for site in sites:  # 20 single-resize updates
+            plans.clear(), merges.clear(), sweeps.clear()
+            toggle(graph, site)
+            session.update(graph)
+            (cg, delta), = sweeps
+            levels = np.unique(np.searchsorted(cg.level_ptr, delta.visited,
+                                               side="right"))
+            assert len(merges) == levels.size
+            assert len(plans) == (1 if delta.changed.size else 0)
+            deepest = max(deepest, int(levels.size))
+        assert deepest >= 3  # cones span levels: per-level plans would show
