@@ -7,7 +7,6 @@ Four subcommands cover the stack end to end::
     python -m repro time --case bench --clock 800 --slack   # slack table + WNS
     python -m repro time --case bench --clock 800 --hold-margin 30 --hold
     python -m repro characterize --sizes 50 75 --coarse
-    python -m repro bench --nets 256              # memoized vs naive throughput
     python -m repro report timing.json            # pretty-print a saved report
     python -m repro report timing.json --hold     # per-endpoint hold slacks
     python -m repro report --diff old.json new.json  # exit 1 on WNS/WHS regression
@@ -24,14 +23,19 @@ exit code is nonzero exactly when the new report's worst negative setup slack
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time as time_module
 from pathlib import Path
 from typing import Optional, Sequence
 
 from ..errors import ReproError
-from ..experiments.graph_cases import LIBRARY_SIZES
+from ..experiments.graph_cases import (
+    BUILTIN_CASES,
+    LIBRARY_SIZES,
+    case_graph,
+    global_route_path,
+    standard_lines,
+)
 from ..units import ps
 from .builder import DesignBuilder
 from .config import SessionConfig
@@ -54,16 +58,12 @@ def _session_config(args: argparse.Namespace) -> SessionConfig:
 
 
 def _build_design(args: argparse.Namespace):
-    """The design a ``time`` invocation asks for (path, builder or graph)."""
-    from ..experiments.graph_cases import (
-        benchmark_graph,
-        fanout_tree,
-        global_route_path,
-        race_graph,
-        reconvergent_graph,
-        standard_lines,
-    )
+    """The design a ``time`` invocation asks for (path, builder or graph).
 
+    ``--case chain3`` is the canonical route as a :class:`~repro.sta.TimingPath`
+    (its report has ``kind == "path"``); every other case comes from the case
+    registry, :func:`~repro.experiments.graph_cases.case_graph`.
+    """
     input_slew = ps(args.input_slew)
     if args.chain:
         try:
@@ -79,15 +79,7 @@ def _build_design(args: argparse.Namespace):
         )
     if args.case == "chain3":
         return global_route_path(input_slew=input_slew)
-    if args.case == "diamond":
-        return reconvergent_graph(input_slew=input_slew)
-    if args.case == "race":
-        return race_graph(input_slew=input_slew)
-    if args.case == "tree":
-        return fanout_tree(args.depth, input_slew=input_slew)
-    if args.case == "bench":
-        return benchmark_graph(args.nets, input_slew=input_slew)
-    raise ReproError(f"unknown case {args.case!r}")
+    return case_graph(args.case, input_slew=input_slew, depth=args.depth, nets=args.nets)
 
 
 def _cmd_time(args: argparse.Namespace) -> int:
@@ -178,47 +170,6 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
                 f"wrote {len(cells)} cells to {args.output} "
                 f"in {time_module.time() - total_start:.1f} s total"
             )
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from ..experiments.graph_cases import benchmark_graph
-
-    graph = benchmark_graph(args.nets, chain_length=args.chain_length)
-    config = _session_config(args)
-    with TimingSession(config) as session:
-        print(f"benchmark graph: {graph.describe()}", flush=True)
-        naive_elapsed = None
-        if args.baseline:
-            print("naive per-stage loop (every cache layer bypassed) ...", flush=True)
-            naive = session.time(graph, memoize=False, name="naive")
-            naive_elapsed = naive.meta.elapsed
-            print(
-                f"  {naive_elapsed:.2f} s ({naive.n_events / naive_elapsed:.1f} nets/s)",
-                flush=True,
-            )
-        print("memoized batched run ...", flush=True)
-        batched = session.time(graph, name="batched")
-    meta = batched.meta
-    print(
-        f"  {meta.elapsed:.2f} s ({batched.n_events / meta.elapsed:.1f} nets/s, "
-        f"cache hit rate {100 * meta.hit_rate:.1f}%, "
-        f"{meta.computed} unique solves)"
-    )
-    payload = {
-        "nets": len(batched.events),
-        "events": batched.n_events,
-        "batched_seconds": round(meta.elapsed, 3),
-        "batched_nets_per_second": round(batched.n_events / meta.elapsed, 1),
-        "cache_hit_rate": round(meta.hit_rate, 4),
-    }
-    if naive_elapsed is not None:
-        payload["naive_seconds"] = round(naive_elapsed, 3)
-        payload["speedup"] = round(naive_elapsed / meta.elapsed, 2)
-        print(f"  speedup: {payload['speedup']}x")
-    if args.json is not None:
-        args.json.write_text(json.dumps(payload, indent=1) + "\n")
-        print(f"benchmark payload written to {args.json}")
     return 0
 
 
@@ -323,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     case = timer.add_mutually_exclusive_group()
     case.add_argument(
         "--case",
-        choices=("chain3", "diamond", "race", "tree", "bench"),
+        choices=BUILTIN_CASES,
         default="chain3",
         help="built-in design (default: the 3-stage example route)",
     )
@@ -348,7 +299,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="fanout-tree depth for --case tree (default: 3)",
     )
     timer.add_argument(
-        "--nets", type=int, default=128, help="net count for --case bench (default: 128)"
+        "--nets",
+        type=int,
+        default=128,
+        help="net count for --case bench / --case soc (default: 128)",
     )
     timer.add_argument(
         "--limit", type=int, default=20, help="critical-path lines to print (default: 20)"
@@ -429,35 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_session_flags(char)
     char.set_defaults(func=_cmd_characterize)
 
-    bench = commands.add_parser(
-        "bench",
-        help="graph-timing throughput: memoized batched run vs the naive per-stage loop",
-    )
-    bench.add_argument(
-        "--nets", type=int, default=128, help="benchmark graph size (default: 128 nets)"
-    )
-    bench.add_argument(
-        "--chain-length",
-        type=int,
-        default=16,
-        help="stages per chain in the benchmark graph",
-    )
-    bench.add_argument(
-        "--no-baseline",
-        dest="baseline",
-        action="store_false",
-        help="skip the naive baseline (just measure throughput)",
-    )
-    bench.add_argument(
-        "--json",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="write the machine-readable payload here",
-    )
-    _add_session_flags(bench)
-    bench.set_defaults(func=_cmd_bench)
-
     shower = commands.add_parser(
         "report",
         help="pretty-print a TimingReport JSON file, or diff two "
@@ -494,8 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also list every solved (net, transition) event",
     )
     shower.set_defaults(func=_cmd_report)
-
-    from ..experiments.graph_cases import BUILTIN_CASES
 
     server = commands.add_parser(
         "serve",

@@ -18,7 +18,7 @@ and two saved reports can be compared with :func:`compare_reports` (the
 and WHS regressions).  Payloads written before the dual-mode fields existed
 still load: the new fields default to None/absent.
 
-Every memoized :meth:`~repro.api.TimingSession.time` / ``update`` returns a
+Every :meth:`~repro.api.TimingSession.time` / ``update`` returns a
 :class:`StreamingTimingReport`: the same report contract, but backed by a
 :class:`~repro.sta.compiled.CompiledAnalysis` whose events materialize per net
 on first access.  Summary queries (WNS/WHS, ``n_events``, the slack table) run
@@ -30,7 +30,7 @@ none of them flatten O(graph) event records; serialization (``to_dict`` /
 only per changed endpoint slack; any other pair goes through event-key sets,
 which materialize the shared endpoint events.  The eager
 :meth:`TimingReport.from_graph_report` flattens a reference-sweep result
-(``time(memoize=False)``, the equivalence tests).
+(the equivalence tests and the graph-throughput benchmark's naive baseline).
 """
 
 from __future__ import annotations
@@ -53,9 +53,10 @@ from typing import (
     Tuple,
 )
 
+from ..core.stage_solver import SolverStats
 from ..errors import ModelingError
 from ..perf import peak_rss_bytes as _peak_rss_bytes
-from ..sta.graph import GraphTimingReport, NetEventTiming, check_mode
+from ..sta.graph import GraphTimingReport, IncrementalStats, NetEventTiming, check_mode
 from ..units import to_ps
 
 __all__ = [
@@ -219,8 +220,14 @@ class TimingEvent:
 #: RunInfo keys older report payloads carry for fields that no longer exist.
 _RETIRED_RUNINFO_KEYS = frozenset(
     {"jobs", "installed", "shards", "boundary_events_exchanged", "parallel_sweep",
-     "mode"}
+     "mode", "batched_solves"}
 )
+
+#: IncrementalStats fields every incremental run records in its RunInfo.
+_CONE_FIELDS = ("dirty_nets", "retimed_nets", "required_nets", "hold_required_nets")
+
+#: ...and the ones only the compiled engine fills in.
+_COMPILED_CONE_FIELDS = ("patched_nets", "cone_nets", "cone_converged_early")
 
 
 @dataclass(frozen=True)
@@ -231,7 +238,6 @@ class RunInfo:
     memo_hits: int = 0
     persistent_hits: int = 0
     computed: int = 0
-    batched_solves: int = 0  #: computed solves that ran inside an array batch
     version: str = ""  #: repro package version that produced the report
     dirty_nets: Optional[int] = None  #: incremental runs: nets the edits dirtied
     retimed_nets: Optional[int] = None  #: incremental runs: forward-cone size
@@ -257,11 +263,6 @@ class RunInfo:
         return (self.memo_hits + self.persistent_hits) / total if total else 0.0
 
     @property
-    def batch_fill_rate(self) -> float:
-        """Fraction of in-process computed solves that ran batched (0 when idle)."""
-        return self.batched_solves / self.computed if self.computed else 0.0
-
-    @property
     def incremental(self) -> bool:
         """True when the producing run re-timed a dirty cone, not the whole graph."""
         return self.dirty_nets is not None
@@ -272,7 +273,6 @@ class RunInfo:
             "memo_hits": self.memo_hits,
             "persistent_hits": self.persistent_hits,
             "computed": self.computed,
-            "batched_solves": self.batched_solves,
             "version": self.version,
             "dirty_nets": self.dirty_nets,
             "retimed_nets": self.retimed_nets,
@@ -285,6 +285,29 @@ class RunInfo:
             "cone_nets": self.cone_nets,
             "cone_converged_early": self.cone_converged_early,
         }
+
+    @classmethod
+    def from_stats(
+        cls,
+        stats: SolverStats,
+        incremental: Optional[IncrementalStats] = None,
+        **fields: Any,
+    ) -> "RunInfo":
+        """A run's metadata from its solver counters and incremental stats.
+
+        Copies the cache counters of ``stats`` and, for an incremental run,
+        the cone sizes every engine reports (:data:`_CONE_FIELDS`);
+        ``fields`` sets the rest (``elapsed``, ``version``, compiled-run
+        fields) and wins over a copied value.
+        """
+        if incremental is not None:
+            fields = {name: getattr(incremental, name) for name in _CONE_FIELDS} | fields
+        return cls(
+            memo_hits=stats.memo_hits,
+            persistent_hits=stats.persistent_hits,
+            computed=stats.computed,
+            **fields,
+        )
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "RunInfo":
@@ -334,29 +357,15 @@ class TimingReport:
             if events
             else []
         )
-        stats = report.stats
-        incremental = report.incremental
-        meta = RunInfo(
-            elapsed=report.elapsed,
-            memo_hits=stats.memo_hits,
-            persistent_hits=stats.persistent_hits,
-            computed=stats.computed,
-            batched_solves=stats.batched_solves,
-            version=version,
-            dirty_nets=incremental.dirty_nets if incremental is not None else None,
-            retimed_nets=incremental.retimed_nets if incremental is not None else None,
-            required_nets=incremental.required_nets if incremental is not None else None,
-            hold_required_nets=incremental.hold_required_nets
-            if incremental is not None
-            else None,
-        )
         return cls(
             design=design,
             kind=kind,
             events=events,
             levels=[list(level) for level in report.levels],
             critical_path=critical,
-            meta=meta,
+            meta=RunInfo.from_stats(
+                report.stats, report.incremental, elapsed=report.elapsed, version=version
+            ),
         )
 
     # --- queries ----------------------------------------------------------------------
@@ -821,33 +830,21 @@ class StreamingTimingReport(TimingReport):
             exists = analysis.state.exists
             rebuilt = int(sum(
                 int(exists[i * 2]) + int(exists[i * 2 + 1]) for i in ids))
-        stats = analysis.stats
-        incremental = getattr(analysis, "incremental", None)
-        meta = RunInfo(
+        incremental = analysis.incremental
+        compiled = {}
+        if incremental is not None:
+            compiled = {name: getattr(incremental, name) for name in _COMPILED_CONE_FIELDS}
+        if patched_nets is not None:
+            compiled["patched_nets"] = patched_nets
+        meta = RunInfo.from_stats(
+            analysis.stats,
+            incremental,
             elapsed=analysis.elapsed,
-            memo_hits=stats.memo_hits,
-            persistent_hits=stats.persistent_hits,
-            computed=stats.computed,
-            batched_solves=stats.batched_solves,
             version=version,
             compile_seconds=compile_seconds,
             peak_rss_bytes=_peak_rss_bytes(),
-            dirty_nets=(incremental.dirty_nets
-                        if incremental is not None else None),
-            retimed_nets=(incremental.retimed_nets
-                          if incremental is not None else None),
-            required_nets=(incremental.required_nets
-                           if incremental is not None else None),
-            hold_required_nets=(incremental.hold_required_nets
-                                if incremental is not None else None),
             report_events_rebuilt=rebuilt,
-            patched_nets=(patched_nets if patched_nets is not None
-                          else (incremental.patched_nets
-                                if incremental is not None else None)),
-            cone_nets=(incremental.cone_nets
-                       if incremental is not None else None),
-            cone_converged_early=(incremental.cone_converged_early
-                                  if incremental is not None else None),
+            **compiled,
         )
         return cls(
             design=design,

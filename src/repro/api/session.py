@@ -8,21 +8,20 @@ to do:
 
 * :meth:`TimingSession.time` — time a design (a :class:`~repro.sta.TimingPath`,
   a :class:`~repro.sta.TimingGraph`, or a :class:`~.builder.DesignBuilder`) and
-  get back a unified, serializable :class:`~.report.TimingReport`,
+  get back a unified, serializable :class:`~.report.StreamingTimingReport`,
 * :meth:`TimingSession.update` — re-time the dirty cone of an attached graph
   after in-place edits, and
 * :meth:`TimingSession.characterize` — characterize driver cells through the
   session's cache and worker pool.
 
-Every memoized ``time`` and every ``update`` runs on one engine, the compiled
+Every ``time`` and every ``update`` runs on one engine, the compiled
 struct-of-arrays sweep (:meth:`~repro.sta.batch.GraphEngine.analyze_compiled`
 and :class:`~repro.sta.incremental_compiled.CompiledIncrementalEngine`), and
 returns a :class:`~.report.StreamingTimingReport`; a path is timed as its
-chain-shaped graph.  ``time(memoize=False)`` runs the naive per-stage object
-sweep instead, the baseline the benchmarks compare against.  Timing always
-runs serially in the calling process; ``config.jobs`` fans out
-characterization only.  Sessions are context managers; leaving the ``with``
-block closes the characterization worker pool, if one was started.
+chain-shaped graph.  Timing always runs serially in the calling process;
+``config.jobs`` fans out characterization only.  Sessions are context
+managers; leaving the ``with`` block closes the characterization worker pool,
+if one was started.
 
 ::
 
@@ -60,7 +59,7 @@ from ..tech.inverter import InverterSpec
 from ..sta.compiled import CompiledGraph
 from .builder import DesignBuilder
 from .config import SessionConfig
-from .report import StreamingTimingReport, TimingReport
+from .report import StreamingTimingReport
 
 __all__ = ["TimingSession"]
 
@@ -209,11 +208,10 @@ class TimingSession:
         self,
         design: Design,
         *,
-        memoize: bool = True,
         name: Optional[str] = None,
         corner: Optional[str] = None,
-    ) -> TimingReport:
-        """Time ``design`` and return the unified :class:`TimingReport`.
+    ) -> StreamingTimingReport:
+        """Time ``design`` and return its :class:`StreamingTimingReport`.
 
         Accepts a :class:`TimingPath` (timed as its chain-shaped graph, report
         ``kind="path"``), a :class:`TimingGraph`, or a :class:`DesignBuilder`
@@ -225,15 +223,13 @@ class TimingSession:
         result is a :class:`~repro.api.report.StreamingTimingReport` whose
         events materialize on demand.
 
-        ``memoize=False`` bypasses every cache layer and runs the naive
-        per-stage object sweep (the baseline benchmarks compare against),
-        returning an eager :class:`TimingReport`.  ``name`` overrides the
-        report's design label; ``corner`` times the design under that
-        configured corner's modeling options (all corners share the session's
-        one stage-solution memo — option fields are part of every fingerprint,
-        so corners never alias each other's entries).  Every analysis
-        computes each polarity the graph constrains: one traversal carries
-        both arrival planes, and the hold checks add zero stage solves.
+        ``name`` overrides the report's design label; ``corner`` times the
+        design under that configured corner's modeling options (all corners
+        share the session's one stage-solution memo — option fields are part
+        of every fingerprint, so corners never alias each other's entries).
+        Every analysis computes each polarity the graph constrains: one
+        traversal carries both arrival planes, and the hold checks add zero
+        stage solves.
         """
         self._closed = False
         options = self.corner_options(corner)
@@ -250,12 +246,6 @@ class TimingSession:
                 "time() expects a TimingPath, TimingGraph or DesignBuilder, "
                 f"got {type(design).__name__}"
             )
-        design_name = name if name is not None else label
-        if not memoize:
-            report = self._engine.analyze(graph, memoize=False, options=options)
-            return TimingReport.from_graph_report(
-                report, design=design_name, kind=kind, version=__version__
-            )
         if graph is design:
             compiled_graph, fresh, patched = self._compiled_for(graph)
         else:
@@ -267,7 +257,7 @@ class TimingSession:
         )
         return StreamingTimingReport.from_compiled(
             analysis,
-            design=design_name,
+            design=name if name is not None else label,
             kind=kind,
             version=__version__,
             compile_seconds=compiled_graph.compile_seconds if fresh else 0.0,
@@ -317,7 +307,7 @@ class TimingSession:
         design: Design,
         *,
         name: Optional[str] = None,
-    ) -> "dict[str, TimingReport]":
+    ) -> "dict[str, StreamingTimingReport]":
         """Time ``design`` under every configured corner: name -> report.
 
         All corners run through the session's single memoized solver; within

@@ -215,7 +215,7 @@ def solve_stage(cell: CellCharacterization, input_slew: float, line: RLCLine,
 
     The scalar reference oracle the batched path (:func:`solve_stage_batch`,
     which :class:`StageSolver` memoizes) is tested against, and the per-stage
-    step of the naive ``memoize=False`` baseline.
+    step of the naive baseline the graph-throughput benchmark times.
     """
     options = options if options is not None else ModelingOptions()
     if fingerprint is None:
@@ -310,7 +310,6 @@ class SolverStats:
     memo_hits: int = 0
     persistent_hits: int = 0
     computed: int = 0
-    batched_solves: int = 0  #: computed solves that ran inside an array batch
 
     @property
     def requests(self) -> int:
@@ -323,11 +322,6 @@ class SolverStats:
         total = self.requests
         return (self.memo_hits + self.persistent_hits) / total if total else 0.0
 
-    @property
-    def batch_fill_rate(self) -> float:
-        """Fraction of locally computed solves that ran batched (0 when idle)."""
-        return self.batched_solves / self.computed if self.computed else 0.0
-
     def snapshot(self) -> "SolverStats":
         """An independent copy of the current counters."""
         return dataclasses.replace(self)
@@ -337,8 +331,7 @@ class SolverStats:
         return SolverStats(
             memo_hits=self.memo_hits - before.memo_hits,
             persistent_hits=self.persistent_hits - before.persistent_hits,
-            computed=self.computed - before.computed,
-            batched_solves=self.batched_solves - before.batched_solves)
+            computed=self.computed - before.computed)
 
 
 class StageSolver:
@@ -422,8 +415,7 @@ class StageSolver:
         :func:`solve_stage_batch` and installed back into the memo and (as
         scalar-only entries) the persistent store.  Requests repeating an
         earlier item's fingerprint — within this batch or across calls — are
-        answered from the shared result and counted as memo hits.  ``batched_solves``
-        advances by the number of lanes actually solved in the array pass.
+        answered from the shared result and counted as memo hits.
         """
         results: Dict[str, StageSolution] = {}
         order: List[str] = []
@@ -465,7 +457,6 @@ class StageSolver:
                 while len(cache) > self._aux_cache_size:
                     cache.popitem(last=False)
             self.stats.computed += len(solved)
-            self.stats.batched_solves += len(solved)
             for solution in solved:
                 results[solution.fingerprint] = solution
                 self._remember(solution)

@@ -25,8 +25,7 @@ Layering, bottom up:
 * :mod:`repro.sta.batch` — :class:`~.batch.GraphEngine`, which owns the compile
   and compiled-sweep entry points, plus the per-object reference sweep
   (:meth:`~.batch.GraphEngine.analyze`, :class:`~.batch.IncrementalEngine`)
-  that the equivalence tests compare the compiled engine against;
-  ``analyze(memoize=False)`` is the naive per-stage baseline.
+  that the equivalence tests compare the compiled engine against.
 
 Every timing run is one serial, batched, memoized pass in the calling process.
 

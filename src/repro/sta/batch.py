@@ -44,10 +44,11 @@ Production timing (:class:`repro.api.TimingSession`) runs on the compiled
 engine: :meth:`GraphEngine.compile` plus :meth:`GraphEngine.analyze_compiled`,
 and :class:`repro.sta.incremental_compiled.CompiledIncrementalEngine` for
 edits.  The object sweep (:meth:`GraphEngine.analyze`, :class:`IncrementalEngine`)
-is the reference the equivalence tests compare against, and
-``analyze(memoize=False)`` is the naive per-stage baseline.  Every analysis
-runs in the calling process; the engine holds no resources beyond its solver's
-caches.
+is the reference the equivalence tests compare against; every level it times
+is one :meth:`StageSolver.solve_batch` call on the engine's solver, so a
+benchmark gets the naive per-stage baseline by injecting a solver that solves
+each request on its own.  Every analysis runs in the calling process; the
+engine holds no resources beyond its solver's caches.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from ..characterization.cell import CellCharacterization
 from ..characterization.library import CellLibrary, default_library
 from ..core.driver_model import ModelingOptions
 from ..core.stage_solver import (StageRequest, StageSolution, StageSolver,
-                                 _options_fingerprint, solve_stage)
+                                 _options_fingerprint)
 from ..errors import ModelingError
 from ..tech.technology import Technology, generic_180nm
 from .compiled import (TRANSITIONS, CompiledAnalysis, CompiledGraph,
@@ -160,51 +161,20 @@ class GraphEngine:
             return
         states[transition] = (max(late, current[0]), min(early, current[1]))
 
-    # --- level solving ---------------------------------------------------------------
-    @staticmethod
-    def _batch_requests(items: List[_WorkItem]) -> List[StageRequest]:
-        return [StageRequest(cell=item.cell, input_slew=item.input_slew,
-                             line=item.net.line, load_capacitance=item.load,
-                             options=item.options, fingerprint=item.fingerprint)
-                for item in items]
-
-    def _solve_level(self, items: List[_WorkItem], *,
-                     memoize: bool) -> Dict[str, StageSolution]:
-        """Solve one level in-process: one array batch, or the naive scalar loop.
-
-        The memoized path hands the whole level to
-        :meth:`~repro.core.stage_solver.StageSolver.solve_batch` — memo layers
-        answer per item, the unique misses are solved as one vectorized pass.
-        ``memoize=False`` keeps the per-item scalar :func:`solve_stage` loop,
-        bypassing every cache layer and counting one computed solve per event:
-        that is the reference oracle the benchmarks (and the equivalence tests)
-        compare the batched path against, so it must not share its code.
-        """
-        if memoize:
-            solved = self.solver.solve_batch(self._batch_requests(items))
-            return {item.fingerprint: solution
-                    for item, solution in zip(items, solved)}
-        solutions: Dict[str, StageSolution] = {}
-        for item in items:
-            solutions[item.fingerprint] = solve_stage(
-                item.cell, item.input_slew, item.net.line, item.load,
-                options=item.options, slew_low=self.solver.slew_low,
-                slew_high=self.solver.slew_high, fingerprint=item.fingerprint)
-            self.solver.stats.computed += 1
-        return solutions
-
     # --- analysis ----------------------------------------------------------------------
     def _time_levels(self, graph: TimingGraph, levels: List[List[str]],
                      pending: Dict[str, Dict[str, _PendingState]],
                      events: Dict[str, Dict[str, NetEventTiming]], *,
-                     memoize: bool,
                      options: Optional[ModelingOptions] = None) -> None:
         """Forward pass over ``levels``: solve, record into ``events``, propagate.
 
         The shared core of full analysis (all levels, pending seeded from the
         primary inputs) and incremental updates (cone levels, pending seeded
         from the cached fanin events).  Mutates ``events`` and ``pending`` in
-        place.
+        place.  Each level's events go to the solver as one
+        :meth:`~repro.core.stage_solver.StageSolver.solve_batch` call: memo
+        layers answer per event, the unique misses are solved as one
+        vectorized pass.
         """
         for level in levels:
             items: List[_WorkItem] = []
@@ -229,10 +199,13 @@ class GraphEngine:
                         early_source=early_source))
             if not items:
                 continue
-            solutions = self._solve_level(items, memoize=memoize)
+            solved = self.solver.solve_batch([
+                StageRequest(cell=item.cell, input_slew=item.input_slew,
+                             line=item.net.line, load_capacitance=item.load,
+                             options=item.options, fingerprint=item.fingerprint)
+                for item in items])
 
-            for item in items:
-                solution = solutions[item.fingerprint]
+            for item, solution in zip(items, solved):
                 event = NetEventTiming(
                     net=item.net, input_transition=item.input_transition,
                     output_transition=solution.transition,
@@ -321,12 +294,10 @@ class GraphEngine:
                             hold_required=hold_required)
         return visited
 
-    def analyze(self, graph: TimingGraph, *, memoize: bool = True,
+    def analyze(self, graph: TimingGraph, *,
                 options: Optional[ModelingOptions] = None) -> GraphTimingReport:
         """Time every (net, transition) event of ``graph`` (the object sweep).
 
-        ``memoize=False`` bypasses the solver's caches entirely,
-        which is the naive per-stage baseline the benchmarks compare against;
         ``options`` overrides the engine's modeling options for this analysis
         only (the corner axis — every corner shares the engine's memoized
         solver, and the per-corner option fields are part of every memo
@@ -346,7 +317,7 @@ class GraphEngine:
 
         events: Dict[str, Dict[str, NetEventTiming]] = {}
         self._time_levels(graph, graph.levels, pending, events,
-                          memoize=memoize, options=options)
+                          options=options)
         self._apply_required(graph, events)
         return GraphTimingReport(graph=graph, events=events, levels=graph.levels,
                                  stats=self.solver.stats.since(before),
@@ -564,8 +535,7 @@ class IncrementalEngine(GraphEngine):
                 levels = [[name for name in level if name in cone]
                           for level in graph.levels]
                 levels = [level for level in levels if level]
-                self._time_levels(graph, levels, pending, self._events,
-                                  memoize=True)
+                self._time_levels(graph, levels, pending, self._events)
                 retimed_events = sum(len(self._events.get(name, {}))
                                      for name in cone)
 

@@ -373,43 +373,73 @@ class TestIncrementalSession:
             assert set(report.events) == set(second_graph.nets)
 
 
-class TestFarEndWindowDefect:
-    """A legal 25X resize of ``chain3``'s ``stage2`` aborts its re-time.
+def _golden(key):
+    from golden_cases import golden_designs
 
-    The far end of the resized stage starts above the 10% level, so its
-    slew measurement never crosses it (ROADMAP item 6: the far-end window
-    starts at t = 0, not where the ramp starts).  The first test pins the
-    defect and must flip to passing with item 6's fix, which then removes
-    its mark; the second pins that the failed edit leaves the graph exactly
-    as it was.
+    return dict(golden_designs())[key]()
+
+
+#: Legal single edits whose re-time hits the far-end window defect:
+#: case -> (fresh design, the edit).
+WINDOW_DEFECT_EDITS = {
+    "chain3": (lambda: case_graph("chain3"),
+               lambda graph: graph.resize_driver("stage2", 25.0)),
+    "random5": (lambda: _golden("random5"),
+                lambda graph: graph.set_receiver("n11", 50.0)),
+    "random41": (lambda: _golden("random41"),
+                 lambda graph: graph.set_receiver("n3", None)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WINDOW_DEFECT_EDITS))
+class TestFarEndWindowDefect:
+    """Legal edits whose re-time aborts on the far-end window.
+
+    The far end of the edited stage starts above the 10% level, so its slew
+    measurement never crosses it (ROADMAP item 6: the far-end window starts
+    at t = 0, not where the ramp starts).  ``chain3`` resizes ``stage2`` to
+    25X; the seeded golden random DAGs resize or drop a terminal receiver.
+    The first test pins the defect and must flip to passing, for every case,
+    with item 6's fix, which then removes its mark; the second pins that the
+    failed edit leaves the graph exactly as it was.
     """
 
     @staticmethod
-    def resize_and_update(graph, session):
+    def edit_and_update(case, graph, session):
         with graph.transaction():
-            graph.resize_driver("stage2", 25.0)
+            WINDOW_DEFECT_EDITS[case][1](graph)
             return session.update(graph)
 
     @pytest.mark.xfail(strict=True, raises=WaveformError,
                        reason="ROADMAP item 6: far-end window starts at t = 0")
-    def test_stage2_resize_to_25x_retimes(self, library):
-        graph = case_graph("chain3")
+    def test_edit_retimes(self, library, case):
+        graph = WINDOW_DEFECT_EDITS[case][0]()
         with TimingSession() as session:
             session.update(graph)
-            report = self.resize_and_update(graph, session)
+            report = self.edit_and_update(case, graph, session)
             assert report.meta.retimed_nets >= 1
-            assert graph.nets["stage2"].driver_size == 25.0
 
-    def test_failed_resize_rolls_the_graph_back(self, library):
+    def test_failed_edit_rolls_the_graph_back(self, library, case):
+        graph = WINDOW_DEFECT_EDITS[case][0]()
+        with TimingSession() as session:
+            n_events = session.update(graph).n_events
+            version, nets = graph.version, dict(graph.nets)
+            with pytest.raises(WaveformError, match="never crosses"):
+                self.edit_and_update(case, graph, session)
+            assert graph.version == version
+            assert graph.nets == nets
+            assert not graph.dirty_nets
+            assert session.update(graph).n_events == n_events
+
+
+class TestRetiredNaiveBaseline:
+    def test_memoize_keyword_is_gone(self, library):
         graph = case_graph("chain3")
         with TimingSession() as session:
-            session.update(graph)
-            with pytest.raises(WaveformError, match="never crosses"):
-                self.resize_and_update(graph, session)
-            assert graph.version == 0
-            assert graph.nets["stage2"].driver_size == 100.0
-            assert not graph.dirty_nets
-            assert session.update(graph).n_events == 3
+            with pytest.raises(TypeError):
+                session.time(graph, memoize=False)
+        with pytest.raises(TypeError):
+            GraphEngine(library=library).analyze(graph, memoize=False)
 
 
 class TestDualModeSession:

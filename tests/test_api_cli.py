@@ -1,7 +1,5 @@
 """The ``python -m repro`` CLI: parsing, timing runs, report round trip."""
 
-import json
-
 import pytest
 
 from repro.api import TimingReport, TimingSession
@@ -19,7 +17,7 @@ class TestParser:
             main(["--help"])
         assert excinfo.value.code == 0
         out = capsys.readouterr().out
-        for command in ("time", "characterize", "bench", "report", "serve"):
+        for command in ("time", "characterize", "report", "serve"):
             assert command in out
 
     def test_version_flag(self, capsys):
@@ -80,6 +78,15 @@ class TestTimeCommand:
         report = TimingReport.load(out)
         assert report.kind == "graph"
         assert set(report.events["sink"]) == {"rise", "fall"}
+
+    def test_soc_case_times_through_the_registry(self, library, capsys):
+        assert main(["time", "--case", "soc", "--nets", "250"]) == 0
+        assert "critical path" in capsys.readouterr().out
+
+    def test_chain3_stays_a_path(self, library, tmp_path):
+        out = tmp_path / "chain3.json"
+        assert main(["time", "--case", "chain3", "--json", str(out)]) == 0
+        assert TimingReport.load(out).kind == "path"
 
     def test_custom_chain(self, library, capsys):
         assert main(["time", "--chain", "75,100"]) == 0
@@ -199,17 +206,6 @@ class TestReportDiffCommand:
         assert "either" in capsys.readouterr().err
         assert main(["report"]) == 2  # neither mode given
         assert "report file" in capsys.readouterr().err
-
-
-class TestBenchCommand:
-    def test_small_bench_without_baseline(self, library, tmp_path, capsys):
-        out = tmp_path / "bench.json"
-        assert main(["bench", "--nets", "8", "--chain-length", "4",
-                     "--no-baseline", "--json", str(out)]) == 0
-        payload = json.loads(out.read_text())
-        assert payload["events"] >= 8
-        assert "speedup" not in payload  # no baseline requested
-        assert "nets/s" in capsys.readouterr().out
 
 
 class TestCharacterizeCommand:

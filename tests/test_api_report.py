@@ -17,7 +17,7 @@ from repro.units import mm, nH, pF, ps
 #: parallel_sweep) and the retired analysis mode.
 WORKER_ERA_REPORT = Path(__file__).parent / "data" / "chain3_report_with_worker_fields.json"
 RETIRED_META_KEYS = ("jobs", "installed", "shards", "boundary_events_exchanged",
-                     "parallel_sweep", "mode")
+                     "parallel_sweep", "mode", "batched_solves")
 
 
 @pytest.fixture(scope="module")
@@ -309,10 +309,10 @@ class TestRetiredRunInfoFields:
         assert TimingReport.from_dict(saved) == report
 
     def test_runinfo_ignores_retired_keys(self):
-        meta = RunInfo(elapsed=1.0, computed=3, batched_solves=3)
+        meta = RunInfo(elapsed=1.0, computed=3)
         payload = dict(meta.to_dict(), jobs=4, installed=2, shards=4,
                        boundary_events_exchanged=123, parallel_sweep=True,
-                       mode="setup")
+                       mode="setup", batched_solves=3)
         assert RunInfo.from_dict(payload) == meta
         with pytest.raises(TypeError):
             RunInfo.from_dict(dict(meta.to_dict(), bogus=1))

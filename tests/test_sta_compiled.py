@@ -21,9 +21,9 @@ The contract under test, layer by layer:
 * :class:`StreamingTimingReport` answers every report query like the eager
   report and serializes to the identical payload;
 * the session times every design (paths, graphs, builders) on the compiled
-  engine — ``memoize=False`` alone runs the naive object baseline — and
-  caches a graph's compiled twin until a structural edit bumps the graph
-  version;
+  engine, each unique stage solution within 1e-9 of the scalar
+  ``solve_stage`` oracle, and caches a graph's compiled twin until a
+  structural edit bumps the graph version;
 * warm :meth:`TimingSession.update` calls rebuild only the dirty cone's event
   records (``meta.report_events_rebuilt``), sharing the rest with the previous
   report by identity.
@@ -38,6 +38,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 import pytest
 from golden_cases import golden_designs
+from test_batch_solving import assert_matches_scalar_oracle
 from test_sta_dual_mode import random_dag
 
 from repro.api import (
@@ -49,7 +50,7 @@ from repro.api import (
     compare_reports,
 )
 from repro.api.report import TimingEvent
-from repro.core import StageSolver
+from repro.core import StageSolver, solve_stage
 from repro.errors import CharacterizationError, ModelingError
 from repro.experiments import soc_graph
 from repro.interconnect import RLCLine
@@ -64,8 +65,8 @@ from repro.sta import (
     chain_graph,
     compile_graph,
 )
-from repro.sta.compiled import (CompiledGraph, ConfigInterner, level_solve_keys,
-                                merge_level)
+from repro.sta.compiled import (TRANSITIONS, CompiledGraph, ConfigInterner,
+                                level_solve_keys, merge_level)
 from repro.units import fF, mm, nH, pF, ps
 
 
@@ -681,13 +682,24 @@ class TestSessionRouting:
             report = session.time(design)
             assert isinstance(report, StreamingTimingReport)
             assert report.kind == kind
-            # memoize=False is the naive scalar baseline: same events, equal
-            # to solver roundoff.
-            naive = session.time(design, memoize=False)
-            assert not isinstance(naive, StreamingTimingReport)
-            assert naive.kind == kind
-            assert naive.event_keys() == report.event_keys()
-            assert naive.total_delay == pytest.approx(report.total_delay, rel=1e-9)
+            # Each unique stage solution equals the scalar solve_stage of
+            # its stage (the naive baseline's per-event step) to 1e-9.
+            analysis = report.analysis
+            cg, state = analysis.graph, analysis.state
+            seen = set()
+            for event in np.flatnonzero(state.exists).tolist():
+                solution = analysis.solutions[state.sol_idx[event]]
+                if solution.fingerprint in seen:
+                    continue
+                seen.add(solution.fingerprint)
+                config = int(cg.config_id[event >> 1])
+                oracle = solve_stage(
+                    cg.config_cell[config], float(state.in_slew[event]),
+                    cg.config_line[config], float(cg.config_load[config]),
+                    options=session._engine._event_options(
+                        TRANSITIONS[event & 1]))
+                assert_matches_scalar_oracle(solution, oracle)
+            assert seen
 
     def test_compiled_cache_tracks_graph_version(self, solver):
         session = shared_session(solver)

@@ -10,7 +10,6 @@ from repro.core import (ModelingOptions, StageRequest, StageSolution,
 from repro.errors import ModelingError
 from repro.interconnect import RLCLine
 from repro.interconnect.parasitics import LineParasitics
-from repro.sta import GraphEngine, GraphNet, PrimaryInput, TimingGraph
 from repro.units import mm, nH, pF, ps
 
 
@@ -120,21 +119,6 @@ class TestStageSolver:
         assert solver.stats.computed == 1
         assert solver.stats.memo_hits == 1
         assert solver.stats.hit_rate == pytest.approx(0.5)
-
-    def test_memoize_false_bypasses_but_matches(self, library, line):
-        # The naive baseline (analyze(memoize=False)) skips every cache layer
-        # yet counts one computed solve per event on the engine's solver.
-        solver = StageSolver()
-        engine = GraphEngine(library=library, solver=solver)
-        graph = TimingGraph([GraphNet("n", 75.0, line, receiver_size=25.0)],
-                            {"n": PrimaryInput(slew=ps(100))})
-        cached = engine.analyze(graph).events["n"]["rise"].solution
-        fresh = engine.analyze(graph, memoize=False).events["n"]["rise"].solution
-        assert fresh is not cached
-        assert fresh.fingerprint == cached.fingerprint
-        assert fresh.stage_delay == pytest.approx(cached.stage_delay, rel=1e-9)
-        assert solver.stats.computed == 2
-        assert len(solver) == 1
 
     def test_lru_bound(self, cell75, line, other_line):
         solver = StageSolver(memo_size=2)
