@@ -120,6 +120,9 @@ class GraphEngine:
         self.tech = tech if tech is not None else generic_180nm()
         self.options = options if options is not None else ModelingOptions()
         self.solver = solver if solver is not None else StageSolver()
+        #: base options -> (per-transition event options, options fingerprint)
+        self._compiled_options: Dict[ModelingOptions, Tuple[
+            Dict[int, ModelingOptions], str]] = {}
 
     # --- helpers ---------------------------------------------------------------------
     def net_load(self, graph: TimingGraph, net: GraphNet) -> float:
@@ -386,15 +389,21 @@ class GraphEngine:
                       ) -> Callable[[np.ndarray], None]:
         """One compiled sweep's per-level solve step, bound to its planes.
 
-        Derives the per-transition event options from ``options`` (default:
-        the engine's) and fetches ``cg``'s fingerprint cache for them once,
-        then returns ``solve_level(events)``: :meth:`_solve_compiled_level`
-        into ``state``, appending to ``solutions``.
+        Takes the per-transition event options of ``options`` (default: the
+        engine's) and the fingerprint-cache key, both derived once per base
+        options value and kept on the engine, fetches ``cg``'s fingerprint
+        cache for them, then returns ``solve_level(events)``:
+        :meth:`_solve_compiled_level` into ``state``, appending to
+        ``solutions``.
         """
         base = options if options is not None else self.options
-        options_pair = {t: self._event_options(TRANSITIONS[t], base)
-                        for t in (0, 1)}
-        fp_cache = cg.fingerprints.setdefault(_options_fingerprint(base), {})
+        derived = self._compiled_options.get(base)
+        if derived is None:
+            derived = ({t: self._event_options(TRANSITIONS[t], base) for t in (0, 1)},
+                       _options_fingerprint(base))
+            self._compiled_options[base] = derived
+        options_pair, options_key = derived
+        fp_cache = cg.fingerprints.setdefault(options_key, {})
 
         def solve_level(events: np.ndarray) -> None:
             self._solve_compiled_level(cg, state, events, options_pair,
@@ -413,7 +422,11 @@ class GraphEngine:
         and the result is a :class:`~.compiled.CompiledAnalysis` whose event
         records materialize lazily.  ``compiled_graph`` reuses a prior
         :meth:`compile` snapshot (it must match the graph's current
-        :attr:`~.graph.TimingGraph.version`).
+        :attr:`~.graph.TimingGraph.version`), and with it the snapshot's
+        :class:`~.compiled.SweepPlan`: the first sweep of a snapshot builds
+        the merge and backward-pass index arrays, and every later sweep —
+        a warm re-time, or the incremental engine's full update — only
+        gathers, elects and does arithmetic.
         """
         if not isinstance(graph, TimingGraph):
             raise ModelingError("analyze_compiled() expects a TimingGraph")

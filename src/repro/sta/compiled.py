@@ -30,6 +30,9 @@ math runs.  This module freezes a graph into a columnar twin:
   float comparisons carry no rounding, the compiled engine is bit-identical
   to the object engine whenever both are answered by the same stage-solution
   memo (and ≤1e-9 relative otherwise, asserted by the scale benchmark).
+* Their index work depends only on the topology (and, backward, on which
+  events exist), so a :class:`SweepPlan` holds it once per compiled graph
+  (:meth:`CompiledGraph.sweep_plan`) and every warm full sweep reuses it.
 
 The driving loop lives in :meth:`repro.sta.batch.GraphEngine.analyze_compiled`
 (it owns the :class:`~repro.core.stage_solver.StageSolver`); this module holds
@@ -73,8 +76,8 @@ from .graph import TimingGraph, check_mode
 
 __all__ = ["TRANSITIONS", "CompiledGraph", "ConfigInterner", "compile_graph",
            "SweepState", "CompiledAnalysis", "seed_primary_inputs",
-           "merge_level", "merge_nets", "constraint_seeds", "required_seeds",
-           "backward_required", "required_level", "RequiredPlan"]
+           "merge_level", "merge_nets", "MergePlan", "constraint_seeds",
+           "required_seeds", "backward_required", "RequiredPlan", "SweepPlan"]
 
 #: Input-transition axis of the event encoding, in sorted order — index 0 is
 #: ``"fall"``, index 1 is ``"rise"``, so event ids enumerate transitions the
@@ -153,11 +156,16 @@ class CompiledGraph:
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by the structure's numpy arrays (the columnar footprint)."""
+        """Bytes held by the structure's numpy arrays (the columnar footprint).
+
+        Includes the :class:`SweepPlan` once a sweep has built it.
+        """
+        plan = getattr(self, "_sweep_plan_cache", None)
         return sum(array.nbytes for array in (
             self.level_ptr, self.name_rank, self.fo_indptr, self.fo_indices,
             self.fi_indptr, self.fi_indices, self.load, self.config_id,
-            self.config_load, self.is_endpoint, self.is_sink))
+            self.config_load, self.is_endpoint, self.is_sink)) + (
+            plan.nbytes if plan is not None else 0)
 
     def level_names(self) -> List[List[str]]:
         """The levelization as name lists (the report's ``levels`` field).
@@ -189,6 +197,18 @@ class CompiledGraph:
         if cached is None:
             cached = _interleave(np.flatnonzero(self.is_sink))
             self._sink_events_cache = cached
+        return cached
+
+    def sweep_plan(self) -> "SweepPlan":
+        """The full sweep's topology-only index work (memoized, see :class:`SweepPlan`).
+
+        Memoized like :meth:`level_names`: patching is parameter-only, so
+        every warm full sweep of this snapshot reuses one plan.
+        """
+        cached = getattr(self, "_sweep_plan_cache", None)
+        if cached is None:
+            cached = SweepPlan(self)
+            self._sweep_plan_cache = cached
         return cached
 
     def patch(self, graph: TimingGraph, *, library: CellLibrary,
@@ -515,7 +535,8 @@ def seed_primary_inputs(cg: CompiledGraph, graph: TimingGraph,
     """Install the live primary-input stimuli as pending root events.
 
     ``nets`` restricts the seeding to the roots among those net ids (an
-    incremental sweep's level); None seeds every primary input.
+    incremental sweep's level); None seeds every primary input.  One Python
+    pass reads the stimuli; the planes are written as array assignments.
     """
     primary_inputs = graph.primary_inputs
     if nets is None:
@@ -523,32 +544,26 @@ def seed_primary_inputs(cg: CompiledGraph, graph: TimingGraph,
         roots = [(index[name], primary) for name, primary in primary_inputs.items()]
     else:
         order = cg.order
-        roots = [(net_id, primary_inputs.get(order[net_id]))
-                 for net_id in nets.tolist()]
-    for net_id, primary in roots:
-        if primary is None:
-            continue
-        event = net_id * 2 + TRANSITIONS.index(primary.transition)
-        state.exists[event] = True
-        state.in_arr[event] = primary.arrival
-        state.early_in[event] = primary.arrival
-        state.in_slew[event] = primary.slew
-
-
-def merge_level(cg: CompiledGraph, state: SweepState,
-                net_lo: int, net_hi: int) -> np.ndarray:
-    """Merge fanin events into nets ``[net_lo, net_hi)``; return the level's events.
-
-    Vectorized twin of ``GraphEngine._merge`` over one whole level (see
-    :func:`merge_nets`).  Returns the event ids existing in the level span
-    *after* the merge — including primary-input seeds installed by the caller
-    (roots have no fanin, so they never compete in a merge).
-    """
-    merge_nets(cg, state, np.arange(net_lo, net_hi, dtype=np.int64))
-    return np.flatnonzero(state.exists[net_lo * 2:net_hi * 2]) + net_lo * 2
+        roots = [(net_id, primary) for net_id, primary in (
+            (net_id, primary_inputs.get(order[net_id])) for net_id in nets.tolist())
+            if primary is not None]
+    if not roots:
+        return
+    count = len(roots)
+    events = np.fromiter(
+        (net_id * 2 + TRANSITIONS.index(primary.transition) for net_id, primary in roots),
+        dtype=np.int64, count=count)
+    arrivals = np.fromiter((primary.arrival for _, primary in roots),
+                           dtype=np.float64, count=count)
+    state.exists[events] = True
+    state.in_arr[events] = arrivals
+    state.early_in[events] = arrivals
+    state.in_slew[events] = np.fromiter((primary.slew for _, primary in roots),
+                                        dtype=np.float64, count=count)
 
 
 _LANES = np.array([0, 1], dtype=np.int64)
+_NO_EVENTS = np.empty(0, dtype=np.int64)
 
 
 def _interleave(nets: np.ndarray) -> np.ndarray:
@@ -581,55 +596,110 @@ def _install(state: SweepState, targets: np.ndarray, sources: np.ndarray, *,
         state.early_src[targets] = sources
 
 
-def merge_nets(cg: CompiledGraph, state: SweepState, nets: np.ndarray) -> None:
-    """Merge fanin events into the (arbitrary) net ids ``nets`` of one level.
+class MergePlan:
+    """The topology-only index work of merging fanin events into a set of nets.
 
     A fanin source event feeds target event ``target * 2 + (1 - source
     transition)`` (the inverter flips the edge).  A net with exactly one
     fanin net gives each of its events at most one candidate, which wins
-    both planes: those nets (93% of ``soc``) install directly.  The rest go
-    through one ``np.lexsort`` per plane — last-in-group for the late plane
+    both planes: the plan holds those nets' (93% of ``soc``) interleaved
+    ``(source event, target event)`` pairs, :attr:`lone_sev` /
+    :attr:`lone_tev`.  The rest are *contested*: every fanin edge expands to
+    its two candidate pairs, :attr:`sev` / :attr:`tev`, stored in ascending
+    order of the source ordinal ``name_rank * 2 + transition`` — the order
+    of the object engine's ``(name, transition)`` tuple comparison.
+
+    :meth:`run` reads the state: it keeps the candidates whose source event
+    exists, installs the lone ones and elects the contested ones with one
+    stable ``np.lexsort`` per plane — last-in-group for the late plane
     (``max`` of (arrival, slew, ordinal)), first-in-group for the early
-    plane (``min`` of (early arrival, slew, ordinal)).  The ordinal
-    ``name_rank * 2 + transition`` orders source events exactly like the
-    object engine's ``(name, transition)`` tuple comparison, which makes the
-    election independent of edge order, bit-for-bit.  The election only
-    compares candidates sharing a target event, so any set of nets gives the
-    winners a full level would — which lets the masked incremental sweep
-    merge an arbitrary set of nets bit-identically.  Merge only installs
-    winners, it never erases a stale event: the caller marks the nets'
-    events non-existent first.
+    plane (``min`` of (early arrival, slew, ordinal)).  The candidates are
+    already in ordinal order, so the stable sort breaks (arrival, slew) ties
+    by ordinal without an ordinal key, and the election is independent of
+    edge order, bit for bit.  The election only compares candidates sharing
+    a target event, so any set of nets gives the winners a full level would.
     """
-    counts = cg.fi_indptr[nets + 1] - cg.fi_indptr[nets]
-    lone = nets[counts == 1]
-    if lone.size:
-        sev = _interleave(cg.fi_indices[cg.fi_indptr[lone]])
-        keep = state.exists[sev]
-        _install(state, (_interleave(lone) ^ 1)[keep], sev[keep])
-    contested = nets[counts > 1]
-    if not contested.size:
-        return
-    source_net, counts = _csr_rows(cg.fi_indptr, cg.fi_indices, contested)
-    sev = _interleave(source_net)
-    tev = _interleave(np.repeat(contested, counts)) ^ 1
-    keep = state.exists[sev]
-    sev, tev = sev[keep], tev[keep]
-    if not sev.size:
-        return
-    ordinal = cg.name_rank[sev >> 1] * 2 + (sev & 1)
-    slew = state.prop_slew[sev]
-    late = np.lexsort((ordinal, slew, state.out_arr[sev], tev))
-    grouped = tev[late]
-    last = np.empty(grouped.size, dtype=bool)
-    last[-1] = True
-    np.not_equal(grouped[1:], grouped[:-1], out=last[:-1])
-    _install(state, grouped[last], sev[late[last]], early=False)
-    first = np.lexsort((ordinal, slew, state.early_out[sev], tev))
-    grouped = tev[first]
-    head = np.empty(grouped.size, dtype=bool)
-    head[0] = True
-    np.not_equal(grouped[1:], grouped[:-1], out=head[1:])
-    _install(state, grouped[head], sev[first[head]], late=False)
+
+    __slots__ = ("lone_sev", "lone_tev", "sev", "tev")
+
+    def __init__(self, cg: CompiledGraph, nets: np.ndarray) -> None:
+        counts = cg.fi_indptr[nets + 1] - cg.fi_indptr[nets]
+        lone = nets[counts == 1]
+        self.lone_sev = _interleave(cg.fi_indices[cg.fi_indptr[lone]])
+        self.lone_tev = _interleave(lone) ^ 1
+        contested = nets[counts > 1]
+        if not contested.size:
+            self.sev = self.tev = _NO_EVENTS
+            return
+        source_net, counts = _csr_rows(cg.fi_indptr, cg.fi_indices, contested)
+        sev = _interleave(source_net)
+        tev = _interleave(np.repeat(contested, counts)) ^ 1
+        by_ordinal = np.argsort(cg.name_rank[sev >> 1] * 2 + (sev & 1),
+                                kind="stable")
+        self.sev, self.tev = sev[by_ordinal], tev[by_ordinal]
+
+    @property
+    def nbytes(self) -> int:
+        return (self.lone_sev.nbytes + self.lone_tev.nbytes + self.sev.nbytes
+                + self.tev.nbytes)
+
+    def run(self, state: SweepState) -> None:
+        """Install the merge winners of the plan's nets into ``state``."""
+        if self.lone_sev.size:
+            keep = np.flatnonzero(state.exists[self.lone_sev])
+            _install(state, self.lone_tev[keep], self.lone_sev[keep])
+        if not self.sev.size:
+            return
+        keep = np.flatnonzero(state.exists[self.sev])
+        if not keep.size:
+            return
+        sev, tev = self.sev[keep], self.tev[keep]
+        slew = state.prop_slew[sev]
+        late = np.lexsort((slew, state.out_arr[sev], tev))
+        grouped = tev[late]
+        last = np.empty(grouped.size, dtype=bool)
+        last[-1] = True
+        np.not_equal(grouped[1:], grouped[:-1], out=last[:-1])
+        _install(state, grouped[last], sev[late[last]], early=False)
+        first = np.lexsort((slew, state.early_out[sev], tev))
+        grouped = tev[first]
+        head = np.empty(grouped.size, dtype=bool)
+        head[0] = True
+        np.not_equal(grouped[1:], grouped[:-1], out=head[1:])
+        _install(state, grouped[head], sev[first[head]], late=False)
+
+
+def merge_nets(cg: CompiledGraph, state: SweepState, nets: np.ndarray) -> None:
+    """Merge fanin events into the (arbitrary) net ids ``nets`` of one level.
+
+    Vectorized twin of ``GraphEngine._merge``: builds the nets'
+    :class:`MergePlan` and runs it, the same election :func:`merge_level`
+    runs from the compiled graph's cached plans.  The election is per target
+    event, so the masked incremental sweep merges any set of nets
+    bit-identically.  Merge only installs winners, it never erases a stale
+    event: the caller marks the nets' events non-existent first.
+    """
+    MergePlan(cg, nets).run(state)
+
+
+def merge_level(cg: CompiledGraph, state: SweepState,
+                net_lo: int, net_hi: int) -> np.ndarray:
+    """Merge fanin events into nets ``[net_lo, net_hi)``; return the level's events.
+
+    A whole level of a :class:`CompiledGraph` runs its cached
+    :class:`MergePlan` from :meth:`CompiledGraph.sweep_plan`; any other span
+    (or graph-like object) builds its plan as :func:`merge_nets` does.
+    Returns the event ids existing in the level span *after* the merge —
+    including primary-input seeds installed by the caller (roots have no
+    fanin, so they never compete in a merge).
+    """
+    plan = None
+    if isinstance(cg, CompiledGraph):
+        plan = cg.sweep_plan().merges.get((net_lo, net_hi))
+    if plan is None:
+        plan = MergePlan(cg, np.arange(net_lo, net_hi, dtype=np.int64))
+    plan.run(state)
+    return np.flatnonzero(state.exists[net_lo * 2:net_hi * 2]) + net_lo * 2
 
 
 def level_solve_keys(cg: CompiledGraph, state: SweepState, events: np.ndarray
@@ -638,14 +708,28 @@ def level_solve_keys(cg: CompiledGraph, state: SweepState, events: np.ndarray
 
     Returns ``(unique, inverse)``: ``unique`` is a (k, 3) float64 matrix of
     the distinct keys in lexicographic (config, transition, slew) order and
-    ``inverse`` maps each event to its row.  One stable ``np.lexsort`` over
-    (``config * 2 + transition``, slew) and its run boundaries give exactly
-    the rows, order and inverse of ``np.unique`` — each row is taken at its
-    first occurrence.  ``solve_batch`` results depend on request order at
-    the ~1 ULP level, so the order is part of the contract.
+    ``inverse`` maps each event to its row — exactly the rows, order and
+    inverse of ``np.unique`` over the key rows.  ``solve_batch`` results
+    depend on request order at the ~1 ULP level, so the order is part of
+    the contract.
+
+    A merged event's slew is its winning source's propagated slew, fixed by
+    the source's solution: its key is fixed by the small integer code
+    (``config * 2 + transition``, ``sol_idx[src]``).  On a wide level whose
+    events all have a solved source (every level but the roots'),
+    :func:`_coded_solve_keys` marks those codes in a dense table and sorts
+    only the few present ones; otherwise one stable ``np.lexsort`` over
+    (``config * 2 + transition``, slew) and its run boundaries give the
+    same result.
     """
-    slews = state.in_slew[events]
     group = cg.config_id[events >> 1] * 2 + (events & 1)
+    if events.size >= _CODED_MIN_EVENTS:
+        src = state.src[events]
+        if src.min() >= 0:
+            keys = _coded_solve_keys(state, events, group, state.sol_idx[src])
+            if keys is not None:
+                return keys
+    slews = state.in_slew[events]
     order = np.lexsort((slews, group))
     group_sorted, slews_sorted = group[order], slews[order]
     run_start = np.empty(events.size, dtype=bool)
@@ -655,11 +739,59 @@ def level_solve_keys(cg: CompiledGraph, state: SweepState, events: np.ndarray
     first = order[run_start]
     inverse = np.empty(events.size, dtype=np.int64)
     inverse[order] = np.cumsum(run_start) - 1
-    unique = np.empty((first.size, 3), dtype=np.float64)
-    unique[:, 0] = group[first] >> 1
-    unique[:, 1] = group[first] & 1
-    unique[:, 2] = slews[first]
-    return unique, inverse
+    return _key_rows(group[first], slews[first]), inverse
+
+
+#: Levels below this many events sort them: the dense table's fixed cost of a
+#: dozen array calls is only repaid on wide levels (a full sweep's, not an
+#: incremental cone's).
+_CODED_MIN_EVENTS = 512
+
+
+def _key_rows(group: np.ndarray, slews: np.ndarray) -> np.ndarray:
+    """(config, transition, slew) rows of sorted unique ``group`` / slew keys."""
+    unique = np.empty((group.size, 3), dtype=np.float64)
+    unique[:, 0] = group >> 1
+    unique[:, 1] = group & 1
+    unique[:, 2] = slews
+    return unique
+
+
+def _coded_solve_keys(state: SweepState, events: np.ndarray, group: np.ndarray,
+                      source_sol: np.ndarray
+                      ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """:func:`level_solve_keys` of events keyed by their source's solution.
+
+    Events sharing (``group``, ``source_sol``) share their slew, so each
+    such code stands for one key row: the codes present are marked in a
+    dense table (any event of a code represents it), only those are sorted
+    by (group, slew), and codes with equal group and slew merge into one
+    row.  None when the table would outgrow the level (a solution list far
+    longer than the level), where sorting the events is cheaper.
+    """
+    if source_sol.min() < 0:
+        return None
+    sol_lo = int(source_sol.min())
+    span = int(source_sol.max()) - sol_lo + 1
+    size = (int(group.max()) + 1) * span
+    if size > 4 * events.size + 256:
+        return None
+    codes = group * span + (source_sol - sol_lo)
+    representative = np.full(size, events.size, dtype=np.int64)
+    representative[codes] = np.arange(events.size, dtype=np.int64)
+    present = np.flatnonzero(representative < events.size)
+    first = representative[present]
+    present_group = group[first]
+    slews = state.in_slew[events[first]]
+    order = np.lexsort((slews, present_group))
+    group_sorted, slews_sorted = present_group[order], slews[order]
+    run_start = np.empty(order.size, dtype=bool)
+    run_start[0] = True
+    np.not_equal(group_sorted[1:], group_sorted[:-1], out=run_start[1:])
+    run_start[1:] |= slews_sorted[1:] != slews_sorted[:-1]
+    row = np.empty(size, dtype=np.int64)
+    row[present[order]] = np.cumsum(run_start) - 1
+    return _key_rows(group_sorted[run_start], slews_sorted[run_start]), row[codes]
 
 
 def scatter_level_solutions(state: SweepState, events: np.ndarray,
@@ -731,63 +863,46 @@ def backward_required(cg: CompiledGraph, state: SweepState,
     consumer's stage delay; hold is the mirror with the maximum.  None rides
     as NaN at the boundary and as ±inf inside the reduction — min/max are
     exact on floats, so the result is bit-identical to the object pass.
-    An unconstrained polarity (seeds None) stays all-NaN.
+    An unconstrained polarity (seeds None) stays all-NaN.  The pass runs the
+    :class:`RequiredPlan` of every existing event that
+    :meth:`SweepPlan.required_plan` keeps while the events stay the same.
     """
     n_events = 2 * cg.n_nets
     required = np.full(n_events, np.nan)
     hold_required = np.full(n_events, np.nan)
     if setup_seeds is None and hold_seeds is None:
         return required, hold_required
-    for level in range(cg.n_levels - 1, -1, -1):
-        net_lo, net_hi = int(cg.level_ptr[level]), int(cg.level_ptr[level + 1])
-        events = np.flatnonzero(state.exists[net_lo * 2:net_hi * 2]) + net_lo * 2
-        if not events.size:
-            continue
-        required_level(cg, state, events, setup_seeds, hold_seeds,
-                       required, hold_required)
+    cg.sweep_plan().required_plan(cg, state.exists).run(
+        state, setup_seeds, hold_seeds, required, hold_required)
     return required, hold_required
 
 
-def required_level(cg: CompiledGraph, state: SweepState, events: np.ndarray,
-                   setup_seeds: Optional[np.ndarray],
-                   hold_seeds: Optional[np.ndarray],
-                   required: np.ndarray, hold_required: np.ndarray) -> None:
-    """One backward-pass step: refresh one level's ``events`` in place.
-
-    Builds a :class:`RequiredPlan` for the level and runs it.  The full pass
-    builds one plan per level: a whole-graph plan would hold every fanout
-    edge's gathers at once, for no fewer array calls.
-    """
-    RequiredPlan(cg, state, events, setup_seeds, hold_seeds).run(
-        required, hold_required)
-
-
 class RequiredPlan:
-    """Everything the backward pass reads for a set of events, gathered once.
+    """The index work of the backward pass over a set of events, done once.
 
     ``events`` — existing, ascending (so grouped by level), any subset of
     any levels — split into *leaves*, fanout-less, whose required time is
     their seed, and the rest.  For the rest the plan holds their fanout
     consumers (the consumer event keyed by the event's *output* transition),
-    those consumers' stage delays and the events' seeds, segmented per event
-    and cut per level by ``searchsorted`` on ``level_ptr``.  :meth:`run` then
-    does only the dependent arithmetic, level by level in descending order:
-    an event's value depends on its consumers' entries, which sit on later
-    levels, never on its level peers.  Delays are read at plan time, which
-    is sound because the backward pass never writes them.  A consumer event
-    that does not exist holds NaN in both required planes (the full pass
-    writes existing events only, and the cone pass resets its cone before
-    running), so it drops out of the reduction like an unconstrained one.
-    Seeds are finite or NaN and are read once per polarity by event id, so
-    any store that indexes like a dense seed plane serves.
+    segmented per event and cut per level by ``searchsorted`` on
+    ``level_ptr``.  :meth:`run` gathers the consumers' stage delays and the
+    events' seeds, then does only the dependent arithmetic, level by level
+    in descending order: an event's value depends on its consumers' entries,
+    which sit on later levels, never on its level peers.  The plan depends
+    only on the topology and on which events exist, so the full pass keeps
+    one per compiled graph (:meth:`SweepPlan.required_plan`).  A consumer
+    event that does not exist holds NaN in both required planes (the full
+    pass writes existing events only, and the cone pass resets its cone
+    before running), so it drops out of the reduction like an unconstrained
+    one.  Seeds are finite or NaN and are read by event id, so any store
+    that indexes like a dense seed plane serves.
     """
 
-    def __init__(self, cg: CompiledGraph, state: SweepState,
-                 events: np.ndarray, setup_seeds: Optional[np.ndarray],
-                 hold_seeds: Optional[np.ndarray]) -> None:
+    __slots__ = ("consumer", "events", "leaves", "steps")
+
+    def __init__(self, cg: CompiledGraph, events: np.ndarray) -> None:
         consumer, counts = _csr_rows(cg.fo_indptr, cg.fo_indices, events >> 1)
         self.consumer = consumer * 2 + np.repeat(1 - (events & 1), counts)
-        self.delay = state.delay[self.consumer]
         inner = counts > 0
         self.events, self.leaves = events[inner], events[~inner]
         ends = np.cumsum(counts[inner])
@@ -801,29 +916,74 @@ class RequiredPlan:
         self.steps = [(slice(a, b), slice(int(starts[a]), int(ends[b - 1])),
                        starts[a:b] - starts[a])
                       for a, b in reversed(list(zip(cuts, cuts[1:]))) if a < b]
-        #: (plane index, ufunc, identity, inner seeds, leaf seeds) per polarity.
-        self.polarities = []
-        for plane, seeds, ufunc, identity in ((0, setup_seeds, np.minimum, np.inf),
-                                              (1, hold_seeds, np.maximum, -np.inf)):
-            if seeds is not None:
-                seed = seeds[events]
-                self.polarities.append((plane, ufunc, identity, np.where(
-                    np.isnan(seed[inner]), identity, seed[inner]), seed[~inner]))
 
-    def run(self, required: np.ndarray, hold_required: np.ndarray) -> None:
+    @property
+    def nbytes(self) -> int:
+        return (self.consumer.nbytes + self.events.nbytes + self.leaves.nbytes
+                + sum(starts.nbytes for _, _, starts in self.steps))
+
+    def run(self, state: SweepState, setup_seeds: Optional[np.ndarray],
+            hold_seeds: Optional[np.ndarray], required: np.ndarray,
+            hold_required: np.ndarray) -> None:
         """Write the plan's events into the ``required`` / ``hold_required`` planes."""
-        planes = (required, hold_required)
-        for plane, _, _, _, leaf_seeds in self.polarities:
-            planes[plane][self.leaves] = leaf_seeds
+        delay = state.delay[self.consumer]
+        #: (plane, ufunc, identity, inner seeds) per constrained polarity.
+        polarities = []
+        for plane, seeds, ufunc, identity in ((required, setup_seeds, np.minimum, np.inf),
+                                              (hold_required, hold_seeds, np.maximum,
+                                               -np.inf)):
+            if seeds is not None:
+                plane[self.leaves] = seeds[self.leaves]
+                seed = seeds[self.events]
+                seed[np.isnan(seed)] = identity
+                polarities.append((plane, ufunc, identity, seed))
         for events, consumers, starts in self.steps:
-            targets, consumer, delay = (self.events[events], self.consumer[consumers],
-                                        self.delay[consumers])
-            for plane, ufunc, identity, seeds, _ in self.polarities:
-                upstream = planes[plane][consumer] - delay
+            targets, consumer = self.events[events], self.consumer[consumers]
+            for plane, ufunc, identity, seeds in polarities:
+                upstream = plane[consumer] - delay[consumers]
                 upstream[np.isnan(upstream)] = identity
                 value = ufunc(seeds[events], ufunc.reduceat(upstream, starts))
                 value[np.isinf(value)] = np.nan
-                planes[plane][targets] = value
+                plane[targets] = value
+
+
+class SweepPlan:
+    """The index work of a full compiled sweep, built once per :class:`CompiledGraph`.
+
+    Everything here depends only on the topology (adjacency, levels, name
+    ranks), which only a recompile changes — :meth:`CompiledGraph.patch`
+    keeps it — so a warm full sweep reuses it unchanged: one
+    :class:`MergePlan` per level, keyed by the level's ``(net_lo, net_hi)``
+    span.  The backward pass also depends on which events exist, so
+    :meth:`required_plan` keeps one :class:`RequiredPlan` next to the
+    ``exists`` plane it was built for and rebuilds it when a sweep's events
+    differ (a primary input that changed transition).
+    """
+
+    def __init__(self, cg: CompiledGraph) -> None:
+        bounds = cg.level_ptr.tolist()
+        self.merges: Dict[Tuple[int, int], MergePlan] = {
+            (lo, hi): MergePlan(cg, np.arange(lo, hi, dtype=np.int64))
+            for lo, hi in zip(bounds, bounds[1:])}
+        #: (exists plane, its RequiredPlan), replaced as one tuple.
+        self._required: Optional[Tuple[np.ndarray, RequiredPlan]] = None
+
+    @property
+    def nbytes(self) -> int:
+        total = sum(plan.nbytes for plan in self.merges.values())
+        required = self._required
+        if required is not None:
+            total += required[0].nbytes + required[1].nbytes
+        return total
+
+    def required_plan(self, cg: CompiledGraph, exists: np.ndarray) -> RequiredPlan:
+        """The :class:`RequiredPlan` of every event ``exists`` marks."""
+        cached = self._required
+        if cached is not None and np.array_equal(cached[0], exists):
+            return cached[1]
+        plan = RequiredPlan(cg, np.flatnonzero(exists))
+        self._required = (exists.copy(), plan)
+        return plan
 
 
 class CompiledAnalysis:

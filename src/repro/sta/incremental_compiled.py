@@ -17,10 +17,10 @@ and the sweep re-runs only where the edit can matter:
 * :func:`incremental_required` mirrors it backward: required times are
   refreshed over the transitive *fanin* of the changed nets (their values
   depend only on seeds and on fanout-consumer delays, so everything outside
-  that cone is provably unchanged).  Unlike the full backward pass, which
-  builds one :class:`~.compiled.RequiredPlan` per level, it gathers the
-  whole cone into one plan — consumers, delays, seeds and level bounds — and
-  then runs only the dependent arithmetic per level.
+  that cone is provably unchanged).  It gathers the whole cone into one
+  :class:`~.compiled.RequiredPlan` — consumers and level bounds, then
+  delays and seeds — and runs only the dependent arithmetic per level, as
+  the full backward pass does with the plan it keeps for the whole graph.
 
 Both run in place on a spare copy of the prior :class:`~.compiled.SweepState`
 and required planes — one of two plane buffers the engine alternates between,
@@ -153,7 +153,7 @@ def incremental_required(cg: CompiledGraph, state: SweepState,
     cone (the cone is fanin-closed), so those values are provably unchanged —
     the masked pass rewrites exactly the cone, reading unchanged consumer
     entries straight from the prior planes.  The whole cone is gathered into
-    one :class:`~.compiled.RequiredPlan` (one seed lookup per polarity), the
+    one :class:`~.compiled.RequiredPlan` (each seed looked up once), the
     cone's entries are set to NaN once — vanished events stay NaN, and an
     unconstrained plane stays all-NaN end to end — and the plan runs its
     level steps in descending order.  Returns the cone's net ids, ascending.
@@ -174,8 +174,8 @@ def incremental_required(cg: CompiledGraph, state: SweepState,
         hold_required[candidates] = np.nan
     events = candidates[state.exists[candidates]]
     if events.size:
-        RequiredPlan(cg, state, events, setup_seeds, hold_seeds).run(
-            required, hold_required)
+        RequiredPlan(cg, events).run(state, setup_seeds, hold_seeds,
+                                     required, hold_required)
     return cone
 
 
@@ -280,7 +280,11 @@ class CompiledIncrementalEngine:
     Solutions accumulate in one append-only list shared by every analysis
     this engine produced, so earlier analyses' ``sol_idx`` planes stay valid
     forever.  Like the object engine, this engine is the single consumer of
-    its graph's dirty set.
+    its graph's dirty set.  An update inside :meth:`TimingGraph.transaction`
+    that rolls back drops the planes (the rollback restores edits and dirt
+    they absorbed), so the next update re-times in full; a compiled snapshot
+    patched inside the block no longer describes the graph, so the caller
+    recompiles it.
     """
 
     def __init__(self, engine: "GraphEngine", graph: TimingGraph) -> None:
@@ -314,6 +318,10 @@ class CompiledIncrementalEngine:
         self._solutions = []
         self._timed = False
         self.last_changed_nets = None
+
+    def _rolled_back(self, graph: TimingGraph) -> None:
+        """Rollback hook: the graph undid edits these planes absorbed."""
+        self.invalidate()
 
     def _full_update(self, cg: CompiledGraph, *, patched_nets: int,
                      dirty_nets: int) -> CompiledAnalysis:
@@ -381,6 +389,7 @@ class CompiledIncrementalEngine:
             raise ModelingError(
                 "compiled snapshot is stale; patch or recompile before an "
                 "incremental update")
+        graph.on_rollback(self._rolled_back)  # what follows absorbs the edits
         dirty = set(graph.dirty_nets)
         constraints_dirty = graph.constraints_dirty
         graph.clear_dirty()

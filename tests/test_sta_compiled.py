@@ -17,7 +17,12 @@ The contract under test, layer by layer:
 * the level dedupe (``level_solve_keys``) gives exactly the keys, order and
   inverse map of the ``np.unique(axis=0)`` row sort it replaced, and the
   merge (``merge_level``), which installs one-fanin targets directly, elects
-  exactly the winners of the all-lexsort election it replaced;
+  exactly the winners of the all-lexsort election it replaced; the dedupe of
+  events keyed by their source's solution gives the same rows;
+* the planned full sweep (merge and backward-pass plans cached on the
+  compiled graph) equals, in every plane, the per-sweep kernels it replaced
+  (kept below), cold and warm, after a resize and after a root transition
+  flip; a counter gate pins one plan build per topology;
 * :class:`StreamingTimingReport` answers every report query like the eager
   report and serializes to the identical payload;
 * the session times every design (paths, graphs, builders) on the compiled
@@ -65,7 +70,10 @@ from repro.sta import (
     chain_graph,
     compile_graph,
 )
+from repro.sta import batch
 from repro.sta.compiled import (TRANSITIONS, CompiledGraph, ConfigInterner,
+                                RequiredPlan, SweepPlan, _coded_solve_keys,
+                                _csr_rows, _install, _interleave,
                                 level_solve_keys, merge_level)
 from repro.units import fF, mm, nH, pF, ps
 
@@ -435,13 +443,44 @@ class TestLevelSolveKeys:
                                        slews, events)
 
 
-def assert_dedupe_matches_row_sort(cg, slews, events):
+class TestCodedSolveKeys:
+    """Events keyed by their source's solution dedupe like the row sort."""
+
+    @pytest.mark.parametrize("sol_span", [12, 100_000], ids=["dense", "sorted"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_row_sort_reference(self, seed, sol_span):
+        rng = np.random.default_rng(seed)
+        n_sources, n_targets = 60, int(rng.integers(400, 1200))
+        n_events = 2 * (n_sources + n_targets)
+        cg = SimpleNamespace(config_id=rng.integers(0, 6, size=n_events // 2))
+        state = SweepState.empty(n_events)
+        # Solutions share slews from a small pool: distinct solutions, equal keys.
+        sol_slew = rng.choice(rng.uniform(ps(20), ps(300), size=4), size=sol_span)
+        sources = np.arange(2 * n_sources)
+        state.sol_idx[sources] = rng.integers(0, sol_span, size=sources.size)
+        state.prop_slew[sources] = sol_slew[state.sol_idx[sources]]
+        events = 2 * n_sources + np.flatnonzero(rng.random(2 * n_targets) < 0.7)
+        if not events.size:
+            events = np.array([2 * n_sources])
+        state.src[events] = rng.choice(sources, size=events.size)
+        state.in_slew[events] = state.prop_slew[state.src[events]]
+        coded = _coded_solve_keys(state, events,
+                                  cg.config_id[events >> 1] * 2 + (events & 1),
+                                  state.sol_idx[state.src[events]])
+        assert (coded is None) == (sol_span > 4 * events.size + 256)
+        if coded is not None:
+            expected, expected_inverse = row_sort_level_solve_keys(cg, state, events)
+            assert np.array_equal(coded[0], expected)
+            assert np.array_equal(coded[1], expected_inverse.reshape(-1))
+        assert_dedupe_matches_row_sort(cg, state.in_slew, events, state=state)
+
+
+def assert_dedupe_matches_row_sort(cg, slews, events, state=None):
     """``level_solve_keys`` gives the reference's rows, order and inverse."""
-    states = []
-    for _ in range(2):
+    if state is None:
         state = SweepState.empty(slews.size)
         state.in_slew[:] = slews
-        states.append(state)
+    states = [state.clone(), state.clone()]
     unique, inverse = level_solve_keys(cg, states[0], events)
     expected, expected_inverse = row_sort_level_solve_keys(cg, states[1], events)
     assert unique.dtype == expected.dtype and unique.shape == expected.shape
@@ -547,6 +586,246 @@ class TestMergeElection:
         state.prop_slew[sources] = rng.choice([ps(40), ps(60)], 2 * n_sources)
         assert_merges_match_reference(cg, state, n_sources,
                                       n_sources + n_targets)
+
+
+# --- the full sweep's kernels before its index work was planned -------------------
+def per_sweep_seed_primary_inputs(cg, graph, state, nets=None):
+    """Reference seeding: one Python step per primary input."""
+    assert nets is None
+    for name, primary in graph.primary_inputs.items():
+        event = cg.index[name] * 2 + TRANSITIONS.index(primary.transition)
+        state.exists[event] = True
+        state.in_arr[event] = primary.arrival
+        state.early_in[event] = primary.arrival
+        state.in_slew[event] = primary.slew
+
+
+def per_sweep_merge_level(cg, state, net_lo, net_hi):
+    """Reference merge: every index array rebuilt from the CSR on each call.
+
+    Lone-fanin targets install their one candidate; the rest go through
+    the two-plane lexsort election with an explicit ordinal key.
+    """
+    nets = np.arange(net_lo, net_hi, dtype=np.int64)
+    counts = cg.fi_indptr[nets + 1] - cg.fi_indptr[nets]
+    lone = nets[counts == 1]
+    if lone.size:
+        sev = _interleave(cg.fi_indices[cg.fi_indptr[lone]])
+        keep = state.exists[sev]
+        _install(state, (_interleave(lone) ^ 1)[keep], sev[keep])
+    contested = nets[counts > 1]
+    if contested.size:
+        source_net, counts = _csr_rows(cg.fi_indptr, cg.fi_indices, contested)
+        sev = _interleave(source_net)
+        tev = _interleave(np.repeat(contested, counts)) ^ 1
+        keep = state.exists[sev]
+        sev, tev = sev[keep], tev[keep]
+        if sev.size:
+            ordinal = cg.name_rank[sev >> 1] * 2 + (sev & 1)
+            slew = state.prop_slew[sev]
+            late = np.lexsort((ordinal, slew, state.out_arr[sev], tev))
+            grouped = tev[late]
+            last = np.append(grouped[1:] != grouped[:-1], True)
+            _install(state, grouped[last], sev[late[last]], early=False)
+            first = np.lexsort((ordinal, slew, state.early_out[sev], tev))
+            grouped = tev[first]
+            head = np.insert(grouped[1:] != grouped[:-1], 0, True)
+            _install(state, grouped[head], sev[first[head]], late=False)
+    return np.flatnonzero(state.exists[net_lo * 2:net_hi * 2]) + net_lo * 2
+
+
+def per_sweep_level_solve_keys(cg, state, events):
+    """Reference dedupe: one stable lexsort over every event of the level."""
+    slews = state.in_slew[events]
+    group = cg.config_id[events >> 1] * 2 + (events & 1)
+    order = np.lexsort((slews, group))
+    group_sorted, slews_sorted = group[order], slews[order]
+    run_start = np.empty(events.size, dtype=bool)
+    run_start[0] = True
+    np.not_equal(group_sorted[1:], group_sorted[:-1], out=run_start[1:])
+    run_start[1:] |= slews_sorted[1:] != slews_sorted[:-1]
+    first = order[run_start]
+    inverse = np.empty(events.size, dtype=np.int64)
+    inverse[order] = np.cumsum(run_start) - 1
+    unique = np.empty((first.size, 3), dtype=np.float64)
+    unique[:, 0] = group[first] >> 1
+    unique[:, 1] = group[first] & 1
+    unique[:, 2] = slews[first]
+    return unique, inverse
+
+
+def per_sweep_backward_required(cg, state, setup_seeds, hold_seeds):
+    """Reference backward pass: consumers, delays and seeds gathered per level."""
+    required = np.full(2 * cg.n_nets, np.nan)
+    hold_required = np.full(2 * cg.n_nets, np.nan)
+    polarities = [(plane, seeds, ufunc, identity) for plane, seeds, ufunc, identity in (
+        (required, setup_seeds, np.minimum, np.inf),
+        (hold_required, hold_seeds, np.maximum, -np.inf)) if seeds is not None]
+    for level in range(cg.n_levels - 1, -1, -1):
+        net_lo, net_hi = int(cg.level_ptr[level]), int(cg.level_ptr[level + 1])
+        events = np.flatnonzero(state.exists[net_lo * 2:net_hi * 2]) + net_lo * 2
+        if not events.size:
+            continue
+        consumer, counts = _csr_rows(cg.fo_indptr, cg.fo_indices, events >> 1)
+        consumer = consumer * 2 + np.repeat(1 - (events & 1), counts)
+        delay = state.delay[consumer]
+        inner = counts > 0
+        starts = np.cumsum(counts[inner]) - counts[inner]
+        for plane, seeds, ufunc, identity in polarities:
+            seed = seeds[events]
+            plane[events[~inner]] = seed[~inner]
+            if not starts.size:
+                continue
+            upstream = plane[consumer] - delay
+            upstream[np.isnan(upstream)] = identity
+            value = ufunc(np.where(np.isnan(seed[inner]), identity, seed[inner]),
+                          ufunc.reduceat(upstream, starts))
+            value[np.isinf(value)] = np.nan
+            plane[events[inner]] = value
+    return required, hold_required
+
+
+def per_sweep_analysis(engine, graph, cg):
+    """``analyze_compiled`` of ``cg`` with the reference kernels swapped in."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(batch, "seed_primary_inputs", per_sweep_seed_primary_inputs)
+        patch.setattr(batch, "merge_level", per_sweep_merge_level)
+        patch.setattr(batch, "level_solve_keys", per_sweep_level_solve_keys)
+        patch.setattr(batch, "backward_required", per_sweep_backward_required)
+        return engine.analyze_compiled(graph, compiled_graph=cg)
+
+
+def assert_sweeps_identical(ours, reference):
+    """Every plane of two full sweeps of one snapshot, bit for bit."""
+    for name, mine, theirs in zip([f.name for f in dataclasses.fields(SweepState)],
+                                  ours.state.planes(), reference.state.planes()):
+        assert mine.tobytes() == theirs.tobytes(), f"plane {name} diverged"
+    assert ours.required.tobytes() == reference.required.tobytes()
+    assert ours.hold_required.tobytes() == reference.hold_required.tobytes()
+    assert ([s.fingerprint for s in ours.solutions]
+            == [s.fingerprint for s in reference.solutions])
+
+
+def mixed_inputs_graph(lines) -> TimingGraph:
+    """A random DAG whose roots carry distinct slews, arrivals and both edges."""
+    rng = random.Random(61)
+    graph = random_dag(rng, lines, n_nets=18, n_roots=4)
+    for i, name in enumerate(sorted(graph.primary_inputs)):
+        graph.set_input(name, PrimaryInput(
+            slew=ps(45 + 17 * i), arrival=ps(3 * i),
+            transition="rise" if i % 2 else "fall"))
+    assert {p.transition for p in graph.primary_inputs.values()} == {"rise", "fall"}
+    constrain_randomly(rng, graph)
+    return graph
+
+
+def planned_sweep_design(name, lines) -> TimingGraph:
+    if name.startswith("soc"):  # soc10k's wide levels take the coded dedupe
+        graph = soc_graph(int(name[3:-1]) * 1000)
+        graph.set_clock_period(ps(1500), hold_margin=0.0)
+        return graph
+    if name == "mixed_inputs":
+        return mixed_inputs_graph(lines)
+    return dict(golden_designs())[name]()
+
+
+class TestPlannedSweep:
+    """The planned full sweep equals the per-sweep kernels it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("constrained", ["setup", "hold", "both"])
+    @pytest.mark.parametrize("design", [
+        "soc1k", "soc10k", "random5", "random29", "random41", "random53", "diamond@clock",
+        "race@clock", "tree@clock", "mixed_inputs"])
+    def test_every_plane_matches_the_per_sweep_kernels(
+            self, engine, lines, design, constrained):
+        graph = planned_sweep_design(design, lines)
+        for mode in ("setup", "hold"):
+            if constrained not in (mode, "both"):
+                drop_constraints(graph, mode)
+        assert graph.setup_constrained == (constrained != "hold")
+        assert graph.hold_constrained == (constrained != "setup")
+        cg = engine.compile(graph)
+        cold = engine.analyze_compiled(graph, compiled_graph=cg)
+        plan = cg.sweep_plan()
+        warm = engine.analyze_compiled(graph, compiled_graph=cg)
+        assert cg.sweep_plan() is plan
+        reference = per_sweep_analysis(engine, graph, cg)
+        assert_sweeps_identical(cold, reference)
+        assert_sweeps_identical(warm, reference)
+
+    def test_retime_after_a_resize_reuses_the_patched_plan(self, solver):
+        graph = planned_sweep_design("soc10k", None)
+        session = shared_session(solver)
+        cg = session.time(graph).analysis.graph
+        plan = cg.sweep_plan()
+        backward = plan.required_plan(cg, session.time(graph).analysis.state.exists)
+        graph.resize_driver("k3c2s1", 125.0)
+        graph.resize_driver("k5m1", 75.0)
+        analysis = session.time(graph).analysis
+        assert analysis.graph is cg and cg.sweep_plan() is plan
+        assert plan.required_plan(cg, analysis.state.exists) is backward
+        assert_sweeps_identical(analysis,
+                                per_sweep_analysis(session._engine, graph, cg))
+
+    def test_root_transition_flip_rebuilds_only_the_backward_plan(self, solver):
+        graph = planned_sweep_design("soc10k", None)
+        session = shared_session(solver)
+        before = session.time(graph).analysis
+        cg = before.graph
+        plan = cg.sweep_plan()
+        merges = dict(plan.merges)
+        backward = plan.required_plan(cg, before.state.exists)
+        root = sorted(graph.primary_inputs)[3]
+        primary = graph.primary_inputs[root]
+        graph.set_input(root, dataclasses.replace(
+            primary, transition="rise" if primary.transition == "fall" else "fall"))
+        analysis = session.time(graph).analysis
+        assert not np.array_equal(analysis.state.exists, before.state.exists)
+        assert cg.sweep_plan() is plan and plan.merges == merges
+        assert plan.required_plan(cg, analysis.state.exists) is not backward
+        assert_sweeps_identical(analysis,
+                                per_sweep_analysis(session._engine, graph, cg))
+
+
+class TestSweepPlanReuse:
+    """Host-independent counters of the index work a warm full sweep pays.
+
+    Counts :class:`SweepPlan` builds (the merge plans of every level) and
+    :class:`RequiredPlan` builds: a warm re-time of an unchanged topology
+    builds neither, a parameter edit keeps both, and only a topology edit
+    (a recompile) builds a new plan.
+    """
+
+    def test_plan_is_built_once_per_topology(self, solver, monkeypatch):
+        graph = soc_graph(10_000)
+        graph.set_clock_period(ps(1500), hold_margin=0.0)
+        session = shared_session(solver)
+        plans, backward = [], []
+        build_plan, build_backward = SweepPlan.__init__, RequiredPlan.__init__
+
+        def counting_plan(plan, *args):
+            plans.append(None)
+            build_plan(plan, *args)
+
+        def counting_backward(plan, *args):
+            backward.append(None)
+            build_backward(plan, *args)
+
+        monkeypatch.setattr(SweepPlan, "__init__", counting_plan)
+        monkeypatch.setattr(RequiredPlan, "__init__", counting_backward)
+        for _ in range(10):
+            session.time(graph)
+        assert (len(plans), len(backward)) == (1, 1)
+        graph.resize_driver("k7c3s2", 125.0)
+        session.time(graph)
+        assert (len(plans), len(backward)) == (1, 1)
+        graph.add_fanout("k2m1", "k9c4s5")  # a topology edit: recompile
+        report = session.time(graph)
+        assert (len(plans), len(backward)) == (2, 2)
+        cg = report.analysis.graph
+        plan_bytes = cg.sweep_plan().nbytes
+        assert 0 < plan_bytes <= 64 * cg.n_nets
+        assert cg.nbytes >= plan_bytes
 
 
 class TestCompiledEquivalence:

@@ -17,9 +17,10 @@ the single-slot compiled cache holds its graph weakly), the engine's
 double-buffered planes (earlier reports keep describing their state; warm
 updates never clone; a failed update leaves the published report intact) and
 the streaming report's cone-bounded record reuse, the cone's one-plan
-backward pass against a from-scratch one, and two deterministic counters of
-the per-update floor (one required-time plan per update, one forward merge
-per level that holds active nets).
+backward pass against a from-scratch one, deterministic counters of the
+per-update floor (one required-time plan per update, one forward merge per
+level that holds active nets, event options derived once per engine), and
+the engine's own rollback hook.
 """
 
 import gc
@@ -658,3 +659,67 @@ class TestPerUpdateFloor:
             assert len(plans) == (1 if delta.changed.size else 0)
             deepest = max(deepest, int(levels.size))
         assert deepest >= 3  # cones span levels: per-level plans would show
+
+    def test_updates_reuse_one_options_pair(self, solver, monkeypatch):
+        # The per-transition event options and the fingerprint-cache key are
+        # derived once per base options value, not on every update.
+        graph = soc_graph(1000)
+        graph.set_clock_period(ps(1500), hold_margin=0.0)
+        session = shared_session(solver)
+        session.update(graph)
+        engine = session._engine
+        derived, seen = [], []
+        event_options = engine._event_options
+        solve_level = engine._solve_compiled_level
+
+        def counting_options(*args):
+            derived.append(None)
+            return event_options(*args)
+
+        def recording_solve(cg, state, events, options_pair, fp_cache, solutions):
+            seen.append((options_pair, fp_cache, dict(options_pair)))
+            solve_level(cg, state, events, options_pair, fp_cache, solutions)
+
+        monkeypatch.setattr(engine, "_event_options", counting_options)
+        monkeypatch.setattr(engine, "_solve_compiled_level", recording_solve)
+        cg = session._compiled_cache[1]
+        keys = set(cg.fingerprints)
+        for site in ("k1m1", "k3c2s1"):
+            toggle(graph, site)
+            session.update(graph)
+        assert derived == [] and len(seen) >= 2
+        first = seen[0]
+        for options_pair, fp_cache, options in seen:
+            assert options_pair is first[0] and fp_cache is first[1]
+            assert all(options[t] is first[2][t] for t in (0, 1))
+        assert set(cg.fingerprints) == keys
+
+
+class TestRollbackHook:
+    """A directly used engine drops its planes when a transaction rolls back."""
+
+    def test_update_inside_a_rolled_back_block_retimes_in_full(
+            self, library, solver):
+        graph = dict(golden_designs())["random29"]()
+        engine = GraphEngine(library=library, solver=solver)
+        incremental = CompiledIncrementalEngine(engine, graph)
+        cg = engine.compile(graph)
+        incremental.update(cg)
+        root = sorted(graph.primary_inputs)[0]
+        primary = graph.primary_inputs[root]
+        with pytest.raises(RuntimeError):
+            with graph.transaction():
+                # Edits a compiled snapshot never sees: cg stays current.
+                graph.set_clock_period(ps(350), hold_margin=ps(5))
+                graph.set_input(root, PrimaryInput(
+                    slew=primary.slew * 2, arrival=ps(40),
+                    transition="rise" if primary.transition == "fall" else "fall"))
+                inside = incremental.update(cg)
+                assert inside.incremental.retimed_nets < len(graph)
+                raise RuntimeError("reject the block")
+        assert cg.version == graph.version
+        analysis = incremental.update(cg)
+        assert analysis.incremental.retimed_nets == len(graph)  # in full
+        fresh = engine.analyze_compiled(graph, compiled_graph=engine.compile(graph))
+        assert_analyses_identical(analysis, fresh)
+        assert plane_bytes(analysis) == plane_bytes(fresh)
