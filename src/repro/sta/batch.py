@@ -68,8 +68,9 @@ from ..errors import ModelingError
 from ..tech.technology import Technology, generic_180nm
 from .compiled import (TRANSITIONS, CompiledAnalysis, CompiledGraph,
                        SweepState, backward_required, compile_graph,
-                       level_solve_keys, merge_level, required_seeds,
-                       scatter_level_solutions, seed_primary_inputs)
+                       input_seeds, level_solve_keys, merge_level,
+                       required_seeds, scatter_level_solutions,
+                       seed_primary_inputs)
 from .graph import (GraphNet, GraphTimingReport, IncrementalStats,
                     NetEventTiming, TimingGraph, flip_transition)
 
@@ -422,11 +423,14 @@ class GraphEngine:
         and the result is a :class:`~.compiled.CompiledAnalysis` whose event
         records materialize lazily.  ``compiled_graph`` reuses a prior
         :meth:`compile` snapshot (it must match the graph's current
-        :attr:`~.graph.TimingGraph.version`), and with it the snapshot's
-        :class:`~.compiled.SweepPlan`: the first sweep of a snapshot builds
-        the merge and backward-pass index arrays, and every later sweep —
-        a warm re-time, or the incremental engine's full update — only
-        gathers, elects and does arithmetic.
+        :attr:`~.graph.TimingGraph.version`), and with it what the snapshot
+        keeps for its sweeps: the :class:`~.compiled.SweepPlan` of the
+        primary inputs' root events (the first sweep of a snapshot, or of a
+        new stimulus, builds it), the seed arrays of the current stimuli and
+        constraints, and the last plane buffer, written again in place once
+        nothing reads it.  Every later sweep — a warm re-time, or the
+        incremental engine's full update — only moves arrivals, elects,
+        solves and does arithmetic.
         """
         if not isinstance(graph, TimingGraph):
             raise ModelingError("analyze_compiled() expects a TimingGraph")
@@ -438,17 +442,20 @@ class GraphEngine:
         started = time.perf_counter()
         before = self.solver.stats.snapshot()
         solutions: List[StageSolution] = []
-        state = SweepState.empty(2 * cg.n_nets)
+        plan = cg.sweep_plan(input_seeds(cg, graph)[0])
+        setup_seeds, hold_seeds = required_seeds(cg, graph)
+        buffer = cg.sweep_buffer(plan, (setup_seeds is not None,
+                                        hold_seeds is not None))
+        state = buffer.state
         solve_level = self._level_solver(cg, state, solutions, options)
         seed_primary_inputs(cg, graph, state)
-        for level in range(cg.n_levels):
-            net_lo = int(cg.level_ptr[level])
-            net_hi = int(cg.level_ptr[level + 1])
-            events = merge_level(cg, state, net_lo, net_hi)
+        for level in plan.levels:
+            events = merge_level(level, state)
             if events.size:
                 solve_level(events)
         required, hold_required = backward_required(
-            cg, state, *required_seeds(cg, graph))
+            cg, state, setup_seeds, hold_seeds,
+            out=(buffer.required, buffer.hold_required))
         return CompiledAnalysis(
             graph=cg, state=state, required=required,
             hold_required=hold_required, solutions=solutions,

@@ -26,13 +26,19 @@ math runs.  This module freezes a graph into a columnar twin:
   the late plane elects ``max((arrival, slew, source))`` and the early plane
   ``min((early_arrival, slew, source))`` via ``np.lexsort`` with a
   name-rank ordinal standing in for the source tuple, and required times
-  min/max-reduce per fanout segment with ±inf standing in for None.  Since
+  reduce per fanout segment with the NaN-skipping ``np.fmin`` / ``np.fmax``,
+  NaN standing in for None.  Since
   float comparisons carry no rounding, the compiled engine is bit-identical
   to the object engine whenever both are answered by the same stage-solution
   memo (and ≤1e-9 relative otherwise, asserted by the scale benchmark).
-* Their index work depends only on the topology (and, backward, on which
-  events exist), so a :class:`SweepPlan` holds it once per compiled graph
+* Their index work depends only on the topology and on which events exist,
+  itself fixed by the topology and the primary inputs' transitions, so a
+  :class:`SweepPlan` resolves it once per set of seeded root events
   (:meth:`CompiledGraph.sweep_plan`) and every warm full sweep reuses it.
+  The sweep also reuses the plane buffer it published last once nothing
+  reads it (:meth:`CompiledGraph.sweep_buffer`), and the seed arrays of the
+  current stimuli and constraints (:func:`input_seeds`,
+  :func:`required_seeds`), so a warm re-time only moves values.
 
 The driving loop lives in :meth:`repro.sta.batch.GraphEngine.analyze_compiled`
 (it owns the :class:`~repro.core.stage_solver.StageSolver`); this module holds
@@ -59,9 +65,11 @@ re-sweeping the graph.
 
 from __future__ import annotations
 
+import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import chain
+from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -75,9 +83,10 @@ from ..tech.technology import Technology
 from .graph import TimingGraph, check_mode
 
 __all__ = ["TRANSITIONS", "CompiledGraph", "ConfigInterner", "compile_graph",
-           "SweepState", "CompiledAnalysis", "seed_primary_inputs",
-           "merge_level", "merge_nets", "MergePlan", "constraint_seeds",
-           "required_seeds", "backward_required", "RequiredPlan", "SweepPlan"]
+           "SweepState", "CompiledAnalysis", "input_seeds",
+           "seed_primary_inputs", "merge_level", "merge_nets", "MergePlan",
+           "constraint_seeds", "required_seeds", "backward_required",
+           "RequiredPlan", "SweepPlan"]
 
 #: Input-transition axis of the event encoding, in sorted order — index 0 is
 #: ``"fall"``, index 1 is ``"rise"``, so event ids enumerate transitions the
@@ -158,14 +167,24 @@ class CompiledGraph:
     def nbytes(self) -> int:
         """Bytes held by the structure's numpy arrays (the columnar footprint).
 
-        Includes the :class:`SweepPlan` once a sweep has built it.
+        Includes the :class:`SweepPlan` and the cached seed arrays once a
+        sweep has built them (not the sweep's plane buffer).
         """
-        plan = getattr(self, "_sweep_plan_cache", None)
-        return sum(array.nbytes for array in (
+        total = sum(array.nbytes for array in (
             self.level_ptr, self.name_rank, self.fo_indptr, self.fo_indices,
             self.fi_indptr, self.fi_indices, self.load, self.config_id,
-            self.config_load, self.is_endpoint, self.is_sink)) + (
-            plan.nbytes if plan is not None else 0)
+            self.config_load, self.is_endpoint, self.is_sink))
+        plan = getattr(self, "_sweep_plan_cache", None)
+        if plan is not None:
+            total += plan.nbytes
+        inputs = getattr(self, "_input_seeds_cache", None)
+        if inputs is not None:
+            total += sum(array.nbytes for array in inputs[1])
+        constraints = getattr(self, "_required_seeds_cache", None)
+        if constraints is not None:
+            total += sum(seeds.nbytes for seeds in constraints[2]
+                         if seeds is not None)
+        return total
 
     def level_names(self) -> List[List[str]]:
         """The levelization as name lists (the report's ``levels`` field).
@@ -199,17 +218,50 @@ class CompiledGraph:
             self._sink_events_cache = cached
         return cached
 
-    def sweep_plan(self) -> "SweepPlan":
-        """The full sweep's topology-only index work (memoized, see :class:`SweepPlan`).
+    def sweep_plan(self, roots: np.ndarray) -> "SweepPlan":
+        """The :class:`SweepPlan` of the seeded root events ``roots`` (memoized).
 
-        Memoized like :meth:`level_names`: patching is parameter-only, so
-        every warm full sweep of this snapshot reuses one plan.
+        One slot, rebuilt only when a sweep seeds different root events (a
+        primary input that changed transition): a warm full sweep of this
+        snapshot, patched or not, reuses one plan.
         """
         cached = getattr(self, "_sweep_plan_cache", None)
-        if cached is None:
-            cached = SweepPlan(self)
+        if cached is None or not (cached.roots is roots
+                                  or np.array_equal(cached.roots, roots)):
+            cached = SweepPlan(self, roots)
             self._sweep_plan_cache = cached
         return cached
+
+    def sweep_buffer(self, plan: "SweepPlan",
+                     constrained: Tuple[bool, bool]) -> "_PlaneBuffer":
+        """Planes for a full sweep of ``plan``, setup / hold ``constrained``.
+
+        The buffer this returned last, when it was built for the same plan
+        and nothing outside it still reads its planes (:func:`_unshared`: the
+        analysis it backed and every report on it are gone), else a new one
+        from :meth:`SweepPlan.allocate`.  A reused buffer needs no fill: the
+        sweep rewrites every entry of the events that exist, and the others
+        kept their from-scratch values.  Only a required plane whose
+        polarity was constrained and no longer is goes back to all-NaN.
+        """
+        published = getattr(self, "_sweep_buffer_cache", None)
+        if (published is not None and published[0] is plan
+                and _unshared(published[1])):
+            buffer = published[1]
+            for plane, was, now in zip((buffer.required, buffer.hold_required),
+                                       published[2], constrained):
+                if was and not now:
+                    plane.fill(np.nan)
+        else:
+            buffer = plan.allocate(2 * self.n_nets)
+        self._sweep_buffer_cache = (plan, buffer, constrained)
+        return buffer
+
+    def release_sweep_buffer(self, state: "SweepState") -> None:
+        """Stop reusing the buffer behind ``state``: its new owner writes it."""
+        published = getattr(self, "_sweep_buffer_cache", None)
+        if published is not None and published[1].state is state:
+            self._sweep_buffer_cache = None
 
     def patch(self, graph: TimingGraph, *, library: CellLibrary,
               tech: Technology) -> int:
@@ -529,37 +581,117 @@ class SweepState:
         return sum(plane.nbytes for plane in self.planes())
 
 
+class _PlaneBuffer:
+    """One set of per-event planes: a sweep state plus both required planes."""
+
+    __slots__ = ("state", "required", "hold_required")
+
+    def __init__(self, state: SweepState, required: np.ndarray,
+                 hold_required: np.ndarray) -> None:
+        self.state = state
+        self.required = required
+        self.hold_required = hold_required
+
+    def planes(self) -> Tuple[np.ndarray, ...]:
+        return self.state.planes() + (self.required, self.hold_required)
+
+    def clone(self) -> "_PlaneBuffer":
+        return _PlaneBuffer(self.state.clone(), self.required.copy(),
+                            self.hold_required.copy())
+
+
+def _owned_refcount() -> int:
+    """``sys.getrefcount(owner.attribute)`` of an object only that attribute holds.
+
+    2 on CPython (the attribute and the call's argument), measured rather
+    than assumed so interpreter-specific temporaries cancel out.
+    """
+    probe = SimpleNamespace(array=np.empty(0))
+    return sys.getrefcount(probe.array)
+
+
+_OWNED_REFCOUNT = _owned_refcount()
+_STATE_PLANES = tuple(f.name for f in fields(SweepState))
+
+
+def _unshared(buffer: _PlaneBuffer) -> bool:
+    """True when nothing outside ``buffer`` can still read its planes.
+
+    The rule numpy applies in ``ndarray.resize(refcheck=True)``: a live
+    :class:`CompiledAnalysis` (and every report built on it) references the
+    buffer's state and required planes, and a view references its base
+    plane through ``base``, so any outside reader raises some reference
+    count above what the buffer's own attribute accounts for.  Both the
+    full sweep (:meth:`CompiledGraph.sweep_buffer`) and the incremental
+    engine write a buffer in place only when this holds.
+    """
+    if sys.getrefcount(buffer.state) > _OWNED_REFCOUNT:
+        return False
+    return (all(sys.getrefcount(getattr(buffer.state, name)) <= _OWNED_REFCOUNT
+                for name in _STATE_PLANES)
+            and sys.getrefcount(buffer.required) <= _OWNED_REFCOUNT
+            and sys.getrefcount(buffer.hold_required) <= _OWNED_REFCOUNT)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def input_seeds(cg: CompiledGraph, graph: TimingGraph
+                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The primary inputs' ``(events, arrivals, slews)``, events ascending.
+
+    Memoized on ``cg`` for the graph's
+    :attr:`~.graph.TimingGraph.stimulus_version`, so only a sweep after a
+    :meth:`~.graph.TimingGraph.set_input` pays the Python pass over the
+    stimuli.  The arrays are read-only.
+    """
+    cached = getattr(cg, "_input_seeds_cache", None)
+    if cached is None or cached[0] != graph.stimulus_version:
+        cached = (graph.stimulus_version, _primary_input_arrays(cg, graph))
+        cg._input_seeds_cache = cached
+    return cached[1]
+
+
+def _primary_input_arrays(cg: CompiledGraph, graph: TimingGraph
+                          ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What :func:`input_seeds` memoizes: one Python pass over the stimuli."""
+    primary_inputs = graph.primary_inputs
+    count = len(primary_inputs)
+    index = cg.index
+    events = np.fromiter(
+        (index[name] * 2 + TRANSITIONS.index(primary.transition)
+         for name, primary in primary_inputs.items()),
+        dtype=np.int64, count=count)
+    arrivals = np.fromiter((primary.arrival for primary in primary_inputs.values()),
+                           dtype=np.float64, count=count)
+    slews = np.fromiter((primary.slew for primary in primary_inputs.values()),
+                        dtype=np.float64, count=count)
+    order = np.argsort(events)
+    return (_read_only(events[order]), _read_only(arrivals[order]),
+            _read_only(slews[order]))
+
+
 def seed_primary_inputs(cg: CompiledGraph, graph: TimingGraph,
                         state: SweepState,
                         nets: Optional[np.ndarray] = None) -> None:
     """Install the live primary-input stimuli as pending root events.
 
-    ``nets`` restricts the seeding to the roots among those net ids (an
-    incremental sweep's level); None seeds every primary input.  One Python
-    pass reads the stimuli; the planes are written as array assignments.
+    ``nets`` (ascending) restricts the seeding to the roots among those net
+    ids (an incremental sweep's level); None seeds every primary input.
+    The seeds come from :func:`input_seeds`.
     """
-    primary_inputs = graph.primary_inputs
-    if nets is None:
-        index = cg.index
-        roots = [(index[name], primary) for name, primary in primary_inputs.items()]
-    else:
-        order = cg.order
-        roots = [(net_id, primary) for net_id, primary in (
-            (net_id, primary_inputs.get(order[net_id])) for net_id in nets.tolist())
-            if primary is not None]
-    if not roots:
-        return
-    count = len(roots)
-    events = np.fromiter(
-        (net_id * 2 + TRANSITIONS.index(primary.transition) for net_id, primary in roots),
-        dtype=np.int64, count=count)
-    arrivals = np.fromiter((primary.arrival for _, primary in roots),
-                           dtype=np.float64, count=count)
+    events, arrivals, slews = input_seeds(cg, graph)
+    if nets is not None and events.size:
+        roots = events >> 1  # ascending: one seeded event per root net
+        at = np.minimum(np.searchsorted(roots, nets), roots.size - 1)
+        at = at[roots[at] == nets]
+        events, arrivals, slews = events[at], arrivals[at], slews[at]
     state.exists[events] = True
     state.in_arr[events] = arrivals
     state.early_in[events] = arrivals
-    state.in_slew[events] = np.fromiter((primary.slew for _, primary in roots),
-                                        dtype=np.float64, count=count)
+    state.in_slew[events] = slews
 
 
 _LANES = np.array([0, 1], dtype=np.int64)
@@ -597,63 +729,86 @@ def _install(state: SweepState, targets: np.ndarray, sources: np.ndarray, *,
 
 
 class MergePlan:
-    """The topology-only index work of merging fanin events into a set of nets.
+    """The merge of fanin events into a set of nets, resolved against ``exists``.
 
     A fanin source event feeds target event ``target * 2 + (1 - source
-    transition)`` (the inverter flips the edge).  A net with exactly one
+    transition)`` (the inverter flips the edge), so which target events
+    exist follows from which source events do.  The plan keeps only the
+    candidates whose source exists in ``exists``.  A net with exactly one
     fanin net gives each of its events at most one candidate, which wins
-    both planes: the plan holds those nets' (93% of ``soc``) interleaved
-    ``(source event, target event)`` pairs, :attr:`lone_sev` /
-    :attr:`lone_tev`.  The rest are *contested*: every fanin edge expands to
-    its two candidate pairs, :attr:`sev` / :attr:`tev`, stored in ascending
-    order of the source ordinal ``name_rank * 2 + transition`` — the order
-    of the object engine's ``(name, transition)`` tuple comparison.
+    both planes: the plan holds those nets' (93% of ``soc``) ``(source
+    event, target event)`` pairs, :attr:`lone_sev` / :attr:`lone_tev`,
+    ascending by target.  The rest are *contested*: each candidate pair,
+    :attr:`sev` / :attr:`tev`, stored in ascending order of the source
+    ordinal ``name_rank * 2 + transition`` — the order of the object
+    engine's ``(name, transition)`` tuple comparison.  :attr:`events` are
+    the nets' events that exist after the merge, ascending: the targets,
+    plus the events ``exists`` marks on fanin-less nets (primary-input
+    roots, seeded before the merge).
 
-    :meth:`run` reads the state: it keeps the candidates whose source event
-    exists, installs the lone ones and elects the contested ones with one
-    stable ``np.lexsort`` per plane — last-in-group for the late plane
-    (``max`` of (arrival, slew, ordinal)), first-in-group for the early
-    plane (``min`` of (early arrival, slew, ordinal)).  The candidates are
-    already in ordinal order, so the stable sort breaks (arrival, slew) ties
-    by ordinal without an ordinal key, and the election is independent of
-    edge order, bit for bit.  The election only compares candidates sharing
-    a target event, so any set of nets gives the winners a full level would.
+    :meth:`install` writes what existence alone fixes — the events'
+    ``exists`` flags and the lone targets' sources — and :meth:`run` the
+    rest: lone targets copy their source's outputs, and contested ones are
+    elected with one stable ``np.lexsort`` per plane — last-in-group for the
+    late plane (``max`` of (arrival, slew, ordinal)), first-in-group for the
+    early plane (``min`` of (early arrival, slew, ordinal)).  The candidates
+    are already in ordinal order, so the stable sort breaks (arrival, slew)
+    ties by ordinal without an ordinal key, and the election is independent
+    of edge order, bit for bit.  The election only compares candidates
+    sharing a target event, so any set of nets gives the winners a full
+    level would.
     """
 
-    __slots__ = ("lone_sev", "lone_tev", "sev", "tev")
+    __slots__ = ("lone_sev", "lone_tev", "sev", "tev", "events")
 
-    def __init__(self, cg: CompiledGraph, nets: np.ndarray) -> None:
+    def __init__(self, cg: CompiledGraph, nets: np.ndarray,
+                 exists: np.ndarray) -> None:
         counts = cg.fi_indptr[nets + 1] - cg.fi_indptr[nets]
         lone = nets[counts == 1]
-        self.lone_sev = _interleave(cg.fi_indices[cg.fi_indptr[lone]])
-        self.lone_tev = _interleave(lone) ^ 1
+        lone_sev = _interleave(cg.fi_indices[cg.fi_indptr[lone]]) ^ 1
+        keep = exists[lone_sev]
+        self.lone_sev, self.lone_tev = lone_sev[keep], _interleave(lone)[keep]
+        self.sev = self.tev = _NO_EVENTS
+        targets = [self.lone_tev]
         contested = nets[counts > 1]
-        if not contested.size:
-            self.sev = self.tev = _NO_EVENTS
-            return
-        source_net, counts = _csr_rows(cg.fi_indptr, cg.fi_indices, contested)
-        sev = _interleave(source_net)
-        tev = _interleave(np.repeat(contested, counts)) ^ 1
-        by_ordinal = np.argsort(cg.name_rank[sev >> 1] * 2 + (sev & 1),
-                                kind="stable")
-        self.sev, self.tev = sev[by_ordinal], tev[by_ordinal]
+        if contested.size:
+            source_net, fanins = _csr_rows(cg.fi_indptr, cg.fi_indices, contested)
+            sev = _interleave(source_net)
+            keep = exists[sev]
+            sev = sev[keep]
+            tev = (_interleave(np.repeat(contested, fanins)) ^ 1)[keep]
+            by_ordinal = np.argsort(cg.name_rank[sev >> 1] * 2 + (sev & 1),
+                                    kind="stable")
+            self.sev, self.tev = sev[by_ordinal], tev[by_ordinal]
+            targets.append(np.unique(self.tev))
+        roots = _interleave(nets[counts == 0])
+        if roots.size:
+            targets.append(roots[exists[roots]])
+        self.events = (targets[0] if len(targets) == 1
+                       else np.sort(np.concatenate(targets)))
 
     @property
     def nbytes(self) -> int:
         return (self.lone_sev.nbytes + self.lone_tev.nbytes + self.sev.nbytes
-                + self.tev.nbytes)
+                + self.tev.nbytes
+                + (0 if self.events is self.lone_tev else self.events.nbytes))
+
+    def install(self, state: SweepState) -> None:
+        """Write what existence fixes: the events' flags, the lone targets' sources."""
+        state.exists[self.events] = True
+        state.src[self.lone_tev] = self.lone_sev
+        state.early_src[self.lone_tev] = self.lone_sev
 
     def run(self, state: SweepState) -> None:
-        """Install the merge winners of the plan's nets into ``state``."""
-        if self.lone_sev.size:
-            keep = np.flatnonzero(state.exists[self.lone_sev])
-            _install(state, self.lone_tev[keep], self.lone_sev[keep])
-        if not self.sev.size:
+        """Install the merge winners' arrivals, slews and elected sources."""
+        tev, sev = self.lone_tev, self.lone_sev
+        if tev.size:
+            state.in_arr[tev] = state.out_arr[sev]
+            state.in_slew[tev] = state.prop_slew[sev]
+            state.early_in[tev] = state.early_out[sev]
+        sev, tev = self.sev, self.tev
+        if not sev.size:
             return
-        keep = np.flatnonzero(state.exists[self.sev])
-        if not keep.size:
-            return
-        sev, tev = self.sev[keep], self.tev[keep]
         slew = state.prop_slew[sev]
         late = np.lexsort((slew, state.out_arr[sev], tev))
         grouped = tev[late]
@@ -672,34 +827,31 @@ class MergePlan:
 def merge_nets(cg: CompiledGraph, state: SweepState, nets: np.ndarray) -> None:
     """Merge fanin events into the (arbitrary) net ids ``nets`` of one level.
 
-    Vectorized twin of ``GraphEngine._merge``: builds the nets'
-    :class:`MergePlan` and runs it, the same election :func:`merge_level`
-    runs from the compiled graph's cached plans.  The election is per target
-    event, so the masked incremental sweep merges any set of nets
-    bit-identically.  Merge only installs winners, it never erases a stale
-    event: the caller marks the nets' events non-existent first.
+    Vectorized twin of ``GraphEngine._merge``: resolves the nets'
+    :class:`MergePlan` against ``state.exists`` and installs and runs it —
+    the code :func:`merge_level` runs from a :class:`SweepPlan`.  The
+    election is per target event, so the masked incremental sweep merges
+    any set of nets bit-identically.  Merge only installs winners, it never
+    erases a stale event: the caller marks the nets' events non-existent
+    first (and seeds the roots among them).
     """
-    MergePlan(cg, nets).run(state)
-
-
-def merge_level(cg: CompiledGraph, state: SweepState,
-                net_lo: int, net_hi: int) -> np.ndarray:
-    """Merge fanin events into nets ``[net_lo, net_hi)``; return the level's events.
-
-    A whole level of a :class:`CompiledGraph` runs its cached
-    :class:`MergePlan` from :meth:`CompiledGraph.sweep_plan`; any other span
-    (or graph-like object) builds its plan as :func:`merge_nets` does.
-    Returns the event ids existing in the level span *after* the merge —
-    including primary-input seeds installed by the caller (roots have no
-    fanin, so they never compete in a merge).
-    """
-    plan = None
-    if isinstance(cg, CompiledGraph):
-        plan = cg.sweep_plan().merges.get((net_lo, net_hi))
-    if plan is None:
-        plan = MergePlan(cg, np.arange(net_lo, net_hi, dtype=np.int64))
+    plan = MergePlan(cg, nets, state.exists)
+    plan.install(state)
     plan.run(state)
-    return np.flatnonzero(state.exists[net_lo * 2:net_hi * 2]) + net_lo * 2
+
+
+def merge_level(plan: MergePlan, state: SweepState) -> np.ndarray:
+    """Run one level's :class:`MergePlan` of a :class:`SweepPlan`; return its events.
+
+    ``state`` is a buffer :meth:`SweepPlan.allocate` built (the events'
+    flags and the lone sources are installed once per buffer), seeded by
+    :func:`seed_primary_inputs`, so the merge only moves arrivals and slews
+    and elects the contested winners.  The returned event ids, ascending,
+    include the primary-input seeds of a root level (roots have no fanin,
+    so they never compete in a merge).
+    """
+    plan.run(state)
+    return plan.events
 
 
 def level_solve_keys(cg: CompiledGraph, state: SweepState, events: np.ndarray
@@ -841,18 +993,30 @@ def constraint_seeds(cg: CompiledGraph, graph: TimingGraph,
 
 def required_seeds(cg: CompiledGraph, graph: TimingGraph
                    ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-    """Dense (setup, hold) :func:`constraint_seeds` of ``graph``.
+    """Dense (setup, hold) :func:`constraint_seeds` of ``graph``, read-only.
 
     A polarity the graph leaves unconstrained is None, so its required plane
-    stays all-NaN.
+    stays all-NaN.  Memoized on ``cg``: seeds depend on the constraints and
+    on the endpoint mask only, so they are rebuilt when the graph's
+    :attr:`~.graph.TimingGraph.constraint_version` moves or a patch replaced
+    :attr:`CompiledGraph.is_endpoint`.
     """
-    return (constraint_seeds(cg, graph, "setup") if graph.setup_constrained else None,
-            constraint_seeds(cg, graph, "hold") if graph.hold_constrained else None)
+    cached = getattr(cg, "_required_seeds_cache", None)
+    if (cached is None or cached[0] != graph.constraint_version
+            or cached[1] is not cg.is_endpoint):
+        seeds = tuple(
+            _read_only(constraint_seeds(cg, graph, mode)) if constrained else None
+            for mode, constrained in (("setup", graph.setup_constrained),
+                                      ("hold", graph.hold_constrained)))
+        cached = (graph.constraint_version, cg.is_endpoint, seeds)
+        cg._required_seeds_cache = cached
+    return cached[2]
 
 
 def backward_required(cg: CompiledGraph, state: SweepState,
                       setup_seeds: Optional[np.ndarray],
-                      hold_seeds: Optional[np.ndarray]
+                      hold_seeds: Optional[np.ndarray], *,
+                      out: Optional[Tuple[np.ndarray, np.ndarray]] = None
                       ) -> Tuple[np.ndarray, np.ndarray]:
     """Array backward pass: (required, hold_required) planes, NaN = None.
 
@@ -861,19 +1025,25 @@ def backward_required(cg: CompiledGraph, state: SweepState,
     minimum of its seed and, per fanout consumer (the consumer event keyed by
     this event's *output* transition), the consumer's required minus the
     consumer's stage delay; hold is the mirror with the maximum.  None rides
-    as NaN at the boundary and as ±inf inside the reduction — min/max are
-    exact on floats, so the result is bit-identical to the object pass.
-    An unconstrained polarity (seeds None) stays all-NaN.  The pass runs the
-    :class:`RequiredPlan` of every existing event that
-    :meth:`SweepPlan.required_plan` keeps while the events stay the same.
+    as NaN, which ``np.fmin`` / ``np.fmax`` skip — min/max are exact on
+    floats, so the result is bit-identical to the object pass.  An
+    unconstrained polarity (seeds None) stays all-NaN.
+
+    ``state`` is a complete sweep of ``cg``: its events are those of the
+    :class:`SweepPlan` of its root events, whose :class:`RequiredPlan` the
+    pass runs.  The planes are new, or ``out``: planes that hold NaN
+    wherever the pass does not write (every event that does not exist, and
+    every event of an unconstrained polarity).
     """
-    n_events = 2 * cg.n_nets
-    required = np.full(n_events, np.nan)
-    hold_required = np.full(n_events, np.nan)
+    if out is None:
+        n_events = 2 * cg.n_nets
+        out = (np.full(n_events, np.nan), np.full(n_events, np.nan))
+    required, hold_required = out
     if setup_seeds is None and hold_seeds is None:
         return required, hold_required
-    cg.sweep_plan().required_plan(cg, state.exists).run(
-        state, setup_seeds, hold_seeds, required, hold_required)
+    roots = np.flatnonzero(state.exists[:2 * int(cg.level_ptr[1])])
+    cg.sweep_plan(roots).required.run(state, setup_seeds, hold_seeds,
+                                      required, hold_required)
     return required, hold_required
 
 
@@ -890,12 +1060,14 @@ class RequiredPlan:
     in descending order: an event's value depends on its consumers' entries,
     which sit on later levels, never on its level peers.  The plan depends
     only on the topology and on which events exist, so the full pass keeps
-    one per compiled graph (:meth:`SweepPlan.required_plan`).  A consumer
-    event that does not exist holds NaN in both required planes (the full
-    pass writes existing events only, and the cone pass resets its cone
-    before running), so it drops out of the reduction like an unconstrained
-    one.  Seeds are finite or NaN and are read by event id, so any store
-    that indexes like a dense seed plane serves.
+    it in the :class:`SweepPlan`.  Required times reduce with ``np.fmin`` /
+    ``np.fmax``, which skip NaN: a consumer that is unconstrained, or does
+    not exist (it holds NaN in both required planes: the full pass writes
+    existing events only, and the cone pass resets its cone before
+    running), drops out of the reduction, and an event none of whose seed
+    and consumers is constrained stays NaN.  Seeds are finite or NaN and
+    are read by event id, so any store that indexes like a dense seed plane
+    serves.
     """
 
     __slots__ = ("consumer", "events", "leaves", "steps")
@@ -927,63 +1099,67 @@ class RequiredPlan:
             hold_required: np.ndarray) -> None:
         """Write the plan's events into the ``required`` / ``hold_required`` planes."""
         delay = state.delay[self.consumer]
-        #: (plane, ufunc, identity, inner seeds) per constrained polarity.
+        #: (plane, NaN-skipping reduction, inner seeds) per constrained polarity.
         polarities = []
-        for plane, seeds, ufunc, identity in ((required, setup_seeds, np.minimum, np.inf),
-                                              (hold_required, hold_seeds, np.maximum,
-                                               -np.inf)):
+        for plane, seeds, ufunc in ((required, setup_seeds, np.fmin),
+                                    (hold_required, hold_seeds, np.fmax)):
             if seeds is not None:
                 plane[self.leaves] = seeds[self.leaves]
-                seed = seeds[self.events]
-                seed[np.isnan(seed)] = identity
-                polarities.append((plane, ufunc, identity, seed))
+                polarities.append((plane, ufunc, seeds[self.events]))
         for events, consumers, starts in self.steps:
             targets, consumer = self.events[events], self.consumer[consumers]
-            for plane, ufunc, identity, seeds in polarities:
+            for plane, ufunc, seeds in polarities:
                 upstream = plane[consumer] - delay[consumers]
-                upstream[np.isnan(upstream)] = identity
-                value = ufunc(seeds[events], ufunc.reduceat(upstream, starts))
-                value[np.isinf(value)] = np.nan
-                plane[targets] = value
+                plane[targets] = ufunc(seeds[events],
+                                       ufunc.reduceat(upstream, starts))
 
 
 class SweepPlan:
-    """The index work of a full compiled sweep, built once per :class:`CompiledGraph`.
+    """The index work of a full compiled sweep, resolved against its stimulus.
 
-    Everything here depends only on the topology (adjacency, levels, name
-    ranks), which only a recompile changes — :meth:`CompiledGraph.patch`
-    keeps it — so a warm full sweep reuses it unchanged: one
-    :class:`MergePlan` per level, keyed by the level's ``(net_lo, net_hi)``
-    span.  The backward pass also depends on which events exist, so
-    :meth:`required_plan` keeps one :class:`RequiredPlan` next to the
-    ``exists`` plane it was built for and rebuilds it when a sweep's events
-    differ (a primary input that changed transition).
+    Which events exist is a pure function of the topology and of the root
+    events the primary inputs seed (their transitions): ``roots``, the
+    plan's key.  Resolving the sweep against them once leaves it only the
+    work whose result can change: one :class:`MergePlan` per level in
+    :attr:`levels` (just the candidates whose source exists, and the
+    level's events) and the :class:`RequiredPlan` of every existing event
+    in :attr:`required`.  :meth:`CompiledGraph.sweep_plan` keeps the plan
+    of the last root events it was asked for — one key and one rebuild rule
+    for the forward and the backward plans — and a patch keeps it (a
+    parameter edit never changes which events exist).
     """
 
-    def __init__(self, cg: CompiledGraph) -> None:
+    __slots__ = ("roots", "levels", "required")
+
+    def __init__(self, cg: CompiledGraph, roots: np.ndarray) -> None:
+        exists = np.zeros(2 * cg.n_nets, dtype=bool)
+        exists[roots] = True
         bounds = cg.level_ptr.tolist()
-        self.merges: Dict[Tuple[int, int], MergePlan] = {
-            (lo, hi): MergePlan(cg, np.arange(lo, hi, dtype=np.int64))
-            for lo, hi in zip(bounds, bounds[1:])}
-        #: (exists plane, its RequiredPlan), replaced as one tuple.
-        self._required: Optional[Tuple[np.ndarray, RequiredPlan]] = None
+        self.roots = roots
+        self.levels: List[MergePlan] = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            plan = MergePlan(cg, np.arange(lo, hi, dtype=np.int64), exists)
+            exists[plan.events] = True
+            self.levels.append(plan)
+        self.required = RequiredPlan(cg, np.flatnonzero(exists))
 
     @property
     def nbytes(self) -> int:
-        total = sum(plan.nbytes for plan in self.merges.values())
-        required = self._required
-        if required is not None:
-            total += required[0].nbytes + required[1].nbytes
-        return total
+        return (self.roots.nbytes + self.required.nbytes
+                + sum(plan.nbytes for plan in self.levels))
 
-    def required_plan(self, cg: CompiledGraph, exists: np.ndarray) -> RequiredPlan:
-        """The :class:`RequiredPlan` of every event ``exists`` marks."""
-        cached = self._required
-        if cached is not None and np.array_equal(cached[0], exists):
-            return cached[1]
-        plan = RequiredPlan(cg, np.flatnonzero(exists))
-        self._required = (exists.copy(), plan)
-        return plan
+    def allocate(self, n_events: int) -> _PlaneBuffer:
+        """New planes for this plan's sweeps: from-scratch values, existence installed.
+
+        A sweep of the plan writes every plane of every event that exists,
+        so a buffer can serve sweep after sweep of the same plan with no
+        fill: the entries of the events that never exist keep these values.
+        """
+        state = SweepState.empty(n_events)
+        for plan in self.levels:
+            plan.install(state)
+        return _PlaneBuffer(state, np.full(n_events, np.nan),
+                            np.full(n_events, np.nan))
 
 
 class CompiledAnalysis:

@@ -59,6 +59,7 @@ from it by :meth:`~repro.api.TimingReport.from_graph_report`.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from contextlib import contextmanager
@@ -84,6 +85,12 @@ CHECK_MODES = ("setup", "hold")
 #: instance with attribute storage, and never a ``__dict__`` for the garbage
 #: collector to track.
 _SLOTS = {"slots": True} if sys.version_info >= (3, 10) else {}
+
+#: The values of every graph's :attr:`~TimingGraph.stimulus_version` and
+#: :attr:`~TimingGraph.constraint_version`: one process-wide sequence, so a
+#: value names one state of one graph and a cache keyed on it never mistakes
+#: one graph for another.
+_INPUT_STAMPS = itertools.count(1)
 
 
 def check_mode(mode: str) -> str:
@@ -236,6 +243,8 @@ class TimingGraph:
         self._constraints_dirty = False
         self._version = 0
         self._topology_version = 0
+        self._stimulus_version = next(_INPUT_STAMPS)
+        self._constraint_version = next(_INPUT_STAMPS)
         #: net name -> version at which its parameters (driver, line, load,
         #: receiver) last changed — the delta a compiled snapshot patches from.
         self._param_edits: Dict[str, int] = {}
@@ -266,6 +275,26 @@ class TimingGraph:
         """
         return self._topology_version
 
+    @property
+    def stimulus_version(self) -> int:
+        """Primary-input edit counter: a new value on every :meth:`set_input`.
+
+        Like :attr:`constraint_version` it only moves forward — a
+        :meth:`transaction` that rolls back a :meth:`set_input` draws it a
+        new value instead of restoring the old one — and its values are
+        unique across all graphs of the process: caches of what the stimuli
+        derive (the compiled sweep's seed arrays) key on it, and an equal
+        value always means the same stimuli of the same graph.
+        """
+        return self._stimulus_version
+
+    @property
+    def constraint_version(self) -> int:
+        """Constraint edit counter: a new value on every :meth:`set_clock_period`
+        and :meth:`set_required` (monotonic and process-unique, see
+        :attr:`stimulus_version`)."""
+        return self._constraint_version
+
     def param_edits_since(self, version: int) -> Set[str]:
         """Names whose parameters changed after graph version ``version``.
 
@@ -289,10 +318,15 @@ class TimingGraph:
         Scalars (versions, levels, clock defaults, dirty flag) are saved as
         the block opens, and each dict entry (net, fan-in, parameter-edit
         mark, input, pin, dirty net) at the block's first write to it, so the
-        cost is what the block touches.  Transactions nest.
+        cost is what the block touches.  Transactions nest.  The stimulus
+        and constraint versions are never restored: a rollback that undoes
+        an input or constraint edit draws them a new value, so nothing
+        cached under the block's values, or under the values before it, is
+        taken for the restored state.
         """
         scalars = (self._version, self._topology_version, self._constraints_dirty,
                    self._levels, self._clock_period, self._hold_margin)
+        stamps = (self._stimulus_version, self._constraint_version)
         entries: Dict[Tuple[int, str], Tuple[dict, str, Any]] = {}
         callbacks: List[Callable[["TimingGraph"], None]] = []
         self._savepoints.append((entries, callbacks))
@@ -303,6 +337,12 @@ class TimingGraph:
                 self._put(store, key, value)
             (self._version, self._topology_version, self._constraints_dirty,
              self._levels, self._clock_period, self._hold_margin) = scalars
+            # What was cached under the block's stamps describes undone
+            # edits, and the stamps from before may have been replaced too.
+            if self._stimulus_version != stamps[0]:
+                self._stimulus_version = next(_INPUT_STAMPS)
+            if self._constraint_version != stamps[1]:
+                self._constraint_version = next(_INPUT_STAMPS)
             for callback in callbacks:
                 callback(self)
             raise
@@ -465,6 +505,7 @@ class TimingGraph:
         self._clock_period = period
         self._hold_margin = hold_margin
         self._constraints_dirty = True
+        self._constraint_version = next(_INPUT_STAMPS)
 
     def set_required(self, name: str, required: Optional[float], *,
                      transition: Optional[str] = None,
@@ -498,6 +539,7 @@ class TimingGraph:
                 per_net[direction] = required
         self._put(pins, name, per_net if per_net else _MISSING)
         self._constraints_dirty = True
+        self._constraint_version = next(_INPUT_STAMPS)
 
     def required_for(self, name: str, transition: str,
                      mode: str = "setup") -> Optional[float]:
@@ -623,6 +665,7 @@ class TimingGraph:
             raise ModelingError("set_input() expects a PrimaryInput")
         self._put(self.primary_inputs, name, primary_input)
         self._mark_dirty(name)
+        self._stimulus_version = next(_INPUT_STAMPS)
 
     def add_fanout(self, driver: str, sink: str) -> None:
         """Connect ``driver``'s far end to ``sink``'s driver input.

@@ -43,19 +43,18 @@ update whose ``incremental`` stats say how much of the graph was touched.
 
 from __future__ import annotations
 
-import sys
 import time
-from dataclasses import dataclass, fields
-from types import SimpleNamespace
-from typing import TYPE_CHECKING, FrozenSet, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, FrozenSet, List, Optional, Set
 
 import numpy as np
 
 from ..core.stage_solver import StageSolution
 from ..errors import ModelingError
 from .compiled import (CompiledAnalysis, CompiledGraph, RequiredPlan,
-                       SweepState, _csr_rows, _interleave, backward_required,
-                       merge_nets, required_seeds, seed_primary_inputs)
+                       SweepState, _csr_rows, _interleave, _PlaneBuffer,
+                       _unshared, backward_required, merge_nets,
+                       required_seeds, seed_primary_inputs)
 from .graph import IncrementalStats, TimingGraph
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a circular import
@@ -179,82 +178,6 @@ def incremental_required(cg: CompiledGraph, state: SweepState,
     return cone
 
 
-class _PlaneBuffer:
-    """One set of per-event planes: a sweep state plus both required planes."""
-
-    __slots__ = ("state", "required", "hold_required")
-
-    def __init__(self, state: SweepState, required: np.ndarray,
-                 hold_required: np.ndarray) -> None:
-        self.state = state
-        self.required = required
-        self.hold_required = hold_required
-
-    def planes(self) -> Tuple[np.ndarray, ...]:
-        return self.state.planes() + (self.required, self.hold_required)
-
-    def clone(self) -> "_PlaneBuffer":
-        return _PlaneBuffer(self.state.clone(), self.required.copy(),
-                            self.hold_required.copy())
-
-
-class _SparseSeeds:
-    """One polarity's constraint seeds, kept as its constrained events only.
-
-    Indexes like the dense plane :func:`~.compiled.constraint_seeds` returns
-    (NaN = unconstrained), so :class:`~.compiled.RequiredPlan` reads it
-    unchanged.  It holds 16 bytes per constrained event (the endpoints and
-    the pins) instead of 8 bytes per event, which is what lets the engine
-    keep seeds across updates next to its two plane buffers.
-    """
-
-    __slots__ = ("events", "values")
-
-    def __init__(self, plane: np.ndarray) -> None:
-        self.events = np.flatnonzero(~np.isnan(plane))
-        self.values = plane[self.events]
-
-    def __getitem__(self, events: np.ndarray) -> np.ndarray:
-        seeds = np.full(events.shape, np.nan)
-        if self.events.size:
-            at = np.minimum(np.searchsorted(self.events, events),
-                            self.events.size - 1)
-            hit = self.events[at] == events
-            seeds[hit] = self.values[at[hit]]
-        return seeds
-
-
-def _owned_refcount() -> int:
-    """``sys.getrefcount(owner.attribute)`` of an object only that attribute holds.
-
-    2 on CPython (the attribute and the call's argument), measured rather
-    than assumed so interpreter-specific temporaries cancel out.
-    """
-    probe = SimpleNamespace(array=np.empty(0))
-    return sys.getrefcount(probe.array)
-
-
-_OWNED_REFCOUNT = _owned_refcount()
-_STATE_PLANES = tuple(f.name for f in fields(SweepState))
-
-
-def _unshared(buffer: _PlaneBuffer) -> bool:
-    """True when nothing outside ``buffer`` can still read its planes.
-
-    The rule numpy applies in ``ndarray.resize(refcheck=True)``: a live
-    :class:`~.compiled.CompiledAnalysis` (and every report built on it)
-    references the buffer's state and required planes, and a view references
-    its base plane through ``base``, so any outside reader raises some
-    reference count above what the buffer's own attribute accounts for.
-    """
-    if sys.getrefcount(buffer.state) > _OWNED_REFCOUNT:
-        return False
-    return (all(sys.getrefcount(getattr(buffer.state, name)) <= _OWNED_REFCOUNT
-                for name in _STATE_PLANES)
-            and sys.getrefcount(buffer.required) <= _OWNED_REFCOUNT
-            and sys.getrefcount(buffer.hold_required) <= _OWNED_REFCOUNT)
-
-
 class CompiledIncrementalEngine:
     """The compiled twin of :class:`repro.sta.batch.IncrementalEngine`.
 
@@ -298,10 +221,6 @@ class CompiledIncrementalEngine:
         #: Event ids where the spare differs from the live buffer (None =
         #: potentially every event).
         self._written: Optional[np.ndarray] = None
-        #: (endpoint mask, setup seeds, hold seeds) of the masked required
-        #: pass, rebuilt after constraint edits and endpoint flips.
-        self._seeds: Optional[Tuple[np.ndarray, Optional[_SparseSeeds],
-                                    Optional[_SparseSeeds]]] = None
         self._solutions: List[StageSolution] = []
         self._timed = False
         #: Nets the last update re-timed or re-required (None = potentially
@@ -314,7 +233,6 @@ class CompiledIncrementalEngine:
         self._live = None
         self._spare = None
         self._written = None
-        self._seeds = None
         self._solutions = []
         self._timed = False
         self.last_changed_nets = None
@@ -326,6 +244,7 @@ class CompiledIncrementalEngine:
     def _full_update(self, cg: CompiledGraph, *, patched_nets: int,
                      dirty_nets: int) -> CompiledAnalysis:
         analysis = self.engine.analyze_compiled(self.graph, compiled_graph=cg)
+        cg.release_sweep_buffer(analysis.state)  # these planes are ours now
         spare = self._spare
         if spare is not None and spare.required.size != analysis.required.size:
             spare = None
@@ -334,7 +253,6 @@ class CompiledIncrementalEngine:
                                   analysis.hold_required)
         self._spare = spare
         self._written = None
-        self._seeds = None
         self._solutions = analysis.solutions
         self._timed = True
         self.last_changed_nets = None
@@ -359,21 +277,6 @@ class CompiledIncrementalEngine:
             else:
                 target[written] = source[written]
         return spare
-
-    def _required_seeds(self, cg: CompiledGraph
-                        ) -> Tuple[Optional[_SparseSeeds], Optional[_SparseSeeds]]:
-        """Constraint seeds of the constrained polarities, cached across updates.
-
-        Seeds depend on the constraints and on the endpoint mask only, so
-        they are rebuilt after a constraint edit dropped them or when a patch
-        replaced :attr:`~.compiled.CompiledGraph.is_endpoint`.
-        """
-        seeds = self._seeds
-        if seeds is None or seeds[0] is not cg.is_endpoint:
-            seeds = self._seeds = (cg.is_endpoint, *(
-                None if plane is None else _SparseSeeds(plane)
-                for plane in required_seeds(cg, self.graph)))
-        return seeds[1], seeds[2]
 
     def update(self, cg: CompiledGraph, *,
                patched_nets: int = 0) -> CompiledAnalysis:
@@ -425,13 +328,12 @@ class CompiledIncrementalEngine:
             if constraints_dirty:
                 # Constraint edits can move required times anywhere: re-seed
                 # and re-run the full backward pass (pure arithmetic).
-                self._seeds = None
                 buffer.required, buffer.hold_required = backward_required(
                     cg, state, *required_seeds(cg, graph))
                 required_nets = len(graph)
                 written = None
             elif delta.changed.size and graph.constrained:
-                setup_seeds, hold_seeds = self._required_seeds(cg)
+                setup_seeds, hold_seeds = required_seeds(cg, graph)
                 region = incremental_required(
                     cg, state, delta.changed, setup_seeds, hold_seeds,
                     buffer.required, buffer.hold_required)

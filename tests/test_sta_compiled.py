@@ -16,13 +16,16 @@ The contract under test, layer by layer:
   tuples);
 * the level dedupe (``level_solve_keys``) gives exactly the keys, order and
   inverse map of the ``np.unique(axis=0)`` row sort it replaced, and the
-  merge (``merge_level``), which installs one-fanin targets directly, elects
+  merge (``merge_nets``), which installs one-fanin targets directly, elects
   exactly the winners of the all-lexsort election it replaced; the dedupe of
   events keyed by their source's solution gives the same rows;
-* the planned full sweep (merge and backward-pass plans cached on the
+* the planned full sweep (merge and backward-pass plans resolved against
+  the stimulus, a reused plane buffer and cached seeds, all kept on the
   compiled graph) equals, in every plane, the per-sweep kernels it replaced
-  (kept below), cold and warm, after a resize and after a root transition
-  flip; a counter gate pins one plan build per topology;
+  (kept below) on from-scratch planes: cold and warm, after resizes, a root
+  transition flip, an endpoint flip and a dropped polarity, and after
+  rolled-back stimulus and constraint edits; held reports keep their
+  planes; a counter gate pins what a warm re-time builds and allocates;
 * :class:`StreamingTimingReport` answers every report query like the eager
   report and serializes to the identical payload;
 * the session times every design (paths, graphs, builders) on the compiled
@@ -37,6 +40,7 @@ The contract under test, layer by layer:
 import dataclasses
 import random
 import time
+import weakref
 from types import SimpleNamespace
 from typing import Dict, List, Tuple
 
@@ -70,11 +74,12 @@ from repro.sta import (
     chain_graph,
     compile_graph,
 )
-from repro.sta import batch
+from repro.sta import batch, compiled
 from repro.sta.compiled import (TRANSITIONS, CompiledGraph, ConfigInterner,
-                                RequiredPlan, SweepPlan, _coded_solve_keys,
+                                MergePlan, SweepPlan, _coded_solve_keys,
                                 _csr_rows, _install, _interleave,
-                                level_solve_keys, merge_level)
+                                constraint_seeds, input_seeds, level_solve_keys,
+                                merge_nets)
 from repro.units import fF, mm, nH, pF, ps
 
 
@@ -492,7 +497,7 @@ def assert_dedupe_matches_row_sort(cg, slews, events, state=None):
 def lexsort_merge_level(cg, state, net_lo, net_hi):
     """Reference merge: the two-plane lexsort election over every fanin edge.
 
-    The election ``merge_level`` ran before one-fanin targets installed
+    The election the merge ran before one-fanin targets installed
     their lone candidate directly: every candidate, of every target, goes
     through both lexsorts.
     """
@@ -523,9 +528,14 @@ def lexsort_merge_level(cg, state, net_lo, net_hi):
 
 
 def assert_merges_match_reference(cg, state, net_lo, net_hi):
-    """``merge_level`` on a copy of ``state`` equals the reference, plane by plane."""
+    """``merge_nets`` of a level, on a copy of ``state``, equals the reference.
+
+    Plane by plane, and the plan's events are the level's existing events.
+    """
     ours, theirs = state.clone(), state.clone()
-    events = merge_level(cg, ours, net_lo, net_hi)
+    nets = np.arange(net_lo, net_hi, dtype=np.int64)
+    events = MergePlan(cg, nets, ours.exists).events
+    merge_nets(cg, ours, nets)
     lexsort_merge_level(cg, theirs, net_lo, net_hi)
     for name, mine, reference in zip(
             [f.name for f in dataclasses.fields(SweepState)],
@@ -686,13 +696,48 @@ def per_sweep_backward_required(cg, state, setup_seeds, hold_seeds):
 
 
 def per_sweep_analysis(engine, graph, cg):
-    """``analyze_compiled`` of ``cg`` with the reference kernels swapped in."""
+    """A full sweep of ``cg`` by the reference kernels, on from-scratch planes.
+
+    Nothing of what the compiled graph keeps for its sweeps is read: no
+    plan, no cached seeds, no reused buffer.
+    """
+    state = SweepState.empty(2 * cg.n_nets)
+    solutions = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(batch, "seed_primary_inputs", per_sweep_seed_primary_inputs)
-        patch.setattr(batch, "merge_level", per_sweep_merge_level)
         patch.setattr(batch, "level_solve_keys", per_sweep_level_solve_keys)
-        patch.setattr(batch, "backward_required", per_sweep_backward_required)
-        return engine.analyze_compiled(graph, compiled_graph=cg)
+        solve_level = engine._level_solver(cg, state, solutions)
+        per_sweep_seed_primary_inputs(cg, graph, state)
+        for level in range(cg.n_levels):
+            events = per_sweep_merge_level(cg, state, int(cg.level_ptr[level]),
+                                           int(cg.level_ptr[level + 1]))
+            if events.size:
+                solve_level(events)
+    required, hold_required = per_sweep_backward_required(cg, state, *(
+        constraint_seeds(cg, graph, mode) if constrained else None
+        for mode, constrained in (("setup", graph.setup_constrained),
+                                  ("hold", graph.hold_constrained))))
+    return SimpleNamespace(state=state, required=required,
+                           hold_required=hold_required, solutions=solutions)
+
+
+def current_plan(cg, graph):
+    """The :class:`SweepPlan` a sweep of ``graph``'s current stimuli runs."""
+    return cg.sweep_plan(input_seeds(cg, graph)[0])
+
+
+def plane_bytes(analysis):
+    """Every plane of ``analysis``, as bytes (a frozen capture)."""
+    captured = {f.name: getattr(analysis.state, f.name).tobytes()
+                for f in dataclasses.fields(SweepState)}
+    captured["required"] = analysis.required.tobytes()
+    captured["hold_required"] = analysis.hold_required.tobytes()
+    return captured
+
+
+def flip_root(graph, root):
+    primary = graph.primary_inputs[root]
+    graph.set_input(root, dataclasses.replace(
+        primary, transition="rise" if primary.transition == "fall" else "fall"))
 
 
 def assert_sweeps_identical(ours, reference):
@@ -746,9 +791,9 @@ class TestPlannedSweep:
         assert graph.hold_constrained == (constrained != "setup")
         cg = engine.compile(graph)
         cold = engine.analyze_compiled(graph, compiled_graph=cg)
-        plan = cg.sweep_plan()
+        plan = current_plan(cg, graph)
         warm = engine.analyze_compiled(graph, compiled_graph=cg)
-        assert cg.sweep_plan() is plan
+        assert current_plan(cg, graph) is plan
         reference = per_sweep_analysis(engine, graph, cg)
         assert_sweeps_identical(cold, reference)
         assert_sweeps_identical(warm, reference)
@@ -757,73 +802,224 @@ class TestPlannedSweep:
         graph = planned_sweep_design("soc10k", None)
         session = shared_session(solver)
         cg = session.time(graph).analysis.graph
-        plan = cg.sweep_plan()
-        backward = plan.required_plan(cg, session.time(graph).analysis.state.exists)
+        plan = current_plan(cg, graph)
         graph.resize_driver("k3c2s1", 125.0)
         graph.resize_driver("k5m1", 75.0)
         analysis = session.time(graph).analysis
-        assert analysis.graph is cg and cg.sweep_plan() is plan
-        assert plan.required_plan(cg, analysis.state.exists) is backward
+        assert analysis.graph is cg and current_plan(cg, graph) is plan
         assert_sweeps_identical(analysis,
                                 per_sweep_analysis(session._engine, graph, cg))
 
-    def test_root_transition_flip_rebuilds_only_the_backward_plan(self, solver):
+    def test_consecutive_retimes_write_one_buffer_in_place(self, solver):
+        # Each report is dropped before the next re-time, so every sweep
+        # after the first writes the same planes again, with no fill; the
+        # resizes between them move arrivals and delays everywhere downstream.
+        graph = planned_sweep_design("soc10k", None)
+        session = shared_session(solver)
+        buffer = weakref.ref(session.time(graph).analysis.state)
+        for site in ("k3c2s1", "k5m1", "k3c2s1", "k5m1"):
+            graph.resize_driver(site, 125.0 if graph.nets[site].driver_size != 125.0
+                                else 100.0)
+            analysis = session.time(graph).analysis
+            assert analysis.state is buffer()
+            assert_sweeps_identical(analysis, per_sweep_analysis(
+                session._engine, graph, analysis.graph))
+            del analysis
+
+    def test_root_transition_flip_rebuilds_the_plan(self, solver):
         graph = planned_sweep_design("soc10k", None)
         session = shared_session(solver)
         before = session.time(graph).analysis
         cg = before.graph
-        plan = cg.sweep_plan()
-        merges = dict(plan.merges)
-        backward = plan.required_plan(cg, before.state.exists)
+        plan = current_plan(cg, graph)
+        exists = before.state.exists.copy()
+        del before
         root = sorted(graph.primary_inputs)[3]
-        primary = graph.primary_inputs[root]
-        graph.set_input(root, dataclasses.replace(
-            primary, transition="rise" if primary.transition == "fall" else "fall"))
+        flip_root(graph, root)
         analysis = session.time(graph).analysis
-        assert not np.array_equal(analysis.state.exists, before.state.exists)
-        assert cg.sweep_plan() is plan and plan.merges == merges
-        assert plan.required_plan(cg, analysis.state.exists) is not backward
+        assert not np.array_equal(analysis.state.exists, exists)
+        flipped = current_plan(cg, graph)
+        assert flipped is not plan
+        assert_sweeps_identical(analysis,
+                                per_sweep_analysis(session._engine, graph, cg))
+        del analysis
+        flip_root(graph, root)  # back: a third plan, same events as the first
+        analysis = session.time(graph).analysis
+        assert current_plan(cg, graph) not in (plan, flipped)
+        assert np.array_equal(analysis.state.exists, exists)
         assert_sweeps_identical(analysis,
                                 per_sweep_analysis(session._engine, graph, cg))
 
+    def test_an_endpoint_flip_rebuilds_the_constraint_seeds(self, solver):
+        # No constraint edit: the receiver makes k2c4s2 an endpoint, so the
+        # clock period now seeds it, and the patch replaces the endpoint mask.
+        graph = planned_sweep_design("soc10k", None)
+        session = shared_session(solver)
+        assert not graph.nets["k2c4s2"].is_endpoint
+        session.time(graph)
+        graph.set_receiver("k2c4s2", 50.0)
+        analysis = session.time(graph).analysis
+        assert analysis.is_endpoint[analysis.graph.index["k2c4s2"]]
+        assert_sweeps_identical(analysis, per_sweep_analysis(
+            session._engine, graph, analysis.graph))
 
-class TestSweepPlanReuse:
-    """Host-independent counters of the index work a warm full sweep pays.
+    @pytest.mark.parametrize("dropped", ["setup", "hold"])
+    def test_an_unconstrained_polarity_resets_its_reused_plane(
+            self, solver, dropped):
+        graph = planned_sweep_design("soc10k", None)
+        session = shared_session(solver)
+        constrained = session.time(graph).analysis
+        assert constrained.constrained("setup") and constrained.constrained("hold")
+        buffer = weakref.ref(constrained.state)
+        del constrained
+        drop_constraints(graph, dropped)
+        analysis = session.time(graph).analysis
+        assert analysis.state is buffer()
+        plane = analysis.required if dropped == "setup" else analysis.hold_required
+        assert np.isnan(plane).all()
+        assert not analysis.constrained(dropped)
+        assert_sweeps_identical(analysis, per_sweep_analysis(
+            session._engine, graph, analysis.graph))
 
-    Counts :class:`SweepPlan` builds (the merge plans of every level) and
-    :class:`RequiredPlan` builds: a warm re-time of an unchanged topology
-    builds neither, a parameter edit keeps both, and only a topology edit
-    (a recompile) builds a new plan.
+    def test_held_reports_keep_their_planes(self, solver):
+        graph = planned_sweep_design("soc10k", None)
+        session = shared_session(solver)
+        session.update(graph)
+        timed = session.time(graph)
+        graph.resize_driver("k3c2s1", 125.0)
+        updated = session.update(graph)
+        captured = plane_bytes(timed.analysis), plane_bytes(updated.analysis)
+        for site, size in (("k5m1", 75.0), ("k3c2s1", 100.0)):
+            graph.resize_driver(site, size)
+            retimed = session.time(graph).analysis
+            assert retimed.state is not timed.analysis.state
+            assert_sweeps_identical(retimed, per_sweep_analysis(
+                session._engine, graph, retimed.graph))
+            del retimed
+        assert (plane_bytes(timed.analysis),
+                plane_bytes(updated.analysis)) == captured
+
+
+class TestInputCachesAfterRollback:
+    """A rolled-back stimulus or constraint edit leaves no seeds for a later one.
+
+    The compiled graph's cached seeds are keyed on the graph's stimulus and
+    constraint versions.  A rollback keeps the compiled graph (constraints
+    and inputs are not part of :attr:`TimingGraph.version`), so a version
+    that went back to, or stayed at, a value whose seeds describe an undone
+    state would hand those seeds to the next sweep.
     """
 
-    def test_plan_is_built_once_per_topology(self, solver, monkeypatch):
+    EDITS = {
+        "clock": (lambda graph: graph.set_clock_period(ps(900), hold_margin=ps(5)),
+                  lambda graph: graph.set_clock_period(ps(1100), hold_margin=ps(2))),
+        "input": (lambda graph: flip_root(graph, sorted(graph.primary_inputs)[3]),
+                  lambda graph: flip_root(graph, sorted(graph.primary_inputs)[5])),
+    }
+
+    @pytest.mark.parametrize("then", ["nothing", "different_edit"])
+    @pytest.mark.parametrize("edit", sorted(EDITS))
+    def test_engine_sweeps_of_one_snapshot(self, engine, solver, edit, then):
+        rolled_back, different = self.EDITS[edit]
+        graph = planned_sweep_design("soc1k", None)
+        cg = engine.compile(graph)
+        engine.analyze_compiled(graph, compiled_graph=cg)
+        with pytest.raises(RuntimeError):
+            with graph.transaction():
+                rolled_back(graph)
+                engine.analyze_compiled(graph, compiled_graph=cg)
+                raise RuntimeError("reject the block")
+        assert cg.version == graph.version  # the snapshot stays current
+        if then == "different_edit":
+            different(graph)
+        ours = engine.analyze_compiled(graph, compiled_graph=cg)
+        fresh = shared_session(solver).time(graph).analysis
+        assert plane_bytes(ours) == plane_bytes(fresh)
+
+    @pytest.mark.parametrize("edit", sorted(EDITS))
+    def test_session_retimes(self, solver, edit):
+        rolled_back, different = self.EDITS[edit]
+        graph = planned_sweep_design("soc1k", None)
+        session = shared_session(solver)
+        session.time(graph)
+        with pytest.raises(RuntimeError):
+            with graph.transaction():
+                rolled_back(graph)
+                session.time(graph)
+                raise RuntimeError("reject the block")
+        different(graph)
+        assert (plane_bytes(session.time(graph).analysis)
+                == plane_bytes(shared_session(solver).time(graph).analysis))
+
+
+class TestSweepPlanReuse:
+    """Host-independent counters of the work a warm full sweep pays.
+
+    Counts :class:`SweepPlan` builds (every level's resolved merge plan and
+    the backward plan), plane-buffer allocations (:meth:`SweepPlan.allocate`)
+    and the builds of both seed kinds (the primary-input arrays, and the
+    constraint seeds of each constrained polarity): a warm re-time whose
+    previous report was dropped builds and allocates nothing, a held report
+    makes the next re-time allocate, a root transition flip rebuilds the
+    plan, a constraint edit the constraint seeds, and only a topology edit
+    (a recompile) builds everything again.
+    """
+
+    def test_warm_retimes_rebuild_nothing(self, solver, monkeypatch):
         graph = soc_graph(10_000)
         graph.set_clock_period(ps(1500), hold_margin=0.0)
         session = shared_session(solver)
-        plans, backward = [], []
-        build_plan, build_backward = SweepPlan.__init__, RequiredPlan.__init__
+        counts = {"plan": 0, "buffer": 0, "inputs": 0, "constraints": 0}
 
-        def counting_plan(plan, *args):
-            plans.append(None)
-            build_plan(plan, *args)
+        def counting(key, function):
+            def counted(*args):
+                counts[key] += 1
+                return function(*args)
+            return counted
 
-        def counting_backward(plan, *args):
-            backward.append(None)
-            build_backward(plan, *args)
+        monkeypatch.setattr(SweepPlan, "__init__",
+                            counting("plan", SweepPlan.__init__))
+        monkeypatch.setattr(SweepPlan, "allocate",
+                            counting("buffer", SweepPlan.allocate))
+        monkeypatch.setattr(compiled, "_primary_input_arrays",
+                            counting("inputs", compiled._primary_input_arrays))
+        monkeypatch.setattr(compiled, "constraint_seeds",
+                            counting("constraints", compiled.constraint_seeds))
 
-        monkeypatch.setattr(SweepPlan, "__init__", counting_plan)
-        monkeypatch.setattr(RequiredPlan, "__init__", counting_backward)
-        for _ in range(10):
-            session.time(graph)
-        assert (len(plans), len(backward)) == (1, 1)
-        graph.resize_driver("k7c3s2", 125.0)
-        session.time(graph)
-        assert (len(plans), len(backward)) == (1, 1)
-        graph.add_fanout("k2m1", "k9c4s5")  # a topology edit: recompile
-        report = session.time(graph)
-        assert (len(plans), len(backward)) == (2, 2)
-        cg = report.analysis.graph
-        plan_bytes = cg.sweep_plan().nbytes
+        def counted_after(step):
+            before = dict(counts)
+            step()
+            return {key: counts[key] - before[key] for key in counts}
+
+        def retimes(count):
+            for _ in range(count):
+                session.time(graph)
+
+        assert counted_after(lambda: retimes(10)) == {
+            "plan": 1, "buffer": 1, "inputs": 1, "constraints": 2}
+        held = [session.time(graph)]  # reuses the dropped report's buffer
+        assert counted_after(lambda: held.extend(
+            session.time(graph) for _ in range(3))) == {
+            "plan": 0, "buffer": 3, "inputs": 0, "constraints": 0}
+        del held
+        root = sorted(graph.primary_inputs)[3]
+        assert counted_after(lambda: (flip_root(graph, root), retimes(3))) == {
+            "plan": 1, "buffer": 1, "inputs": 1, "constraints": 0}
+        assert counted_after(lambda: (
+            graph.set_clock_period(ps(1400), hold_margin=0.0), retimes(3))) == {
+            "plan": 0, "buffer": 0, "inputs": 0, "constraints": 2}
+        assert counted_after(lambda: (
+            graph.resize_driver("k7c3s2", 125.0), retimes(3))) == {
+            "plan": 0, "buffer": 0, "inputs": 0, "constraints": 0}
+        assert counted_after(lambda: (  # a new endpoint: new endpoint mask
+            graph.set_receiver("k2c4s2", 50.0), retimes(3))) == {
+            "plan": 0, "buffer": 0, "inputs": 0, "constraints": 2}
+        # A topology edit recompiles: a new snapshot builds everything once.
+        assert counted_after(lambda: (
+            graph.add_fanout("k2m1", "k9c4s5"), retimes(3))) == {
+            "plan": 1, "buffer": 1, "inputs": 1, "constraints": 2}
+        cg = session.time(graph).analysis.graph
+        plan_bytes = current_plan(cg, graph).nbytes
         assert 0 < plan_bytes <= 64 * cg.n_nets
         assert cg.nbytes >= plan_bytes
 
