@@ -41,7 +41,7 @@ the same edit sites cost about the same on the ``SCALING_NETS`` graph as on
 the 100k one (median per-edit ratio at most ``SCALING_RATIO_CEILING``: the
 update is O(cone), not O(graph)).  It then checks the final incremental
 state against a from-scratch compiled analysis plane by plane, exactly
-(``sol_idx`` aside, compared by solution fingerprint).
+(``sol_idx`` included: both index the compiled graph's one solution table).
 
 Results land in the run's report directory (``benchmarks/reports`` under
 ``REPRO_BENCH_WRITE=1``, see ``conftest.py``) as ``incremental.txt`` and
@@ -163,8 +163,8 @@ for cycle in range(cycles):
         loop["per_edit"].append(time.perf_counter() - started)
         loop["clones"] += clones[0] - before
         loop["compile_seconds"] += loop["report"].meta.compile_seconds
-planes = ("exists", "in_arr", "early_in", "in_slew",
-          "src", "early_src", "out_arr", "early_out", "delay", "prop_slew")
+planes = ("exists", "in_arr", "early_in", "in_slew", "src", "early_src",
+          "out_arr", "early_out", "delay", "prop_slew", "sol_idx")
 results = {{}}
 for nets in sizes:
     loop = loops[nets]
@@ -172,13 +172,9 @@ for nets in sizes:
     meta = report.meta
     last = report.analysis
     scratch = loop["session"].time(graph).analysis  # same engine: bit-identity
-    fp_last = np.array([s.fingerprint for s in last.solutions] + [""])
-    fp_scratch = np.array([s.fingerprint for s in scratch.solutions] + [""])
     equivalence_exact = bool(
         all(np.array_equal(getattr(last.state, p), getattr(scratch.state, p))
             for p in planes)
-        and np.array_equal(fp_last[last.state.sol_idx],
-                           fp_scratch[scratch.state.sol_idx])
         and np.array_equal(last.required, scratch.required, equal_nan=True)
         and np.array_equal(last.hold_required, scratch.hold_required,
                            equal_nan=True))
@@ -189,7 +185,6 @@ for nets in sizes:
         "patched_nets": meta.patched_nets,
         "dirty_nets": meta.dirty_nets,
         "retimed_nets": meta.retimed_nets,
-        "cone_nets": meta.cone_nets,
         "required_nets": meta.required_nets,
         "report_events_rebuilt": meta.report_events_rebuilt,
         "equivalence_exact": equivalence_exact,
@@ -378,7 +373,6 @@ def test_incremental_retime_vs_full_reanalysis(library, report_writer):
                 "patched_nets": compiled["patched_nets"],
                 "dirty_nets": compiled["dirty_nets"],
                 "retimed_nets": compiled["retimed_nets"],
-                "cone_nets": compiled["cone_nets"],
                 "required_nets": compiled["required_nets"],
                 "report_events_rebuilt": compiled["report_events_rebuilt"],
                 "equivalence_exact": compiled["equivalence_exact"],

@@ -121,9 +121,15 @@ with TimingSession() as session:
     started = time.perf_counter()
     cold = session.time(graph)
     cold_seconds = time.perf_counter() - started
+    unique_solves, compile_seconds = cold.meta.computed, cold.meta.compile_seconds
+    del cold  # a dropped report frees its planes for the next re-time
     laps = []
     for _ in range(3):  # best-of-3: the throughput gate measures the engine,
-        started = time.perf_counter()  # not transient scheduler noise
+        # not transient scheduler noise.  Each lap drops the last report
+        # first, as a re-time loop that keeps one report does, so the sweep
+        # writes the planes of the dropped one again.
+        warm = None
+        started = time.perf_counter()
         warm = session.time(graph)
         laps.append(time.perf_counter() - started)
         assert warm.meta.compile_seconds == 0.0  # cache hit: same version
@@ -133,10 +139,10 @@ with TimingSession() as session:
         "levels": graph.n_levels,
         "events": warm.n_events,
         "endpoints": len(warm.endpoint_keys()),
-        "unique_solves": cold.meta.computed,
+        "unique_solves": unique_solves,
         "build_seconds": build_seconds,
         "cold_seconds": cold_seconds,
-        "compile_seconds": cold.meta.compile_seconds,
+        "compile_seconds": compile_seconds,
         "warm_seconds": warm_seconds,
         "worst_slack_ps": warm.worst_slack * 1e12,
         "baseline_rss_bytes": baseline,

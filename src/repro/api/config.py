@@ -86,7 +86,10 @@ class SessionConfig:
     use_characterization_cache: bool = True  #: persist characterized cells on disk
     persistent_stages: bool = False  #: persist scalar stage solutions on disk
     jobs: int = 1  #: worker processes for characterization grids
-    memo_size: int = 4096  #: in-process stage-solution LRU bound (0 disables)
+    #: Bound of the solver's in-process stage-solution LRU, the memo shared
+    #: across graphs (0 disables it).  A compiled graph keeps one row per
+    #: distinct stage key of its own, whatever this bound is.
+    memo_size: int = 4096
     slew_low: float = SLEW_LOW_THRESHOLD  #: lower slew measurement threshold
     slew_high: float = SLEW_HIGH_THRESHOLD  #: upper slew measurement threshold
     options: ModelingOptions = field(default_factory=ModelingOptions)

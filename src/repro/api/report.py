@@ -220,14 +220,14 @@ class TimingEvent:
 #: RunInfo keys older report payloads carry for fields that no longer exist.
 _RETIRED_RUNINFO_KEYS = frozenset(
     {"jobs", "installed", "shards", "boundary_events_exchanged", "parallel_sweep",
-     "mode", "batched_solves"}
+     "mode", "batched_solves", "cone_nets"}
 )
 
 #: IncrementalStats fields every incremental run records in its RunInfo.
 _CONE_FIELDS = ("dirty_nets", "retimed_nets", "required_nets", "hold_required_nets")
 
 #: ...and the ones only the compiled engine fills in.
-_COMPILED_CONE_FIELDS = ("patched_nets", "cone_nets", "cone_converged_early")
+_COMPILED_CONE_FIELDS = ("patched_nets", "cone_converged_early")
 
 
 @dataclass(frozen=True)
@@ -248,7 +248,6 @@ class RunInfo:
     peak_rss_bytes: Optional[int] = None  #: process peak RSS at report build [bytes]
     #: compiled runs: nets whose struct-of-arrays entries were patched in place
     patched_nets: Optional[int] = None
-    cone_nets: Optional[int] = None  #: compiled incremental: masked-sweep cone size
     #: compiled incremental: cone nets whose outputs converged bit-identical
     cone_converged_early: Optional[int] = None
 
@@ -282,7 +281,6 @@ class RunInfo:
             "compile_seconds": self.compile_seconds,
             "peak_rss_bytes": self.peak_rss_bytes,
             "patched_nets": self.patched_nets,
-            "cone_nets": self.cone_nets,
             "cone_converged_early": self.cone_converged_early,
         }
 

@@ -12,8 +12,9 @@ Layering, bottom up:
 * :mod:`repro.sta.compiled` — the timing engine: :func:`compile_graph`
   freezes a :class:`TimingGraph` into a :class:`CompiledGraph` (struct-of-arrays
   CSR form), and :meth:`~.batch.GraphEngine.analyze_compiled` runs each level as
-  whole-level numpy sweeps: merge, dedupe to unique stage keys, one batched
-  solve from the memo or as one array computation, scatter.  One traversal
+  whole-level numpy sweeps: merge, dedupe to unique stage keys, look them up
+  in the graph's table of solved stages, solve only new keys as one batch,
+  scatter.  One traversal
   carries *both analysis planes* — late (setup) and early (hold) arrivals share
   every stage solve, so dual-mode analysis costs zero extra solves.
   Constrained graphs (``set_required`` / ``set_clock_period``, either mode)

@@ -43,8 +43,10 @@ the edit instead of the size of the graph.
 Production timing (:class:`repro.api.TimingSession`) runs on the compiled
 engine: :meth:`GraphEngine.compile` plus :meth:`GraphEngine.analyze_compiled`,
 and :class:`repro.sta.incremental_compiled.CompiledIncrementalEngine` for
-edits.  The object sweep (:meth:`GraphEngine.analyze`, :class:`IncrementalEngine`)
-is the reference the equivalence tests compare against; every level it times
+edits.  There a stage key the compiled graph solved before is a row of its
+:class:`~.compiled.SolutionTable`, and only new keys reach the solver.  The
+object sweep (:meth:`GraphEngine.analyze`, :class:`IncrementalEngine`) is
+the reference the equivalence tests compare against; every level it times
 is one :meth:`StageSolver.solve_batch` call on the engine's solver, so a
 benchmark gets the naive per-stage baseline by injecting a solver that solves
 each request on its own.  Every analysis runs in the calling process; the
@@ -54,25 +56,23 @@ engine holds no resources beyond its solver's caches.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import replace
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..characterization.cell import CellCharacterization
 from ..characterization.library import CellLibrary, default_library
 from ..core.driver_model import ModelingOptions
-from ..core.stage_solver import (StageRequest, StageSolution, StageSolver,
-                                 _options_fingerprint)
+from ..core.stage_solver import StageRequest, StageSolver
 from ..errors import ModelingError
 from ..tech.technology import Technology, generic_180nm
-from .compiled import (TRANSITIONS, CompiledAnalysis, CompiledGraph,
+from .compiled import (CompiledAnalysis, CompiledGraph, SolutionTable,
                        SweepState, backward_required, compile_graph,
                        input_seeds, level_solve_keys, merge_level,
                        required_seeds, scatter_level_solutions,
                        seed_primary_inputs)
 from .graph import (GraphNet, GraphTimingReport, IncrementalStats,
-                    NetEventTiming, TimingGraph, flip_transition)
+                    NetEventTiming, TimingGraph, event_options)
 
 __all__ = ["GraphEngine", "IncrementalEngine"]
 
@@ -81,28 +81,6 @@ _PlaneState = Tuple[float, float, Optional[Tuple[str, str]]]
 
 #: (late, early) plane pair tracked per pending (net, transition) state.
 _PendingState = Tuple[_PlaneState, _PlaneState]
-
-
-@dataclass(frozen=True)
-class _WorkItem:
-    """One pending (net, input-transition) event of the current level.
-
-    ``input_arrival`` / ``source`` describe the late (setup) plane the stage is
-    solved at; ``early_arrival`` / ``early_source`` ride along for the hold
-    plane and never influence the solve.
-    """
-
-    net: GraphNet
-    cell: CellCharacterization
-    load: float
-    input_transition: str
-    input_arrival: float
-    input_slew: float
-    options: ModelingOptions
-    fingerprint: str
-    source: Optional[Tuple[str, str]]
-    early_arrival: float
-    early_source: Optional[Tuple[str, str]]
 
 
 class GraphEngine:
@@ -121,9 +99,6 @@ class GraphEngine:
         self.tech = tech if tech is not None else generic_180nm()
         self.options = options if options is not None else ModelingOptions()
         self.solver = solver if solver is not None else StageSolver()
-        #: base options -> (per-transition event options, options fingerprint)
-        self._compiled_options: Dict[ModelingOptions, Tuple[
-            Dict[int, ModelingOptions], str]] = {}
 
     # --- helpers ---------------------------------------------------------------------
     def net_load(self, graph: TimingGraph, net: GraphNet) -> float:
@@ -135,12 +110,6 @@ class GraphEngine:
         if net.receiver_size is not None:
             load += self.tech.inverter_input_capacitance(net.receiver_size)
         return load
-
-    def _event_options(self, input_transition: str,
-                       base: Optional[ModelingOptions] = None) -> ModelingOptions:
-        base = base if base is not None else self.options
-        return replace(base, transition=flip_transition(input_transition),
-                       reference_time=0.0)
 
     @staticmethod
     def _merge(pending: Dict[str, Dict[str, _PendingState]], name: str,
@@ -180,51 +149,45 @@ class GraphEngine:
         layers answer per event, the unique misses are solved as one
         vectorized pass.
         """
+        base = options if options is not None else self.options
         for level in levels:
-            items: List[_WorkItem] = []
+            items: List[Tuple[GraphNet, str, _PendingState]] = []
+            requests: List[StageRequest] = []
             for name in level:
                 net = graph.nets[name]
                 load = self.net_load(graph, net)
                 for transition, state in sorted(pending.get(name, {}).items()):
-                    (arrival, slew, source), (early, _, early_source) = state
-                    event_options = self._event_options(transition, options)
-                    cell = self.library.get(net.driver_size)
                     # The late-plane slew is the one the stage is solved at
                     # (worst-slew propagation): the early plane shares the
                     # solution, which is what keeps dual-mode at zero extra
                     # stage solves.
-                    items.append(_WorkItem(
-                        net=net, cell=cell, load=load,
-                        input_transition=transition, input_arrival=arrival,
-                        input_slew=slew, options=event_options,
+                    slew = state[0][1]
+                    stage_options = event_options(base, transition)
+                    cell = self.library.get(net.driver_size)
+                    items.append((net, transition, state))
+                    requests.append(StageRequest(
+                        cell=cell, input_slew=slew, line=net.line,
+                        load_capacitance=load, options=stage_options,
                         fingerprint=self.solver.fingerprint_for(
-                            cell, slew, net.line, load, event_options),
-                        source=source, early_arrival=early,
-                        early_source=early_source))
+                            cell, slew, net.line, load, stage_options)))
             if not items:
                 continue
-            solved = self.solver.solve_batch([
-                StageRequest(cell=item.cell, input_slew=item.input_slew,
-                             line=item.net.line, load_capacitance=item.load,
-                             options=item.options, fingerprint=item.fingerprint)
-                for item in items])
+            solved = self.solver.solve_batch(requests)
 
-            for item, solution in zip(items, solved):
+            for (net, transition, state), solution in zip(items, solved):
+                (arrival, slew, source), (early, _, early_source) = state
                 event = NetEventTiming(
-                    net=item.net, input_transition=item.input_transition,
+                    net=net, input_transition=transition,
                     output_transition=solution.transition,
-                    input_arrival=item.input_arrival,
-                    input_slew=item.input_slew, solution=solution,
-                    source=item.source,
-                    early_input_arrival=item.early_arrival,
-                    early_source=item.early_source)
-                events.setdefault(item.net.name, {})[item.input_transition] = event
-                for target in item.net.fanout:
+                    input_arrival=arrival, input_slew=slew, solution=solution,
+                    source=source, early_input_arrival=early,
+                    early_source=early_source)
+                events.setdefault(net.name, {})[transition] = event
+                for target in net.fanout:
                     self._merge(pending, target, solution.transition,
                                 event.output_arrival,
                                 event.early_output_arrival,
-                                solution.propagated_slew,
-                                (item.net.name, item.input_transition))
+                                solution.propagated_slew, (net.name, transition))
 
     @staticmethod
     def _apply_required(graph: TimingGraph,
@@ -339,77 +302,40 @@ class GraphEngine:
         """
         return compile_graph(graph, library=self.library, tech=self.tech)
 
-    def _solve_compiled_level(self, cg: CompiledGraph, state: SweepState,
-                              events: np.ndarray,
-                              options_pair: Dict[int, ModelingOptions],
-                              fp_cache: Dict[Tuple[int, int, float], str],
-                              solutions: List[StageSolution]) -> None:
-        """Solve one level's events: dedupe, one batch, scatter back.
+    def _solve_compiled_level(self, cg: CompiledGraph, table: SolutionTable,
+                              state: SweepState, events: np.ndarray) -> None:
+        """Solve one level's events through ``table``: dedupe, look up, scatter.
 
-        The object engine hands the solver one request *per event* and lets
-        the memo dedupe by re-hashing every fingerprint; here the level first
-        collapses to unique ``(stage config, transition, slew)``
-        keys (:func:`~.compiled.level_solve_keys`) — so fingerprints
-        are computed (or fetched from the compiled graph's cache) only per
-        unique key.  That per-event sha256 hashing is exactly the warm-path
-        bottleneck ``BENCH_incremental`` flags, which is where most of the
-        compiled path's warm speedup comes from.  ``solve_batch`` results are
-        composition-sensitive at the ~1 ULP level, so a level's unique keys
-        are always solved as one batch, in ``level_solve_keys`` order.
+        The level collapses to unique ``(stage config, transition, slew)``
+        keys (:func:`~.compiled.level_solve_keys`).  A key the graph solved
+        before is a row of ``table`` and counts as a memo hit; only the
+        misses get a fingerprint and a :class:`StageRequest`.
+        ``solve_batch`` results are composition-sensitive at the ~1 ULP
+        level, so a level's misses are always solved as one batch, in
+        ``level_solve_keys`` order.
         """
         unique, inverse = level_solve_keys(cg, state, events)
-        requests: List[StageRequest] = []
-        for config_key, t_key, slew in unique.tolist():
-            config, t = int(config_key), int(t_key)
-            cache_key = (config, t, slew)
-            cell = cg.config_cell[config]
-            line = cg.config_line[config]
-            load = float(cg.config_load[config])
-            options = options_pair[t]
-            fingerprint = fp_cache.get(cache_key)
-            if fingerprint is None:
-                fingerprint = self.solver.fingerprint_for(
-                    cell, slew, line, load, options)
-                fp_cache[cache_key] = fingerprint
-            requests.append(StageRequest(
-                cell=cell, input_slew=slew, line=line, load_capacitance=load,
-                options=options, fingerprint=fingerprint))
-        solved = self.solver.solve_batch(requests)
-        base = len(solutions)
-        solutions.extend(solved)
-        delays = np.fromiter((s.stage_delay for s in solved),
-                             dtype=np.float64, count=len(solved))
-        prop_slews = np.fromiter((s.propagated_slew for s in solved),
-                                 dtype=np.float64, count=len(solved))
-        scatter_level_solutions(state, events, base + inverse, delays[inverse],
-                                prop_slews[inverse])
-
-    def _level_solver(self, cg: CompiledGraph, state: SweepState,
-                      solutions: List[StageSolution],
-                      options: Optional[ModelingOptions] = None
-                      ) -> Callable[[np.ndarray], None]:
-        """One compiled sweep's per-level solve step, bound to its planes.
-
-        Takes the per-transition event options of ``options`` (default: the
-        engine's) and the fingerprint-cache key, both derived once per base
-        options value and kept on the engine, fetches ``cg``'s fingerprint
-        cache for them, then returns ``solve_level(events)``:
-        :meth:`_solve_compiled_level` into ``state``, appending to
-        ``solutions``.
-        """
-        base = options if options is not None else self.options
-        derived = self._compiled_options.get(base)
-        if derived is None:
-            derived = ({t: self._event_options(TRANSITIONS[t], base) for t in (0, 1)},
-                       _options_fingerprint(base))
-            self._compiled_options[base] = derived
-        options_pair, options_key = derived
-        fp_cache = cg.fingerprints.setdefault(options_key, {})
-
-        def solve_level(events: np.ndarray) -> None:
-            self._solve_compiled_level(cg, state, events, options_pair,
-                                       fp_cache, solutions)
-        return solve_level
+        keys = list(map(tuple, unique.tolist()))
+        rows = np.fromiter((table.rows.get(key, -1) for key in keys),
+                           dtype=np.int64, count=len(keys))
+        missing = np.flatnonzero(rows < 0)
+        solver = self.solver
+        solver.stats.memo_hits += len(keys) - missing.size
+        if missing.size:
+            misses = [keys[i] for i in missing.tolist()]
+            requests = []
+            for config, t, slew in misses:
+                config = int(config)
+                cell, line = cg.config_cell[config], cg.config_line[config]
+                load, options = float(cg.config_load[config]), table.options[int(t)]
+                requests.append(StageRequest(
+                    cell=cell, input_slew=slew, line=line, load_capacitance=load,
+                    options=options, fingerprint=solver.fingerprint_for(
+                        cell, slew, line, load, options)))
+            rows[missing] = table.append(misses, solver.solve_batch(requests))
+        sol_ids = rows[inverse]
+        scatter_level_solutions(state, events, sol_ids, table.delay[sol_ids],
+                                table.prop_slew[sol_ids])
 
     def analyze_compiled(self, graph: TimingGraph, *,
                          compiled_graph: Optional[CompiledGraph] = None,
@@ -427,10 +353,11 @@ class GraphEngine:
         keeps for its sweeps: the :class:`~.compiled.SweepPlan` of the
         primary inputs' root events (the first sweep of a snapshot, or of a
         new stimulus, builds it), the seed arrays of the current stimuli and
-        constraints, and the last plane buffer, written again in place once
-        nothing reads it.  Every later sweep — a warm re-time, or the
+        constraints, the last plane buffer, written again in place once
+        nothing reads it, and the :class:`~.compiled.SolutionTable` of the
+        stages solved so far.  Every later sweep — a warm re-time, or the
         incremental engine's full update — only moves arrivals, elects,
-        solves and does arithmetic.
+        looks its keys up and does arithmetic.
         """
         if not isinstance(graph, TimingGraph):
             raise ModelingError("analyze_compiled() expects a TimingGraph")
@@ -441,24 +368,24 @@ class GraphEngine:
                 "after compile()); recompile before analyzing")
         started = time.perf_counter()
         before = self.solver.stats.snapshot()
-        solutions: List[StageSolution] = []
+        table = cg.solution_table(options if options is not None
+                                  else self.options, self.solver)
         plan = cg.sweep_plan(input_seeds(cg, graph)[0])
         setup_seeds, hold_seeds = required_seeds(cg, graph)
         buffer = cg.sweep_buffer(plan, (setup_seeds is not None,
                                         hold_seeds is not None))
         state = buffer.state
-        solve_level = self._level_solver(cg, state, solutions, options)
         seed_primary_inputs(cg, graph, state)
         for level in plan.levels:
             events = merge_level(level, state)
             if events.size:
-                solve_level(events)
+                self._solve_compiled_level(cg, table, state, events)
         required, hold_required = backward_required(
             cg, state, setup_seeds, hold_seeds,
             out=(buffer.required, buffer.hold_required))
         return CompiledAnalysis(
             graph=cg, state=state, required=required,
-            hold_required=hold_required, solutions=solutions,
+            hold_required=hold_required, solutions=table.solutions,
             stats=self.solver.stats.since(before),
             elapsed=time.perf_counter() - started)
 
@@ -483,7 +410,10 @@ class IncrementalEngine(GraphEngine):
     Updates are bit-identical to a from-scratch :meth:`GraphEngine.analyze` of
     the same graph state: the same memoized solver answers the same fingerprints,
     and the merge tie-break is order-independent.  The engine is the single
-    consumer of its graph's dirty set — attach one engine per graph.
+    consumer of its graph's dirty set — attach one engine per graph.  An
+    update inside :meth:`TimingGraph.transaction` that rolls back drops the
+    cached events (the rollback restores the edits and the dirt they
+    absorbed), so the next update re-times in full.
     """
 
     def __init__(self, graph: TimingGraph, **kwargs) -> None:
@@ -507,6 +437,7 @@ class IncrementalEngine(GraphEngine):
         of the graph was touched.
         """
         graph = self.graph
+        graph.on_rollback(self._rolled_back)  # what follows absorbs the edits
         dirty = set(graph.dirty_nets)
         constraints_dirty = graph.constraints_dirty
         graph.clear_dirty()
@@ -593,3 +524,7 @@ class IncrementalEngine(GraphEngine):
         """Drop the cached events; the next :meth:`update` re-times everything."""
         self._events = {}
         self._timed = False
+
+    def _rolled_back(self, graph: TimingGraph) -> None:
+        """Rollback hook: the graph undid edits these events absorbed."""
+        self.invalidate()

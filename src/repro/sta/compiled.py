@@ -31,6 +31,9 @@ math runs.  This module freezes a graph into a columnar twin:
   float comparisons carry no rounding, the compiled engine is bit-identical
   to the object engine whenever both are answered by the same stage-solution
   memo (and ≤1e-9 relative otherwise, asserted by the scale benchmark).
+* A level's stage solves collapse to unique ``(config, transition, input
+  slew)`` keys (:func:`level_solve_keys`); each key the graph solved is a
+  row of its :class:`SolutionTable`, which every later sweep looks up.
 * Their index work depends only on the topology and on which events exist,
   itself fixed by the topology and the primary inputs' transitions, so a
   :class:`SweepPlan` resolves it once per set of seeded root events
@@ -76,14 +79,15 @@ import numpy as np
 
 from ..characterization.cell import CellCharacterization
 from ..characterization.library import CellLibrary
-from ..core.stage_solver import StageSolution
+from ..core.driver_model import ModelingOptions
+from ..core.stage_solver import StageSolution, StageSolver, _options_fingerprint
 from ..errors import ModelingError
 from ..interconnect.rlc_line import RLCLine
 from ..tech.technology import Technology
-from .graph import TimingGraph, check_mode
+from .graph import TimingGraph, check_mode, event_options
 
 __all__ = ["TRANSITIONS", "CompiledGraph", "ConfigInterner", "compile_graph",
-           "SweepState", "CompiledAnalysis", "input_seeds",
+           "SolutionTable", "SweepState", "CompiledAnalysis", "input_seeds",
            "seed_primary_inputs", "merge_level", "merge_nets", "MergePlan",
            "constraint_seeds", "required_seeds", "backward_required",
            "RequiredPlan", "SweepPlan"]
@@ -121,9 +125,8 @@ class CompiledGraph:
     arrays below are all indexed by net id unless noted.  The object is a
     *snapshot*: :attr:`version` records the source graph's structural edit
     counter at compile time, and the engine refuses to analyze with a stale
-    snapshot.  The only mutable member is :attr:`fingerprints` — a cache of
-    stage-solution memo keys that grows across analyses (keyed first by the
-    modeling-options fingerprint, so per-corner analyses never collide).
+    snapshot.  Besides what a patch rewrites, only :attr:`solution_tables`
+    changes: it grows across analyses.
     """
 
     order: List[str]  #: net names in level order (net id -> name)
@@ -145,9 +148,9 @@ class CompiledGraph:
     topology_version: int  #: source graph's connectivity version at compile time
     compile_seconds: float  #: wall clock :func:`compile_graph` spent
     interner: Optional[ConfigInterner] = field(default=None, repr=False)
-    #: options-fingerprint -> (config id, transition, input slew) -> stage
-    #: fingerprint; persistent across analyses of this compiled graph.
-    fingerprints: Dict[str, Dict[Tuple[int, int, float], str]] = field(
+    #: (options fingerprint, slew_low, slew_high) -> the stages solved under
+    #: that setting; persistent across analyses of this compiled graph.
+    solution_tables: Dict[Tuple[str, float, float], "SolutionTable"] = field(
         default_factory=dict, repr=False)
 
     @property
@@ -217,6 +220,16 @@ class CompiledGraph:
             cached = _interleave(np.flatnonzero(self.is_sink))
             self._sink_events_cache = cached
         return cached
+
+    def solution_table(self, options: ModelingOptions,
+                       solver: StageSolver) -> "SolutionTable":
+        """The :class:`SolutionTable` of ``options`` and ``solver``'s slew
+        thresholds: all a solution depends on beyond its key."""
+        key = (_options_fingerprint(options), solver.slew_low, solver.slew_high)
+        table = self.solution_tables.get(key)
+        if table is None:
+            table = self.solution_tables[key] = SolutionTable(options)
+        return table
 
     def sweep_plan(self, roots: np.ndarray) -> "SweepPlan":
         """The :class:`SweepPlan` of the seeded root events ``roots`` (memoized).
@@ -521,14 +534,45 @@ def compile_graph(graph: TimingGraph, *, library: CellLibrary,
                                 line_keys=line_keys, configs=configs))
 
 
+class SolutionTable:
+    """The stages one compiled graph solved under one solver setting.
+
+    One append-only row per distinct ``(config, transition, input slew)``
+    key of :func:`level_solve_keys`: the solution in :attr:`solutions`, its
+    stage delay and propagated slew in :attr:`delay` / :attr:`prop_slew`.
+    Rows never change and config ids keep their meaning across patches, so
+    every analysis of the graph points its ``sol_idx`` at the same rows.
+    """
+
+    __slots__ = ("options", "rows", "solutions", "delay", "prop_slew")
+
+    def __init__(self, options: ModelingOptions) -> None:
+        #: The options a stage of each input transition solves with.
+        self.options = tuple(event_options(options, t) for t in TRANSITIONS)
+        self.rows: Dict[Tuple[float, float, float], int] = {}  #: key -> row
+        self.solutions: List[StageSolution] = []
+        self.delay = self.prop_slew = np.empty(0)
+
+    def append(self, keys: List[Tuple[float, float, float]],
+               solutions: List[StageSolution]) -> np.ndarray:
+        """Add the rows of new ``keys``, solved as ``solutions``; return them."""
+        rows = np.arange(len(self.solutions), len(self.solutions) + len(keys))
+        self.rows.update(zip(keys, rows.tolist()))
+        self.solutions.extend(solutions)
+        self.delay = np.append(self.delay, [s.stage_delay for s in solutions])
+        self.prop_slew = np.append(self.prop_slew,
+                                   [s.propagated_slew for s in solutions])
+        return rows
+
+
 @dataclass(eq=False)
 class SweepState:
     """Per-event planes of one forward sweep, all indexed by event id.
 
     ``src`` / ``early_src`` hold winning-fanin *event ids* (-1 = primary-input
     seed); ``in_slew`` is the late-plane winner's slew, which the stage is
-    solved at.  ``sol_idx`` points into the analysis's solution list (-1 =
-    unsolved).
+    solved at.  ``sol_idx`` is the event's row in the graph's
+    :class:`SolutionTable` (-1 = unsolved).
     """
 
     exists: np.ndarray  #: bool[2n]
@@ -541,7 +585,7 @@ class SweepState:
     early_out: np.ndarray  #: float64[2n], early far-end arrival
     delay: np.ndarray  #: float64[2n], stage delay (gate + interconnect)
     prop_slew: np.ndarray  #: float64[2n], propagated full-swing slew
-    sol_idx: np.ndarray  #: int64[2n], index into the solution list
+    sol_idx: np.ndarray  #: int64[2n], row in the solution table
 
     @classmethod
     def empty(cls, n_events: int) -> "SweepState":
@@ -918,8 +962,9 @@ def _coded_solve_keys(state: SweepState, events: np.ndarray, group: np.ndarray,
     such code stands for one key row: the codes present are marked in a
     dense table (any event of a code represents it), only those are sorted
     by (group, slew), and codes with equal group and slew merge into one
-    row.  None when the table would outgrow the level (a solution list far
-    longer than the level), where sorting the events is cheaper.
+    row.  None when the table would outgrow the level (sources spread over
+    many more solution rows than the level has events), where sorting the
+    events is cheaper.
     """
     if source_sol.min() < 0:
         return None
@@ -1169,9 +1214,9 @@ class CompiledAnalysis:
     array reductions; :meth:`timing_event` materializes a single
     :class:`repro.api.report.TimingEvent`-compatible record on demand, which
     is what :class:`repro.api.report.StreamingTimingReport` builds its lazy
-    event mapping from.  ``solutions`` maps ``state.sol_idx`` to the shared
-    :class:`~repro.core.stage_solver.StageSolution` objects (one per *unique*
-    stage configuration actually solved, not per event).
+    event mapping from.  ``solutions`` is the graph's append-only
+    :attr:`SolutionTable.solutions`, which ``state.sol_idx`` indexes (one
+    :class:`~repro.core.stage_solver.StageSolution` per *unique* stage key).
     """
 
     def __init__(self, *, graph: CompiledGraph, state: SweepState,

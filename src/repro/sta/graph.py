@@ -67,6 +67,7 @@ from dataclasses import dataclass, replace
 from typing import (Any, Callable, Dict, FrozenSet, Iterator, List, Mapping,
                     Optional, Sequence, Set, Tuple)
 
+from ..core.driver_model import ModelingOptions
 from ..core.stage_solver import SolverStats, StageSolution
 from ..errors import ModelingError
 from ..interconnect.rlc_line import RLCLine
@@ -74,7 +75,7 @@ from .stage import TimingPath, TimingStage
 
 __all__ = ["GraphNet", "PrimaryInput", "TimingGraph", "chain_graph",
            "NetEventTiming", "GraphTimingReport", "IncrementalStats",
-           "flip_transition", "check_mode", "CHECK_MODES"]
+           "flip_transition", "event_options", "check_mode", "CHECK_MODES"]
 
 #: Constraint polarities: "setup" checks late arrivals, "hold" checks early ones.
 CHECK_MODES = ("setup", "hold")
@@ -108,6 +109,12 @@ def flip_transition(transition: str) -> str:
     if transition == "fall":
         return "rise"
     raise ModelingError(f"transition must be 'rise' or 'fall', got {transition!r}")
+
+
+def event_options(base: ModelingOptions, input_transition: str) -> ModelingOptions:
+    """The options a stage driven by an ``input_transition`` edge solves with."""
+    return replace(base, transition=flip_transition(input_transition),
+                   reference_time=0.0)
 
 
 @dataclass(frozen=True, **_SLOTS)
@@ -833,7 +840,6 @@ class IncrementalStats:
     required_nets: int  #: backward region: nets whose required times were refreshed
     hold_required_nets: int = 0  #: hold cone: nets whose hold requirements were refreshed
     patched_nets: int = 0  #: compiled entries rewritten in place (no recompile)
-    cone_nets: int = 0  #: compiled dirty cone: nets the masked sweep visited
     cone_converged_early: int = 0  #: cone nets whose outputs converged bit-identical
 
 

@@ -27,13 +27,12 @@ and required planes — one of two plane buffers the engine alternates between,
 brought up to date by copying only the events the previous update wrote, so
 analyses already handed out (and the serve daemon's snapshot reads built on
 them) keep describing the state they analyzed without an O(graph) copy per
-update — and through the same ``level_solve_keys`` /
-``scatter_level_solutions`` solve seam as the full sweep.  Because the
-solver memo answers identical fingerprints with identical solutions and the
-merge election is per-target independent, an incremental update is
-bit-identical to a from-scratch compiled sweep of the edited graph, in every
-plane (``sol_idx`` aside, which indexes the engine's append-only solution
-list rather than a per-analysis one).
+update — and through the same solve step as the full sweep, on the same
+:class:`~.compiled.SolutionTable` of the compiled graph.  Because one key
+has one row, answering every sweep with one solution, and the merge
+election is per-target independent, an incremental update is bit-identical
+to a full compiled sweep of the edited graph on the same snapshot, in every
+plane, ``sol_idx`` included.
 
 :class:`CompiledIncrementalEngine` packages this as the compiled twin of
 :class:`repro.sta.batch.IncrementalEngine`: attached to one graph, consuming
@@ -45,11 +44,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, FrozenSet, List, Optional, Set
 
 import numpy as np
 
-from ..core.stage_solver import StageSolution
 from ..errors import ModelingError
 from .compiled import (CompiledAnalysis, CompiledGraph, RequiredPlan,
                        SweepState, _csr_rows, _interleave, _PlaneBuffer,
@@ -200,14 +199,14 @@ class CompiledIncrementalEngine:
     read makes the update clone the live planes instead, which is what keeps
     every issued analysis describing the state it analyzed.
 
-    Solutions accumulate in one append-only list shared by every analysis
-    this engine produced, so earlier analyses' ``sol_idx`` planes stay valid
-    forever.  Like the object engine, this engine is the single consumer of
-    its graph's dirty set.  An update inside :meth:`TimingGraph.transaction`
-    that rolls back drops the planes (the rollback restores edits and dirt
-    they absorbed), so the next update re-times in full; a compiled snapshot
-    patched inside the block no longer describes the graph, so the caller
-    recompiles it.
+    Every analysis indexes the compiled graph's append-only
+    :class:`~.compiled.SolutionTable`, so earlier analyses' ``sol_idx``
+    planes stay valid.  Like the object engine, this engine is the single
+    consumer of its graph's dirty set.  An update inside
+    :meth:`TimingGraph.transaction` that rolls back drops the planes (the
+    rollback restores edits and dirt they absorbed), so the next update
+    re-times in full; a compiled snapshot patched inside the block no longer
+    describes the graph, so the caller recompiles it.
     """
 
     def __init__(self, engine: "GraphEngine", graph: TimingGraph) -> None:
@@ -221,7 +220,6 @@ class CompiledIncrementalEngine:
         #: Event ids where the spare differs from the live buffer (None =
         #: potentially every event).
         self._written: Optional[np.ndarray] = None
-        self._solutions: List[StageSolution] = []
         self._timed = False
         #: Nets the last update re-timed or re-required (None = potentially
         #: everything); report construction reuses events everywhere else.
@@ -233,7 +231,6 @@ class CompiledIncrementalEngine:
         self._live = None
         self._spare = None
         self._written = None
-        self._solutions = []
         self._timed = False
         self.last_changed_nets = None
 
@@ -253,7 +250,6 @@ class CompiledIncrementalEngine:
                                   analysis.hold_required)
         self._spare = spare
         self._written = None
-        self._solutions = analysis.solutions
         self._timed = True
         self.last_changed_nets = None
         n = len(self.graph)
@@ -261,7 +257,7 @@ class CompiledIncrementalEngine:
             dirty_nets=dirty_nets, retimed_nets=n,
             retimed_events=analysis.n_events, required_nets=n,
             hold_required_nets=n if self.graph.hold_constrained else 0,
-            patched_nets=patched_nets, cone_nets=n, cone_converged_early=0)
+            patched_nets=patched_nets, cone_converged_early=0)
         return analysis
 
     def _writable(self) -> _PlaneBuffer:
@@ -303,6 +299,7 @@ class CompiledIncrementalEngine:
         started = time.perf_counter()
         solver = self.engine.solver
         before = solver.stats.snapshot()
+        table = cg.solution_table(self.engine.options, solver)
         required_nets = 0
         delta = SweepDelta(visited=np.empty(0, dtype=np.int64),
                            changed=np.empty(0, dtype=np.int64),
@@ -315,12 +312,11 @@ class CompiledIncrementalEngine:
                 state = buffer.state
             written: Optional[np.ndarray] = None
             if dirty:
-                solve_level = self.engine._level_solver(cg, state,
-                                                        self._solutions)
                 dirty_ids = np.fromiter((cg.index[name] for name in dirty),
                                         dtype=np.int64, count=len(dirty))
-                delta = incremental_sweep(cg, graph, state, dirty_ids,
-                                          solve_level)
+                delta = incremental_sweep(
+                    cg, graph, state, dirty_ids,
+                    partial(self.engine._solve_compiled_level, cg, table, state))
                 changed_names.update(cg.order[i]
                                      for i in delta.visited.tolist())
                 written = _interleave(delta.visited)
@@ -364,13 +360,13 @@ class CompiledIncrementalEngine:
 
         analysis = CompiledAnalysis(
             graph=cg, state=buffer.state, required=buffer.required,
-            hold_required=buffer.hold_required, solutions=self._solutions,
+            hold_required=buffer.hold_required, solutions=table.solutions,
             stats=solver.stats.since(before),
             elapsed=time.perf_counter() - started)
         analysis.incremental = IncrementalStats(
             dirty_nets=len(dirty), retimed_nets=int(delta.visited.size),
             retimed_events=delta.retimed_events, required_nets=required_nets,
             hold_required_nets=required_nets if graph.hold_constrained else 0,
-            patched_nets=patched_nets, cone_nets=int(delta.visited.size),
+            patched_nets=patched_nets,
             cone_converged_early=delta.converged_early)
         return analysis

@@ -35,6 +35,7 @@ from repro.experiments.graph_cases import (parallel_chains, soc_graph,
                                            standard_lines)
 from repro.interconnect.ladder import add_line_ladder
 from repro.sta.batch import GraphEngine
+from repro.sta.graph import event_options
 from repro.units import ps
 
 
@@ -503,7 +504,7 @@ class TestEngineEquivalence:
             oracle = solve_stage(
                 library.get(event.net.driver_size), event.input_slew,
                 event.net.line, event.solution.load_capacitance,
-                options=engine._event_options(event.input_transition),
+                options=event_options(engine.options, event.input_transition),
                 slew_low=engine.solver.slew_low,
                 slew_high=engine.solver.slew_high)
             assert_matches_scalar_oracle(event.solution, oracle)

@@ -25,7 +25,9 @@ The contract under test, layer by layer:
   (kept below) on from-scratch planes: cold and warm, after resizes, a root
   transition flip, an endpoint flip and a dropped polarity, and after
   rolled-back stimulus and constraint edits; held reports keep their
-  planes; a counter gate pins what a warm re-time builds and allocates;
+  planes; a counter gate pins what a warm re-time builds and allocates; an
+  update and a re-time index the same rows of the snapshot's solution
+  table, and engines with other slew thresholds keep rows of their own;
 * :class:`StreamingTimingReport` answers every report query like the eager
   report and serializes to the identical payload;
 * the session times every design (paths, graphs, builders) on the compiled
@@ -80,6 +82,7 @@ from repro.sta.compiled import (TRANSITIONS, CompiledGraph, ConfigInterner,
                                 _csr_rows, _install, _interleave,
                                 constraint_seeds, input_seeds, level_solve_keys,
                                 merge_nets)
+from repro.sta.graph import event_options
 from repro.units import fF, mm, nH, pF, ps
 
 
@@ -698,26 +701,27 @@ def per_sweep_backward_required(cg, state, setup_seeds, hold_seeds):
 def per_sweep_analysis(engine, graph, cg):
     """A full sweep of ``cg`` by the reference kernels, on from-scratch planes.
 
-    Nothing of what the compiled graph keeps for its sweeps is read: no
-    plan, no cached seeds, no reused buffer.
+    Nothing of what the compiled graph keeps for its sweeps is read — no
+    plan, no cached seeds, no reused buffer — but its solution table: every
+    sweep of a graph solves through that one table, so ``sol_idx`` compares
+    bit for bit like every other plane.
     """
     state = SweepState.empty(2 * cg.n_nets)
-    solutions = []
+    table = cg.solution_table(engine.options, engine.solver)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(batch, "level_solve_keys", per_sweep_level_solve_keys)
-        solve_level = engine._level_solver(cg, state, solutions)
         per_sweep_seed_primary_inputs(cg, graph, state)
         for level in range(cg.n_levels):
             events = per_sweep_merge_level(cg, state, int(cg.level_ptr[level]),
                                            int(cg.level_ptr[level + 1]))
             if events.size:
-                solve_level(events)
+                engine._solve_compiled_level(cg, table, state, events)
     required, hold_required = per_sweep_backward_required(cg, state, *(
         constraint_seeds(cg, graph, mode) if constrained else None
         for mode, constrained in (("setup", graph.setup_constrained),
                                   ("hold", graph.hold_constrained))))
     return SimpleNamespace(state=state, required=required,
-                           hold_required=hold_required, solutions=solutions)
+                           hold_required=hold_required, solutions=table.solutions)
 
 
 def current_plan(cg, graph):
@@ -734,6 +738,18 @@ def plane_bytes(analysis):
     return captured
 
 
+def content_planes(analysis):
+    """:func:`plane_bytes`, with ``sol_idx`` as the fingerprints it points at.
+
+    A solution table numbers its rows in the order its snapshot solved
+    them, so analyses of different snapshots compare solutions by content.
+    """
+    captured = plane_bytes(analysis)
+    captured["sol_idx"] = [analysis.solutions[row].fingerprint if row >= 0 else None
+                           for row in analysis.state.sol_idx.tolist()]
+    return captured
+
+
 def flip_root(graph, root):
     primary = graph.primary_inputs[root]
     graph.set_input(root, dataclasses.replace(
@@ -741,14 +757,13 @@ def flip_root(graph, root):
 
 
 def assert_sweeps_identical(ours, reference):
-    """Every plane of two full sweeps of one snapshot, bit for bit."""
+    """Every plane of two full sweeps of one snapshot, ``sol_idx`` too, bit for bit."""
     for name, mine, theirs in zip([f.name for f in dataclasses.fields(SweepState)],
                                   ours.state.planes(), reference.state.planes()):
         assert mine.tobytes() == theirs.tobytes(), f"plane {name} diverged"
     assert ours.required.tobytes() == reference.required.tobytes()
     assert ours.hold_required.tobytes() == reference.hold_required.tobytes()
-    assert ([s.fingerprint for s in ours.solutions]
-            == [s.fingerprint for s in reference.solutions])
+    assert ours.solutions is reference.solutions  # the snapshot's one table
 
 
 def mixed_inputs_graph(lines) -> TimingGraph:
@@ -900,6 +915,22 @@ class TestPlannedSweep:
                 plane_bytes(updated.analysis)) == captured
 
 
+    def test_updates_and_retimes_match_in_every_plane(self, solver):
+        # An update and a full re-time of the same state solve through the
+        # snapshot's one solution table: sol_idx is bitwise equal as well.
+        graph = planned_sweep_design("soc1k", None)
+        session = shared_session(solver)
+        session.update(graph)
+        for site, size in (("k3c2s1", 125.0), ("k5m1", 75.0), ("k3c2s1", 100.0)):
+            graph.resize_driver(site, size)
+            updated = session.update(graph).analysis
+            assert updated.incremental.retimed_nets < len(graph)
+            retimed = session.time(graph).analysis
+            assert retimed.solutions is updated.solutions
+            assert plane_bytes(updated) == plane_bytes(retimed)
+            del updated, retimed
+
+
 class TestInputCachesAfterRollback:
     """A rolled-back stimulus or constraint edit leaves no seeds for a later one.
 
@@ -934,7 +965,7 @@ class TestInputCachesAfterRollback:
             different(graph)
         ours = engine.analyze_compiled(graph, compiled_graph=cg)
         fresh = shared_session(solver).time(graph).analysis
-        assert plane_bytes(ours) == plane_bytes(fresh)
+        assert content_planes(ours) == content_planes(fresh)
 
     @pytest.mark.parametrize("edit", sorted(EDITS))
     def test_session_retimes(self, solver, edit):
@@ -948,8 +979,8 @@ class TestInputCachesAfterRollback:
                 session.time(graph)
                 raise RuntimeError("reject the block")
         different(graph)
-        assert (plane_bytes(session.time(graph).analysis)
-                == plane_bytes(shared_session(solver).time(graph).analysis))
+        assert (content_planes(session.time(graph).analysis)
+                == content_planes(shared_session(solver).time(graph).analysis))
 
 
 class TestSweepPlanReuse:
@@ -962,7 +993,8 @@ class TestSweepPlanReuse:
     previous report was dropped builds and allocates nothing, a held report
     makes the next re-time allocate, a root transition flip rebuilds the
     plan, a constraint edit the constraint seeds, and only a topology edit
-    (a recompile) builds everything again.
+    (a recompile) builds everything again.  The stages solved are kept per
+    snapshot too, one table per solver setting.
     """
 
     def test_warm_retimes_rebuild_nothing(self, solver, monkeypatch):
@@ -1022,6 +1054,33 @@ class TestSweepPlanReuse:
         plan_bytes = current_plan(cg, graph).nbytes
         assert 0 < plan_bytes <= 64 * cg.n_nets
         assert cg.nbytes >= plan_bytes
+
+
+    def test_engines_with_other_slew_thresholds_keep_their_own_rows(
+            self, library, solver):
+        # A solution depends on the solver's slew thresholds: two engines
+        # sharing one snapshot each solve and index their own rows, under
+        # their own fingerprints, as if each had compiled the graph itself.
+        graph = soc_graph(1000)
+        graph.set_clock_period(ps(1500), hold_margin=0.0)
+        engines = [GraphEngine(library=library, solver=solver),
+                   GraphEngine(library=library, solver=StageSolver(
+                       slew_low=0.2, slew_high=0.8))]
+        cg = engines[0].compile(graph)
+        for engine in engines:
+            shared = engine.analyze_compiled(graph, compiled_graph=cg)
+            state = shared.state
+            for event in shared.event_ids().tolist():
+                config = int(cg.config_id[event >> 1])
+                assert shared.solutions[state.sol_idx[event]].fingerprint == (
+                    engine.solver.fingerprint_for(
+                        cg.config_cell[config], float(state.in_slew[event]),
+                        cg.config_line[config], float(cg.config_load[config]),
+                        event_options(engine.options, TRANSITIONS[event & 1])))
+            fresh = engine.analyze_compiled(
+                graph, compiled_graph=engine.compile(graph))
+            assert content_planes(shared) == content_planes(fresh)
+        assert len(cg.solution_tables) == 2
 
 
 class TestCompiledEquivalence:
@@ -1171,8 +1230,8 @@ class TestSessionRouting:
                 oracle = solve_stage(
                     cg.config_cell[config], float(state.in_slew[event]),
                     cg.config_line[config], float(cg.config_load[config]),
-                    options=session._engine._event_options(
-                        TRANSITIONS[event & 1]))
+                    options=event_options(session._engine.options,
+                                          TRANSITIONS[event & 1]))
                 assert_matches_scalar_oracle(solution, oracle)
             assert seen
 

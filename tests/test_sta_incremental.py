@@ -19,7 +19,7 @@ import pytest
 
 from repro.core import StageSolver
 from repro.errors import ModelingError
-from repro.experiments import parallel_chains, reconvergent_graph
+from repro.experiments import parallel_chains, reconvergent_graph, soc_graph
 from repro.interconnect import RLCLine
 from repro.sta import GraphEngine, IncrementalEngine, PrimaryInput
 from repro.units import fF, mm, nH, pF, ps
@@ -290,6 +290,26 @@ class TestIncrementalProperty:
         engine.invalidate()
         report = engine.update()
         assert report.incremental.retimed_nets == len(graph)
+
+    def test_update_inside_a_rolled_back_block_retimes_in_full(self, library,
+                                                               solver):
+        # The rollback restores the resize and the dirt the update consumed,
+        # so the events that absorbed them must go: the next update re-times
+        # the whole graph instead of serving the undone edit's cone.
+        graph = soc_graph(250)
+        engine = IncrementalEngine(graph, library=library, solver=solver)
+        engine.update()
+        with pytest.raises(RuntimeError):
+            with graph.transaction():
+                graph.resize_driver("k0m0", 75.0)
+                inside = engine.update()
+                assert 1 < inside.incremental.retimed_nets < len(graph)
+                raise RuntimeError("reject the block")
+        report = engine.update()
+        assert report.incremental.retimed_nets == len(graph)
+        assert_reports_identical(report,
+                                 GraphEngine(library=library,
+                                             solver=solver).analyze(graph))
 
     def test_rejects_non_graph(self, library, solver):
         with pytest.raises(ModelingError):

@@ -19,8 +19,9 @@ updates never clone; a failed update leaves the published report intact) and
 the streaming report's cone-bounded record reuse, the cone's one-plan
 backward pass against a from-scratch one, deterministic counters of the
 per-update floor (one required-time plan per update, one forward merge per
-level that holds active nets, event options derived once per engine), and
-the engine's own rollback hook.
+level that holds active nets, one solution table per compiled graph that
+answers warm updates without a solve request and holds one row per key),
+and the engine's own rollback hook.
 """
 
 import gc
@@ -36,6 +37,7 @@ from test_sta_incremental import random_edit
 
 from repro.api import SessionConfig, StreamingTimingReport, TimingSession
 from repro.core import StageSolver
+from repro.core.stage_solver import StageRequest
 from repro.errors import CharacterizationError, ModelingError
 from repro.experiments import soc_graph
 from repro.interconnect import RLCLine
@@ -62,17 +64,25 @@ def solver():
     return StageSolver()
 
 
-#: Every per-event plane except ``sol_idx``, which indexes the producing
-#: engine's append-only solution list and is compared by content instead.
+#: Every per-event plane except ``sol_idx``, the row of the compiled graph's
+#: solution table: bitwise comparable only between analyses of one snapshot.
 PLANES = ("exists", "in_arr", "early_in", "in_slew",
           "src", "early_src", "out_arr", "early_out", "delay", "prop_slew")
 
 
 def assert_analyses_identical(incremental, full):
-    """Two compiled analyses of the same graph state are exactly equal."""
+    """Two compiled analyses of the same graph state are exactly equal.
+
+    On one compiled snapshot both index its one solution table, so
+    ``sol_idx`` is equal too; across snapshots the solutions compare by
+    fingerprint.
+    """
     for name in PLANES:
         ours, theirs = getattr(incremental.state, name), getattr(full.state, name)
         assert np.array_equal(ours, theirs), f"plane {name} diverged"
+    if incremental.graph is full.graph:
+        assert incremental.solutions is full.solutions
+        assert np.array_equal(incremental.state.sol_idx, full.state.sol_idx)
     for event in np.flatnonzero(incremental.state.exists).tolist():
         ours = incremental.solutions[incremental.state.sol_idx[event]]
         theirs = full.solutions[full.state.sol_idx[event]]
@@ -329,7 +339,7 @@ class TestCompiledIncrementalProperty:
         analysis = incremental.update(cg)
         stats = analysis.incremental
         assert stats.dirty_nets == 1
-        assert stats.cone_nets == 1  # fanout never activated
+        assert stats.retimed_nets == 1  # fanout never activated
         assert stats.cone_converged_early == 1
         assert stats.required_nets == 0
         full = engine.analyze_compiled(graph, compiled_graph=cg)
@@ -423,8 +433,8 @@ def plane_bytes(analysis):
 
 
 def assert_same_planes(update, full):
-    """The plane list perfbench compares: every state plane but ``sol_idx``."""
-    for name in PLANES:
+    """Every plane of an update and a re-time of one snapshot, ``sol_idx`` too."""
+    for name in PLANES + ("sol_idx",):
         assert (getattr(update.analysis.state, name).tobytes()
                 == getattr(full.analysis.state, name).tobytes()), name
     for name in ("required", "hold_required"):
@@ -614,8 +624,9 @@ class TestPerUpdateFloor:
     The floor of an edit->update() cycle is per-level call overhead, not
     cone work, so these count calls rather than time them: one required-time
     plan for the whole fanin cone of an update that changed nets (not one
-    per level), and one forward merge per level that holds active nets (no
-    call for the levels in between).
+    per level), one forward merge per level that holds active nets (no
+    call for the levels in between), and no solve request for a key the
+    compiled graph's solution table already holds.
     """
 
     def test_one_plan_per_update_and_one_merge_per_active_level(
@@ -660,39 +671,88 @@ class TestPerUpdateFloor:
             deepest = max(deepest, int(levels.size))
         assert deepest >= 3  # cones span levels: per-level plans would show
 
-    def test_updates_reuse_one_options_pair(self, solver, monkeypatch):
-        # The per-transition event options and the fingerprint-cache key are
-        # derived once per base options value, not on every update.
+    def test_updates_share_one_solution_table(self, solver, monkeypatch):
+        # The per-transition event options and the solution table are
+        # derived once per (options, slew thresholds) on the compiled graph,
+        # not on every update, and every update solves through that table.
         graph = soc_graph(1000)
         graph.set_clock_period(ps(1500), hold_margin=0.0)
         session = shared_session(solver)
         session.update(graph)
         engine = session._engine
-        derived, seen = [], []
-        event_options = engine._event_options
+        cg = session._compiled_cache[1]
+        tables = dict(cg.solution_tables)
+        table = cg.solution_table(engine.options, engine.solver)
+        options = table.options
+        seen = []
         solve_level = engine._solve_compiled_level
 
-        def counting_options(*args):
-            derived.append(None)
-            return event_options(*args)
+        def recording_solve(cg, table, state, events):
+            seen.append(table)
+            solve_level(cg, table, state, events)
 
-        def recording_solve(cg, state, events, options_pair, fp_cache, solutions):
-            seen.append((options_pair, fp_cache, dict(options_pair)))
-            solve_level(cg, state, events, options_pair, fp_cache, solutions)
-
-        monkeypatch.setattr(engine, "_event_options", counting_options)
         monkeypatch.setattr(engine, "_solve_compiled_level", recording_solve)
-        cg = session._compiled_cache[1]
-        keys = set(cg.fingerprints)
         for site in ("k1m1", "k3c2s1"):
             toggle(graph, site)
             session.update(graph)
-        assert derived == [] and len(seen) >= 2
-        first = seen[0]
-        for options_pair, fp_cache, options in seen:
-            assert options_pair is first[0] and fp_cache is first[1]
-            assert all(options[t] is first[2][t] for t in (0, 1))
-        assert set(cg.fingerprints) == keys
+        assert len(seen) >= 2 and all(used is table for used in seen)
+        assert table.options is options
+        assert cg.solution_tables == tables
+
+    def test_warm_sweeps_build_no_stage_request(self, solver, monkeypatch):
+        # Every key of a warm update and of a warm re-time is a row of the
+        # compiled graph's solution table: neither calls solve_batch nor
+        # builds a StageRequest, and the rows still count as memo hits.
+        graph = soc_graph(10_000)
+        graph.set_clock_period(ps(1500), hold_margin=0.0)
+        session = shared_session(solver)
+        session.update(graph)
+        for _ in range(2):  # both sizes of the site are solved
+            toggle(graph, "k3m1")
+            session.update(graph)
+        calls = {"solve_batch": 0, "request": 0}
+        solve_batch = StageSolver.solve_batch
+        request = StageRequest.__init__
+
+        def counting_solve_batch(*args):
+            calls["solve_batch"] += 1
+            return solve_batch(*args)
+
+        def counting_request(*args, **kwargs):
+            calls["request"] += 1
+            request(*args, **kwargs)
+
+        monkeypatch.setattr(StageSolver, "solve_batch", counting_solve_batch)
+        monkeypatch.setattr(StageRequest, "__init__", counting_request)
+        toggle(graph, "k3m1")
+        update = session.update(graph)
+        retime = session.time(graph)
+        assert calls == {"solve_batch": 0, "request": 0}
+        for meta in (update.meta, retime.meta):
+            assert meta.memo_hits > 0 and meta.computed == 0
+        assert update.meta.retimed_nets > 1
+
+    def test_toggling_updates_add_a_row_per_distinct_key(self, solver):
+        # 200 updates toggle four sites back and forth: the table ends with
+        # exactly one row per (config, transition, slew) key any of the
+        # analyses solved, however many updates asked for it again.
+        graph = soc_design()
+        session = shared_session(solver)
+        analysis = session.update(graph).analysis
+        cg = analysis.graph
+        keys = set()
+        for step in range(201):
+            if step:
+                toggle(graph, SOC_SITES[step % len(SOC_SITES)])
+                analysis = session.update(graph).analysis
+            events = analysis.event_ids()
+            keys.update(zip(cg.config_id[events >> 1].tolist(),
+                            (events & 1).tolist(),
+                            analysis.state.in_slew[events].tolist()))
+        table = cg.solution_table(session._engine.options, solver)
+        assert analysis.graph is cg and analysis.solutions is table.solutions
+        assert len(table.solutions) == len(table.rows) == len(keys)
+        assert len({solution.fingerprint for solution in table.solutions}) == len(keys)
 
 
 class TestRollbackHook:
