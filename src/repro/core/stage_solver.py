@@ -7,17 +7,20 @@ Inside a timing graph the same combination recurs constantly (repeated buffers o
 bus, balanced clock-tree levels, retried what-if queries), so :class:`StageSolver`
 fronts the flow with two cache layers:
 
-* an in-process LRU memo holding complete :class:`StageSolution` objects
-  (including the modeled waveform and the far-end response), and
-* an optional persistent :class:`StageSolutionStore` holding the scalar summary
-  (delays, slews, Ceff values) under ``$REPRO_CACHE_DIR``'s ``stages/``
-  subdirectory, shared across processes and sessions.
+* an in-process LRU memo of scalar-only :class:`StageSolution` objects
+  (delays, slews, Ceff values — what graph timing propagates), and
+* an optional persistent :class:`StageSolutionStore` holding the same scalar
+  summary under ``$REPRO_CACHE_DIR``'s ``stages/`` subdirectory, shared
+  across processes and sessions.
 
 Keys are content fingerprints — :meth:`CellCharacterization.fingerprint`,
 :meth:`RLCLine.fingerprint`, exact ``float.hex`` encodings of slew/load and every
 :class:`ModelingOptions` field — so a hit is guaranteed to be bit-identical to a
 recompute.  :meth:`StageSolver.solve_batch` is the one memoized entry point:
-every request is answered from a cache layer or solved in one array pass.
+every request is answered from a cache layer or solved in one array pass, and
+every answer is scalar-only.  The waveform-level detail (modeled driver
+output, far-end response) comes from the uncached :func:`solve_stage` and
+:func:`solve_stage_batch`.
 """
 
 from __future__ import annotations
@@ -412,10 +415,12 @@ class StageSolver:
 
         Every request is checked against the memo (and the persistent store)
         individually; all misses are then solved together through
-        :func:`solve_stage_batch` and installed back into the memo and (as
-        scalar-only entries) the persistent store.  Requests repeating an
-        earlier item's fingerprint — within this batch or across calls — are
-        answered from the shared result and counted as memo hits.
+        :func:`solve_stage_batch` and installed back into the memo and the
+        persistent store.  Answers are scalar-only (:meth:`StageSolution.lite`,
+        no waveforms), so neither the memo nor a caller's table of solutions
+        holds a modeled waveform.  Requests repeating an earlier item's
+        fingerprint — within this batch or across calls — are answered from
+        the shared result and counted as memo hits.
         """
         results: Dict[str, StageSolution] = {}
         order: List[str] = []
@@ -458,11 +463,12 @@ class StageSolver:
                     cache.popitem(last=False)
             self.stats.computed += len(solved)
             for solution in solved:
+                solution = solution.lite()
                 results[solution.fingerprint] = solution
                 self._remember(solution)
                 if self.store is not None:
                     try:
-                        self.store.put(solution.fingerprint, solution.lite())
+                        self.store.put(solution.fingerprint, solution)
                     except OSError:
                         pass  # read-only store: the computed result is still good
         return [results[fingerprint] for fingerprint in order]

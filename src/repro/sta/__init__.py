@@ -25,8 +25,9 @@ Layering, bottom up:
   over the compiled planes, bit-identical to a from-scratch run.
 * :mod:`repro.sta.batch` — :class:`~.batch.GraphEngine`, which owns the compile
   and compiled-sweep entry points, plus the per-object reference sweep
-  (:meth:`~.batch.GraphEngine.analyze`, :class:`~.batch.IncrementalEngine`)
-  that the equivalence tests compare the compiled engine against.
+  (:meth:`~.batch.GraphEngine.analyze`) that the equivalence tests compare
+  the compiled engine against; :class:`~.batch.IncrementalEngine` attaches it
+  to one graph and re-times the whole graph on every update.
 
 Every timing run is one serial, batched, memoized pass in the calling process.
 

@@ -31,26 +31,20 @@ extreme arrival — and every event gains ``required`` / ``slack`` plus
 ``hold_required`` / ``hold_slack``.  The backward pass is pure arithmetic over
 already-solved stage delays, so it costs microseconds even on 1k-net graphs.
 
-:class:`IncrementalEngine` adds what-if speed on top: it stays attached to one
-(now mutable) :class:`TimingGraph` and, on :meth:`IncrementalEngine.update`,
-re-times only the *dirty cone* of the edits made since the last update — the
-dirty nets' transitive fanout for arrivals, and the transitive fanin of the
-affected nets for required times — reusing the cached events everywhere else.
-Because stage solves are memoized by content fingerprint, an incremental update
-is bit-identical to a from-scratch analysis, just proportional to the size of
-the edit instead of the size of the graph.
-
 Production timing (:class:`repro.api.TimingSession`) runs on the compiled
 engine: :meth:`GraphEngine.compile` plus :meth:`GraphEngine.analyze_compiled`,
 and :class:`repro.sta.incremental_compiled.CompiledIncrementalEngine` for
 edits.  There a stage key the compiled graph solved before is a row of its
 :class:`~.compiled.SolutionTable`, and only new keys reach the solver.  The
-object sweep (:meth:`GraphEngine.analyze`, :class:`IncrementalEngine`) is
-the reference the equivalence tests compare against; every level it times
-is one :meth:`StageSolver.solve_batch` call on the engine's solver, so a
-benchmark gets the naive per-stage baseline by injecting a solver that solves
-each request on its own.  Every analysis runs in the calling process; the
-engine holds no resources beyond its solver's caches.
+object sweep (:meth:`GraphEngine.analyze`) is the reference the equivalence
+tests compare against; every level it times is one
+:meth:`StageSolver.solve_batch` call on the engine's solver, so a benchmark
+gets the naive per-stage baseline by injecting a solver that solves each
+request on its own.  :class:`IncrementalEngine` is a thin attached wrapper:
+its :meth:`~IncrementalEngine.update` consumes the graph's dirty set and
+re-times the whole graph through :meth:`GraphEngine.analyze`.  Every
+analysis runs in the calling process; the engine holds no resources beyond
+its solver's caches.
 """
 
 from __future__ import annotations
@@ -121,9 +115,8 @@ class GraphEngine:
         arrival wins, ties take the larger slew — and the early plane the
         minimum of (early arrival, slew, source) — best arrival wins, ties take
         the smaller slew.  Both tie-breaks fall through to the source name,
-        making the merge independent of the order fanins are visited in — a
-        full analysis and an incremental cone re-seed must elect the same
-        winners bit-for-bit.
+        making the merge independent of the order fanins are visited in, as
+        the compiled sweep's election is.
         """
         states = pending.setdefault(name, {})
         current = states.get(transition)
@@ -135,22 +128,87 @@ class GraphEngine:
         states[transition] = (max(late, current[0]), min(early, current[1]))
 
     # --- analysis ----------------------------------------------------------------------
-    def _time_levels(self, graph: TimingGraph, levels: List[List[str]],
-                     pending: Dict[str, Dict[str, _PendingState]],
-                     events: Dict[str, Dict[str, NetEventTiming]], *,
-                     options: Optional[ModelingOptions] = None) -> None:
-        """Forward pass over ``levels``: solve, record into ``events``, propagate.
+    @staticmethod
+    def _apply_required(graph: TimingGraph,
+                        events: Dict[str, Dict[str, NetEventTiming]]) -> None:
+        """Backward pass: propagate required times, rewrite events in place.
 
-        The shared core of full analysis (all levels, pending seeded from the
-        primary inputs) and incremental updates (cone levels, pending seeded
-        from the cached fanin events).  Mutates ``events`` and ``pending`` in
-        place.  Each level's events go to the solver as one
+        Mirrors the forward merge against the arrival flow, per polarity the
+        graph constrains: an event's *setup* required far-end time is the
+        minimum of its constraint seed and, per consumer in its fanout, that
+        consumer's required time minus the consumer's stage delay (the
+        consumer event keyed by this event's output transition — min-required
+        wins per rise/fall); its *hold* required time is the exact mirror with
+        the maximum (the early arrival must clear every downstream minimum).
+        An unconstrained polarity's required times stay ``None``.  Pure
+        arithmetic — no stage is ever re-solved here.
+        """
+        do_setup = graph.setup_constrained
+        do_hold = graph.hold_constrained
+        for level in reversed(graph.levels):
+            for name in level:
+                per_net = events.get(name)
+                if not per_net:
+                    continue
+                for transition, event in per_net.items():
+                    required = None
+                    if do_setup:
+                        required = graph.required_for(
+                            name, event.output_transition)
+                    hold_required = None
+                    if do_hold:
+                        hold_required = graph.required_for(
+                            name, event.output_transition, mode="hold")
+                    for target in event.net.fanout:
+                        consumer = events.get(target, {}).get(
+                            event.output_transition)
+                        if consumer is None:
+                            continue
+                        if do_setup and consumer.required is not None:
+                            candidate = (consumer.required
+                                         - consumer.solution.stage_delay)
+                            if required is None or candidate < required:
+                                required = candidate
+                        if do_hold and consumer.hold_required is not None:
+                            candidate = (consumer.hold_required
+                                         - consumer.solution.stage_delay)
+                            if hold_required is None \
+                                    or candidate > hold_required:
+                                hold_required = candidate
+                    if required != event.required \
+                            or hold_required != event.hold_required:
+                        per_net[transition] = replace(
+                            event, required=required,
+                            hold_required=hold_required)
+
+    def analyze(self, graph: TimingGraph, *,
+                options: Optional[ModelingOptions] = None) -> GraphTimingReport:
+        """Time every (net, transition) event of ``graph`` (the object sweep).
+
+        ``options`` overrides the engine's modeling options for this analysis
+        only (the corner axis — every corner shares the engine's memoized
+        solver, and the per-corner option fields are part of every memo
+        fingerprint, so corners never collide in the cache).  Both event
+        planes are carried forward and every polarity the graph constrains
+        gets its required times, at no extra stage solve.  Each level's
+        events go to the solver as one
         :meth:`~repro.core.stage_solver.StageSolver.solve_batch` call: memo
         layers answer per event, the unique misses are solved as one
         vectorized pass.
         """
+        if not isinstance(graph, TimingGraph):
+            raise ModelingError("analyze() expects a TimingGraph")
+        started = time.perf_counter()
+        before = self.solver.stats.snapshot()
         base = options if options is not None else self.options
-        for level in levels:
+
+        pending: Dict[str, Dict[str, _PendingState]] = {}
+        for name, primary in graph.primary_inputs.items():
+            plane = (primary.arrival, primary.slew, None)
+            pending[name] = {primary.transition: (plane, plane)}
+
+        events: Dict[str, Dict[str, NetEventTiming]] = {}
+        for level in graph.levels:
             items: List[Tuple[GraphNet, str, _PendingState]] = []
             requests: List[StageRequest] = []
             for name in level:
@@ -188,103 +246,6 @@ class GraphEngine:
                                 event.output_arrival,
                                 event.early_output_arrival,
                                 solution.propagated_slew, (net.name, transition))
-
-    @staticmethod
-    def _apply_required(graph: TimingGraph,
-                        events: Dict[str, Dict[str, NetEventTiming]],
-                        targets: Optional[set] = None) -> int:
-        """Backward pass: propagate required times, rewrite events in place.
-
-        Mirrors the forward merge against the arrival flow, per polarity the
-        graph constrains: an event's *setup* required far-end time is the
-        minimum of its constraint seed and, per consumer in its fanout, that
-        consumer's required time minus the consumer's stage delay (the
-        consumer event keyed by this event's output transition — min-required
-        wins per rise/fall); its *hold* required time is the exact mirror with
-        the maximum (the early arrival must clear every downstream minimum).
-        An unconstrained polarity's required times are ``None``.  ``targets``
-        restricts the rewrite to a net subset (the incremental backward
-        region); consumers outside it contribute their cached required times.
-        Pure arithmetic — no stage is ever re-solved here.  Returns the number
-        of nets visited.
-        """
-        do_setup = graph.setup_constrained
-        do_hold = graph.hold_constrained
-        if not do_setup and not do_hold and targets is None:
-            # Nothing seeds a required time (the constraints were removed
-            # since the events were timed); strip any stale ones cheaply.
-            for name, per_net in events.items():
-                for transition, event in per_net.items():
-                    if event.required is not None \
-                            or event.hold_required is not None:
-                        per_net[transition] = replace(
-                            event, required=None, hold_required=None)
-            return 0
-        visited = 0
-        for level in reversed(graph.levels):
-            for name in level:
-                if targets is not None and name not in targets:
-                    continue
-                per_net = events.get(name)
-                if not per_net:
-                    continue
-                visited += 1
-                for transition, event in per_net.items():
-                    required = None
-                    if do_setup:
-                        required = graph.required_for(
-                            name, event.output_transition)
-                    hold_required = None
-                    if do_hold:
-                        hold_required = graph.required_for(
-                            name, event.output_transition, mode="hold")
-                    for target in event.net.fanout:
-                        consumer = events.get(target, {}).get(
-                            event.output_transition)
-                        if consumer is None:
-                            continue
-                        if do_setup and consumer.required is not None:
-                            candidate = (consumer.required
-                                         - consumer.solution.stage_delay)
-                            if required is None or candidate < required:
-                                required = candidate
-                        if do_hold and consumer.hold_required is not None:
-                            candidate = (consumer.hold_required
-                                         - consumer.solution.stage_delay)
-                            if hold_required is None \
-                                    or candidate > hold_required:
-                                hold_required = candidate
-                    if required != event.required \
-                            or hold_required != event.hold_required:
-                        per_net[transition] = replace(
-                            event, required=required,
-                            hold_required=hold_required)
-        return visited
-
-    def analyze(self, graph: TimingGraph, *,
-                options: Optional[ModelingOptions] = None) -> GraphTimingReport:
-        """Time every (net, transition) event of ``graph`` (the object sweep).
-
-        ``options`` overrides the engine's modeling options for this analysis
-        only (the corner axis — every corner shares the engine's memoized
-        solver, and the per-corner option fields are part of every memo
-        fingerprint, so corners never collide in the cache).  Both event
-        planes are carried forward and every polarity the graph constrains
-        gets its required times, at no extra stage solve.
-        """
-        if not isinstance(graph, TimingGraph):
-            raise ModelingError("analyze() expects a TimingGraph")
-        started = time.perf_counter()
-        before = self.solver.stats.snapshot()
-
-        pending: Dict[str, Dict[str, _PendingState]] = {}
-        for name, primary in graph.primary_inputs.items():
-            plane = (primary.arrival, primary.slew, None)
-            pending[name] = {primary.transition: (plane, plane)}
-
-        events: Dict[str, Dict[str, NetEventTiming]] = {}
-        self._time_levels(graph, graph.levels, pending, events,
-                          options=options)
         self._apply_required(graph, events)
         return GraphTimingReport(graph=graph, events=events, levels=graph.levels,
                                  stats=self.solver.stats.since(before),
@@ -391,29 +352,14 @@ class GraphEngine:
 
 
 class IncrementalEngine(GraphEngine):
-    """A :class:`GraphEngine` that stays attached to one graph and re-times edits.
+    """A :class:`GraphEngine` attached to one graph that re-times it in full.
 
-    The first :meth:`update` is a full analysis; afterwards the engine keeps the
-    solved events and, on every later update, consumes the graph's dirty set
-    (see the edit operations on :class:`~.graph.TimingGraph`):
-
-    * **arrivals** — the dirty nets' transitive fanout cone is re-levelized (the
-      graph's current levels filtered to the cone) and re-timed in both event
-      planes (late and early ride on the same stage solves), seeded with the
-      cached events of the cone's unchanged fanins; everything outside the cone
-      is reused untouched.
-    * **required times** — setup and hold requirements recomputed in one
-      backward sweep over the transitive fanin of the cone (or the whole graph
-      when constraints themselves changed), again reusing cached values at the
-      region boundary.
-
-    Updates are bit-identical to a from-scratch :meth:`GraphEngine.analyze` of
-    the same graph state: the same memoized solver answers the same fingerprints,
-    and the merge tie-break is order-independent.  The engine is the single
-    consumer of its graph's dirty set — attach one engine per graph.  An
-    update inside :meth:`TimingGraph.transaction` that rolls back drops the
-    cached events (the rollback restores the edits and the dirt they
-    absorbed), so the next update re-times in full.
+    :meth:`update` consumes the graph's dirty set and returns a from-scratch
+    :meth:`GraphEngine.analyze` of the graph's current state, with
+    whole-graph :class:`~.graph.IncrementalStats`.  Edit-proportional
+    re-timing is :class:`~.incremental_compiled.CompiledIncrementalEngine`'s
+    job; this engine caches nothing, so a rolled-back transaction or a failed
+    update leaves it nothing to drop.
     """
 
     def __init__(self, graph: TimingGraph, **kwargs) -> None:
@@ -421,110 +367,15 @@ class IncrementalEngine(GraphEngine):
             raise ModelingError("IncrementalEngine expects a TimingGraph")
         super().__init__(**kwargs)
         self.graph = graph
-        self._events: Dict[str, Dict[str, NetEventTiming]] = {}
-        self._timed = False
-
-    def _snapshot(self) -> Dict[str, Dict[str, NetEventTiming]]:
-        """A report-safe copy of the cached events (updates must not mutate it)."""
-        return {name: dict(per_net) for name, per_net in self._events.items()}
 
     def update(self) -> GraphTimingReport:
-        """Re-time what the edits since the last update actually dirtied.
-
-        The first call (and any call after :meth:`invalidate`) times the whole
-        graph.  Later calls clear the graph's dirty state and return a report
-        whose :attr:`~.graph.GraphTimingReport.incremental` stats say how much
-        of the graph was touched.
-        """
+        """Time the whole graph and mark its current state as timed."""
         graph = self.graph
-        graph.on_rollback(self._rolled_back)  # what follows absorbs the edits
-        dirty = set(graph.dirty_nets)
-        constraints_dirty = graph.constraints_dirty
+        dirty_nets = len(graph.dirty_nets)
+        report = self.analyze(graph)
         graph.clear_dirty()
-
-        if not self._timed:
-            report = self.analyze(graph)
-            self._events = {name: dict(per_net)
-                            for name, per_net in report.events.items()}
-            self._timed = True
-            return replace(report, incremental=IncrementalStats(
-                dirty_nets=len(graph), retimed_nets=len(graph),
-                retimed_events=report.n_events, required_nets=len(graph),
-                hold_required_nets=len(graph) if graph.hold_constrained
-                else 0))
-
-        started = time.perf_counter()
-        before = self.solver.stats.snapshot()
-        try:
-            cone = graph.fanout_cone(dirty) if dirty else set()
-
-            # Seed the cone's pending states from primary inputs and from the
-            # cached events of fanins outside the cone (in-cone fanins
-            # contribute while the cone itself is re-timed, exactly as in a
-            # full analysis).
-            pending: Dict[str, Dict[str, _PendingState]] = {}
-            for name in cone:
-                primary = graph.primary_inputs.get(name)
-                if primary is not None:
-                    plane = (primary.arrival, primary.slew, None)
-                    pending[name] = {primary.transition: (plane, plane)}
-                for fanin in sorted(graph.fanin(name)):
-                    if fanin in cone:
-                        continue
-                    for transition, event in sorted(
-                            self._events[fanin].items()):
-                        self._merge(pending, name, event.output_transition,
-                                    event.output_arrival,
-                                    event.early_output_arrival,
-                                    event.propagated_slew,
-                                    (fanin, transition))
-            for name in cone:
-                self._events.pop(name, None)
-
-            retimed_events = 0
-            if cone:
-                levels = [[name for name in level if name in cone]
-                          for level in graph.levels]
-                levels = [level for level in levels if level]
-                self._time_levels(graph, levels, pending, self._events)
-                retimed_events = sum(len(self._events.get(name, {}))
-                                     for name in cone)
-
-            # Required times change where a stage delay changed (the cone),
-            # where an event appeared/disappeared (also the cone), or
-            # everywhere when the constraints themselves moved.  Setup and
-            # hold share one backward sweep over the same fanin region.
-            if constraints_dirty:
-                required_targets = None
-            else:
-                required_targets = graph.fanin_cone(cone) if cone else set()
-            required_nets = 0
-            if required_targets is None or required_targets:
-                required_nets = self._apply_required(graph, self._events,
-                                                     required_targets)
-            hold_required_nets = (required_nets if graph.hold_constrained
-                                  else 0)
-        except Exception:
-            # The dirty set was already consumed and the cone's cached events
-            # may be partially rebuilt; a half-updated cache must never serve
-            # later queries, so drop it — the next update re-times in full.
-            self.invalidate()
-            raise
-
-        return GraphTimingReport(
-            graph=graph, events=self._snapshot(), levels=graph.levels,
-            stats=self.solver.stats.since(before),
-            elapsed=time.perf_counter() - started,
-            incremental=IncrementalStats(
-                dirty_nets=len(dirty), retimed_nets=len(cone),
-                retimed_events=retimed_events, required_nets=required_nets,
-                hold_required_nets=hold_required_nets))
-
-    def invalidate(self) -> None:
-        """Drop the cached events; the next :meth:`update` re-times everything."""
-        self._events = {}
-        self._timed = False
-
-    def _rolled_back(self, graph: TimingGraph) -> None:
-        """Rollback hook: the graph undid edits these events absorbed."""
-        self.invalidate()
+        n = len(graph)
+        return replace(report, incremental=IncrementalStats(
+            dirty_nets=dirty_nets, retimed_nets=n,
+            retimed_events=report.n_events, required_nets=n,
+            hold_required_nets=n if graph.hold_constrained else 0))

@@ -538,9 +538,9 @@ class SolutionTable:
     """The stages one compiled graph solved under one solver setting.
 
     One append-only row per distinct ``(config, transition, input slew)``
-    key of :func:`level_solve_keys`: the solution in :attr:`solutions`, its
-    stage delay and propagated slew in :attr:`delay` / :attr:`prop_slew`.
-    Rows never change and config ids keep their meaning across patches, so
+    key of :func:`level_solve_keys`: the solver's scalar-only solution in
+    :attr:`solutions`, its stage delay and propagated slew in :attr:`delay`
+    / :attr:`prop_slew`.  Rows never change and config ids keep their meaning across patches, so
     every analysis of the graph points its ``sol_idx`` at the same rows.
     """
 

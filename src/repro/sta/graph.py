@@ -40,9 +40,8 @@ incremental, slack-aware analysis possible:
   :meth:`remove_fanout` and :meth:`set_input` mutate the design *in place* while
   keeping every construction-time invariant (edits that would break the graph
   raise and leave it untouched).  Instead of invalidating previous analyses,
-  each edit marks the affected nets dirty; the incremental engines
-  (``repro.sta.incremental_compiled.CompiledIncrementalEngine`` and the
-  reference ``repro.sta.batch.IncrementalEngine``) consume
+  each edit marks the affected nets dirty; the incremental engine
+  (``repro.sta.incremental_compiled.CompiledIncrementalEngine``) consumes
   :attr:`TimingGraph.dirty_nets` to re-time only the dirty cone.
 * **transactions** — ``with graph.transaction():`` is a savepoint: if the
   block raises, every edit made in it is undone before the exception
@@ -239,7 +238,7 @@ class TimingGraph:
             raise ModelingError(
                 f"root nets without a primary input: {sorted(missing)}")
         self._levels = self._levelize()
-        # --- constraint + dirty state (consumed by IncrementalEngine) ------------
+        # --- constraint + dirty state (consumed by the attached engine) -----------
         _check_clock_period(clock_period)
         self._clock_period: Optional[float] = clock_period
         self._hold_margin: Optional[float] = None

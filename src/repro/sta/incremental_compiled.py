@@ -34,10 +34,10 @@ election is per-target independent, an incremental update is bit-identical
 to a full compiled sweep of the edited graph on the same snapshot, in every
 plane, ``sol_idx`` included.
 
-:class:`CompiledIncrementalEngine` packages this as the compiled twin of
-:class:`repro.sta.batch.IncrementalEngine`: attached to one graph, consuming
-its dirty set, producing a full :class:`~.compiled.CompiledAnalysis` per
-update whose ``incremental`` stats say how much of the graph was touched.
+:class:`CompiledIncrementalEngine` packages this as the timer's one
+incremental engine: attached to one graph, consuming its dirty set,
+producing a full :class:`~.compiled.CompiledAnalysis` per update whose
+``incremental`` stats say how much of the graph was touched.
 """
 
 from __future__ import annotations
@@ -178,7 +178,7 @@ def incremental_required(cg: CompiledGraph, state: SweepState,
 
 
 class CompiledIncrementalEngine:
-    """The compiled twin of :class:`repro.sta.batch.IncrementalEngine`.
+    """Re-times a graph's edits on the compiled planes.
 
     Stays attached to one :class:`~.graph.TimingGraph`, consumes its dirty
     set, and re-times edits through masked compiled sweeps over persistent
@@ -201,12 +201,12 @@ class CompiledIncrementalEngine:
 
     Every analysis indexes the compiled graph's append-only
     :class:`~.compiled.SolutionTable`, so earlier analyses' ``sol_idx``
-    planes stay valid.  Like the object engine, this engine is the single
-    consumer of its graph's dirty set.  An update inside
-    :meth:`TimingGraph.transaction` that rolls back drops the planes (the
-    rollback restores edits and dirt they absorbed), so the next update
-    re-times in full; a compiled snapshot patched inside the block no longer
-    describes the graph, so the caller recompiles it.
+    planes stay valid.  The engine is the single consumer of its graph's
+    dirty set.  An update inside :meth:`TimingGraph.transaction` that rolls
+    back drops the planes (the rollback restores edits and dirt they
+    absorbed), so the next update re-times in full; a compiled snapshot
+    patched inside the block no longer describes the graph, so the caller
+    recompiles it.
     """
 
     def __init__(self, engine: "GraphEngine", graph: TimingGraph) -> None:

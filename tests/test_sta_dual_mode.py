@@ -26,7 +26,7 @@ from repro.errors import ModelingError
 from repro.experiments import parallel_chains, race_graph, reconvergent_graph
 from repro.interconnect import RLCLine
 from repro.sta import GraphEngine, GraphNet, PrimaryInput, TimingGraph
-from repro.units import mm, nH, pF, ps
+from repro.units import fF, mm, nH, pF, ps
 
 LIBRARY_SIZES = (25.0, 50.0, 75.0, 100.0, 125.0)
 
@@ -219,6 +219,59 @@ def random_dag(rng, lines, *, n_nets, n_roots=2):
         transition=rng.choice(["rise", "fall"]))
         for net in nets if not any(net.name in s[2] for s in specs)}
     return TimingGraph(nets, inputs)
+
+
+#: Edit kinds that only touch constraints: no structural dirt, no new solves.
+CONSTRAINT_KINDS = ("clock", "require", "hold_require")
+
+#: Edit kinds that dirty nets (stage configurations or connectivity change).
+STRUCTURAL_KINDS = ("resize", "line", "load", "input", "connect", "disconnect")
+
+
+def random_edit(rng, graph, lines, kinds=STRUCTURAL_KINDS + CONSTRAINT_KINDS):
+    """Apply one random edit; returns its short description (for repro logs)."""
+    names = list(graph.nets)
+    kind = rng.choice(list(kinds))
+    try:
+        if kind == "resize":
+            name = rng.choice(names)
+            graph.resize_driver(name, rng.choice(LIBRARY_SIZES))
+        elif kind == "line":
+            name = rng.choice(names)
+            graph.set_line(name, rng.choice(lines))
+        elif kind == "load":
+            name = rng.choice(names)
+            graph.set_extra_load(name, rng.choice([0.0, fF(2), fF(5), fF(11)]))
+        elif kind == "input":
+            name = rng.choice(list(graph.primary_inputs))
+            graph.set_input(name, PrimaryInput(
+                slew=rng.choice([ps(60), ps(100), ps(140)]),
+                transition=rng.choice(["rise", "fall"])))
+        elif kind == "clock":
+            graph.set_clock_period(
+                rng.choice([None, ps(300), ps(600)]),
+                hold_margin=rng.choice([None, 0.0, ps(40), ps(120)]))
+        elif kind == "require":
+            name = rng.choice(graph.endpoints)
+            graph.set_required(
+                name, rng.choice([None, ps(150), ps(450)]),
+                transition=rng.choice([None, "rise", "fall"]))
+        elif kind == "hold_require":
+            name = rng.choice(graph.endpoints)
+            graph.set_required(
+                name, rng.choice([None, ps(30), ps(200)]),
+                transition=rng.choice([None, "rise", "fall"]), mode="hold")
+        elif kind == "connect":
+            graph.add_fanout(rng.choice(names), rng.choice(names))
+        elif kind == "disconnect":
+            driver = rng.choice(names)
+            fanout = graph.nets[driver].fanout
+            if not fanout:
+                return None
+            graph.remove_fanout(driver, rng.choice(fanout))
+    except ModelingError:
+        return None  # the edit was structurally invalid; the graph is untouched
+    return kind
 
 
 def expected_hold_reach(graph, report):

@@ -1,15 +1,17 @@
 """CompiledIncrementalEngine: dirty-cone sweeps on the CSR tier, bit for bit.
 
-The acceptance property, mirroring ``test_sta_incremental`` one tier up: after
-*any* interleaving of parametric, constraint and structural edits, a compiled
-incremental update must equal — exactly, in every plane — both
+The acceptance property: after *any* interleaving of parametric, constraint
+and structural edits, a compiled incremental update must equal — exactly, in
+every plane — both
 
 * a from-scratch compiled sweep of the same graph state (same engine, same
   memoized solver: identical fingerprints answer with identical solutions, so
   nothing short of bitwise equality is acceptable), and
-* the object ``IncrementalEngine`` oracle driven through the same edits.
+* a from-scratch object ``GraphEngine.analyze`` of the same graph state.
 
-Alongside the property, this file pins the in-place patching contract
+Next to it, a no-op or constraint-only update makes no solver traffic, a
+chain-tail edit re-times only its cone, and topology edits re-time the new
+shape.  The file also pins the in-place patching contract
 (:meth:`CompiledGraph.patch` equals a fresh compile, writes O(edits) in place,
 is atomic, and replaces the endpoint mask only on a flip; topology drift is
 rejected), the session cache (constraint-only edit batches never recompile;
@@ -26,22 +28,22 @@ and the engine's own rollback hook.
 
 import gc
 import random
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 from golden_cases import RANDOM_SEEDS, golden_designs
 from test_sta_compiled import drop_constraints, shared_session, wide_fanout_graph
-from test_sta_dual_mode import LIBRARY_SIZES, random_dag
-from test_sta_incremental import random_edit
+from test_sta_dual_mode import LIBRARY_SIZES, random_dag, random_edit
 
 from repro.api import SessionConfig, StreamingTimingReport, TimingSession
 from repro.core import StageSolver
 from repro.core.stage_solver import StageRequest
 from repro.errors import CharacterizationError, ModelingError
-from repro.experiments import soc_graph
+from repro.experiments import parallel_chains, reconvergent_graph, soc_graph
 from repro.interconnect import RLCLine
-from repro.sta import GraphEngine, IncrementalEngine, PrimaryInput
+from repro.sta import GraphEngine, PrimaryInput
 from repro.sta import incremental_compiled
 from repro.sta.compiled import (RequiredPlan, SweepState, backward_required,
                                 required_seeds)
@@ -283,32 +285,24 @@ class TestCompiledIncrementalProperty:
     @pytest.mark.parametrize("seed,steps", [(11, 12), (9, 10), (26, 10)])
     def test_interleaved_edits_three_way_identical(self, library, solver,
                                                    lines, seed, steps):
-        # Identical twins: the compiled incremental engine and the object
-        # oracle each consume their own graph's dirty set, so the same edit
-        # sequence is replayed onto both copies from per-step seeded rngs.
-        twin_compiled = random_dag(random.Random(seed), lines, n_nets=22)
-        twin_object = random_dag(random.Random(seed), lines, n_nets=22)
-        for twin in (twin_compiled, twin_object):
-            twin.set_clock_period(ps(700), hold_margin=ps(50))
+        # Every step: the compiled update against a from-scratch compiled
+        # sweep of its snapshot and a from-scratch object analysis.
+        graph = random_dag(random.Random(seed), lines, n_nets=22)
+        graph.set_clock_period(ps(700), hold_margin=ps(50))
         engine = GraphEngine(library=library, solver=solver)
-        incremental = CompiledIncrementalEngine(engine, twin_compiled)
-        oracle = IncrementalEngine(twin_object, library=library, solver=solver)
-        cg = refresh_snapshot(engine, twin_compiled, None)
+        incremental = CompiledIncrementalEngine(engine, graph)
+        cg = refresh_snapshot(engine, graph, None)
         incremental.update(cg)
-        oracle.update()
         applied = []
         for step in range(steps):
-            edit_seed = seed * 1009 + step
-            kind = random_edit(random.Random(edit_seed), twin_compiled, lines)
-            mirror = random_edit(random.Random(edit_seed), twin_object, lines)
-            assert kind == mirror  # identical graphs draw identical edits
+            kind = random_edit(random.Random(seed * 1009 + step), graph, lines)
             if kind is not None:
                 applied.append(kind)
-            cg = refresh_snapshot(engine, twin_compiled, cg)
+            cg = refresh_snapshot(engine, graph, cg)
             analysis = incremental.update(cg)
-            full = engine.analyze_compiled(twin_compiled, compiled_graph=cg)
+            full = engine.analyze_compiled(graph, compiled_graph=cg)
             assert_analyses_identical(analysis, full)
-            assert_matches_object_oracle(analysis, oracle.update())
+            assert_matches_object_oracle(analysis, engine.analyze(graph))
         assert len(set(applied)) >= 3, "the edit mix degenerated"
 
     def test_noop_update_recomputes_nothing(self, library, solver, lines):
@@ -344,6 +338,61 @@ class TestCompiledIncrementalProperty:
         assert stats.required_nets == 0
         full = engine.analyze_compiled(graph, compiled_graph=cg)
         assert_analyses_identical(analysis, full)
+
+
+    def test_constraint_edit_is_arithmetic_only(self, library, solver, lines):
+        graph = reconvergent_graph(line=lines[0])
+        engine = GraphEngine(library=library, solver=solver)
+        incremental = CompiledIncrementalEngine(engine, graph)
+        cg = engine.compile(graph)
+        incremental.update(cg)
+        for period, hold_margin in ((ps(500), None), (ps(500), ps(80))):
+            graph.set_clock_period(period, hold_margin=hold_margin)
+            before = solver.stats.snapshot()
+            analysis = incremental.update(cg)
+            # Zero solver traffic, not even memo hits: the backward pass only.
+            assert solver.stats.computed == before.computed
+            assert solver.stats.memo_hits == before.memo_hits
+            stats = analysis.incremental
+            assert stats.retimed_nets == 0
+            assert stats.required_nets == len(graph)
+            assert stats.hold_required_nets == (
+                len(graph) if hold_margin is not None else 0)
+            assert_analyses_identical(
+                analysis, engine.analyze_compiled(graph, compiled_graph=cg))
+            assert_matches_object_oracle(analysis, engine.analyze(graph))
+
+    def test_cone_stays_local_on_chain_tail_edit(self, library, solver, lines):
+        graph = parallel_chains(3, 4, lines=[lines[0]], input_slew=ps(100))
+        engine = GraphEngine(library=library, solver=solver)
+        incremental = CompiledIncrementalEngine(engine, graph)
+        cg = engine.compile(graph)
+        incremental.update(cg)
+        graph.resize_driver("c1s3", 50.0)  # tail of chain 1: dirties c1s2 too
+        cg = refresh_snapshot(engine, graph, cg)
+        analysis = incremental.update(cg)
+        assert analysis.incremental.dirty_nets == 2
+        assert analysis.incremental.retimed_nets == 2  # c1s2, c1s3 — nobody else
+        assert_matches_object_oracle(analysis, engine.analyze(graph))
+
+    def test_structural_edits_retime_new_topology(self, library, solver, lines):
+        graph = reconvergent_graph(line=lines[0])
+        engine = GraphEngine(library=library, solver=solver)
+        incremental = CompiledIncrementalEngine(engine, graph)
+        cg = engine.compile(graph)
+        base = incremental.update(cg)
+        assert set(base.events_of("sink")) == {"rise", "fall"}
+        before = engine.analyze(graph)
+        # Cutting the long branch removes the sink's second transition...
+        graph.remove_fanout("long_b", "sink")
+        cg = refresh_snapshot(engine, graph, cg)
+        after_cut = incremental.update(cg)
+        assert set(after_cut.events_of("sink")) == {"rise"}
+        assert_matches_object_oracle(after_cut, engine.analyze(graph))
+        # ...and reconnecting restores it.
+        graph.add_fanout("long_b", "sink")
+        cg = refresh_snapshot(engine, graph, cg)
+        assert_matches_object_oracle(incremental.update(cg), before)
 
 
 class TestStreamingReportReuse:
@@ -753,6 +802,39 @@ class TestPerUpdateFloor:
         assert analysis.graph is cg and analysis.solutions is table.solutions
         assert len(table.solutions) == len(table.rows) == len(keys)
         assert len({solution.fingerprint for solution in table.solutions}) == len(keys)
+
+
+#: Traced bytes a solution-table row may retain, all caches included.  A
+#: scalar-only row costs ~1.7 KB; one that keeps the stage's modeled
+#: waveform and far-end response costs ~49 KB.
+ROW_KB_CEILING = 4.0
+
+
+class TestScalarOnlyRows:
+    """Solution-table rows hold scalars: a long edit session stays small."""
+
+    def test_load_edits_add_kilobytes_per_row(self):
+        # Each distinct load of a tree root re-solves its cone at new slews:
+        # ~31 new rows per update, which every later update keeps.
+        graph = soc_design()
+        session = shared_session(StageSolver())
+        cg = session.update(graph).analysis.graph
+        table = cg.solution_table(session._engine.options, session.solver)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            rows, before = len(table.solutions), tracemalloc.get_traced_memory()[0]
+            for step in range(4):
+                graph.set_extra_load("k3m1", fF(2 + 0.37 * step))
+                session.update(graph)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        added = len(table.solutions) - rows
+        assert added >= 100
+        assert retained / added / 1024 <= ROW_KB_CEILING
+        assert not any(solution.has_waveforms for solution in table.solutions)
 
 
 class TestRollbackHook:

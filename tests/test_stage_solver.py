@@ -120,6 +120,15 @@ class TestStageSolver:
         assert solver.stats.memo_hits == 1
         assert solver.stats.hit_rate == pytest.approx(0.5)
 
+    def test_answers_are_scalar_only(self, cell75, line):
+        solver = StageSolver()
+        (solution,) = solver.solve_batch([request(cell75, ps(100), line)])
+        assert not solution.has_waveforms  # the memo holds no waveform either
+        full = solve_stage(cell75, ps(100), line, 1e-14,
+                           options=ModelingOptions(transition="fall"))
+        assert full.has_waveforms and solution.fingerprint == full.fingerprint
+        assert solution.gate_delay == pytest.approx(full.gate_delay, rel=1e-9)
+
     def test_lru_bound(self, cell75, line, other_line):
         solver = StageSolver(memo_size=2)
         for slew in (ps(80), ps(100), ps(120)):
