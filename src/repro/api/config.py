@@ -2,7 +2,7 @@
 
 :class:`SessionConfig` is the one place the solver stack's knobs live.  Before it
 existed, callers hand-wired ``ModelingOptions``, ``jobs``, ``cache_dir``,
-``memo_size`` and slew thresholds through five unrelated entry points; now a
+memo sizes and slew thresholds through five unrelated entry points; now a
 session is configured once and every subsystem (characterization, stage solving,
 graph timing) reads the same object.
 
@@ -43,7 +43,7 @@ ENV_JOBS = "REPRO_JOBS"
 ENV_PERSISTENT_STAGES = "REPRO_PERSISTENT_STAGES"
 
 #: Keys older config payloads carry for fields that no longer exist.
-_RETIRED_CONFIG_KEYS = frozenset({"compile_threshold", "slew_quantum", "mode"})
+_RETIRED_CONFIG_KEYS = frozenset({"compile_threshold", "slew_quantum", "mode", "memo_size"})
 
 _TRUTHY = ("1", "true", "True", "yes", "on")
 
@@ -86,10 +86,6 @@ class SessionConfig:
     use_characterization_cache: bool = True  #: persist characterized cells on disk
     persistent_stages: bool = False  #: persist scalar stage solutions on disk
     jobs: int = 1  #: worker processes for characterization grids
-    #: Bound of the solver's in-process stage-solution LRU, the memo shared
-    #: across graphs (0 disables it).  A compiled graph keeps one row per
-    #: distinct stage key of its own, whatever this bound is.
-    memo_size: int = 4096
     slew_low: float = SLEW_LOW_THRESHOLD  #: lower slew measurement threshold
     slew_high: float = SLEW_HIGH_THRESHOLD  #: upper slew measurement threshold
     options: ModelingOptions = field(default_factory=ModelingOptions)
@@ -103,8 +99,6 @@ class SessionConfig:
     def __post_init__(self) -> None:
         if self.jobs < 1:
             raise ModelingError(f"jobs must be >= 1, got {self.jobs}")
-        if self.memo_size < 0:
-            raise ModelingError(f"memo_size must be >= 0, got {self.memo_size}")
         if not 0.0 < self.slew_low < self.slew_high < 1.0:
             raise ModelingError(
                 "slew thresholds must satisfy 0 < slew_low < slew_high < 1, got "
@@ -175,7 +169,6 @@ class SessionConfig:
             "use_characterization_cache": self.use_characterization_cache,
             "persistent_stages": self.persistent_stages,
             "jobs": self.jobs,
-            "memo_size": self.memo_size,
             "slew_low": self.slew_low,
             "slew_high": self.slew_high,
             "options": _options_to_dict(self.options),
@@ -218,5 +211,5 @@ class SessionConfig:
             f"session config: library={library}, cache={cache} "
             f"(cells {'on' if self.use_characterization_cache else 'off'}, "
             f"stages {'on' if self.persistent_stages else 'off'}), "
-            f"jobs={self.jobs}, memo={self.memo_size}{corners}"
+            f"jobs={self.jobs}{corners}"
         )

@@ -28,9 +28,10 @@ none of them flatten O(graph) event records; serialization (``to_dict`` /
 :func:`compare_reports` diffs two streaming reports over one compiled net order
 (every ``update()`` pair and serve edit) on their event planes, building a row
 only per changed endpoint slack; any other pair goes through event-key sets,
-which materialize the shared endpoint events.  The eager
-:meth:`TimingReport.from_graph_report` flattens a reference-sweep result
-(the equivalence tests and the graph-throughput benchmark's naive baseline).
+which materialize the shared endpoint events.  The reference sweep
+(:meth:`repro.sta.batch.GraphEngine.analyze`) returns an eager
+:class:`TimingReport` directly; :meth:`TimingReport.from_graph_report` only
+relabels it with a design name, kind and version.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from __future__ import annotations
 import json
 import math
 from collections import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 from typing import (
@@ -53,10 +54,10 @@ from typing import (
     Tuple,
 )
 
-from ..core.stage_solver import SolverStats
+from ..core.stage_solver import SolverStats, StageSolution
 from ..errors import ModelingError
 from ..perf import peak_rss_bytes as _peak_rss_bytes
-from ..sta.graph import GraphTimingReport, IncrementalStats, NetEventTiming, check_mode
+from ..sta.graph import IncrementalStats, check_mode
 from ..units import to_ps
 
 __all__ = [
@@ -81,9 +82,9 @@ def _check_kind(kind: str) -> None:
 class TimingEvent:
     """One solved (net, input-transition) event, scalars only.
 
-    This is the union of what :class:`~repro.sta.graph.NetEventTiming` and
-    :class:`~repro.core.stage_solver.StageSolution` expose, flattened so the
-    event is self-contained and serializable.
+    A :class:`~repro.core.stage_solver.StageSolution` flattened together with
+    the event's arrivals, fanin sources and required times, so the event is
+    self-contained and serializable.
     """
 
     net: str
@@ -124,16 +125,36 @@ class TimingEvent:
         return self.slack if mode == "setup" else self.hold_slack
 
     @classmethod
-    def from_net_event(cls, event: NetEventTiming) -> "TimingEvent":
-        """Flatten one live graph event into its serializable record."""
-        solution = event.solution
+    def from_solution(
+        cls,
+        net: str,
+        input_transition: str,
+        solution: StageSolution,
+        *,
+        input_slew: float,
+        arrivals: Tuple[float, float],
+        sources: Tuple[Optional[Tuple[str, str]], Optional[Tuple[str, str]]],
+        endpoint: bool,
+        required: Tuple[Optional[float], Optional[float]] = (None, None),
+    ) -> "TimingEvent":
+        """One solved event's record from its stage solution and event planes.
+
+        ``arrivals`` are the (late, early) input arrivals, ``sources`` their winning
+        fanins and ``required`` the (setup, hold) required far-end times (None =
+        unconstrained); far-end arrivals add the stage delay and the slacks follow.
+        """
+        input_arrival, early_input_arrival = arrivals
+        setup, hold = required
+        delay = solution.stage_delay
+        output_arrival = input_arrival + delay
+        early_arrival = early_input_arrival + delay
         return cls(
-            net=event.net.name,
-            input_transition=event.input_transition,
-            output_transition=event.output_transition,
-            input_arrival=event.input_arrival,
-            output_arrival=event.output_arrival,
-            input_slew=event.input_slew,
+            net=net,
+            input_transition=input_transition,
+            output_transition=solution.transition,
+            input_arrival=input_arrival,
+            output_arrival=output_arrival,
+            input_slew=input_slew,
             gate_delay=solution.gate_delay,
             interconnect_delay=solution.interconnect_delay,
             far_slew=solution.far_slew,
@@ -146,14 +167,14 @@ class TimingEvent:
             ceff2=solution.ceff2,
             tr2_effective=solution.tr2_effective,
             fingerprint=solution.fingerprint,
-            source=event.source,
-            required=event.required,
-            slack=event.slack,
-            endpoint=event.is_endpoint,
-            early_arrival=event.early_output_arrival,
-            early_source=event.early_source,
-            hold_required=event.hold_required,
-            hold_slack=event.hold_slack,
+            source=sources[0],
+            required=setup,
+            slack=None if setup is None else setup - output_arrival,
+            endpoint=endpoint,
+            early_arrival=early_arrival,
+            early_source=sources[1],
+            hold_required=hold,
+            hold_slack=None if hold is None else early_arrival - hold,
         )
 
     def to_dict(self) -> Dict[str, Any]:
@@ -335,35 +356,16 @@ class TimingReport:
     @classmethod
     def from_graph_report(
         cls,
-        report: GraphTimingReport,
+        report: "TimingReport",
         *,
         design: str,
         kind: str = "graph",
         version: str = "",
     ) -> "TimingReport":
-        """Flatten a live :class:`GraphTimingReport` into the unified model."""
+        """Relabel a reference-sweep report with its design, kind and version."""
         _check_kind(kind)
-        events = {
-            name: {
-                transition: TimingEvent.from_net_event(event)
-                for transition, event in sorted(per_net.items())
-            }
-            for name, per_net in sorted(report.events.items())
-        }
-        critical = (
-            [(event.net.name, event.input_transition) for event in report.critical_path()]
-            if events
-            else []
-        )
-        return cls(
-            design=design,
-            kind=kind,
-            events=events,
-            levels=[list(level) for level in report.levels],
-            critical_path=critical,
-            meta=RunInfo.from_stats(
-                report.stats, report.incremental, elapsed=report.elapsed, version=version
-            ),
+        return replace(
+            report, design=design, kind=kind, meta=replace(report.meta, version=version)
         )
 
     # --- queries ----------------------------------------------------------------------

@@ -74,7 +74,7 @@ class TimingSession:
     nothing at all::
 
         TimingSession()                      # defaults: shipped library, serial
-        TimingSession(memo_size=0)           # override one knob
+        TimingSession(persistent_stages=True)  # override one knob
         TimingSession(SessionConfig.from_env())  # env-var layer, explicit
 
     The session owns its resources: the stage-solution memo is shared by every
@@ -106,10 +106,7 @@ class TimingSession:
         if cfg.persistent_stages:
             persistent = cfg.cache_dir / "stages" if cfg.cache_dir is not None else True
         self.solver = StageSolver(
-            memo_size=cfg.memo_size,
-            persistent=persistent,
-            slew_low=cfg.slew_low,
-            slew_high=cfg.slew_high,
+            persistent=persistent, slew_low=cfg.slew_low, slew_high=cfg.slew_high
         )
 
         self._engine = GraphEngine(

@@ -6,9 +6,8 @@ Layering, bottom up:
   Ceff/two-ramp flow behind an LRU memo plus an optional persistent scalar store),
   entered through one call, ``StageSolver.solve_batch``.
 * :mod:`repro.sta.graph` — the timing-graph data model: :class:`GraphNet` DAGs
-  with fanout, Kahn levelization, per-node rise/fall worst-arrival merging, and
-  the reference sweep's raw result (:class:`GraphTimingReport`: events and
-  critical path; its slack queries go through :class:`repro.api.TimingReport`).
+  with fanout, Kahn levelization, per-node rise/fall worst-arrival merging,
+  endpoint constraints, in-place edits and transactions.
 * :mod:`repro.sta.compiled` — the timing engine: :func:`compile_graph`
   freezes a :class:`TimingGraph` into a :class:`CompiledGraph` (struct-of-arrays
   CSR form), and :meth:`~.batch.GraphEngine.analyze_compiled` runs each level as
@@ -27,7 +26,8 @@ Layering, bottom up:
   and compiled-sweep entry points, plus the per-object reference sweep
   (:meth:`~.batch.GraphEngine.analyze`) that the equivalence tests compare
   the compiled engine against; :class:`~.batch.IncrementalEngine` attaches it
-  to one graph and re-times the whole graph on every update.
+  to one graph and re-times the whole graph on every update.  Both return
+  an eager :class:`repro.api.TimingReport`.
 
 Every timing run is one serial, batched, memoized pass in the calling process.
 
@@ -41,9 +41,8 @@ engine, and returns the unified, JSON-serializable
 from .batch import GraphEngine, IncrementalEngine
 from .compiled import (TRANSITIONS, CompiledAnalysis, CompiledGraph,
                        SweepState, compile_graph)
-from .graph import (CHECK_MODES, GraphNet, GraphTimingReport, IncrementalStats,
-                    NetEventTiming, PrimaryInput, TimingGraph, chain_graph,
-                    check_mode, flip_transition)
+from .graph import (CHECK_MODES, GraphNet, IncrementalStats, PrimaryInput,
+                    TimingGraph, chain_graph, check_mode, flip_transition)
 from .stage import TimingPath, TimingStage
 from .validation import PathReference, simulate_path_reference
 
@@ -57,8 +56,6 @@ __all__ = [
     "flip_transition",
     "check_mode",
     "CHECK_MODES",
-    "NetEventTiming",
-    "GraphTimingReport",
     "IncrementalStats",
     "GraphEngine",
     "IncrementalEngine",

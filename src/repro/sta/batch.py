@@ -37,10 +37,11 @@ and :class:`repro.sta.incremental_compiled.CompiledIncrementalEngine` for
 edits.  There a stage key the compiled graph solved before is a row of its
 :class:`~.compiled.SolutionTable`, and only new keys reach the solver.  The
 object sweep (:meth:`GraphEngine.analyze`) is the reference the equivalence
-tests compare against; every level it times is one
-:meth:`StageSolver.solve_batch` call on the engine's solver, so a benchmark
-gets the naive per-stage baseline by injecting a solver that solves each
-request on its own.  :class:`IncrementalEngine` is a thin attached wrapper:
+tests compare against, returning an eager :class:`repro.api.TimingReport`;
+every level it times is one :meth:`StageSolver.solve_batch` call on the
+engine's solver, so a benchmark gets the naive per-stage baseline by
+injecting a solver that solves each request on its own.
+:class:`IncrementalEngine` is a thin attached wrapper:
 its :meth:`~IncrementalEngine.update` consumes the graph's dirty set and
 re-times the whole graph through :meth:`GraphEngine.analyze`.  Every
 analysis runs in the calling process; the engine holds no resources beyond
@@ -51,13 +52,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import replace
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..characterization.library import CellLibrary, default_library
 from ..core.driver_model import ModelingOptions
-from ..core.stage_solver import StageRequest, StageSolver
+from ..core.stage_solver import StageRequest, StageSolution, StageSolver
 from ..errors import ModelingError
 from ..tech.technology import Technology, generic_180nm
 from .compiled import (CompiledAnalysis, CompiledGraph, SolutionTable,
@@ -65,8 +66,10 @@ from .compiled import (CompiledAnalysis, CompiledGraph, SolutionTable,
                        input_seeds, level_solve_keys, merge_level,
                        required_seeds, scatter_level_solutions,
                        seed_primary_inputs)
-from .graph import (GraphNet, GraphTimingReport, IncrementalStats,
-                    NetEventTiming, TimingGraph, event_options)
+from .graph import GraphNet, TimingGraph, event_options
+
+if TYPE_CHECKING:
+    from ..api.report import TimingEvent, TimingReport
 
 __all__ = ["GraphEngine", "IncrementalEngine"]
 
@@ -75,6 +78,9 @@ _PlaneState = Tuple[float, float, Optional[Tuple[str, str]]]
 
 #: (late, early) plane pair tracked per pending (net, transition) state.
 _PendingState = Tuple[_PlaneState, _PlaneState]
+
+#: A solved event of the object sweep: its merged input state and solution.
+_Solved = Tuple[_PendingState, StageSolution]
 
 
 class GraphEngine:
@@ -129,9 +135,9 @@ class GraphEngine:
 
     # --- analysis ----------------------------------------------------------------------
     @staticmethod
-    def _apply_required(graph: TimingGraph,
-                        events: Dict[str, Dict[str, NetEventTiming]]) -> None:
-        """Backward pass: propagate required times, rewrite events in place.
+    def _backward_events(graph: TimingGraph, solved: Dict[str, Dict[str, _Solved]]
+                         ) -> Dict[str, Dict[str, TimingEvent]]:
+        """Backward pass: every solved event's record, required times included.
 
         Mirrors the forward merge against the arrival flow, per polarity the
         graph constrains: an event's *setup* required far-end time is the
@@ -141,48 +147,66 @@ class GraphEngine:
         wins per rise/fall); its *hold* required time is the exact mirror with
         the maximum (the early arrival must clear every downstream minimum).
         An unconstrained polarity's required times stay ``None``.  Pure
-        arithmetic — no stage is ever re-solved here.
+        arithmetic — no stage is ever re-solved here.  Levels are visited in
+        reverse, so every consumer's record exists before its drivers'.
         """
+        # Imported here: repro.api.report imports repro.sta at the top.
+        from ..api.report import TimingEvent
+
         do_setup = graph.setup_constrained
         do_hold = graph.hold_constrained
+        events: Dict[str, Dict[str, TimingEvent]] = {}
         for level in reversed(graph.levels):
             for name in level:
-                per_net = events.get(name)
-                if not per_net:
-                    continue
-                for transition, event in per_net.items():
-                    required = None
-                    if do_setup:
-                        required = graph.required_for(
-                            name, event.output_transition)
-                    hold_required = None
-                    if do_hold:
-                        hold_required = graph.required_for(
-                            name, event.output_transition, mode="hold")
-                    for target in event.net.fanout:
-                        consumer = events.get(target, {}).get(
-                            event.output_transition)
+                net = graph.nets[name]
+                for transition, (state, solution) in solved.get(name, {}).items():
+                    out = solution.transition
+                    required = graph.required_for(name, out) if do_setup else None
+                    hold_required = (graph.required_for(name, out, mode="hold")
+                                     if do_hold else None)
+                    for target in net.fanout:
+                        consumer = events.get(target, {}).get(out)
                         if consumer is None:
                             continue
-                        if do_setup and consumer.required is not None:
-                            candidate = (consumer.required
-                                         - consumer.solution.stage_delay)
+                        if consumer.required is not None:
+                            candidate = consumer.required - consumer.stage_delay
                             if required is None or candidate < required:
                                 required = candidate
-                        if do_hold and consumer.hold_required is not None:
-                            candidate = (consumer.hold_required
-                                         - consumer.solution.stage_delay)
-                            if hold_required is None \
-                                    or candidate > hold_required:
+                        if consumer.hold_required is not None:
+                            candidate = consumer.hold_required - consumer.stage_delay
+                            if hold_required is None or candidate > hold_required:
                                 hold_required = candidate
-                    if required != event.required \
-                            or hold_required != event.hold_required:
-                        per_net[transition] = replace(
-                            event, required=required,
-                            hold_required=hold_required)
+                    (arrival, slew, source), (early, _, early_source) = state
+                    events.setdefault(name, {})[transition] = TimingEvent.from_solution(
+                        name, transition, solution, input_slew=slew,
+                        arrivals=(arrival, early), sources=(source, early_source),
+                        endpoint=net.is_endpoint, required=(required, hold_required))
+        return events
+
+    @staticmethod
+    def _critical_path(graph: TimingGraph,
+                       events: Dict[str, Dict[str, TimingEvent]]
+                       ) -> List[Tuple[str, str]]:
+        """Keys from a primary input to the latest sink event, in arrival order.
+
+        The sink event with the largest far-end arrival wins (the first one
+        in level order on exact ties, as the compiled engine's ``argmax``
+        does); the path follows each event's late-plane ``source`` back.
+        """
+        sinks = [event for level in graph.levels for name in level
+                 if not graph.nets[name].fanout
+                 for event in events.get(name, {}).values()]
+        if not sinks:
+            raise ModelingError("graph analysis produced no sink events")
+        cursor = max(sinks, key=lambda event: event.output_arrival)
+        path = [(cursor.net, cursor.input_transition)]
+        while cursor.source is not None:
+            cursor = events[cursor.source[0]][cursor.source[1]]
+            path.append((cursor.net, cursor.input_transition))
+        return path[::-1]
 
     def analyze(self, graph: TimingGraph, *,
-                options: Optional[ModelingOptions] = None) -> GraphTimingReport:
+                options: Optional[ModelingOptions] = None) -> TimingReport:
         """Time every (net, transition) event of ``graph`` (the object sweep).
 
         ``options`` overrides the engine's modeling options for this analysis
@@ -195,7 +219,14 @@ class GraphEngine:
         :meth:`~repro.core.stage_solver.StageSolver.solve_batch` call: memo
         layers answer per event, the unique misses are solved as one
         vectorized pass.
+
+        Returns an eager :class:`repro.api.TimingReport` labelled
+        ``"graph"``: events sorted by net and transition, the critical path
+        as keys, and the solver counters of this analysis in ``meta``
+        (:meth:`~repro.api.TimingReport.from_graph_report` relabels it).
         """
+        from ..api.report import RunInfo, TimingReport
+
         if not isinstance(graph, TimingGraph):
             raise ModelingError("analyze() expects a TimingGraph")
         started = time.perf_counter()
@@ -207,7 +238,7 @@ class GraphEngine:
             plane = (primary.arrival, primary.slew, None)
             pending[name] = {primary.transition: (plane, plane)}
 
-        events: Dict[str, Dict[str, NetEventTiming]] = {}
+        solved: Dict[str, Dict[str, _Solved]] = {}
         for level in graph.levels:
             items: List[Tuple[GraphNet, str, _PendingState]] = []
             requests: List[StageRequest] = []
@@ -230,26 +261,24 @@ class GraphEngine:
                             cell, slew, net.line, load, stage_options)))
             if not items:
                 continue
-            solved = self.solver.solve_batch(requests)
-
-            for (net, transition, state), solution in zip(items, solved):
-                (arrival, slew, source), (early, _, early_source) = state
-                event = NetEventTiming(
-                    net=net, input_transition=transition,
-                    output_transition=solution.transition,
-                    input_arrival=arrival, input_slew=slew, solution=solution,
-                    source=source, early_input_arrival=early,
-                    early_source=early_source)
-                events.setdefault(net.name, {})[transition] = event
+            for (net, transition, state), solution in zip(
+                    items, self.solver.solve_batch(requests)):
+                solved.setdefault(net.name, {})[transition] = (state, solution)
+                delay = solution.stage_delay
                 for target in net.fanout:
                     self._merge(pending, target, solution.transition,
-                                event.output_arrival,
-                                event.early_output_arrival,
+                                state[0][0] + delay, state[1][0] + delay,
                                 solution.propagated_slew, (net.name, transition))
-        self._apply_required(graph, events)
-        return GraphTimingReport(graph=graph, events=events, levels=graph.levels,
-                                 stats=self.solver.stats.since(before),
-                                 elapsed=time.perf_counter() - started)
+
+        events = self._backward_events(graph, solved)
+        return TimingReport(
+            design="graph", kind="graph",
+            events={name: dict(sorted(per_net.items()))
+                    for name, per_net in sorted(events.items())},
+            levels=graph.levels,
+            critical_path=self._critical_path(graph, events),
+            meta=RunInfo.from_stats(self.solver.stats.since(before),
+                                    elapsed=time.perf_counter() - started))
 
     # --- compiled (struct-of-arrays) analysis ----------------------------------------
     def compile(self, graph: TimingGraph) -> CompiledGraph:
@@ -356,7 +385,7 @@ class IncrementalEngine(GraphEngine):
 
     :meth:`update` consumes the graph's dirty set and returns a from-scratch
     :meth:`GraphEngine.analyze` of the graph's current state, with
-    whole-graph :class:`~.graph.IncrementalStats`.  Edit-proportional
+    whole-graph cone counts on its ``meta``.  Edit-proportional
     re-timing is :class:`~.incremental_compiled.CompiledIncrementalEngine`'s
     job; this engine caches nothing, so a rolled-back transaction or a failed
     update leaves it nothing to drop.
@@ -368,14 +397,13 @@ class IncrementalEngine(GraphEngine):
         super().__init__(**kwargs)
         self.graph = graph
 
-    def update(self) -> GraphTimingReport:
+    def update(self) -> TimingReport:
         """Time the whole graph and mark its current state as timed."""
         graph = self.graph
         dirty_nets = len(graph.dirty_nets)
         report = self.analyze(graph)
         graph.clear_dirty()
         n = len(graph)
-        return replace(report, incremental=IncrementalStats(
-            dirty_nets=dirty_nets, retimed_nets=n,
-            retimed_events=report.n_events, required_nets=n,
+        return replace(report, meta=replace(
+            report.meta, dirty_nets=dirty_nets, retimed_nets=n, required_nets=n,
             hold_required_nets=n if graph.hold_constrained else 0))

@@ -1,10 +1,11 @@
 """Struct-of-arrays timing graphs: the timing engine, from 3 nets to 1M.
 
-:class:`~.graph.TimingGraph` is one Python object, one dict entry and one
-:class:`~.graph.NetEventTiming` per net — comfortable at 1k nets, but at SoC
-scale (100k-1M nets) the per-object bookkeeping (attribute walks, dict churn,
-per-event hashing) dominates wall clock and peak RSS long before any timing
-math runs.  This module freezes a graph into a columnar twin:
+:class:`~.graph.TimingGraph` is one Python object and one dict entry per net,
+and its reference sweep builds one :class:`repro.api.report.TimingEvent` per
+event up front — comfortable at 1k nets, but at SoC scale (100k-1M nets)
+the per-object bookkeeping (attribute walks, dict churn, per-event hashing)
+dominates wall clock and peak RSS long before any timing math runs.  This
+module freezes a graph into a columnar twin:
 
 * :func:`compile_graph` produces a :class:`CompiledGraph` — CSR fanin/fanout
   adjacency, level boundaries, per-net loads, deduplicated stage
@@ -1279,43 +1280,19 @@ class CompiledAnalysis:
         state = self.state
         if not state.exists[event]:
             raise ModelingError(f"event {event} was not timed")
-        solution = self.solutions[state.sol_idx[event]]
         net_id, t = event >> 1, event & 1
         required = float(self.required[event])
-        required_value = None if np.isnan(required) else required
         hold = float(self.hold_required[event])
-        hold_value = None if np.isnan(hold) else hold
-        output_arrival = float(state.out_arr[event])
-        early_output = float(state.early_out[event])
-        return TimingEvent(
-            net=self.graph.order[net_id],
-            input_transition=TRANSITIONS[t],
-            output_transition=solution.transition,
-            input_arrival=float(state.in_arr[event]),
-            output_arrival=output_arrival,
+        return TimingEvent.from_solution(
+            self.graph.order[net_id], TRANSITIONS[t],
+            self.solutions[state.sol_idx[event]],
             input_slew=float(state.in_slew[event]),
-            gate_delay=solution.gate_delay,
-            interconnect_delay=solution.interconnect_delay,
-            far_slew=solution.far_slew,
-            propagated_slew=solution.propagated_slew,
-            kind=solution.kind,
-            cell_name=solution.cell_name,
-            load_capacitance=solution.load_capacitance,
-            ceff1=solution.ceff1,
-            tr1=solution.tr1,
-            ceff2=solution.ceff2,
-            tr2_effective=solution.tr2_effective,
-            fingerprint=solution.fingerprint,
-            source=self._source_key(state.src[event]),
-            required=required_value,
-            slack=(None if required_value is None
-                   else required_value - output_arrival),
+            arrivals=(float(state.in_arr[event]), float(state.early_in[event])),
+            sources=(self._source_key(state.src[event]),
+                     self._source_key(state.early_src[event])),
             endpoint=bool(self.is_endpoint[net_id]),
-            early_arrival=early_output,
-            early_source=self._source_key(state.early_src[event]),
-            hold_required=hold_value,
-            hold_slack=(None if hold_value is None
-                        else early_output - hold_value))
+            required=(None if np.isnan(required) else required,
+                      None if np.isnan(hold) else hold))
 
     def _source_key(self, source: int) -> Optional[Tuple[str, str]]:
         if source < 0:

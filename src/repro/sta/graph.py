@@ -50,10 +50,9 @@ incremental, slack-aware analysis possible:
 The chain-shaped special case is produced by :func:`chain_graph`, which is how
 :meth:`repro.api.TimingSession.time` times a :class:`TimingPath`.
 
-:class:`GraphTimingReport` is the raw result of the object reference sweep
-(:meth:`repro.sta.batch.GraphEngine.analyze`): solved events plus the critical
-path.  Slack and WNS/WHS queries live on :class:`repro.api.TimingReport`, built
-from it by :meth:`~repro.api.TimingReport.from_graph_report`.
+Timing results are not modelled here: both the compiled engine and the object
+reference sweep (:meth:`repro.sta.batch.GraphEngine.analyze`) report through
+:class:`repro.api.TimingReport` and its :class:`repro.api.TimingEvent` records.
 """
 
 from __future__ import annotations
@@ -67,14 +66,13 @@ from typing import (Any, Callable, Dict, FrozenSet, Iterator, List, Mapping,
                     Optional, Sequence, Set, Tuple)
 
 from ..core.driver_model import ModelingOptions
-from ..core.stage_solver import SolverStats, StageSolution
 from ..errors import ModelingError
 from ..interconnect.rlc_line import RLCLine
 from .stage import TimingPath, TimingStage
 
 __all__ = ["GraphNet", "PrimaryInput", "TimingGraph", "chain_graph",
-           "NetEventTiming", "GraphTimingReport", "IncrementalStats",
-           "flip_transition", "event_options", "check_mode", "CHECK_MODES"]
+           "IncrementalStats", "flip_transition", "event_options", "check_mode",
+           "CHECK_MODES"]
 
 #: Constraint polarities: "setup" checks late arrivals, "hold" checks early ones.
 CHECK_MODES = ("setup", "hold")
@@ -436,37 +434,6 @@ class TimingGraph:
         """
         return [name for name, net in self.nets.items() if net.is_endpoint]
 
-    def _check_names(self, names, operation: str) -> None:
-        unknown = sorted(name for name in names if name not in self.nets)
-        if unknown:
-            raise ModelingError(f"{operation} given unknown net(s): {unknown}")
-
-    def fanout_cone(self, names: "Sequence[str] | Set[str]") -> Set[str]:
-        """``names`` plus their transitive fanout (the arrival dirty cone)."""
-        self._check_names(names, "fanout_cone()")
-        cone: Set[str] = set()
-        stack = [name for name in names]
-        while stack:
-            name = stack.pop()
-            if name in cone:
-                continue
-            cone.add(name)
-            stack.extend(self.nets[name].fanout)
-        return cone
-
-    def fanin_cone(self, names: "Sequence[str] | Set[str]") -> Set[str]:
-        """``names`` plus their transitive fanin (the required-time dirty cone)."""
-        self._check_names(names, "fanin_cone()")
-        cone: Set[str] = set()
-        stack = [name for name in names]
-        while stack:
-            name = stack.pop()
-            if name in cone:
-                continue
-            cone.add(name)
-            stack.extend(self._fanin[name])
-        return cone
-
     def __len__(self) -> int:
         return len(self.nets)
 
@@ -766,70 +733,6 @@ def chain_graph(path: TimingPath, *, input_transition: str = "rise"
 
 
 @dataclass(frozen=True)
-class NetEventTiming:
-    """One solved (net, input-transition) event, carrying both analysis planes.
-
-    ``source`` names the fanin event that set the merged worst-case (late) input
-    arrival (None at primary inputs), which is what critical-path traceback
-    follows; ``early_source`` is its min-arrival mirror.  The stage solve itself
-    is mode-independent — one :class:`StageSolution` at the late-merged slew
-    serves both planes, so the early plane is pure bookkeeping.  ``required``
-    (setup: latest admissible late arrival) and ``hold_required`` (hold:
-    earliest admissible early arrival) are filled in by the engine's backward
-    pass when the graph carries constraints of that mode (None otherwise).
-    """
-
-    net: GraphNet
-    input_transition: str  #: edge direction at the driver input
-    output_transition: str  #: edge direction at the far end (inverted)
-    input_arrival: float  #: merged worst-case 50% arrival at the driver input [s]
-    input_slew: float  #: full-swing input ramp time the stage was solved at [s]
-    solution: StageSolution
-    source: Optional[Tuple[str, str]] = None  #: (net name, input transition) of the winning fanin
-    required: Optional[float] = None  #: latest admissible far-end arrival [s]
-    early_input_arrival: Optional[float] = None  #: merged best-case input arrival [s]; None = same as late
-    early_source: Optional[Tuple[str, str]] = None  #: winning fanin of the early plane
-    hold_required: Optional[float] = None  #: earliest admissible far-end arrival [s]
-
-    @property
-    def output_arrival(self) -> float:
-        """Late (worst-case) 50% arrival time at the far end [s]."""
-        return self.input_arrival + self.solution.stage_delay
-
-    @property
-    def early_output_arrival(self) -> float:
-        """Early (best-case) 50% arrival time at the far end [s]."""
-        early = self.early_input_arrival
-        if early is None:
-            early = self.input_arrival
-        return early + self.solution.stage_delay
-
-    @property
-    def propagated_slew(self) -> float:
-        """Full-swing ramp time handed to fanout driver inputs [s]."""
-        return self.solution.propagated_slew
-
-    @property
-    def slack(self) -> Optional[float]:
-        """Setup slack ``required - output_arrival`` [s]; None when unconstrained."""
-        if self.required is None:
-            return None
-        return self.required - self.output_arrival
-
-    @property
-    def hold_slack(self) -> Optional[float]:
-        """Hold slack ``early_output_arrival - hold_required`` [s]; None when unconstrained."""
-        if self.hold_required is None:
-            return None
-        return self.early_output_arrival - self.hold_required
-
-    @property
-    def is_endpoint(self) -> bool:
-        """True when the net consumes data (terminal receiver or no fanout)."""
-        return self.net.is_endpoint
-
-
-@dataclass(frozen=True)
 class IncrementalStats:
     """How much of the graph one incremental update actually touched."""
 
@@ -840,51 +743,3 @@ class IncrementalStats:
     hold_required_nets: int = 0  #: hold cone: nets whose hold requirements were refreshed
     patched_nets: int = 0  #: compiled entries rewritten in place (no recompile)
     cone_converged_early: int = 0  #: cone nets whose outputs converged bit-identical
-
-
-@dataclass(frozen=True)
-class GraphTimingReport:
-    """Every solved event of one object-sweep analysis, plus solver statistics.
-
-    Query it through :meth:`repro.api.TimingReport.from_graph_report`.
-    """
-
-    graph: TimingGraph
-    events: Dict[str, Dict[str, NetEventTiming]]  #: net name -> input transition -> event
-    levels: List[List[str]]
-    stats: SolverStats  #: solver counters accumulated over this analysis
-    elapsed: float  #: wall-clock analysis time [s]
-    incremental: Optional[IncrementalStats] = None  #: set on incremental updates
-
-    @property
-    def n_events(self) -> int:
-        """Number of solved (net, transition) events."""
-        return sum(len(per_net) for per_net in self.events.values())
-
-    def worst_event(self) -> NetEventTiming:
-        """The sink event with the largest far-end arrival.
-
-        Sinks are derived from the events' snapshotted nets, not from
-        ``self.graph`` — the graph is mutable and may have been edited after
-        this report was produced, and a report must keep describing the state
-        it analyzed.
-        """
-        candidates = [event for per_net in self.events.values()
-                      for event in per_net.values() if not event.net.fanout]
-        if not candidates:
-            raise ModelingError("graph analysis produced no sink events")
-        return max(candidates, key=lambda e: e.output_arrival)
-
-    def critical_path(self) -> List[NetEventTiming]:
-        """Events from a primary input to the worst sink, in arrival order."""
-        return self._trace(self.worst_event())
-
-    def _trace(self, endpoint: NetEventTiming) -> List[NetEventTiming]:
-        """Worst-arrival traceback from ``endpoint`` to a primary input."""
-        chain: List[NetEventTiming] = []
-        cursor: Optional[NetEventTiming] = endpoint
-        while cursor is not None:
-            chain.append(cursor)
-            source = cursor.source
-            cursor = self.events[source[0]][source[1]] if source is not None else None
-        return list(reversed(chain))

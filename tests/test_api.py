@@ -60,8 +60,6 @@ class TestSessionConfig:
         with pytest.raises(ModelingError):
             SessionConfig(jobs=0)
         with pytest.raises(ModelingError):
-            SessionConfig(memo_size=-1)
-        with pytest.raises(ModelingError):
             SessionConfig(slew_low=0.8, slew_high=0.2)
         with pytest.raises(ModelingError):
             SessionConfig(options="not options")
@@ -115,6 +113,18 @@ class TestSessionConfig:
             jobs=2, corners={"slow": ModelingOptions(ceff_damping=0.4)})
         assert "mode" not in config.to_dict()
         assert SessionConfig.from_dict(config.to_dict()) == config
+
+    def test_retired_memo_size_payload_loads(self):
+        # The memo bound is no longer a session knob (the solver keeps its
+        # default LRU bound); a payload that still carries it loads unchanged.
+        payload = SessionConfig(jobs=2).to_dict()
+        assert "memo_size" not in payload
+        assert "memo=" not in SessionConfig().describe()
+        config = SessionConfig.from_dict(dict(payload, memo_size=0))
+        assert config == SessionConfig(jobs=2)
+        assert TimingSession(config).solver.memo_size == 4096
+        with pytest.raises(TypeError):
+            SessionConfig(memo_size=16)
 
     def test_dict_round_trip(self, tmp_path):
         config = SessionConfig(cache_dir=tmp_path, jobs=2, persistent_stages=True)
@@ -197,16 +207,9 @@ class TestSessionEquivalence:
         chain, names = chain_graph(four_stage_path)
         reference = GraphEngine(library=library).analyze(chain)
         assert [name for name, _ in report.critical_path] == names
-        for name, transition in report.critical_path:
-            event = report.events[name][transition]
-            (stage,) = reference.events[name].values()
-            solution = stage.solution
-            assert event.input_slew == stage.input_slew
-            assert event.gate_delay == solution.gate_delay
-            assert event.interconnect_delay == solution.interconnect_delay
-            assert event.far_slew == solution.far_slew
-            assert event.output_arrival == stage.output_arrival
-        assert report.output_slew == reference.critical_path()[-1].solution.far_slew
+        assert report.critical_path == reference.critical_path
+        assert report.events == reference.events  # whole records, every field
+        assert report.output_slew == reference.output_slew
 
     @pytest.mark.parametrize("case", ["chains", "diamond"])
     def test_session_matches_graph_timer_exactly(self, session, library, line,
@@ -218,17 +221,8 @@ class TestSessionEquivalence:
         report = session.time(graph, name=case)
         legacy = GraphEngine(library=library).analyze(graph)
         assert report.n_events == legacy.n_events
-        for name, per_net in legacy.events.items():
-            for transition, event in per_net.items():
-                ours = report.events[name][transition]
-                assert ours.input_arrival == event.input_arrival
-                assert ours.output_arrival == event.output_arrival
-                assert ours.input_slew == event.input_slew
-                assert ours.far_slew == event.solution.far_slew
-                assert ours.source == event.source
-        legacy_critical = [(e.net.name, e.input_transition)
-                           for e in legacy.critical_path()]
-        assert report.critical_path == legacy_critical
+        assert report.events == legacy.events  # whole records, every field
+        assert report.critical_path == legacy.critical_path
 
     def test_builder_and_graph_agree(self, session, line):
         graph = parallel_chains(1, 2, lines=[line], sizes=(75.0, 100.0),

@@ -70,7 +70,8 @@ ORACLE_FIELDS = ("gate_delay", "interconnect_delay", "far_slew",
 
 
 def assert_matches_scalar_oracle(solution, oracle):
-    """``solution`` is ``oracle``'s stage, every field within 1e-9 relative."""
+    """``solution`` (a stage solution or a timing event) is ``oracle``'s stage,
+    every field within 1e-9 relative."""
     assert solution.fingerprint == oracle.fingerprint
     assert solution.kind == oracle.kind
     for field in ORACLE_FIELDS:
@@ -491,20 +492,27 @@ class TestSolverSolveBatch:
 class TestEngineEquivalence:
     def test_batched_analysis_matches_naive_loop(self, library):
         # The naive loop solves every event with the scalar solve_stage; each
-        # unique solution of the batched sweep must match that oracle.
+        # unique stage of the batched sweep must match that oracle.  The
+        # compiled engine on the same memo builds the very same records.
         graph = parallel_chains(3, 4)
         engine = GraphEngine(library=library)
         batched = engine.analyze(graph)
+        compiled = engine.analyze_compiled(graph)
+        assert {name: compiled.events_of(name)
+                for name in compiled.net_names_with_events()} == batched.events
+        assert [compiled.key_of(e) for e in compiled.critical_path_ids()] == (
+            batched.critical_path)
         unique = {}
         for per_net in batched.events.values():
             for event in per_net.values():
-                unique.setdefault(event.solution.fingerprint, event)
-        assert len(unique) == batched.stats.computed > 0
+                unique.setdefault(event.fingerprint, event)
+        assert len(unique) == batched.meta.computed > 0
         for event in unique.values():
+            net = graph.nets[event.net]
             oracle = solve_stage(
-                library.get(event.net.driver_size), event.input_slew,
-                event.net.line, event.solution.load_capacitance,
+                library.get(net.driver_size), event.input_slew, net.line,
+                event.load_capacitance,
                 options=event_options(engine.options, event.input_transition),
                 slew_low=engine.solver.slew_low,
                 slew_high=engine.solver.slew_high)
-            assert_matches_scalar_oracle(event.solution, oracle)
+            assert_matches_scalar_oracle(event, oracle)

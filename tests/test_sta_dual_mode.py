@@ -18,6 +18,7 @@ The contract the min/max refactor has to honor:
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.api import TimingReport
@@ -25,7 +26,7 @@ from repro.core import StageSolver
 from repro.errors import ModelingError
 from repro.experiments import parallel_chains, race_graph, reconvergent_graph
 from repro.interconnect import RLCLine
-from repro.sta import GraphEngine, GraphNet, PrimaryInput, TimingGraph
+from repro.sta import TRANSITIONS, GraphEngine, GraphNet, PrimaryInput, TimingGraph
 from repro.units import fF, mm, nH, pF, ps
 
 LIBRARY_SIZES = (25.0, 50.0, 75.0, 100.0, 125.0)
@@ -65,11 +66,13 @@ class TestEarlyPlane:
     def test_single_path_early_equals_late(self, engine, lines):
         graph = parallel_chains(1, 3, lines=[lines[0]], input_slew=ps(100))
         report = engine.analyze(graph)
-        for per_net in report.events.values():
-            for event in per_net.values():
-                assert event.early_input_arrival == event.input_arrival
-                assert event.early_output_arrival == event.output_arrival
-                assert event.early_source == event.source
+        for event in report.iter_events():
+            assert event.early_arrival == event.output_arrival
+            assert event.early_source == event.source
+        # Input arrivals are compiled planes; the early one equals the late.
+        state = engine.analyze_compiled(graph).state
+        assert np.array_equal(state.early_in[state.exists],
+                              state.in_arr[state.exists])
 
     def test_reconvergence_splits_the_planes(self, engine, lines):
         graph = same_parity_diamond(lines[0])
@@ -77,29 +80,33 @@ class TestEarlyPlane:
         sink = report.events["sink"]
         assert set(sink) == {"rise"}  # both branches deliver the same edge
         event = sink["rise"]
-        assert event.early_output_arrival < event.output_arrival
+        assert event.early_arrival < event.output_arrival
         assert event.source == ("slow", "fall")
         assert event.early_source == ("fast", "fall")
-        # The early plane rides the same solution: one solve, two arrivals.
-        assert (event.output_arrival - event.input_arrival
-                == event.early_output_arrival - event.early_input_arrival)
-        timing = TimingReport.from_graph_report(report, design="race")
-        assert timing.early_arrival("sink") < timing.arrival("sink")
+        # The early plane rides the same solution: one solve, two arrivals,
+        # each its plane's input arrival plus the one stage delay.
+        analysis = engine.analyze_compiled(graph)
+        early_in = analysis.state.early_in[
+            analysis.graph.index["sink"] * 2 + TRANSITIONS.index("rise")]
+        assert early_in < event.input_arrival
+        assert event.early_arrival == early_in + event.stage_delay
+        assert event.output_arrival == event.input_arrival + event.stage_delay
+        assert report.early_arrival("sink") < report.arrival("sink")
 
     def test_early_arrival_takes_the_minimum_over_events(self, engine, lines):
         # The diamond sink carries two events (rise and fall); the net-level
         # early arrival must be the best case over them, not the early value
         # of the worst-late event.
         graph = reconvergent_graph(line=lines[0])
-        raw = engine.analyze(graph)
-        report = TimingReport.from_graph_report(raw, design="diamond")
-        events = raw.events["sink"].values()
+        report = engine.analyze(graph)
+        events = report.events["sink"].values()
+        assert len(events) == 2
         assert report.early_arrival("sink") == min(
-            event.early_output_arrival for event in events)
+            event.early_arrival for event in events)
         assert report.early_arrival("sink") < report.arrival("sink")
-        for transition, event in raw.events["sink"].items():
+        for transition, event in report.events["sink"].items():
             assert (report.early_arrival("sink", transition)
-                    == event.early_output_arrival)
+                    == event.early_arrival)
         with pytest.raises(ModelingError):
             report.early_arrival("nonexistent")
 
@@ -288,7 +295,7 @@ def expected_hold_reach(graph, report):
             for transition, event in report.events.get(name, {}).items():
                 out = event.output_transition
                 finite = graph.required_for(name, out, mode="hold") is not None
-                for target in event.net.fanout:
+                for target in graph.nets[name].fanout:
                     if (target, out) in reach and reach[(target, out)]:
                         finite = True
                 reach[(name, transition)] = finite
@@ -309,14 +316,17 @@ class TestDualModeProperty:
             graph.set_required(name, rng.choice([ps(30), ps(90)]),
                                transition=rng.choice([None, "rise", "fall"]),
                                mode="hold")
-        report = GraphEngine(library=library, solver=solver).analyze(graph)
+        engine = GraphEngine(library=library, solver=solver)
+        report = engine.analyze(graph)
         assert report.n_events > 0
+        # Early plane never overtakes the late plane, at inputs...
+        state = engine.analyze_compiled(graph).state
+        assert np.all(state.early_in[state.exists] <= state.in_arr[state.exists])
         reach = expected_hold_reach(graph, report)
         for name, per_net in report.events.items():
             for transition, event in per_net.items():
-                # Early plane never overtakes the late plane...
-                assert event.early_output_arrival <= event.output_arrival
-                assert event.early_input_arrival <= event.input_arrival
+                # ...nor at far ends...
+                assert event.early_arrival <= event.output_arrival
                 # ...and hold slack is finite exactly when a hold constraint
                 # reaches this event through the fanout DAG.
                 assert ((event.hold_slack is not None)

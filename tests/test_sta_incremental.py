@@ -42,25 +42,9 @@ def solver():
 
 
 def assert_reports_identical(incremental, full):
-    """Every event equal, bit for bit (both planes, both modes' bookkeeping)."""
-    assert set(incremental.events) == set(full.events)
-    for name, per_net in full.events.items():
-        ours = incremental.events[name]
-        assert set(ours) == set(per_net)
-        for transition, event in per_net.items():
-            other = ours[transition]
-            assert other.input_arrival == event.input_arrival
-            assert other.input_slew == event.input_slew
-            assert other.output_arrival == event.output_arrival
-            assert other.required == event.required
-            assert other.source == event.source
-            assert other.early_input_arrival == event.early_input_arrival
-            assert other.early_output_arrival == event.early_output_arrival
-            assert other.early_source == event.early_source
-            assert other.hold_required == event.hold_required
-            assert other.hold_slack == event.hold_slack
-            assert other.solution.fingerprint == event.solution.fingerprint
-            assert other.solution.far_slew == event.solution.far_slew
+    """Every event equal, whole records bit for bit, and the same critical path."""
+    assert incremental.events == full.events
+    assert incremental.critical_path == full.critical_path
 
 
 class TestIncrementalProperty:
@@ -88,7 +72,7 @@ class TestIncrementalProperty:
             applied.append(kind)
             report = incremental.update()
             assert not graph.dirty_nets and not graph.constraints_dirty
-            assert report.incremental.retimed_nets == len(graph)
+            assert report.meta.retimed_nets == len(graph)
             assert_reports_identical(report, baseline.analyze(graph))
         assert applied, "the edit sequence degenerated to no-ops"
 
@@ -101,8 +85,8 @@ class TestIncrementalProperty:
         before = solver.stats.snapshot()
         second = engine.update()
         assert solver.stats.computed == before.computed
-        assert second.incremental.dirty_nets == 0
-        assert second.incremental.retimed_nets == len(graph)
+        assert second.meta.dirty_nets == 0
+        assert second.meta.retimed_nets == len(graph)
         assert_reports_identical(second, first)
 
     def test_structural_edits_retime_new_topology(self, library, solver,
@@ -144,13 +128,13 @@ class TestIncrementalProperty:
         graph.resize_driver("c0s0", 75.0)       # repair the bad edit
         report = engine.update()
         assert not graph.dirty_nets
-        assert report.incremental.retimed_nets == len(graph)
+        assert report.meta.retimed_nets == len(graph)
         assert report.n_events == len(graph)    # nothing silently missing
         assert_reports_identical(report,
                                  GraphEngine(library=library,
                                              solver=solver).analyze(graph))
         # The valid edit that rode along with the failure was not lost.
-        assert report.events["c1s0"]["rise"].solution.cell_name == "inv_50x"
+        assert report.events["c1s0"]["rise"].cell_name == "inv_50x"
 
     def test_update_inside_a_rolled_back_block_retimes_in_full(self, library,
                                                                solver):
@@ -164,19 +148,19 @@ class TestIncrementalProperty:
             with graph.transaction():
                 graph.resize_driver("k0m0", 75.0)
                 inside = engine.update()
-                assert inside.incremental.retimed_nets == len(graph)
-                assert {event.solution.cell_name for event
+                assert inside.meta.retimed_nets == len(graph)
+                assert {event.cell_name for event
                         in inside.events["k0m0"].values()} == {"inv_75x"}
                 assert not graph.dirty_nets
                 raise RuntimeError("reject the block")
         assert not graph.dirty_nets
         report = engine.update()
-        assert report.incremental.retimed_nets == len(graph)
+        assert report.meta.retimed_nets == len(graph)
         assert_reports_identical(report,
                                  GraphEngine(library=library,
                                              solver=solver).analyze(graph))
         assert_reports_identical(report, base)
-        assert {event.solution.cell_name for event
+        assert {event.cell_name for event
                 in report.events["k0m0"].values()} == {"inv_100x"}
 
     def test_rejects_non_graph(self, library, solver):
