@@ -820,16 +820,19 @@ class StreamingTimingReport(TimingReport):
         events = _LazyEvents(analysis)
         rebuilt: Optional[int] = None
         if reuse is not None and changed_nets is not None:
+            import numpy as np  # local: keep report import light for plain loads
+
             cached = getattr(reuse.events, "_cache", None)
-            if cached is not None:
-                for net, per_net in cached.items():
-                    if net not in changed_nets:
-                        events._cache[net] = per_net
+            if cached:
+                carried = dict(cached)
+                for net in changed_nets:
+                    carried.pop(net, None)
+                events._cache = carried
             index = analysis.graph.index
-            ids = [index[net] for net in changed_nets if net in index]
-            exists = analysis.state.exists
-            rebuilt = int(sum(
-                int(exists[i * 2]) + int(exists[i * 2 + 1]) for i in ids))
+            ids = np.fromiter(
+                (index[net] for net in changed_nets if net in index), dtype=np.int64
+            )
+            rebuilt = int(np.count_nonzero(analysis.state.exists.reshape(-1, 2)[ids]))
         incremental = analysis.incremental
         compiled = {}
         if incremental is not None:

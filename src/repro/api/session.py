@@ -335,14 +335,16 @@ class TimingSession:
         """Incrementally re-time a graph after in-place edits.
 
         The first call for a graph performs (and caches) a full analysis;
-        afterwards the session stays attached to it, and each call re-times only
-        the dirty cone of the edits made through the graph's edit operations
-        (``resize_driver``, ``set_line``, ``add_fanout``, ``set_required``, ...)
-        — see :class:`repro.sta.incremental_compiled.CompiledIncrementalEngine`.
+        afterwards the session stays attached to it, and each call re-times the
+        edits made through the graph's edit operations (``resize_driver``,
+        ``set_line``, ``add_fanout``, ``set_required``, ...) — see
+        :class:`repro.sta.incremental_compiled.CompiledIncrementalEngine`.
         Parameter edits patch the compiled snapshot in place
-        (``meta.compile_seconds == 0``), masked sweeps re-time only the dirty
-        cone over the persistent array planes, and event records outside the
-        cone are carried over from the previous report.  ``design`` defaults
+        (``meta.compile_seconds == 0``).  A masked sweep then re-times only the
+        dirty cone over the persistent array planes — or, where a count of
+        levels and events says it is cheaper (small graphs), one planned full
+        sweep re-times the graph — and event records of nets the update left
+        unchanged are carried over from the previous report.  ``design`` defaults
         to the graph of the previous :meth:`update`; passing a different graph
         re-attaches the session (dropping the old incremental state).  Results
         are bit-identical to ``session.time(graph)`` on the same state; the

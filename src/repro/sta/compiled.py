@@ -657,6 +657,7 @@ def _owned_refcount() -> int:
 
 _OWNED_REFCOUNT = _owned_refcount()
 _STATE_PLANES = tuple(f.name for f in fields(SweepState))
+_TimingEvent = None  #: repro.api.report.TimingEvent, bound on first use
 
 
 def _unshared(buffer: _PlaneBuffer) -> bool:
@@ -1274,16 +1275,16 @@ class CompiledAnalysis:
 
     def timing_event(self, event: int):
         """One event as a :class:`repro.api.report.TimingEvent` record."""
-        # Imported here: repro.api.report imports this module at the top.
-        from ..api.report import TimingEvent
-
+        global _TimingEvent
+        if _TimingEvent is None:  # that module imports this one at the top
+            from ..api.report import TimingEvent as _TimingEvent
         state = self.state
         if not state.exists[event]:
             raise ModelingError(f"event {event} was not timed")
         net_id, t = event >> 1, event & 1
         required = float(self.required[event])
         hold = float(self.hold_required[event])
-        return TimingEvent.from_solution(
+        return _TimingEvent.from_solution(
             self.graph.order[net_id], TRANSITIONS[t],
             self.solutions[state.sol_idx[event]],
             input_slew=float(state.in_slew[event]),

@@ -37,7 +37,10 @@ plane, ``sol_idx`` included.
 :class:`CompiledIncrementalEngine` packages this as the timer's one
 incremental engine: attached to one graph, consuming its dirty set,
 producing a full :class:`~.compiled.CompiledAnalysis` per update whose
-``incremental`` stats say how much of the graph was touched.
+``incremental`` stats say how much of the graph was touched.  A cone's cost
+is mostly per level it spans, so where a count says the planned full sweep
+(:meth:`GraphEngine.analyze_compiled`) is cheaper — small graphs — an update
+runs that instead, with the same planes bit for bit.
 """
 
 from __future__ import annotations
@@ -61,6 +64,34 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a circular import
 
 __all__ = ["SweepDelta", "incremental_sweep", "incremental_required",
            "CompiledIncrementalEngine"]
+
+#: Plan events a full sweep re-times for the cost of one level a cone can
+#: span.  On soc_graph (10 levels; 2 CPUs, malloc pinned) a cone update costs
+#: 0.7-3.0 ms at 1k nets (spans of 3-10 levels), a full sweep 0.8-1.5 ms, and
+#: 1-2 against 14-15 ms at 100k: 384 takes the full sweep on every 1k span
+#: (3 x 384 >= 1,000), the cone from 10k nets up and on the 2-level tail of
+#: benchmark_graph's 1,024 events (2 x 384 < 1,024; 0.9 against 1.4 ms).
+_EVENTS_PER_CONE_LEVEL = 384
+
+
+def _full_sweep_is_cheaper(cg: CompiledGraph, dirty_ids: np.ndarray,
+                           plan_events: int) -> bool:
+    """The cost rule of :meth:`CompiledIncrementalEngine.update`, by count: a
+    cone pays per level it can span (from the lowest dirty net's up), the full
+    sweep per event of its plan.  No timer, so one edit takes one path."""
+    lowest = int(np.searchsorted(cg.level_ptr, dirty_ids.min(), side="right")) - 1
+    return plan_events <= (cg.n_levels - lowest) * _EVENTS_PER_CONE_LEVEL
+
+
+def _moved(pairs, span=slice(None)) -> np.ndarray:
+    """Per net of ``span``: does any (old, new) plane pair differ bitwise?"""
+    moved = False
+    for old, new in pairs:
+        a, b = old[span], new[span]
+        if a.dtype == np.float64:  # bitwise, so NaN == NaN
+            a, b = a.view(np.uint64), b.view(np.uint64)
+        moved = moved | (a != b)
+    return moved[0::2] | moved[1::2]
 
 
 @dataclass(eq=False)
@@ -185,7 +216,8 @@ class CompiledIncrementalEngine:
     planes.  The caller (normally :meth:`repro.api.TimingSession.update`)
     owns the compiled snapshot's lifecycle — patch vs recompile — and passes
     the current snapshot into every :meth:`update`; a snapshot identity
-    change (a recompile after topology edits) triggers a full re-analysis.
+    change (a recompile after topology edits) triggers a full re-analysis, and
+    so does an edit whose cone :func:`_full_sweep_is_cheaper` counts dearer.
 
     Planes are double-buffered.  The *live* buffer backs the last published
     analysis and is never written again; the *spare* holds the state before
@@ -221,6 +253,7 @@ class CompiledIncrementalEngine:
         #: potentially every event).
         self._written: Optional[np.ndarray] = None
         self._timed = False
+        self._plan_events = 0  #: events of the last full sweep's plan
         #: Nets the last update re-timed or re-required (None = potentially
         #: everything); report construction reuses events everywhere else.
         self.last_changed_nets: Optional[FrozenSet[str]] = None
@@ -251,6 +284,7 @@ class CompiledIncrementalEngine:
         self._spare = spare
         self._written = None
         self._timed = True
+        self._plan_events = analysis.n_events
         self.last_changed_nets = None
         n = len(self.graph)
         analysis.incremental = IncrementalStats(
@@ -306,14 +340,22 @@ class CompiledIncrementalEngine:
                            retimed_events=0, converged_early=0)
         live = buffer = self._live
         try:
+            dirty_ids = np.fromiter((cg.index[name] for name in dirty),
+                                    dtype=np.int64, count=len(dirty))
+            if dirty and _full_sweep_is_cheaper(cg, dirty_ids, self._plan_events):
+                analysis = self._full_update(cg, patched_nets=patched_nets,
+                                             dirty_nets=len(dirty))
+                moved = _moved(zip(live.planes(), self._live.planes()))
+                # Report records are carried over wherever no plane moved.
+                self.last_changed_nets = frozenset(dirty).union(
+                    cg.order[i] for i in np.flatnonzero(moved).tolist())
+                return analysis
             changed_names: Set[str] = set()
             if dirty or constraints_dirty:
                 buffer = self._writable()
                 state = buffer.state
             written: Optional[np.ndarray] = None
             if dirty:
-                dirty_ids = np.fromiter((cg.index[name] for name in dirty),
-                                        dtype=np.int64, count=len(dirty))
                 delta = incremental_sweep(
                     cg, graph, state, dirty_ids,
                     partial(self.engine._solve_compiled_level, cg, table, state))
@@ -334,15 +376,11 @@ class CompiledIncrementalEngine:
                     cg, state, delta.changed, setup_seeds, hold_seeds,
                     buffer.required, buffer.hold_required)
                 required_nets = int(region.size)
-                # Nets whose required times moved rebuild their report
-                # events too (NaN == NaN counts as unchanged).
+                # Nets whose required times moved rebuild their report events too.
                 span = _interleave(region)
-                moved = np.zeros(span.size, dtype=bool)
-                for old, new in ((live.required, buffer.required),
-                                 (live.hold_required, buffer.hold_required)):
-                    a, b = old[span], new[span]
-                    moved |= ~((a == b) | (np.isnan(a) & np.isnan(b)))
-                moved_nets = region[moved[0::2] | moved[1::2]]
+                moved_nets = region[_moved(
+                    ((live.required, buffer.required),
+                     (live.hold_required, buffer.hold_required)), span)]
                 changed_names.update(cg.order[i] for i in moved_nets.tolist())
                 written = np.concatenate((written, span))
             if buffer is not live:
@@ -353,8 +391,8 @@ class CompiledIncrementalEngine:
             self.last_changed_nets = (None if constraints_dirty
                                       else frozenset(changed_names))
         except Exception:
-            # The dirty set is consumed and the written buffer was never
-            # published; drop every plane — the next update re-times in full.
+            # The dirty set is consumed, and the planes may not describe the
+            # graph; drop every plane — the next update re-times in full.
             self.invalidate()
             raise
 

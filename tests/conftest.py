@@ -3,6 +3,10 @@
 Reference (transistor-level) simulations and cell characterizations are expensive,
 so anything reusable is session-scoped: the shipped cell library, a caching
 reference simulator, and the reference waveform of the paper's Figure 1 case.
+Two fixtures pick the path of ``CompiledIncrementalEngine.update`` without a
+product knob, by replacing its counted cost rule: ``cone_path`` pins the cone
+sweep (for tests of the cone's own counts on graphs small enough that the rule
+takes the full sweep), and ``sweep_path`` runs a test once under each path.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from repro.characterization import default_library
 from repro.experiments.paper_cases import FIGURE1_CASE, FIGURE6_SINGLE_RAMP_CASE
 from repro.experiments.reference import ReferenceSimulator
 from repro.interconnect import RLCLine
+from repro.sta import incremental_compiled
 from repro.tech import InverterSpec, generic_180nm
 from repro.units import mm, nH, pF
 
@@ -86,3 +91,23 @@ def fig1_reference(reference_simulator):
 def fig6_weak_reference(reference_simulator):
     """Reference simulation of the weak-driver Figure 6 case (4 mm / 1.6 um / 25X)."""
     return reference_simulator.simulate_case(FIGURE6_SINGLE_RAMP_CASE)
+
+
+def force_sweep_path(monkeypatch, path):
+    """Make every warm ``CompiledIncrementalEngine.update`` take ``path``."""
+    full = path == "full"
+    monkeypatch.setattr(incremental_compiled, "_full_sweep_is_cheaper",
+                        lambda *args: full)
+
+
+@pytest.fixture
+def cone_path(monkeypatch):
+    """Warm updates take the cone path, whatever the graph's size."""
+    force_sweep_path(monkeypatch, "cone")
+
+
+@pytest.fixture(params=["cone", "full"])
+def sweep_path(request, monkeypatch):
+    """Run the test under each path of a warm update; the value names it."""
+    force_sweep_path(monkeypatch, request.param)
+    return request.param

@@ -316,7 +316,8 @@ class TestSessionResources:
 
 
 class TestIncrementalSession:
-    def test_update_attaches_then_retimes_dirty_cone(self, library, line):
+    def test_update_attaches_then_retimes_dirty_cone(self, library, line,
+                                                     cone_path):
         graph = parallel_chains(2, 3, lines=[line], input_slew=ps(100))
         with TimingSession() as session:
             first = session.update(graph)

@@ -29,7 +29,7 @@ from repro.serve import (
 from repro.serve import registry as registry_module
 from repro.serve.codec import DesignSpec, LineSpec
 from repro.serve.registry import AttachedDesign
-from repro.sta import incremental_compiled
+from repro.sta import GraphEngine, incremental_compiled
 from repro.sta.compiled import CompiledAnalysis, CompiledGraph, SweepState
 from repro.units import ps, to_ps
 
@@ -167,7 +167,7 @@ class TestRegistry:
             registry.detach("nope")
         assert registry.names() == ["d1"]
 
-    def test_edit_batch_bumps_seq_and_diffs(self, registry):
+    def test_edit_batch_bumps_seq_and_diffs(self, registry, cone_path):
         design = registry.get("d1")
         seq = design.snapshot.seq
         snapshot = design.apply_edits(EditRequest.from_payload({"edits": [
@@ -257,6 +257,7 @@ class TestFailureInjection:
         "patch": (CompiledGraph, "patch"),
         "incremental_sweep": (incremental_compiled, "incremental_sweep"),
         "incremental_required": (incremental_compiled, "incremental_required"),
+        "analyze_compiled": (GraphEngine, "analyze_compiled"),  # the full path
         "backward_required": (incremental_compiled, "backward_required"),
         "from_compiled": (StreamingTimingReport, "from_compiled"),
         "compare_reports": (registry_module, "compare_reports"),
@@ -266,6 +267,7 @@ class TestFailureInjection:
         ("patch", "resize", ReproError),
         ("incremental_sweep", "resize", ReproError),
         ("incremental_required", "resize", ReproError),
+        ("analyze_compiled", "resize", ReproError),
         ("backward_required", "constraint", ReproError),
         ("from_compiled", "resize", ReproError),
         ("from_compiled", "constraint", ReproError),
@@ -276,6 +278,9 @@ class TestFailureInjection:
         ("incremental_sweep", "resize", RuntimeError),
         ("compare_reports", "constraint", RuntimeError),
     ]
+    #: Sites on the cone path: chain3 is small enough that its edits take
+    #: the full sweep (analyze_compiled) unless the cone path is pinned.
+    CONE_SITES = ("incremental_sweep", "incremental_required")
 
     @staticmethod
     def request(edits):
@@ -299,7 +304,7 @@ class TestFailureInjection:
     @pytest.mark.parametrize(
         "site, batch, error", CASES,
         ids=[f"{site}-{batch}-{error.__name__}" for site, batch, error in CASES])
-    def test_failed_batch_leaves_no_trace(self, twin_report, monkeypatch,
+    def test_failed_batch_leaves_no_trace(self, twin_report, monkeypatch, request,
                                           site, batch, error):
         registry = DesignRegistry()
         try:
@@ -317,6 +322,8 @@ class TestFailureInjection:
                 raise error(f"injected failure after {site}")
 
             monkeypatch.setattr(owner, attribute, run_then_fail)
+            if site in self.CONE_SITES:
+                request.getfixturevalue("cone_path")
             with pytest.raises(error, match="injected"):
                 design.apply_edits(self.request(self.BATCHES[batch]))
             monkeypatch.undo()
@@ -335,7 +342,8 @@ class TestFailureInjection:
         finally:
             registry.close()
 
-    def test_rejected_verb_keeps_the_next_batch_incremental(self, library):
+    def test_rejected_verb_keeps_the_next_batch_incremental(self, library,
+                                                            cone_path):
         registry = DesignRegistry()
         try:
             design = registry.attach(
@@ -521,7 +529,7 @@ class TestHTTP:
         finally:
             client.detach("boom")
 
-    def test_edit_round_trip_and_diff(self, client, attached):
+    def test_edit_round_trip_and_diff(self, client, attached, cone_path):
         before = client.wns(attached)
         response = client.resize(attached, "stage1", 75.0)
         assert response["seq"] == before["seq"] + 1

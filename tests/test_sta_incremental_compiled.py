@@ -23,13 +23,17 @@ backward pass against a from-scratch one, deterministic counters of the
 per-update floor (one required-time plan per update, one forward merge per
 level that holds active nets, one solution table per compiled graph that
 answers warm updates without a solve request and holds one row per key),
-and the engine's own rollback hook.
+the counted choice between the cone and the planned full sweep (perfbench's
+1k serve sites take the full sweep, its 10k-and-up ECO sites the cone, and a
+failed full update leaves the next one to re-time in full; the equivalence
+properties run under each path), and the engine's own rollback hook.
 """
 
 import gc
 import random
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,6 +53,9 @@ from repro.sta.compiled import (RequiredPlan, SweepState, backward_required,
                                 required_seeds)
 from repro.sta.incremental_compiled import CompiledIncrementalEngine
 from repro.units import fF, mm, nH, pF, ps
+
+#: perfbench's workload definitions, whose edit sites the path-choice gate reads.
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 @pytest.fixture(scope="module")
@@ -274,7 +281,8 @@ class TestSessionCache:
 class TestCompiledIncrementalProperty:
     @pytest.mark.parametrize("seed,steps", [(11, 12), (9, 10), (26, 10)])
     def test_interleaved_edits_three_way_identical(self, library, solver,
-                                                   lines, seed, steps):
+                                                   lines, seed, steps,
+                                                   sweep_path):
         # Every step: the compiled update against a from-scratch compiled
         # sweep of its snapshot and a from-scratch object analysis.
         graph = random_dag(random.Random(seed), lines, n_nets=22)
@@ -309,7 +317,8 @@ class TestCompiledIncrementalProperty:
         assert second.incremental.retimed_nets == 0
         assert second.incremental.required_nets == 0
 
-    def test_convergence_prunes_the_cone(self, library, solver, lines):
+    def test_convergence_prunes_the_cone(self, library, solver, lines,
+                                         cone_path):
         # Re-stating a primary input with its current stimulus dirties the
         # root but changes nothing: the sweep must converge on the root level.
         graph = random_dag(random.Random(13), lines, n_nets=20)
@@ -352,7 +361,8 @@ class TestCompiledIncrementalProperty:
                 analysis, engine.analyze_compiled(graph, compiled_graph=cg))
             assert_matches_object_oracle(analysis, engine.analyze(graph))
 
-    def test_cone_stays_local_on_chain_tail_edit(self, library, solver, lines):
+    def test_cone_stays_local_on_chain_tail_edit(self, library, solver, lines,
+                                                 cone_path):
         graph = parallel_chains(3, 4, lines=[lines[0]], input_slew=ps(100))
         engine = GraphEngine(library=library, solver=solver)
         incremental = CompiledIncrementalEngine(engine, graph)
@@ -386,7 +396,8 @@ class TestCompiledIncrementalProperty:
 
 
 class TestStreamingReportReuse:
-    def test_warm_compiled_update_rebuilds_only_the_cone(self, solver, lines):
+    def test_warm_compiled_update_rebuilds_only_the_cone(self, solver, lines,
+                                                         sweep_path):
         graph = random_dag(random.Random(82), lines, n_nets=20)
         graph.set_clock_period(ps(900))
         session = shared_session(solver)
@@ -510,7 +521,7 @@ class TestDoubleBufferedPlanes:
         else:
             assert kept.tobytes() == captured["required"]
 
-    def test_warm_updates_never_clone(self, solver, monkeypatch):
+    def test_warm_updates_never_clone(self, solver, monkeypatch, cone_path):
         clones = []
         clone = SweepState.clone
 
@@ -620,7 +631,7 @@ class TestRequiredPlan:
     @pytest.mark.parametrize("constrained", ["setup", "hold", "both"])
     @pytest.mark.parametrize("seed", RANDOM_SEEDS)
     def test_cone_plan_matches_a_full_backward_pass(
-            self, library, solver, monkeypatch, seed, constrained):
+            self, library, solver, monkeypatch, seed, constrained, sweep_path):
         graph = dict(golden_designs())[f"random{seed}"]()
         modes = ("setup", "hold") if constrained == "both" else (constrained,)
         for mode in ("setup", "hold"):
@@ -654,7 +665,10 @@ class TestRequiredPlan:
             assert_analyses_identical(
                 analysis, engine.analyze_compiled(graph, compiled_graph=cg))
         assert vanished, "no edit made an event vanish"
-        assert len(cones) >= 4 and max(cone.size for cone in cones) > 1
+        if sweep_path == "cone":
+            assert len(cones) >= 4 and max(cone.size for cone in cones) > 1
+        else:  # constraint-only updates run the full backward pass
+            assert not cones
 
 
 class TestPerUpdateFloor:
@@ -827,11 +841,108 @@ class TestScalarOnlyRows:
         assert not any(solution.has_waveforms for solution in table.solutions)
 
 
+class TestPathChoice:
+    """update() takes the cheaper of its two bit-identical paths, by count.
+
+    Host-independent: the gate counts cone sweeps and reads the RunInfo
+    figures that say which path ran (a full update re-times every net and
+    converges nothing early).  A 1k design's edits all take the planned full
+    sweep; a 10k design's take the cone, at every site perfbench edits.
+    """
+
+    TOGGLE = {75.0: 100.0, 100.0: 75.0}
+
+    @staticmethod
+    def counted_sweeps(monkeypatch):
+        sweeps = []
+        sweep = incremental_compiled.incremental_sweep
+
+        def counting_sweep(*args):
+            sweeps.append(None)
+            return sweep(*args)
+
+        monkeypatch.setattr(incremental_compiled, "incremental_sweep",
+                            counting_sweep)
+        return sweeps
+
+    @staticmethod
+    def site_locals(monkeypatch):
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import workloads
+        return workloads.SERVE_SITE_LOCALS, workloads.SITE_LOCALS
+
+    def resize_each(self, graph, session, sites):
+        """One resize + update per site (its own cluster): their reports."""
+        for cluster, local in enumerate(sites):
+            site = f"k{cluster % (len(graph) // 125)}{local}"
+            graph.resize_driver(site, self.TOGGLE[graph.nets[site].driver_size])
+            yield session.update(graph)
+
+    def test_every_serve_site_of_1k_takes_the_full_sweep(self, solver,
+                                                         monkeypatch):
+        serve_sites, _ = self.site_locals(monkeypatch)
+        graph = soc_design()
+        session = shared_session(solver)
+        session.update(graph)
+        sweeps = self.counted_sweeps(monkeypatch)
+        for report in self.resize_each(graph, session, serve_sites):
+            meta = report.meta
+            assert meta.retimed_nets == meta.required_nets == len(graph)
+            assert meta.cone_converged_early == 0
+            # The report carry-over survives the full path.
+            assert 0 < meta.report_events_rebuilt < report.n_events
+        assert not sweeps
+
+    def test_every_edit_site_of_10k_takes_the_cone(self, solver, monkeypatch):
+        _, sites = self.site_locals(monkeypatch)
+        graph = soc_graph(10_000)
+        graph.set_clock_period(ps(1500), hold_margin=0.0)
+        session = shared_session(solver)
+        session.update(graph)
+        sweeps = self.counted_sweeps(monkeypatch)
+        for report in self.resize_each(graph, session, sites):
+            assert report.meta.retimed_nets < len(graph)
+        assert len(sweeps) == len(sites)
+
+    def test_a_failed_full_update_retimes_in_full_next(self, library, solver,
+                                                       monkeypatch):
+        # No transaction: only the engine's own invalidate() can keep the
+        # next update off the planes of the state before the consumed edit.
+        graph = soc_design()
+        engine = GraphEngine(library=library, solver=solver)
+        incremental = CompiledIncrementalEngine(engine, graph)
+        cg = refresh_snapshot(engine, graph, None)
+        incremental.update(cg)
+        analyze = GraphEngine.analyze_compiled
+        calls = []
+
+        def fail_once(*args, **kwargs):
+            calls.append(None)
+            analysis = analyze(*args, **kwargs)
+            if len(calls) == 1:
+                raise RuntimeError("injected full-sweep failure")
+            return analysis
+
+        monkeypatch.setattr(GraphEngine, "analyze_compiled", fail_once)
+        monkeypatch.setattr(incremental_compiled, "_full_sweep_is_cheaper",
+                            lambda *args: True)
+        toggle(graph, SOC_SITES[0])
+        cg = refresh_snapshot(engine, graph, cg)
+        with pytest.raises(RuntimeError, match="injected"):
+            incremental.update(cg)
+        analysis = incremental.update(cg)
+        assert analysis.incremental.retimed_nets == len(graph)
+        fresh = shared_session(solver).time(graph).analysis
+        assert_analyses_identical(analysis, fresh)
+        assert plane_bytes(analysis) == plane_bytes(
+            engine.analyze_compiled(graph, compiled_graph=cg))
+
+
 class TestRollbackHook:
     """A directly used engine drops its planes when a transaction rolls back."""
 
     def test_update_inside_a_rolled_back_block_retimes_in_full(
-            self, library, solver):
+            self, library, solver, cone_path):
         graph = dict(golden_designs())["random29"]()
         engine = GraphEngine(library=library, solver=solver)
         incremental = CompiledIncrementalEngine(engine, graph)
