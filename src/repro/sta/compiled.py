@@ -277,6 +277,11 @@ class CompiledGraph:
         if published is not None and published[1].state is state:
             self._sweep_buffer_cache = None
 
+    def lend_sweep_buffer(self, buffer: "_PlaneBuffer") -> None:
+        """Have the next sweep of the last plan reuse ``buffer``, a sweep of that plan."""
+        plan = getattr(self, "_sweep_plan_cache", None)
+        self._sweep_buffer_cache = (plan, buffer, (True, True))
+
     def patch(self, graph: TimingGraph, *, library: CellLibrary,
               tech: Technology) -> int:
         """Catch the snapshot up with ``graph``'s parameter edits in place.

@@ -37,10 +37,8 @@ plane, ``sol_idx`` included.
 :class:`CompiledIncrementalEngine` packages this as the timer's one
 incremental engine: attached to one graph, consuming its dirty set,
 producing a full :class:`~.compiled.CompiledAnalysis` per update whose
-``incremental`` stats say how much of the graph was touched.  A cone's cost
-is mostly per level it spans, so where a count says the planned full sweep
-(:meth:`GraphEngine.analyze_compiled`) is cheaper — small graphs — an update
-runs that instead, with the same planes bit for bit.
+``incremental`` stats say how much of the graph was touched.  Where a count
+says the planned full sweep is cheaper (small graphs), an update runs that.
 """
 
 from __future__ import annotations
@@ -65,20 +63,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a circular import
 __all__ = ["SweepDelta", "incremental_sweep", "incremental_required",
            "CompiledIncrementalEngine"]
 
-#: Plan events a full sweep re-times for the cost of one level a cone can
-#: span.  On soc_graph (10 levels; 2 CPUs, malloc pinned) a cone update costs
-#: 0.7-3.0 ms at 1k nets (spans of 3-10 levels), a full sweep 0.8-1.5 ms, and
-#: 1-2 against 14-15 ms at 100k: 384 takes the full sweep on every 1k span
-#: (3 x 384 >= 1,000), the cone from 10k nets up and on the 2-level tail of
-#: benchmark_graph's 1,024 events (2 x 384 < 1,024; 0.9 against 1.4 ms).
+#: Plan events a full sweep re-times for the cost of one level a cone spans
+#: (soc_graph, 2 CPUs: cone 0.7-3.0 ms, full 0.8-1.5 ms at 1k nets; 1-2 vs
+#: 14-15 ms at 100k): full on every 1k span (3 x 384 >= 1,000), cone from 10k.
 _EVENTS_PER_CONE_LEVEL = 384
 
 
 def _full_sweep_is_cheaper(cg: CompiledGraph, dirty_ids: np.ndarray,
                            plan_events: int) -> bool:
-    """The cost rule of :meth:`CompiledIncrementalEngine.update`, by count: a
-    cone pays per level it can span (from the lowest dirty net's up), the full
-    sweep per event of its plan.  No timer, so one edit takes one path."""
+    """The cost rule of :meth:`CompiledIncrementalEngine.update`, no timer: a
+    cone pays per level from the lowest dirty net's, a full sweep per event."""
     lowest = int(np.searchsorted(cg.level_ptr, dirty_ids.min(), side="right")) - 1
     return plan_events <= (cg.n_levels - lowest) * _EVENTS_PER_CONE_LEVEL
 
@@ -224,7 +218,8 @@ class CompiledIncrementalEngine:
     it and differs from it only on the events the last update wrote.  An
     update copies just those events (every plane after a full or
     constraint-driven backward pass) from live into the spare, sweeps the
-    spare in place and publishes it; the old live buffer becomes the spare.
+    spare in place (a full sweep too, unless a root's new stimulus changed
+    which events exist) and publishes it; the old live buffer is the spare.
     So no per-update copy is sized by the graph, at the cost of one retained
     spare.  The spare is written only while nothing outside the engine can
     read it (:func:`_unshared`); a held earlier report or an in-flight serve
@@ -254,6 +249,7 @@ class CompiledIncrementalEngine:
         self._written: Optional[np.ndarray] = None
         self._timed = False
         self._plan_events = 0  #: events of the last full sweep's plan
+        self._stimulus = None  #: graph.stimulus_version of the last update
         #: Nets the last update re-timed or re-required (None = potentially
         #: everything); report construction reuses events everywhere else.
         self.last_changed_nets: Optional[FrozenSet[str]] = None
@@ -275,14 +271,10 @@ class CompiledIncrementalEngine:
                      dirty_nets: int) -> CompiledAnalysis:
         analysis = self.engine.analyze_compiled(self.graph, compiled_graph=cg)
         cg.release_sweep_buffer(analysis.state)  # these planes are ours now
-        spare = self._spare
-        if spare is not None and spare.required.size != analysis.required.size:
-            spare = None
         self._cg = cg
         self._live = _PlaneBuffer(analysis.state, analysis.required,
                                   analysis.hold_required)
-        self._spare = spare
-        self._written = None
+        self._written = None  # the kept spare (nets are fixed) needs a full copy
         self._timed = True
         self._plan_events = analysis.n_events
         self.last_changed_nets = None
@@ -326,6 +318,7 @@ class CompiledIncrementalEngine:
         dirty = set(graph.dirty_nets)
         constraints_dirty = graph.constraints_dirty
         graph.clear_dirty()
+        stimulus, self._stimulus = self._stimulus, graph.stimulus_version
         if not self._timed or cg is not self._cg:
             return self._full_update(cg, patched_nets=patched_nets,
                                      dirty_nets=len(dirty) or len(graph))
@@ -343,12 +336,15 @@ class CompiledIncrementalEngine:
             dirty_ids = np.fromiter((cg.index[name] for name in dirty),
                                     dtype=np.int64, count=len(dirty))
             if dirty and _full_sweep_is_cheaper(cg, dirty_ids, self._plan_events):
+                if stimulus == graph.stimulus_version:  # same plan: sweep the spare
+                    cg.lend_sweep_buffer(self._writable())
                 analysis = self._full_update(cg, patched_nets=patched_nets,
                                              dirty_nets=len(dirty))
-                moved = _moved(zip(live.planes(), self._live.planes()))
-                # Report records are carried over wherever no plane moved.
+                # The old live buffer is the spare; records of unmoved nets carry over.
+                moved = np.flatnonzero(_moved(zip(live.planes(), self._live.planes())))
+                self._spare, self._written = live, _interleave(moved)
                 self.last_changed_nets = frozenset(dirty).union(
-                    cg.order[i] for i in np.flatnonzero(moved).tolist())
+                    cg.order[i] for i in moved.tolist())
                 return analysis
             changed_names: Set[str] = set()
             if dirty or constraints_dirty:

@@ -521,7 +521,7 @@ class TestDoubleBufferedPlanes:
         else:
             assert kept.tobytes() == captured["required"]
 
-    def test_warm_updates_never_clone(self, solver, monkeypatch, cone_path):
+    def test_warm_updates_never_clone(self, solver, monkeypatch, sweep_path):
         clones = []
         clone = SweepState.clone
 
@@ -580,6 +580,24 @@ class TestDoubleBufferedPlanes:
             session.update(graph)
         assert plane_bytes(published.analysis) == captured
         toggle(graph, SOC_SITES[3])
+        assert_same_planes(session.update(graph), session.time(graph))
+
+    def test_restimulated_update_after_a_re_time_matches_it(self, solver,
+                                                            sweep_path):
+        # A root's other transition changes which events exist, and the
+        # re-time caches the sweep plan of the new ones: a full update must
+        # not sweep the spare, whose planes still hold the old events.
+        graph = soc_design()
+        session = shared_session(solver)
+        session.update(graph)
+        toggle(graph, SOC_SITES[0])
+        session.update(graph)
+        root = sorted(graph.primary_inputs)[0]
+        primary = graph.primary_inputs[root]
+        graph.set_input(root, PrimaryInput(
+            slew=primary.slew, arrival=primary.arrival,
+            transition="rise" if primary.transition == "fall" else "fall"))
+        session.time(graph)
         assert_same_planes(session.update(graph), session.time(graph))
 
 
@@ -850,8 +868,6 @@ class TestPathChoice:
     sweep; a 10k design's take the cone, at every site perfbench edits.
     """
 
-    TOGGLE = {75.0: 100.0, 100.0: 75.0}
-
     @staticmethod
     def counted_sweeps(monkeypatch):
         sweeps = []
@@ -866,26 +882,29 @@ class TestPathChoice:
         return sweeps
 
     @staticmethod
-    def site_locals(monkeypatch):
+    def perfbench_workloads(monkeypatch):
         monkeypatch.syspath_prepend(str(PERFBENCH))
         import workloads
-        return workloads.SERVE_SITE_LOCALS, workloads.SITE_LOCALS
+        return workloads
 
-    def resize_each(self, graph, session, sites):
+    @staticmethod
+    def resize_each(graph, session, workloads, sites):
         """One resize + update per site (its own cluster): their reports."""
         for cluster, local in enumerate(sites):
             site = f"k{cluster % (len(graph) // 125)}{local}"
-            graph.resize_driver(site, self.TOGGLE[graph.nets[site].driver_size])
+            graph.resize_driver(
+                site, workloads.TOGGLE[graph.nets[site].driver_size])
             yield session.update(graph)
 
     def test_every_serve_site_of_1k_takes_the_full_sweep(self, solver,
                                                          monkeypatch):
-        serve_sites, _ = self.site_locals(monkeypatch)
+        workloads = self.perfbench_workloads(monkeypatch)
         graph = soc_design()
         session = shared_session(solver)
         session.update(graph)
         sweeps = self.counted_sweeps(monkeypatch)
-        for report in self.resize_each(graph, session, serve_sites):
+        for report in self.resize_each(graph, session, workloads,
+                                       workloads.SERVE_SITE_LOCALS):
             meta = report.meta
             assert meta.retimed_nets == meta.required_nets == len(graph)
             assert meta.cone_converged_early == 0
@@ -894,18 +913,20 @@ class TestPathChoice:
         assert not sweeps
 
     def test_every_edit_site_of_10k_takes_the_cone(self, solver, monkeypatch):
-        _, sites = self.site_locals(monkeypatch)
+        workloads = self.perfbench_workloads(monkeypatch)
+        sites = workloads.SITE_LOCALS
         graph = soc_graph(10_000)
         graph.set_clock_period(ps(1500), hold_margin=0.0)
         session = shared_session(solver)
         session.update(graph)
         sweeps = self.counted_sweeps(monkeypatch)
-        for report in self.resize_each(graph, session, sites):
+        for report in self.resize_each(graph, session, workloads, sites):
             assert report.meta.retimed_nets < len(graph)
         assert len(sweeps) == len(sites)
 
+    @pytest.mark.parametrize("sweep_path", ["full"], indirect=True)
     def test_a_failed_full_update_retimes_in_full_next(self, library, solver,
-                                                       monkeypatch):
+                                                       monkeypatch, sweep_path):
         # No transaction: only the engine's own invalidate() can keep the
         # next update off the planes of the state before the consumed edit.
         graph = soc_design()
@@ -924,8 +945,6 @@ class TestPathChoice:
             return analysis
 
         monkeypatch.setattr(GraphEngine, "analyze_compiled", fail_once)
-        monkeypatch.setattr(incremental_compiled, "_full_sweep_is_cheaper",
-                            lambda *args: True)
         toggle(graph, SOC_SITES[0])
         cg = refresh_snapshot(engine, graph, cg)
         with pytest.raises(RuntimeError, match="injected"):
