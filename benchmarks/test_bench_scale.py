@@ -24,7 +24,15 @@ acceptance gate, in three phases (one shared session, one memoized solver):
    ``BUILD_LAPS`` fresh interpreters), and peak-RSS growth over the
    post-import baseline <= ``BYTES_PER_NET_CEILING`` per net (and above zero:
    :func:`repro.perf.peak_rss_bytes` reads the child's own ``VmHWM``, so a
-   measurement that inherited the parent's peak cannot pass).
+   measurement that inherited the parent's peak cannot pass).  The build's
+   garbage collections, by generation, are tracked as
+   ``build_collections_100k``: the build pauses the cyclic collector, so it
+   runs at most one (a generation-1 pass as it ends).
+4. **1M nets, ``REPRO_FULL=1`` only** — the same build, cold and warm
+   re-times plus a resize + ``update()`` loop on ``soc_graph(1_000_000)`` in
+   a fresh interpreter, recorded in ``machine`` (shape, build nets/s and
+   collections, bytes per net, cold / warm / update seconds).  Ungated: it
+   takes about a minute and ~1.2 GB, so tier-1 skips it.
 
 Results land in the run's report directory (``benchmarks/reports`` under
 ``REPRO_BENCH_WRITE=1``, see ``conftest.py``) as ``scale.txt`` and
@@ -48,6 +56,9 @@ from repro.units import ps
 
 SRC_DIRECTORY = Path(__file__).resolve().parents[1] / "src"
 
+#: ``REPRO_FULL=1`` adds the 1M-net lap (too slow for tier-1).
+FULL = os.environ.get("REPRO_FULL", "0") not in ("", "0", "false", "False")
+
 #: The scale tier's headline size, and the sizes of the cheaper phases.
 NETS_FULL = 100_000
 NETS_WARM = 10_000
@@ -69,13 +80,13 @@ NETS_PER_SECOND_FLOOR = 50_000
 COMPILE_NETS_PER_SECOND_FLOOR = 150_000
 
 #: Required throughput of the 100k design build (``soc_graph`` + clock) in a
-#: fresh interpreter, best of ``BUILD_LAPS``.  On a 2-CPU container whose
-#: speed drifts by ~1.5x with its neighbours' load, alternating runs measured
-#: ~113k-197k nets/s, and ~83k-149k for the build with list fan-ins and
-#: dict-backed nets it replaced (three full collections per build instead of
-#: two).  The floor clears this build by ~25% in the slowest phase measured
-#: and fails the old one there; ``tests/test_sta_graph.py`` gates the
-#: collector's share deterministically, as GC-tracked objects per net.
+#: fresh interpreter, best of ``BUILD_LAPS``.  The floor was set when the
+#: build still ran two full collections (and hundreds of young ones) on a
+#: 2-CPU container whose speed drifts by ~1.5x with its neighbours' load:
+#: that build measured ~113k-197k nets/s there.  The build now pauses the
+#: collector and runs at most one generation-1 pass; ``tests/test_sta_graph.py``
+#: gates that deterministically through ``gc.callbacks``, and
+#: ``build_collections_100k`` tracks it here.
 BUILD_NETS_PER_SECOND_FLOOR = 90_000
 
 #: Fresh interpreters the build gate takes the best of: the full lap below,
@@ -86,6 +97,10 @@ BUILD_LAPS = 5
 #: 100k graph (measured ~1.1 kB/net; the ceiling leaves ~1.8x headroom for
 #: allocator and platform variance).
 BYTES_PER_NET_CEILING = 2048
+
+#: The ``REPRO_FULL=1`` point, and the resize + update cycles timed there.
+NETS_MILLION = 1_000_000
+MILLION_UPDATES = 6
 
 #: Clock constraint applied at every size (met on the critical path, so both
 #: planes carry finite slacks).
@@ -99,19 +114,31 @@ _EVENT_FIELDS = (
     "hold_required",
 )
 
-#: The timed 100k design build, as a fresh interpreter's first work.
+#: The timed design build, as a fresh interpreter's first work.  A full
+#: collection first empties the young generations, so the collections the
+#: build runs (``collections``, by generation) do not depend on what the
+#: imports left behind.
 _BUILD_SCRIPT = """
-import json, time
+import gc, json, time
 from repro.api import TimingSession
 from repro.experiments import soc_graph
 from repro.perf import peak_rss_bytes
 from repro.units import ps
 
+collections = [0, 0, 0]
+
+def count_collection(phase, info):
+    if phase == "start":
+        collections[info["generation"]] += 1
+
+gc.collect()
 baseline = peak_rss_bytes()
+gc.callbacks.append(count_collection)
 started = time.perf_counter()
 graph = soc_graph({nets})
 graph.set_clock_period(ps({clock_ps}), hold_margin=0.0)
 build_seconds = time.perf_counter() - started
+gc.callbacks.remove(count_collection)
 """
 
 #: Runs in a fresh interpreter: the 100k build/compile/analyze lap with a
@@ -141,10 +168,50 @@ with TimingSession() as session:
         "endpoints": len(warm.endpoint_keys()),
         "unique_solves": unique_solves,
         "build_seconds": build_seconds,
+        "build_collections": collections,
         "cold_seconds": cold_seconds,
         "compile_seconds": compile_seconds,
         "warm_seconds": warm_seconds,
         "worst_slack_ps": warm.worst_slack * 1e12,
+        "baseline_rss_bytes": baseline,
+        "peak_rss_bytes": peak_rss_bytes(),
+    }}))
+"""
+
+#: ``REPRO_FULL=1`` only: the 1M-net point in a fresh interpreter (~1.2 GB
+#: peak, about a minute).  Build, cold and best-of-3 warm re-times, then the
+#: ECO loop: attach with ``update()`` and time ``MILLION_UPDATES`` resize +
+#: update cycles of one net.  Prints one JSON object on stdout.
+_MILLION_SCRIPT = _BUILD_SCRIPT + """
+with TimingSession() as session:
+    started = time.perf_counter()
+    cold = session.time(graph)
+    cold_seconds = time.perf_counter() - started
+    del cold
+    laps = []
+    for _ in range(3):
+        warm = None
+        started = time.perf_counter()
+        warm = session.time(graph)
+        laps.append(time.perf_counter() - started)
+    shape = {{"nets": len(graph), "levels": graph.n_levels,
+             "events": warm.n_events,
+             "endpoints": len(warm.endpoint_keys())}}
+    del warm
+    session.update(graph)
+    updates = []
+    for size in (125.0, 100.0) * {updates}:
+        graph.resize_driver("k7c3s2", size)
+        started = time.perf_counter()
+        session.update(graph)
+        updates.append(time.perf_counter() - started)
+    print(json.dumps({{
+        **shape,
+        "build_seconds": build_seconds,
+        "build_collections": collections,
+        "cold_seconds": cold_seconds,
+        "warm_seconds": min(laps),
+        "update_seconds": sorted(updates)[len(updates) // 2],
         "baseline_rss_bytes": baseline,
         "peak_rss_bytes": peak_rss_bytes(),
     }}))
@@ -158,14 +225,15 @@ def relative_difference(a, b):
     return abs(a - b) / scale
 
 
-def run_fresh(script):
-    """Run ``script`` (formatted for the 100k lap) in a new interpreter; returns
-    the JSON object on its last stdout line."""
+def run_fresh(script, nets=NETS_FULL):
+    """Run ``script`` (formatted for a lap of ``nets`` nets) in a new
+    interpreter; returns the JSON object on its last stdout line."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC_DIRECTORY) + os.pathsep + env.get("PYTHONPATH", "")
     result = subprocess.run(
-        [sys.executable, "-c", script.format(nets=NETS_FULL, clock_ps=CLOCK_PS)],
-        capture_output=True, text=True, env=env, timeout=600)
+        [sys.executable, "-c", script.format(nets=nets, clock_ps=CLOCK_PS,
+                                             updates=MILLION_UPDATES // 2)],
+        capture_output=True, text=True, env=env, timeout=1800)
     assert result.returncode == 0, result.stderr
     return json.loads(result.stdout.strip().splitlines()[-1])
 
@@ -240,6 +308,11 @@ def test_scale_tier(library, report_writer):
             "compile_nets_per_second_floor": COMPILE_NETS_PER_SECOND_FLOOR,
             "build_nets_per_second_floor": BUILD_NETS_PER_SECOND_FLOOR,
             "bytes_per_net_ceiling": BYTES_PER_NET_CEILING,
+            # The build pauses the cyclic collector: at most one collection
+            # (through generation 1) as it ends, where an unpaused build
+            # runs hundreds (scripts/compare_bench_reports.py requires it).
+            "build_collections_100k": dict(zip(
+                ("gen0", "gen1", "gen2"), full["build_collections"])),
             # Volatile: compared for presence, not value (see
             # scripts/compare_bench_reports.py VOLATILE_TRACKED).
             "compile_fraction": round(compile_fraction, 3),
@@ -263,6 +336,26 @@ def test_scale_tier(library, report_writer):
             "worst_slack_ps_100k": round(full["worst_slack_ps"], 3),
         },
     }
+    if FULL:
+        million = run_fresh(_MILLION_SCRIPT, nets=NETS_MILLION)
+        assert million["nets"] == NETS_MILLION
+        payload["machine"].update({
+            "nets_1m": million["nets"],
+            "levels_1m": million["levels"],
+            "events_1m": million["events"],
+            "endpoints_1m": million["endpoints"],
+            "build_seconds_1m": round(million["build_seconds"], 3),
+            "build_nets_per_second_1m": round(
+                million["nets"] / million["build_seconds"]),
+            "build_collections_1m": dict(zip(
+                ("gen0", "gen1", "gen2"), million["build_collections"])),
+            "bytes_per_net_1m": round(
+                (million["peak_rss_bytes"] - million["baseline_rss_bytes"])
+                / million["nets"]),
+            "cold_seconds_1m": round(million["cold_seconds"], 3),
+            "warm_seconds_1m": round(million["warm_seconds"], 4),
+            "resize_update_seconds_1m": round(million["update_seconds"], 5),
+        })
     json_path = report_writer.json("BENCH_scale.json", payload)
 
     lines = [
@@ -286,8 +379,20 @@ def test_scale_tier(library, report_writer):
         "fresh processes)",
         f"  100k peak RSS growth : {rss_delta / 1e6:.1f} MB = "
         f"{bytes_per_net:.0f} bytes/net (ceiling {BYTES_PER_NET_CEILING})",
-        f"  machine-readable     : {json_path.name}",
+        f"  100k build collections by generation: "
+        f"{full['build_collections']}",
     ]
+    if FULL:
+        machine = payload["machine"]
+        lines.append(
+            f"  1M nets (fresh process): build {machine['build_seconds_1m']:.2f} s "
+            f"({machine['build_nets_per_second_1m']:,} nets/s, collections "
+            f"{million['build_collections']}), cold analyze "
+            f"{machine['cold_seconds_1m']:.2f} s, warm analyze "
+            f"{machine['warm_seconds_1m'] * 1e3:.0f} ms, resize update "
+            f"{machine['resize_update_seconds_1m'] * 1e3:.1f} ms, "
+            f"{machine['bytes_per_net_1m']} bytes/net")
+    lines.append(f"  machine-readable     : {json_path.name}")
     report_writer("scale", "\n".join(lines))
 
     # The acceptance gates of the scale tier.
@@ -296,3 +401,4 @@ def test_scale_tier(library, report_writer):
     assert compile_nets_per_second >= COMPILE_NETS_PER_SECOND_FLOOR
     assert build_nets_per_second >= BUILD_NETS_PER_SECOND_FLOOR
     assert 0 < bytes_per_net <= BYTES_PER_NET_CEILING
+    assert sum(full["build_collections"]) <= 1

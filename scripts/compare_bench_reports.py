@@ -13,14 +13,14 @@ that was relaxed) without chasing wall-clock noise.
 Beyond the baseline diff, a few tracked fields are *required outright*
 (:data:`REQUIRED_TRACKED`): the dual-mode counters of the incremental
 benchmark — the zero-extra-solve guarantee and the hold-cone sizes — and the
-naive-subset facts and uncached-speedup floor of the
-throughput benchmark, the 100k-net workload plus throughput/compile/memory gates
-of the scale benchmark, and the serve daemon's read-path gates (warm queries
-re-run nothing; edit round-trips re-time only the dirty cone) and the per-case
-Table 1 errors of the accuracy benchmark must be present in every fresh report
-(with the pinned
-value, where one is given), so dual-mode, array-batching and scale-tier
-coverage cannot silently disappear even if the committed baseline is
+naive-subset facts and uncached-speedup floor of the throughput benchmark,
+the 100k-net workload plus throughput/compile/memory gates and the build's
+collection count of the scale benchmark, and the serve daemon's read-path
+gates (warm queries re-run nothing; edit round-trips re-time only the dirty
+cone) and the per-case Table 1 errors of the accuracy benchmark must be
+present in every fresh report (with the pinned value, where one is given),
+so dual-mode, array-batching and scale-tier coverage cannot silently
+disappear even if the committed baseline is
 regenerated.  A few tracked fields are *volatile* (:data:`VOLATILE_TRACKED`):
 required-present but skipped by the equality diff.
 
@@ -76,8 +76,12 @@ REQUIRED_TRACKED = {
         "nets_per_second_floor": ...,
         # The cold 100k compile runs as array passes; its floor stays gated.
         "compile_nets_per_second_floor": 150000,
-        # The design build (soc_graph) has its own floor.
+        # The design build (soc_graph) has its own floor, and pauses the
+        # cyclic collector: one generation-1 pass as it ends, none inside.
         "build_nets_per_second_floor": 90000,
+        "build_collections_100k.gen0": 0,
+        "build_collections_100k.gen1": 1,
+        "build_collections_100k.gen2": 0,
         "bytes_per_net_ceiling": ...,
         "compile_fraction": ...,
     },

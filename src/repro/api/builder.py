@@ -32,7 +32,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ModelingError
 from ..interconnect.rlc_line import RLCLine
-from ..sta.graph import GraphNet, PrimaryInput, TimingGraph, check_mode, flip_transition
+from ..sta.graph import (
+    GraphNet,
+    PrimaryInput,
+    TimingGraph,
+    _collector_paused,
+    check_mode,
+    flip_transition,
+)
 
 __all__ = ["DesignBuilder"]
 
@@ -256,12 +263,18 @@ class DesignBuilder:
         return tuple(self._nets)
 
     # --- materialization --------------------------------------------------------------
+    @_collector_paused()
     def build(self) -> TimingGraph:
         """Materialize the accumulated design as a validated timing graph.
 
         The builder stays usable afterwards (build again after more edits);
         structural problems — unknown fanout targets, cycles, roots without
         stimuli — surface here as :class:`~repro.errors.ModelingError`.
+        The build runs with the cyclic garbage collector paused, as
+        :class:`TimingGraph` construction does: every net it creates is
+        kept, so collections during it could free nothing.  If it allocated
+        past the young threshold, one collection follows as it ends; a
+        small design (a 1k-net serve attach) runs none.
         """
         nets = [
             GraphNet(

@@ -24,9 +24,12 @@ library (25X-125X) and the paper's parasitic regime:
 Construction is O(nets + edges): chains are emitted through one shared
 :func:`_chain_nets` helper (name lists built once, next-stage links by index),
 :func:`soc_graph` stamps out copies of one prebuilt cluster, and
-:class:`~repro.sta.graph.TimingGraph` validates in a single pass, so a
-100k-net ``soc_graph`` builds in ~0.5-0.9 s on a 2-CPU container (the spread
-is the shared host's load).
+:class:`~repro.sta.graph.TimingGraph` validates in a single pass.  Every
+builder runs with the cyclic garbage collector paused (the nets it creates
+are all kept, so the collector's passes could free nothing), and pays one
+collection at the end if its allocations passed the young threshold.  A
+100k-net ``soc_graph`` builds in ~0.35-0.45 s on a 2-CPU container (the
+spread is the shared host's load).
 
 Everything is deterministic (no randomness), so two builds of the same case are
 identical and stage-solution memo keys repeat across runs.
@@ -38,7 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ModelingError
 from ..interconnect.rlc_line import RLCLine
-from ..sta.graph import GraphNet, PrimaryInput, TimingGraph
+from ..sta.graph import GraphNet, PrimaryInput, TimingGraph, _collector_paused
 from ..sta.stage import TimingPath, TimingStage
 from ..units import mm, nH, pF, ps
 
@@ -117,6 +120,7 @@ def _chain_nets(names: Sequence[str], *, lines: Sequence[RLCLine],
         for s, name in enumerate(names)]
 
 
+@_collector_paused()
 def parallel_chains(n_chains: int, chain_length: int, *,
                     lines: Sequence[RLCLine] = (),
                     sizes: Sequence[float] = (75.0, 100.0),
@@ -142,6 +146,7 @@ def parallel_chains(n_chains: int, chain_length: int, *,
     return TimingGraph(nets, inputs)
 
 
+@_collector_paused()
 def fanout_tree(depth: int, fanout: int = 2, *,
                 line: RLCLine = None,
                 sizes: Sequence[float] = (125.0, 100.0, 75.0, 50.0, 25.0),
@@ -176,6 +181,7 @@ def fanout_tree(depth: int, fanout: int = 2, *,
     return TimingGraph(nets, {"t": PrimaryInput(slew=input_slew)})
 
 
+@_collector_paused()
 def reconvergent_graph(*, line: RLCLine = None,
                        input_slew: float = ps(100.0)) -> TimingGraph:
     """A diamond whose branches have different inverter parity.
@@ -196,6 +202,7 @@ def reconvergent_graph(*, line: RLCLine = None,
     return TimingGraph(nets, {"root": PrimaryInput(slew=input_slew)})
 
 
+@_collector_paused()
 def race_graph(*, line: RLCLine = None,
                input_slew: float = ps(100.0)) -> TimingGraph:
     """Two same-parity branches of different speed reconverging on one sink.
@@ -256,6 +263,7 @@ def _soc_cluster(lines: Sequence[RLCLine]) -> List[GraphNet]:
     return nets
 
 
+@_collector_paused()
 def soc_graph(n_nets: int = 100_000, *,
               input_slew: float = ps(100.0)) -> TimingGraph:
     """An SoC-shaped scale workload of at least ``n_nets`` nets.

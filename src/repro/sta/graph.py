@@ -57,9 +57,11 @@ reference sweep (:meth:`repro.sta.batch.GraphEngine.analyze`) report through
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 import sys
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import (Any, Callable, Dict, FrozenSet, Iterator, List, Mapping,
@@ -89,6 +91,61 @@ _SLOTS = {"slots": True} if sys.version_info >= (3, 10) else {}
 #: value names one state of one graph and a cache keyed on it never mistakes
 #: one graph for another.
 _INPUT_STAMPS = itertools.count(1)
+
+#: Sources a fan-in tuple takes by copy during construction before the rest
+#: are gathered in a list (see :class:`TimingGraph`).
+_WIDE_FANIN = 8
+
+#: Open :func:`_collector_paused` scopes of all threads, and whether the
+#: outermost one found the collector enabled (and so re-enables it).
+_PAUSE_LOCK = threading.Lock()
+_pause_depth = 0
+_pause_resumes = False
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector while a design is built in bulk.
+
+    A 100k-net build allocates every net, fan-out tuple and index entry it
+    keeps, so the collector's allocation counter trips hundreds of young
+    passes and a couple of full ones, each walking all the survivors so far:
+    about a quarter of the build.  None of it can be garbage, as the build
+    keeps everything it makes.  Inside the scope no collection runs.  The
+    outermost exit restores the collector; if the young generation passed
+    its threshold meanwhile, one collection through generation 1 follows
+    (a full one instead when the oldest generation is due, about one build
+    in eleven), so the build pays for its own survivors in the call that
+    made them rather than leaving a backlog that a later read trips over.
+    A small build stays under the threshold and runs none.
+
+    Re-entrant and thread-safe: a depth count under a lock keeps nested and
+    concurrent builds from re-enabling the collector early.  If the caller
+    had disabled the collector it stays disabled, and no collection runs.
+    Usable as a decorator.
+    """
+    global _pause_depth, _pause_resumes
+    with _PAUSE_LOCK:
+        if not _pause_depth:
+            _pause_resumes = gc.isenabled()
+            gc.disable()
+        _pause_depth += 1
+    try:
+        yield
+    finally:
+        with _PAUSE_LOCK:
+            _pause_depth -= 1
+            resume = not _pause_depth and _pause_resumes
+            if resume:
+                gc.enable()
+        thresholds, counts = gc.get_threshold(), gc.get_count()
+        if resume and thresholds[0] and counts[0] > thresholds[0]:
+            # A generation-1 pass counts toward the oldest generation; once
+            # that count passes its threshold the next automatic pass is a
+            # full one.  Run that full pass here, in the build whose
+            # survivors made it due, instead of in whatever call allocates
+            # next (a timing run of the design just built).
+            gc.collect(2 if counts[2] >= thresholds[2] else 1)
 
 
 def check_mode(mode: str) -> str:
@@ -193,8 +250,16 @@ class TimingGraph:
     raise :class:`ModelingError` — so analysis code can trust the structure.  The
     edit operations preserve those invariants: an edit that would break the graph
     raises and leaves it unchanged, so a graph is *always* analyzable.
+
+    Construction runs with the cyclic garbage collector paused (see
+    :func:`_collector_paused`): a graph holds only what it was built from,
+    so the collector's passes over a 100k-net build found nothing to free
+    and cost about a quarter of the build.  The bulk builders that create
+    the nets first (:func:`chain_graph`, the ``repro.experiments`` cases,
+    ``DesignBuilder.build``) take the same pause around their whole work.
     """
 
+    @_collector_paused()
     def __init__(self, nets: Sequence[GraphNet],
                  primary_inputs: Mapping[str, PrimaryInput], *,
                  clock_period: Optional[float] = None) -> None:
@@ -210,7 +275,11 @@ class TimingGraph:
         # Fan-ins are tuples of names, not lists: the garbage collector
         # untracks a tuple that holds only strings, so a full collection
         # does not walk one container per net for as long as the graph lives.
+        # A tuple grows by copy up to _WIDE_FANIN sources; the rest of a
+        # wider fan-in is listed aside and joined once, so assembly stays
+        # linear in the edges however many sources share one sink.
         fanin: Dict[str, Tuple[str, ...]] = dict.fromkeys(self.nets, ())
+        wide: Dict[str, List[str]] = {}
         for net in self.nets.values():
             name = net.name
             for target in net.fanout:
@@ -220,7 +289,12 @@ class TimingGraph:
                         f"net {name!r} drives unknown net {target!r}")
                 if target == name:
                     raise ModelingError(f"net {name!r} drives itself")
-                fanin[target] = sources + (name,)
+                if len(sources) < _WIDE_FANIN:
+                    fanin[target] = sources + (name,)
+                else:
+                    wide.setdefault(target, []).append(name)
+        for target, extra in wide.items():
+            fanin[target] += tuple(extra)
         self._fanin = fanin
 
         self.primary_inputs: Dict[str, PrimaryInput] = dict(primary_inputs)
@@ -695,6 +769,7 @@ class TimingGraph:
         self._mark_dirty(driver, sink)
 
 
+@_collector_paused()
 def chain_graph(path: TimingPath, *, input_transition: str = "rise"
                 ) -> Tuple[TimingGraph, List[str]]:
     """The chain-shaped graph equivalent to ``path``.

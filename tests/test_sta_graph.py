@@ -1,6 +1,7 @@
 """Timing-graph subsystem: structure validation, levelization, batch analysis."""
 
 
+import contextlib
 import copy
 import dataclasses
 import gc
@@ -8,18 +9,21 @@ import math
 import pickle
 import random
 import sys
+import threading
+import time
 
 import pytest
 
 from golden_cases import golden_designs, random_lines
-from repro.api import TimingReport
+from repro.api import DesignBuilder, TimingReport
 from repro.core import StageSolver
 from repro.errors import ModelingError
-from repro.experiments import (fanout_tree, parallel_chains, reconvergent_graph,
-                               soc_graph)
+from repro.experiments import (fanout_tree, global_route_path, parallel_chains,
+                               reconvergent_graph, soc_graph, standard_lines)
 from repro.interconnect import RLCLine
 from repro.sta import (GraphEngine, GraphNet, PrimaryInput, TimingGraph,
                        TimingPath, TimingStage, chain_graph, flip_transition)
+from repro.sta.graph import _collector_paused
 from repro.units import mm, nH, pF, ps
 from test_sta_dual_mode import random_dag
 
@@ -646,6 +650,187 @@ def test_build_keeps_gc_tracked_objects_per_net_bounded():
     gc.collect()
     per_net = (len(gc.get_objects()) - before) / len(graph)
     assert 0 < per_net <= TRACKED_PER_NET_CEILING
+
+
+@contextlib.contextmanager
+def recorded_collections():
+    """The generation of every collection that starts inside the block."""
+    generations = []
+
+    def record(phase, info):
+        if phase == "start":
+            generations.append(info["generation"])
+
+    gc.collect()  # start from empty young generations: counts are exact
+    gc.callbacks.append(record)
+    try:
+        yield generations
+    finally:
+        gc.callbacks.remove(record)
+
+
+def builder_design(n_nets):
+    """A ``DesignBuilder`` of ``n_nets`` nets: 100-stage chains into a sink."""
+    line = standard_lines()[0]
+    builder = DesignBuilder("wide")
+    for c in range(n_nets // 100 - 1):
+        builder.chain(f"c{c}", sizes=(75.0, 100.0) * 50, line=line,
+                      input_slew=ps(100))
+        builder.connect(f"c{c}_s99", "sink")
+    builder.chain("last", sizes=(75.0,) * 99, line=line, input_slew=ps(100))
+    builder.connect("last_s98", "sink")
+    builder.net("sink", driver_size=50.0, line=line, receiver_size=25.0)
+    return builder
+
+
+class TestCollectorPause:
+    """Bulk construction runs with the cyclic garbage collector paused.
+
+    Deterministic: ``gc.callbacks`` sees every collection.  A build that
+    passes the young threshold pays one generation-1 pass as it ends; a
+    small one runs none, and the caller's collector state survives.
+    """
+
+    def test_soc_build_runs_at_most_one_generation_1_pass(self):
+        with recorded_collections() as generations:
+            graph = soc_graph(10_000)
+        assert len(graph) == 10_000
+        assert generations in ([], [1])
+        assert gc.isenabled()
+
+    def test_builder_design_runs_at_most_one_generation_1_pass(self):
+        builder = builder_design(10_000)
+        with recorded_collections() as generations:
+            graph = builder.build()
+        assert len(graph) == 10_000 and graph.fanin("sink")[-1] == "last_s98"
+        assert generations in ([], [1])
+        assert gc.isenabled()
+
+    def test_a_due_full_collection_runs_in_the_build(self):
+        # Each generation-1 pass counts toward the oldest generation; when
+        # the next would pass its threshold, the build's exit runs the full
+        # pass itself, and the count starts over.
+        with recorded_collections() as generations:
+            for _ in range(gc.get_threshold()[2]):
+                gc.collect(1)
+            del generations[:]
+            soc_graph(10_000)
+            soc_graph(10_000)
+        assert generations == [2, 1]
+
+    def test_chain_graph_runs_none(self):
+        with recorded_collections() as generations:
+            graph, names = chain_graph(global_route_path())
+        assert names == ["stage1", "stage2", "stage3"] and len(graph) == 3
+        assert generations == []
+
+    @pytest.mark.parametrize("fanout, message", [
+        (("a",), "cycle"), (("ghost",), "unknown net")])
+    def test_a_build_that_raises_restores_the_collector(self, line, fanout,
+                                                        message):
+        nets = [GraphNet("root", 75.0, line, fanout=("a",)),
+                GraphNet("a", 75.0, line, fanout=("b",)),
+                GraphNet("b", 75.0, line, fanout=fanout)]
+        with pytest.raises(ModelingError, match=message):
+            TimingGraph(nets, {"root": PrimaryInput(slew=ps(100))})
+        assert gc.isenabled()
+
+    def test_nested_builds_keep_it_paused_until_the_outermost_ends(self):
+        with _collector_paused():
+            soc_graph(250)
+            with _collector_paused():
+                builder_design(1_000).build()
+            assert not gc.isenabled()
+        assert gc.isenabled()
+
+    def test_a_caller_that_disabled_the_collector_keeps_it_disabled(self):
+        gc.disable()
+        try:
+            with recorded_collections() as generations:
+                soc_graph(10_000)
+                builder_design(10_000).build()
+            assert not gc.isenabled()
+            assert generations == []
+        finally:
+            gc.enable()
+
+    def test_concurrent_builds_resume_it_when_the_last_one_ends(self):
+        entered, release = threading.Event(), threading.Event()
+
+        def hold_a_scope_open():
+            with _collector_paused():
+                entered.set()
+                release.wait(timeout=60)
+
+        holder = threading.Thread(target=hold_a_scope_open)
+        holder.start()
+        try:
+            assert entered.wait(timeout=60)
+            soc_graph(1_000)  # this build ends inside the other thread's
+            assert not gc.isenabled()
+            with _collector_paused():  # the other thread's ends inside this
+                release.set()
+                holder.join(timeout=60)
+                assert not holder.is_alive()
+                assert not gc.isenabled()
+        finally:
+            release.set()
+            holder.join(timeout=60)
+        assert gc.isenabled()
+
+    def test_threads_racing_through_scopes_never_resume_it_inside_one(self):
+        # More threads than cores, switching every microsecond: a lost
+        # update of the depth count would resume the collector while some
+        # thread is still inside a scope, or leave it paused at the end.
+        resumed_inside = []
+
+        def churn():
+            for _ in range(200):
+                with _collector_paused():
+                    reconvergent_graph()
+                    if gc.isenabled():
+                        resumed_inside.append(True)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=churn) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not resumed_inside
+        assert gc.isenabled()
+
+
+#: Allowed build-time ratio of a 32k-source fan-in to a 4k-source one: 8x
+#: when assembly is linear, ~64x when every edge copies the growing tuple.
+FANIN_RATIO_CEILING = 24.0
+
+
+def wide_fanin_seconds(n_sources, line):
+    """Best-of-5 construction time of ``n_sources`` roots into one sink."""
+    names = [f"s{i}" for i in range(n_sources)]
+    nets = [GraphNet(name, 75.0, line, fanout=("sink",)) for name in names]
+    nets.append(GraphNet("sink", 50.0, line, receiver_size=25.0))
+    stimulus = PrimaryInput(slew=ps(100))
+    inputs = dict.fromkeys(names, stimulus)
+    laps = []
+    for _ in range(5):
+        started = time.perf_counter()
+        graph = TimingGraph(nets, inputs)
+        laps.append(time.perf_counter() - started)
+    assert graph.fanin("sink") == names  # same sources, in net order
+    return min(laps)
+
+
+def test_wide_fanin_assembly_is_linear(line):
+    small = wide_fanin_seconds(4_096, line)
+    large = wide_fanin_seconds(32_768, line)
+    assert large / small <= FANIN_RATIO_CEILING
 
 
 class TestRejectedEdits:

@@ -31,7 +31,8 @@ properties run under each path), and the engine's own rollback hook.
 
 import gc
 import random
-import tracemalloc
+import sys
+import types
 import weakref
 from pathlib import Path
 
@@ -826,10 +827,27 @@ class TestPerUpdateFloor:
         assert len({solution.fingerprint for solution in table.solutions}) == len(keys)
 
 
-#: Traced bytes a solution-table row may retain, all caches included.  A
-#: scalar-only row costs ~1.7 KB; one that keeps the stage's modeled
-#: waveform and far-end response costs ~49 KB.
+#: Bytes a solution-table row may add to the table.  A scalar-only row
+#: costs ~1 KB; one that keeps the stage's modeled waveform and far-end
+#: response costs tens of KB.
 ROW_KB_CEILING = 4.0
+
+
+def reachable_bytes(*roots):
+    """``sys.getsizeof`` summed over every object reachable from ``roots``
+    (an array's buffer included), each counted once; classes, modules and
+    functions are not followed."""
+    skip = (type, types.ModuleType, types.FunctionType,
+            types.BuiltinFunctionType, types.MethodType)
+    seen, total, stack = set(), 0, list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, skip):
+            continue
+        seen.add(id(obj))
+        total += sys.getsizeof(obj)
+        stack.extend(gc.get_referents(obj))
+    return total
 
 
 class TestScalarOnlyRows:
@@ -837,25 +855,20 @@ class TestScalarOnlyRows:
 
     def test_load_edits_add_kilobytes_per_row(self):
         # Each distinct load of a tree root re-solves its cone at new slews:
-        # ~31 new rows per update, which every later update keeps.
+        # ~31 new rows per update, which every later update keeps.  Only what
+        # the table itself gains is counted, not the planes or caches the
+        # updates allocate beside it.
         graph = soc_design()
         session = shared_session(StageSolver())
         cg = session.update(graph).analysis.graph
         table = cg.solution_table(session._engine.options, session.solver)
-        gc.collect()
-        tracemalloc.start()
-        try:
-            rows, before = len(table.solutions), tracemalloc.get_traced_memory()[0]
-            for step in range(4):
-                graph.set_extra_load("k3m1", fF(2 + 0.37 * step))
-                session.update(graph)
-            gc.collect()
-            retained = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
+        rows, before = len(table.solutions), reachable_bytes(table)
+        for step in range(4):
+            graph.set_extra_load("k3m1", fF(2 + 0.37 * step))
+            session.update(graph)
         added = len(table.solutions) - rows
         assert added >= 100
-        assert retained / added / 1024 <= ROW_KB_CEILING
+        assert (reachable_bytes(table) - before) / added / 1024 <= ROW_KB_CEILING
         assert not any(solution.has_waveforms for solution in table.solutions)
 
 
