@@ -37,6 +37,12 @@ def full_sweep_requested() -> bool:
 
 
 @pytest.fixture(scope="session")
+def full_sweep() -> bool:
+    """Whether ``REPRO_FULL`` asks for the complete sweep (the slow laps)."""
+    return full_sweep_requested()
+
+
+@pytest.fixture(scope="session")
 def library():
     """The shipped pre-characterized cell library."""
     lib = default_library()

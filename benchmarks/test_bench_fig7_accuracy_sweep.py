@@ -9,25 +9,23 @@ By default a representative subset of the sweep runs (a few dozen reference
 simulations); set ``REPRO_FULL=1`` to run the full grid as in the paper.
 """
 
-import os
-
 from repro.experiments import run_accuracy_sweep
 
 
-def test_figure7_accuracy_sweep(benchmark, library, simulator, report_writer):
-    full = os.environ.get("REPRO_FULL", "0") not in ("", "0", "false", "False")
+def test_figure7_accuracy_sweep(benchmark, library, simulator, report_writer,
+                                full_sweep):
     result = benchmark.pedantic(
-        lambda: run_accuracy_sweep(full=full, library=library, simulator=simulator),
+        lambda: run_accuracy_sweep(full=full_sweep, library=library, simulator=simulator),
         rounds=1, iterations=1)
 
-    name = "figure7_full" if full else "figure7_subset"
+    name = "figure7_full" if full_sweep else "figure7_subset"
     report_writer(name, result.format_report())
 
     delay = result.delay_summary
     slew = result.slew_summary
 
     # Enough inductive cases survive the screening to make the statistics meaningful.
-    assert delay.count >= (100 if full else 15)
+    assert delay.count >= (100 if full_sweep else 15)
     # Same accuracy regime as the paper (6% / 11.1% average errors).
     assert delay.mean_abs_error < 10.0
     assert slew.mean_abs_error < 15.0

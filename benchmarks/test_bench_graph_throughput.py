@@ -41,8 +41,6 @@ the measured speedup, which are runner-dependent and deliberately not
 compared).  Set ``REPRO_FULL=1`` to scale from 1k to 4k nets.
 """
 
-import os
-
 import pytest
 
 from repro import __version__
@@ -69,9 +67,8 @@ class NaiveSolver(StageSolver):
                 for request in requests]
 
 
-def test_graph_throughput_vs_naive_loop(library, report_writer):
-    full = os.environ.get("REPRO_FULL", "0") not in ("", "0", "false", "False")
-    n_target = 4096 if full else 1024
+def test_graph_throughput_vs_naive_loop(library, report_writer, full_sweep):
+    n_target = 4096 if full_sweep else 1024
     graph = benchmark_graph(n_target)
     assert len(graph) >= 1000
     subset = benchmark_graph(NAIVE_SUBSET_NETS)
@@ -118,7 +115,7 @@ def test_graph_throughput_vs_naive_loop(library, report_writer):
     payload = {
         "benchmark": "graph_throughput",
         "tracked": {
-            "full_sweep": full,
+            "full_sweep": full_sweep,
             "nets": len(graph),
             "levels": graph.n_levels,
             "events": n_events,
@@ -145,7 +142,7 @@ def test_graph_throughput_vs_naive_loop(library, report_writer):
     json_path = report_writer.json("BENCH_graph_throughput.json", payload)
 
     lines = [
-        f"graph throughput ({'full' if full else 'default'} sweep)",
+        f"graph throughput ({'full' if full_sweep else 'default'} sweep)",
         f"  {graph.describe()}",
         f"  naive per-stage loop : {naive_elapsed:8.2f} s "
         f"({subset_events / naive_measured:7.1f} nets/s; measured on "

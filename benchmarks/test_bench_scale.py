@@ -56,9 +56,6 @@ from repro.units import ps
 
 SRC_DIRECTORY = Path(__file__).resolve().parents[1] / "src"
 
-#: ``REPRO_FULL=1`` adds the 1M-net lap (too slow for tier-1).
-FULL = os.environ.get("REPRO_FULL", "0") not in ("", "0", "false", "False")
-
 #: The scale tier's headline size, and the sizes of the cheaper phases.
 NETS_FULL = 100_000
 NETS_WARM = 10_000
@@ -101,6 +98,11 @@ BYTES_PER_NET_CEILING = 2048
 #: The ``REPRO_FULL=1`` point, and the resize + update cycles timed there.
 NETS_MILLION = 1_000_000
 MILLION_UPDATES = 6
+
+#: Wall-clock limit of one fresh-interpreter lap [s]: a 100k lap takes well
+#: under a minute, the 1M lap about a minute on a quiet host.
+LAP_TIMEOUT_S = 600
+MILLION_LAP_TIMEOUT_S = 1800
 
 #: Clock constraint applied at every size (met on the critical path, so both
 #: planes carry finite slacks).
@@ -225,20 +227,21 @@ def relative_difference(a, b):
     return abs(a - b) / scale
 
 
-def run_fresh(script, nets=NETS_FULL):
+def run_fresh(script, nets=NETS_FULL, timeout=LAP_TIMEOUT_S):
     """Run ``script`` (formatted for a lap of ``nets`` nets) in a new
-    interpreter; returns the JSON object on its last stdout line."""
+    interpreter, allowed ``timeout`` seconds; returns the JSON object on its
+    last stdout line."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC_DIRECTORY) + os.pathsep + env.get("PYTHONPATH", "")
     result = subprocess.run(
         [sys.executable, "-c", script.format(nets=nets, clock_ps=CLOCK_PS,
                                              updates=MILLION_UPDATES // 2)],
-        capture_output=True, text=True, env=env, timeout=1800)
+        capture_output=True, text=True, env=env, timeout=timeout)
     assert result.returncode == 0, result.stderr
     return json.loads(result.stdout.strip().splitlines()[-1])
 
 
-def test_scale_tier(library, report_writer):
+def test_scale_tier(library, report_writer, full_sweep):
     # --- phase 1: 1k equivalence, compiled vs object ------------------------
     # The session times on the compiled engine; the object reference sweep
     # shares its memoized solver.
@@ -336,8 +339,9 @@ def test_scale_tier(library, report_writer):
             "worst_slack_ps_100k": round(full["worst_slack_ps"], 3),
         },
     }
-    if FULL:
-        million = run_fresh(_MILLION_SCRIPT, nets=NETS_MILLION)
+    if full_sweep:
+        million = run_fresh(_MILLION_SCRIPT, nets=NETS_MILLION,
+                            timeout=MILLION_LAP_TIMEOUT_S)
         assert million["nets"] == NETS_MILLION
         payload["machine"].update({
             "nets_1m": million["nets"],
@@ -382,7 +386,7 @@ def test_scale_tier(library, report_writer):
         f"  100k build collections by generation: "
         f"{full['build_collections']}",
     ]
-    if FULL:
+    if full_sweep:
         machine = payload["machine"]
         lines.append(
             f"  1M nets (fresh process): build {machine['build_seconds_1m']:.2f} s "
