@@ -340,11 +340,11 @@ class TimingSession:
         ``set_line``, ``add_fanout``, ``set_required``, ...) — see
         :class:`repro.sta.incremental_compiled.CompiledIncrementalEngine`.
         Parameter edits patch the compiled snapshot in place
-        (``meta.compile_seconds == 0``).  A masked sweep then re-times only the
-        dirty cone over the persistent array planes — or, where a count of
-        levels and events says it is cheaper (small graphs), one planned full
-        sweep re-times the graph — and event records of nets the update left
-        unchanged are carried over from the previous report.  ``design`` defaults
+        (``meta.compile_seconds == 0``).  One loop then re-times only the dirty
+        cone over the persistent array planes, on the graph's sweep plan (small
+        levels whole, the others restricted to their active nets), and event
+        records of nets the update left unchanged are carried over from the
+        previous report.  ``design`` defaults
         to the graph of the previous :meth:`update`; passing a different graph
         re-attaches the session (dropping the old incremental state).  Results
         are bit-identical to ``session.time(graph)`` on the same state; the

@@ -15,37 +15,22 @@ natural unit of batching:
    the larger slew), the early plane the best arrival (ties take the smaller
    slew) — one traversal carries setup and hold analysis together.
 
-Every solution lands in the solver's memo, so later levels (and later analyses)
-reuse it.
-
-Stage solves are mode-independent: each (net, transition) event is solved once,
-at its late-merged slew, and the early plane rides along as pure arithmetic —
-dual-mode analysis performs **zero additional stage solves** over late-only.
-
-After the forward pass, every analysis computes each polarity the graph
-constrains (clock period / hold margin or explicit ``set_required`` pins): a
-backward pass propagates required times from the endpoints against the arrival
-flow — per rise/fall, the minimum required over a net's fanout consumers for
-setup and the maximum for hold, mirroring how the forward merge takes the
-extreme arrival — and every event gains ``required`` / ``slack`` plus
-``hold_required`` / ``hold_slack``.  The backward pass is pure arithmetic over
-already-solved stage delays, so it costs microseconds even on 1k-net graphs.
+Every solution lands in the solver's memo.  Stage solves are
+mode-independent: each event is solved once, at its late-merged slew, and
+the early plane rides along as arithmetic (**zero additional stage solves**
+for hold).  A backward pass then propagates the required times of each
+polarity the graph constrains against the arrival flow — per rise/fall, the
+minimum over a net's fanout consumers for setup and the maximum for hold.
 
 Production timing (:class:`repro.api.TimingSession`) runs on the compiled
 engine: :meth:`GraphEngine.compile` plus :meth:`GraphEngine.analyze_compiled`,
 and :class:`repro.sta.incremental_compiled.CompiledIncrementalEngine` for
-edits.  There a stage key the compiled graph solved before is a row of its
-:class:`~.compiled.SolutionTable`, and only new keys reach the solver.  The
-object sweep (:meth:`GraphEngine.analyze`) is the reference the equivalence
-tests compare against, returning an eager :class:`repro.api.TimingReport`;
-every level it times is one :meth:`StageSolver.solve_batch` call on the
-engine's solver, so a benchmark gets the naive per-stage baseline by
-injecting a solver that solves each request on its own.
-:class:`IncrementalEngine` is a thin attached wrapper:
-its :meth:`~IncrementalEngine.update` consumes the graph's dirty set and
-re-times the whole graph through :meth:`GraphEngine.analyze`.  Every
-analysis runs in the calling process; the engine holds no resources beyond
-its solver's caches.
+edits, both through :meth:`GraphEngine._sweep_compiled_level`; only stage
+keys new to the compiled graph's :class:`~.compiled.SolutionTable` reach the
+solver.  The object sweep (:meth:`GraphEngine.analyze`) is the reference the
+equivalence tests compare against (one :meth:`StageSolver.solve_batch` per
+level, so a benchmark injects a per-request solver for the naive baseline);
+:class:`IncrementalEngine` re-times its attached graph through it in full.
 """
 
 from __future__ import annotations
@@ -61,8 +46,8 @@ from ..core.driver_model import ModelingOptions
 from ..core.stage_solver import StageRequest, StageSolution, StageSolver
 from ..errors import ModelingError
 from ..tech.technology import Technology, generic_180nm
-from .compiled import (CompiledAnalysis, CompiledGraph, SolutionTable,
-                       SweepState, backward_required, compile_graph,
+from .compiled import (CompiledAnalysis, CompiledGraph, MergePlan,
+                       SolutionTable, SweepState, backward_required, compile_graph,
                        input_seeds, level_solve_keys, merge_level,
                        required_seeds, scatter_level_solutions,
                        seed_primary_inputs)
@@ -306,13 +291,14 @@ class GraphEngine:
         """
         unique, inverse = level_solve_keys(cg, state, events)
         keys = list(map(tuple, unique.tolist()))
-        rows = np.fromiter((table.rows.get(key, -1) for key in keys),
-                           dtype=np.int64, count=len(keys))
-        missing = np.flatnonzero(rows < 0)
+        found = table.rows.get
+        rows = [found(key, -1) for key in keys]
+        missing = [i for i, row in enumerate(rows) if row < 0]
+        rows = np.array(rows, dtype=np.int64)
         solver = self.solver
-        solver.stats.memo_hits += len(keys) - missing.size
-        if missing.size:
-            misses = [keys[i] for i in missing.tolist()]
+        solver.stats.memo_hits += len(keys) - len(missing)
+        if missing:
+            misses = [keys[i] for i in missing]
             requests = []
             for config, t, slew in misses:
                 config = int(config)
@@ -327,27 +313,36 @@ class GraphEngine:
         scatter_level_solutions(state, events, sol_ids, table.delay[sol_ids],
                                 table.prop_slew[sol_ids])
 
+    def _sweep_compiled_level(self, cg: CompiledGraph, table: SolutionTable,
+                              state: SweepState, plan: MergePlan) -> np.ndarray:
+        """Merge one level's (or part of one level's) plan and solve its events.
+
+        The one level step of every compiled sweep: the full sweep runs each
+        level's :class:`~.compiled.MergePlan` whole, the incremental one
+        whole or :meth:`~.compiled.MergePlan.restrict`-ed to its active
+        nets.  Returns the merged event ids, ascending.
+        """
+        events = merge_level(plan, state)
+        if events.size:
+            self._solve_compiled_level(cg, table, state, events)
+        return events
+
     def analyze_compiled(self, graph: TimingGraph, *,
                          compiled_graph: Optional[CompiledGraph] = None,
                          options: Optional[ModelingOptions] = None
                          ) -> CompiledAnalysis:
         """Time ``graph`` through the struct-of-arrays path.
 
-        Equivalent to :meth:`analyze` — same merges, same stage solves through
-        the same memoized solver, same backward pass — but each level runs as
-        numpy reductions over event-id arrays instead of per-object Python,
-        and the result is a :class:`~.compiled.CompiledAnalysis` whose event
-        records materialize lazily.  ``compiled_graph`` reuses a prior
-        :meth:`compile` snapshot (it must match the graph's current
-        :attr:`~.graph.TimingGraph.version`), and with it what the snapshot
-        keeps for its sweeps: the :class:`~.compiled.SweepPlan` of the
-        primary inputs' root events (the first sweep of a snapshot, or of a
-        new stimulus, builds it), the seed arrays of the current stimuli and
-        constraints, the last plane buffer, written again in place once
-        nothing reads it, and the :class:`~.compiled.SolutionTable` of the
-        stages solved so far.  Every later sweep — a warm re-time, or the
-        incremental engine's full update — only moves arrivals, elects,
-        looks its keys up and does arithmetic.
+        Equivalent to :meth:`analyze` — same merges, stage solves and
+        backward pass — as numpy reductions over event-id arrays, returning a
+        :class:`~.compiled.CompiledAnalysis` whose records materialize
+        lazily.  ``compiled_graph`` reuses a prior :meth:`compile` snapshot
+        (it must match the graph's :attr:`~.graph.TimingGraph.version`) and
+        what it keeps for its sweeps: the :class:`~.compiled.SweepPlan` of
+        the roots' events, the seed arrays, the last plane buffer (written
+        again once nothing reads it) and the :class:`~.compiled.SolutionTable`,
+        so a warm re-time only moves arrivals, elects, looks keys up and
+        does arithmetic.
         """
         if not isinstance(graph, TimingGraph):
             raise ModelingError("analyze_compiled() expects a TimingGraph")
@@ -367,9 +362,7 @@ class GraphEngine:
         state = buffer.state
         seed_primary_inputs(cg, graph, state)
         for level in plan.levels:
-            events = merge_level(level, state)
-            if events.size:
-                self._solve_compiled_level(cg, table, state, events)
+            self._sweep_compiled_level(cg, table, state, level)
         required, hold_required = backward_required(
             cg, state, setup_seeds, hold_seeds,
             out=(buffer.required, buffer.hold_required))

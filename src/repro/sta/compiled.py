@@ -1,70 +1,38 @@
 """Struct-of-arrays timing graphs: the timing engine, from 3 nets to 1M.
 
-:class:`~.graph.TimingGraph` is one Python object and one dict entry per net,
-and its reference sweep builds one :class:`repro.api.report.TimingEvent` per
-event up front — comfortable at 1k nets, but at SoC scale (100k-1M nets)
-the per-object bookkeeping (attribute walks, dict churn, per-event hashing)
-dominates wall clock and peak RSS long before any timing math runs.  This
-module freezes a graph into a columnar twin:
+:class:`~.graph.TimingGraph` is one Python object per net, which at SoC
+scale (100k-1M nets) costs more than the timing math.  This module freezes
+a graph into a columnar twin:
 
 * :func:`compile_graph` produces a :class:`CompiledGraph` — CSR fanin/fanout
   adjacency, level boundaries, per-net loads, deduplicated stage
-  configurations (cell, line, load) and endpoint masks, all as contiguous
-  numpy arrays indexed by *net id* (the position in the level-flattened
-  topological order).  Once each net's fields are pulled into arrays, every
-  O(nets + edges) step of the compile is a numpy pass over all nets at once;
-  library and fingerprint calls run once per distinct driver size and line
-  object.
+  configurations (cell, line, load) and endpoint masks, as numpy arrays
+  indexed by *net id* (the position in the level-flattened order), built by
+  array passes over all nets.
 * A timing event is an integer: ``event = net_id * 2 + transition`` with
-  ``transition`` 0 = ``"fall"``, 1 = ``"rise"`` (the sorted transition order,
-  so array order matches the object engine's per-net iteration order).  All
-  per-event planes — late/early arrivals, slews, stage delays, winning
-  sources, required times — are flat float64/int64 arrays of length
-  ``2 * n_nets``, held by :class:`SweepState` / :class:`CompiledAnalysis`.
-* The per-level merge (:func:`merge_level`) and the backward required pass
-  (:func:`backward_required`) are pure array reductions whose vectorized
-  tie-breaks reproduce the object engine's tuple comparisons *exactly*:
-  the late plane elects ``max((arrival, slew, source))`` and the early plane
-  ``min((early_arrival, slew, source))`` via ``np.lexsort`` with a
-  name-rank ordinal standing in for the source tuple, and required times
-  reduce per fanout segment with the NaN-skipping ``np.fmin`` / ``np.fmax``,
-  NaN standing in for None.  Since
-  float comparisons carry no rounding, the compiled engine is bit-identical
-  to the object engine whenever both are answered by the same stage-solution
-  memo (and ≤1e-9 relative otherwise, asserted by the scale benchmark).
+  ``transition`` 0 = ``"fall"``, 1 = ``"rise"`` (the object engine's sorted
+  order).  Every per-event plane is a flat array of ``2 * n_nets``, held by
+  :class:`SweepState` / :class:`CompiledAnalysis`.
+* The merge (:class:`MergePlan`) and the backward pass (:class:`RequiredPlan`)
+  are array reductions whose tie-breaks reproduce the object engine's tuple
+  comparisons *exactly* (stable ``np.lexsort`` in source-ordinal order;
+  NaN-skipping ``np.fmin`` / ``np.fmax`` with NaN for None), so the compiled
+  engine is bit-identical to the object engine on one stage-solution memo.
 * A level's stage solves collapse to unique ``(config, transition, input
-  slew)`` keys (:func:`level_solve_keys`); each key the graph solved is a
-  row of its :class:`SolutionTable`, which every later sweep looks up.
-* Their index work depends only on the topology and on which events exist,
-  itself fixed by the topology and the primary inputs' transitions, so a
-  :class:`SweepPlan` resolves it once per set of seeded root events
-  (:meth:`CompiledGraph.sweep_plan`) and every warm full sweep reuses it.
-  The sweep also reuses the plane buffer it published last once nothing
-  reads it (:meth:`CompiledGraph.sweep_buffer`), and the seed arrays of the
-  current stimuli and constraints (:func:`input_seeds`,
-  :func:`required_seeds`), so a warm re-time only moves values.
+  slew)`` keys (:func:`level_solve_keys`), each a row of the graph's
+  :class:`SolutionTable`.
+* Which events exist depends only on the topology and the roots' transitions,
+  so a :class:`SweepPlan` resolves the index work once per set of root events
+  (:meth:`CompiledGraph.sweep_plan`); full sweeps run it whole and
+  incremental ones restrict it, and a warm sweep reuses its plane buffer and
+  the seed arrays (:func:`input_seeds`, :func:`required_seeds`).
 
-The driving loop lives in :meth:`repro.sta.batch.GraphEngine.analyze_compiled`
-(it owns the :class:`~repro.core.stage_solver.StageSolver`); this module holds
-the frozen structure, the array kernels and the :class:`CompiledAnalysis`
-result — which materializes :class:`repro.api.report.TimingEvent` records
-*on demand*, so a 100k-net analysis never flattens O(graph) Python objects
-unless a caller iterates them all.  Every memoized
-:meth:`repro.api.TimingSession.time` / ``update`` runs here, whatever the
-design's size.
-
-Constraints and primary inputs are deliberately *not* compiled: they are read
-live from the :class:`~.graph.TimingGraph` at analysis time (vectorized into
-seed arrays), so clock/required edits and ``set_input`` never invalidate the
-compiled structure.  Parameter edits (driver sizes, line swaps, extra loads,
-receivers) are absorbed by :meth:`CompiledGraph.patch`, which rewrites only
-the affected struct-of-arrays entries in place; only *topology* edits
-(``add_fanout`` / ``remove_fanout``, tracked by
-:attr:`TimingGraph.topology_version`) force a full :func:`compile_graph`.
-On top of the patched arrays,
-:class:`repro.sta.incremental_compiled.CompiledIncrementalEngine` re-times
-just the dirty fanout cone (and re-requires the dirty fanin cone) instead of
-re-sweeping the graph.
+The driving loop is :meth:`repro.sta.batch.GraphEngine.analyze_compiled`;
+:class:`CompiledAnalysis` materializes :class:`repro.api.report.TimingEvent`
+records on demand.  Constraints and primary inputs are read live at analysis
+time, so they never invalidate the snapshot; parameter edits are absorbed by
+:meth:`CompiledGraph.patch` in place, and only *topology* edits force a new
+:func:`compile_graph`.
 """
 
 from __future__ import annotations
@@ -89,7 +57,7 @@ from .graph import TimingGraph, check_mode, event_options
 
 __all__ = ["TRANSITIONS", "CompiledGraph", "ConfigInterner", "compile_graph",
            "SolutionTable", "SweepState", "CompiledAnalysis", "input_seeds",
-           "seed_primary_inputs", "merge_level", "merge_nets", "MergePlan",
+           "seed_primary_inputs", "merge_level", "MergePlan",
            "constraint_seeds", "required_seeds", "backward_required",
            "RequiredPlan", "SweepPlan"]
 
@@ -276,11 +244,6 @@ class CompiledGraph:
         published = getattr(self, "_sweep_buffer_cache", None)
         if published is not None and published[1].state is state:
             self._sweep_buffer_cache = None
-
-    def lend_sweep_buffer(self, buffer: "_PlaneBuffer") -> None:
-        """Have the next sweep of the last plan reuse ``buffer``, a sweep of that plan."""
-        plan = getattr(self, "_sweep_plan_cache", None)
-        self._sweep_buffer_cache = (plan, buffer, (True, True))
 
     def patch(self, graph: TimingGraph, *, library: CellLibrary,
               tech: Technology) -> int:
@@ -615,15 +578,8 @@ class SweepState:
                 self.delay, self.prop_slew, self.sol_idx)
 
     def clone(self) -> "SweepState":
-        """A deep per-plane copy (snapshot isolation for incremental updates).
-
-        A masked incremental sweep mutates its planes in place; sweeping a
-        copy keeps every previously issued :class:`CompiledAnalysis` (and the
-        streaming reports / serve snapshots built on it) describing the state
-        it analyzed.  11 allocations and memcpys, ~16 MB and ~1.9 ms at 100k
-        nets — so the incremental engine only clones when its spare plane
-        buffer is still read from outside.
-        """
+        """A deep per-plane copy (~1.9 ms at 100k nets), taken when an
+        issued analysis still reads the planes an update would write."""
         return SweepState(*(plane.copy() for plane in self.planes()))
 
     @property
@@ -754,16 +710,33 @@ def _interleave(nets: np.ndarray) -> np.ndarray:
     return (nets[:, None] * 2 + _LANES).ravel()
 
 
+def _spans(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The positions ``starts[i] .. starts[i] + counts[i] - 1`` of every i, concatenated."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
+    return (np.arange(total, dtype=np.int64)
+            + np.repeat(starts - ends + counts, counts))
+
+
 def _csr_rows(indptr: np.ndarray, indices: np.ndarray,
               rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The CSR entries of ``rows``, concatenated, and each row's entry count."""
     starts = indptr[rows]
     counts = indptr[rows + 1] - starts
-    ends = np.cumsum(counts)
-    total = int(ends[-1]) if ends.size else 0
-    positions = (np.arange(total, dtype=np.int64)
-                 + np.repeat(starts - ends + counts, counts))
-    return indices[positions], counts
+    return indices[_spans(starts, counts)], counts
+
+
+def _find(ids: np.ndarray, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Where the ascending ``keys`` sit in the ascending, unique ``ids``.
+
+    Returns ``(at, hit)``: ``hit[i]`` says ``keys[i]`` is in ``ids``, and
+    ``at`` holds the positions of the keys that are, in key order.
+    """
+    if not ids.size:
+        return _NO_EVENTS, np.zeros(keys.size, dtype=bool)
+    at = np.minimum(ids.searchsorted(keys), ids.size - 1)
+    hit = ids[at] == keys
+    return at[hit], hit
 
 
 def _install(state: SweepState, targets: np.ndarray, sources: np.ndarray, *,
@@ -783,34 +756,27 @@ class MergePlan:
     """The merge of fanin events into a set of nets, resolved against ``exists``.
 
     A fanin source event feeds target event ``target * 2 + (1 - source
-    transition)`` (the inverter flips the edge), so which target events
-    exist follows from which source events do.  The plan keeps only the
-    candidates whose source exists in ``exists``.  A net with exactly one
-    fanin net gives each of its events at most one candidate, which wins
-    both planes: the plan holds those nets' (93% of ``soc``) ``(source
-    event, target event)`` pairs, :attr:`lone_sev` / :attr:`lone_tev`,
-    ascending by target.  The rest are *contested*: each candidate pair,
-    :attr:`sev` / :attr:`tev`, stored in ascending order of the source
-    ordinal ``name_rank * 2 + transition`` — the order of the object
-    engine's ``(name, transition)`` tuple comparison.  :attr:`events` are
-    the nets' events that exist after the merge, ascending: the targets,
-    plus the events ``exists`` marks on fanin-less nets (primary-input
-    roots, seeded before the merge).
+    transition)`` (the inverter flips the edge); the plan keeps only the
+    candidates whose source exists.  A net with one fanin net gives each
+    event one candidate, which wins both planes: those (93% of ``soc``) are
+    the ``(source, target)`` event pairs :attr:`lone_sev` / :attr:`lone_tev`,
+    ascending by target.  The *contested* rest, :attr:`sev` / :attr:`tev`,
+    are stored in source-ordinal order (``name_rank * 2 + transition``, the
+    object engine's tuple order), and :attr:`by_target` orders them by
+    target.  :attr:`events` are the nets' events that exist after the merge,
+    ascending, primary-input roots included.
 
-    :meth:`install` writes what existence alone fixes — the events'
-    ``exists`` flags and the lone targets' sources — and :meth:`run` the
-    rest: lone targets copy their source's outputs, and contested ones are
-    elected with one stable ``np.lexsort`` per plane — last-in-group for the
-    late plane (``max`` of (arrival, slew, ordinal)), first-in-group for the
-    early plane (``min`` of (early arrival, slew, ordinal)).  The candidates
-    are already in ordinal order, so the stable sort breaks (arrival, slew)
-    ties by ordinal without an ordinal key, and the election is independent
-    of edge order, bit for bit.  The election only compares candidates
-    sharing a target event, so any set of nets gives the winners a full
-    level would.
+    :meth:`install` writes what existence fixes (flags, lone sources);
+    :meth:`run` the rest: lone targets copy their source's outputs, and
+    contested ones are elected by one stable ``np.lexsort`` per plane —
+    ``max`` of (arrival, slew, ordinal) late, ``min`` of (early arrival,
+    slew, ordinal) early — the ordinal tie-break coming from the stored
+    order.  The election only compares candidates of one target, so
+    :meth:`restrict`, the plan of some of the nets sliced out of this one,
+    elects the winners the whole plan would.
     """
 
-    __slots__ = ("lone_sev", "lone_tev", "sev", "tev", "events")
+    __slots__ = ("lone_sev", "lone_tev", "sev", "tev", "by_target", "events")
 
     def __init__(self, cg: CompiledGraph, nets: np.ndarray,
                  exists: np.ndarray) -> None:
@@ -819,7 +785,7 @@ class MergePlan:
         lone_sev = _interleave(cg.fi_indices[cg.fi_indptr[lone]]) ^ 1
         keep = exists[lone_sev]
         self.lone_sev, self.lone_tev = lone_sev[keep], _interleave(lone)[keep]
-        self.sev = self.tev = _NO_EVENTS
+        self.sev = self.tev = self.by_target = _NO_EVENTS
         targets = [self.lone_tev]
         contested = nets[counts > 1]
         if contested.size:
@@ -831,6 +797,7 @@ class MergePlan:
             by_ordinal = np.argsort(cg.name_rank[sev >> 1] * 2 + (sev & 1),
                                     kind="stable")
             self.sev, self.tev = sev[by_ordinal], tev[by_ordinal]
+            self.by_target = np.argsort(self.tev, kind="stable")
             targets.append(np.unique(self.tev))
         roots = _interleave(nets[counts == 0])
         if roots.size:
@@ -841,8 +808,30 @@ class MergePlan:
     @property
     def nbytes(self) -> int:
         return (self.lone_sev.nbytes + self.lone_tev.nbytes + self.sev.nbytes
-                + self.tev.nbytes
+                + self.tev.nbytes + self.by_target.nbytes
                 + (0 if self.events is self.lone_tev else self.events.nbytes))
+
+    def restrict(self, nets: np.ndarray) -> "MergePlan":
+        """The plan of the ascending net ids ``nets``, a subset of this one's.
+
+        Slices, never rebuilds: the lone pairs and the events are searched
+        by target, and the contested candidates of the nets' events are
+        picked through :attr:`by_target`, in ordinal order per target (all
+        the election's stable sorts need).
+        """
+        plan = MergePlan.__new__(MergePlan)
+        targets = _interleave(nets)
+        at, _ = _find(self.lone_tev, targets)
+        plan.lone_sev, plan.lone_tev = self.lone_sev[at], self.lone_tev[at]
+        plan.sev = plan.tev = plan.by_target = _NO_EVENTS
+        if self.tev.size:
+            grouped = self.tev[self.by_target]
+            first = grouped.searchsorted(targets)
+            at = self.by_target[_spans(
+                first, grouped.searchsorted(targets, side="right") - first)]
+            plan.sev, plan.tev = self.sev[at], self.tev[at]
+        plan.events = targets[_find(self.events, targets)[1]]
+        return plan
 
     def install(self, state: SweepState) -> None:
         """Write what existence fixes: the events' flags, the lone targets' sources."""
@@ -875,31 +864,14 @@ class MergePlan:
         _install(state, grouped[head], sev[first[head]], late=False)
 
 
-def merge_nets(cg: CompiledGraph, state: SweepState, nets: np.ndarray) -> None:
-    """Merge fanin events into the (arbitrary) net ids ``nets`` of one level.
-
-    Vectorized twin of ``GraphEngine._merge``: resolves the nets'
-    :class:`MergePlan` against ``state.exists`` and installs and runs it —
-    the code :func:`merge_level` runs from a :class:`SweepPlan`.  The
-    election is per target event, so the masked incremental sweep merges
-    any set of nets bit-identically.  Merge only installs winners, it never
-    erases a stale event: the caller marks the nets' events non-existent
-    first (and seeds the roots among them).
-    """
-    plan = MergePlan(cg, nets, state.exists)
-    plan.install(state)
-    plan.run(state)
-
-
 def merge_level(plan: MergePlan, state: SweepState) -> np.ndarray:
     """Run one level's :class:`MergePlan` of a :class:`SweepPlan`; return its events.
 
-    ``state`` is a buffer :meth:`SweepPlan.allocate` built (the events'
-    flags and the lone sources are installed once per buffer), seeded by
-    :func:`seed_primary_inputs`, so the merge only moves arrivals and slews
-    and elects the contested winners.  The returned event ids, ascending,
-    include the primary-input seeds of a root level (roots have no fanin,
-    so they never compete in a merge).
+    ``plan`` is a level's plan, or the :meth:`~MergePlan.restrict` of one,
+    with its events installed (:meth:`SweepPlan.allocate` installs every
+    level's once per buffer) and its roots seeded, so the merge only moves
+    arrivals and slews and elects the contested winners.  The returned event
+    ids, ascending, include a root level's seeded events.
     """
     plan.run(state)
     return plan.events
@@ -939,10 +911,11 @@ def level_solve_keys(cg: CompiledGraph, state: SweepState, events: np.ndarray
     run_start[0] = True
     np.not_equal(group_sorted[1:], group_sorted[:-1], out=run_start[1:])
     run_start[1:] |= slews_sorted[1:] != slews_sorted[:-1]
-    first = order[run_start]
+    run = np.cumsum(run_start)
+    run -= 1
     inverse = np.empty(events.size, dtype=np.int64)
-    inverse[order] = np.cumsum(run_start) - 1
-    return _key_rows(group[first], slews[first]), inverse
+    inverse[order] = run
+    return _key_rows(group_sorted[run_start], slews_sorted[run_start]), inverse
 
 
 #: Levels below this many events sort them: the dense table's fixed cost of a
@@ -1072,20 +1045,11 @@ def backward_required(cg: CompiledGraph, state: SweepState,
                       ) -> Tuple[np.ndarray, np.ndarray]:
     """Array backward pass: (required, hold_required) planes, NaN = None.
 
-    Level-by-level against the arrival flow, the exact mirror of
-    ``GraphEngine._apply_required``: an event's setup required time is the
-    minimum of its seed and, per fanout consumer (the consumer event keyed by
-    this event's *output* transition), the consumer's required minus the
-    consumer's stage delay; hold is the mirror with the maximum.  None rides
-    as NaN, which ``np.fmin`` / ``np.fmax`` skip — min/max are exact on
-    floats, so the result is bit-identical to the object pass.  An
-    unconstrained polarity (seeds None) stays all-NaN.
-
-    ``state`` is a complete sweep of ``cg``: its events are those of the
-    :class:`SweepPlan` of its root events, whose :class:`RequiredPlan` the
-    pass runs.  The planes are new, or ``out``: planes that hold NaN
-    wherever the pass does not write (every event that does not exist, and
-    every event of an unconstrained polarity).
+    The exact mirror of the object pass (min/max are exact on floats): it
+    runs the :class:`RequiredPlan` of the :class:`SweepPlan` of ``state``'s
+    root events.  An unconstrained polarity (seeds None) stays all-NaN.  The
+    planes are new, or ``out``: planes holding NaN wherever the pass does
+    not write.
     """
     if out is None:
         n_events = 2 * cg.n_nets
@@ -1102,64 +1066,85 @@ def backward_required(cg: CompiledGraph, state: SweepState,
 class RequiredPlan:
     """The index work of the backward pass over a set of events, done once.
 
-    ``events`` — existing, ascending (so grouped by level), any subset of
-    any levels — split into *leaves*, fanout-less, whose required time is
-    their seed, and the rest.  For the rest the plan holds their fanout
-    consumers (the consumer event keyed by the event's *output* transition),
-    segmented per event and cut per level by ``searchsorted`` on
-    ``level_ptr``.  :meth:`run` gathers the consumers' stage delays and the
-    events' seeds, then does only the dependent arithmetic, level by level
-    in descending order: an event's value depends on its consumers' entries,
-    which sit on later levels, never on its level peers.  The plan depends
-    only on the topology and on which events exist, so the full pass keeps
-    it in the :class:`SweepPlan`.  Required times reduce with ``np.fmin`` /
-    ``np.fmax``, which skip NaN: a consumer that is unconstrained, or does
-    not exist (it holds NaN in both required planes: the full pass writes
-    existing events only, and the cone pass resets its cone before
-    running), drops out of the reduction, and an event none of whose seed
-    and consumers is constrained stays NaN.  Seeds are finite or NaN and
-    are read by event id, so any store that indexes like a dense seed plane
-    serves.
+    ``events`` — existing, ascending, any subset of any levels — split into
+    fanout-less *leaves*, whose required time is their seed, and the rest,
+    whose fanout consumers (the consumer event keyed by the event's output
+    transition) the plan holds, segmented per event by :attr:`ptr` and cut
+    per level.  :meth:`run` does the dependent arithmetic level by level,
+    descending, reducing with ``np.fmin`` / ``np.fmax``, which skip NaN: an
+    unconstrained or missing consumer (NaN in both planes) drops out.  The
+    full pass keeps the plan of every event in the :class:`SweepPlan`, and
+    :meth:`restrict` slices the plan of a cone out of it.
     """
 
-    __slots__ = ("consumer", "events", "leaves", "steps")
+    __slots__ = ("consumer", "ptr", "events", "leaves", "steps")
 
     def __init__(self, cg: CompiledGraph, events: np.ndarray) -> None:
         consumer, counts = _csr_rows(cg.fo_indptr, cg.fo_indices, events >> 1)
-        self.consumer = consumer * 2 + np.repeat(1 - (events & 1), counts)
         inner = counts > 0
-        self.events, self.leaves = events[inner], events[~inner]
-        ends = np.cumsum(counts[inner])
-        starts = ends - counts[inner]
-        nets = self.events >> 1
+        self._assemble(cg, events[inner], events[~inner],
+                       consumer * 2 + np.repeat(1 - (events & 1), counts),
+                       counts[inner])
+
+    def _assemble(self, cg: CompiledGraph, events: np.ndarray,
+                  leaves: np.ndarray, consumer: np.ndarray,
+                  counts: np.ndarray) -> None:
+        """Hold ``events``' consumers (``counts`` each) and cut them per level."""
+        self.events, self.leaves, self.consumer = events, leaves, consumer
+        self.ptr = np.zeros(events.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=self.ptr[1:])
+        nets = events >> 1
         cuts = [0, nets.size]
         if nets.size:  # the level boundaries inside the events' level span
             first, last = np.searchsorted(cg.level_ptr, nets[[0, -1]], side="right")
             cuts[1:1] = np.searchsorted(nets, cg.level_ptr[first:last]).tolist()
         #: (event slice, consumer slice, segment starts) per level, descending.
-        self.steps = [(slice(a, b), slice(int(starts[a]), int(ends[b - 1])),
-                       starts[a:b] - starts[a])
+        self.steps = [(slice(a, b), slice(int(self.ptr[a]), int(self.ptr[b])),
+                       self.ptr[a:b] - self.ptr[a])
                       for a, b in reversed(list(zip(cuts, cuts[1:]))) if a < b]
 
     @property
     def nbytes(self) -> int:
-        return (self.consumer.nbytes + self.events.nbytes + self.leaves.nbytes
+        return (self.consumer.nbytes + self.ptr.nbytes + self.events.nbytes
+                + self.leaves.nbytes
                 + sum(starts.nbytes for _, _, starts in self.steps))
+
+    def restrict(self, cg: CompiledGraph, events: np.ndarray) -> "RequiredPlan":
+        """The plan of ``events``, ascending, a subset of this plan's events.
+
+        Slices, never rebuilds: the events are searched in :attr:`events`
+        (the others are leaves) and their consumer segments gathered.
+        """
+        at, inner = _find(self.events, events)
+        starts = self.ptr[at]
+        counts = self.ptr[at + 1] - starts
+        plan = RequiredPlan.__new__(RequiredPlan)
+        plan._assemble(cg, events[inner], events[~inner],
+                       self.consumer[_spans(starts, counts)], counts)
+        return plan
 
     def run(self, state: SweepState, setup_seeds: Optional[np.ndarray],
             hold_seeds: Optional[np.ndarray], required: np.ndarray,
-            hold_required: np.ndarray) -> None:
-        """Write the plan's events into the ``required`` / ``hold_required`` planes."""
-        delay = state.delay[self.consumer]
+            hold_required: np.ndarray, end: Optional[int] = None) -> None:
+        """Write the plan's events into the ``required`` / ``hold_required`` planes.
+
+        ``end``, a level's first event id, keeps the run to the events below it.
+        """
+        leaves, inner, steps = self.leaves, self.events, self.steps
+        if end is not None:
+            leaves = leaves[:leaves.searchsorted(end)]
+            inner = inner[:inner.searchsorted(end)]
+            steps = [step for step in steps if step[0].stop <= inner.size]
+        delay = state.delay[self.consumer[:self.ptr[inner.size]]]
         #: (plane, NaN-skipping reduction, inner seeds) per constrained polarity.
         polarities = []
         for plane, seeds, ufunc in ((required, setup_seeds, np.fmin),
                                     (hold_required, hold_seeds, np.fmax)):
             if seeds is not None:
-                plane[self.leaves] = seeds[self.leaves]
-                polarities.append((plane, ufunc, seeds[self.events]))
-        for events, consumers, starts in self.steps:
-            targets, consumer = self.events[events], self.consumer[consumers]
+                plane[leaves] = seeds[leaves]
+                polarities.append((plane, ufunc, seeds[inner]))
+        for events, consumers, starts in steps:
+            targets, consumer = inner[events], self.consumer[consumers]
             for plane, ufunc, seeds in polarities:
                 upstream = plane[consumer] - delay[consumers]
                 plane[targets] = ufunc(seeds[events],
@@ -1169,16 +1154,13 @@ class RequiredPlan:
 class SweepPlan:
     """The index work of a full compiled sweep, resolved against its stimulus.
 
-    Which events exist is a pure function of the topology and of the root
-    events the primary inputs seed (their transitions): ``roots``, the
-    plan's key.  Resolving the sweep against them once leaves it only the
-    work whose result can change: one :class:`MergePlan` per level in
-    :attr:`levels` (just the candidates whose source exists, and the
-    level's events) and the :class:`RequiredPlan` of every existing event
-    in :attr:`required`.  :meth:`CompiledGraph.sweep_plan` keeps the plan
-    of the last root events it was asked for — one key and one rebuild rule
-    for the forward and the backward plans — and a patch keeps it (a
-    parameter edit never changes which events exist).
+    Which events exist depends only on the topology and on the root events
+    the primary inputs seed, ``roots``, the plan's key.  Resolved against
+    them once, a sweep is left with the work whose result can change: one
+    :class:`MergePlan` per level in :attr:`levels` and the
+    :class:`RequiredPlan` of every existing event in :attr:`required`.
+    :meth:`CompiledGraph.sweep_plan` keeps the plan of the last roots asked
+    for, and a patch keeps it (parameter edits never change which exist).
     """
 
     __slots__ = ("roots", "levels", "required")

@@ -816,7 +816,6 @@ class IncrementalStats:
 
     dirty_nets: int  #: nets the edits marked dirty
     retimed_nets: int  #: forward cone: nets whose arrivals were recomputed
-    retimed_events: int  #: (net, transition) events re-solved or re-merged
     required_nets: int  #: backward region: nets whose required times were refreshed
     hold_required_nets: int = 0  #: hold cone: nets whose hold requirements were refreshed
     patched_nets: int = 0  #: compiled entries rewritten in place (no recompile)

@@ -167,7 +167,7 @@ class TestRegistry:
             registry.detach("nope")
         assert registry.names() == ["d1"]
 
-    def test_edit_batch_bumps_seq_and_diffs(self, registry, cone_path):
+    def test_edit_batch_bumps_seq_and_diffs(self, registry):
         design = registry.get("d1")
         seq = design.snapshot.seq
         snapshot = design.apply_edits(EditRequest.from_payload({"edits": [
@@ -257,7 +257,7 @@ class TestFailureInjection:
         "patch": (CompiledGraph, "patch"),
         "incremental_sweep": (incremental_compiled, "incremental_sweep"),
         "incremental_required": (incremental_compiled, "incremental_required"),
-        "analyze_compiled": (GraphEngine, "analyze_compiled"),  # the full path
+        "sweep_level": (GraphEngine, "_sweep_compiled_level"),  # inside the loop
         "backward_required": (incremental_compiled, "backward_required"),
         "from_compiled": (StreamingTimingReport, "from_compiled"),
         "compare_reports": (registry_module, "compare_reports"),
@@ -267,7 +267,7 @@ class TestFailureInjection:
         ("patch", "resize", ReproError),
         ("incremental_sweep", "resize", ReproError),
         ("incremental_required", "resize", ReproError),
-        ("analyze_compiled", "resize", ReproError),
+        ("sweep_level", "resize", ReproError),
         ("backward_required", "constraint", ReproError),
         ("from_compiled", "resize", ReproError),
         ("from_compiled", "constraint", ReproError),
@@ -278,10 +278,6 @@ class TestFailureInjection:
         ("incremental_sweep", "resize", RuntimeError),
         ("compare_reports", "constraint", RuntimeError),
     ]
-    #: Sites on the cone path: chain3 is small enough that its edits take
-    #: the full sweep (analyze_compiled) unless the cone path is pinned.
-    CONE_SITES = ("incremental_sweep", "incremental_required")
-
     @staticmethod
     def request(edits):
         return EditRequest.from_payload({"edits": edits})
@@ -304,8 +300,8 @@ class TestFailureInjection:
     @pytest.mark.parametrize(
         "site, batch, error", CASES,
         ids=[f"{site}-{batch}-{error.__name__}" for site, batch, error in CASES])
-    def test_failed_batch_leaves_no_trace(self, twin_report, monkeypatch, request,
-                                          site, batch, error):
+    def test_failed_batch_leaves_no_trace(self, twin_report, monkeypatch, site,
+                                          batch, error):
         registry = DesignRegistry()
         try:
             design = registry.attach(
@@ -322,8 +318,6 @@ class TestFailureInjection:
                 raise error(f"injected failure after {site}")
 
             monkeypatch.setattr(owner, attribute, run_then_fail)
-            if site in self.CONE_SITES:
-                request.getfixturevalue("cone_path")
             with pytest.raises(error, match="injected"):
                 design.apply_edits(self.request(self.BATCHES[batch]))
             monkeypatch.undo()
@@ -342,8 +336,7 @@ class TestFailureInjection:
         finally:
             registry.close()
 
-    def test_rejected_verb_keeps_the_next_batch_incremental(self, library,
-                                                            cone_path):
+    def test_rejected_verb_keeps_the_next_batch_incremental(self, library):
         registry = DesignRegistry()
         try:
             design = registry.attach(
@@ -529,7 +522,7 @@ class TestHTTP:
         finally:
             client.detach("boom")
 
-    def test_edit_round_trip_and_diff(self, client, attached, cone_path):
+    def test_edit_round_trip_and_diff(self, client, attached):
         before = client.wns(attached)
         response = client.resize(attached, "stage1", 75.0)
         assert response["seq"] == before["seq"] + 1

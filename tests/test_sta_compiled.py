@@ -15,9 +15,10 @@ The contract under test, layer by layer:
   tie-break mirrors the object engine's ``max()`` over (arrival, slew, source)
   tuples);
 * the level dedupe (``level_solve_keys``) gives exactly the keys, order and
-  inverse map of the ``np.unique(axis=0)`` row sort it replaced, and the
-  merge (``merge_nets``), which installs one-fanin targets directly, elects
-  exactly the winners of the all-lexsort election it replaced; the dedupe of
+  inverse map of the ``np.unique(axis=0)`` row sort it replaced, and a
+  level's planned merge, whole or restricted to some of its nets
+  (``MergePlan.restrict``), which installs one-fanin targets directly,
+  elects exactly the winners of the all-lexsort election it replaced; the dedupe of
   events keyed by their source's solution gives the same rows;
 * the planned full sweep (merge and backward-pass plans resolved against
   the stimulus, a reused plane buffer and cached seeds, all kept on the
@@ -80,7 +81,7 @@ from repro.sta.compiled import (TRANSITIONS, CompiledGraph, ConfigInterner,
                                 MergePlan, SweepPlan, _coded_solve_keys,
                                 _csr_rows, _install, _interleave,
                                 constraint_seeds, input_seeds, level_solve_keys,
-                                merge_nets)
+                                merge_level)
 from repro.sta.graph import event_options
 from repro.units import fF, mm, nH, pF, ps
 
@@ -526,21 +527,31 @@ def lexsort_merge_level(cg, state, net_lo, net_hi):
 
 
 def assert_merges_match_reference(cg, state, net_lo, net_hi):
-    """``merge_nets`` of a level, on a copy of ``state``, equals the reference.
+    """A level's planned merge, whole and restricted, equals the reference.
 
-    Plane by plane, and the plan's events are the level's existing events.
+    On copies of ``state``: the level's :class:`MergePlan` restricted to all
+    its nets, to every other one and to the rest, installed and run, writes
+    the reference's values into those nets' events, plane by plane, and
+    nothing anywhere else; its events are the nets' existing events.
     """
-    ours, theirs = state.clone(), state.clone()
     nets = np.arange(net_lo, net_hi, dtype=np.int64)
-    events = MergePlan(cg, nets, ours.exists).events
-    merge_nets(cg, ours, nets)
+    theirs = state.clone()
     lexsort_merge_level(cg, theirs, net_lo, net_hi)
-    for name, mine, reference in zip(
-            [f.name for f in dataclasses.fields(SweepState)],
-            ours.planes(), theirs.planes()):
-        assert mine.tobytes() == reference.tobytes(), f"plane {name} diverged"
-    assert np.array_equal(
-        events, np.flatnonzero(theirs.exists[net_lo * 2:net_hi * 2]) + net_lo * 2)
+    for active in (nets, nets[::2], nets[1::2]):
+        ours = state.clone()
+        plan = MergePlan(cg, nets, ours.exists).restrict(active)
+        plan.install(ours)
+        events = merge_level(plan, ours)
+        inside = np.zeros(ours.exists.size, dtype=bool)
+        inside[_interleave(active)] = True
+        for name, mine, reference, before in zip(
+                [f.name for f in dataclasses.fields(SweepState)],
+                ours.planes(), theirs.planes(), state.planes()):
+            assert mine[inside].tobytes() == reference[inside].tobytes(), (
+                f"plane {name} diverged")
+            assert mine[~inside].tobytes() == before[~inside].tobytes(), (
+                f"plane {name} written outside the nets")
+        assert np.array_equal(events, np.flatnonzero(inside & theirs.exists))
 
 
 class TestMergeElection:
@@ -891,7 +902,7 @@ class TestPlannedSweep:
         assert_sweeps_identical(analysis, per_sweep_analysis(
             session._engine, graph, analysis.graph))
 
-    def test_held_reports_keep_their_planes(self, solver, sweep_path):
+    def test_held_reports_keep_their_planes(self, solver):
         graph = planned_sweep_design("soc10k", None)
         session = shared_session(solver)
         session.update(graph)
@@ -910,7 +921,7 @@ class TestPlannedSweep:
                 plane_bytes(updated.analysis)) == captured
 
 
-    def test_updates_and_retimes_match_in_every_plane(self, solver, sweep_path):
+    def test_updates_and_retimes_match_in_every_plane(self, solver):
         # An update and a full re-time of the same state solve through the
         # snapshot's one solution table: sol_idx is bitwise equal as well.
         graph = planned_sweep_design("soc1k", None)
@@ -919,8 +930,7 @@ class TestPlannedSweep:
         for site, size in (("k3c2s1", 125.0), ("k5m1", 75.0), ("k3c2s1", 100.0)):
             graph.resize_driver(site, size)
             updated = session.update(graph).analysis
-            cone = updated.incremental.retimed_nets < len(graph)
-            assert cone == (sweep_path == "cone")
+            assert updated.incremental.retimed_nets < len(graph)
             retimed = session.time(graph).analysis
             assert retimed.solutions is updated.solutions
             assert plane_bytes(updated) == plane_bytes(retimed)

@@ -18,15 +18,15 @@ rejected), the session cache (constraint-only edit batches never recompile;
 the single-slot compiled cache holds its graph weakly), the engine's
 double-buffered planes (earlier reports keep describing their state; warm
 updates never clone; a failed update leaves the published report intact) and
-the streaming report's cone-bounded record reuse, the cone's one-plan
+the streaming report's cone-bounded record reuse, the cone's planned
 backward pass against a from-scratch one, deterministic counters of the
-per-update floor (one required-time plan per update, one forward merge per
-level that holds active nets, one solution table per compiled graph that
-answers warm updates without a solve request and holds one row per key),
-the counted choice between the cone and the planned full sweep (perfbench's
-1k serve sites take the full sweep, its 10k-and-up ECO sites the cone, and a
-failed full update leaves the next one to re-time in full; the equivalence
-properties run under each path), and the engine's own rollback hook.
+per-update floor (one merge step per level the loop visits, no merge or
+required-time plan built from the CSR arrays, one solution table per
+compiled graph that answers warm updates without a solve request and holds
+one row per key), the one update path (every warm update with dirty nets
+runs ``incremental_sweep`` once, at perfbench's 1k serve and 10k ECO edit
+sites, and a failure inside its loop leaves the next update to re-time in
+full), and the engine's own rollback hook.
 """
 
 import gc
@@ -49,13 +49,13 @@ from repro.errors import CharacterizationError, ModelingError
 from repro.experiments import parallel_chains, reconvergent_graph, soc_graph
 from repro.interconnect import RLCLine
 from repro.sta import GraphEngine, PrimaryInput
-from repro.sta import incremental_compiled
-from repro.sta.compiled import (RequiredPlan, SweepState, backward_required,
-                                required_seeds)
+from repro.sta import batch, incremental_compiled
+from repro.sta.compiled import (MergePlan, RequiredPlan, SweepState,
+                                backward_required, required_seeds)
 from repro.sta.incremental_compiled import CompiledIncrementalEngine
 from repro.units import fF, mm, nH, pF, ps
 
-#: perfbench's workload definitions, whose edit sites the path-choice gate reads.
+#: perfbench's workload definitions, whose edit sites the update-path gate reads.
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -282,8 +282,7 @@ class TestSessionCache:
 class TestCompiledIncrementalProperty:
     @pytest.mark.parametrize("seed,steps", [(11, 12), (9, 10), (26, 10)])
     def test_interleaved_edits_three_way_identical(self, library, solver,
-                                                   lines, seed, steps,
-                                                   sweep_path):
+                                                   lines, seed, steps):
         # Every step: the compiled update against a from-scratch compiled
         # sweep of its snapshot and a from-scratch object analysis.
         graph = random_dag(random.Random(seed), lines, n_nets=22)
@@ -318,8 +317,7 @@ class TestCompiledIncrementalProperty:
         assert second.incremental.retimed_nets == 0
         assert second.incremental.required_nets == 0
 
-    def test_convergence_prunes_the_cone(self, library, solver, lines,
-                                         cone_path):
+    def test_convergence_prunes_the_cone(self, library, solver, lines):
         # Re-stating a primary input with its current stimulus dirties the
         # root but changes nothing: the sweep must converge on the root level.
         graph = random_dag(random.Random(13), lines, n_nets=20)
@@ -362,8 +360,7 @@ class TestCompiledIncrementalProperty:
                 analysis, engine.analyze_compiled(graph, compiled_graph=cg))
             assert_matches_object_oracle(analysis, engine.analyze(graph))
 
-    def test_cone_stays_local_on_chain_tail_edit(self, library, solver, lines,
-                                                 cone_path):
+    def test_cone_stays_local_on_chain_tail_edit(self, library, solver, lines):
         graph = parallel_chains(3, 4, lines=[lines[0]], input_slew=ps(100))
         engine = GraphEngine(library=library, solver=solver)
         incremental = CompiledIncrementalEngine(engine, graph)
@@ -397,8 +394,7 @@ class TestCompiledIncrementalProperty:
 
 
 class TestStreamingReportReuse:
-    def test_warm_compiled_update_rebuilds_only_the_cone(self, solver, lines,
-                                                         sweep_path):
+    def test_warm_compiled_update_rebuilds_only_the_cone(self, solver, lines):
         graph = random_dag(random.Random(82), lines, n_nets=20)
         graph.set_clock_period(ps(900))
         session = shared_session(solver)
@@ -522,7 +518,7 @@ class TestDoubleBufferedPlanes:
         else:
             assert kept.tobytes() == captured["required"]
 
-    def test_warm_updates_never_clone(self, solver, monkeypatch, sweep_path):
+    def test_warm_updates_never_clone(self, solver, monkeypatch):
         clones = []
         clone = SweepState.clone
 
@@ -583,11 +579,10 @@ class TestDoubleBufferedPlanes:
         toggle(graph, SOC_SITES[3])
         assert_same_planes(session.update(graph), session.time(graph))
 
-    def test_restimulated_update_after_a_re_time_matches_it(self, solver,
-                                                            sweep_path):
+    def test_restimulated_update_after_a_re_time_matches_it(self, solver):
         # A root's other transition changes which events exist, and the
-        # re-time caches the sweep plan of the new ones: a full update must
-        # not sweep the spare, whose planes still hold the old events.
+        # re-time caches the sweep plan of the new ones: the update must
+        # install that plan's events over the spare, which holds the old.
         graph = soc_design()
         session = shared_session(solver)
         session.update(graph)
@@ -650,7 +645,7 @@ class TestRequiredPlan:
     @pytest.mark.parametrize("constrained", ["setup", "hold", "both"])
     @pytest.mark.parametrize("seed", RANDOM_SEEDS)
     def test_cone_plan_matches_a_full_backward_pass(
-            self, library, solver, monkeypatch, seed, constrained, sweep_path):
+            self, library, solver, monkeypatch, seed, constrained):
         graph = dict(golden_designs())[f"random{seed}"]()
         modes = ("setup", "hold") if constrained == "both" else (constrained,)
         for mode in ("setup", "hold"):
@@ -684,64 +679,52 @@ class TestRequiredPlan:
             assert_analyses_identical(
                 analysis, engine.analyze_compiled(graph, compiled_graph=cg))
         assert vanished, "no edit made an event vanish"
-        if sweep_path == "cone":
-            assert len(cones) >= 4 and max(cone.size for cone in cones) > 1
-        else:  # constraint-only updates run the full backward pass
-            assert not cones
+        assert len(cones) >= 4 and max(cone.size for cone in cones) > 1
 
 
 class TestPerUpdateFloor:
     """Host-independent counters of what one warm update pays per level.
 
     The floor of an edit->update() cycle is per-level call overhead, not
-    cone work, so these count calls rather than time them: one required-time
-    plan for the whole fanin cone of an update that changed nets (not one
-    per level), one forward merge per level that holds active nets (no
-    call for the levels in between), and no solve request for a key the
-    compiled graph's solution table already holds.
+    cone work, so these count calls rather than time them: one merge step
+    per level the cone visits (no call for the levels in between), and no
+    solve request for a key the compiled graph's solution table already
+    holds.
     """
 
-    def test_one_plan_per_update_and_one_merge_per_active_level(
-            self, solver, monkeypatch):
+    def test_one_merge_step_per_visited_level(self, solver, monkeypatch):
         graph = soc_graph(10_000)
         graph.set_clock_period(ps(1500), hold_margin=0.0)
         session = shared_session(solver)
         session.update(graph)
-        plans, merges, sweeps = [], [], []
-        build = RequiredPlan.__init__
-        merge = incremental_compiled.merge_nets
+        merges, sweeps = [], []
+        merge = batch.merge_level
         sweep = incremental_compiled.incremental_sweep
-
-        def counting_build(plan, *args):
-            plans.append(None)
-            build(plan, *args)
 
         def counting_merge(*args):
             merges.append(None)
             return merge(*args)
 
-        def recording_sweep(cg, *args):
-            sweeps.append((cg, sweep(cg, *args)))
+        def recording_sweep(cg, *args, **kwargs):
+            sweeps.append((cg, sweep(cg, *args, **kwargs)))
             return sweeps[-1][1]
 
-        monkeypatch.setattr(RequiredPlan, "__init__", counting_build)
-        monkeypatch.setattr(incremental_compiled, "merge_nets", counting_merge)
+        monkeypatch.setattr(batch, "merge_level", counting_merge)
         monkeypatch.setattr(incremental_compiled, "incremental_sweep",
                             recording_sweep)
         sites = [f"k{k}{local}" for k in (3, 17, 29, 44, 71)
                  for local in ("m1", "l6", "c2s1", "c9s4")]
         deepest = 0
         for site in sites:  # 20 single-resize updates
-            plans.clear(), merges.clear(), sweeps.clear()
+            merges.clear(), sweeps.clear()
             toggle(graph, site)
             session.update(graph)
             (cg, delta), = sweeps
             levels = np.unique(np.searchsorted(cg.level_ptr, delta.visited,
                                                side="right"))
             assert len(merges) == levels.size
-            assert len(plans) == (1 if delta.changed.size else 0)
             deepest = max(deepest, int(levels.size))
-        assert deepest >= 3  # cones span levels: per-level plans would show
+        assert deepest >= 3  # cones span levels: extra merge steps would show
 
     def test_updates_share_one_solution_table(self, solver, monkeypatch):
         # The per-transition event options and the solution table are
@@ -872,92 +855,81 @@ class TestScalarOnlyRows:
         assert not any(solution.has_waveforms for solution in table.solutions)
 
 
-class TestPathChoice:
-    """update() takes the cheaper of its two bit-identical paths, by count.
+class TestOneUpdatePath:
+    """Every warm update runs the one loop, on the plans the full sweep keeps.
 
-    Host-independent: the gate counts cone sweeps and reads the RunInfo
-    figures that say which path ran (a full update re-times every net and
-    converges nothing early).  A 1k design's edits all take the planned full
-    sweep; a 10k design's take the cone, at every site perfbench edits.
+    Host-independent counters: a warm update with dirty nets calls
+    ``incremental_sweep`` exactly once and builds no :class:`MergePlan` or
+    :class:`RequiredPlan` from the CSR arrays (it restricts the planned
+    ones), at every site perfbench edits: its 1k serve sites and its 10k
+    ECO sites.
     """
 
     @staticmethod
-    def counted_sweeps(monkeypatch):
-        sweeps = []
+    def counted(monkeypatch):
+        calls = {"sweep": 0, "MergePlan": 0, "RequiredPlan": 0}
         sweep = incremental_compiled.incremental_sweep
 
-        def counting_sweep(*args):
-            sweeps.append(None)
-            return sweep(*args)
+        def counting_sweep(*args, **kwargs):
+            calls["sweep"] += 1
+            return sweep(*args, **kwargs)
 
         monkeypatch.setattr(incremental_compiled, "incremental_sweep",
                             counting_sweep)
-        return sweeps
+        for cls in (MergePlan, RequiredPlan):
+            def counting_init(plan, *args, _init=cls.__init__, _name=cls.__name__):
+                calls[_name] += 1
+                _init(plan, *args)
 
-    @staticmethod
-    def perfbench_workloads(monkeypatch):
+            monkeypatch.setattr(cls, "__init__", counting_init)
+        return calls
+
+    @pytest.mark.parametrize("nets", [1000, 10_000])
+    def test_every_perfbench_edit_sweeps_once_on_the_plans(self, solver,
+                                                           monkeypatch, nets):
         monkeypatch.syspath_prepend(str(PERFBENCH))
         import workloads
-        return workloads
-
-    @staticmethod
-    def resize_each(graph, session, workloads, sites):
-        """One resize + update per site (its own cluster): their reports."""
-        for cluster, local in enumerate(sites):
-            site = f"k{cluster % (len(graph) // 125)}{local}"
-            graph.resize_driver(
-                site, workloads.TOGGLE[graph.nets[site].driver_size])
-            yield session.update(graph)
-
-    def test_every_serve_site_of_1k_takes_the_full_sweep(self, solver,
-                                                         monkeypatch):
-        workloads = self.perfbench_workloads(monkeypatch)
-        graph = soc_design()
-        session = shared_session(solver)
-        session.update(graph)
-        sweeps = self.counted_sweeps(monkeypatch)
-        for report in self.resize_each(graph, session, workloads,
-                                       workloads.SERVE_SITE_LOCALS):
-            meta = report.meta
-            assert meta.retimed_nets == meta.required_nets == len(graph)
-            assert meta.cone_converged_early == 0
-            # The report carry-over survives the full path.
-            assert 0 < meta.report_events_rebuilt < report.n_events
-        assert not sweeps
-
-    def test_every_edit_site_of_10k_takes_the_cone(self, solver, monkeypatch):
-        workloads = self.perfbench_workloads(monkeypatch)
-        sites = workloads.SITE_LOCALS
-        graph = soc_graph(10_000)
+        sites = (workloads.SERVE_SITE_LOCALS if nets == 1000
+                 else workloads.SITE_LOCALS)
+        graph = soc_graph(nets)
         graph.set_clock_period(ps(1500), hold_margin=0.0)
         session = shared_session(solver)
         session.update(graph)
-        sweeps = self.counted_sweeps(monkeypatch)
-        for report in self.resize_each(graph, session, workloads, sites):
+        calls = self.counted(monkeypatch)
+        for cluster, local in enumerate(sites):
+            site = f"k{cluster % (nets // 125)}{local}"
+            graph.resize_driver(site,
+                                workloads.TOGGLE[graph.nets[site].driver_size])
+            sweeps = calls["sweep"]
+            report = session.update(graph)
+            assert calls["sweep"] == sweeps + 1
             assert report.meta.retimed_nets < len(graph)
-        assert len(sweeps) == len(sites)
+            assert 0 < report.meta.report_events_rebuilt < report.n_events
+        graph.set_clock_period(ps(1400), hold_margin=0.0)  # no dirty net
+        session.update(graph)
+        assert calls == {"sweep": len(sites), "MergePlan": 0, "RequiredPlan": 0}
 
-    @pytest.mark.parametrize("sweep_path", ["full"], indirect=True)
-    def test_a_failed_full_update_retimes_in_full_next(self, library, solver,
-                                                       monkeypatch, sweep_path):
+    def test_a_failure_inside_the_loop_retimes_in_full_next(self, library, solver,
+                                                            monkeypatch):
         # No transaction: only the engine's own invalidate() can keep the
-        # next update off the planes of the state before the consumed edit.
+        # next update off the planes the failed loop half wrote.
         graph = soc_design()
         engine = GraphEngine(library=library, solver=solver)
         incremental = CompiledIncrementalEngine(engine, graph)
         cg = refresh_snapshot(engine, graph, None)
         incremental.update(cg)
-        analyze = GraphEngine.analyze_compiled
+        step = GraphEngine._sweep_compiled_level
         calls = []
 
-        def fail_once(*args, **kwargs):
+        def fail_on_the_second_step(*args):
             calls.append(None)
-            analysis = analyze(*args, **kwargs)
-            if len(calls) == 1:
-                raise RuntimeError("injected full-sweep failure")
-            return analysis
+            events = step(*args)
+            if len(calls) == 2:
+                raise RuntimeError("injected level-step failure")
+            return events
 
-        monkeypatch.setattr(GraphEngine, "analyze_compiled", fail_once)
+        monkeypatch.setattr(GraphEngine, "_sweep_compiled_level",
+                            fail_on_the_second_step)
         toggle(graph, SOC_SITES[0])
         cg = refresh_snapshot(engine, graph, cg)
         with pytest.raises(RuntimeError, match="injected"):
@@ -974,7 +946,7 @@ class TestRollbackHook:
     """A directly used engine drops its planes when a transaction rolls back."""
 
     def test_update_inside_a_rolled_back_block_retimes_in_full(
-            self, library, solver, cone_path):
+            self, library, solver):
         graph = dict(golden_designs())["random29"]()
         engine = GraphEngine(library=library, solver=solver)
         incremental = CompiledIncrementalEngine(engine, graph)
