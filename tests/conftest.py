@@ -3,6 +3,10 @@
 Reference (transistor-level) simulations and cell characterizations are expensive,
 so anything reusable is session-scoped: the shipped cell library, a caching
 reference simulator, and the reference waveform of the paper's Figure 1 case.
+The ``level_step`` fixture runs a test once with the update loop's own
+per-level choice between a whole and a restricted plan, and once with every
+level restricted, so small graphs (whose levels all run whole) exercise the
+restricted step too.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from repro.characterization import default_library
 from repro.experiments.paper_cases import FIGURE1_CASE, FIGURE6_SINGLE_RAMP_CASE
 from repro.experiments.reference import ReferenceSimulator
 from repro.interconnect import RLCLine
+from repro.sta import incremental_compiled
 from repro.tech import InverterSpec, generic_180nm
 from repro.units import mm, nH, pF
 
@@ -86,3 +91,11 @@ def fig1_reference(reference_simulator):
 def fig6_weak_reference(reference_simulator):
     """Reference simulation of the weak-driver Figure 6 case (4 mm / 1.6 um / 25X)."""
     return reference_simulator.simulate_case(FIGURE6_SINGLE_RAMP_CASE)
+
+
+@pytest.fixture(params=["chosen", "restricted"])
+def level_step(request, monkeypatch):
+    """Run the test under the loop's own level choice, then all levels restricted."""
+    if request.param == "restricted":
+        monkeypatch.setattr(incremental_compiled, "_WHOLE_LEVEL_SLACK", -1)
+    return request.param

@@ -902,7 +902,7 @@ class TestPlannedSweep:
         assert_sweeps_identical(analysis, per_sweep_analysis(
             session._engine, graph, analysis.graph))
 
-    def test_held_reports_keep_their_planes(self, solver):
+    def test_held_reports_keep_their_planes(self, solver, level_step):
         graph = planned_sweep_design("soc10k", None)
         session = shared_session(solver)
         session.update(graph)
@@ -921,7 +921,7 @@ class TestPlannedSweep:
                 plane_bytes(updated.analysis)) == captured
 
 
-    def test_updates_and_retimes_match_in_every_plane(self, solver):
+    def test_updates_and_retimes_match_in_every_plane(self, solver, level_step):
         # An update and a full re-time of the same state solve through the
         # snapshot's one solution table: sol_idx is bitwise equal as well.
         graph = planned_sweep_design("soc1k", None)

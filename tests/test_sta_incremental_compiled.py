@@ -282,7 +282,8 @@ class TestSessionCache:
 class TestCompiledIncrementalProperty:
     @pytest.mark.parametrize("seed,steps", [(11, 12), (9, 10), (26, 10)])
     def test_interleaved_edits_three_way_identical(self, library, solver,
-                                                   lines, seed, steps):
+                                                   lines, seed, steps,
+                                                   level_step):
         # Every step: the compiled update against a from-scratch compiled
         # sweep of its snapshot and a from-scratch object analysis.
         graph = random_dag(random.Random(seed), lines, n_nets=22)
@@ -394,7 +395,8 @@ class TestCompiledIncrementalProperty:
 
 
 class TestStreamingReportReuse:
-    def test_warm_compiled_update_rebuilds_only_the_cone(self, solver, lines):
+    def test_warm_compiled_update_rebuilds_only_the_cone(self, solver, lines,
+                                                         level_step):
         graph = random_dag(random.Random(82), lines, n_nets=20)
         graph.set_clock_period(ps(900))
         session = shared_session(solver)
@@ -518,7 +520,7 @@ class TestDoubleBufferedPlanes:
         else:
             assert kept.tobytes() == captured["required"]
 
-    def test_warm_updates_never_clone(self, solver, monkeypatch):
+    def test_warm_updates_never_clone(self, solver, monkeypatch, level_step):
         clones = []
         clone = SweepState.clone
 
@@ -579,7 +581,8 @@ class TestDoubleBufferedPlanes:
         toggle(graph, SOC_SITES[3])
         assert_same_planes(session.update(graph), session.time(graph))
 
-    def test_restimulated_update_after_a_re_time_matches_it(self, solver):
+    def test_restimulated_update_after_a_re_time_matches_it(self, solver,
+                                                            level_step):
         # A root's other transition changes which events exist, and the
         # re-time caches the sweep plan of the new ones: the update must
         # install that plan's events over the spare, which holds the old.
@@ -645,7 +648,7 @@ class TestRequiredPlan:
     @pytest.mark.parametrize("constrained", ["setup", "hold", "both"])
     @pytest.mark.parametrize("seed", RANDOM_SEEDS)
     def test_cone_plan_matches_a_full_backward_pass(
-            self, library, solver, monkeypatch, seed, constrained):
+            self, library, solver, monkeypatch, seed, constrained, level_step):
         graph = dict(golden_designs())[f"random{seed}"]()
         modes = ("setup", "hold") if constrained == "both" else (constrained,)
         for mode in ("setup", "hold"):
